@@ -2,21 +2,30 @@
 
 Lie brackets, the bracket-defect (Nijenhuis) tensor, the metric connection
 from the Koszul identity, curvature, and covariant derivatives of structure
-fields.  Fields come in two derivative modes:
+fields.  Fields evaluate at one point or at every row of a ``(P, d)`` array
+of points, and come in three derivative modes:
 
+  * polynomial: entries are ``Poly`` objects, compiled once and
+    differentiated exactly (the oracle mode);
+  * analytic: a closed-form gradient callable supplies the partials;
   * finite differences: any callable, differentiated by central differences
-    with an explicit step (default 1e-5);
-  * polynomial: entries are ``Poly`` objects, differentiated exactly (the
-    oracle mode).
+    with an explicit step (default 1e-5).
+
+Built-in fields take point arrays directly; a user callable written for one
+point is mapped over the rows.
 
 On coordinate fields the brackets vanish, so the Koszul identity reduces to
 ``2 g(grad_i e_j, e_k) = d_i g_jk + d_j g_ki - d_k g_ij`` and the Christoffel
 array follows by solving with g.  Curvature differentiates the Christoffel
-evaluator by central differences with its own step.
+evaluator by central differences with its own step, in every derivative
+mode; the CLI passes the field document's ``fd_step`` (else ``--fd-step``).
+The grid checks evaluate every grid point and every shifted point they need
+in one call, so a check costs a fixed number of numpy calls per block of
+points rather than per point.
 
 Conventions: ``christoffel[k, i, j]`` is the e_k-component of the derivative
 of e_j along e_i; ``curvature[i, j, k, l]`` is the e_i-component of
-R(e_k, e_l) e_j.
+R(e_k, e_l) e_j; ``partials(x)[..., i, :, :]`` is d_i of a matrix field.
 """
 
 from __future__ import annotations
@@ -28,12 +37,11 @@ import numpy as np
 
 from .errors import (
     DegenerateMetricAtPoint,
-    DimensionMismatch,
     InvalidStructureAtPoint,
     ModeMismatch,
 )
-from .linalg import DEFAULT_TOL, Tolerance, fro
-from .poly import Poly
+from .linalg import DEFAULT_TOL, Tolerance
+from .poly import Poly, PolyArray
 
 __all__ = [
     "DEFAULT_FD_STEP",
@@ -60,6 +68,9 @@ __all__ = [
 
 DEFAULT_FD_STEP = 1e-5
 
+# grid checks hold O(points) intermediate arrays; blocks bound their memory
+_BLOCK_POINTS = 2048
+
 
 def grid_points(lo, hi, counts):
     """Rectangular lattice over the box [lo, hi], counts per axis."""
@@ -69,6 +80,11 @@ def grid_points(lo, hi, counts):
     axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(lo.size)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _shifted(x, offsets):
+    """x[..., None, :] + offsets: every point moved by every offset row."""
+    return np.asarray(x, dtype=float)[..., None, :] + offsets
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +107,9 @@ class VectorField:
     @classmethod
     def from_polys(cls, polys: Sequence[Poly]):
         polys = list(polys)
-        dim = polys[0].dim
-
-        def fn(x):
-            return np.array([p(x) for p in polys])
-
         # exact mode: an infinite step means "never the binding constraint"
         # when steps propagate through mixed-mode products and brackets
-        return cls(dim, fn, step=np.inf, polys=polys)
+        return cls(polys[0].dim, PolyArray(polys), step=np.inf, polys=polys)
 
     @classmethod
     def constant(cls, vec):
@@ -136,14 +147,15 @@ class VectorField:
 class TensorFieldOnChart:
     """Matrix-valued field of a declared kind ("1,1" or "2,0").
 
-    ``partial(x, i)`` is exact in polynomial mode and a central difference
-    otherwise; an explicit gradient callable may be supplied for fields with
-    known closed-form derivatives.
+    The derivative mode is data: ``polys`` (exact), ``gradient`` (a callable
+    ``x, i -> d_i T(x)``) or neither (central differences with ``step``).
+    ``vectorized`` says that ``fn`` and ``gradient`` accept a ``(..., d)``
+    array of points; otherwise they are called once per point.
     """
 
     def __init__(self, dim, kind, fn: Callable, step=DEFAULT_FD_STEP,
                  polys=None, gradient: Optional[Callable] = None,
-                 symmetry="symmetric"):
+                 symmetry="symmetric", vectorized=False):
         self.dim = int(dim)
         if kind not in ("1,1", "2,0"):
             raise ValueError(f"unknown tensor kind {kind!r}")
@@ -153,15 +165,20 @@ class TensorFieldOnChart:
         self.polys = polys  # (dim, dim) nested list of Poly, or None
         self.gradient = gradient  # x, i -> matrix, or None
         self.symmetry = symmetry
+        self.vectorized = vectorized
+        self._poly_partials = None  # compiled on first use, polynomial mode
 
     @classmethod
     def from_polys(cls, polys, kind, symmetry="symmetric"):
         dim = len(polys)
+        values = PolyArray(p for row in polys for p in row)
 
         def fn(x):
-            return np.array([[p(x) for p in row] for row in polys])
+            x = np.asarray(x, dtype=float)
+            return values(x).reshape(x.shape[:-1] + (dim, dim))
 
-        return cls(dim, kind, fn, step=np.inf, polys=polys, symmetry=symmetry)
+        return cls(dim, kind, fn, step=np.inf, polys=polys, symmetry=symmetry,
+                   vectorized=True)
 
     @classmethod
     def constant(cls, matrix, kind, symmetry="symmetric"):
@@ -177,24 +194,36 @@ class TensorFieldOnChart:
             return "polynomial"
         return "analytic" if self.gradient is not None else "fd"
 
+    def _on_points(self, fn, x, shape):
+        """fn at one point, or stacked over the rows of x (shape per row)."""
+        if x.ndim == 1 or self.vectorized:
+            return np.asarray(fn(x), dtype=float)
+        rows = [fn(p) for p in x.reshape(-1, x.shape[-1])]
+        return np.array(rows, dtype=float).reshape(x.shape[:-1] + shape)
+
     def __call__(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
+        """T(x) for one point, or T at every row of a (..., d) array."""
+        x = np.asarray(x, dtype=float)
+        return self._on_points(self.fn, x, (self.dim, self.dim))
+
+    def partials(self, x):
+        """Every partial derivative: ``partials(x)[..., i, :, :]`` is d_i T."""
+        x = np.asarray(x, dtype=float)
+        n = self.dim
+        if self.polys is not None:
+            if self._poly_partials is None:
+                self._poly_partials = PolyArray(
+                    p.diff(i) for i in range(n) for row in self.polys for p in row)
+            return self._poly_partials(x).reshape(x.shape[:-1] + (n, n, n))
+        if self.gradient is not None:
+            def gradients(p):
+                return np.stack([self.gradient(p, i) for i in range(n)], axis=-3)
+            return self._on_points(gradients, x, (n, n, n))
+        offsets = self.step * np.eye(n)
+        return (self(_shifted(x, offsets)) - self(_shifted(x, -offsets))) / (2.0 * self.step)
 
     def partial(self, x, i):
-        x = np.asarray(x, dtype=float)
-        if self.polys is not None:
-            return np.array([[p.diff(i)(x) for p in row] for row in self.polys])
-        if self.gradient is not None:
-            return np.asarray(self.gradient(x, i), dtype=float)
-        e = np.zeros(self.dim)
-        e[i] = self.step
-        return (self(x + e) - self(x - e)) / (2.0 * self.step)
-
-    def column_field(self, j) -> "VectorField":
-        """Column j as a vector field (the image of the j-th coordinate field)."""
-        if self.polys is not None:
-            return VectorField.from_polys([row[j] for row in self.polys])
-        return VectorField(self.dim, lambda x: self(x)[:, j], step=self.step)
+        return self.partials(x)[..., i, :, :]
 
     def apply(self, x_field: "VectorField") -> "VectorField":
         """Pointwise image field x -> T(x) X(x), staying exact when possible."""
@@ -218,6 +247,25 @@ class Verdict:
     max_residual: float
     label: str = ""
     location: str = ""
+
+
+def _worst_on_grid(residuals_of, grid):
+    """Largest per-point residual over the grid and where it occurs.
+
+    ``residuals_of`` maps a block of points to one residual per point.  The
+    location is the first point attaining the worst residual, and "" when
+    that residual is 0.
+    """
+    points = np.atleast_2d(np.asarray(grid, dtype=float))
+    blocks = [residuals_of(points[s:s + _BLOCK_POINTS])
+              for s in range(0, len(points), _BLOCK_POINTS)]
+    if not blocks:
+        return 0.0, ""
+    resid = np.concatenate(blocks)
+    k = int(np.argmax(resid))
+    if resid[k] == 0.0:
+        return 0.0, ""
+    return float(resid[k]), np.array2string(points[k], precision=3)
 
 
 # ---------------------------------------------------------------------------
@@ -253,36 +301,39 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     return VectorField(dim, fn, step=step)
 
 
+def _defect_tensor(a, da):
+    """Bracket-defect tensor N[..., k, i, j] = N^k_ij of an endomorphism field.
+
+    From its values ``a[..., k, l] = A^k_l`` and partials
+    ``da[..., m, k, l] = d_m A^k_l`` (Kobayashi-Nomizu II, ch. IX):
+
+        N^k_ij = A^l_i d_l A^k_j - A^l_j d_l A^k_i - A^k_l (d_i A^l_j - d_j A^l_i)
+
+    so that N(X, Y) = [AX, AY] - A[AX, Y] - A[X, AY] + A^2 [X, Y].
+    """
+    along = np.einsum("...li,...lkj->...kij", a, da)
+    curl = np.einsum("...ilj->...lij", da)
+    curl = curl - np.swapaxes(curl, -1, -2)
+    return along - np.swapaxes(along, -1, -2) - np.einsum("...kl,...lij->...kij", a, curl)
+
+
 def nijenhuis(a_field: TensorFieldOnChart, x_field: VectorField,
               y_field: VectorField, x):
     """Bracket-defect tensor of an endomorphism field at the point x:
 
-        [AX, AY] - A [AX, Y] - A [X, AY] + A^2 [X, Y].
+        [AX, AY] - A [AX, Y] - A [X, AY] + A^2 [X, Y],
+
+    computed as the contraction N^k_ij X^i Y^j of the tensor at x (A is
+    differentiated in its own derivative mode).
     """
     if a_field.kind != "1,1":
         raise ModeMismatch("defect tensor needs an endomorphism field")
-    ax = a_field.apply(x_field)
-    ay = a_field.apply(y_field)
     x = np.asarray(x, dtype=float)
-    a = a_field(x)
-    term1 = lie_bracket(ax, ay)(x)
-    term2 = a @ lie_bracket(ax, y_field)(x)
-    term3 = a @ lie_bracket(x_field, ay)(x)
-    term4 = a @ (a @ lie_bracket(x_field, y_field)(x))
-    return term1 - term2 - term3 + term4
+    defect = _defect_tensor(a_field(x), a_field.partials(x))
+    return np.einsum("kij,i,j->k", defect, x_field(x), y_field(x))
 
 
-def _structure_residual_at(field, kind, x, tol):
-    value = field(x)
-    n = field.dim
-    scale = max(fro(value) ** 2, 1.0)
-    if kind == "tangent":
-        return fro(value @ value) / scale
-    if kind == "para_complex":
-        return fro(value @ value - np.eye(n)) / scale
-    if kind == "complex":
-        return fro(value @ value + np.eye(n)) / scale
-    raise ValueError(f"unknown structure kind {kind!r}")
+_STRUCTURE_SQUARES = {"tangent": 0.0, "para_complex": 1.0, "complex": -1.0}
 
 
 def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
@@ -292,25 +343,29 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
     ``kind`` is "tangent", "para_complex" or "complex"; the verdict for a
     vanishing defect is labelled "integrable" for the first two and only
     "formally integrable" for complex structures (the defect vanishing is
-    necessary but not known to be sufficient there).
+    necessary but not known to be sufficient there).  The residual at a
+    point is the largest norm of N(e_i, e_j) over pairs i < j.
 
-    Raises InvalidStructureAtPoint when the field fails its pointwise
-    algebraic identity somewhere on the grid.
+    Raises InvalidStructureAtPoint at the first grid point where the field
+    fails its algebraic identity (A^2 = 0, 1 or -1 within 1e-6, relative to
+    max(|A|^2, 1)).
     """
-    dim = field.dim
-    coords = [VectorField.coordinate(dim, i) for i in range(dim)]
-    worst = 0.0
-    where = ""
-    for x in np.atleast_2d(grid):
-        if _structure_residual_at(field, kind, x, tol) > 1e-6:
+    if kind not in _STRUCTURE_SQUARES:
+        raise ValueError(f"unknown structure kind {kind!r}")
+    identity = _STRUCTURE_SQUARES[kind] * np.eye(field.dim)
+    upper = np.triu_indices(field.dim, 1)
+
+    def residuals(points):
+        a = field(points)
+        scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)) ** 2, 1.0)
+        invalid = np.linalg.norm(a @ a - identity, axis=(-2, -1)) / scale > 1e-6
+        if invalid.any():
+            x = points[np.argmax(invalid)]
             raise InvalidStructureAtPoint(x, f"field is not a {kind} structure at {x}")
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                value = nijenhuis(field, coords[i], coords[j], x)
-                resid = float(np.linalg.norm(value))
-                if resid > worst:
-                    worst = resid
-                    where = np.array2string(np.asarray(x), precision=3)
+        defect = _defect_tensor(a, field.partials(points))[..., upper[0], upper[1]]
+        return np.linalg.norm(defect, axis=-2).max(axis=-1, initial=0.0)
+
+    worst, where = _worst_on_grid(residuals, grid)
     passed = worst <= tol
     if kind == "complex":
         label = "formally integrable" if passed else "not formally integrable"
@@ -325,7 +380,10 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
 
 @dataclass
 class ConnectionData:
-    """Christoffel evaluator x -> Gamma[k, i, j] plus its source metric."""
+    """Christoffel evaluator x -> Gamma[..., k, i, j] plus its source metric.
+
+    ``x`` is one point or a (..., d) array of points.
+    """
 
     dim: int
     christoffel: Callable
@@ -342,8 +400,8 @@ def levi_civita(metric: TensorFieldOnChart,
 
     Works for any nondegenerate symmetric field (either signature).  The
     returned Christoffel array is symmetric in its lower indices by
-    construction; degeneracy at an evaluation point raises
-    DegenerateMetricAtPoint with the location.
+    construction; degeneracy raises DegenerateMetricAtPoint at the first
+    degenerate evaluation point, in row order.
     """
     if metric.kind != "2,0":
         raise ModeMismatch("connection needs a (2,0) metric field")
@@ -351,15 +409,19 @@ def levi_civita(metric: TensorFieldOnChart,
 
     def christoffel(x):
         g = metric(x)
-        partials = np.stack([metric.partial(x, i) for i in range(dim)])
-        # rhs[k, i, j] = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
-        rhs = 0.5 * (np.einsum("ijk->kij", partials)
-                     + np.einsum("jik->kij", partials)
-                     - np.einsum("kij->kij", partials))
+        partials = metric.partials(x)
+        # rhs[..., k, i, j] = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
+        rhs = 0.5 * (np.einsum("...ijk->...kij", partials)
+                     + np.einsum("...jik->...kij", partials)
+                     - partials)
         sv = np.linalg.svd(g, compute_uv=False)
-        if sv[-1] <= tol.rank_threshold(sv[0]):
-            raise DegenerateMetricAtPoint(x)
-        return np.linalg.solve(g, rhs.reshape(dim, dim * dim)).reshape(dim, dim, dim)
+        degenerate = sv[..., -1] <= tol.rank_threshold(sv[..., 0])
+        if degenerate.any():
+            first = np.unravel_index(np.argmax(degenerate), degenerate.shape)
+            raise DegenerateMetricAtPoint(x[first])
+        batch = x.shape[:-1]
+        gamma = np.linalg.solve(g, rhs.reshape(batch + (dim, dim * dim)))
+        return gamma.reshape(batch + (dim, dim, dim))
 
     # exact-mode metrics carry an infinite step; the connection still needs a
     # finite one for the outer derivatives taken by curvature()
@@ -368,42 +430,46 @@ def levi_civita(metric: TensorFieldOnChart,
 
 
 def curvature(conn: ConnectionData, x, step=None):
-    """Curvature array R[i, j, k, l] of the connection at x.
+    """Curvature array R[..., i, j, k, l] at one point or every row of x.
 
         R[i, j, k, l] = d_k Gamma[i, l, j] - d_l Gamma[i, k, j]
                         + Gamma[i, k, m] Gamma[m, l, j]
                         - Gamma[i, l, m] Gamma[m, k, j]
 
     The Christoffel evaluator is differentiated by central differences with
-    ``step`` (defaults to the connection's step).
+    ``step`` (defaults to the connection's step).  It runs once, on every
+    point and its shifts in the order x, x + h e_0, x - h e_0, x + h e_1, ...
     """
     x = np.asarray(x, dtype=float)
     dim = conn.dim
     h = float(step or conn.step)
-    gamma = conn(x)
-    dgamma = np.zeros((dim, dim, dim, dim))  # dgamma[a, k, i, j] = d_a Gamma[k,i,j]
-    for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = h
-        dgamma[a] = (conn(x + e) - conn(x - e)) / (2.0 * h)
-    riem = (np.einsum("kilj->ijkl", dgamma)
-            - np.einsum("likj->ijkl", dgamma)
-            + np.einsum("ikm,mlj->ijkl", gamma, gamma)
-            - np.einsum("ilm,mkj->ijkl", gamma, gamma))
-    return riem
+    offsets = np.zeros((2 * dim + 1, dim))
+    offsets[1::2] = h * np.eye(dim)
+    offsets[2::2] = -h * np.eye(dim)
+    gammas = conn(_shifted(x, offsets))
+    gamma = gammas[..., 0, :, :, :]
+    # dgamma[..., a, k, i, j] = d_a Gamma[k, i, j]
+    dgamma = (gammas[..., 1::2, :, :, :] - gammas[..., 2::2, :, :, :]) / (2.0 * h)
+    return (np.einsum("...kilj->...ijkl", dgamma)
+            - np.einsum("...likj->...ijkl", dgamma)
+            + np.einsum("...ikm,...mlj->...ijkl", gamma, gamma)
+            - np.einsum("...ilm,...mkj->...ijkl", gamma, gamma))
 
 
 def is_metric_integrable(metric: TensorFieldOnChart, grid, tol=1e-6,
                          step=None) -> Verdict:
-    """Flatness check: the metric is an integrable structure iff R vanishes."""
+    """Flatness check: the metric is an integrable structure iff R vanishes.
+
+    The residual at a point is the Frobenius norm of R there; ``step`` is
+    the curvature's central-difference step (defaults to the connection's).
+    """
     conn = levi_civita(metric)
-    worst = 0.0
-    where = ""
-    for x in np.atleast_2d(grid):
-        resid = float(np.linalg.norm(curvature(conn, x, step=step)))
-        if resid > worst:
-            worst = resid
-            where = np.array2string(np.asarray(x), precision=3)
+
+    def residuals(points):
+        riem = curvature(conn, points, step=step)
+        return np.linalg.norm(riem.reshape(len(points), -1), axis=-1)
+
+    worst, where = _worst_on_grid(residuals, grid)
     return Verdict(worst <= tol, worst, "integrable" if worst <= tol else
                    "not integrable", where)
 
@@ -419,19 +485,13 @@ def covariant_derivative_of_structure(conn: ConnectionData,
     A flat connection with a parallel structure field certifies that the
     constant normal form is attainable in some chart.
     """
-    dim = conn.dim
-    worst = 0.0
-    where = ""
-    for x in np.atleast_2d(grid):
-        gamma = conn(x)
-        t = field(x)
-        for i in range(dim):
-            dt = field.partial(x, i)
-            nabla = dt + gamma[:, i, :] @ t - t @ gamma[:, i, :]
-            resid = float(np.linalg.norm(nabla))
-            if resid > worst:
-                worst = resid
-                where = np.array2string(np.asarray(x), precision=3)
+    def residuals(points):
+        along = np.moveaxis(conn(points), -2, -3)  # along[p, i] = Gamma[:, i, :]
+        t = field(points)[:, None]
+        nabla = field.partials(points) + along @ t - t @ along
+        return np.linalg.norm(nabla, axis=(-2, -1)).max(axis=-1, initial=0.0)
+
+    worst, where = _worst_on_grid(residuals, grid)
     return Verdict(worst <= tol, worst, "parallel" if worst <= tol else
                    "not parallel", where)
 
@@ -469,21 +529,28 @@ def parallel_transport(conn: ConnectionData, path, vector, steps_per_leg=32):
 # ---------------------------------------------------------------------------
 
 class PolyMap:
-    """Polynomial map R^d -> R^d with exact Jacobian entries."""
+    """Polynomial map R^d -> R^d with exact Jacobian entries.
+
+    Both the map and its Jacobian evaluate at one point or at every row of a
+    (..., d) array of points.
+    """
 
     def __init__(self, components: Sequence[Poly]):
         self.components = list(components)
         self.dim = self.components[0].dim
         self._jac = [[p.diff(j) for j in range(self.dim)] for p in self.components]
+        self._values = PolyArray(self.components)
+        self._jac_values = PolyArray(p for row in self._jac for p in row)
 
     def __call__(self, x):
-        return np.array([p(x) for p in self.components])
+        return self._values(x)
 
     def jacobian_polys(self):
         return self._jac
 
     def jacobian(self, x):
-        return np.array([[p(x) for p in row] for row in self._jac])
+        x = np.asarray(x, dtype=float)
+        return self._jac_values(x).reshape(x.shape[:-1] + (len(self._jac), self.dim))
 
 
 def random_quadratic_diffeo(dim, rng, scale=0.15):
@@ -534,23 +601,24 @@ def pullback_endomorphism(phi: PolyMap, constant_matrix,
         j = phi.jacobian(x)
         return np.linalg.solve(j, t0 @ j)
 
-    return TensorFieldOnChart(phi.dim, "1,1", fn, step=step, symmetry="none")
+    return TensorFieldOnChart(phi.dim, "1,1", fn, step=step, symmetry="none",
+                              vectorized=True)
 
 
 def sphere_stereographic_metric(step=DEFAULT_FD_STEP) -> TensorFieldOnChart:
     """Round-sphere metric 4/(1 + |x|^2)^2 delta on R^2, analytic derivatives."""
 
-    def factor(x):
-        return 4.0 / (1.0 + float(x @ x)) ** 2
+    def r2(x):
+        return np.einsum("...i,...i->...", x, x)[..., None, None]
 
     def fn(x):
-        return factor(x) * np.eye(2)
+        return 4.0 / (1.0 + r2(x)) ** 2 * np.eye(2)
 
     def gradient(x, i):
-        r2 = float(x @ x)
-        return (-16.0 * x[i] / (1.0 + r2) ** 3) * np.eye(2)
+        return -16.0 * x[..., i, None, None] / (1.0 + r2(x)) ** 3 * np.eye(2)
 
-    return TensorFieldOnChart(2, "2,0", fn, step=step, gradient=gradient)
+    return TensorFieldOnChart(2, "2,0", fn, step=step, gradient=gradient,
+                              vectorized=True)
 
 
 def constant_field(matrix, kind="2,0", symmetry="symmetric") -> TensorFieldOnChart:

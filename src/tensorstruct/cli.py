@@ -231,7 +231,8 @@ def _dispatch(args, tol, rng) -> Report:
     if args.command == "curvature":
         doc, digest = _load(args.metric)
         field, grid = documents.parse_field(doc, fd_step=args.fd_step)
-        verdict = is_metric_integrable(field, grid, tol=args.tol)
+        verdict = is_metric_integrable(field, grid, tol=args.tol,
+                                       step=documents.field_step(doc, args.fd_step))
         report = Report("curvature", digest)
         report.add("curvature_residual", verdict.passed, verdict.max_residual,
                    verdict.location)

@@ -31,7 +31,7 @@ Field documents (chart calculus):
      "field": {"name": "constant" | "sphere_stereographic"
                       | "pullback_flat" | "pullback_structure", ...params},
      "grid": {"lo": [...], "hi": [...], "counts": [...]},
-     "fd_step": h}                     # optional
+     "fd_step": h}                     # optional; also the curvature step
 
 Tower documents:
     {"variance": "projective" | "direct", "dims": [...],
@@ -86,6 +86,7 @@ __all__ = [
     "parse_atlas",
     "parse_tensor",
     "parse_field",
+    "field_step",
     "parse_tower",
     "parse_connection_tower",
     "parse_loop",
@@ -256,12 +257,18 @@ def parse_tensor(doc):
                                              kind, doc.get("symmetry", "symmetric")))
 
 
+def field_step(doc, fd_step=None):
+    """Finite-difference step of a field document: its own ``fd_step``,
+    else ``fd_step``, else the package default."""
+    return float(doc.get("fd_step", fd_step or calculus.DEFAULT_FD_STEP))
+
+
 def parse_field(doc, fd_step=None):
     """Returns (tensor field, grid) from a field document."""
     dim = int(_require(doc, "dim", "field document"))
     spec = _require(doc, "field", "field document")
     name = _require(spec, "name", "field document")
-    step = float(doc.get("fd_step", fd_step or calculus.DEFAULT_FD_STEP))
+    step = field_step(doc, fd_step)
 
     if name == "constant":
         matrix = np.asarray(_require(spec, "matrix", "constant field"), dtype=float)

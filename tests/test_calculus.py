@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorstruct.calculus import (
     ConnectionData,
@@ -430,3 +431,156 @@ def test_fd_halving_reduces_bracket_error_by_four():
     # agreement bound for the two modes: within 10 h^2 for these O(1) data
     for h in (1e-2, 5e-3, 2.5e-3):
         assert error(h) <= 10.0 * h ** 2
+
+
+# ---------------------------------------------------------------------------
+# compiled and grid-at-once paths against their per-point references
+# ---------------------------------------------------------------------------
+
+EQUIVALENCE = settings(max_examples=40, deadline=None)
+
+
+def dict_loop_value(poly, x):
+    # the scalar evaluation compiled polynomials replaced: zip tolerates
+    # points of another length
+    total = 0.0
+    for expo, c in poly.coeffs.items():
+        term = c
+        for xi, e in zip(x, expo):
+            if e:
+                term *= xi ** e
+        total += term
+    return total
+
+
+def random_poly(rng, dim, degree, terms):
+    coeffs = {}
+    for _ in range(terms):
+        expo = [0] * dim
+        for _ in range(rng.integers(0, degree + 1)):
+            expo[rng.integers(dim)] += 1
+        coeffs[tuple(expo)] = rng.uniform(-1.0, 1.0)
+    return Poly(dim, coeffs)
+
+
+@EQUIVALENCE
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4),
+       degree=st.integers(0, 4), terms=st.integers(0, 8))
+def test_compiled_poly_matches_dict_loop(seed, dim, degree, terms):
+    rng = np.random.default_rng(seed)
+    poly = random_poly(rng, dim, degree, terms)
+    points = rng.uniform(-1.5, 1.5, size=(6, dim))
+    scale = 1.0 + sum(abs(c) * 1.5 ** sum(e) for c, e in
+                      zip(poly.coeffs.values(), poly.coeffs))
+    batch = poly(points)
+    assert batch.shape == (6,)
+    for x, got in zip(points, batch):
+        ref = dict_loop_value(poly, x)
+        assert np.ndim(poly(x)) == 0
+        assert abs(poly(x) - ref) <= 1e-13 * scale
+        assert abs(got - ref) <= 1e-13 * scale
+    assert poly.diff(dim - 1) is poly.diff(dim - 1)
+    # points longer than the chart: the extra coordinates are ignored
+    longer = rng.uniform(-1.5, 1.5, size=dim + 2)
+    assert abs(poly(longer) - dict_loop_value(poly, longer)) <= 1e-13 * scale
+    # a constant reads no coordinate, so any point length works
+    const = Poly.constant(dim, float(rng.uniform(-2, 2)))
+    for length in (1, dim, dim + 3):
+        x = rng.uniform(-1, 1, size=length)
+        assert const(x) == dict_loop_value(const, x)
+    field = constant_field(np.arange(dim * dim, dtype=float).reshape(dim, dim))
+    for length in (1, dim + 1):
+        np.testing.assert_array_equal(field.fn(np.zeros(length)),
+                                      np.arange(dim * dim).reshape(dim, dim))
+
+
+def closure_defect(a, x_field, y_field, p):
+    # the closure-composition formula the tensorial kernel replaced
+    ax, ay = a.apply(x_field), a.apply(y_field)
+    av = a(p)
+    return (lie_bracket(ax, ay)(p) - av @ lie_bracket(ax, y_field)(p)
+            - av @ lie_bracket(x_field, ay)(p)
+            + av @ (av @ lie_bracket(x_field, y_field)(p)))
+
+
+def random_vector_field(rng, dim):
+    return VectorField.from_polys([random_poly(rng, dim, 2, 4) for _ in range(dim)])
+
+
+@EQUIVALENCE
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4),
+       twist=st.sampled_from([0.0, 0.3]))
+def test_tensorial_defect_matches_closure_formula(seed, dim, twist):
+    # pullbacks of a random constant endomorphism (integrable), optionally
+    # twisted by a polynomial matrix so the defect does not vanish
+    rng = np.random.default_rng(seed)
+    phi = random_quadratic_diffeo(dim, rng)
+    pulled = pullback_endomorphism(phi, rng.normal(size=(dim, dim)))
+    bend = TensorFieldOnChart.from_polys(
+        [[random_poly(rng, dim, 2, 3) for _ in range(dim)] for _ in range(dim)],
+        "1,1", symmetry="none")
+    field = TensorFieldOnChart(dim, "1,1", lambda x: pulled(x) + twist * bend(x),
+                               symmetry="none")
+    x_field, y_field = random_vector_field(rng, dim), random_vector_field(rng, dim)
+    p = rng.uniform(-0.5, 0.5, size=dim)
+    np.testing.assert_allclose(nijenhuis(field, x_field, y_field, p),
+                               closure_defect(field, x_field, y_field, p), rtol=0, atol=1e-9)
+    # the polynomial mode differentiates exactly, through the same kernel
+    np.testing.assert_allclose(nijenhuis(bend, x_field, y_field, p),
+                               closure_defect(bend, x_field, y_field, p), rtol=0,
+                               atol=1e-9)
+
+
+@EQUIVALENCE
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4),
+       mode=st.sampled_from(["polynomial", "fd", "analytic"]))
+def test_grid_curvature_equals_stacked_points(seed, dim, mode):
+    rng = np.random.default_rng(seed)
+    if mode == "analytic":
+        dim = 2
+        metric = sphere_stereographic_metric()
+    else:
+        metric = pullback_metric(random_quadratic_diffeo(dim, rng),
+                                 np.diag(np.where(rng.random(dim) < 0.5, -1.0, 1.0)))
+        if mode == "fd":
+            metric = TensorFieldOnChart(dim, "2,0", metric.fn, step=1e-4)
+    conn = levi_civita(metric)
+    grid = rng.uniform(-0.5, 0.5, size=(5, dim))
+    stacked = np.stack([curvature(conn, x) for x in grid])
+    np.testing.assert_allclose(curvature(conn, grid), stacked, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(conn(grid), np.stack([conn(x) for x in grid]),
+                               rtol=1e-13, atol=1e-13)
+    verdict = is_metric_integrable(metric, grid, tol=1e-6)
+    norms = [np.linalg.norm(r) for r in stacked]
+    assert verdict.max_residual == pytest.approx(max(norms), rel=1e-6, abs=1e-9)
+
+
+def test_grid_checks_report_first_failure_and_first_worst_point():
+    # degenerate where x_0 = 0.2: the first point's +h e_0 shift is hit first
+    h = 1e-5
+    metric = TensorFieldOnChart(2, "2,0", lambda x: np.diag([1.0, x[0] - 0.2]))
+    grid = np.array([[0.2 - h, 0.1], [0.2, 0.5]])
+    with pytest.raises(DegenerateMetricAtPoint) as err:
+        curvature(levi_civita(metric), grid, step=h)
+    np.testing.assert_array_equal(err.value.point, grid[0] + [h, 0.0])
+
+    field = constant_field(np.diag([1.0, 2.0]), "1,1", "none")
+    partly = TensorFieldOnChart(
+        2, "1,1", lambda x: para_complex_canonical(2).matrix if x[0] < 0
+        else field(x), symmetry="none")
+    with pytest.raises(InvalidStructureAtPoint) as err:
+        is_integrable_structure(partly, "para_complex", [[-0.1, 0.0], [0.1, 0.3], [0.2, 0.0]])
+    np.testing.assert_array_equal(err.value.point, [0.1, 0.3])
+
+    # the defect of this para field depends on x_0 alone: the last two tie
+    def fn(x):
+        basis = np.eye(4)
+        basis[2, 1] = x[0] ** 3
+        return basis @ np.diag([1.0, 1.0, -1.0, -1.0]) @ np.linalg.inv(basis)
+
+    grid = np.array([[0.1, 0.1, 0.2, 0.3], [0.4, 0.0, 0.2, 0.3], [0.4, -0.3, 0.5, 0.3]])
+    verdict = is_integrable_structure(TensorFieldOnChart(4, "1,1", fn, symmetry="none"),
+                                      "para_complex", grid)
+    assert verdict.location == np.array2string(grid[1], precision=3)
+    flat = is_metric_integrable(constant_field(np.eye(2)), GRID2)
+    assert (flat.max_residual, flat.location) == (0.0, "")

@@ -206,6 +206,28 @@ def test_curvature_subcommand(tmp_path):
     assert run(["curvature", flat]) == 0
 
 
+def test_curvature_step_follows_fd_step_for_polynomial_metrics(tmp_path, capsys):
+    # curvature differentiates the exact Christoffel symbols by central
+    # differences, so the step must come from the document, else --fd-step
+    doc = {"dim": 2,
+           "field": {"name": "pullback_flat",
+                     "base_metric": [[1.0, 0.0], [0.0, -1.0]],
+                     "diffeo": [[[1, 0, 1.0], [0, 2, 0.1], [3, 0, 0.05]],
+                                [[0, 1, 1.0], [2, 0, -0.1], [1, 2, 0.05]]]},
+           "grid": {"counts": 3}}
+
+    def residual(doc, *flags):
+        path = write(tmp_path, "flat.json", doc)
+        assert run(["--json", *flags, "curvature", path]) in (0, 1)
+        return json.loads(capsys.readouterr().out)["entries"][0]["residual"]
+
+    coarse, default, fine = (residual(doc, "--fd-step", h) for h in ("1e-2", "1e-5", "1e-7"))
+    assert coarse > 100.0 * default
+    assert fine != default
+    assert residual(doc) == default
+    assert residual(dict(doc, fd_step=1e-2), "--fd-step", "1e-5") == coarse
+
+
 def test_tower_check_subcommand(tmp_path):
     doc = {"variance": "direct", "dims": [1, 2, 3],
            "sequence": {"kind": "1,1",
