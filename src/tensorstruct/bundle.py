@@ -15,12 +15,19 @@ points each verdict rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, Singular, UnsupportedKind
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, kernel_and_image, signature_of
+from .errors import ShapeMismatch, Singular, UnsupportedKind
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    fro,
+    involution_eigenbases,
+    kernel_and_image,
+    signature_of,
+)
 from .report import Report
 
 __all__ = [
@@ -171,7 +178,7 @@ def tensor_action(g, tensor: StructureMatrix) -> StructureMatrix:
     """
     g = as_matrix(g, square=True, name="g")
     if g.shape != tensor.matrix.shape:
-        raise DimensionMismatch(f"map {g.shape} vs tensor {tensor.matrix.shape}")
+        raise ShapeMismatch(f"map {g.shape} vs tensor {tensor.matrix.shape}")
     try:
         g_inv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
@@ -298,20 +305,13 @@ def _orbit_class(model: StructureMatrix, tol):
     if tol.accepts(fro(m @ m + np.eye(n)), scale):
         return ("complex", None)
     if tol.accepts(fro(m @ m - np.eye(n)), scale):
-        return ("involution", signature_of_involution(m, tol))
+        # the signature: dimensions of the +1 and -1 eigenspaces
+        return ("involution", tuple(b.shape[1] for b in involution_eigenbases(m, tol)))
     if tol.accepts(fro(m @ m), scale):
         return ("nilpotent", rank_pattern(m, tol))
     raise UnsupportedKind(
         "no complete orbit invariant for this (1,1) tensor; supported: "
         "complex, involutive, nilpotent-of-order-2")
-
-
-def signature_of_involution(m, tol=DEFAULT_TOL):
-    """(+1, -1) eigenspace dimensions of an involution via rank computations."""
-    n = m.shape[0]
-    plus = n - kernel_and_image(m - np.eye(n), tol)[2]
-    minus = n - kernel_and_image(m + np.eye(n), tol)[2]
-    return plus, minus
 
 
 def rank_pattern(m, tol=DEFAULT_TOL, max_power=None):
@@ -329,7 +329,7 @@ def rank_pattern(m, tol=DEFAULT_TOL, max_power=None):
     return tuple(out)
 
 
-def _same_orbit(value, model_class, kind, symmetry, tol):
+def _same_orbit(value, model_class, tol):
     """(passed, residual) for 'value lies in the model tensor's orbit'."""
     label, invariant = model_class
     n = value.shape[0]
@@ -353,7 +353,7 @@ def _same_orbit(value, model_class, kind, symmetry, tol):
         resid = fro(value @ value - np.eye(n))
         if not tol.accepts(resid, scale):
             return False, resid
-        got = signature_of_involution(value, tol)
+        got = tuple(b.shape[1] for b in involution_eigenbases(value, tol))
         return got == invariant, 0.0 if got == invariant else 1.0
     if label == "nilpotent":
         resid = fro(value @ value)
@@ -378,7 +378,7 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     invariant.
     """
     if field.kind != spec.model.kind:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"field kind {field.kind} vs model kind {spec.model.kind}")
     model_class = _orbit_class(spec.model, tol)
     report = Report()
@@ -396,8 +396,7 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
         where = ""
         for x in pts:
             value = field.at(chart.name, x)
-            good, resid = _same_orbit(value, model_class, field.kind,
-                                      field.symmetry, tol)
+            good, resid = _same_orbit(value, model_class, tol)
             if not good and resid >= worst:
                 worst, where = resid, np.array2string(x, precision=3)
             ok = ok and good

@@ -42,13 +42,13 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .poly import Poly, PolyArray
+from .report import Report
 
 __all__ = [
     "DEFAULT_FD_STEP",
     "VectorField",
     "TensorFieldOnChart",
     "ConnectionData",
-    "Verdict",
     "grid_points",
     "lie_bracket",
     "nijenhuis",
@@ -239,33 +239,28 @@ class TensorFieldOnChart:
         return VectorField(self.dim, lambda x: self(x) @ x_field(x), step=step)
 
 
-@dataclass
-class Verdict:
-    """Outcome of a grid check: worst residual against a tolerance."""
-
-    passed: bool
-    max_residual: float
-    label: str = ""
-    location: str = ""
-
-
-def _worst_on_grid(residuals_of, grid):
-    """Largest per-point residual over the grid and where it occurs.
+def _grid_report(name, residuals_of, grid, tol, label) -> Report:
+    """One-entry report of the largest per-point residual over the grid.
 
     ``residuals_of`` maps a block of points to one residual per point.  The
-    location is the first point attaining the worst residual, and "" when
-    that residual is 0.
+    entry passes when that residual is at most ``tol``; its location is the
+    first point attaining it, and "" when it is 0.  The note is
+    ``verdict: <label>``, or ``verdict: not <label>`` on failure.
     """
     points = np.atleast_2d(np.asarray(grid, dtype=float))
     blocks = [residuals_of(points[s:s + _BLOCK_POINTS])
               for s in range(0, len(points), _BLOCK_POINTS)]
-    if not blocks:
-        return 0.0, ""
-    resid = np.concatenate(blocks)
-    k = int(np.argmax(resid))
-    if resid[k] == 0.0:
-        return 0.0, ""
-    return float(resid[k]), np.array2string(points[k], precision=3)
+    worst, where = 0.0, ""
+    if blocks:
+        resid = np.concatenate(blocks)
+        k = int(np.argmax(resid))
+        if resid[k] != 0.0:
+            worst, where = float(resid[k]), np.array2string(points[k], precision=3)
+    passed = worst <= tol
+    report = Report()
+    report.add(name, passed, worst, where)
+    report.note(f"verdict: {label if passed else 'not ' + label}")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -337,14 +332,15 @@ _STRUCTURE_SQUARES = {"tangent": 0.0, "para_complex": 1.0, "complex": -1.0}
 
 
 def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
-                            tol=1e-6) -> Verdict:
+                            tol=1e-6) -> Report:
     """Evaluate the bracket-defect tensor on coordinate pairs over a grid.
 
-    ``kind`` is "tangent", "para_complex" or "complex"; the verdict for a
-    vanishing defect is labelled "integrable" for the first two and only
-    "formally integrable" for complex structures (the defect vanishing is
-    necessary but not known to be sufficient there).  The residual at a
-    point is the largest norm of N(e_i, e_j) over pairs i < j.
+    ``kind`` is "tangent", "para_complex" or "complex"; the report's entry
+    is ``defect_tensor_<kind>``, and the verdict for a vanishing defect is
+    labelled "integrable" for the first two and only "formally integrable"
+    for complex structures (the defect vanishing is necessary but not known
+    to be sufficient there).  The residual at a point is the largest norm of
+    N(e_i, e_j) over pairs i < j.
 
     Raises InvalidStructureAtPoint at the first grid point where the field
     fails its algebraic identity (A^2 = 0, 1 or -1 within 1e-6, relative to
@@ -365,13 +361,8 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
         defect = _defect_tensor(a, field.partials(points))[..., upper[0], upper[1]]
         return np.linalg.norm(defect, axis=-2).max(axis=-1, initial=0.0)
 
-    worst, where = _worst_on_grid(residuals, grid)
-    passed = worst <= tol
-    if kind == "complex":
-        label = "formally integrable" if passed else "not formally integrable"
-    else:
-        label = "integrable" if passed else "not integrable"
-    return Verdict(passed, worst, label, where)
+    label = "formally integrable" if kind == "complex" else "integrable"
+    return _grid_report(f"defect_tensor_{kind}", residuals, grid, tol, label)
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +448,12 @@ def curvature(conn: ConnectionData, x, step=None):
 
 
 def is_metric_integrable(metric: TensorFieldOnChart, grid, tol=1e-6,
-                         step=None) -> Verdict:
+                         step=None) -> Report:
     """Flatness check: the metric is an integrable structure iff R vanishes.
 
-    The residual at a point is the Frobenius norm of R there; ``step`` is
-    the curvature's central-difference step (defaults to the connection's).
+    The report's entry is ``curvature_residual``, the Frobenius norm of R at
+    the worst grid point; ``step`` is the curvature's central-difference
+    step (defaults to the connection's).
     """
     conn = levi_civita(metric)
 
@@ -469,15 +461,14 @@ def is_metric_integrable(metric: TensorFieldOnChart, grid, tol=1e-6,
         riem = curvature(conn, points, step=step)
         return np.linalg.norm(riem.reshape(len(points), -1), axis=-1)
 
-    worst, where = _worst_on_grid(residuals, grid)
-    return Verdict(worst <= tol, worst, "integrable" if worst <= tol else
-                   "not integrable", where)
+    return _grid_report("curvature_residual", residuals, grid, tol, "integrable")
 
 
 def covariant_derivative_of_structure(conn: ConnectionData,
                                       field: TensorFieldOnChart, grid,
-                                      tol=1e-6) -> Verdict:
-    """Max norm over the grid of the covariant derivative of a (1,1) field:
+                                      tol=1e-6) -> Report:
+    """Max norm over the grid of the covariant derivative of a (1,1) field,
+    reported as the entry ``covariant_derivative``:
 
         (grad_i T)[j, k] = d_i T[j, k] + Gamma[j, i, m] T[m, k]
                                        - T[j, m] Gamma[m, i, k].
@@ -491,9 +482,7 @@ def covariant_derivative_of_structure(conn: ConnectionData,
         nabla = field.partials(points) + along @ t - t @ along
         return np.linalg.norm(nabla, axis=(-2, -1)).max(axis=-1, initial=0.0)
 
-    worst, where = _worst_on_grid(residuals, grid)
-    return Verdict(worst <= tol, worst, "parallel" if worst <= tol else
-                   "not parallel", where)
+    return _grid_report("covariant_derivative", residuals, grid, tol, "parallel")
 
 
 def parallel_transport(conn: ConnectionData, path, vector, steps_per_leg=32):

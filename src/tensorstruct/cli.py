@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import documents
-from .bundle import check_cocycle, check_locally_modelled, check_reduction
-from .calculus import curvature, is_integrable_structure, is_metric_integrable, levi_civita
+from .bundle import LocalTensorField, check_cocycle, check_locally_modelled, check_reduction
+from .calculus import is_integrable_structure, is_metric_integrable
 from .compat import check_triple, complete_triple
 from .documents import DocumentError
 from .errors import TensorStructError
@@ -28,9 +28,10 @@ from .loopspace import (
     ascending_coherence,
     block_kahler_target,
     check_induced_compatibility,
+    induced_forms,
 )
 from .report import Report
-from .structures import darboux_basis, validate
+from .structures import SymplecticForm, darboux_basis, validate
 
 RANDOMIZED = {"loopspace"}
 
@@ -61,6 +62,13 @@ def _emit(report: Report, as_json):
               f"({len(report.entries)} checks, worst residual "
               f"{report.worst_residual:.3e})")
     return report.exit_status
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser():
@@ -120,8 +128,8 @@ def build_parser():
     p = sub.add_parser("loopspace", help="induced loop-space structures")
     lsub = p.add_subparsers(dest="loopspace_command", required=True)
     d = lsub.add_parser("demo", help="canonical ascending Kahler demo")
-    d.add_argument("--levels", type=int, default=3)
-    d.add_argument("--samples", type=int, default=16)
+    d.add_argument("--levels", type=_positive_int, default=3)
+    d.add_argument("--samples", type=_positive_int, default=16)
     d = lsub.add_parser("check", help="check a loop document")
     d.add_argument("loop", help="loop JSON file")
     d.add_argument("--trials", type=int, default=20)
@@ -153,14 +161,6 @@ def run(argv=None):
     return _emit(report, args.json)
 
 
-def _digest_of(*paths):
-    digests = []
-    for path in paths:
-        _, digest = _load(path)
-        digests.append(digest)
-    return ",".join(digests)
-
-
 def _dispatch(args, tol, rng) -> Report:
     if args.command == "validate":
         doc, digest = _load(args.structure)
@@ -186,10 +186,7 @@ def _dispatch(args, tol, rng) -> Report:
         structure = documents.parse_structure(doc)
         if not hasattr(structure, "matrix") or structure.matrix.shape[0] % 2:
             raise DocumentError("darboux needs an even-dimensional form")
-        from .structures import SymplecticForm
-        form = structure if isinstance(structure, SymplecticForm) else \
-            SymplecticForm(structure.matrix)
-        basis, certificate = darboux_basis(form, tol)
+        basis, certificate = darboux_basis(SymplecticForm(structure.matrix), tol)
         report = Report("darboux", digest)
         report.add("canonical_form_residual", tol.accepts(certificate, 1.0),
                    certificate)
@@ -204,39 +201,34 @@ def _dispatch(args, tol, rng) -> Report:
         return report
 
     if args.command == "reduce":
-        adoc, _ = _load(args.atlas)
-        tdoc, _ = _load(args.tensor)
+        adoc, atlas_digest = _load(args.atlas)
+        tdoc, tensor_digest = _load(args.tensor)
+        digests = [atlas_digest, tensor_digest]
         atlas = documents.parse_atlas(adoc)
         spec = documents.parse_tensor(tdoc)
         report = check_reduction(atlas, spec, tol)
         if args.field:
-            fdoc, _ = _load(args.field)
+            fdoc, field_digest = _load(args.field)
+            digests.append(field_digest)
             field = _field_on_charts(fdoc, atlas)
             report.extend(check_locally_modelled(field, atlas, spec, tol),
                           prefix="field/")
-        report.command = "reduce"
-        report.digest = _digest_of(args.atlas, args.tensor)
+        report.command, report.digest = "reduce", ",".join(digests)
         return report
 
     if args.command == "nijenhuis":
         doc, digest = _load(args.field)
         field, grid = documents.parse_field(doc, fd_step=args.fd_step)
-        verdict = is_integrable_structure(field, args.kind, grid, tol=args.tol)
-        report = Report("nijenhuis", digest)
-        report.add(f"defect_tensor_{args.kind}", verdict.passed,
-                   verdict.max_residual, verdict.location)
-        report.note(f"verdict: {verdict.label}")
+        report = is_integrable_structure(field, args.kind, grid, tol=args.tol)
+        report.command, report.digest = "nijenhuis", digest
         return report
 
     if args.command == "curvature":
         doc, digest = _load(args.metric)
         field, grid = documents.parse_field(doc, fd_step=args.fd_step)
-        verdict = is_metric_integrable(field, grid, tol=args.tol,
-                                       step=documents.field_step(doc, args.fd_step))
-        report = Report("curvature", digest)
-        report.add("curvature_residual", verdict.passed, verdict.max_residual,
-                   verdict.location)
-        report.note(f"verdict: {verdict.label}")
+        report = is_metric_integrable(field, grid, tol=args.tol,
+                                      step=documents.field_step(doc, args.fd_step))
+        report.command, report.digest = "curvature", digest
         return report
 
     if args.command == "tower":
@@ -274,7 +266,6 @@ def _dispatch(args, tol, rng) -> Report:
         report = check_induced_compatibility(space, trials=args.trials, tol=tol,
                                              rng=rng)
         if tangents is not None:
-            from .loopspace import induced_forms
             o, g, _ = induced_forms(space, *tangents)
             report.note(f"omega(x, y)={o!r} g(x, y)={g!r}")
         report.command, report.digest = "loopspace check", digest
@@ -284,7 +275,6 @@ def _dispatch(args, tol, rng) -> Report:
 
 
 def _field_on_charts(fdoc, atlas):
-    from .bundle import LocalTensorField
     field, _ = documents.parse_field(fdoc)
     evaluators = {chart.name: field.fn for chart in atlas.charts}
     return LocalTensorField(field.kind, evaluators, field.symmetry)

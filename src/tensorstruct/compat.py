@@ -28,17 +28,18 @@ import numpy as np
 
 from .errors import (
     Degenerate,
-    DimensionMismatch,
     IncompatibleInputs,
     InvalidTriple,
     NotInvolutive,
     NotPositive,
+    ShapeMismatch,
 )
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
     fro,
+    involution_eigenbases,
     metric_adjoint,
     signature_of,
     spd_sqrt,
@@ -133,7 +134,7 @@ def omega_from(metric, structure: Structure, tol: Tolerance = DEFAULT_TOL) -> Sy
     g = as_matrix(getattr(metric, "matrix", metric), square=True, name="metric")
     i = structure.matrix
     if g.shape != i.shape:
-        raise DimensionMismatch(f"metric {g.shape} vs structure {i.shape}")
+        raise ShapeMismatch(f"metric {g.shape} vs structure {i.shape}")
     s = i.T @ g
     scale = max(fro(s), 1.0)
     if not tol.accepts(fro(s + s.T), scale):
@@ -157,7 +158,7 @@ def g_from(omega: SymplecticForm, structure: Structure, flavor=None,
     s = omega.matrix
     i = structure.matrix
     if s.shape != i.shape:
-        raise DimensionMismatch(f"form {s.shape} vs structure {i.shape}")
+        raise ShapeMismatch(f"form {s.shape} vs structure {i.shape}")
     g = s @ i
     scale = max(fro(g), 1.0)
     if not tol.accepts(fro(g - g.T), scale):
@@ -197,7 +198,7 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
     g = as_matrix(getattr(metric, "matrix", metric), square=True, name="metric")
     s = omega.matrix
     if g.shape != s.shape:
-        raise DimensionMismatch(f"metric {g.shape} vs form {s.shape}")
+        raise ShapeMismatch(f"metric {g.shape} vs form {s.shape}")
     if not validate(omega, tol).passed:
         raise Degenerate("form is degenerate or not skew")
     n = g.shape[0]
@@ -251,19 +252,11 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
             raise NotInvolutive(f"J^2 - Id residual {resid:.3e}")
         corrected = s @ j
         corrected = 0.5 * (corrected + corrected.T)
-        plus, minus = _involution_eigenbases(j, tol)
+        plus, minus = involution_eigenbases(j, tol)
         structure = ParaComplexStructure(j, plus, minus)
         return structure, krein_from_matrix(corrected, tol), operator
 
     raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def _involution_eigenbases(j, tol):
-    from .linalg import kernel_and_image
-    n = j.shape[0]
-    plus, _, _ = kernel_and_image(j - np.eye(n), tol)
-    minus, _, _ = kernel_and_image(j + np.eye(n), tol)
-    return plus, minus
 
 
 def _unitary_half_basis(g, i):
@@ -448,7 +441,7 @@ def lagrangian_orthogonal_decomposition(triple: CompatibleTriple,
     # g: E^+ x E^- -> R, the subspace {u + phi(u)} with g(u, phi u') = Id is
     # Lagrangian and positive; J flips the sign of the E^- component, so the
     # image {u - phi(u)} is Lagrangian and negative.
-    plus, minus = _involution_eigenbases(i, tol)
+    plus, minus = involution_eigenbases(i, tol)
     if plus.shape[1] != k or minus.shape[1] != k:
         raise InvalidTriple("eigenspaces are not balanced")
     pairing = plus.T @ g @ minus

@@ -65,9 +65,12 @@ from .bundle import (
     IsotropyGroupSpec,
     StructureMatrix,
 )
-from .compat import CompatibleTriple
+from .compat import complete_triple
 from .errors import TensorStructError
 from .limits import BondingSystem, CoherentSequence, ConnectionFormSequence, LevelForm
+from .linalg import involution_eigenbases, kernel_and_complement
+from .loopspace import DiscretizedLoopSpace, block_kahler_target, block_para_target
+from .poly import Poly
 from .structures import (
     BilinearForm,
     ComplexStructure,
@@ -103,27 +106,28 @@ def _require(doc, key, context):
     return doc[key]
 
 
-def _matrix(doc, key, context):
+def _matrix(value, context):
+    """Float array of a JSON value; DocumentError unless numeric and finite."""
     try:
-        return np.asarray(_require(doc, key, context), dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise DocumentError(f"{context}: field {key!r} is not numeric") from exc
+        raise DocumentError(f"{context} is not numeric") from exc
+    if not np.all(np.isfinite(arr)):
+        raise DocumentError(f"{context} is not finite")
+    return arr
 
 
-def _basis(values, context):
-    """JSON lists of basis vectors become column matrices."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"{context}: basis is not numeric") from exc
+def _basis(dec, key):
+    """A decomposition's JSON list of basis vectors, as a column matrix."""
+    arr = _matrix(_require(dec, key, "decomposition"), f"decomposition {key}")
     if arr.ndim != 2:
-        raise DocumentError(f"{context}: basis must be a list of vectors")
+        raise DocumentError(f"decomposition: {key} must be a list of vectors")
     return arr.T
 
 
 def parse_structure(doc):
     kind = _require(doc, "kind", "structure document")
-    matrix = _matrix(doc, "matrix", "structure document")
+    matrix = _matrix(_require(doc, "matrix", "structure document"), "structure matrix")
     dim = int(doc.get("dim", matrix.shape[0]))
     if matrix.shape != (dim, dim):
         raise DocumentError(f"structure document: matrix shape {matrix.shape} "
@@ -133,51 +137,34 @@ def parse_structure(doc):
         if kind == "complex":
             decomposition = None
             if dec is not None:
-                decomposition = (_basis(_require(dec, "basis1", "decomposition"),
-                                        "decomposition"),
-                                 _basis(_require(dec, "basis2", "decomposition"),
-                                        "decomposition"),
-                                 np.asarray(_require(dec, "iso", "decomposition"),
-                                            dtype=float))
+                decomposition = (_basis(dec, "basis1"), _basis(dec, "basis2"),
+                                 _matrix(_require(dec, "iso", "decomposition"),
+                                         "decomposition iso"))
             return ComplexStructure(matrix, decomposition)
         if kind == "para_complex":
             if dec is not None:
-                return ParaComplexStructure(
-                    matrix,
-                    _basis(_require(dec, "eigen_plus", "decomposition"), "decomposition"),
-                    _basis(_require(dec, "eigen_minus", "decomposition"), "decomposition"))
-            from .compat import _involution_eigenbases
-            from .linalg import DEFAULT_TOL
-            plus, minus = _involution_eigenbases(matrix, DEFAULT_TOL)
-            return ParaComplexStructure(matrix, plus, minus)
+                return ParaComplexStructure(matrix, _basis(dec, "eigen_plus"),
+                                            _basis(dec, "eigen_minus"))
+            return ParaComplexStructure(matrix, *involution_eigenbases(matrix))
         if kind == "tangent":
             if dec is not None:
-                return TangentStructure(
-                    matrix,
-                    _basis(_require(dec, "kernel_basis", "decomposition"), "decomposition"),
-                    _basis(_require(dec, "complement_basis", "decomposition"),
-                           "decomposition"))
-            from .linalg import DEFAULT_TOL, kernel_and_image
-            kernel, _, _ = kernel_and_image(matrix, DEFAULT_TOL)
-            complement, _, _ = kernel_and_image(kernel.T, DEFAULT_TOL)
-            return TangentStructure(matrix, kernel, complement)
+                return TangentStructure(matrix, _basis(dec, "kernel_basis"),
+                                        _basis(dec, "complement_basis"))
+            return TangentStructure(matrix, *kernel_and_complement(matrix))
         if kind == "symplectic":
             return SymplecticForm(matrix)
         if kind == "krein":
             if dec is not None:
-                return KreinMetric(
-                    matrix,
-                    _basis(_require(dec, "plus_basis", "decomposition"), "decomposition"),
-                    _basis(_require(dec, "minus_basis", "decomposition"), "decomposition"))
+                return KreinMetric(matrix, _basis(dec, "plus_basis"),
+                                   _basis(dec, "minus_basis"))
             return krein_from_matrix(matrix)
         if kind == "cotangent":
             if dec is None:
                 raise DocumentError("cotangent documents need a decomposition "
                                     "with lagrangian_basis and complement_basis")
-            return CotangentStructure(
-                SymplecticForm(matrix),
-                _basis(_require(dec, "lagrangian_basis", "decomposition"), "decomposition"),
-                _basis(_require(dec, "complement_basis", "decomposition"), "decomposition"))
+            return CotangentStructure(SymplecticForm(matrix),
+                                      _basis(dec, "lagrangian_basis"),
+                                      _basis(dec, "complement_basis"))
         if kind == "bilinear":
             return BilinearForm(matrix, doc.get("symmetry", "symmetric"))
     except DocumentError:
@@ -195,7 +182,7 @@ def parse_pair(doc):
     given = _require(doc, "given", "pair document")
     items = []
     if "g" in given:
-        g = np.asarray(given["g"], dtype=float)
+        g = _matrix(given["g"], "pair document g")
         if flavor == "kahler":
             items.append(BilinearForm(g, "symmetric"))
         else:
@@ -204,7 +191,7 @@ def parse_pair(doc):
             except TensorStructError as exc:
                 raise DocumentError(f"pair document: {exc}") from exc
     if "omega" in given:
-        items.append(SymplecticForm(np.asarray(given["omega"], dtype=float)))
+        items.append(SymplecticForm(_matrix(given["omega"], "pair document omega")))
     if "structure" in given:
         items.append(parse_structure(given["structure"]))
     if len(items) != 2:
@@ -215,12 +202,12 @@ def parse_pair(doc):
 
 def _parse_transition(doc, context):
     if "constant" in doc:
-        return ConstantTransition(np.asarray(doc["constant"], dtype=float))
+        return ConstantTransition(_matrix(doc["constant"], f"{context} transition"))
     if "affine" in doc:
         aff = doc["affine"]
-        return AffineTransition(np.asarray(_require(aff, "base", context), dtype=float),
-                                [np.asarray(c, dtype=float)
-                                 for c in _require(aff, "coeffs", context)])
+        base = _matrix(_require(aff, "base", context), f"{context} transition")
+        return AffineTransition(base, [_matrix(c, f"{context} transition")
+                                       for c in _require(aff, "coeffs", context)])
     raise DocumentError(f"{context}: transition must be constant or affine")
 
 
@@ -229,23 +216,32 @@ def parse_atlas(doc):
     charts = []
     for cdoc in _require(doc, "charts", "atlas document"):
         charts.append(Chart(_require(cdoc, "name", "chart"),
-                            np.asarray(_require(cdoc, "lo", "chart"), dtype=float),
-                            np.asarray(_require(cdoc, "hi", "chart"), dtype=float),
-                            np.asarray(cdoc.get("samples", []), dtype=float)))
+                            _matrix(_require(cdoc, "lo", "chart"), "chart lo"),
+                            _matrix(_require(cdoc, "hi", "chart"), "chart hi"),
+                            _matrix(cdoc.get("samples", []), "chart samples")))
+    names = [chart.name for chart in charts]
+
+    def declared(odoc, count, context):
+        """The chart names of an overlap or triple, all of declared charts."""
+        pick = _require(odoc, "charts", context)
+        if not isinstance(pick, list) or len(pick) != count or any(
+                name not in names for name in pick):
+            raise DocumentError(f"{context}: charts {pick!r} are not {count} "
+                                f"declared chart names")
+        return pick
+
     overlaps = {}
     transitions = {}
     for odoc in doc.get("overlaps", []):
-        a, b = _require(odoc, "charts", "overlap")
-        points = np.asarray(_require(odoc, "points", "overlap"), dtype=float)
-        overlaps[(a, b)] = points
+        a, b = declared(odoc, 2, "overlap")
+        overlaps[(a, b)] = _matrix(_require(odoc, "points", "overlap"), "overlap points")
         transitions[(a, b)] = _parse_transition(_require(odoc, "transition", "overlap"),
                                                 "overlap")
     triples = []
     for tdoc in doc.get("triples", []):
-        a, b, c = _require(tdoc, "charts", "triple overlap")
-        triples.append((a, b, c,
-                        np.asarray(_require(tdoc, "points", "triple overlap"),
-                                   dtype=float)))
+        a, b, c = declared(tdoc, 3, "triple overlap")
+        triples.append((a, b, c, _matrix(_require(tdoc, "points", "triple overlap"),
+                                         "triple overlap points")))
     return ChartAtlas(fiber_dim, charts, overlaps, transitions, triples)
 
 
@@ -253,8 +249,8 @@ def parse_tensor(doc):
     kind = _require(doc, "kind", "tensor document")
     if kind not in ("1,1", "2,0"):
         raise DocumentError(f"tensor document: unknown kind {kind!r}")
-    return IsotropyGroupSpec(StructureMatrix(_matrix(doc, "matrix", "tensor document"),
-                                             kind, doc.get("symmetry", "symmetric")))
+    matrix = _matrix(_require(doc, "matrix", "tensor document"), "tensor matrix")
+    return IsotropyGroupSpec(StructureMatrix(matrix, kind, doc.get("symmetry", "symmetric")))
 
 
 def field_step(doc, fd_step=None):
@@ -271,7 +267,7 @@ def parse_field(doc, fd_step=None):
     step = field_step(doc, fd_step)
 
     if name == "constant":
-        matrix = np.asarray(_require(spec, "matrix", "constant field"), dtype=float)
+        matrix = _matrix(_require(spec, "matrix", "constant field"), "constant field matrix")
         kind = spec.get("kind", "2,0")
         field = calculus.TensorFieldOnChart.constant(matrix, kind,
                                                      spec.get("symmetry", "symmetric"))
@@ -280,26 +276,25 @@ def parse_field(doc, fd_step=None):
             raise DocumentError("sphere_stereographic is two-dimensional")
         field = calculus.sphere_stereographic_metric(step=step)
     elif name == "pullback_flat":
-        base = np.asarray(_require(spec, "base_metric", "pullback field"), dtype=float)
+        base = _matrix(_require(spec, "base_metric", "pullback field"), "base_metric")
         phi = _parse_polymap(spec, dim)
         field = calculus.pullback_metric(phi, base)
     elif name == "pullback_structure":
-        base = np.asarray(_require(spec, "base_matrix", "pullback field"), dtype=float)
+        base = _matrix(_require(spec, "base_matrix", "pullback field"), "base_matrix")
         phi = _parse_polymap(spec, dim)
         field = calculus.pullback_endomorphism(phi, base, step=step)
     else:
         raise DocumentError(f"field document: unknown field name {name!r}")
 
     gdoc = doc.get("grid", {})
-    lo = np.asarray(gdoc.get("lo", [-0.5] * dim), dtype=float)
-    hi = np.asarray(gdoc.get("hi", [0.5] * dim), dtype=float)
+    lo = _matrix(gdoc.get("lo", [-0.5] * dim), "grid lo")
+    hi = _matrix(gdoc.get("hi", [0.5] * dim), "grid hi")
     counts = gdoc.get("counts", 5)
     grid = calculus.grid_points(lo, hi, counts)
     return field, grid
 
 
 def _parse_polymap(spec, dim):
-    from .poly import Poly
     comps_doc = _require(spec, "diffeo", "pullback field")
     comps = []
     for terms in comps_doc:
@@ -320,10 +315,10 @@ def parse_tower(doc):
     dims = [int(d) for d in _require(doc, "dims", "tower document")]
     try:
         if "maps" in doc:
-            maps = [np.asarray(m, dtype=float) for m in doc["maps"]]
+            maps = [_matrix(m, "tower map") for m in doc["maps"]]
             projections = None
             if "projections" in doc:
-                projections = [np.asarray(p, dtype=float) for p in doc["projections"]]
+                projections = [_matrix(p, "tower projection") for p in doc["projections"]]
             bonding = BondingSystem(dims, variance, maps, projections)
         else:
             bonding = BondingSystem.padded(dims, variance)
@@ -335,7 +330,7 @@ def parse_tower(doc):
         try:
             sequence = CoherentSequence(
                 bonding,
-                [np.asarray(m, dtype=float) for m in _require(sdoc, "levels", "sequence")],
+                [_matrix(m, "sequence level") for m in _require(sdoc, "levels", "sequence")],
                 _require(sdoc, "kind", "sequence"))
         except (TensorStructError, ValueError) as exc:
             raise DocumentError(f"tower document: {exc}") from exc
@@ -346,33 +341,38 @@ def parse_connection_tower(doc):
     bonding, _ = parse_tower(doc)
     forms = []
     for fdoc in _require(doc, "forms", "connection document"):
-        coeffs = [np.asarray(c, dtype=float) for c in _require(fdoc, "coeffs", "form")]
+        coeffs = [_matrix(c, "form coeffs") for c in _require(fdoc, "coeffs", "form")]
         linear = None
         if "linear" in fdoc:
-            linear = [[np.asarray(m, dtype=float) for m in row] for row in fdoc["linear"]]
+            linear = [[_matrix(m, "form linear") for m in row] for row in fdoc["linear"]]
         forms.append(LevelForm(coeffs, linear))
     models = []
     for mdoc in _require(doc, "models", "connection document"):
         models.append((_require(mdoc, "kind", "model"),
-                       np.asarray(_require(mdoc, "matrix", "model"), dtype=float)))
+                       _matrix(_require(mdoc, "matrix", "model"), "model matrix")))
     morphisms = None
     if "morphisms" in doc:
         morphisms = {}
         for mdoc in doc["morphisms"]:
             i, j = _require(mdoc, "levels", "morphism")
-            morphisms[(int(i), int(j))] = (np.asarray(mdoc["left"], dtype=float),
-                                           np.asarray(mdoc["right"], dtype=float))
+            morphisms[(int(i), int(j))] = (
+                _matrix(_require(mdoc, "left", "morphism"), "morphism left"),
+                _matrix(_require(mdoc, "right", "morphism"), "morphism right"))
     if len(forms) != bonding.levels or len(models) != bonding.levels:
         raise DocumentError("connection document: one form and one model per level")
+    for lvl, form in enumerate(forms):
+        # a form is evaluated on every tangent direction of its level
+        dim = bonding.dims[lvl]
+        if len(form.coeffs) < dim or (form.linear is not None and len(form.linear) < dim):
+            raise DocumentError(f"connection document: form {lvl} needs a coefficient "
+                                f"matrix per direction of its level, {dim}")
     seq = ConnectionFormSequence(bonding, forms, models, morphisms)
-    points = np.asarray(_require(doc, "sample_points", "connection document"),
-                        dtype=float)
+    points = _matrix(_require(doc, "sample_points", "connection document"),
+                     "sample_points")
     return seq, points
 
 
 def parse_loop(doc):
-    from .loopspace import DiscretizedLoopSpace, block_kahler_target, block_para_target
-
     tdoc = _require(doc, "target", "loop document")
     if "pairs" in tdoc:
         pairs = int(tdoc["pairs"])
@@ -380,19 +380,18 @@ def parse_loop(doc):
         target = (block_kahler_target(pairs) if flavor == "kahler"
                   else block_para_target(pairs))
     else:
-        from .compat import complete_triple
         first, second, flavor = parse_pair(_require(tdoc, "pair", "loop target"))
         target = complete_triple(first, second, flavor)
-    loop = np.asarray(_require(doc, "loop", "loop document"), dtype=float)
+    loop = _matrix(_require(doc, "loop", "loop document"), "loop")
     weights = None
     if "weights" in doc:
-        weights = np.asarray(doc["weights"], dtype=float)
+        weights = _matrix(doc["weights"], "loop weights")
     try:
         space = DiscretizedLoopSpace(target, loop, weights)
     except (TensorStructError, ValueError) as exc:
         raise DocumentError(f"loop document: {exc}") from exc
     tangents = None
     if "tangents" in doc:
-        tangents = (np.asarray(doc["tangents"]["x"], dtype=float),
-                    np.asarray(doc["tangents"]["y"], dtype=float))
+        tangents = (_matrix(_require(doc["tangents"], "x", "tangents"), "tangent x"),
+                    _matrix(_require(doc["tangents"], "y", "tangents"), "tangent y"))
     return space, tangents

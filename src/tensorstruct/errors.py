@@ -10,10 +10,6 @@ class TensorStructError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatch(TensorStructError):
-    pass
-
-
 class NotSymmetric(TensorStructError):
     pass
 

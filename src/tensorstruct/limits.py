@@ -24,10 +24,11 @@ infinite limit object is represented exactly by its levelwise conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
+from .bundle import IsotropyGroupSpec, StructureMatrix, in_isotropy
 from .errors import (
     IncoherentSequence,
     NotInvertible,
@@ -35,7 +36,7 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, rank_of
 from .report import Report
 
 __all__ = [
@@ -175,8 +176,7 @@ def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
 
     for i in range(n - 1):
         m = b.maps[i]
-        s = np.linalg.svd(m, compute_uv=False)
-        full = int(np.sum(s > tol.rank_threshold(s[0]))) == min(m.shape)
+        full = rank_of(m, tol) == min(m.shape)
         name = "surjective" if b.variance == "projective" else "injective"
         report.add(f"{name}[{i}->{i + 1}]", full, 0.0 if full else 1.0)
 
@@ -216,14 +216,14 @@ class CoherentSequence:
                     f"level {lvl} matrix is {m.shape[0]}x, dim is {self.bonding.dims[lvl]}")
 
 
-def _coherence_residual(seq: CoherentSequence, i, j):
-    lam = seq.bonding.map(i, j)
-    a_i, a_j = seq.levels[i], seq.levels[j]
-    if seq.bonding.variance == "projective":
-        if seq.kind == "1,1":
+def _coherence_residual(bonding: BondingSystem, kind, i, j, a_i, a_j):
+    """Defect of the variance/kind intertwining law between levels i < j."""
+    lam = bonding.map(i, j)
+    if bonding.variance == "projective":
+        if kind == "1,1":
             return fro(a_i @ lam - lam @ a_j)
         return fro(a_j - lam.T @ a_i @ lam)
-    if seq.kind == "1,1":
+    if kind == "1,1":
         return fro(lam @ a_i - a_j @ lam)
     return fro(a_i - lam.T @ a_j @ lam)
 
@@ -234,7 +234,8 @@ def check_coherent(seq: CoherentSequence, tol: Tolerance = DEFAULT_TOL) -> Repor
     n = seq.bonding.levels
     for i in range(n):
         for j in range(i + 1, n):
-            res = _coherence_residual(seq, i, j)
+            res = _coherence_residual(seq.bonding, seq.kind, i, j,
+                                      seq.levels[i], seq.levels[j])
             scale = max(fro(seq.levels[i]), fro(seq.levels[j]), 1.0)
             report.add(f"coherent[{i},{j}]", tol.accepts(res, scale), res)
     return report
@@ -297,8 +298,7 @@ def tuple_inverse(a: LevelTuple, tol: Tolerance = DEFAULT_TOL) -> LevelTuple:
     """Entrywise inverse; NotInvertible carries the offending level index."""
     out = []
     for lvl, m in enumerate(a.entries):
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= tol.rank_threshold(s[0]):
+        if rank_of(m, tol) < m.shape[0]:
             raise NotInvertible(lvl)
         out.append(np.linalg.inv(m))
     return LevelTuple(a.bonding, out)
@@ -313,23 +313,15 @@ def tuple_membership(a: LevelTuple, tol: Tolerance = DEFAULT_TOL,
     under the tensor action (membership in the constrained subgroup built
     from per-level isotropy groups).
     """
-    from .bundle import IsotropyGroupSpec, StructureMatrix, in_isotropy
-
     report = Report()
-    # intertwining: f_i map(i,j) = map(i,j) f_j (projective) and the mirror
-    # law map(i,j) f_i = f_j map(i,j) (direct)
+    # intertwining: the (1,1) coherence law of the entries
     for i in range(a.level):
         for j in range(i + 1, a.level):
-            lam = a.bonding.map(i, j)
-            if a.bonding.variance == "projective":
-                res = fro(a.entries[i] @ lam - lam @ a.entries[j])
-            else:
-                res = fro(lam @ a.entries[i] - a.entries[j] @ lam)
+            res = _coherence_residual(a.bonding, "1,1", i, j, a.entries[i], a.entries[j])
             scale = max(fro(a.entries[i]), fro(a.entries[j]), 1.0)
             report.add(f"intertwines[{i},{j}]", tol.accepts(res, scale), res)
     for lvl, m in enumerate(a.entries):
-        s = np.linalg.svd(m, compute_uv=False)
-        ok = s[-1] > tol.rank_threshold(s[0])
+        ok = rank_of(m, tol) == m.shape[0]
         report.add(f"invertible[{lvl}]", ok, 0.0 if ok else 1.0)
     if isotropy_models is not None:
         for lvl, (kind, model) in enumerate(isotropy_models[: a.level]):
@@ -369,8 +361,7 @@ def gEn_membership(a, bonding: BondingSystem, tol: Tolerance = DEFAULT_TOL):
     n = bonding.dims[top]
     if a.shape[0] != n:
         raise ShapeMismatch(f"operator size {a.shape[0]}, top dimension {n}")
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= tol.rank_threshold(s[0]):
+    if rank_of(a, tol) < n:
         raise Singular("operator is not invertible")
 
     report = Report()

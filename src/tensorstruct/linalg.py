@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     NotPositiveDefinite,
     NotSymmetric,
+    ShapeMismatch,
 )
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
     "spd_sqrt",
     "metric_adjoint",
     "kernel_and_image",
+    "kernel_and_complement",
+    "involution_eigenbases",
     "rank_of",
     "signature_of",
 ]
@@ -62,9 +64,9 @@ def as_matrix(m, square=False, name="matrix"):
     """Coerce to a float ndarray and enforce finiteness (no NaN/Inf)."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {a.shape}")
+        raise ShapeMismatch(f"{name} must be 2-dimensional, got shape {a.shape}")
     if square and a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+        raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
@@ -116,7 +118,7 @@ def metric_adjoint(a, g):
     a = as_matrix(a, square=True, name="a")
     g = as_matrix(g, square=True, name="g")
     if a.shape != g.shape:
-        raise DimensionMismatch(f"operator {a.shape} vs metric {g.shape}")
+        raise ShapeMismatch(f"operator {a.shape} vs metric {g.shape}")
     return np.linalg.solve(g, a.T @ g)
 
 
@@ -140,8 +142,32 @@ def kernel_and_image(a, tol: Tolerance = DEFAULT_TOL):
     return kernel, image, rank
 
 
+def kernel_and_complement(a, tol: Tolerance = DEFAULT_TOL):
+    """Orthonormal bases of ker a and of its orthogonal complement."""
+    kernel, _, _ = kernel_and_image(a, tol)
+    complement, _, _ = kernel_and_image(kernel.T, tol)
+    return kernel, complement
+
+
+def involution_eigenbases(j, tol: Tolerance = DEFAULT_TOL):
+    """Orthonormal bases of the +1 and -1 eigenspaces of an involution.
+
+    They are the kernels of ``j - I`` and ``j + I``, so their column counts
+    are ``n - rank(j - I)`` and ``n - rank(j + I)``: the signature of j.
+    """
+    eye = np.eye(j.shape[0])
+    plus, _, _ = kernel_and_image(j - eye, tol)
+    minus, _, _ = kernel_and_image(j + eye, tol)
+    return plus, minus
+
+
 def rank_of(a, tol: Tolerance = DEFAULT_TOL):
-    return kernel_and_image(a, tol)[2]
+    """Numerical rank of a 2-D array: singular values above
+    ``atol + rtol * smax`` (singular values only; 0 for an empty array)."""
+    if np.size(a) == 0:
+        return 0
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.sum(s > tol.rank_threshold(s[0])))
 
 
 def signature_of(g, tol: Tolerance = DEFAULT_TOL):

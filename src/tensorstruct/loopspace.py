@@ -15,16 +15,17 @@ across an ascending family of targets survives by linearity of the sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .compat import CompatibleTriple, check_triple
+from .compat import CompatibleTriple, check_triple, complete_triple
 from .errors import ShapeMismatch
-from .linalg import DEFAULT_TOL, Tolerance, fro
+from .linalg import DEFAULT_TOL, Tolerance, fro, signature_of
 from .limits import BondingSystem, CoherentSequence, check_coherent
 from .report import Report
+from .structures import BilinearForm, ComplexStructure, SymplecticForm, krein_from_matrix
 
 __all__ = [
     "DiscretizedLoopSpace",
@@ -51,9 +52,6 @@ def block_kahler_target(pairs) -> CompatibleTriple:
     pairs = 1, 2, 3, ... is coherent under coordinate padding (the half-split
     canonical convention is not).
     """
-    from .compat import complete_triple
-    from .structures import BilinearForm, ComplexStructure
-
     i2 = np.array([[0.0, -1.0], [1.0, 0.0]])
     structure = ComplexStructure(_block_diag(i2, pairs))
     return complete_triple(BilinearForm(np.eye(2 * pairs), "symmetric"), structure)
@@ -61,9 +59,6 @@ def block_kahler_target(pairs) -> CompatibleTriple:
 
 def block_para_target(pairs) -> CompatibleTriple:
     """Canonical para-Kahler triple on R^(2*pairs), interleaved convention."""
-    from .compat import complete_triple
-    from .structures import SymplecticForm, krein_from_matrix
-
     s2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     g2 = np.diag([1.0, -1.0])
     omega = SymplecticForm(_block_diag(s2, pairs))
@@ -183,7 +178,6 @@ def check_induced_compatibility(space: DiscretizedLoopSpace, trials=20,
 
 
 def _induced_signature(space):
-    from .linalg import signature_of
     p, q, _ = signature_of(space.target.metric_matrix)
     return space.samples * p, space.samples * q
 

@@ -129,11 +129,5 @@ class Poly:
         self._diffs[index] = Poly(self.dim, out)
         return self._diffs[index]
 
-    def degree(self):
-        return max((sum(e) for e in self.coeffs), default=0)
-
-    def is_zero(self):
-        return not self.coeffs
-
     def __repr__(self):
         return f"Poly(dim={self.dim}, terms={len(self.coeffs)})"

@@ -31,12 +31,21 @@ import numpy as np
 
 from .errors import (
     Degenerate,
-    DimensionMismatch,
     InvalidDecomposition,
     InvalidStructure,
     MissingDecomposition,
+    ShapeMismatch,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, kernel_and_image, signature_of
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    fro,
+    involution_eigenbases,
+    kernel_and_complement,
+    kernel_and_image,
+    rank_of,
+)
 from .report import Report
 
 __all__ = [
@@ -241,7 +250,7 @@ class CotangentStructure:
 
 def _half(dim):
     if dim % 2:
-        raise DimensionMismatch(f"dimension must be even, got {dim}")
+        raise ShapeMismatch(f"dimension must be even, got {dim}")
     return dim // 2
 
 
@@ -313,16 +322,7 @@ def krein_from_matrix(g, tol: Tolerance = DEFAULT_TOL) -> KreinMetric:
 # validation
 # ---------------------------------------------------------------------------
 
-def _spans(columns, dim, tol):
-    """Residual-style check that the column set spans R^dim."""
-    if columns.shape[1] == 0:
-        return dim == 0, 0.0
-    s = np.linalg.svd(columns, compute_uv=False)
-    rank = int(np.sum(s > tol.rank_threshold(s[0])))
-    return rank == dim, float(s[-1]) if columns.shape[1] >= dim else 0.0
-
-
-def _subspace_gap(a, b, tol=DEFAULT_TOL):
+def _subspace_gap(a, b):
     """Distance between the column spaces of a and b (norm of projector gap)."""
     qa = np.linalg.qr(a)[0] if a.shape[1] else np.zeros_like(a)
     qb = np.linalg.qr(b)[0] if b.shape[1] else np.zeros_like(b)
@@ -381,7 +381,7 @@ def _validate_krein(g, tol, report):
     res = fro(s - s.T)
     report.add("symmetric", tol.accepts(res, scale), res)
 
-    spans, _ = _spans(np.hstack([g.plus_basis, g.minus_basis]), n, tol)
+    spans = rank_of(np.hstack([g.plus_basis, g.minus_basis]), tol) == n
     p, q = g.signature
     report.add("bases_span", spans and p + q == n, float(n - p - q))
 
@@ -408,7 +408,7 @@ def _validate_complex(c, tol, report):
     report.add("even_dimension", n % 2 == 0, float(n % 2))
     if c.decomposition is not None:
         b1, b2, iso = c.decomposition
-        spans, _ = _spans(np.hstack([b1, b2]), n, tol)
+        spans = rank_of(np.hstack([b1, b2]), tol) == n
         report.add("decomposition_spans", spans, 0.0 if spans else 1.0)
         # block form [[0, -iso], [iso^-1, 0]]: structure maps basis1 into
         # basis2 via iso^-1 and basis2 into basis1 via -iso
@@ -438,7 +438,7 @@ def _validate_para(j, tol, report):
     if q:
         rm = fro(m @ j.eigen_minus + j.eigen_minus)
         report.add("minus_eigenspace", tol.accepts(rm, scale), rm)
-    spans, _ = _spans(np.hstack([j.eigen_plus, j.eigen_minus]), n, tol)
+    spans = rank_of(np.hstack([j.eigen_plus, j.eigen_minus]), tol) == n
     report.add("eigenspaces_span", spans, 0.0 if spans else 1.0)
 
 
@@ -475,7 +475,7 @@ def _validate_cotangent(c, tol, report):
     report.add("complement_dimension",
                lag.shape[1] == c.complement_basis.shape[1],
                float(abs(lag.shape[1] - c.complement_basis.shape[1])))
-    spans, _ = _spans(np.hstack([lag, c.complement_basis]), n, tol)
+    spans = rank_of(np.hstack([lag, c.complement_basis]), tol) == n
     report.add("decomposition_spans", spans, 0.0 if spans else 1.0)
 
 
@@ -523,7 +523,7 @@ def krein_isomorphism(g1: KreinMetric, g2: KreinMetric, tol: Tolerance = DEFAULT
     when the signatures differ (no isomorphism can exist).
     """
     if g1.dim != g2.dim:
-        raise DimensionMismatch(f"ambient dimensions differ: {g1.dim} vs {g2.dim}")
+        raise ShapeMismatch(f"ambient dimensions differ: {g1.dim} vs {g2.dim}")
     if g1.signature != g2.signature:
         return None, "incompatible_signature"
 
@@ -554,12 +554,10 @@ def tangent_normal_form(j: TangentStructure, tol: Tolerance = DEFAULT_TOL):
         raise InvalidStructure("; ".join(e.name for e in rep.failures()))
     m = j.matrix
     n = j.dim
-    k = n // 2
-    kernel, _, _ = kernel_and_image(m, tol)
     # complement = orthogonal complement of ker J; J maps it isomorphically
     # onto ker J, so the columns (J w_1 .. J w_k | w_1 .. w_k) carry J into
     # the canonical form
-    complement, _, _ = kernel_and_image(kernel.T, tol)
+    _, complement = kernel_and_complement(m, tol)
     p = np.hstack([m @ complement, complement])
     if np.linalg.matrix_rank(p) != n:
         raise InvalidStructure("complement construction degenerate")
@@ -603,16 +601,8 @@ def para_from_complex(c: ComplexStructure, tol: Tolerance = DEFAULT_TOL):
     j = symmetry @ c.matrix
     # eigenspaces of J: graph vectors u -+ iso^-1(...); numerically the
     # eigendecomposition is simpler and deterministic
-    plus, minus = _para_eigenbases(j, tol)
+    plus, minus = involution_eigenbases(j, tol)
     return ParaComplexStructure(j, plus, minus), symmetry
-
-
-def _para_eigenbases(j, tol):
-    """Orthonormal +1/-1 eigenbases of an involution, via kernel bases."""
-    n = j.shape[0]
-    plus, _, _ = kernel_and_image(j - np.eye(n), tol)
-    minus, _, _ = kernel_and_image(j + np.eye(n), tol)
-    return plus, minus
 
 
 def darboux_basis(omega: SymplecticForm, tol: Tolerance = DEFAULT_TOL):

@@ -203,9 +203,9 @@ def test_criterion_4_nijenhuis_criterion():
             kind = "para_complex"
         phi = random_quadratic_diffeo(2, rng)
         field = pullback_endomorphism(phi, base)
-        verdict = is_integrable_structure(field, kind, grid, tol=1e-6)
-        assert verdict.passed, f"trial {trial}: residual {verdict.max_residual}"
-        worst = max(worst, verdict.max_residual)
+        report = is_integrable_structure(field, kind, grid, tol=1e-6)
+        assert report.passed, f"trial {trial}: residual {report.worst_residual}"
+        worst = max(worst, report.worst_residual)
     pullback_ok = worst <= 1e-6
 
     grid4 = grid_points([-0.5] * 4, [0.5] * 4, 2)
@@ -219,9 +219,9 @@ def test_criterion_4_nijenhuis_criterion():
             return basis @ np.diag([1.0, 1.0, -1.0, -1.0]) @ np.linalg.inv(basis)
 
         field = TensorFieldOnChart(4, "1,1", fn, symmetry="none")
-        verdict = is_integrable_structure(field, "para_complex", grid4, tol=1e-6)
-        assert not verdict.passed
-        weakest = min(weakest, verdict.max_residual)
+        report = is_integrable_structure(field, "para_complex", grid4, tol=1e-6)
+        assert not report.passed
+        weakest = min(weakest, report.worst_residual)
     counter_ok = weakest >= 1e-2
     announce("bracket-defect criterion", pullback_ok and counter_ok,
              f"pullback worst {worst:.2e}, counterexample floor {weakest:.2e}")

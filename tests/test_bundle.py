@@ -247,6 +247,26 @@ def test_locally_modelled_nilpotent_rank_pattern():
     assert check_locally_modelled(field, atlas, spec).passed
 
 
+def test_locally_modelled_involution_signature():
+    # involutions are in one orbit iff their +1/-1 eigenspaces match in size
+    chart = chart_with_grid()
+    atlas = ChartAtlas(3, [chart])
+    spec = IsotropyGroupSpec(StructureMatrix(np.diag([1.0, 1.0, -1.0]), "1,1"))
+
+    def conjugated(signs):
+        def fn(x):
+            basis = np.eye(3) + np.outer([0.0, x[0], 0.0], [1.0, 0.0, x[1]])
+            return basis @ np.diag(signs) @ np.linalg.inv(basis)
+        return fn
+
+    field = LocalTensorField("1,1", {"u": conjugated([1.0, -1.0, 1.0])})
+    assert check_locally_modelled(field, atlas, spec).passed
+    field = LocalTensorField("1,1", {"u": conjugated([1.0, -1.0, -1.0])})
+    rep = check_locally_modelled(field, atlas, spec)
+    assert not rep.passed
+    assert rep.entries[0].residual == 1.0
+
+
 def test_locally_modelled_unsupported_kind():
     chart = chart_with_grid()
     atlas = ChartAtlas(2, [chart])

@@ -165,24 +165,24 @@ def test_defect_vanishes_on_kernel_sections_of_tangent_structure():
 
 def test_constant_tangent_field_integrable():
     field = constant_field(tangent_canonical(2).matrix, "1,1", "none")
-    verdict = is_integrable_structure(field, "tangent", GRID2, tol=1e-6)
-    assert verdict.passed
-    assert verdict.label == "integrable"
+    report = is_integrable_structure(field, "tangent", GRID2, tol=1e-6)
+    assert report.passed
+    assert report.notes == ["verdict: integrable"]
 
 
 def test_pullback_tangent_field_integrable():
     rng = np.random.default_rng(8)
     phi = random_quadratic_diffeo(2, rng)
     field = pullback_endomorphism(phi, tangent_canonical(2).matrix)
-    verdict = is_integrable_structure(field, "tangent", GRID2, tol=1e-6)
-    assert verdict.passed, verdict.max_residual
+    report = is_integrable_structure(field, "tangent", GRID2, tol=1e-6)
+    assert report.passed, report.worst_residual
 
 
 def test_complex_field_verdict_is_formal_only():
     field = constant_field(complex_canonical(2).matrix, "1,1", "none")
-    verdict = is_integrable_structure(field, "complex", GRID2, tol=1e-6)
-    assert verdict.passed
-    assert verdict.label == "formally integrable"
+    report = is_integrable_structure(field, "complex", GRID2, tol=1e-6)
+    assert report.passed
+    assert report.notes == ["verdict: formally integrable"]
 
 
 def test_non_involutive_para_field_not_integrable():
@@ -195,9 +195,9 @@ def test_non_involutive_para_field_not_integrable():
 
     field = TensorFieldOnChart(4, "1,1", fn, symmetry="none")
     grid = grid_points([-0.5] * 4, [0.5] * 4, 2)
-    verdict = is_integrable_structure(field, "para_complex", grid, tol=1e-6)
-    assert not verdict.passed
-    assert verdict.max_residual >= 1e-2
+    report = is_integrable_structure(field, "para_complex", grid, tol=1e-6)
+    assert not report.passed
+    assert report.worst_residual >= 1e-2
 
 
 def test_integrability_rejects_invalid_structure_field():
@@ -310,8 +310,8 @@ def test_metric_integrability_verdicts():
     rng = np.random.default_rng(5)
     phi = random_quadratic_diffeo(2, rng)
     krein_flat = pullback_metric(phi, np.diag([1.0, -1.0]))
-    verdict = is_metric_integrable(krein_flat, GRID2, tol=1e-5)
-    assert verdict.passed, verdict.max_residual
+    report = is_metric_integrable(krein_flat, GRID2, tol=1e-5)
+    assert report.passed, report.worst_residual
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +321,8 @@ def test_metric_integrability_verdicts():
 def test_constant_triple_flat_connection_parallel():
     conn = levi_civita(constant_field(np.eye(2), "2,0"))
     field = constant_field(complex_canonical(2).matrix, "1,1", "none")
-    verdict = covariant_derivative_of_structure(conn, field, GRID2, tol=1e-8)
-    assert verdict.passed
+    report = covariant_derivative_of_structure(conn, field, GRID2, tol=1e-8)
+    assert report.passed
 
 
 def test_pullback_kahler_structure_is_parallel():
@@ -331,8 +331,8 @@ def test_pullback_kahler_structure_is_parallel():
     metric = pullback_metric(phi, np.eye(2))
     structure = pullback_endomorphism(phi, complex_canonical(2).matrix)
     conn = levi_civita(metric)
-    verdict = covariant_derivative_of_structure(conn, structure, GRID2, tol=1e-5)
-    assert verdict.passed, verdict.max_residual
+    report = covariant_derivative_of_structure(conn, structure, GRID2, tol=1e-5)
+    assert report.passed, report.worst_residual
 
 
 def test_incompatible_structure_field_not_parallel():
@@ -344,8 +344,8 @@ def test_incompatible_structure_field_not_parallel():
         return np.linalg.solve(a, complex_canonical(2).matrix @ a)
 
     field = TensorFieldOnChart(2, "1,1", fn, symmetry="none")
-    verdict = covariant_derivative_of_structure(conn, field, GRID2, tol=1e-5)
-    assert not verdict.passed
+    report = covariant_derivative_of_structure(conn, field, GRID2, tol=1e-5)
+    assert not report.passed
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +550,9 @@ def test_grid_curvature_equals_stacked_points(seed, dim, mode):
     np.testing.assert_allclose(curvature(conn, grid), stacked, rtol=0, atol=1e-9)
     np.testing.assert_allclose(conn(grid), np.stack([conn(x) for x in grid]),
                                rtol=1e-13, atol=1e-13)
-    verdict = is_metric_integrable(metric, grid, tol=1e-6)
+    report = is_metric_integrable(metric, grid, tol=1e-6)
     norms = [np.linalg.norm(r) for r in stacked]
-    assert verdict.max_residual == pytest.approx(max(norms), rel=1e-6, abs=1e-9)
+    assert report.worst_residual == pytest.approx(max(norms), rel=1e-6, abs=1e-9)
 
 
 def test_grid_checks_report_first_failure_and_first_worst_point():
@@ -579,8 +579,8 @@ def test_grid_checks_report_first_failure_and_first_worst_point():
         return basis @ np.diag([1.0, 1.0, -1.0, -1.0]) @ np.linalg.inv(basis)
 
     grid = np.array([[0.1, 0.1, 0.2, 0.3], [0.4, 0.0, 0.2, 0.3], [0.4, -0.3, 0.5, 0.3]])
-    verdict = is_integrable_structure(TensorFieldOnChart(4, "1,1", fn, symmetry="none"),
-                                      "para_complex", grid)
-    assert verdict.location == np.array2string(grid[1], precision=3)
+    report = is_integrable_structure(TensorFieldOnChart(4, "1,1", fn, symmetry="none"),
+                                     "para_complex", grid)
+    assert report.entries[0].location == np.array2string(grid[1], precision=3)
     flat = is_metric_integrable(constant_field(np.eye(2)), GRID2)
-    assert (flat.max_residual, flat.location) == (0.0, "")
+    assert (flat.worst_residual, flat.entries[0].location) == (0.0, "")

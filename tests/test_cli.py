@@ -170,6 +170,59 @@ def test_reduce_with_field_document(tmp_path):
     assert run(["reduce", atlas, tensor, "--field", field]) == 0
 
 
+def test_reduce_digest_covers_the_field_document(tmp_path, capsys):
+    atlas = write(tmp_path, "atlas.json", atlas_doc())
+    tensor = write(tmp_path, "tensor.json",
+                   {"kind": "2,0", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                    "symmetry": "symmetric"})
+
+    def digest(matrix):
+        field = write(tmp_path, "field.json",
+                      {"dim": 2, "field": {"name": "constant", "kind": "2,0",
+                                           "matrix": matrix}})
+        assert run(["--json", "reduce", atlas, tensor, "--field", field]) == 0
+        return json.loads(capsys.readouterr().out)["inputs_digest"]
+
+    first, second = digest([[2.0, 0.3], [0.3, 1.0]]), digest([[3.0, 0.3], [0.3, 1.0]])
+    assert first != second
+    assert first.split(",")[:2] == second.split(",")[:2]
+    assert len(first.split(",")) == 3
+
+
+def test_nan_in_pair_exits_two(tmp_path):
+    pair = {"flavor": "kahler",
+            "given": {"g": [[float("nan"), 0.0], [0.0, 1.0]],
+                      "omega": [[0.0, 1.0], [-1.0, 0.0]]}}
+    assert run(["triple", "complete", write(tmp_path, "pair.json", pair)]) == 2
+
+
+def test_undeclared_chart_exits_two(tmp_path):
+    doc = atlas_doc()
+    doc["overlaps"].append(dict(doc["overlaps"][0], charts=["a", "zz"]))
+    assert run(["cocycle", write(tmp_path, "overlap.json", doc)]) == 2
+    doc = atlas_doc()
+    doc["triples"][0]["charts"] = ["a", "b", "zz"]
+    assert run(["cocycle", write(tmp_path, "triple.json", doc)]) == 2
+
+
+def test_connection_form_shorter_than_its_level_exits_two(tmp_path):
+    zero2 = np.zeros((2, 2)).tolist()
+    zero3 = np.zeros((3, 3)).tolist()
+    doc = {"variance": "direct", "dims": [2, 3],
+           "forms": [{"coeffs": [zero2, zero2]}, {"coeffs": [zero3, zero3]}],
+           "models": [{"kind": "2,0", "matrix": np.eye(2).tolist()},
+                      {"kind": "2,0", "matrix": np.eye(3).tolist()}],
+           "sample_points": [[0.1, -0.2]]}
+    assert run(["connection", "check", write(tmp_path, "conn.json", doc)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--levels", "--samples"])
+def test_loopspace_demo_rejects_counts_below_one(flag, capsys):
+    assert run(["--seed", "1", "loopspace", "demo", flag, "0"]) == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert run(["--seed", "1", "loopspace", "demo", flag, "1"]) == 0
+
+
 def test_loopspace_check_document(tmp_path):
     loop = np.random.default_rng(0).normal(size=(8, 2)).tolist()
     doc = {"target": {"flavor": "kahler", "pairs": 1},
@@ -180,7 +233,7 @@ def test_loopspace_check_document(tmp_path):
     assert run(["--seed", "1", "loopspace", "check", path]) == 0
 
 
-def test_nijenhuis_subcommand(tmp_path):
+def test_nijenhuis_subcommand(tmp_path, capsys):
     doc = {"dim": 2,
            "field": {"name": "pullback_structure",
                      "base_matrix": [[0.0, 1.0], [0.0, 0.0]],
@@ -189,13 +242,29 @@ def test_nijenhuis_subcommand(tmp_path):
            "grid": {"counts": 3}}
     path = write(tmp_path, "field.json", doc)
     assert run(["nijenhuis", path, "--kind", "tangent"]) == 0
+    capsys.readouterr()
+    assert run(["--json", "nijenhuis", path, "--kind", "tangent"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    [entry] = payload["entries"]
+    assert entry["name"] == "defect_tensor_tangent"
+    assert (entry["residual"], entry["location"]) == (0.0, "")
+    assert payload["notes"] == ["verdict: integrable"]
 
 
-def test_curvature_subcommand(tmp_path):
+def test_curvature_subcommand(tmp_path, capsys):
     sphere = write(tmp_path, "sphere.json",
                    {"dim": 2, "field": {"name": "sphere_stereographic"},
                     "grid": {"counts": 3}})
     assert run(["curvature", sphere]) == 1  # curved: not integrable
+    capsys.readouterr()
+    assert run(["--json", "curvature", sphere]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    [entry] = payload["entries"]
+    assert entry["name"] == "curvature_residual"
+    # |R| = 8 / (1 + |x|^2)^2 on the stereographic chart peaks at the origin
+    assert entry["location"] == np.array2string(np.zeros(2), precision=3)
+    assert entry["residual"] == pytest.approx(8.0, rel=1e-6)
+    assert payload["notes"] == ["verdict: not integrable"]
     flat = write(tmp_path, "flat.json",
                  {"dim": 2,
                   "field": {"name": "pullback_flat",
@@ -204,6 +273,11 @@ def test_curvature_subcommand(tmp_path):
                                        [[0, 1, 1.0], [2, 0, -0.05]]]},
                   "grid": {"counts": 3}})
     assert run(["curvature", flat]) == 0
+    capsys.readouterr()
+    assert run(["--json", "curvature", flat]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [e["name"] for e in payload["entries"]] == ["curvature_residual"]
+    assert payload["notes"] == ["verdict: integrable"]
 
 
 def test_curvature_step_follows_fd_step_for_polynomial_metrics(tmp_path, capsys):

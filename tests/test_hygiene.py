@@ -1,0 +1,38 @@
+"""Source hygiene of the package, checked with the standard library's ast."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensorstruct"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _imported_names(tree):
+    """Every (name, line) bound by an import statement, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
+def test_every_import_is_used(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
+              if name not in used]
+    assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    name = "tensorstruct" if module == "__init__" else f"tensorstruct.{module}"
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
+    assert not missing, f"{name}.__all__ names undefined attributes: {missing}"

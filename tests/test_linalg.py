@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from tensorstruct.errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from tensorstruct.errors import NotPositiveDefinite, NotSymmetric, ShapeMismatch
 from tensorstruct.linalg import (
     Tolerance,
+    involution_eigenbases,
+    kernel_and_complement,
     kernel_and_image,
     metric_adjoint,
+    rank_of,
     signature_of,
     spd_sqrt,
 )
@@ -105,7 +108,7 @@ def test_metric_adjoint_is_involution():
 
 
 def test_metric_adjoint_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ShapeMismatch):
         metric_adjoint(np.eye(3), np.eye(4))
 
 
@@ -157,6 +160,36 @@ def test_rank_threshold_borderline():
     assert kernel_and_image(a, tol)[2] == 1
     a = np.diag([1.0, 1e-5])
     assert kernel_and_image(a, tol)[2] == 2
+
+
+def test_rank_of_matches_kernel_and_image():
+    rng = np.random.default_rng(11)
+    for tol in (Tolerance(), Tolerance(atol=1e-6, rtol=0.0)):
+        for _ in range(30):
+            rows, cols = (int(k) for k in rng.integers(1, 7, size=2))
+            k = int(rng.integers(0, min(rows, cols) + 1))
+            a = rng.normal(size=(rows, k)) @ rng.normal(size=(k, cols))
+            assert rank_of(a, tol) == kernel_and_image(a, tol)[2]
+    assert rank_of(np.zeros((3, 0))) == 0
+
+
+def test_involution_eigenbases_signature():
+    # a conjugated diag(1, 1, 1, -1, -1): the bases count n - rank(J -+ I)
+    q = random_orthogonal(5)
+    j = q @ np.diag([1.0, 1.0, 1.0, -1.0, -1.0]) @ q.T
+    plus, minus = involution_eigenbases(j)
+    assert (plus.shape[1], minus.shape[1]) == (3, 2)
+    assert plus.shape[1] == 5 - rank_of(j - np.eye(5))
+    np.testing.assert_allclose(j @ plus, plus, atol=1e-12)
+    np.testing.assert_allclose(j @ minus, -minus, atol=1e-12)
+
+
+def test_kernel_and_complement_split_the_space():
+    a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    kernel, complement = kernel_and_complement(a)
+    assert (kernel.shape, complement.shape) == ((3, 1), (3, 2))
+    np.testing.assert_allclose(a @ kernel, 0.0, atol=1e-14)
+    np.testing.assert_allclose(complement.T @ kernel, 0.0, atol=1e-14)
 
 
 def test_signature_of_minkowski():

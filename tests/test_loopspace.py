@@ -140,9 +140,9 @@ def test_pointwise_defect_vanishes_for_constant_target_structure():
     target = block_kahler_target(2)
     field = constant_field(target.structure.matrix, "1,1", "none")
     grid = grid_points([-0.5] * 4, [0.5] * 4, 2)
-    verdict = is_integrable_structure(field, "complex", grid, tol=1e-9)
-    assert verdict.passed
-    assert verdict.label == "formally integrable"
+    report = is_integrable_structure(field, "complex", grid, tol=1e-9)
+    assert report.passed
+    assert report.notes == ["verdict: formally integrable"]
 
 
 # ---------------------------------------------------------------------------
