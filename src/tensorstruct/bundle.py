@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch, Singular, UnsupportedKind
+from .errors import MissingTransition, ShapeMismatch, Singular, UnsupportedKind
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -140,8 +140,16 @@ class ChartAtlas:
     def chart_names(self):
         return [c.name for c in self.charts]
 
+    def has_transition(self, a, b):
+        """Whether ``transition_at(a, b, x)`` is defined: a == b, or T_ab or
+        T_ba is declared."""
+        return a == b or (a, b) in self.transitions or (b, a) in self.transitions
+
     def transition_at(self, a, b, x):
-        """Evaluate T_ab(x); T_aa is the identity, T_ba the inverse of T_ab."""
+        """Evaluate T_ab(x); T_aa is the identity, T_ba the inverse of T_ab.
+
+        Raises MissingTransition when neither T_ab nor T_ba is declared.
+        """
         if a == b:
             return np.eye(self.fiber_dim)
         if (a, b) in self.transitions:
@@ -152,7 +160,7 @@ class ChartAtlas:
                 return np.linalg.inv(m)
             except np.linalg.LinAlgError as exc:
                 raise Singular(f"transition {b}->{a} not invertible at {x}") from exc
-        raise KeyError(f"no transition declared between {a!r} and {b!r}")
+        raise MissingTransition(f"no transition declared between {a!r} and {b!r}")
 
     def overlap_connectivity(self):
         """Connected components of the chart cover's overlap graph."""
@@ -204,8 +212,10 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Verify T_aa = Id, sampled invertibility, and the triple condition.
 
     For every declared triple (a, b, c) and each of its sample points the
-    residual |T_ac(x) - T_ab(x) T_bc(x)| is measured; the report keeps the
-    worst violation per triple.  A single-chart atlas passes vacuously.
+    residual |T_ac(x) - T_ab(x) T_bc(x)| is measured and accepted at the
+    scale max(1, |T_ac(x)|) of that sample; a triple passes when every
+    sample does, and the report keeps its worst residual.  A single-chart
+    atlas passes vacuously.
     """
     report = Report()
     n = atlas.fiber_dim
@@ -232,16 +242,19 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     if not atlas.triple_overlaps:
         report.note("no triple overlaps declared: cocycle condition vacuous")
     for (a, b, c, points) in atlas.triple_overlaps:
+        # each sample is judged at its own scale |T_ac(x)|; the entry keeps
+        # the worst absolute residual and where it occurred
+        ok = True
         worst = 0.0
         where = ""
         for x in np.atleast_2d(points):
             lhs = atlas.transition_at(a, c, x)
             rhs = atlas.transition_at(a, b, x) @ atlas.transition_at(b, c, x)
             resid = fro(lhs - rhs)
+            ok = ok and tol.accepts(resid, max(1.0, fro(lhs)))
             if resid > worst:
                 worst, where = resid, np.array2string(np.asarray(x), precision=3)
-        report.add(f"cocycle[{a},{b},{c}]",
-                   tol.accepts(worst, max(1.0, fro(lhs))), worst, where)
+        report.add(f"cocycle[{a},{b},{c}]", ok, worst, where)
 
     components = atlas.overlap_connectivity()
     if components > 1:

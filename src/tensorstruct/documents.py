@@ -54,6 +54,9 @@ Loop documents:
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from . import calculus
@@ -117,6 +120,26 @@ def _matrix(value, context):
     return arr
 
 
+def _scalar(value, context, integer=False):
+    """A JSON number as a float, or as an int when ``integer``;
+    DocumentError unless it is a finite number, and whole when ``integer``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DocumentError(f"{context} is not a number: {value!r}")
+    if not math.isfinite(value):
+        raise DocumentError(f"{context} is not finite")
+    if integer:
+        if value != int(value):
+            raise DocumentError(f"{context} is not an integer: {value!r}")
+        return int(value)
+    return float(value)
+
+
+def _list(value, context):
+    if not isinstance(value, list):
+        raise DocumentError(f"{context} must be a list, got {value!r}")
+    return value
+
+
 def _basis(dec, key):
     """A decomposition's JSON list of basis vectors, as a column matrix."""
     arr = _matrix(_require(dec, key, "decomposition"), f"decomposition {key}")
@@ -128,7 +151,7 @@ def _basis(dec, key):
 def parse_structure(doc):
     kind = _require(doc, "kind", "structure document")
     matrix = _matrix(_require(doc, "matrix", "structure document"), "structure matrix")
-    dim = int(doc.get("dim", matrix.shape[0]))
+    dim = _scalar(doc.get("dim", matrix.shape[0]), "structure dim", integer=True)
     if matrix.shape != (dim, dim):
         raise DocumentError(f"structure document: matrix shape {matrix.shape} "
                             f"does not match dim {dim}")
@@ -212,7 +235,8 @@ def _parse_transition(doc, context):
 
 
 def parse_atlas(doc):
-    fiber_dim = int(_require(doc, "fiber_dim", "atlas document"))
+    fiber_dim = _scalar(_require(doc, "fiber_dim", "atlas document"), "atlas fiber_dim",
+                        integer=True)
     charts = []
     for cdoc in _require(doc, "charts", "atlas document"):
         charts.append(Chart(_require(cdoc, "name", "chart"),
@@ -242,7 +266,14 @@ def parse_atlas(doc):
         a, b, c = declared(tdoc, 3, "triple overlap")
         triples.append((a, b, c, _matrix(_require(tdoc, "points", "triple overlap"),
                                          "triple overlap points")))
-    return ChartAtlas(fiber_dim, charts, overlaps, transitions, triples)
+    atlas = ChartAtlas(fiber_dim, charts, overlaps, transitions, triples)
+    for a, b, c, _ in triples:
+        # the cocycle condition T_ac = T_ab T_bc needs all three transitions
+        for u, v in ((a, b), (b, c), (a, c)):
+            if not atlas.has_transition(u, v):
+                raise DocumentError(f"triple overlap {[a, b, c]!r}: no transition "
+                                    f"declared between {u!r} and {v!r}")
+    return atlas
 
 
 def parse_tensor(doc):
@@ -256,12 +287,14 @@ def parse_tensor(doc):
 def field_step(doc, fd_step=None):
     """Finite-difference step of a field document: its own ``fd_step``,
     else ``fd_step``, else the package default."""
-    return float(doc.get("fd_step", fd_step or calculus.DEFAULT_FD_STEP))
+    if "fd_step" in doc:
+        return _scalar(doc["fd_step"], "fd_step")
+    return float(fd_step or calculus.DEFAULT_FD_STEP)
 
 
 def parse_field(doc, fd_step=None):
     """Returns (tensor field, grid) from a field document."""
-    dim = int(_require(doc, "dim", "field document"))
+    dim = _scalar(_require(doc, "dim", "field document"), "field dim", integer=True)
     spec = _require(doc, "field", "field document")
     name = _require(spec, "name", "field document")
     step = field_step(doc, fd_step)
@@ -290,20 +323,28 @@ def parse_field(doc, fd_step=None):
     lo = _matrix(gdoc.get("lo", [-0.5] * dim), "grid lo")
     hi = _matrix(gdoc.get("hi", [0.5] * dim), "grid hi")
     counts = gdoc.get("counts", 5)
-    grid = calculus.grid_points(lo, hi, counts)
+    if isinstance(counts, list):
+        counts = [_scalar(c, "grid counts", integer=True) for c in counts]
+    else:
+        counts = _scalar(counts, "grid counts", integer=True)
+    try:
+        grid = calculus.grid_points(lo, hi, counts)
+    except ValueError as exc:
+        raise DocumentError(f"field document grid: {exc}") from exc
     return field, grid
 
 
 def _parse_polymap(spec, dim):
     comps_doc = _require(spec, "diffeo", "pullback field")
     comps = []
-    for terms in comps_doc:
+    for terms in _list(comps_doc, "diffeo"):
         coeffs = {}
-        for term in terms:
-            *expo, coeff = term
+        for term in _list(terms, "diffeo component"):
+            *expo, coeff = _list(term, "diffeo term")
             if len(expo) != dim:
                 raise DocumentError("diffeo term exponents must match dim")
-            coeffs[tuple(int(e) for e in expo)] = float(coeff)
+            expo = tuple(_scalar(e, "diffeo exponent", integer=True) for e in expo)
+            coeffs[expo] = _scalar(coeff, "diffeo coefficient")
         comps.append(Poly(dim, coeffs))
     if len(comps) != dim:
         raise DocumentError("diffeo needs one polynomial per coordinate")
@@ -312,7 +353,8 @@ def _parse_polymap(spec, dim):
 
 def parse_tower(doc):
     variance = _require(doc, "variance", "tower document")
-    dims = [int(d) for d in _require(doc, "dims", "tower document")]
+    dims = [_scalar(d, "tower dims", integer=True)
+            for d in _list(_require(doc, "dims", "tower document"), "tower dims")]
     try:
         if "maps" in doc:
             maps = [_matrix(m, "tower map") for m in doc["maps"]]
@@ -345,7 +387,10 @@ def parse_connection_tower(doc):
         linear = None
         if "linear" in fdoc:
             linear = [[_matrix(m, "form linear") for m in row] for row in fdoc["linear"]]
-        forms.append(LevelForm(coeffs, linear))
+        try:
+            forms.append(LevelForm(coeffs, linear))
+        except (TensorStructError, ValueError) as exc:
+            raise DocumentError(f"connection document: {exc}") from exc
     models = []
     for mdoc in _require(doc, "models", "connection document"):
         models.append((_require(mdoc, "kind", "model"),
@@ -354,18 +399,24 @@ def parse_connection_tower(doc):
     if "morphisms" in doc:
         morphisms = {}
         for mdoc in doc["morphisms"]:
-            i, j = _require(mdoc, "levels", "morphism")
-            morphisms[(int(i), int(j))] = (
+            levels = _list(_require(mdoc, "levels", "morphism"), "morphism levels")
+            if len(levels) != 2:
+                raise DocumentError(f"morphism levels {levels!r} are not two levels")
+            i, j = (_scalar(lvl, "morphism levels", integer=True) for lvl in levels)
+            morphisms[(i, j)] = (
                 _matrix(_require(mdoc, "left", "morphism"), "morphism left"),
                 _matrix(_require(mdoc, "right", "morphism"), "morphism right"))
     if len(forms) != bonding.levels or len(models) != bonding.levels:
         raise DocumentError("connection document: one form and one model per level")
-    for lvl, form in enumerate(forms):
+    for lvl, (form, (kind, model)) in enumerate(zip(forms, models)):
         # a form is evaluated on every tangent direction of its level
         dim = bonding.dims[lvl]
-        if len(form.coeffs) < dim or (form.linear is not None and len(form.linear) < dim):
+        if len(form.stack) < dim or (form.linear is not None and len(form.linear) < dim):
             raise DocumentError(f"connection document: form {lvl} needs a coefficient "
                                 f"matrix per direction of its level, {dim}")
+        if form.dim != dim or model.shape != (dim, dim) or kind not in ("1,1", "2,0"):
+            raise DocumentError(f"connection document: level {lvl} needs {dim}x{dim} "
+                                f"form values and a {dim}x{dim} model of kind 1,1 or 2,0")
     seq = ConnectionFormSequence(bonding, forms, models, morphisms)
     points = _matrix(_require(doc, "sample_points", "connection document"),
                      "sample_points")
@@ -375,7 +426,9 @@ def parse_connection_tower(doc):
 def parse_loop(doc):
     tdoc = _require(doc, "target", "loop document")
     if "pairs" in tdoc:
-        pairs = int(tdoc["pairs"])
+        pairs = _scalar(tdoc["pairs"], "loop target pairs", integer=True)
+        if pairs < 1:
+            raise DocumentError(f"loop target: pairs must be at least 1, got {pairs}")
         flavor = tdoc.get("flavor", "kahler")
         target = (block_kahler_target(pairs) if flavor == "kahler"
                   else block_para_target(pairs))

@@ -90,3 +90,7 @@ class NotInvertible(TensorStructError):
 
 class NotMember(TensorStructError):
     pass
+
+
+class MissingTransition(TensorStructError):
+    """No transition is declared between two charts, in either direction."""

@@ -19,6 +19,21 @@ Coherence of a per-level tensor sequence depends on variance and kind:
 
 All checks quantify over the supplied levels and report that count; the
 infinite limit object is represented exactly by its levelwise conditions.
+
+Composite tables.  ``BondingSystem.map_table()`` returns every composite
+map at once, ``table[i][j] = map(i, j)`` for i <= j: row i starts at the
+identity and entry j is one product of entry j-1 with the consecutive map
+``maps[j-1]``, so a tower of n levels costs about n^2/2 products instead
+of the O(n) per composite that rebuilding each one takes.
+``projection_table()`` does the same for projections, column by column
+from the identity at level j downwards.  ``map`` and ``projection`` read
+one entry of the same row or column, so each table entry is bit-identical
+to the single composite.  The checks over pairs and triples
+(``validate_bonding``, ``check_coherent``, ``tuple_membership``,
+``check_connection_coherence``) build the tables once per call and then
+only index into them; ``gEn_membership``, which reads only the composites
+into and out of the top level, builds the one projection column it needs.
+Nothing is cached on the tower, which stays a plain mutable dataclass.
 """
 
 from __future__ import annotations
@@ -127,30 +142,59 @@ class BondingSystem:
 
     def map(self, i, j):
         """Composite bonding map between levels i <= j (identity at i == j)."""
-        if not 0 <= i <= j < self.levels:
-            raise ShapeMismatch(f"levels ({i}, {j}) out of range")
-        if i == j:
-            return np.eye(self.dims[i])
-        out = self.maps[i]
-        for k in range(i + 1, j):
-            if self.variance == "projective":
-                out = out @ self.maps[k]  # maps[i] ... maps[j-1]
-            else:
-                out = self.maps[k] @ out  # maps[j-1] ... maps[i]
-        return out
+        self._check_levels(i, j)
+        return self._maps_from(i, j)[j]
 
     def projection(self, i, j):
         """Composite projection from level j down to i (direct variant)."""
+        self._check_projections()
+        self._check_levels(i, j)
+        return self._projections_onto(j, i)[i]
+
+    def map_table(self, levels=None):
+        """Every composite map of the first ``levels`` levels (default all):
+        ``table[i][j]`` is ``map(i, j)`` for i <= j and None below."""
+        top = self.levels - 1 if levels is None else levels - 1
+        return [self._maps_from(i, top) for i in range(top + 1)]
+
+    def projection_table(self):
+        """Every composite projection: ``table[i][j]`` is ``projection(i, j)``
+        for i <= j and None below."""
+        self._check_projections()
+        n = self.levels
+        columns = [self._projections_onto(j, 0) for j in range(n)]
+        return [[columns[j][i] if i <= j else None for j in range(n)] for i in range(n)]
+
+    def _check_levels(self, i, j):
+        if not 0 <= i <= j < self.levels:
+            raise ShapeMismatch(f"levels ({i}, {j}) out of range")
+
+    def _check_projections(self):
         if self.variance != "direct":
             raise ShapeMismatch("projections only exist for direct systems")
         if self.projections is None:
             raise ShapeMismatch("no projections supplied and maps are not padding")
-        if not 0 <= i <= j < self.levels:
-            raise ShapeMismatch(f"levels ({i}, {j}) out of range")
-        out = np.eye(self.dims[j])
-        for k in range(j - 1, i - 1, -1):
-            out = self.projections[k] @ out
-        return out
+
+    def _maps_from(self, i, last):
+        """``row[j]`` is map(i, j) for i <= j <= last (None below i); each
+        entry is one product of the entry before it and one consecutive map."""
+        row = [None] * i + [np.eye(self.dims[i])]
+        if last > i:
+            row.append(self.maps[i])
+        for k in range(i + 1, last):
+            if self.variance == "projective":
+                row.append(row[-1] @ self.maps[k])  # maps[i] ... maps[k]
+            else:
+                row.append(self.maps[k] @ row[-1])  # maps[k] ... maps[i]
+        return row
+
+    def _projections_onto(self, j, first):
+        """``column[i]`` is projection(i, j) for first <= i <= j (None below
+        first), built downwards from the identity at j, one product each."""
+        column = [np.eye(self.dims[j])]
+        for k in range(j - 1, first - 1, -1):
+            column.append(self.projections[k] @ column[-1])
+        return [None] * first + column[::-1]
 
 
 def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -158,19 +202,20 @@ def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
     report = Report()
     n = b.levels
     report.note(f"{n} levels supplied; all checks quantify over them")
+    maps = b.map_table()
 
     for i in range(n):
-        res = fro(b.map(i, i) - np.eye(b.dims[i]))
+        res = fro(maps[i][i] - np.eye(b.dims[i]))
         report.add(f"identity_at[{i}]", tol.accepts(res, 1.0), res)
 
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
                 if b.variance == "projective":
-                    lhs = b.map(i, j) @ b.map(j, k)
+                    lhs = maps[i][j] @ maps[j][k]
                 else:
-                    lhs = b.map(j, k) @ b.map(i, j)
-                res = fro(lhs - b.map(i, k))
+                    lhs = maps[j][k] @ maps[i][j]
+                res = fro(lhs - maps[i][k])
                 report.add(f"composition[{i},{j},{k}]",
                            tol.accepts(res, max(fro(lhs), 1.0)), res)
 
@@ -181,15 +226,16 @@ def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
         report.add(f"{name}[{i}->{i + 1}]", full, 0.0 if full else 1.0)
 
     if b.variance == "direct" and b.projections is not None:
+        projs = b.projection_table()
         for i in range(n - 1):
             for j in range(i + 1, n):
-                sec = fro(b.projection(i, j) @ b.map(i, j) - np.eye(b.dims[i]))
+                sec = fro(projs[i][j] @ maps[i][j] - np.eye(b.dims[i]))
                 report.add(f"section[{i},{j}]", tol.accepts(sec, 1.0), sec)
         for i in range(n):
             for j in range(i, n):
                 for k in range(j, n):
-                    lhs = b.projection(i, j) @ b.projection(j, k)
-                    res = fro(lhs - b.projection(i, k))
+                    lhs = projs[i][j] @ projs[j][k]
+                    res = fro(lhs - projs[i][k])
                     report.add(f"projection_composition[{i},{j},{k}]",
                                tol.accepts(res, max(fro(lhs), 1.0)), res)
     return report
@@ -216,10 +262,10 @@ class CoherentSequence:
                     f"level {lvl} matrix is {m.shape[0]}x, dim is {self.bonding.dims[lvl]}")
 
 
-def _coherence_residual(bonding: BondingSystem, kind, i, j, a_i, a_j):
-    """Defect of the variance/kind intertwining law between levels i < j."""
-    lam = bonding.map(i, j)
-    if bonding.variance == "projective":
+def _coherence_residual(variance, kind, lam, a_i, a_j):
+    """Defect of the variance/kind intertwining law between levels i < j,
+    joined by the composite map ``lam`` = map(i, j)."""
+    if variance == "projective":
         if kind == "1,1":
             return fro(a_i @ lam - lam @ a_j)
         return fro(a_j - lam.T @ a_i @ lam)
@@ -232,9 +278,10 @@ def check_coherent(seq: CoherentSequence, tol: Tolerance = DEFAULT_TOL) -> Repor
     """Per-pair residual of the variance/kind-appropriate intertwining law."""
     report = Report()
     n = seq.bonding.levels
+    maps = seq.bonding.map_table()
     for i in range(n):
         for j in range(i + 1, n):
-            res = _coherence_residual(seq.bonding, seq.kind, i, j,
+            res = _coherence_residual(seq.bonding.variance, seq.kind, maps[i][j],
                                       seq.levels[i], seq.levels[j])
             scale = max(fro(seq.levels[i]), fro(seq.levels[j]), 1.0)
             report.add(f"coherent[{i},{j}]", tol.accepts(res, scale), res)
@@ -314,10 +361,12 @@ def tuple_membership(a: LevelTuple, tol: Tolerance = DEFAULT_TOL,
     from per-level isotropy groups).
     """
     report = Report()
+    maps = a.bonding.map_table(a.level)
     # intertwining: the (1,1) coherence law of the entries
     for i in range(a.level):
         for j in range(i + 1, a.level):
-            res = _coherence_residual(a.bonding, "1,1", i, j, a.entries[i], a.entries[j])
+            res = _coherence_residual(a.bonding.variance, "1,1", maps[i][j],
+                                      a.entries[i], a.entries[j])
             scale = max(fro(a.entries[i]), fro(a.entries[j]), 1.0)
             report.add(f"intertwines[{i},{j}]", tol.accepts(res, scale), res)
     for lvl, m in enumerate(a.entries):
@@ -367,12 +416,15 @@ def gEn_membership(a, bonding: BondingSystem, tol: Tolerance = DEFAULT_TOL):
     report = Report()
     member = True
     scale = max(fro(a), 1.0)
+    bonding._check_projections()
+    # only the projections out of the top level are shared between levels
+    projs = bonding._projections_onto(top, 0)
     for k in range(top):
         inc = bonding.map(k, top)
         image = a @ inc
         # residual of the invariance a(E_k) subset E_k measured through the
         # complementary projection
-        proj = bonding.projection(k, top)
+        proj = projs[k]
         resid = fro(image - inc @ (proj @ image))
         ok = tol.accepts(resid, scale)
         member = member and ok
@@ -418,30 +470,41 @@ def theta_projection(a, j, i, bonding: BondingSystem, tol: Tolerance = DEFAULT_T
 class LevelForm:
     """Connection one-form at one level: (x, v) -> matrix, affine in x.
 
-    ``coeffs[a]`` is the matrix attached to the a-th tangent direction;
+    ``stack`` holds the coefficient matrices as one (d, n, n) array and
+    ``stack[a]`` is the matrix attached to the a-th tangent direction;
     ``linear[a][b]`` optionally adds x_b-dependence to that matrix.
     """
 
     def __init__(self, coeffs, linear=None):
-        self.coeffs = [as_matrix(c, square=True) for c in coeffs]
+        mats = [as_matrix(c, square=True) for c in coeffs]
+        if not mats or any(m.shape != mats[0].shape for m in mats):
+            raise ShapeMismatch("a level form needs one or more coefficient "
+                                "matrices of one size")
+        self.stack = np.stack(mats)
         self.linear = None
         if linear is not None:
             self.linear = [[as_matrix(m, square=True) for m in row] for row in linear]
 
     @property
+    def coeffs(self):
+        """The coefficient matrices, a tuple of views into ``stack``."""
+        return tuple(self.stack)
+
+    @property
     def dim(self):
-        return self.coeffs[0].shape[0]
+        return self.stack.shape[1]
 
     def __call__(self, x, v):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        out = np.zeros_like(self.coeffs[0])
-        for a, va in enumerate(v):
-            mat = self.coeffs[a]
-            if self.linear is not None:
-                mat = mat + sum(xb * mb for xb, mb in zip(x, self.linear[a]))
-            out = out + va * mat
-        return out
+        if len(v) > len(self.stack):
+            raise ShapeMismatch(f"tangent has {len(v)} components, form has "
+                                f"{len(self.stack)} coefficient matrices")
+        mats = self.stack[: len(v)]
+        if self.linear is not None:
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            mats = np.stack([mat + sum(xb * mb for xb, mb in zip(x, row))
+                             for mat, row in zip(mats, self.linear)])
+        return np.tensordot(v, mats, axes=1)
 
 
 @dataclass
@@ -461,15 +524,18 @@ class ConnectionFormSequence:
     models: list
     morphisms: Optional[dict] = None
 
-    def morphism(self, i, j):
+    def morphism(self, i, j, maps, projections):
+        """(L, R) for levels i < j, read from the tower's composite tables
+        ``maps`` and ``projections`` (None when the tower has none)."""
         if self.morphisms and (i, j) in self.morphisms:
             left, right = self.morphisms[(i, j)]
             return as_matrix(left), as_matrix(right)
+        lam = maps[i][j]
         if self.bonding.variance == "projective":
-            lam = self.bonding.map(i, j)
             return lam, lam.T
-        inc = self.bonding.map(i, j)
-        return inc, self.bonding.projection(i, j)
+        if projections is None:
+            self.bonding._check_projections()
+        return lam, projections[i][j]
 
 
 def _algebra_residual(w, kind, model):
@@ -509,42 +575,43 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
     if tangents is None:
         tangents = list(np.eye(dim))
 
-    # adaptedness per level, sampled on that level's own data
-    for lvl in range(n):
-        kind, model = seq.models[lvl]
-        model = as_matrix(model, square=True)
-        worst = 0.0
-        for x in pts:
-            for v in tangents:
+    maps = b.map_table()
+    projs = (b.projection_table() if variance == "direct" and b.projections is not None
+             else None)
+    if len(seq.forms) < n or len(seq.models) < n:
+        raise ShapeMismatch(f"need a form and a model for each of the {n} levels")
+    models = [(kind, as_matrix(model, square=True)) for kind, model in seq.models[:n]]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    morphisms = [seq.morphism(i, j, maps, projs) for i, j in pairs]
+    # the composites that carry sample data from its level to every level
+    onto = [maps[lvl][n - 1] if variance == "projective" else maps[0][lvl]
+            for lvl in range(n)]
+    adapted = [0.0] * n
+    coherent = [0.0] * len(pairs)
+    for x in pts:
+        for v in tangents:
+            # the sample on every level and each level's form value there;
+            # adaptedness is sampled on each level's own data
+            moved = [(lam @ x, lam @ v) for lam in onto]
+            values = [form(*xv) for form, xv in zip(seq.forms, moved)]
+            for lvl, (kind, model) in enumerate(models):
+                adapted[lvl] = max(adapted[lvl], _algebra_residual(values[lvl], kind, model))
+            for p, ((i, j), (left, right)) in enumerate(zip(pairs, morphisms)):
+                lam = maps[i][j]
                 if variance == "projective":
-                    x_l = b.map(lvl, n - 1) @ x
-                    v_l = b.map(lvl, n - 1) @ v
+                    x_j, v_j = moved[j]
+                    lhs = seq.forms[i](lam @ x_j, lam @ v_j)
+                    rhs = left @ values[j] @ right
                 else:
-                    x_l = b.map(0, lvl) @ x
-                    v_l = b.map(0, lvl) @ v
-                w = seq.forms[lvl](x_l, v_l)
-                worst = max(worst, _algebra_residual(w, kind, model))
-        report.add(f"adapted[{lvl}]",
-                   tol.accepts(worst, max(fro(model), 1.0)), worst)
+                    x_i, v_i = moved[i]
+                    lhs = seq.forms[j](lam @ x_i, lam @ v_i)
+                    rhs = left @ values[i] @ right
+                coherent[p] = max(coherent[p], fro(lhs - rhs))
 
-    # cross-level coherence
-    for i in range(n):
-        for j in range(i + 1, n):
-            left, right = seq.morphism(i, j)
-            worst = 0.0
-            for x in pts:
-                for v in tangents:
-                    if variance == "projective":
-                        x_j = b.map(j, n - 1) @ x
-                        v_j = b.map(j, n - 1) @ v
-                        lhs = seq.forms[i](b.map(i, j) @ x_j, b.map(i, j) @ v_j)
-                        rhs = left @ seq.forms[j](x_j, v_j) @ right
-                    else:
-                        x_i = b.map(0, i) @ x
-                        v_i = b.map(0, i) @ v
-                        lhs = seq.forms[j](b.map(i, j) @ x_i, b.map(i, j) @ v_i)
-                        rhs = left @ seq.forms[i](x_i, v_i) @ right
-                    worst = max(worst, fro(lhs - rhs))
-            report.add(f"coherent[{i},{j}]", tol.accepts(worst, 1.0), worst)
+    for lvl, (_, model) in enumerate(models):
+        report.add(f"adapted[{lvl}]",
+                   tol.accepts(adapted[lvl], max(fro(model), 1.0)), adapted[lvl])
+    for (i, j), worst in zip(pairs, coherent):
+        report.add(f"coherent[{i},{j}]", tol.accepts(worst, 1.0), worst)
     report.note(f"{pts.shape[0]} sample points, {len(tangents)} tangent directions")
     return report

@@ -213,9 +213,10 @@ def ascending_coherence(targets: Sequence[CompatibleTriple], samples,
 
     # induced agreement: evaluate at level i on random tangents, include
     # into level j, evaluate there
+    maps = bonding.map_table()
     for i in range(len(targets)):
         for j in range(i + 1, len(targets)):
-            inc = bonding.map(i, j)
+            inc = maps[i][j]
             worst = 0.0
             for _ in range(5):
                 loop_i = rng.normal(size=(samples, dims[i]))

@@ -15,7 +15,7 @@ from tensorstruct.bundle import (
     in_isotropy,
     tensor_action,
 )
-from tensorstruct.errors import Singular, UnsupportedKind
+from tensorstruct.errors import MissingTransition, Singular, TensorStructError, UnsupportedKind
 from tensorstruct.linalg import Tolerance
 from tensorstruct.structures import complex_canonical, symplectic_canonical
 
@@ -127,6 +127,57 @@ def test_cocycle_perturbation_detected_with_measured_residual():
     assert not rep.passed
     bad = [e for e in rep.entries if e.name.startswith("cocycle")][0]
     assert 0.5e-3 <= bad.residual <= 2e-3
+
+
+def scalar_atlas(points, ac_slope):
+    """Fiber and base of dimension 1: T_ab = 1, T_bc(x) = 1 + (1e7 - 1) x and
+    T_ac(x) = 1 + ac_slope x, sampled on the triple at ``points``."""
+    pts = np.array(points, dtype=float)
+    charts = [Chart(name, [-2.0], [2.0], pts) for name in "abc"]
+    return ChartAtlas(
+        fiber_dim=1,
+        charts=charts,
+        overlaps={("a", "b"): pts, ("b", "c"): pts, ("a", "c"): pts},
+        transitions={
+            ("a", "b"): ConstantTransition([[1.0]]),
+            ("b", "c"): AffineTransition([[1.0]], [[[1e7 - 1.0]]]),
+            ("a", "c"): AffineTransition([[1.0]], [[[ac_slope]]]),
+        },
+        triple_overlaps=[("a", "b", "c", pts)],
+    )
+
+
+def test_cocycle_judges_each_sample_at_its_own_scale():
+    # at x = 1 the transitions are about 1e7, so a residual of 1e-3 is within
+    # rtol there; at x = 0 they are about 1, so the same residual is not
+    def cocycle_entry(points, ac_slope, base=1.0):
+        atlas = scalar_atlas(points, ac_slope)
+        atlas.transitions[("a", "c")].base[0, 0] = base
+        [entry] = [e for e in check_cocycle(atlas).entries if e.name.startswith("cocycle")]
+        return entry
+
+    # the defect sits at x = 0 (scale 1) and the last sample has scale 1e7:
+    # judged at the last sample's scale it would pass
+    entry = cocycle_entry([[0.0], [1.0]], 1e7 - 1.0 - 1e-3, base=1.0 + 1e-3)
+    assert not entry.passed
+    assert entry.residual == pytest.approx(1e-3, rel=1e-6)
+    assert entry.location == np.array2string(np.zeros(1), precision=3)
+    # the defect sits at x = 1 (scale 1e7) and the last sample has scale 1:
+    # judged at the last sample's scale it would fail
+    entry = cocycle_entry([[1.0], [0.0]], 1e7 - 1.0 + 1e-3)
+    assert entry.passed
+    assert entry.residual == pytest.approx(1e-3, rel=1e-6)
+    assert entry.location == np.array2string(np.ones(1), precision=3)
+
+
+def test_transition_between_unjoined_charts_raises_package_error():
+    atlas = three_chart_rotation_atlas()
+    del atlas.transitions[("a", "c")]
+    assert not atlas.has_transition("a", "c") and atlas.has_transition("c", "b")
+    with pytest.raises(MissingTransition):
+        atlas.transition_at("a", "c", np.zeros(2))
+    with pytest.raises(TensorStructError):
+        check_cocycle(atlas)
 
 
 def test_cocycle_single_chart_vacuous_pass():

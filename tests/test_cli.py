@@ -205,6 +205,95 @@ def test_undeclared_chart_exits_two(tmp_path):
     assert run(["cocycle", write(tmp_path, "triple.json", doc)]) == 2
 
 
+def test_triple_without_a_transition_exits_two(tmp_path, capsys):
+    # overlaps a-b and b-c only: T_ac of the triple (a, b, c) is undeclared
+    doc = atlas_doc()
+    doc["overlaps"] = doc["overlaps"][:2]
+    atlas = write(tmp_path, "atlas.json", doc)
+    tensor = write(tmp_path, "tensor.json",
+                   {"kind": "1,1", "matrix": [[0.0, -1.0], [1.0, 0.0]]})
+    for argv in (["cocycle", atlas], ["reduce", atlas, tensor]):
+        assert run(argv) == 2
+        assert "no transition declared between 'a' and 'c'" in capsys.readouterr().err
+
+
+def flat_field_doc():
+    return {"dim": 2,
+            "field": {"name": "pullback_flat",
+                      "base_metric": [[1.0, 0.0], [0.0, 1.0]],
+                      "diffeo": [[[1, 0, 1.0], [0, 2, 0.05]],
+                                 [[0, 1, 1.0], [2, 0, -0.05]]]},
+            "grid": {"counts": 3}}
+
+
+def connection_doc():
+    zero2 = np.zeros((2, 2)).tolist()
+    zero3 = np.zeros((3, 3)).tolist()
+    return {"variance": "direct", "dims": [2, 3],
+            "forms": [{"coeffs": [zero2, zero2]},
+                      {"coeffs": [zero3, zero3, zero3]}],
+            "models": [{"kind": "2,0", "matrix": np.eye(2).tolist()},
+                       {"kind": "2,0", "matrix": np.eye(3).tolist()}],
+            "sample_points": [[0.1, -0.2]],
+            "morphisms": [{"levels": [0, 1], "left": np.eye(3)[:, :2].tolist(),
+                           "right": np.eye(3)[:2].tolist()}]}
+
+
+def loop_doc():
+    return {"target": {"flavor": "kahler", "pairs": 1}, "loop": np.zeros((4, 2)).tolist()}
+
+
+LOOP_CHECK = ["--seed", "1", "loopspace", "check"]
+
+
+def _set(path, value):
+    """Edit a copy of a document: set the entry at ``path`` to ``value``."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return edit
+
+
+# (subcommand, valid document, edit that breaks one field): one case per
+# scalar field made non-numeric, then numbers of the wrong value or shape
+MALFORMED = {
+    "structure dim": (["validate"], complex_canonical_doc, _set(["dim"], "x")),
+    "field dim": (["curvature"], flat_field_doc, _set(["dim"], "x")),
+    "fiber_dim": (["cocycle"], atlas_doc, _set(["fiber_dim"], "x")),
+    "tower dims": (["tower", "check"], connection_doc, _set(["dims", 1], "x")),
+    "diffeo exponent": (["curvature"], flat_field_doc,
+                        _set(["field", "diffeo", 0, 0, 0], "x")),
+    "diffeo coefficient": (["curvature"], flat_field_doc,
+                           _set(["field", "diffeo", 0, 0, 2], None)),
+    "grid counts": (["curvature"], flat_field_doc, _set(["grid", "counts"], "x")),
+    "grid counts entry": (["curvature"], flat_field_doc, _set(["grid", "counts"], [3, {}])),
+    "loop pairs": (LOOP_CHECK, loop_doc, _set(["target", "pairs"], "x")),
+    "morphism levels": (["connection", "check"], connection_doc,
+                        _set(["morphisms", 0, "levels"], ["x", 1])),
+    "fd_step": (["curvature"], flat_field_doc, _set(["fd_step"], "x")),
+    "loop pairs below one": (LOOP_CHECK, loop_doc, _set(["target", "pairs"], -1)),
+    "model shape": (["connection", "check"], connection_doc,
+                    _set(["models", 1, "matrix"], np.eye(2).tolist())),
+    "model kind": (["connection", "check"], connection_doc, _set(["models", 0, "kind"], "0,2")),
+    "form size": (["connection", "check"], connection_doc,
+                  _set(["forms", 0, "coeffs"], [np.zeros((3, 3)).tolist()] * 2)),
+}
+
+
+@pytest.mark.parametrize("field", MALFORMED)
+def test_malformed_field_exits_two(field, tmp_path, capsys):
+    command, make, edit = MALFORMED[field]
+    path = write(tmp_path, "doc.json", make())
+    assert run([*command, path]) in (0, 1)  # the unedited document is valid
+    capsys.readouterr()
+    path = write(tmp_path, "doc.json", edit(make()))
+    assert run([*command, path]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_connection_form_shorter_than_its_level_exits_two(tmp_path):
     zero2 = np.zeros((2, 2)).tolist()
     zero3 = np.zeros((3, 3)).tolist()

@@ -1,0 +1,334 @@
+"""Composite tables of towers against the per-pair loops they replace.
+
+The reference functions below compose every map from the consecutive ones
+for each pair and triple they touch, exactly as the checks did before the
+composite tables existed.  The tables must give the same matrices bit for
+bit, and the checks the same reports entry for entry.
+"""
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tensorstruct.cli import run
+from tensorstruct.limits import (
+    BondingSystem,
+    CoherentSequence,
+    ConnectionFormSequence,
+    LevelForm,
+    LevelTuple,
+    check_coherent,
+    check_connection_coherence,
+    tuple_membership,
+    validate_bonding,
+)
+from tensorstruct.linalg import DEFAULT_TOL, fro, rank_of
+from tensorstruct.report import Report
+
+# ---------------------------------------------------------------------------
+# per-pair reference loops
+# ---------------------------------------------------------------------------
+
+
+def naive_map(b, i, j):
+    if i == j:
+        return np.eye(b.dims[i])
+    out = b.maps[i]
+    for k in range(i + 1, j):
+        out = out @ b.maps[k] if b.variance == "projective" else b.maps[k] @ out
+    return out
+
+
+def naive_projection(b, i, j):
+    out = np.eye(b.dims[j])
+    for k in range(j - 1, i - 1, -1):
+        out = b.projections[k] @ out
+    return out
+
+
+def naive_validate_bonding(b, tol=DEFAULT_TOL):
+    report = Report()
+    n = b.levels
+    report.note(f"{n} levels supplied; all checks quantify over them")
+    for i in range(n):
+        res = fro(naive_map(b, i, i) - np.eye(b.dims[i]))
+        report.add(f"identity_at[{i}]", tol.accepts(res, 1.0), res)
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                if b.variance == "projective":
+                    lhs = naive_map(b, i, j) @ naive_map(b, j, k)
+                else:
+                    lhs = naive_map(b, j, k) @ naive_map(b, i, j)
+                res = fro(lhs - naive_map(b, i, k))
+                report.add(f"composition[{i},{j},{k}]",
+                           tol.accepts(res, max(fro(lhs), 1.0)), res)
+    for i in range(n - 1):
+        m = b.maps[i]
+        full = rank_of(m, tol) == min(m.shape)
+        name = "surjective" if b.variance == "projective" else "injective"
+        report.add(f"{name}[{i}->{i + 1}]", full, 0.0 if full else 1.0)
+    if b.variance == "direct" and b.projections is not None:
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                sec = fro(naive_projection(b, i, j) @ naive_map(b, i, j) - np.eye(b.dims[i]))
+                report.add(f"section[{i},{j}]", tol.accepts(sec, 1.0), sec)
+        for i in range(n):
+            for j in range(i, n):
+                for k in range(j, n):
+                    lhs = naive_projection(b, i, j) @ naive_projection(b, j, k)
+                    res = fro(lhs - naive_projection(b, i, k))
+                    report.add(f"projection_composition[{i},{j},{k}]",
+                               tol.accepts(res, max(fro(lhs), 1.0)), res)
+    return report
+
+
+def naive_coherence_residual(b, kind, i, j, a_i, a_j):
+    lam = naive_map(b, i, j)
+    if b.variance == "projective":
+        if kind == "1,1":
+            return fro(a_i @ lam - lam @ a_j)
+        return fro(a_j - lam.T @ a_i @ lam)
+    if kind == "1,1":
+        return fro(lam @ a_i - a_j @ lam)
+    return fro(a_i - lam.T @ a_j @ lam)
+
+
+def naive_check_coherent(seq, tol=DEFAULT_TOL):
+    report = Report()
+    n = seq.bonding.levels
+    for i in range(n):
+        for j in range(i + 1, n):
+            res = naive_coherence_residual(seq.bonding, seq.kind, i, j,
+                                           seq.levels[i], seq.levels[j])
+            scale = max(fro(seq.levels[i]), fro(seq.levels[j]), 1.0)
+            report.add(f"coherent[{i},{j}]", tol.accepts(res, scale), res)
+    return report
+
+
+def naive_tuple_membership(a, tol=DEFAULT_TOL):
+    report = Report()
+    for i in range(a.level):
+        for j in range(i + 1, a.level):
+            res = naive_coherence_residual(a.bonding, "1,1", i, j,
+                                           a.entries[i], a.entries[j])
+            scale = max(fro(a.entries[i]), fro(a.entries[j]), 1.0)
+            report.add(f"intertwines[{i},{j}]", tol.accepts(res, scale), res)
+    for lvl, m in enumerate(a.entries):
+        ok = rank_of(m, tol) == m.shape[0]
+        report.add(f"invertible[{lvl}]", ok, 0.0 if ok else 1.0)
+    return report
+
+
+def naive_morphism(seq, i, j):
+    if seq.morphisms and (i, j) in seq.morphisms:
+        return seq.morphisms[(i, j)]
+    lam = naive_map(seq.bonding, i, j)
+    if seq.bonding.variance == "projective":
+        return lam, lam.T
+    return lam, naive_projection(seq.bonding, i, j)
+
+
+def naive_algebra_residual(w, kind, model):
+    if kind == "1,1":
+        return fro(w @ model - model @ w)
+    return fro(w.T @ model + model @ w)
+
+
+def naive_connection_coherence(seq, pts, tol=DEFAULT_TOL):
+    report = Report()
+    b = seq.bonding
+    n = b.levels
+    projective = b.variance == "projective"
+    tangents = list(np.eye(b.dims[n - 1 if projective else 0]))
+    for lvl in range(n):
+        kind, model = seq.models[lvl]
+        worst = 0.0
+        for x in pts:
+            for v in tangents:
+                lam = naive_map(b, lvl, n - 1) if projective else naive_map(b, 0, lvl)
+                w = seq.forms[lvl](lam @ x, lam @ v)
+                worst = max(worst, naive_algebra_residual(w, kind, model))
+        report.add(f"adapted[{lvl}]", tol.accepts(worst, max(fro(model), 1.0)), worst)
+    for i in range(n):
+        for j in range(i + 1, n):
+            left, right = naive_morphism(seq, i, j)
+            worst = 0.0
+            for x in pts:
+                for v in tangents:
+                    lam = naive_map(b, i, j)
+                    if projective:
+                        x_j = naive_map(b, j, n - 1) @ x
+                        v_j = naive_map(b, j, n - 1) @ v
+                        lhs = seq.forms[i](lam @ x_j, lam @ v_j)
+                        rhs = left @ seq.forms[j](x_j, v_j) @ right
+                    else:
+                        x_i = naive_map(b, 0, i) @ x
+                        v_i = naive_map(b, 0, i) @ v
+                        lhs = seq.forms[j](lam @ x_i, lam @ v_i)
+                        rhs = left @ seq.forms[i](x_i, v_i) @ right
+                    worst = max(worst, fro(lhs - rhs))
+            report.add(f"coherent[{i},{j}]", tol.accepts(worst, 1.0), worst)
+    report.note(f"{pts.shape[0]} sample points, {len(tangents)} tangent directions")
+    return report
+
+
+# ---------------------------------------------------------------------------
+# random towers
+# ---------------------------------------------------------------------------
+
+
+def random_tower(rng, depth, variance, explicit):
+    """Nondecreasing dims; padding maps, or dense random maps (and, for
+    direct towers, dense random projections)."""
+    dims = list(np.cumsum([int(rng.integers(1, 3))]
+                          + [int(rng.integers(0, 2)) for _ in range(depth - 1)]))
+    if not explicit:
+        return BondingSystem.padded(dims, variance)
+    pairs = list(zip(dims, dims[1:]))
+    if variance == "projective":
+        return BondingSystem(dims, variance, [rng.normal(size=(a, b)) for a, b in pairs])
+    return BondingSystem(dims, variance, [rng.normal(size=(b, a)) for a, b in pairs],
+                         [rng.normal(size=(a, b)) for a, b in pairs])
+
+
+def entries(report):
+    return [(e.name, e.passed, e.residual, e.location) for e in report.entries], report.notes
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+towers = dict(depth=st.integers(1, 12), variance=st.sampled_from(["projective", "direct"]),
+              explicit=st.booleans(), seed=st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**towers)
+def test_tables_equal_composites_bit_for_bit(depth, variance, explicit, seed):
+    b = random_tower(np.random.default_rng(seed), depth, variance, explicit)
+    maps = b.map_table()
+    for i in range(b.levels):
+        for j in range(b.levels):
+            if j < i:
+                assert maps[i][j] is None
+                continue
+            assert same_bits(maps[i][j], b.map(i, j))
+            assert same_bits(maps[i][j], naive_map(b, i, j))
+    prefix = b.map_table(depth // 2 + 1)
+    assert len(prefix) == depth // 2 + 1
+    for i, row in enumerate(prefix):
+        assert all(same_bits(m, maps[i][j]) for j, m in enumerate(row) if j >= i)
+    if variance == "direct":
+        projs = b.projection_table()
+        for i in range(b.levels):
+            for j in range(i, b.levels):
+                assert same_bits(projs[i][j], b.projection(i, j))
+                assert same_bits(projs[i][j], naive_projection(b, i, j))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**towers, kind=st.sampled_from(["1,1", "2,0"]))
+def test_tower_checks_match_the_per_pair_loops(depth, variance, explicit, seed, kind):
+    rng = np.random.default_rng(seed)
+    b = random_tower(rng, depth, variance, explicit)
+    assert entries(validate_bonding(b)) == entries(naive_validate_bonding(b))
+
+    seq = CoherentSequence(b, [rng.normal(size=(d, d)) for d in b.dims], kind)
+    assert entries(check_coherent(seq)) == entries(naive_check_coherent(seq))
+
+    level = int(rng.integers(0, depth + 1))
+    tup = LevelTuple(b, [rng.normal(size=(d, d)) for d in b.dims[:level]])
+    assert entries(tuple_membership(tup)) == entries(naive_tuple_membership(tup))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**towers, linear=st.booleans(), override=st.booleans())
+def test_connection_check_matches_the_per_pair_loop(depth, variance, explicit, seed,
+                                                     linear, override):
+    rng = np.random.default_rng(seed)
+    b = random_tower(rng, depth, variance, explicit)
+    forms = []
+    for d in b.dims:
+        coeffs = [rng.normal(size=(d, d)) for _ in range(d)]
+        lin = [[rng.normal(size=(d, d)) for _ in range(d)] for _ in range(d)] if linear else None
+        forms.append(LevelForm(coeffs, lin))
+    models = [(str(rng.choice(["1,1", "2,0"])), rng.normal(size=(d, d))) for d in b.dims]
+    morphisms = None
+    if override and depth > 1:
+        lo, hi = b.dims[0], b.dims[-1]
+        shape = (hi, lo) if variance == "direct" else (lo, hi)
+        morphisms = {(0, depth - 1): (rng.normal(size=shape), rng.normal(size=shape[::-1]))}
+    seq = ConnectionFormSequence(b, forms, models, morphisms)
+    base = b.dims[-1] if variance == "projective" else b.dims[0]
+    pts = rng.normal(size=(int(rng.integers(1, 3)), base))
+    assert entries(check_connection_coherence(seq, pts)) == \
+        entries(naive_connection_coherence(seq, pts))
+
+
+# ---------------------------------------------------------------------------
+# composites are built once per check
+# ---------------------------------------------------------------------------
+
+DEPTH = 16
+
+
+def guard_docs(variance):
+    """A depth-16 tower document with explicit maps and a sequence, and a
+    connection document on the same tower."""
+    dims = [1 + k // 2 for k in range(DEPTH)]
+    pads = [np.eye(b)[:a] for a, b in zip(dims, dims[1:])]  # (a, b)
+    tower = {"variance": variance, "dims": dims}
+    if variance == "projective":
+        tower["maps"] = [p.tolist() for p in pads]
+    else:
+        tower["maps"] = [p.T.tolist() for p in pads]
+        tower["projections"] = [p.tolist() for p in pads]
+    seq = {"kind": "1,1", "levels": [np.eye(d).tolist() for d in dims]}
+    base = dims[-1] if variance == "projective" else dims[0]
+    conn = dict(tower,
+                forms=[{"coeffs": [np.zeros((d, d)).tolist()] * d} for d in dims],
+                models=[{"kind": "2,0", "matrix": np.eye(d).tolist()} for d in dims],
+                sample_points=[[0.5] * base, [-0.25] * base])
+    return dict(tower, sequence=seq), conn
+
+
+@pytest.mark.parametrize("variance", ["projective", "direct"])
+def test_checks_compose_each_map_once(variance, tmp_path, monkeypatch):
+    calls = Counter()
+    for name in ("map", "projection"):
+        def counted(self, i, j, _original=getattr(BondingSystem, name), _name=name):
+            calls[_name] += 1
+            return _original(self, i, j)
+        monkeypatch.setattr(BondingSystem, name, counted)
+
+    tower, conn = guard_docs(variance)
+    for command, doc in ((["tower", "check"], tower), (["connection", "check"], conn)):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        calls.clear()
+        assert run([*command, str(path)]) == 0
+        assert sum(calls.values()) <= DEPTH, (command, dict(calls))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 8), linear=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_level_form_is_the_sum_over_directions(d, linear, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = [rng.normal(size=(d, d)) for _ in range(d)]
+    lin = [[rng.normal(size=(d, d)) for _ in range(d)] for _ in range(d)] if linear else None
+    form = LevelForm(coeffs, lin)
+    assert all(np.shares_memory(c, form.stack) for c in form.coeffs)
+    x, v = rng.normal(size=d), rng.normal(size=d)
+    mats = [c + sum(xb * mb for xb, mb in zip(x, row)) for c, row in
+            zip(coeffs, lin)] if linear else coeffs
+    # the loop the stacked contraction replaces; only the summation order differs
+    loop = np.zeros((d, d))
+    for va, mat in zip(v, mats):
+        loop = loop + va * mat
+    bound = 4 * d * np.finfo(float).eps * sum(abs(va) * np.abs(m) for va, m in zip(v, mats))
+    assert np.all(np.abs(form(x, v) - loop) <= bound)
