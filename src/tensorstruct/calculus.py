@@ -428,12 +428,14 @@ def curvature(conn: ConnectionData, x, step=None):
                         - Gamma[i, l, m] Gamma[m, k, j]
 
     The Christoffel evaluator is differentiated by central differences with
-    ``step`` (defaults to the connection's step).  It runs once, on every
+    ``step`` (defaults to the connection's step; ValueError unless positive).  It runs once, on every
     point and its shifts in the order x, x + h e_0, x - h e_0, x + h e_1, ...
     """
     x = np.asarray(x, dtype=float)
     dim = conn.dim
-    h = float(step or conn.step)
+    h = float(conn.step if step is None else step)
+    if not h > 0:
+        raise ValueError(f"step must be positive, got {h!r}")
     offsets = np.zeros((2 * dim + 1, dim))
     offsets[1::2] = h * np.eye(dim)
     offsets[2::2] = -h * np.eye(dim)

@@ -1,9 +1,10 @@
 """Batch front end: parse JSON documents, dispatch, emit structured reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 parse or
-usage error.  ``--json`` emits the machine-readable report (re-parsing it
-reproduces every residual exactly); the randomized subcommands require an
-explicit ``--seed`` in that mode so the emitted bytes are reproducible.
+usage error.  ``--json`` emits the machine-readable report as strict JSON
+(``Report.to_json``; re-parsing it reproduces every residual exactly); the
+randomized subcommands require an explicit ``--seed`` in that mode so the
+emitted bytes are reproducible.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -50,7 +52,7 @@ def _load(path):
 
 def _emit(report: Report, as_json):
     if as_json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        print(report.to_json())
     else:
         for entry in report.entries:
             status = "pass" if entry.passed else "FAIL"
@@ -71,6 +73,21 @@ def _positive_int(text):
     return value
 
 
+def _positive_float(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _matrix_note(label, matrix):
+    """``label=<matrix as strict JSON>``; a non-finite result is an error."""
+    try:
+        return f"{label}=" + json.dumps(matrix.tolist(), allow_nan=False)
+    except ValueError as exc:
+        raise TensorStructError(f"{label} has non-finite entries") from exc
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tensorstruct",
@@ -78,7 +95,7 @@ def build_parser():
                     "integrability, and verify projective/direct towers.")
     parser.add_argument("--atol", type=float, default=1e-9)
     parser.add_argument("--rtol", type=float, default=1e-9)
-    parser.add_argument("--fd-step", type=float, default=1e-5)
+    parser.add_argument("--fd-step", type=_positive_float, default=1e-5)
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable report")
     parser.add_argument("--seed", type=int, default=None,
@@ -176,9 +193,9 @@ def _dispatch(args, tol, rng) -> Report:
         report = check_triple(triple, tol)
         report.command, report.digest = "triple complete", digest
         report.note(f"flavor {flavor}, dimension {triple.dim}")
-        report.note("omega=" + json.dumps(triple.omega.matrix.tolist()))
-        report.note("metric=" + json.dumps(triple.metric_matrix.tolist()))
-        report.note("structure=" + json.dumps(triple.structure.matrix.tolist()))
+        report.note(_matrix_note("omega", triple.omega.matrix))
+        report.note(_matrix_note("metric", triple.metric_matrix))
+        report.note(_matrix_note("structure", triple.structure.matrix))
         return report
 
     if args.command == "darboux":
@@ -190,7 +207,7 @@ def _dispatch(args, tol, rng) -> Report:
         report = Report("darboux", digest)
         report.add("canonical_form_residual", tol.accepts(certificate, 1.0),
                    certificate)
-        report.note("basis=" + json.dumps(basis.tolist()))
+        report.note(_matrix_note("basis", basis))
         return report
 
     if args.command == "cocycle":

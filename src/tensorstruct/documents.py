@@ -30,8 +30,8 @@ Field documents (chart calculus):
     {"dim": d,
      "field": {"name": "constant" | "sphere_stereographic"
                       | "pullback_flat" | "pullback_structure", ...params},
-     "grid": {"lo": [...], "hi": [...], "counts": [...]},
-     "fd_step": h}                     # optional; also the curvature step
+     "grid": {"lo": [...], "hi": [...], "counts": [...]},   # counts >= 1
+     "fd_step": h}                     # optional, > 0; also the curvature step
 
 Tower documents:
     {"variance": "projective" | "direct", "dims": [...],
@@ -286,10 +286,15 @@ def parse_tensor(doc):
 
 def field_step(doc, fd_step=None):
     """Finite-difference step of a field document: its own ``fd_step``,
-    else ``fd_step``, else the package default."""
+    else ``fd_step``, else the package default; DocumentError unless it is
+    positive."""
     if "fd_step" in doc:
-        return _scalar(doc["fd_step"], "fd_step")
-    return float(fd_step or calculus.DEFAULT_FD_STEP)
+        step = _scalar(doc["fd_step"], "fd_step")
+    else:
+        step = float(calculus.DEFAULT_FD_STEP if fd_step is None else fd_step)
+    if not step > 0:
+        raise DocumentError(f"fd_step must be positive, got {step!r}")
+    return step
 
 
 def parse_field(doc, fd_step=None):
@@ -327,6 +332,8 @@ def parse_field(doc, fd_step=None):
         counts = [_scalar(c, "grid counts", integer=True) for c in counts]
     else:
         counts = _scalar(counts, "grid counts", integer=True)
+    if np.any(np.asarray(counts) < 1):
+        raise DocumentError(f"grid counts must be at least 1, got {counts!r}")
     try:
         grid = calculus.grid_points(lo, hi, counts)
     except ValueError as exc:

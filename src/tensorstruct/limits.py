@@ -504,7 +504,9 @@ class LevelForm:
             x = np.atleast_1d(np.asarray(x, dtype=float))
             mats = np.stack([mat + sum(xb * mb for xb, mb in zip(x, row))
                              for mat, row in zip(mats, self.linear)])
-        return np.tensordot(v, mats, axes=1)
+        # the one BLAS product np.tensordot(v, mats, axes=1) makes
+        n = mats.shape[1]
+        return np.dot(v.reshape(1, -1), mats.reshape(len(v), n * n)).reshape(n, n)
 
 
 @dataclass

@@ -8,6 +8,7 @@ never mutated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,10 @@ def as_matrix(m, square=False, name="matrix"):
 
 
 def fro(a):
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm: for float64 and integer input, the computation
+    ``np.linalg.norm(a)`` makes, bit for bit, without its per-call dispatch."""
+    x = np.asarray(a, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def spd_sqrt(m, tol: Tolerance = DEFAULT_TOL):

@@ -1,8 +1,41 @@
-"""Structured pass/fail reports shared by all validators and the CLI."""
+"""Structured pass/fail reports shared by all validators and the CLI.
+
+``Report.to_json`` writes the ``--json`` report in one pass, and its layout
+is the contract, byte for byte.  Top-level keys are ``command``,
+``entries``, ``exit_status``, ``inputs_digest``, ``notes``, ``passed``;
+entry keys are ``location``, ``name``, ``passed``, ``residual``; the indent
+is two spaces and an empty list is ``[]``.  Strings are ASCII-escaped as
+``json`` escapes them, and finite residuals are written by ``float.__repr__``,
+so re-parsing gives back every residual exactly.  For finite residuals these
+are the bytes ``json.dumps(..., indent=2, sort_keys=True)`` writes for the
+same report.  A non-finite residual is written as the JSON string
+``"Infinity"``, ``"-Infinity"`` or ``"NaN"``, which ``float()`` reads back,
+so the output is strict JSON.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _string
+
+_ENTRY = ('    {\n      "location": %s,\n      "name": %s,\n'
+          '      "passed": %s,\n      "residual": %s\n    }')
+
+
+def _number(value):
+    """A residual as a JSON value: its repr when finite, else a string."""
+    value = float(value)
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return '"NaN"'
+    return '"Infinity"' if value > 0 else '"-Infinity"'
+
+
+def _array(items):
+    """A JSON array of already-encoded items at the second indent level."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 @dataclass
@@ -13,14 +46,6 @@ class CheckEntry:
     passed: bool
     residual: float
     location: str = ""
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "residual": float(self.residual),
-            "location": self.location,
-        }
 
 
 @dataclass
@@ -65,12 +90,18 @@ class Report:
     def failures(self):
         return [entry for entry in self.entries if not entry.passed]
 
-    def to_dict(self):
-        return {
-            "command": self.command,
-            "inputs_digest": self.digest,
-            "entries": [entry.to_dict() for entry in self.entries],
-            "notes": list(self.notes),
-            "passed": self.passed,
-            "exit_status": self.exit_status,
-        }
+    def to_json(self):
+        """The ``--json`` report (no trailing newline); see the module
+        docstring for the layout."""
+        entries = [_ENTRY % (_string(e.location), _string(e.name),
+                             "true" if e.passed else "false", _number(e.residual))
+                   for e in self.entries]
+        status = self.exit_status
+        return ("{\n"
+                f'  "command": {_string(self.command)},\n'
+                f'  "entries": {_array(entries)},\n'
+                f'  "exit_status": {status},\n'
+                f'  "inputs_digest": {_string(self.digest)},\n'
+                f'  "notes": {_array(["    " + _string(n) for n in self.notes])},\n'
+                f'  "passed": {"false" if status else "true"}\n'
+                "}")

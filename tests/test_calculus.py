@@ -584,3 +584,13 @@ def test_grid_checks_report_first_failure_and_first_worst_point():
     assert report.entries[0].location == np.array2string(grid[1], precision=3)
     flat = is_metric_integrable(constant_field(np.eye(2)), GRID2)
     assert (flat.worst_residual, flat.entries[0].location) == (0.0, "")
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, float("nan")])
+def test_curvature_rejects_a_non_positive_step(step):
+    # an explicit step is used as given, never replaced by the default
+    conn = levi_civita(sphere_stereographic_metric())
+    with pytest.raises(ValueError, match="step must be positive"):
+        curvature(conn, np.zeros(2), step=step)
+    with pytest.raises(ValueError, match="step must be positive"):
+        is_metric_integrable(sphere_stereographic_metric(), np.zeros((1, 2)), step=step)

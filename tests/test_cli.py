@@ -3,15 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from tensorstruct import cli
 from tensorstruct.cli import run
 from tensorstruct.documents import (
     DocumentError,
+    field_step,
     parse_atlas,
     parse_field,
     parse_pair,
     parse_structure,
     parse_tower,
 )
+from tensorstruct.errors import TensorStructError
 
 
 def write(tmp_path, name, doc):
@@ -67,6 +70,13 @@ def test_parse_field_builtins():
                                "grid": {"counts": 3}})
     assert grid.shape == (9, 2)
     assert field(np.zeros(2))[0, 0] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("doc, fd_step", [({"fd_step": 0}, None), ({"fd_step": -1e-3}, 1e-5),
+                                          ({}, 0.0), ({}, float("nan"))])
+def test_field_step_must_be_positive(doc, fd_step):
+    with pytest.raises(DocumentError, match="fd_step must be positive"):
+        field_step(doc, fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +284,11 @@ MALFORMED = {
     "morphism levels": (["connection", "check"], connection_doc,
                         _set(["morphisms", 0, "levels"], ["x", 1])),
     "fd_step": (["curvature"], flat_field_doc, _set(["fd_step"], "x")),
+    "fd_step zero": (["curvature"], flat_field_doc, _set(["fd_step"], 0)),
+    "fd_step negative": (["curvature"], flat_field_doc, _set(["fd_step"], -1e-5)),
+    "grid counts zero": (["curvature"], flat_field_doc, _set(["grid", "counts"], 0)),
+    "grid counts entry zero": (["curvature"], flat_field_doc,
+                               _set(["grid", "counts"], [3, 0])),
     "loop pairs below one": (LOOP_CHECK, loop_doc, _set(["target", "pairs"], -1)),
     "model shape": (["connection", "check"], connection_doc,
                     _set(["models", 1, "matrix"], np.eye(2).tolist())),
@@ -292,6 +307,13 @@ def test_malformed_field_exits_two(field, tmp_path, capsys):
     path = write(tmp_path, "doc.json", edit(make()))
     assert run([*command, path]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-5", "inf", "nan", "x"])
+def test_fd_step_flag_must_be_positive_and_finite(step, tmp_path, capsys):
+    path = write(tmp_path, "flat.json", flat_field_doc())
+    assert run([f"--fd-step={step}", "curvature", path]) == 2
+    assert "--fd-step" in capsys.readouterr().err
 
 
 def test_connection_form_shorter_than_its_level_exits_two(tmp_path):
@@ -438,6 +460,53 @@ def test_json_report_round_trip(tmp_path, capsys):
     assert json.dumps(payload, indent=2, sort_keys=True) == first.strip()
     assert payload["exit_status"] == 0
     assert payload["inputs_digest"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def strict_entries(out):
+    """The entries of a ``--json`` report parsed by a strict JSON parser."""
+    return json.loads(out, parse_constant=_reject_constant)["entries"]
+
+
+def test_singular_iso_residual_is_strict_json(tmp_path, capsys):
+    doc = dict(complex_canonical_doc(),
+               decomposition={"basis1": [[1.0, 0.0]], "basis2": [[0.0, 1.0]],
+                              "iso": [[0.0]]})
+    assert run(["--json", "validate", write(tmp_path, "structure.json", doc)]) == 1
+    [entry] = [e for e in strict_entries(capsys.readouterr().out)
+               if e["name"] == "decomposition_block_form"]
+    assert entry["location"] == "iso singular"
+    assert float(entry["residual"]) == np.inf
+
+
+def test_missing_chart_field_residual_is_strict_json(tmp_path, capsys, monkeypatch):
+    # the CLI puts its one field document on every chart, so drop chart b
+    def field_without_b(fdoc, atlas):
+        field = field_on_charts(fdoc, atlas)
+        del field.evaluators["b"]
+        return field
+
+    field_on_charts = cli._field_on_charts
+    monkeypatch.setattr(cli, "_field_on_charts", field_without_b)
+    atlas = write(tmp_path, "atlas.json", atlas_doc())
+    tensor = write(tmp_path, "tensor.json", {"kind": "2,0", "matrix": np.eye(2).tolist()})
+    field = write(tmp_path, "field.json",
+                  {"dim": 2, "field": {"name": "constant", "kind": "2,0",
+                                       "matrix": [[2.0, 0.3], [0.3, 1.0]]}})
+    assert run(["--json", "reduce", atlas, tensor, "--field", field]) == 1
+    [entry] = [e for e in strict_entries(capsys.readouterr().out)
+               if e["name"] == "field/modelled[b]"]
+    assert entry["location"] == "field missing"
+    assert float(entry["residual"]) == np.inf
+
+
+def test_matrix_notes_with_non_finite_entries_are_errors():
+    assert cli._matrix_note("basis", np.eye(2)) == "basis=[[1.0, 0.0], [0.0, 1.0]]"
+    with pytest.raises(TensorStructError, match="basis"):
+        cli._matrix_note("basis", np.array([[1.0, np.inf]]))
 
 
 def test_deterministic_output_bytes(tmp_path, capsys):

@@ -315,6 +315,43 @@ def test_checks_compose_each_map_once(variance, tmp_path, monkeypatch):
         assert sum(calls.values()) <= DEPTH, (command, dict(calls))
 
 
+@pytest.mark.parametrize("variance", ["projective", "direct"])
+def test_json_reports_skip_the_python_encoder(variance, tmp_path, monkeypatch, capsys):
+    # json.dumps(..., indent=...) builds its pure-Python encoder with
+    # _make_iterencode on every call; the report writer must not
+    calls = Counter()
+
+    def counted(*args, _original=json.encoder._make_iterencode, **kwargs):
+        calls["_make_iterencode"] += 1
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    tower, conn = guard_docs(variance)
+    for command, doc in ((["tower", "check"], tower), (["connection", "check"], conn)):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run(["--json", *command, str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"]
+    assert calls["_make_iterencode"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 8), linear=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_level_form_is_the_tensordot_contraction(d, linear, seed, data):
+    rng = np.random.default_rng(seed)
+    coeffs = [rng.normal(size=(d, d)) for _ in range(d)]
+    lin = [[rng.normal(size=(d, d)) for _ in range(d)] for _ in range(d)] if linear else None
+    form = LevelForm(coeffs, lin)
+    k = data.draw(st.integers(1, d))  # a tangent may be shorter than the level
+    x, v = rng.normal(size=d), rng.normal(size=k)
+    mats = form.stack[:k]
+    if linear:
+        mats = np.stack([mat + sum(xb * mb for xb, mb in zip(x, row))
+                         for mat, row in zip(mats, lin)])
+    assert same_bits(form(x, v), np.tensordot(v, mats, axes=1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 8), linear=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_level_form_is_the_sum_over_directions(d, linear, seed):
