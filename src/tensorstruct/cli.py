@@ -46,7 +46,7 @@ def _load(path):
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw), hashlib.sha256(raw).hexdigest()
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -66,18 +66,21 @@ def _emit(report: Report, as_json):
     return report.exit_status
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _number(cast, least, strict=False):
+    """An argparse type: ``cast(text)``, finite and at least ``least``
+    (above it when ``strict``)."""
+    def parse(text):
+        value = cast(text)
+        if not (math.isfinite(value) and (value > least if strict else value >= least)):
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if strict else 'at least'} {least} and finite, got {text}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
 
 
-def _positive_float(text):
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+_positive_int = _number(int, 1)
+_positive_float = _number(float, 0, strict=True)
 
 
 def _matrix_note(label, matrix):
@@ -93,12 +96,12 @@ def build_parser():
         prog="tensorstruct",
         description="Validate and construct tensor structures, check their "
                     "integrability, and verify projective/direct towers.")
-    parser.add_argument("--atol", type=float, default=1e-9)
-    parser.add_argument("--rtol", type=float, default=1e-9)
+    parser.add_argument("--atol", type=_number(float, 0), default=1e-9)
+    parser.add_argument("--rtol", type=_number(float, 0), default=1e-9)
     parser.add_argument("--fd-step", type=_positive_float, default=1e-5)
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable report")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_number(int, 0), default=None,
                         help="seed for randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -126,11 +129,11 @@ def build_parser():
     p.add_argument("field", help="field JSON file")
     p.add_argument("--kind", default="tangent",
                    choices=["tangent", "para_complex", "complex"])
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
 
     p = sub.add_parser("curvature", help="flatness of a metric field")
     p.add_argument("metric", help="field JSON file")
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_positive_float, default=1e-5)
 
     tower = sub.add_parser("tower", help="bonding-system and sequence checks")
     wsub = tower.add_subparsers(dest="tower_command", required=True)
@@ -149,7 +152,7 @@ def build_parser():
     d.add_argument("--samples", type=_positive_int, default=16)
     d = lsub.add_parser("check", help="check a loop document")
     d.add_argument("loop", help="loop JSON file")
-    d.add_argument("--trials", type=int, default=20)
+    d.add_argument("--trials", type=_positive_int, default=20)
     return parser
 
 
@@ -157,6 +160,8 @@ def run(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.atol == 0 and args.rtol == 0:
+            parser.error("--atol and --rtol cannot both be 0")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     tol = Tolerance(args.atol, args.rtol)
@@ -200,10 +205,10 @@ def _dispatch(args, tol, rng) -> Report:
 
     if args.command == "darboux":
         doc, digest = _load(args.form)
-        structure = documents.parse_structure(doc)
-        if not hasattr(structure, "matrix") or structure.matrix.shape[0] % 2:
-            raise DocumentError("darboux needs an even-dimensional form")
-        basis, certificate = darboux_basis(SymplecticForm(structure.matrix), tol)
+        structure = documents.parse_structure(doc, even=True)
+        # a cotangent structure carries its symplectic form
+        form = SymplecticForm(getattr(structure, "symplectic", structure).matrix)
+        basis, certificate = darboux_basis(form, tol)
         report = Report("darboux", digest)
         report.add("canonical_form_residual", tol.accepts(certificate, 1.0),
                    certificate)
@@ -222,7 +227,7 @@ def _dispatch(args, tol, rng) -> Report:
         tdoc, tensor_digest = _load(args.tensor)
         digests = [atlas_digest, tensor_digest]
         atlas = documents.parse_atlas(adoc)
-        spec = documents.parse_tensor(tdoc)
+        spec = documents.parse_tensor(tdoc, atlas.fiber_dim)
         report = check_reduction(atlas, spec, tol)
         if args.field:
             fdoc, field_digest = _load(args.field)
@@ -292,7 +297,7 @@ def _dispatch(args, tol, rng) -> Report:
 
 
 def _field_on_charts(fdoc, atlas):
-    field, _ = documents.parse_field(fdoc)
+    field, _ = documents.parse_field(fdoc, rank=atlas.fiber_dim)
     evaluators = {chart.name: field.fn for chart in atlas.charts}
     return LocalTensorField(field.kind, evaluators, field.symmetry)
 

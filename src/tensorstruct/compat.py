@@ -33,6 +33,7 @@ from .errors import (
     NotInvolutive,
     NotPositive,
     ShapeMismatch,
+    TensorStructError,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -209,7 +210,7 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
     if flavor == "kahler":
         try:
             g_half = spd_sqrt(g, tol)
-        except Exception as exc:
+        except (TensorStructError, ValueError) as exc:
             raise NotPositive(f"metric is not positive definite: {exc}") from exc
         a_star = metric_adjoint(a, g)
         m = a @ a_star
@@ -217,7 +218,7 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         g_half_inv = np.linalg.inv(g_half)
         try:
             root = spd_sqrt(g_half @ m @ g_half_inv, tol)
-        except Exception as exc:
+        except (TensorStructError, ValueError) as exc:
             raise NotPositive(f"A A* is not positive: {exc}") from exc
         r = g_half_inv @ root @ g_half
         i = np.linalg.solve(r, a)

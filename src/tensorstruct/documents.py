@@ -1,61 +1,27 @@
-"""JSON document schemas for the batch front end.
+"""JSON documents of the batch front end: one declarative schema per kind.
 
-One input format: JSON, matrices as nested row-major arrays of numbers,
-snake_case field names.  Basis arrays list basis vectors (each a row in the
-JSON, stored as columns internally).
+The schemas below (``STRUCTURE``, ``PAIR``, ``ATLAS``, ``TENSOR``,
+``FIELD``, ``TOWER``, ``CONNECTION``, ``LOOP``) are the reference for the
+document formats.  ``check`` walks a document against its schema and
+returns the checked values: numeric leaves become float arrays (or Python
+numbers), objects keep only the fields their schema names, so unknown keys
+are ignored.  Each ``parse_*`` only builds objects from checked values.
 
-Structure documents:
-    {"kind": "complex" | "para_complex" | "tangent" | "symplectic"
-             | "krein" | "cotangent" | "bilinear",
-     "dim": n, "matrix": [[...]],
-     "decomposition": {...}}          # optional, fields depend on kind
-
-Pair documents (triple completion):
-    {"flavor": "kahler" | "para_kahler",
-     "given": {two of "g" | "omega" | "structure"}}
-
-Atlas documents:
-    {"fiber_dim": n, "base_dim": m,
-     "charts": [{"name", "lo", "hi", "samples": [[...], ...]}],
-     "overlaps": [{"charts": ["a", "b"], "points": [[...]],
-                   "transition": {"constant": [[...]]}
-                              | {"affine": {"base": [[...]],
-                                            "coeffs": [[[...]], ...]}}}],
-     "triples": [{"charts": ["a", "b", "c"], "points": [[...]]}]}
-
-Tensor documents (model tensors):
-    {"kind": "1,1" | "2,0", "matrix": [[...]], "symmetry": "symmetric" | "skew"}
-
-Field documents (chart calculus):
-    {"dim": d,
-     "field": {"name": "constant" | "sphere_stereographic"
-                      | "pullback_flat" | "pullback_structure", ...params},
-     "grid": {"lo": [...], "hi": [...], "counts": [...]},   # counts >= 1
-     "fd_step": h}                     # optional, > 0; also the curvature step
-
-Tower documents:
-    {"variance": "projective" | "direct", "dims": [...],
-     "maps": [[[...]], ...],           # consecutive maps; omit for padding
-     "projections": [[[...]], ...],    # direct, non-padding towers
-     "sequence": {"kind": "1,1" | "2,0", "levels": [[[...]], ...]}}
-
-Connection tower documents extend tower documents with:
-    {"forms": [{"coeffs": [[[...]], ...], "linear": ...} per level],
-     "models": [{"kind": ..., "matrix": ...} per level],
-     "sample_points": [[...], ...],
-     "morphisms": [{"levels": [i, j], "left": [[...]], "right": [[...]]}]}
-
-Loop documents:
-    {"target": {"flavor": "kahler" | "para_kahler", "pairs": m}
-             | {"pair": <pair document>},
-     "samples": N, "loop": [[...]],
-     "tangents": {"x": [[...]], "y": [[...]]}}    # optional
+Array shapes are written in symbolic sizes such as ``n``, ``dim``,
+``fiber_dim``, ``base`` or ``dims[i]``.  A size expression is
+``[k*]name[[index[+o]]][+c|-c]``: a plain name is bound on first sight and
+must agree on every later use; ``dims[i]`` reads entry ``i`` (the position
+in the enclosing list, or a value bound by ``bind``) of the list ``dims``.
+A caller may pin a size to a number or to another expression, so
+``n="2*half"`` asks for an even dimension.  Every violation raises
+``DocumentError`` with the JSON path of the offending value.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
+import re
+from contextlib import contextmanager
+from reprlib import repr as _repr  # abbreviates long values in messages
 
 import numpy as np
 
@@ -103,355 +69,424 @@ class DocumentError(TensorStructError):
     """Malformed input document (parse errors exit with status 2)."""
 
 
-def _require(doc, key, context):
-    if key not in doc:
-        raise DocumentError(f"{context}: missing field {key!r}")
-    return doc[key]
+# ---------------------------------------------------------------------------
+# schema nodes and the walker
+# ---------------------------------------------------------------------------
+
+_SIZE = re.compile(r"(?:(\d+)\*)?(\w+)(?:\[(-?\w+)(?:\+(\d+))?\])?([+-]\d+)?")
 
 
-def _matrix(value, context):
-    """Float array of a JSON value; DocumentError unless numeric and finite."""
+def _unify(expr, size, env):
+    """None when ``size`` agrees with the size expression ``expr``, else
+    what the expression wants.  Binds an unbound plain name in ``env``."""
+    while isinstance(env.get(expr), str):  # a size pinned to an expression
+        expr = env[expr]
+    bound = expr if isinstance(expr, int) else env.get(expr)
+    if isinstance(bound, int):  # a number, or a name bound before
+        return None if size == bound else f"want {bound}"
+    k, name, index, offset, shift = _SIZE.fullmatch(expr).groups()
+    k, shift = int(k or 1), int(shift or 0)
+    if index is not None:
+        entries = env[name]
+        at = (int(index) if index.lstrip("-").isdigit() else env[index]) + int(offset or 0)
+        if not -len(entries) <= at < len(entries):
+            return f"{name} has no entry {at}"
+        want = k * entries[at] + shift
+    elif name in env:
+        want = k * env[name] + shift
+    elif size >= shift and (size - shift) % k == 0:
+        env[name] = (size - shift) // k
+        return None
+    else:
+        return f"want {expr}"
+    return None if size == want else f"want {expr} = {want}"
+
+
+class Num:
+    """A JSON number (no ``shape``) or an array of numbers of the given
+    symbolic ``shape``, where ``None`` leaves an axis free; an empty list
+    is an array with no rows when the first axis is free.  ``integer`` asks
+    for whole numbers (an index such as ``np.s_[..., :-1]`` selects which
+    entries), ``least`` and ``positive`` bound every entry, ``scalar`` also
+    accepts one number.  ``bind`` names the size a whole number gives, or
+    the names an integer array's entries are bound to (one name takes the
+    list).  Booleans are numbers only inside arrays of reals."""
+
+    def __init__(self, *shape, integer=False, least=None, positive=False, scalar=False,
+                 bind=None):
+        self.shape, self.integer, self.least, self.positive = shape, integer, least, positive
+        self.scalar, self.bind = scalar, bind
+        self.rule = f"at least {least}" if least is not None else positive and "positive"
+
+    def walk(self, value, path, env):
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # ragged nesting
+            arr = np.asarray(None)
+        if arr.dtype.kind not in ("iuf" if self.integer is True or not self.shape else "biuf"):
+            raise DocumentError(f"{path}: expected numbers, got {_repr(value)}")
+        arr = arr.astype(float, copy=False)
+        if arr.size == 0 and arr.ndim == 1 and self.shape[:1] == (None,):
+            arr = arr.reshape((0,) * len(self.shape))
+        elif arr.ndim != len(self.shape) and not (self.scalar and arr.ndim == 0):
+            raise DocumentError(f"{path}: expected shape {self.shape}, got {arr.shape}")
+        elif arr.ndim:
+            for axis, (expr, size) in enumerate(zip(self.shape, arr.shape)):
+                if expr is not None and (problem := _unify(expr, size, env)):
+                    raise DocumentError(f"{path}: shape {arr.shape} does not match "
+                                        f"{self.shape} on axis {axis}: {problem}")
+        if self.rule and not (arr >= self.least if self.least is not None else arr > 0).all():
+            raise DocumentError(f"{path}: {path.rpartition('.')[2]} must be {self.rule}, "
+                                f"got {_repr(value)}")
+        if not np.isfinite(arr).all():
+            raise DocumentError(f"{path}: entries are not finite")
+        if self.integer is not False:
+            whole = arr if self.integer is True else arr[self.integer]
+            if not (whole == np.round(whole)).all():
+                raise DocumentError(f"{path}: expected whole numbers, got {_repr(value)}")
+        if not self.shape:
+            value = int(arr) if self.integer else float(arr)
+            if self.bind is not None and (problem := _unify(self.bind, value, env)):
+                raise DocumentError(f"{path}: got {value}, {problem}")
+            return value
+        if self.bind is not None:
+            env.update(zip(self.bind, arr.astype(int).tolist()) if isinstance(self.bind, tuple)
+                       else {self.bind: arr.astype(int).tolist()})
+        return arr
+
+
+class Str:
+    """A JSON string, one of ``choices`` when given.  ``declares`` adds it
+    to a list of names; ``declared`` requires it to be in one."""
+
+    def __init__(self, *choices, declares=None, declared=None):
+        self.choices, self.declares, self.declared = choices, declares, declared
+
+    def walk(self, value, path, env):
+        if not isinstance(value, str):
+            raise DocumentError(f"{path}: expected a string, got {_repr(value)}")
+        if self.choices and value not in self.choices:
+            raise DocumentError(f"{path}: expected one of {list(self.choices)}, got {value!r}")
+        if self.declared is not None and value not in env.get(self.declared, ()):
+            raise DocumentError(f"{path}: {value!r} is not a declared {self.declared} name")
+        if self.declares is not None:
+            env.setdefault(self.declares, []).append(value)
+        return value
+
+
+class Each:
+    """A JSON list of ``item``s, ``length`` long when given; ``index``
+    names the position of the item being checked."""
+
+    def __init__(self, item, length=None, index=None):
+        self.item, self.length, self.index = item, length, index
+
+    def walk(self, value, path, env):
+        if not isinstance(value, list):
+            raise DocumentError(f"{path}: expected a list, got {_repr(value)}")
+        if self.length is not None and (problem := _unify(self.length, len(value), env)):
+            raise DocumentError(f"{path}: has {len(value)} entries, {problem}")
+        out = []
+        for position, item in enumerate(value):
+            if self.index is not None:
+                env[self.index] = position
+            out.append(self.item.walk(item, f"{path}[{position}]", env))
+        return out
+
+
+class Obj:
+    """A JSON object.  ``fields`` maps each name to its schema, checked in
+    order; a name ending in ``?`` is optional.  ``pick=(k, names)`` asks for
+    exactly k of those optional names; ``sizes`` pins sizes on entry."""
+
+    def __init__(self, fields, pick=None, sizes=None):
+        self.fields = {key.rstrip("?"): (node, not key.endswith("?"))
+                       for key, node in fields.items()}
+        self.pick, self.sizes = pick, sizes or {}
+
+    def walk(self, value, path, env):
+        if not isinstance(value, dict):
+            raise DocumentError(f"{path}: expected an object, got {_repr(value)}")
+        for name, size in self.sizes.items():
+            if _unify(name, size, env):
+                raise DocumentError(f"{path}: needs {name} = {size}")
+        if self.pick and len(given := [k for k in self.pick[1] if k in value]) != self.pick[0]:
+            raise DocumentError(f"{path}: exactly {self.pick[0]} of {list(self.pick[1])} must "
+                                f"be given, got {given}")
+        out = {}
+        for key, (node, required) in self.fields.items():
+            if key in value:
+                out[key] = node.walk(value[key], f"{path}.{key}", env)
+            elif required:
+                raise DocumentError(f"{path}: missing field {key!r}")
+        return out
+
+
+class Case:
+    """A JSON object whose schema is chosen by its string field ``key``."""
+
+    def __init__(self, key, variants):
+        self.key, self.variants = key, variants
+        self.tag = Obj({key: Str(*variants)})
+
+    def walk(self, value, path, env):
+        tag = self.tag.walk(value, path, env)[self.key]
+        return dict(self.variants[tag].walk(value, path, env), **{self.key: tag})
+
+
+def check(doc, schema, **sizes):
+    """The checked values of ``doc``; ``sizes`` pins sizes of the schema
+    (None pins nothing)."""
+    return schema.walk(doc, "$", {name: v for name, v in sizes.items() if v is not None})
+
+
+# ---------------------------------------------------------------------------
+# the schemas
+# ---------------------------------------------------------------------------
+
+KIND = Str("1,1", "2,0")
+SYMMETRY = Str("symmetric", "skew")
+FLAVOR = Str("kahler", "para_kahler")
+_MATRIX = {"matrix": Num("n", "n"), "dim?": Num(integer=True, least=1, bind="n")}
+
+
+def _decomposed(*bases, optional="?"):
+    # basis vectors, one per row
+    return Obj({**_MATRIX, "decomposition" + optional: Obj(dict.fromkeys(bases, Num(None, "n")))})
+
+
+STRUCTURE = Case("kind", {
+    "complex": Obj({**_MATRIX, "decomposition?": Obj(
+        {"basis1": Num("k", "n"), "basis2": Num("k", "n"), "iso": Num("k", "k")})}),
+    "para_complex": _decomposed("eigen_plus", "eigen_minus"),
+    "tangent": _decomposed("kernel_basis", "complement_basis"),
+    "symplectic": Obj(_MATRIX),
+    "krein": _decomposed("plus_basis", "minus_basis"),
+    "cotangent": _decomposed("lagrangian_basis", "complement_basis", optional=""),
+    "bilinear": Obj({**_MATRIX, "symmetry?": SYMMETRY}),
+})
+
+PAIR = Obj({"flavor?": FLAVOR, "given": Obj(
+    {"g?": Num("n", "n"), "omega?": Num("n", "n"), "structure?": STRUCTURE},
+    pick=(2, ("g", "omega", "structure")))})
+
+_POINTS = Num(None, "base")
+ATLAS = Obj({
+    "fiber_dim": Num(integer=True, least=1, bind="fiber_dim"),
+    "charts": Each(Obj({"name": Str(declares="chart"), "lo": Num("base"), "hi": Num("base"),
+                        "samples?": _POINTS})),
+    "base_dim?": Num(integer=True, bind="base"),
+    "overlaps?": Each(Obj({"charts": Each(Str(declared="chart"), length=2), "points": _POINTS,
+                           "transition": Obj({
+                               "constant?": Num("fiber_dim", "fiber_dim"),
+                               "affine?": Obj({"base": Num("fiber_dim", "fiber_dim"),
+                                               "coeffs": Num("base", "fiber_dim", "fiber_dim")}),
+                           }, pick=(1, ("constant", "affine")))})),
+    "triples?": Each(Obj({"charts": Each(Str(declared="chart"), length=3), "points": _POINTS})),
+})
+
+TENSOR = Obj({"kind": KIND, "matrix": Num("fiber_dim", "fiber_dim"), "symmetry?": SYMMETRY})
+
+# per coordinate, a list of terms [exponents..., coefficient]
+_DIFFEO = Each(Num(None, "dim+1", integer=np.s_[..., :-1]), length="dim")
+FD_STEP = Num(positive=True)
+FIELD = Obj({
+    "dim": Num(integer=True, least=1, bind="dim"),
+    "field": Case("name", {
+        # parse_field pins rank to dim unless it is given
+        "constant": Obj({"matrix": Num("rank", "rank"), "kind?": KIND, "symmetry?": SYMMETRY}),
+        "sphere_stereographic": Obj({}, sizes={"dim": 2}),
+        "pullback_flat": Obj({"base_metric": Num("dim", "dim"), "diffeo": _DIFFEO}),
+        "pullback_structure": Obj({"base_matrix": Num("dim", "dim"), "diffeo": _DIFFEO}),
+    }),
+    "grid?": Obj({"lo?": Num("dim"), "hi?": Num("dim"),
+                  "counts?": Num("dim", integer=True, least=1, scalar=True)}),
+    "fd_step?": FD_STEP,
+})
+
+
+def _tower(variance, connection=False):
+    """Projective maps go down, (dims[i], dims[i+1]); direct maps go up and
+    projections down.  A connection tower's sample points live on its top
+    level when projective and its bottom level when direct, and a morphism
+    (L, R) of levels (i, j) maps W to L W R."""
+    down, up, links = ("dims[i]", "dims[i+1]"), ("dims[i+1]", "dims[i]"), "levels-1"
+    maps = {"maps?": Each(Num(*down), links, "i")} if variance == "projective" else {
+        "maps?": Each(Num(*up), links, "i"), "projections?": Each(Num(*down), links, "i")}
+    # L W R carries a level-j value to level i on projective towers and a
+    # level-i value to level j on direct ones
+    d, (a, b) = "dims[i]", ("ij" if variance == "projective" else "ji")
+    per_level = {
+        "forms": Each(Obj({"coeffs": Num(d, d, d), "linear?": Num(d, d, d, d)}), "levels", "i"),
+        "models": Each(Obj({"kind": KIND, "matrix": Num(d, d)}), "levels", "i"),
+        "sample_points": Num("points", "dims[-1]" if variance == "projective" else "dims[0]"),
+        "morphisms?": Each(Obj({"levels": Num(2, integer=True, least=0, bind=("i", "j")),
+                                "left": Num(f"dims[{a}]", f"dims[{b}]"),
+                                "right": Num(f"dims[{b}]", f"dims[{a}]")}))}
+    return Obj({"dims": Num("levels", integer=True, least=0, bind="dims"), **maps,
+                "sequence?": Obj({"kind": KIND, "levels": Each(Num(d, d), "levels", "i")}),
+                **(per_level if connection else {})})
+
+
+TOWER = Case("variance", {v: _tower(v) for v in ("projective", "direct")})
+CONNECTION = Case("variance", {v: _tower(v, connection=True) for v in ("projective", "direct")})
+
+# parse_loop pins n to 2*half: a target of `pairs` pairs has dimension 2*pairs
+LOOP = Obj({
+    "target": Obj({"pairs?": Num(integer=True, least=1, bind="half"), "flavor?": FLAVOR,
+                   "pair?": PAIR}, pick=(1, ("pairs", "pair"))),
+    "loop": Num("points", "n"),
+    "weights?": Num("points", positive=True),
+    "tangents?": Obj({"x": Num("points", "n"), "y": Num("points", "n")}),
+})
+
+
+# ---------------------------------------------------------------------------
+# parsers: objects from checked values
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _building(what):
+    """Report a construction that rejects checked values as a DocumentError."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"{context} is not numeric") from exc
-    if not np.all(np.isfinite(arr)):
-        raise DocumentError(f"{context} is not finite")
-    return arr
+        yield
+    except (TensorStructError, ValueError) as exc:
+        raise DocumentError(f"{what}: {exc}") from exc
 
 
-def _scalar(value, context, integer=False):
-    """A JSON number as a float, or as an int when ``integer``;
-    DocumentError unless it is a finite number, and whole when ``integer``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DocumentError(f"{context} is not a number: {value!r}")
-    if not math.isfinite(value):
-        raise DocumentError(f"{context} is not finite")
-    if integer:
-        if value != int(value):
-            raise DocumentError(f"{context} is not an integer: {value!r}")
-        return int(value)
-    return float(value)
+# kind: (class, the decomposition it takes when a document gives none)
+_CANONICAL = {"para_complex": (ParaComplexStructure, involution_eigenbases),
+              "tangent": (TangentStructure, kernel_and_complement)}
 
 
-def _list(value, context):
-    if not isinstance(value, list):
-        raise DocumentError(f"{context} must be a list, got {value!r}")
-    return value
-
-
-def _basis(dec, key):
-    """A decomposition's JSON list of basis vectors, as a column matrix."""
-    arr = _matrix(_require(dec, key, "decomposition"), f"decomposition {key}")
-    if arr.ndim != 2:
-        raise DocumentError(f"decomposition: {key} must be a list of vectors")
-    return arr.T
-
-
-def parse_structure(doc):
-    kind = _require(doc, "kind", "structure document")
-    matrix = _matrix(_require(doc, "matrix", "structure document"), "structure matrix")
-    dim = _scalar(doc.get("dim", matrix.shape[0]), "structure dim", integer=True)
-    if matrix.shape != (dim, dim):
-        raise DocumentError(f"structure document: matrix shape {matrix.shape} "
-                            f"does not match dim {dim}")
-    dec = doc.get("decomposition")
-    try:
+def _build_structure(v):
+    kind, matrix, dec = v["kind"], v["matrix"], v.get("decomposition")
+    bases = dec and [basis.T for name, basis in dec.items() if name != "iso"]
+    with _building("structure document"):
+        if kind in _CANONICAL:
+            cls, canonical = _CANONICAL[kind]
+            return cls(matrix, *(bases or canonical(matrix)))
         if kind == "complex":
-            decomposition = None
-            if dec is not None:
-                decomposition = (_basis(dec, "basis1"), _basis(dec, "basis2"),
-                                 _matrix(_require(dec, "iso", "decomposition"),
-                                         "decomposition iso"))
-            return ComplexStructure(matrix, decomposition)
-        if kind == "para_complex":
-            if dec is not None:
-                return ParaComplexStructure(matrix, _basis(dec, "eigen_plus"),
-                                            _basis(dec, "eigen_minus"))
-            return ParaComplexStructure(matrix, *involution_eigenbases(matrix))
-        if kind == "tangent":
-            if dec is not None:
-                return TangentStructure(matrix, _basis(dec, "kernel_basis"),
-                                        _basis(dec, "complement_basis"))
-            return TangentStructure(matrix, *kernel_and_complement(matrix))
+            return ComplexStructure(matrix, dec and (*bases, dec["iso"]))
+        if kind == "krein":
+            return KreinMetric(matrix, *bases) if dec else krein_from_matrix(matrix)
+        if kind == "cotangent":
+            return CotangentStructure(SymplecticForm(matrix), *bases)
         if kind == "symplectic":
             return SymplecticForm(matrix)
-        if kind == "krein":
-            if dec is not None:
-                return KreinMetric(matrix, _basis(dec, "plus_basis"),
-                                   _basis(dec, "minus_basis"))
-            return krein_from_matrix(matrix)
-        if kind == "cotangent":
-            if dec is None:
-                raise DocumentError("cotangent documents need a decomposition "
-                                    "with lagrangian_basis and complement_basis")
-            return CotangentStructure(SymplecticForm(matrix),
-                                      _basis(dec, "lagrangian_basis"),
-                                      _basis(dec, "complement_basis"))
-        if kind == "bilinear":
-            return BilinearForm(matrix, doc.get("symmetry", "symmetric"))
-    except DocumentError:
-        raise
-    except (TensorStructError, ValueError) as exc:
-        raise DocumentError(f"structure document: {exc}") from exc
-    raise DocumentError(f"structure document: unknown kind {kind!r}")
+        return BilinearForm(matrix, v.get("symmetry", "symmetric"))
+
+
+def parse_structure(doc, even=False):
+    """A structure; ``even`` asks for an even dimension."""
+    return _build_structure(check(doc, STRUCTURE, n="2*half" if even else None))
+
+
+def _build_pair(v):
+    flavor = v.get("flavor", "kahler")
+    build = {"g": (lambda g: BilinearForm(g, "symmetric")) if flavor == "kahler"
+             else krein_from_matrix, "omega": SymplecticForm, "structure": _build_structure}
+    with _building("pair document"):
+        first, second = (build[name](value) for name, value in v["given"].items())
+    return first, second, flavor
 
 
 def parse_pair(doc):
     """Returns (first, second, flavor) ready for compat.complete_triple."""
-    flavor = doc.get("flavor", "kahler")
-    if flavor not in ("kahler", "para_kahler"):
-        raise DocumentError(f"pair document: unknown flavor {flavor!r}")
-    given = _require(doc, "given", "pair document")
-    items = []
-    if "g" in given:
-        g = _matrix(given["g"], "pair document g")
-        if flavor == "kahler":
-            items.append(BilinearForm(g, "symmetric"))
-        else:
-            try:
-                items.append(krein_from_matrix(g))
-            except TensorStructError as exc:
-                raise DocumentError(f"pair document: {exc}") from exc
-    if "omega" in given:
-        items.append(SymplecticForm(_matrix(given["omega"], "pair document omega")))
-    if "structure" in given:
-        items.append(parse_structure(given["structure"]))
-    if len(items) != 2:
-        raise DocumentError("pair document: exactly two of g, omega, structure "
-                            "must be given")
-    return items[0], items[1], flavor
-
-
-def _parse_transition(doc, context):
-    if "constant" in doc:
-        return ConstantTransition(_matrix(doc["constant"], f"{context} transition"))
-    if "affine" in doc:
-        aff = doc["affine"]
-        base = _matrix(_require(aff, "base", context), f"{context} transition")
-        return AffineTransition(base, [_matrix(c, f"{context} transition")
-                                       for c in _require(aff, "coeffs", context)])
-    raise DocumentError(f"{context}: transition must be constant or affine")
+    return _build_pair(check(doc, PAIR))
 
 
 def parse_atlas(doc):
-    fiber_dim = _scalar(_require(doc, "fiber_dim", "atlas document"), "atlas fiber_dim",
-                        integer=True)
-    charts = []
-    for cdoc in _require(doc, "charts", "atlas document"):
-        charts.append(Chart(_require(cdoc, "name", "chart"),
-                            _matrix(_require(cdoc, "lo", "chart"), "chart lo"),
-                            _matrix(_require(cdoc, "hi", "chart"), "chart hi"),
-                            _matrix(cdoc.get("samples", []), "chart samples")))
-    names = [chart.name for chart in charts]
-
-    def declared(odoc, count, context):
-        """The chart names of an overlap or triple, all of declared charts."""
-        pick = _require(odoc, "charts", context)
-        if not isinstance(pick, list) or len(pick) != count or any(
-                name not in names for name in pick):
-            raise DocumentError(f"{context}: charts {pick!r} are not {count} "
-                                f"declared chart names")
-        return pick
-
-    overlaps = {}
-    transitions = {}
-    for odoc in doc.get("overlaps", []):
-        a, b = declared(odoc, 2, "overlap")
-        overlaps[(a, b)] = _matrix(_require(odoc, "points", "overlap"), "overlap points")
-        transitions[(a, b)] = _parse_transition(_require(odoc, "transition", "overlap"),
-                                                "overlap")
-    triples = []
-    for tdoc in doc.get("triples", []):
-        a, b, c = declared(tdoc, 3, "triple overlap")
-        triples.append((a, b, c, _matrix(_require(tdoc, "points", "triple overlap"),
-                                         "triple overlap points")))
-    atlas = ChartAtlas(fiber_dim, charts, overlaps, transitions, triples)
+    v = check(doc, ATLAS)
+    overlaps, transitions = {}, {}
+    for o in v.get("overlaps", []):
+        pair, t = tuple(o["charts"]), o["transition"]
+        overlaps[pair] = o["points"]
+        transitions[pair] = (ConstantTransition(t["constant"]) if "constant" in t
+                             else AffineTransition(t["affine"]["base"], t["affine"]["coeffs"]))
+    triples = [(*t["charts"], t["points"]) for t in v.get("triples", [])]
+    atlas = ChartAtlas(v["fiber_dim"], [Chart(**c) for c in v["charts"]], overlaps,
+                       transitions, triples)
     for a, b, c, _ in triples:
         # the cocycle condition T_ac = T_ab T_bc needs all three transitions
-        for u, v in ((a, b), (b, c), (a, c)):
-            if not atlas.has_transition(u, v):
+        for u, w in ((a, b), (b, c), (a, c)):
+            if not atlas.has_transition(u, w):
                 raise DocumentError(f"triple overlap {[a, b, c]!r}: no transition "
-                                    f"declared between {u!r} and {v!r}")
+                                    f"declared between {u!r} and {w!r}")
     return atlas
 
 
-def parse_tensor(doc):
-    kind = _require(doc, "kind", "tensor document")
-    if kind not in ("1,1", "2,0"):
-        raise DocumentError(f"tensor document: unknown kind {kind!r}")
-    matrix = _matrix(_require(doc, "matrix", "tensor document"), "tensor matrix")
-    return IsotropyGroupSpec(StructureMatrix(matrix, kind, doc.get("symmetry", "symmetric")))
+def parse_tensor(doc, fiber_dim):
+    """A model tensor on a fiber of dimension ``fiber_dim``."""
+    v = check(doc, TENSOR, fiber_dim=fiber_dim)
+    return IsotropyGroupSpec(StructureMatrix(v["matrix"], v["kind"],
+                                             v.get("symmetry", "symmetric")))
 
 
 def field_step(doc, fd_step=None):
     """Finite-difference step of a field document: its own ``fd_step``,
     else ``fd_step``, else the package default; DocumentError unless it is
     positive."""
-    if "fd_step" in doc:
-        step = _scalar(doc["fd_step"], "fd_step")
-    else:
-        step = float(calculus.DEFAULT_FD_STEP if fd_step is None else fd_step)
-    if not step > 0:
-        raise DocumentError(f"fd_step must be positive, got {step!r}")
-    return step
+    step = doc.get("fd_step", calculus.DEFAULT_FD_STEP if fd_step is None else fd_step)
+    return FD_STEP.walk(step, "$.fd_step", {})
 
 
-def parse_field(doc, fd_step=None):
-    """Returns (tensor field, grid) from a field document."""
-    dim = _scalar(_require(doc, "dim", "field document"), "field dim", integer=True)
-    spec = _require(doc, "field", "field document")
-    name = _require(spec, "name", "field document")
-    step = field_step(doc, fd_step)
-
-    if name == "constant":
-        matrix = _matrix(_require(spec, "matrix", "constant field"), "constant field matrix")
-        kind = spec.get("kind", "2,0")
-        field = calculus.TensorFieldOnChart.constant(matrix, kind,
-                                                     spec.get("symmetry", "symmetric"))
-    elif name == "sphere_stereographic":
-        if dim != 2:
-            raise DocumentError("sphere_stereographic is two-dimensional")
+def parse_field(doc, fd_step=None, rank="dim"):
+    """Returns (tensor field, grid) from a field document.  A constant
+    field's matrix is ``rank`` x ``rank``: the base dimension, or a number
+    such as the fiber dimension of the atlas the field lives on."""
+    v = check(doc, FIELD, rank=rank)
+    dim, spec, step = v["dim"], v["field"], field_step(v, fd_step)
+    if spec["name"] == "constant":
+        field = calculus.TensorFieldOnChart.constant(
+            spec["matrix"], spec.get("kind", "2,0"), spec.get("symmetry", "symmetric"))
+    elif spec["name"] == "sphere_stereographic":
         field = calculus.sphere_stereographic_metric(step=step)
-    elif name == "pullback_flat":
-        base = _matrix(_require(spec, "base_metric", "pullback field"), "base_metric")
-        phi = _parse_polymap(spec, dim)
-        field = calculus.pullback_metric(phi, base)
-    elif name == "pullback_structure":
-        base = _matrix(_require(spec, "base_matrix", "pullback field"), "base_matrix")
-        phi = _parse_polymap(spec, dim)
-        field = calculus.pullback_endomorphism(phi, base, step=step)
     else:
-        raise DocumentError(f"field document: unknown field name {name!r}")
-
-    gdoc = doc.get("grid", {})
-    lo = _matrix(gdoc.get("lo", [-0.5] * dim), "grid lo")
-    hi = _matrix(gdoc.get("hi", [0.5] * dim), "grid hi")
-    counts = gdoc.get("counts", 5)
-    if isinstance(counts, list):
-        counts = [_scalar(c, "grid counts", integer=True) for c in counts]
-    else:
-        counts = _scalar(counts, "grid counts", integer=True)
-    if np.any(np.asarray(counts) < 1):
-        raise DocumentError(f"grid counts must be at least 1, got {counts!r}")
-    try:
-        grid = calculus.grid_points(lo, hi, counts)
-    except ValueError as exc:
-        raise DocumentError(f"field document grid: {exc}") from exc
-    return field, grid
+        phi = calculus.PolyMap([Poly(dim, {tuple(map(int, t[:-1])): t[-1] for t in terms.tolist()})
+                                for terms in spec["diffeo"]])
+        field = (calculus.pullback_metric(phi, spec["base_metric"])
+                 if spec["name"] == "pullback_flat"
+                 else calculus.pullback_endomorphism(phi, spec["base_matrix"], step=step))
+    grid = v.get("grid", {})
+    return field, calculus.grid_points(grid.get("lo", [-0.5] * dim),
+                                       grid.get("hi", [0.5] * dim), grid.get("counts", 5))
 
 
-def _parse_polymap(spec, dim):
-    comps_doc = _require(spec, "diffeo", "pullback field")
-    comps = []
-    for terms in _list(comps_doc, "diffeo"):
-        coeffs = {}
-        for term in _list(terms, "diffeo component"):
-            *expo, coeff = _list(term, "diffeo term")
-            if len(expo) != dim:
-                raise DocumentError("diffeo term exponents must match dim")
-            expo = tuple(_scalar(e, "diffeo exponent", integer=True) for e in expo)
-            coeffs[expo] = _scalar(coeff, "diffeo coefficient")
-        comps.append(Poly(dim, coeffs))
-    if len(comps) != dim:
-        raise DocumentError("diffeo needs one polynomial per coordinate")
-    return calculus.PolyMap(comps)
+def _build_bonding(v):
+    with _building("tower document"):
+        if "maps" in v:
+            return BondingSystem(v["dims"], v["variance"], v["maps"], v.get("projections"))
+        return BondingSystem.padded(v["dims"], v["variance"])
 
 
 def parse_tower(doc):
-    variance = _require(doc, "variance", "tower document")
-    dims = [_scalar(d, "tower dims", integer=True)
-            for d in _list(_require(doc, "dims", "tower document"), "tower dims")]
-    try:
-        if "maps" in doc:
-            maps = [_matrix(m, "tower map") for m in doc["maps"]]
-            projections = None
-            if "projections" in doc:
-                projections = [_matrix(p, "tower projection") for p in doc["projections"]]
-            bonding = BondingSystem(dims, variance, maps, projections)
-        else:
-            bonding = BondingSystem.padded(dims, variance)
-    except (TensorStructError, ValueError) as exc:
-        raise DocumentError(f"tower document: {exc}") from exc
-    sequence = None
-    if "sequence" in doc:
-        sdoc = doc["sequence"]
-        try:
-            sequence = CoherentSequence(
-                bonding,
-                [_matrix(m, "sequence level") for m in _require(sdoc, "levels", "sequence")],
-                _require(sdoc, "kind", "sequence"))
-        except (TensorStructError, ValueError) as exc:
-            raise DocumentError(f"tower document: {exc}") from exc
-    return bonding, sequence
+    v = check(doc, TOWER)
+    bonding, seq = _build_bonding(v), v.get("sequence")
+    return bonding, seq and CoherentSequence(bonding, seq["levels"], seq["kind"])
 
 
 def parse_connection_tower(doc):
-    bonding, _ = parse_tower(doc)
-    forms = []
-    for fdoc in _require(doc, "forms", "connection document"):
-        coeffs = [_matrix(c, "form coeffs") for c in _require(fdoc, "coeffs", "form")]
-        linear = None
-        if "linear" in fdoc:
-            linear = [[_matrix(m, "form linear") for m in row] for row in fdoc["linear"]]
-        try:
-            forms.append(LevelForm(coeffs, linear))
-        except (TensorStructError, ValueError) as exc:
-            raise DocumentError(f"connection document: {exc}") from exc
-    models = []
-    for mdoc in _require(doc, "models", "connection document"):
-        models.append((_require(mdoc, "kind", "model"),
-                       _matrix(_require(mdoc, "matrix", "model"), "model matrix")))
+    v = check(doc, CONNECTION)
+    forms = [LevelForm(f["coeffs"], f.get("linear")) for f in v["forms"]]
     morphisms = None
-    if "morphisms" in doc:
-        morphisms = {}
-        for mdoc in doc["morphisms"]:
-            levels = _list(_require(mdoc, "levels", "morphism"), "morphism levels")
-            if len(levels) != 2:
-                raise DocumentError(f"morphism levels {levels!r} are not two levels")
-            i, j = (_scalar(lvl, "morphism levels", integer=True) for lvl in levels)
-            morphisms[(i, j)] = (
-                _matrix(_require(mdoc, "left", "morphism"), "morphism left"),
-                _matrix(_require(mdoc, "right", "morphism"), "morphism right"))
-    if len(forms) != bonding.levels or len(models) != bonding.levels:
-        raise DocumentError("connection document: one form and one model per level")
-    for lvl, (form, (kind, model)) in enumerate(zip(forms, models)):
-        # a form is evaluated on every tangent direction of its level
-        dim = bonding.dims[lvl]
-        if len(form.stack) < dim or (form.linear is not None and len(form.linear) < dim):
-            raise DocumentError(f"connection document: form {lvl} needs a coefficient "
-                                f"matrix per direction of its level, {dim}")
-        if form.dim != dim or model.shape != (dim, dim) or kind not in ("1,1", "2,0"):
-            raise DocumentError(f"connection document: level {lvl} needs {dim}x{dim} "
-                                f"form values and a {dim}x{dim} model of kind 1,1 or 2,0")
-    seq = ConnectionFormSequence(bonding, forms, models, morphisms)
-    points = _matrix(_require(doc, "sample_points", "connection document"),
-                     "sample_points")
-    return seq, points
+    if "morphisms" in v:
+        morphisms = {tuple(m["levels"].astype(int).tolist()): (m["left"], m["right"])
+                     for m in v["morphisms"]}
+    seq = ConnectionFormSequence(_build_bonding(v), forms,
+                                 [(m["kind"], m["matrix"]) for m in v["models"]], morphisms)
+    return seq, v["sample_points"]
 
 
 def parse_loop(doc):
-    tdoc = _require(doc, "target", "loop document")
-    if "pairs" in tdoc:
-        pairs = _scalar(tdoc["pairs"], "loop target pairs", integer=True)
-        if pairs < 1:
-            raise DocumentError(f"loop target: pairs must be at least 1, got {pairs}")
-        flavor = tdoc.get("flavor", "kahler")
-        target = (block_kahler_target(pairs) if flavor == "kahler"
-                  else block_para_target(pairs))
+    v = check(doc, LOOP, n="2*half")
+    target = v["target"]
+    if "pairs" in target:
+        kahler = target.get("flavor", "kahler") == "kahler"
+        target = (block_kahler_target if kahler else block_para_target)(target["pairs"])
     else:
-        first, second, flavor = parse_pair(_require(tdoc, "pair", "loop target"))
-        target = complete_triple(first, second, flavor)
-    loop = _matrix(_require(doc, "loop", "loop document"), "loop")
-    weights = None
-    if "weights" in doc:
-        weights = _matrix(doc["weights"], "loop weights")
-    try:
-        space = DiscretizedLoopSpace(target, loop, weights)
-    except (TensorStructError, ValueError) as exc:
-        raise DocumentError(f"loop document: {exc}") from exc
-    tangents = None
-    if "tangents" in doc:
-        tangents = (_matrix(_require(doc["tangents"], "x", "tangents"), "tangent x"),
-                    _matrix(_require(doc["tangents"], "y", "tangents"), "tangent y"))
-    return space, tangents
+        target = complete_triple(*_build_pair(target["pair"]))
+    with _building("loop document"):
+        space = DiscretizedLoopSpace(target, v["loop"], v.get("weights"))
+    tangents = v.get("tangents")
+    return space, tangents and (tangents["x"], tangents["y"])

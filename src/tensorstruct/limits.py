@@ -476,11 +476,9 @@ class LevelForm:
     """
 
     def __init__(self, coeffs, linear=None):
-        mats = [as_matrix(c, square=True) for c in coeffs]
-        if not mats or any(m.shape != mats[0].shape for m in mats):
-            raise ShapeMismatch("a level form needs one or more coefficient "
-                                "matrices of one size")
-        self.stack = np.stack(mats)
+        self.stack = as_matrix(coeffs, square=True, name="coefficient stack", ndim=3)
+        if not len(self.stack):
+            raise ShapeMismatch("a level form needs one or more coefficient matrices")
         self.linear = None
         if linear is not None:
             self.linear = [[as_matrix(m, square=True) for m in row] for row in linear]

@@ -61,12 +61,14 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_matrix(m, square=False, name="matrix"):
-    """Coerce to a float ndarray and enforce finiteness (no NaN/Inf)."""
+def as_matrix(m, square=False, name="matrix", ndim=2):
+    """Coerce to a float ndarray of ``ndim`` dimensions (a stack of square
+    matrices when ``square`` and ``ndim`` > 2) and enforce finiteness (no
+    NaN/Inf)."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if square and a.shape[0] != a.shape[1]:
+    if a.ndim != ndim:
+        raise ShapeMismatch(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
+    if square and a.shape[-1] != a.shape[-2]:
         raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")

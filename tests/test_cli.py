@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tensorstruct import cli
+from tensorstruct import cli, documents
 from tensorstruct.cli import run
 from tensorstruct.documents import (
     DocumentError,
@@ -100,6 +103,13 @@ def test_parse_error_exits_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run(["validate", str(path)]) == 2
+
+
+def test_too_deeply_nested_json_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["validate", str(path)]) == 2
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_missing_file_exits_two():
@@ -267,6 +277,38 @@ def _set(path, value):
     return edit
 
 
+def pair_doc():
+    return {"flavor": "kahler",
+            "given": {"g": np.eye(2).tolist(), "omega": [[0.0, 1.0], [-1.0, 0.0]]}}
+
+
+def constant_field_doc():
+    return {"dim": 2, "field": {"name": "constant", "kind": "2,0", "matrix": np.eye(2).tolist()},
+            "grid": {"counts": 2}}
+
+
+def tower_doc():
+    dims = [1, 2, 3]
+    pads = [np.eye(b)[:a] for a, b in zip(dims, dims[1:])]  # (a, b)
+    return {"variance": "direct", "dims": dims,
+            "maps": [p.T.tolist() for p in pads], "projections": [p.tolist() for p in pads],
+            "sequence": {"kind": "1,1", "levels": [np.diag(np.arange(1.0, d + 1)).tolist()
+                                                   for d in dims]}}
+
+
+def affine_atlas_doc():
+    """atlas_doc with T_ab spelled as an affine transition that is constant."""
+    doc = atlas_doc()
+    doc["overlaps"][0]["transition"] = {"affine": {"base": rotation(0.3),
+                                                   "coeffs": [np.zeros((2, 2)).tolist()] * 2}}
+    return doc
+
+
+def _replace(value):
+    """An edit that replaces the whole document with ``value``."""
+    return lambda doc: value
+
+
 # (subcommand, valid document, edit that breaks one field): one case per
 # scalar field made non-numeric, then numbers of the wrong value or shape
 MALFORMED = {
@@ -295,6 +337,50 @@ MALFORMED = {
     "model kind": (["connection", "check"], connection_doc, _set(["models", 0, "kind"], "0,2")),
     "form size": (["connection", "check"], connection_doc,
                   _set(["forms", 0, "coeffs"], [np.zeros((3, 3)).tolist()] * 2)),
+    # inputs that ended in a traceback
+    "document not an object": (["validate"], complex_canonical_doc, _replace(5)),
+    "structure matrix": (["validate"], complex_canonical_doc, _set(["matrix"], 5)),
+    "structure decomposition": (["validate"], complex_canonical_doc,
+                                _set(["decomposition"], 5)),
+    "atlas charts": (["cocycle"], atlas_doc, _set(["charts"], 5)),
+    "chart name list": (["cocycle"], atlas_doc,
+                        lambda doc: _set(["overlaps", 0, "charts", 0], ["a"])(
+                            _set(["charts", 0, "name"], ["a"])(doc))),
+    "affine coeffs": (["cocycle"], affine_atlas_doc,
+                      _set(["overlaps", 0, "transition", "affine", "coeffs"], 3)),
+    "tower maps": (["tower", "check"], tower_doc, _set(["maps"], 5)),
+    "tower sequence": (["tower", "check"], tower_doc, _set(["sequence"], 5)),
+    "connection coeffs": (["connection", "check"], connection_doc,
+                          _set(["forms", 0, "coeffs"], 3)),
+    "morphism left shape": (["connection", "check"], connection_doc,
+                            _set(["morphisms", 0, "left"], np.eye(3).tolist())),
+    "field grid": (["curvature"], flat_field_doc, _set(["grid"], 5)),
+    "constant field size": (["curvature"], constant_field_doc,
+                            _set(["field", "matrix"], np.eye(3).tolist())),
+    "constant field kind": (["curvature"], constant_field_doc, _set(["field", "kind"], "9,9")),
+    "loop target": (LOOP_CHECK, loop_doc, _set(["target"], 5)),
+    "pair given": (["triple", "complete"], pair_doc, _set(["given"], 5)),
+    # inputs that exited 1 with "error:"
+    "transition not square": (["cocycle"], atlas_doc,
+                              _set(["overlaps", 0, "transition", "constant"], [[1.0, 0.0]])),
+    "sample point width": (["connection", "check"], connection_doc,
+                           _set(["sample_points"], [[0.1, -0.2, 0.3]])),
+    "pair g not square": (["triple", "complete"], pair_doc, _set(["given", "g"], [[1.0, 0.0]])),
+    "pair g and omega sizes": (["triple", "complete"], pair_doc,
+                               _set(["given", "g"], np.eye(4).tolist())),
+    "loop tangents shape": (LOOP_CHECK, loop_doc,
+                            _set(["tangents"], {"x": np.ones((3, 2)).tolist(),
+                                                "y": np.ones((4, 2)).tolist()})),
+    # inputs that exited 0 on a verdict resting on the wrong shape
+    "grid lo length": (["curvature"], flat_field_doc, _set(["grid", "lo"], [0.0])),
+    "affine coeffs fewer than base": (["cocycle"], affine_atlas_doc,
+                                      _set(["overlaps", 0, "transition", "affine", "coeffs"],
+                                           [np.zeros((2, 2)).tolist()])),
+    "chart lo and hi lengths": (["cocycle"], atlas_doc, _set(["charts", 0, "hi"], [1.0])),
+    "overlap point width": (["cocycle"], atlas_doc,
+                            _set(["overlaps", 0, "points"], [[0.1, 0.2, 0.3]])),
+    "transitions not fiber_dim": (["cocycle"], atlas_doc, _set(["fiber_dim"], 3)),
+    "loop flavor": (LOOP_CHECK, loop_doc, _set(["target", "flavor"], "zzz")),
 }
 
 
@@ -307,6 +393,214 @@ def test_malformed_field_exits_two(field, tmp_path, capsys):
     path = write(tmp_path, "doc.json", edit(make()))
     assert run([*command, path]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def reduce_docs():
+    """Documents of a passing ``reduce atlas tensor --field field``."""
+    return {"atlas": affine_atlas_doc(),
+            "tensor": {"kind": "2,0", "matrix": np.eye(2).tolist()},
+            "field": {"dim": 2, "field": {"name": "constant", "kind": "2,0",
+                                          "matrix": [[2.0, 0.3], [0.3, 1.0]]}}}
+
+
+def reduce_argv(tmp_path, docs):
+    paths = {name: write(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+    return ["reduce", paths["atlas"], paths["tensor"], "--field", paths["field"]]
+
+
+# (document of reduce_docs, edit that breaks it against the atlas)
+MALFORMED_REDUCE = {
+    "tensor not fiber_dim": ("tensor", _set(["matrix"], np.eye(3).tolist())),
+    "field not an object": ("field", _set(["field"], 5)),
+    "field not fiber_dim": ("field", _set(["field", "matrix"], np.eye(3).tolist())),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_REDUCE)
+def test_malformed_reduce_documents_exit_two(case, tmp_path, capsys):
+    name, edit = MALFORMED_REDUCE[case]
+    assert run(reduce_argv(tmp_path, reduce_docs())) == 0
+    capsys.readouterr()
+    docs = reduce_docs()
+    docs[name] = edit(docs[name])
+    assert run(reduce_argv(tmp_path, docs)) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and "Traceback" not in err
+
+
+def test_reduce_field_is_fiber_dim_on_a_base_of_dim(tmp_path):
+    # a 4x4 field over a two-dimensional base, on a fiber of dimension 4
+    docs = reduce_docs()
+    docs["atlas"] = dict(atlas_doc(), fiber_dim=4)
+    for overlap in docs["atlas"]["overlaps"]:
+        overlap["transition"] = {"constant": np.eye(4).tolist()}
+    docs["tensor"]["matrix"] = np.eye(4).tolist()
+    docs["field"]["field"]["matrix"] = (2.0 * np.eye(4)).tolist()
+    assert run(reduce_argv(tmp_path, docs)) == 0
+
+
+def test_base_dim_must_agree_with_the_charts(tmp_path):
+    path = write(tmp_path, "atlas.json", dict(atlas_doc(), base_dim=2))
+    assert run(["cocycle", path]) == 0
+    path = write(tmp_path, "atlas.json", dict(atlas_doc(), base_dim=3))
+    assert run(["cocycle", path]) == 2
+
+
+def test_unknown_keys_are_ignored(tmp_path):
+    doc = dict(loop_doc(), samples=4, comment="unread")
+    assert run([*LOOP_CHECK, write(tmp_path, "loop.json", doc)]) == 0
+
+
+def test_darboux_needs_an_even_dimension(tmp_path, capsys):
+    doc = {"kind": "symplectic", "matrix": np.zeros((3, 3)).tolist()}
+    assert run(["darboux", write(tmp_path, "form.json", doc)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_parse_errors_name_the_json_path(tmp_path, capsys):
+    doc = affine_atlas_doc()
+    doc["overlaps"][0]["transition"]["affine"]["coeffs"] = [np.zeros((2, 2)).tolist()]
+    assert run(["cocycle", write(tmp_path, "atlas.json", doc)]) == 2
+    assert "$.overlaps[0].transition.affine.coeffs:" in capsys.readouterr().err
+
+
+# (global flags, subcommand, valid document or None, subcommand flags)
+BAD_FLAGS = {
+    "--atol -1": (["--atol", "-1"], ["validate"], complex_canonical_doc, []),
+    "--atol 0 --rtol 0": (["--atol", "0", "--rtol", "0"], ["validate"],
+                          complex_canonical_doc, []),
+    "--atol nan": (["--atol", "nan"], ["validate"], complex_canonical_doc, []),
+    "--seed -1": (["--seed", "-1"], ["loopspace", "demo"], None, []),
+    "--trials 0": (["--seed", "1"], ["loopspace", "check"], loop_doc, ["--trials", "0"]),
+    "--trials -3": (["--seed", "1"], ["loopspace", "check"], loop_doc, ["--trials", "-3"]),
+    "--tol -1": ([], ["curvature"], flat_field_doc, ["--tol", "-1"]),
+    "--tol nan": ([], ["curvature"], flat_field_doc, ["--tol", "nan"]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FLAGS)
+def test_bad_flag_values_are_usage_errors(case, tmp_path, capsys):
+    flags, command, make, options = BAD_FLAGS[case]
+    paths = [write(tmp_path, "doc.json", make())] if make else []
+    assert run([*command, *paths]) in (0, 1)  # valid without the flag
+    capsys.readouterr()
+    assert run([*flags, *command, *paths, *options]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+def test_zero_atol_with_positive_rtol_is_accepted(tmp_path):
+    path = write(tmp_path, "structure.json", complex_canonical_doc())
+    assert run(["--atol", "0", "validate", path]) == 0
+
+
+# ---------------------------------------------------------------------------
+# schema mutations
+# ---------------------------------------------------------------------------
+
+# (subcommand, [(flag before the path or None, valid document, its schema)])
+FIXTURES = {
+    "structure": (["validate"], [(None, complex_canonical_doc, documents.STRUCTURE)]),
+    "pair": (["triple", "complete"], [(None, pair_doc, documents.PAIR)]),
+    "reduce": (["reduce"], [(None, affine_atlas_doc, documents.ATLAS),
+                            (None, lambda: reduce_docs()["tensor"], documents.TENSOR),
+                            ("--field", lambda: reduce_docs()["field"], documents.FIELD)]),
+    "field": (["curvature"], [(None, flat_field_doc, documents.FIELD)]),
+    "constant field": (["curvature"], [(None, constant_field_doc, documents.FIELD)]),
+    "tower": (["tower", "check"], [(None, tower_doc, documents.TOWER)]),
+    "connection": (["connection", "check"], [(None, connection_doc, documents.CONNECTION)]),
+    "loop": (LOOP_CHECK, [(None, loop_doc, documents.LOOP)]),
+}
+
+
+def schema_sites(node, value, path=()):
+    """(path, schema node, value) of every value the schema checks."""
+    yield path, node, value
+    if isinstance(node, documents.Case):
+        yield path + (node.key,), node.tag.fields[node.key][0], value[node.key]
+        node = node.variants[value[node.key]]
+    if isinstance(node, documents.Obj):
+        for key, (child, _) in node.fields.items():
+            if key in value:
+                yield from schema_sites(child, value[key], path + (key,))
+    elif isinstance(node, documents.Each):
+        for position, item in enumerate(value):
+            yield from schema_sites(node.item, item, path + (position,))
+
+
+def wrong_values(node, value):
+    """Values of the wrong type, shape, enum or range for ``node``."""
+    yield "x" if not isinstance(node, documents.Str) else 5
+    if isinstance(node, documents.Each) and node.length is not None:
+        yield value[:-1]
+    if isinstance(node, documents.Str) and (node.choices or node.declared):
+        yield "zzz"
+    if isinstance(node, documents.Num):
+        yield [value]
+        low = node.least - 1 if node.least is not None else 0 if node.positive else None
+        if low is not None:
+            yield (np.asarray(value) * 0 + low).tolist()
+        if node.integer is True and not node.shape:
+            yield value + 0.5
+
+
+def mutate(doc, path, bad):
+    if not path:
+        return bad
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    return doc
+
+
+def fixture_argv(directory, command, docs):
+    argv = list(command)
+    for n, (flag, doc) in enumerate(docs):
+        path = f"{directory}/doc{n}.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv += [flag, path] if flag else [path]
+    return argv
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_a_schema_mutation_exits_two(data, tmp_path_factory):
+    command, specs = FIXTURES[data.draw(st.sampled_from(sorted(FIXTURES)))]
+    docs = [(flag, make()) for flag, make, _ in specs]
+    n = data.draw(st.integers(0, len(docs) - 1))
+    path, node, value = data.draw(st.sampled_from(list(schema_sites(specs[n][2], docs[n][1]))))
+    bad = data.draw(st.sampled_from(list(wrong_values(node, value))))
+    docs[n] = (docs[n][0], mutate(docs[n][1], path, bad))
+    directory = tmp_path_factory.mktemp("mutated")
+    status, _, err = run_captured(fixture_argv(directory, command, docs))
+    assert status == 2, (path, bad, err)
+    assert "parse error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_valid_fixtures_emit_strict_json_residuals(name, tmp_path, monkeypatch):
+    command, specs = FIXTURES[name]
+    reports = []
+
+    def emit(report, as_json, _emit=cli._emit):
+        reports.append(report)
+        return _emit(report, as_json)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    argv = fixture_argv(tmp_path, command, [(flag, make()) for flag, make, _ in specs])
+    status, out, err = run_captured(["--json", *argv])
+    assert status in (0, 1), err
+    residuals = [float(e["residual"]) for e in strict_entries(out)]
+    np.testing.assert_array_equal(residuals, [e.residual for e in reports[0].entries])
 
 
 @pytest.mark.parametrize("step", ["0", "-1e-5", "inf", "nan", "x"])

@@ -36,3 +36,21 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
+
+
+
+def _catches_everything(handler):
+    """Whether an except clause is bare or names Exception or BaseException."""
+    if handler.type is None:
+        return True
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")
+               for t in types)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_catch_all_except_clauses(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler) and _catches_everything(node)]
+    assert not lines, f"{module} catches every exception at lines {lines}"
