@@ -208,6 +208,11 @@ def in_isotropy(g, spec: IsotropyGroupSpec, tol: Tolerance = DEFAULT_TOL):
     return tol.accepts(resid, fro(spec.model.matrix)), resid
 
 
+def _location(x):
+    """A worst sample's location, ``x`` to 3 digits; "" when there is none."""
+    return "" if x is None else np.array2string(np.asarray(x), precision=3)
+
+
 def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Verify T_aa = Id, sampled invertibility, and the triple condition.
 
@@ -243,18 +248,18 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
         report.note("no triple overlaps declared: cocycle condition vacuous")
     for (a, b, c, points) in atlas.triple_overlaps:
         # each sample is judged at its own scale |T_ac(x)|; the entry keeps
-        # the worst absolute residual and where it occurred
+        # the worst absolute residual and the first sample attaining it
         ok = True
         worst = 0.0
-        where = ""
+        at = None
         for x in np.atleast_2d(points):
             lhs = atlas.transition_at(a, c, x)
             rhs = atlas.transition_at(a, b, x) @ atlas.transition_at(b, c, x)
             resid = fro(lhs - rhs)
             ok = ok and tol.accepts(resid, max(1.0, fro(lhs)))
             if resid > worst:
-                worst, where = resid, np.array2string(np.asarray(x), precision=3)
-        report.add(f"cocycle[{a},{b},{c}]", ok, worst, where)
+                worst, at = resid, x
+        report.add(f"cocycle[{a},{b},{c}]", ok, worst, _location(at))
 
     components = atlas.overlap_connectivity()
     if components > 1:
@@ -274,16 +279,17 @@ def check_reduction(atlas: ChartAtlas, spec: IsotropyGroupSpec,
     if not report.passed:
         report.note("cocycle precondition failed; isotropy entries reported anyway")
     for (a, b), points in atlas.overlaps.items():
+        # the location is the last sample attaining the worst residual
         worst = 0.0
         ok = True
-        where = ""
+        at = None
         for x in np.atleast_2d(points):
             t = atlas.transition_at(a, b, x)
             inside, resid = in_isotropy(t, spec, tol)
             if resid >= worst:
-                worst, where = resid, np.array2string(np.asarray(x), precision=3)
+                worst, at = resid, x
             ok = ok and inside
-        report.add(f"isotropy[{a},{b}]", ok, worst, where)
+        report.add(f"isotropy[{a},{b}]", ok, worst, _location(at))
     return report
 
 
@@ -404,15 +410,16 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
         if pts.shape[0] == 0:
             report.add(f"modelled[{chart.name}]", True, 0.0, "no samples declared")
             continue
+        # the location is the last failing sample attaining the worst residual
         ok = True
         worst = 0.0
-        where = ""
+        at = None
         for x in pts:
             value = field.at(chart.name, x)
             good, resid = _same_orbit(value, model_class, tol)
             if not good and resid >= worst:
-                worst, where = resid, np.array2string(x, precision=3)
+                worst, at = resid, x
             ok = ok and good
         report.add(f"modelled[{chart.name}]", ok, worst,
-                   where or f"{pts.shape[0]} samples")
+                   _location(at) or f"{pts.shape[0]} samples")
     return report

@@ -455,7 +455,8 @@ def is_metric_integrable(metric: TensorFieldOnChart, grid, tol=1e-6,
 
     The report's entry is ``curvature_residual``, the Frobenius norm of R at
     the worst grid point; ``step`` is the curvature's central-difference
-    step (defaults to the connection's).
+    step (defaults to the connection's).  A metric degenerate at some point
+    the curvature needs fails the entry with residual inf at that point.
     """
     conn = levi_civita(metric)
 
@@ -463,7 +464,15 @@ def is_metric_integrable(metric: TensorFieldOnChart, grid, tol=1e-6,
         riem = curvature(conn, points, step=step)
         return np.linalg.norm(riem.reshape(len(points), -1), axis=-1)
 
-    return _grid_report("curvature_residual", residuals, grid, tol, "integrable")
+    try:
+        return _grid_report("curvature_residual", residuals, grid, tol, "integrable")
+    except DegenerateMetricAtPoint as exc:
+        report = Report()
+        report.add("curvature_residual", False, np.inf,
+                   np.array2string(np.asarray(exc.point), precision=3))
+        report.note("verdict: not integrable")
+        report.note("metric degenerate")
+        return report
 
 
 def covariant_derivative_of_structure(conn: ConnectionData,

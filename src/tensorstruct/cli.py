@@ -5,11 +5,15 @@ usage error.  ``--json`` emits the machine-readable report as strict JSON
 (``Report.to_json``; re-parsing it reproduces every residual exactly); the
 randomized subcommands require an explicit ``--seed`` in that mode so the
 emitted bytes are reproducible.
+
+The argument parser is built once per process, on the first ``run``, and
+reused; ``run`` may be called any number of times in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -91,7 +95,15 @@ def _matrix_note(label, matrix):
         raise TensorStructError(f"{label} has non-finite entries") from exc
 
 
+@functools.cache
 def build_parser():
+    """The one argument parser of this process, built on the first call.
+
+    Reuse is safe because ``parse_args`` fills a fresh ``Namespace`` on each
+    call (subcommands parse into one of their own), no argument has a
+    mutable default, and every ``type=`` callable is stateless.  Callers
+    must not mutate the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="tensorstruct",
         description="Validate and construct tensor structures, check their "

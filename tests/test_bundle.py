@@ -343,3 +343,57 @@ def test_reduction_implies_locally_modelled_for_pushed_fields():
 
     field = LocalTensorField("1,1", {name: push(name) for name in "abc"})
     assert check_locally_modelled(field, atlas, I_SPEC).passed
+
+
+# ---------------------------------------------------------------------------
+# worst-sample locations
+# ---------------------------------------------------------------------------
+
+SAMPLES = np.arange(4.0).reshape(4, 1)
+
+
+def at_sample(k):
+    return np.array2string(SAMPLES[k], precision=3)
+
+
+def tabulated(values):
+    """A 1x1 evaluator taking ``values[k]`` at the sample x = k."""
+    return lambda x: [[values[int(x[0])]]]
+
+
+def location(report, prefix):
+    [entry] = [e for e in report.entries if e.name.startswith(prefix)]
+    return entry.location
+
+
+def test_worst_sample_locations_on_ties_and_zeros():
+    charts = [Chart(name, [-1.0], [4.0], SAMPLES) for name in "abc"]
+
+    def atlas(ac_values, ab_values=(1.0,) * 4):
+        return ChartAtlas(
+            fiber_dim=1, charts=charts,
+            overlaps={("a", "b"): SAMPLES},
+            transitions={("a", "b"): tabulated(ab_values),
+                         ("b", "c"): ConstantTransition([[1.0]]),
+                         ("a", "c"): tabulated(ac_values)},
+            triple_overlaps=[("a", "b", "c", SAMPLES)])
+
+    # cocycle: the first sample with the strict maximum; "" when all are 0
+    assert location(check_cocycle(atlas([1.0, 1.5, 1.5, 1.0])), "cocycle") == at_sample(1)
+    assert location(check_cocycle(atlas([1.0] * 4)), "cocycle") == ""
+    # isotropy of the unit form: g = 2 and g = -2 move it equally, so the
+    # last sample attaining the worst residual is reported; all 0 reports
+    # the last sample
+    spec = IsotropyGroupSpec(StructureMatrix([[1.0]], "2,0"))
+    tied = check_reduction(atlas([1.0] * 4, [1.0, 2.0, -2.0, 1.0]), spec)
+    assert location(tied, "isotropy") == at_sample(2)
+    assert location(check_reduction(atlas([1.0] * 4), spec), "isotropy") == at_sample(3)
+    # locally modelled: the last failing sample attaining the worst residual
+    # (every failing sample has residual 1); none failing reports the count
+    def modelled(values):
+        field = LocalTensorField("2,0", {"a": tabulated(values)})
+        return location(check_locally_modelled(field, ChartAtlas(1, charts[:1]), spec),
+                        "modelled")
+
+    assert modelled([-1.0, -1.0, 1.0, 1.0]) == at_sample(1)
+    assert modelled([1.0] * 4) == "4 samples"

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -207,6 +208,44 @@ def test_reduce_digest_covers_the_field_document(tmp_path, capsys):
     assert first != second
     assert first.split(",")[:2] == second.split(",")[:2]
     assert len(first.split(",")) == 3
+
+
+def sampled_atlas_doc():
+    """Three charts and eight samples on a line; T_ab = T_bc = 1 and T_ac
+    drifts from 1 along the line, so the cocycle residual grows from sample
+    to sample and the isotropy residuals of T_ab and T_bc are all 0."""
+    pts = [[0.1 * k, 0.0] for k in range(8)]
+    eye = np.eye(2).tolist()
+    drift = {"base": eye, "coeffs": [[[0.0, 1e-3], [0.0, 0.0]], np.zeros((2, 2)).tolist()]}
+    return {
+        "fiber_dim": 2,
+        "charts": [{"name": n, "lo": [-1, -1], "hi": [1, 1], "samples": pts} for n in "abc"],
+        "overlaps": [{"charts": ["a", "b"], "points": pts, "transition": {"constant": eye}},
+                     {"charts": ["b", "c"], "points": pts, "transition": {"constant": eye}},
+                     {"charts": ["a", "c"], "points": pts, "transition": {"affine": drift}}],
+        "triples": [{"charts": ["a", "b", "c"], "points": pts}],
+    }
+
+
+def test_bundle_checks_format_each_location_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, _original=np.array2string, **kwargs):
+        calls.append(args)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array2string", counted)
+    atlas = write(tmp_path, "atlas.json", sampled_atlas_doc())
+    tensor = write(tmp_path, "tensor.json", {"kind": "2,0", "matrix": np.eye(2).tolist()})
+    # an indefinite field fails, with the same residual, at every sample
+    field = write(tmp_path, "field.json",
+                  {"dim": 2, "field": {"name": "constant", "kind": "2,0",
+                                       "matrix": [[1.0, 0.0], [0.0, -1.0]]}})
+    for argv in (["cocycle", atlas], ["reduce", atlas, tensor, "--field", field]):
+        calls.clear()
+        assert run(["--json", *argv]) == 1
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        assert 0 < len(calls) <= len(entries), (argv, len(calls), len(entries))
 
 
 def test_nan_in_pair_exits_two(tmp_path):
@@ -489,6 +528,43 @@ def test_bad_flag_values_are_usage_errors(case, tmp_path, capsys):
     assert "usage:" in err and "Traceback" not in err
 
 
+def test_a_reused_parser_acts_as_a_fresh_one(tmp_path, monkeypatch):
+    structure = write(tmp_path, "structure.json", complex_canonical_doc())
+    valid = ["validate", structure]
+    argvs = [["loopspace", "demo", "--levels", "2"], valid,
+             ["--atol", "0", "--rtol", "0", *valid], valid]
+    for n, (flags, command, make, options) in enumerate(BAD_FLAGS.values()):
+        paths = [write(tmp_path, f"doc{n}.json", make())] if make else []
+        argvs += [[*flags, *command, *paths, *options], valid]
+    argvs.append(["--help"])
+    fresh = cli.build_parser.__wrapped__
+    for argv in argvs:
+        reused = run_captured(argv)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "build_parser", fresh)
+            assert run_captured(argv) == reused, argv
+    assert reused[0] == 0 and reused[1].startswith("usage: tensorstruct")
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.__wrapped__()
+    one_build = len(built)  # the root parser and its subparsers
+    built.clear()
+    path = write(tmp_path, "structure.json", complex_canonical_doc())
+    for _ in range(25):
+        assert run_captured(["validate", path])[0] == 0
+        assert run_captured(["--atol", "-1", "validate", path])[0] == 2
+    assert len(built) <= one_build
+
+
 def test_zero_atol_with_positive_rtol_is_accepted(tmp_path):
     path = write(tmp_path, "structure.json", complex_canonical_doc())
     assert run(["--atol", "0", "validate", path]) == 0
@@ -683,6 +759,25 @@ def test_curvature_subcommand(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [e["name"] for e in payload["entries"]] == ["curvature_residual"]
     assert payload["notes"] == ["verdict: integrable"]
+
+
+def test_degenerate_metric_is_a_failing_curvature_entry(tmp_path, capsys):
+    path = write(tmp_path, "degenerate.json",
+                 {"dim": 2, "field": {"name": "constant", "matrix": [[1, 0], [0, 0]]},
+                  "grid": {"counts": 2}})
+    where = np.array2string(np.array([-0.5, -0.5]), precision=3)
+    assert run(["curvature", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        f"FAIL  curvature_residual  residual=inf  [{where}]",
+        "note: verdict: not integrable", "note: metric degenerate",
+        "FAIL (1 checks, worst residual inf)"]
+    assert run(["--json", "curvature", path]) == 1
+    out = capsys.readouterr().out
+    assert strict_entries(out) == [{"location": where, "name": "curvature_residual",
+                                    "passed": False, "residual": "Infinity"}]
+    assert json.loads(out)["notes"] == ["verdict: not integrable", "metric degenerate"]
 
 
 def test_curvature_step_follows_fd_step_for_polynomial_metrics(tmp_path, capsys):

@@ -25,7 +25,7 @@ from tensorstruct.limits import (
     tuple_membership,
     validate_bonding,
 )
-from tensorstruct.linalg import DEFAULT_TOL, fro, rank_of
+from tensorstruct.linalg import DEFAULT_TOL, Tolerance, fro, rank_of
 from tensorstruct.report import Report
 
 # ---------------------------------------------------------------------------
@@ -181,18 +181,19 @@ def naive_connection_coherence(seq, pts, tol=DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def random_tower(rng, depth, variance, explicit):
+def random_tower(rng, depth, variance, explicit, gain=1.0):
     """Nondecreasing dims; padding maps, or dense random maps (and, for
-    direct towers, dense random projections)."""
+    direct towers, dense random projections) of entries ``gain`` times
+    standard normal."""
     dims = list(np.cumsum([int(rng.integers(1, 3))]
                           + [int(rng.integers(0, 2)) for _ in range(depth - 1)]))
     if not explicit:
         return BondingSystem.padded(dims, variance)
     pairs = list(zip(dims, dims[1:]))
     if variance == "projective":
-        return BondingSystem(dims, variance, [rng.normal(size=(a, b)) for a, b in pairs])
-    return BondingSystem(dims, variance, [rng.normal(size=(b, a)) for a, b in pairs],
-                         [rng.normal(size=(a, b)) for a, b in pairs])
+        return BondingSystem(dims, variance, [gain * rng.normal(size=(a, b)) for a, b in pairs])
+    return BondingSystem(dims, variance, [gain * rng.normal(size=(b, a)) for a, b in pairs],
+                         [gain * rng.normal(size=(a, b)) for a, b in pairs])
 
 
 def entries(report):
@@ -231,12 +232,20 @@ def test_tables_equal_composites_bit_for_bit(depth, variance, explicit, seed):
                 assert same_bits(projs[i][j], naive_projection(b, i, j))
 
 
+# tolerances at which large composites pass some composition laws only at
+# their relative scale max(|lhs|, 1), and fail others
+TOLS = [DEFAULT_TOL, Tolerance(0.0, 1e-15), Tolerance(1e-16, 1e-14)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(**towers, kind=st.sampled_from(["1,1", "2,0"]))
-def test_tower_checks_match_the_per_pair_loops(depth, variance, explicit, seed, kind):
+@given(**towers, kind=st.sampled_from(["1,1", "2,0"]), gain=st.sampled_from([1.0, 30.0]),
+       tol=st.sampled_from(TOLS))
+def test_tower_checks_match_the_per_pair_loops(depth, variance, explicit, seed, kind,
+                                                gain, tol):
     rng = np.random.default_rng(seed)
-    b = random_tower(rng, depth, variance, explicit)
-    assert entries(validate_bonding(b)) == entries(naive_validate_bonding(b))
+    b = random_tower(rng, depth, variance, explicit, gain)
+    # names, verdicts, residuals and locations, entry for entry
+    assert entries(validate_bonding(b, tol)) == entries(naive_validate_bonding(b, tol))
 
     seq = CoherentSequence(b, [rng.normal(size=(d, d)) for d in b.dims], kind)
     assert entries(check_coherent(seq)) == entries(naive_check_coherent(seq))
@@ -244,6 +253,17 @@ def test_tower_checks_match_the_per_pair_loops(depth, variance, explicit, seed, 
     level = int(rng.integers(0, depth + 1))
     tup = LevelTuple(b, [rng.normal(size=(d, d)) for d in b.dims[:level]])
     assert entries(tuple_membership(tup)) == entries(naive_tuple_membership(tup))
+
+
+@pytest.mark.parametrize("variance", ["projective", "direct"])
+@pytest.mark.parametrize("tol", TOLS)
+def test_composition_laws_keep_their_verdicts_at_the_relative_scale(variance, tol):
+    b = random_tower(np.random.default_rng(0), 8, variance, True, gain=30.0)
+    report = validate_bonding(b, tol)
+    assert entries(report) == entries(naive_validate_bonding(b, tol))
+    laws = [e for e in report.entries if "composition[" in e.name]
+    # some laws pass only at the relative scale, so both tests are exercised
+    assert any(e.passed and not tol.accepts(e.residual) for e in laws)
 
 
 @settings(max_examples=30, deadline=None)
