@@ -333,13 +333,12 @@ def _orbit_class(model: StructureMatrix, tol):
         "complex, involutive, nilpotent-of-order-2")
 
 
-def rank_pattern(m, tol=DEFAULT_TOL, max_power=None):
+def rank_pattern(m, tol=DEFAULT_TOL):
     """Ranks of successive powers, a complete nilpotent conjugation invariant."""
     n = m.shape[0]
-    max_power = max_power or n
     out = []
     p = np.eye(n)
-    for _ in range(max_power):
+    for _ in range(n):
         p = p @ m
         r = kernel_and_image(p, tol)[2]
         out.append(r)

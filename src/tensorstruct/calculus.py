@@ -2,17 +2,23 @@
 
 Lie brackets, the bracket-defect (Nijenhuis) tensor, the metric connection
 from the Koszul identity, curvature, and covariant derivatives of structure
-fields.  Fields evaluate at one point or at every row of a ``(P, d)`` array
-of points, and come in three derivative modes:
+fields.
 
-  * polynomial: entries are ``Poly`` objects, compiled once and
-    differentiated exactly (the oracle mode);
+One field core serves ``VectorField`` (vector values) and
+``TensorFieldOnChart`` (matrix values).  It evaluates a field at one point
+or at every row of a ``(P, d)`` array of points, and returns every partial
+derivative at once in the derivative mode the field's data selects:
+
+  * polynomial: entries are ``Poly`` objects whose partials are compiled
+    once into a ``PolyArray`` and are exact (the oracle mode);
   * analytic: a closed-form gradient callable supplies the partials;
-  * finite differences: any callable, differentiated by central differences
-    with an explicit step (default 1e-5).
+  * finite differences: any callable, differentiated by one batched central
+    difference over every point shifted by the step along each axis
+    (default step 1e-5).
 
-Built-in fields take point arrays directly; a user callable written for one
-point is mapped over the rows.
+Built-in fields, brackets and images take point arrays directly; a user
+callable is called once per point unless a ``TensorFieldOnChart`` declares
+it ``vectorized``.
 
 On coordinate fields the brackets vanish, so the Koszul identity reduces to
 ``2 g(grad_i e_j, e_k) = d_i g_jk + d_j g_ki - d_k g_ij`` and the Christoffel
@@ -21,11 +27,15 @@ evaluator by central differences with its own step, in every derivative
 mode; the CLI passes the field document's ``fd_step`` (else ``--fd-step``).
 The grid checks evaluate every grid point and every shifted point they need
 in one call, so a check costs a fixed number of numpy calls per block of
-points rather than per point.
+points rather than per point.  They decide with a ``Tolerance``, by default
+``GRID_TOL`` (absolute 1e-6); a check about the input (a field that is not
+a structure of the asked kind, a degenerate metric) fails its entry with
+residual inf at the first bad point instead of raising.
 
 Conventions: ``christoffel[k, i, j]`` is the e_k-component of the derivative
 of e_j along e_i; ``curvature[i, j, k, l]`` is the e_i-component of
-R(e_k, e_l) e_j; ``partials(x)[..., i, :, :]`` is d_i of a matrix field.
+R(e_k, e_l) e_j; ``partials(x)[..., i, :]`` is d_i of a vector field and
+``partials(x)[..., i, :, :]`` is d_i of a matrix field.
 """
 
 from __future__ import annotations
@@ -35,17 +45,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateMetricAtPoint,
-    InvalidStructureAtPoint,
-    ModeMismatch,
-)
+from .errors import DegenerateMetricAtPoint, ModeMismatch
 from .linalg import DEFAULT_TOL, Tolerance
 from .poly import Poly, PolyArray
 from .report import Report
 
 __all__ = [
     "DEFAULT_FD_STEP",
+    "GRID_TOL",
     "VectorField",
     "TensorFieldOnChart",
     "ConnectionData",
@@ -67,6 +74,11 @@ __all__ = [
 ]
 
 DEFAULT_FD_STEP = 1e-5
+
+# the grid checks pass when the worst residual is at most 1e-6
+GRID_TOL = Tolerance(atol=1e-6, rtol=0.0)
+# A^2 = 0, 1 or -1 within 1e-6 relative to max(|A|^2, 1)
+_IDENTITY_TOL = Tolerance(atol=0.0, rtol=1e-6)
 
 # grid checks hold O(points) intermediate arrays; blocks bound their memory
 _BLOCK_POINTS = 2048
@@ -91,18 +103,66 @@ def _shifted(x, offsets):
 # fields
 # ---------------------------------------------------------------------------
 
-class VectorField:
+class _ChartField:
+    """The field core: values of shape ``(dim,) * rank`` and their partials.
+
+    The derivative mode is data: ``polys`` (exact; a list of ``Poly`` for
+    rank 1, a nested list for rank 2), ``gradient`` (a callable
+    ``x, i -> d_i F(x)``) or neither (central differences with ``step``).
+    ``vectorized`` says that ``fn`` and ``gradient`` accept a ``(..., d)``
+    array of points; otherwise they are called once per point.
+    """
+
+    def __init__(self, dim, rank, fn, step, polys, gradient, vectorized):
+        self.dim = int(dim)
+        self.shape = (self.dim,) * rank
+        self.fn = fn
+        self.step = float(step)
+        self.polys = polys
+        self.gradient = gradient
+        self.vectorized = vectorized
+        self._poly_partials = None  # compiled on first use, polynomial mode
+
+    def _on_points(self, fn, x, shape):
+        """fn at one point, or stacked over the rows of x (shape per row)."""
+        if x.ndim == 1 or self.vectorized:
+            return np.asarray(fn(x), dtype=float)
+        rows = [fn(p) for p in x.reshape(-1, x.shape[-1])]
+        return np.array(rows, dtype=float).reshape(x.shape[:-1] + shape)
+
+    def __call__(self, x):
+        """F(x) for one point, or F at every row of a (..., d) array."""
+        return self._on_points(self.fn, np.asarray(x, dtype=float), self.shape)
+
+    def partials(self, x):
+        """Every partial derivative: ``partials(x)[..., i, ...]`` is d_i F."""
+        x = np.asarray(x, dtype=float)
+        n = self.dim
+        shape = (n,) + self.shape
+        if self.polys is not None:
+            if self._poly_partials is None:
+                entries = self.polys if len(self.shape) == 1 else [
+                    p for row in self.polys for p in row]
+                self._poly_partials = PolyArray(p.diff(i) for i in range(n) for p in entries)
+            return self._poly_partials(x).reshape(x.shape[:-1] + shape)
+        if self.gradient is not None:
+            def gradients(p):
+                return np.stack([self.gradient(p, i) for i in range(n)], axis=-len(shape))
+            return self._on_points(gradients, x, shape)
+        offsets = self.step * np.eye(n)
+        return (self(_shifted(x, offsets)) - self(_shifted(x, -offsets))) / (2.0 * self.step)
+
+
+class VectorField(_ChartField):
     """Vector field on a chart, with FD or exact-polynomial derivatives.
 
-    Build from a callable (``VectorField(dim, fn, step=...)``) or from
-    polynomial components (``VectorField.from_polys([p1, .., pd])``).
+    Build from a callable (``VectorField(dim, fn, step=...)``, called once
+    per point) or from polynomial components
+    (``VectorField.from_polys([p1, .., pd])``).
     """
 
     def __init__(self, dim, fn: Callable, step=DEFAULT_FD_STEP, polys=None):
-        self.dim = int(dim)
-        self.fn = fn
-        self.step = float(step)
-        self.polys = polys  # list[Poly] in polynomial mode, else None
+        super().__init__(dim, 1, fn, step, polys, None, polys is not None)
 
     @classmethod
     def from_polys(cls, polys: Sequence[Poly]):
@@ -123,50 +183,33 @@ class VectorField:
         vec[index] = 1.0
         return cls.constant(vec)
 
-    @property
-    def mode(self):
-        return "polynomial" if self.polys is not None else "fd"
 
-    def __call__(self, x):
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def jacobian(self, x):
-        """d(component i)/d(x_j) as an (dim, dim) array."""
-        x = np.asarray(x, dtype=float)
-        if self.polys is not None:
-            return np.array([[p.diff(j)(x) for j in range(self.dim)]
-                             for p in self.polys])
-        out = np.zeros((self.dim, self.dim))
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = self.step
-            out[:, j] = (self(x + e) - self(x - e)) / (2.0 * self.step)
-        return out
+def _on_arrays(dim, fn, step):
+    """A finite-difference vector field whose fn takes point arrays."""
+    field = VectorField(dim, fn, step=step)
+    field.vectorized = True
+    return field
 
 
-class TensorFieldOnChart:
+class TensorFieldOnChart(_ChartField):
     """Matrix-valued field of a declared kind ("1,1" or "2,0").
 
-    The derivative mode is data: ``polys`` (exact), ``gradient`` (a callable
-    ``x, i -> d_i T(x)``) or neither (central differences with ``step``).
-    ``vectorized`` says that ``fn`` and ``gradient`` accept a ``(..., d)``
-    array of points; otherwise they are called once per point.
+    The derivative mode is data, as in the field core: ``polys`` (exact),
+    ``gradient`` (a callable ``x, i -> d_i T(x)``) or neither (central
+    differences with ``step``).
     """
 
     def __init__(self, dim, kind, fn: Callable, step=DEFAULT_FD_STEP,
                  polys=None, gradient: Optional[Callable] = None,
                  symmetry="symmetric", vectorized=False):
-        self.dim = int(dim)
         if kind not in ("1,1", "2,0"):
             raise ValueError(f"unknown tensor kind {kind!r}")
+        super().__init__(dim, 2, fn, step, polys, gradient, vectorized)
         self.kind = kind
-        self.fn = fn
-        self.step = float(step)
-        self.polys = polys  # (dim, dim) nested list of Poly, or None
-        self.gradient = gradient  # x, i -> matrix, or None
         self.symmetry = symmetry
-        self.vectorized = vectorized
-        self._poly_partials = None  # compiled on first use, polynomial mode
+
+    # its own entry, so bench/tracing.py can wrap this class's calls alone
+    __call__ = _ChartField.__call__
 
     @classmethod
     def from_polys(cls, polys, kind, symmetry="symmetric"):
@@ -188,44 +231,7 @@ class TensorFieldOnChart:
                  for i in range(dim)]
         return cls.from_polys(polys, kind, symmetry)
 
-    @property
-    def mode(self):
-        if self.polys is not None:
-            return "polynomial"
-        return "analytic" if self.gradient is not None else "fd"
-
-    def _on_points(self, fn, x, shape):
-        """fn at one point, or stacked over the rows of x (shape per row)."""
-        if x.ndim == 1 or self.vectorized:
-            return np.asarray(fn(x), dtype=float)
-        rows = [fn(p) for p in x.reshape(-1, x.shape[-1])]
-        return np.array(rows, dtype=float).reshape(x.shape[:-1] + shape)
-
-    def __call__(self, x):
-        """T(x) for one point, or T at every row of a (..., d) array."""
-        x = np.asarray(x, dtype=float)
-        return self._on_points(self.fn, x, (self.dim, self.dim))
-
-    def partials(self, x):
-        """Every partial derivative: ``partials(x)[..., i, :, :]`` is d_i T."""
-        x = np.asarray(x, dtype=float)
-        n = self.dim
-        if self.polys is not None:
-            if self._poly_partials is None:
-                self._poly_partials = PolyArray(
-                    p.diff(i) for i in range(n) for row in self.polys for p in row)
-            return self._poly_partials(x).reshape(x.shape[:-1] + (n, n, n))
-        if self.gradient is not None:
-            def gradients(p):
-                return np.stack([self.gradient(p, i) for i in range(n)], axis=-3)
-            return self._on_points(gradients, x, (n, n, n))
-        offsets = self.step * np.eye(n)
-        return (self(_shifted(x, offsets)) - self(_shifted(x, -offsets))) / (2.0 * self.step)
-
-    def partial(self, x, i):
-        return self.partials(x)[..., i, :, :]
-
-    def apply(self, x_field: "VectorField") -> "VectorField":
+    def apply(self, x_field: VectorField) -> VectorField:
         """Pointwise image field x -> T(x) X(x), staying exact when possible."""
         if self.polys is not None and x_field.polys is not None:
             comps = []
@@ -235,17 +241,17 @@ class TensorFieldOnChart:
                     acc = acc + self.polys[i][j] * x_field.polys[j]
                 comps.append(acc)
             return VectorField.from_polys(comps)
-        step = min(self.step, x_field.step)
-        return VectorField(self.dim, lambda x: self(x) @ x_field(x), step=step)
+        return _on_arrays(self.dim, lambda x: (self(x) @ x_field(x)[..., None])[..., 0],
+                          min(self.step, x_field.step))
 
 
-def _grid_report(name, residuals_of, grid, tol, label) -> Report:
+def _grid_report(name, residuals_of, grid, tol: Tolerance, label) -> Report:
     """One-entry report of the largest per-point residual over the grid.
 
     ``residuals_of`` maps a block of points to one residual per point.  The
-    entry passes when that residual is at most ``tol``; its location is the
-    first point attaining it, and "" when it is 0.  The note is
-    ``verdict: <label>``, or ``verdict: not <label>`` on failure.
+    entry passes when ``tol`` accepts that residual (at scale 1); its
+    location is the first point attaining it, and "" when it is 0.  The note
+    is ``verdict: <label>``, or ``verdict: not <label>`` on failure.
     """
     points = np.atleast_2d(np.asarray(grid, dtype=float))
     blocks = [residuals_of(points[s:s + _BLOCK_POINTS])
@@ -256,10 +262,19 @@ def _grid_report(name, residuals_of, grid, tol, label) -> Report:
         k = int(np.argmax(resid))
         if resid[k] != 0.0:
             worst, where = float(resid[k]), np.array2string(points[k], precision=3)
-    passed = worst <= tol
+    passed = tol.accepts(worst)
     report = Report()
     report.add(name, passed, worst, where)
     report.note(f"verdict: {label if passed else 'not ' + label}")
+    return report
+
+
+def _bad_input_report(name, point, label, reason) -> Report:
+    """The failing entry of a grid check whose input is bad at ``point``."""
+    report = Report()
+    report.add(name, False, np.inf, np.array2string(np.asarray(point), precision=3))
+    report.note(f"verdict: not {label}")
+    report.note(reason)
     return report
 
 
@@ -288,12 +303,12 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
             comps.append(acc)
         return VectorField.from_polys(comps)
 
-    step = min(x_field.step, y_field.step)
-
     def fn(x):
-        return y_field.jacobian(x) @ x_field(x) - x_field.jacobian(x) @ y_field(x)
+        # partials(x)[..., j, i] = d_j of component i
+        return (np.einsum("...j,...ji->...i", x_field(x), y_field.partials(x))
+                - np.einsum("...j,...ji->...i", y_field(x), x_field.partials(x)))
 
-    return VectorField(dim, fn, step=step)
+    return _on_arrays(dim, fn, min(x_field.step, y_field.step))
 
 
 def _defect_tensor(a, da):
@@ -332,7 +347,7 @@ _STRUCTURE_SQUARES = {"tangent": 0.0, "para_complex": 1.0, "complex": -1.0}
 
 
 def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
-                            tol=1e-6) -> Report:
+                            tol: Tolerance = GRID_TOL) -> Report:
     """Evaluate the bracket-defect tensor on coordinate pairs over a grid.
 
     ``kind`` is "tangent", "para_complex" or "complex"; the report's entry
@@ -342,27 +357,34 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
     to be sufficient there).  The residual at a point is the largest norm of
     N(e_i, e_j) over pairs i < j.
 
-    Raises InvalidStructureAtPoint at the first grid point where the field
-    fails its algebraic identity (A^2 = 0, 1 or -1 within 1e-6, relative to
-    max(|A|^2, 1)).
+    A field that fails its algebraic identity (A^2 = 0, 1 or -1 within 1e-6,
+    relative to max(|A|^2, 1)) at some grid point fails the entry with
+    residual inf at the first such point and the note ``not a <kind>
+    structure``.
     """
     if kind not in _STRUCTURE_SQUARES:
         raise ValueError(f"unknown structure kind {kind!r}")
     identity = _STRUCTURE_SQUARES[kind] * np.eye(field.dim)
     upper = np.triu_indices(field.dim, 1)
 
+    invalid_at = []  # the first point where the field is not a structure
+
     def residuals(points):
         a = field(points)
-        scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)) ** 2, 1.0)
-        invalid = np.linalg.norm(a @ a - identity, axis=(-2, -1)) / scale > 1e-6
-        if invalid.any():
-            x = points[np.argmax(invalid)]
-            raise InvalidStructureAtPoint(x, f"field is not a {kind} structure at {x}")
+        valid = _IDENTITY_TOL.accepts(np.linalg.norm(a @ a - identity, axis=(-2, -1)),
+                                      np.maximum(np.linalg.norm(a, axis=(-2, -1)) ** 2, 1.0))
+        if not valid.all():
+            invalid_at.append(points[np.argmin(valid)])
+            return np.zeros(len(points))
         defect = _defect_tensor(a, field.partials(points))[..., upper[0], upper[1]]
         return np.linalg.norm(defect, axis=-2).max(axis=-1, initial=0.0)
 
+    name = f"defect_tensor_{kind}"
     label = "formally integrable" if kind == "complex" else "integrable"
-    return _grid_report(f"defect_tensor_{kind}", residuals, grid, tol, label)
+    report = _grid_report(name, residuals, grid, tol, label)
+    if invalid_at:
+        return _bad_input_report(name, invalid_at[0], label, f"not a {kind} structure")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -371,42 +393,35 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
 
 @dataclass
 class ConnectionData:
-    """Christoffel evaluator x -> Gamma[..., k, i, j] plus its source metric.
+    """The metric connection of ``metric`` on coordinate fields.
 
-    ``x`` is one point or a (..., d) array of points.
+    ``conn(x)`` is the Christoffel array Gamma[..., k, i, j] at one point or
+    at every row of a (..., d) array of points, solved from the Koszul
+    identity with the metric's values and partials.  A metric whose smallest
+    singular value is at most ``tol.rank_threshold`` of its largest raises
+    DegenerateMetricAtPoint at the first such point, in row order.  ``step``
+    is the default central-difference step of ``curvature``.
     """
 
-    dim: int
-    christoffel: Callable
     metric: TensorFieldOnChart
     step: float = DEFAULT_FD_STEP
+    tol: Tolerance = DEFAULT_TOL
+
+    @property
+    def dim(self):
+        return self.metric.dim
 
     def __call__(self, x):
-        return self.christoffel(np.asarray(x, dtype=float))
-
-
-def levi_civita(metric: TensorFieldOnChart,
-                tol: Tolerance = DEFAULT_TOL) -> ConnectionData:
-    """Metric connection from the Koszul identity on coordinate fields.
-
-    Works for any nondegenerate symmetric field (either signature).  The
-    returned Christoffel array is symmetric in its lower indices by
-    construction; degeneracy raises DegenerateMetricAtPoint at the first
-    degenerate evaluation point, in row order.
-    """
-    if metric.kind != "2,0":
-        raise ModeMismatch("connection needs a (2,0) metric field")
-    dim = metric.dim
-
-    def christoffel(x):
-        g = metric(x)
-        partials = metric.partials(x)
+        x = np.asarray(x, dtype=float)
+        dim = self.dim
+        g = self.metric(x)
+        partials = self.metric.partials(x)
         # rhs[..., k, i, j] = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
         rhs = 0.5 * (np.einsum("...ijk->...kij", partials)
                      + np.einsum("...jik->...kij", partials)
                      - partials)
         sv = np.linalg.svd(g, compute_uv=False)
-        degenerate = sv[..., -1] <= tol.rank_threshold(sv[..., 0])
+        degenerate = sv[..., -1] <= self.tol.rank_threshold(sv[..., 0])
         if degenerate.any():
             first = np.unravel_index(np.argmax(degenerate), degenerate.shape)
             raise DegenerateMetricAtPoint(x[first])
@@ -414,10 +429,22 @@ def levi_civita(metric: TensorFieldOnChart,
         gamma = np.linalg.solve(g, rhs.reshape(batch + (dim, dim * dim)))
         return gamma.reshape(batch + (dim, dim, dim))
 
+
+def levi_civita(metric: TensorFieldOnChart,
+                tol: Tolerance = DEFAULT_TOL) -> ConnectionData:
+    """Metric connection from the Koszul identity on coordinate fields.
+
+    Works for any nondegenerate symmetric field (either signature).  The
+    Christoffel array is symmetric in its lower indices by construction;
+    degeneracy (judged by ``tol``) raises DegenerateMetricAtPoint when the
+    connection is evaluated.
+    """
+    if metric.kind != "2,0":
+        raise ModeMismatch("connection needs a (2,0) metric field")
     # exact-mode metrics carry an infinite step; the connection still needs a
     # finite one for the outer derivatives taken by curvature()
     step = metric.step if np.isfinite(metric.step) else DEFAULT_FD_STEP
-    return ConnectionData(dim, christoffel, metric, step=step)
+    return ConnectionData(metric, step, tol)
 
 
 def curvature(conn: ConnectionData, x, step=None):
@@ -428,8 +455,9 @@ def curvature(conn: ConnectionData, x, step=None):
                         - Gamma[i, l, m] Gamma[m, k, j]
 
     The Christoffel evaluator is differentiated by central differences with
-    ``step`` (defaults to the connection's step; ValueError unless positive).  It runs once, on every
-    point and its shifts in the order x, x + h e_0, x - h e_0, x + h e_1, ...
+    ``step`` (defaults to the connection's step; ValueError unless
+    positive).  It runs once, on every point and its shifts in the order x,
+    x + h e_0, x - h e_0, x + h e_1, ...
     """
     x = np.asarray(x, dtype=float)
     dim = conn.dim
@@ -449,8 +477,8 @@ def curvature(conn: ConnectionData, x, step=None):
             - np.einsum("...ilm,...mkj->...ijkl", gamma, gamma))
 
 
-def is_metric_integrable(metric: TensorFieldOnChart, grid, tol=1e-6,
-                         step=None) -> Report:
+def is_metric_integrable(metric: TensorFieldOnChart, grid,
+                         tol: Tolerance = GRID_TOL, step=None) -> Report:
     """Flatness check: the metric is an integrable structure iff R vanishes.
 
     The report's entry is ``curvature_residual``, the Frobenius norm of R at
@@ -467,17 +495,13 @@ def is_metric_integrable(metric: TensorFieldOnChart, grid, tol=1e-6,
     try:
         return _grid_report("curvature_residual", residuals, grid, tol, "integrable")
     except DegenerateMetricAtPoint as exc:
-        report = Report()
-        report.add("curvature_residual", False, np.inf,
-                   np.array2string(np.asarray(exc.point), precision=3))
-        report.note("verdict: not integrable")
-        report.note("metric degenerate")
-        return report
+        return _bad_input_report("curvature_residual", exc.point, "integrable",
+                                 "metric degenerate")
 
 
 def covariant_derivative_of_structure(conn: ConnectionData,
                                       field: TensorFieldOnChart, grid,
-                                      tol=1e-6) -> Report:
+                                      tol: Tolerance = GRID_TOL) -> Report:
     """Max norm over the grid of the covariant derivative of a (1,1) field,
     reported as the entry ``covariant_derivative``:
 

@@ -253,14 +253,15 @@ def _dispatch(args, tol, rng) -> Report:
     if args.command == "nijenhuis":
         doc, digest = _load(args.field)
         field, grid = documents.parse_field(doc, fd_step=args.fd_step)
-        report = is_integrable_structure(field, args.kind, grid, tol=args.tol)
+        report = is_integrable_structure(field, args.kind, grid,
+                                         Tolerance(atol=args.tol, rtol=0.0))
         report.command, report.digest = "nijenhuis", digest
         return report
 
     if args.command == "curvature":
         doc, digest = _load(args.metric)
         field, grid = documents.parse_field(doc, fd_step=args.fd_step)
-        report = is_metric_integrable(field, grid, tol=args.tol,
+        report = is_metric_integrable(field, grid, Tolerance(atol=args.tol, rtol=0.0),
                                       step=documents.field_step(doc, args.fd_step))
         report.command, report.digest = "curvature", digest
         return report

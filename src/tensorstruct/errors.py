@@ -68,12 +68,6 @@ class DegenerateMetricAtPoint(TensorStructError):
         super().__init__(message or f"metric degenerate at {point}")
 
 
-class InvalidStructureAtPoint(TensorStructError):
-    def __init__(self, point, message=""):
-        self.point = point
-        super().__init__(message or f"structure invalid at {point}")
-
-
 class ShapeMismatch(TensorStructError):
     pass
 

@@ -549,8 +549,7 @@ def _algebra_residual(w, kind, model):
 
 
 def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
-                               tol: Tolerance = DEFAULT_TOL,
-                               tangents=None) -> Report:
+                               tol: Tolerance = DEFAULT_TOL) -> Report:
     """Levelwise adaptedness plus the cross-level pullback relations.
 
     Projective towers: the level-i form evaluated on pushed-down data must
@@ -564,8 +563,8 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
         form_j(inc(i,j) x)(inc(i,j) v) = L form_i(x)(v) R.
 
     ``sample_points`` live at the top level for projective towers and at
-    the bottom level for direct towers; ``tangents`` defaults to the
-    coordinate directions of that level.
+    the bottom level for direct towers, and the tangents are the coordinate
+    directions of that level.
     """
     report = Report()
     b = seq.bonding
@@ -576,8 +575,6 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     if pts.shape[1] != dim:
         raise ShapeMismatch(f"sample points have dim {pts.shape[1]}, want {dim}")
-    if tangents is None:
-        tangents = list(np.eye(dim))
 
     maps = b.map_table()
     projs = (b.projection_table() if variance == "direct" and b.projections is not None
@@ -593,7 +590,7 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
     adapted = [0.0] * n
     coherent = [0.0] * len(pairs)
     for x in pts:
-        for v in tangents:
+        for v in np.eye(dim):
             # the sample on every level and each level's form value there;
             # adaptedness is sampled on each level's own data
             moved = [(lam @ x, lam @ v) for lam in onto]
@@ -617,5 +614,5 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
                    tol.accepts(adapted[lvl], max(fro(model), 1.0)), adapted[lvl])
     for (i, j), worst in zip(pairs, coherent):
         report.add(f"coherent[{i},{j}]", tol.accepts(worst, 1.0), worst)
-    report.note(f"{pts.shape[0]} sample points, {len(tangents)} tangent directions")
+    report.note(f"{pts.shape[0]} sample points, {dim} tangent directions")
     return report

@@ -203,7 +203,7 @@ def test_criterion_4_nijenhuis_criterion():
             kind = "para_complex"
         phi = random_quadratic_diffeo(2, rng)
         field = pullback_endomorphism(phi, base)
-        report = is_integrable_structure(field, kind, grid, tol=1e-6)
+        report = is_integrable_structure(field, kind, grid, tol=Tolerance(atol=1e-6, rtol=0.0))
         assert report.passed, f"trial {trial}: residual {report.worst_residual}"
         worst = max(worst, report.worst_residual)
     pullback_ok = worst <= 1e-6
@@ -219,7 +219,8 @@ def test_criterion_4_nijenhuis_criterion():
             return basis @ np.diag([1.0, 1.0, -1.0, -1.0]) @ np.linalg.inv(basis)
 
         field = TensorFieldOnChart(4, "1,1", fn, symmetry="none")
-        report = is_integrable_structure(field, "para_complex", grid4, tol=1e-6)
+        report = is_integrable_structure(field, "para_complex", grid4,
+                                         tol=Tolerance(atol=1e-6, rtol=0.0))
         assert not report.passed
         weakest = min(weakest, report.worst_residual)
     counter_ok = weakest >= 1e-2

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorstruct.calculus import (
+    GRID_TOL,
     ConnectionData,
     TensorFieldOnChart,
     VectorField,
@@ -22,7 +23,8 @@ from tensorstruct.calculus import (
     sphere_stereographic_metric,
     PolyMap,
 )
-from tensorstruct.errors import DegenerateMetricAtPoint, InvalidStructureAtPoint
+from tensorstruct.errors import DegenerateMetricAtPoint
+from tensorstruct.linalg import Tolerance
 from tensorstruct.poly import Poly
 from tensorstruct.structures import complex_canonical, para_complex_canonical, tangent_canonical
 
@@ -79,6 +81,27 @@ def test_jacobi_identity_polynomial_exact_fd_approximate():
 
     fd_fields = [VectorField(2, f, step=1e-5) for f in fields]
     assert np.linalg.norm(jacobi(fd_fields)) <= 1e-7
+
+
+def test_fd_bracket_evaluates_on_point_arrays():
+    # callables written for one point, so every derivative is a central
+    # difference; brackets, nested brackets and images take (P, d) arrays
+    x_field = VectorField(2, lambda p: np.array([np.sin(p[1]), p[0] * p[1]]))
+    y_field = VectorField(2, lambda p: np.array([p[0] ** 2, np.cos(p[0])]))
+    exact = poly_vector(2, [{(0, 1): 0.5}, {(1, 0): -1.0, (0, 0): 0.2}])
+    bracket = lie_bracket(x_field, y_field)
+    points = grid_points([-0.5, -0.5], [0.5, 0.5], [3, 4])
+    for field in (bracket, lie_bracket(bracket, exact), lie_bracket(exact, bracket),
+                  rotation_by_x_field().apply(y_field)):
+        batch = field(points)
+        assert batch.shape == points.shape
+        np.testing.assert_allclose(batch, np.stack([field(p) for p in points]),
+                                   rtol=1e-13, atol=1e-13)
+    # the bracket agrees with its closed form, (X . grad) Y - (Y . grad) X
+    x, y = points[:, 0], points[:, 1]
+    closed = np.stack([2 * x * np.sin(y) - np.cos(x) * np.cos(y),
+                       -np.sin(x) * np.sin(y) - (x ** 2 * y + x * np.cos(x))], axis=-1)
+    np.testing.assert_allclose(bracket(points), closed, rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +188,7 @@ def test_defect_vanishes_on_kernel_sections_of_tangent_structure():
 
 def test_constant_tangent_field_integrable():
     field = constant_field(tangent_canonical(2).matrix, "1,1", "none")
-    report = is_integrable_structure(field, "tangent", GRID2, tol=1e-6)
+    report = is_integrable_structure(field, "tangent", GRID2, tol=Tolerance(atol=1e-6, rtol=0.0))
     assert report.passed
     assert report.notes == ["verdict: integrable"]
 
@@ -174,13 +197,13 @@ def test_pullback_tangent_field_integrable():
     rng = np.random.default_rng(8)
     phi = random_quadratic_diffeo(2, rng)
     field = pullback_endomorphism(phi, tangent_canonical(2).matrix)
-    report = is_integrable_structure(field, "tangent", GRID2, tol=1e-6)
+    report = is_integrable_structure(field, "tangent", GRID2, tol=Tolerance(atol=1e-6, rtol=0.0))
     assert report.passed, report.worst_residual
 
 
 def test_complex_field_verdict_is_formal_only():
     field = constant_field(complex_canonical(2).matrix, "1,1", "none")
-    report = is_integrable_structure(field, "complex", GRID2, tol=1e-6)
+    report = is_integrable_structure(field, "complex", GRID2, tol=Tolerance(atol=1e-6, rtol=0.0))
     assert report.passed
     assert report.notes == ["verdict: formally integrable"]
 
@@ -195,15 +218,18 @@ def test_non_involutive_para_field_not_integrable():
 
     field = TensorFieldOnChart(4, "1,1", fn, symmetry="none")
     grid = grid_points([-0.5] * 4, [0.5] * 4, 2)
-    report = is_integrable_structure(field, "para_complex", grid, tol=1e-6)
+    report = is_integrable_structure(field, "para_complex", grid,
+                                     tol=Tolerance(atol=1e-6, rtol=0.0))
     assert not report.passed
     assert report.worst_residual >= 1e-2
 
 
 def test_integrability_rejects_invalid_structure_field():
     field = constant_field(np.diag([1.0, 2.0]), "1,1", "none")
-    with pytest.raises(InvalidStructureAtPoint):
-        is_integrable_structure(field, "para_complex", GRID2)
+    report = is_integrable_structure(field, "para_complex", GRID2)
+    assert [(e.name, e.passed, e.residual, e.location) for e in report.entries] == [
+        ("defect_tensor_para_complex", False, np.inf, np.array2string(GRID2[0], precision=3))]
+    assert report.notes == ["verdict: not integrable", "not a para_complex structure"]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +271,7 @@ def test_connection_is_torsion_free_and_metric_compatible():
         # grad g = 0: d_i g_jk = Gamma^m_ij g_mk + Gamma^m_ik g_jm
         g = metric(x)
         for i in range(2):
-            dg = metric.partial(x, i)
+            dg = metric.partials(x)[..., i, :, :]
             reconstructed = gamma[:, i, :].T @ g + g @ gamma[:, i, :]
             np.testing.assert_allclose(dg, reconstructed, atol=1e-9)
 
@@ -302,15 +328,15 @@ def test_curvature_antisymmetric_in_last_pair():
 
 def test_metric_integrability_verdicts():
     flat = constant_field(np.diag([1.0, -1.0]), "2,0")
-    assert is_metric_integrable(flat, GRID2, tol=1e-6).passed
+    assert is_metric_integrable(flat, GRID2, tol=Tolerance(atol=1e-6, rtol=0.0)).passed
 
     sphere = sphere_stereographic_metric()
-    assert not is_metric_integrable(sphere, GRID2, tol=1e-6).passed
+    assert not is_metric_integrable(sphere, GRID2, tol=Tolerance(atol=1e-6, rtol=0.0)).passed
 
     rng = np.random.default_rng(5)
     phi = random_quadratic_diffeo(2, rng)
     krein_flat = pullback_metric(phi, np.diag([1.0, -1.0]))
-    report = is_metric_integrable(krein_flat, GRID2, tol=1e-5)
+    report = is_metric_integrable(krein_flat, GRID2, tol=Tolerance(atol=1e-5, rtol=0.0))
     assert report.passed, report.worst_residual
 
 
@@ -321,7 +347,8 @@ def test_metric_integrability_verdicts():
 def test_constant_triple_flat_connection_parallel():
     conn = levi_civita(constant_field(np.eye(2), "2,0"))
     field = constant_field(complex_canonical(2).matrix, "1,1", "none")
-    report = covariant_derivative_of_structure(conn, field, GRID2, tol=1e-8)
+    report = covariant_derivative_of_structure(conn, field, GRID2,
+                                               tol=Tolerance(atol=1e-8, rtol=0.0))
     assert report.passed
 
 
@@ -331,7 +358,8 @@ def test_pullback_kahler_structure_is_parallel():
     metric = pullback_metric(phi, np.eye(2))
     structure = pullback_endomorphism(phi, complex_canonical(2).matrix)
     conn = levi_civita(metric)
-    report = covariant_derivative_of_structure(conn, structure, GRID2, tol=1e-5)
+    report = covariant_derivative_of_structure(conn, structure, GRID2,
+                                               tol=Tolerance(atol=1e-5, rtol=0.0))
     assert report.passed, report.worst_residual
 
 
@@ -344,7 +372,8 @@ def test_incompatible_structure_field_not_parallel():
         return np.linalg.solve(a, complex_canonical(2).matrix @ a)
 
     field = TensorFieldOnChart(2, "1,1", fn, symmetry="none")
-    report = covariant_derivative_of_structure(conn, field, GRID2, tol=1e-5)
+    report = covariant_derivative_of_structure(conn, field, GRID2,
+                                               tol=Tolerance(atol=1e-5, rtol=0.0))
     assert not report.passed
 
 
@@ -550,7 +579,7 @@ def test_grid_curvature_equals_stacked_points(seed, dim, mode):
     np.testing.assert_allclose(curvature(conn, grid), stacked, rtol=0, atol=1e-9)
     np.testing.assert_allclose(conn(grid), np.stack([conn(x) for x in grid]),
                                rtol=1e-13, atol=1e-13)
-    report = is_metric_integrable(metric, grid, tol=1e-6)
+    report = is_metric_integrable(metric, grid, tol=Tolerance(atol=1e-6, rtol=0.0))
     norms = [np.linalg.norm(r) for r in stacked]
     assert report.worst_residual == pytest.approx(max(norms), rel=1e-6, abs=1e-9)
 
@@ -568,9 +597,10 @@ def test_grid_checks_report_first_failure_and_first_worst_point():
     partly = TensorFieldOnChart(
         2, "1,1", lambda x: para_complex_canonical(2).matrix if x[0] < 0
         else field(x), symmetry="none")
-    with pytest.raises(InvalidStructureAtPoint) as err:
-        is_integrable_structure(partly, "para_complex", [[-0.1, 0.0], [0.1, 0.3], [0.2, 0.0]])
-    np.testing.assert_array_equal(err.value.point, [0.1, 0.3])
+    report = is_integrable_structure(partly, "para_complex",
+                                     [[-0.1, 0.0], [0.1, 0.3], [0.2, 0.0]])
+    assert (report.worst_residual, report.entries[0].location) == (
+        np.inf, np.array2string(np.array([0.1, 0.3]), precision=3))
 
     # the defect of this para field depends on x_0 alone: the last two tie
     def fn(x):
@@ -584,6 +614,46 @@ def test_grid_checks_report_first_failure_and_first_worst_point():
     assert report.entries[0].location == np.array2string(grid[1], precision=3)
     flat = is_metric_integrable(constant_field(np.eye(2)), GRID2)
     assert (flat.worst_residual, flat.entries[0].location) == (0.0, "")
+
+
+def _non_involutive_para_field():
+    def fn(x):
+        basis = np.eye(4)
+        basis[2, 1] = x[0]
+        return basis @ np.diag([1.0, 1.0, -1.0, -1.0]) @ np.linalg.inv(basis)
+    return TensorFieldOnChart(4, "1,1", fn, symmetry="none")
+
+
+def _twisted_complex_field():
+    def fn(x):
+        a = np.diag([1.0, 1.0 + x[0]])
+        return np.linalg.solve(a, complex_canonical(2).matrix @ a)
+    return TensorFieldOnChart(2, "1,1", fn, symmetry="none")
+
+
+GRID_CHECKS = {
+    "nijenhuis": lambda tol: is_integrable_structure(
+        _non_involutive_para_field(), "para_complex", grid_points([-0.5] * 4, [0.5] * 4, 2),
+        tol=tol),
+    "curvature": lambda tol: is_metric_integrable(sphere_stereographic_metric(), GRID2, tol=tol),
+    "covariant": lambda tol: covariant_derivative_of_structure(
+        levi_civita(sphere_stereographic_metric()), _twisted_complex_field(), GRID2, tol=tol),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(GRID_CHECKS)), exponent=st.floats(-3.0, 3.0),
+       where=st.sampled_from(["drawn", "at", "below"]))
+def test_grid_checks_pass_exactly_when_the_worst_residual_is_within_atol(name, exponent,
+                                                                         where):
+    check = GRID_CHECKS[name]
+    worst = check(GRID_TOL).worst_residual
+    assert worst > 0.0
+    t = {"drawn": worst * 2.0 ** exponent, "at": worst,
+         "below": np.nextafter(worst, 0.0)}[where]
+    report = check(Tolerance(atol=t, rtol=0.0))
+    assert report.worst_residual == worst
+    assert report.passed == (report.worst_residual <= t)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan")])

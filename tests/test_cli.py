@@ -780,6 +780,29 @@ def test_degenerate_metric_is_a_failing_curvature_entry(tmp_path, capsys):
     assert json.loads(out)["notes"] == ["verdict: not integrable", "metric degenerate"]
 
 
+def test_field_that_is_not_the_structure_is_a_failing_defect_entry(tmp_path, capsys):
+    # a nilpotent field is a tangent structure, not a complex one
+    path = write(tmp_path, "nilpotent.json",
+                 {"dim": 2, "field": {"name": "constant", "matrix": [[0, 1], [0, 0]],
+                                      "kind": "1,1"},
+                  "grid": {"counts": 2}})
+    where = np.array2string(np.array([-0.5, -0.5]), precision=3)
+    assert run(["nijenhuis", "--kind", "complex", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        f"FAIL  defect_tensor_complex  residual=inf  [{where}]",
+        "note: verdict: not formally integrable", "note: not a complex structure",
+        "FAIL (1 checks, worst residual inf)"]
+    assert run(["--json", "nijenhuis", "--kind", "complex", path]) == 1
+    out = capsys.readouterr().out
+    assert strict_entries(out) == [{"location": where, "name": "defect_tensor_complex",
+                                    "passed": False, "residual": "Infinity"}]
+    assert json.loads(out)["notes"] == ["verdict: not formally integrable",
+                                        "not a complex structure"]
+    assert run(["nijenhuis", "--kind", "tangent", path]) == 0
+
+
 def test_curvature_step_follows_fd_step_for_polynomial_metrics(tmp_path, capsys):
     # curvature differentiates the exact Christoffel symbols by central
     # differences, so the step must come from the document, else --fd-step

@@ -54,3 +54,33 @@ def test_no_catch_all_except_clauses(module):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.ExceptHandler) and _catches_everything(node)]
     assert not lines, f"{module} catches every exception at lines {lines}"
+
+
+def _tolerance_constants(tree):
+    """DEFAULT_TOL and every module-level name bound to a ``Tolerance(...)`` call."""
+    names = {"DEFAULT_TOL"}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name) and node.value.func.id == "Tolerance"):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _defaults(args):
+    """(parameter, default) for every parameter of a signature that has one."""
+    positional = args.posonlyargs + args.args
+    yield from zip(positional[len(positional) - len(args.defaults):], args.defaults)
+    yield from ((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_tol_parameters_default_to_a_tolerance(module):
+    # a bare number as ``tol`` hides which of atol and rtol it stands for
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    allowed = _tolerance_constants(tree)
+    bad = [f"line {default.lineno}: tol={ast.unparse(default)}"
+           for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+           for arg, default in _defaults(node.args)
+           if arg.arg == "tol" and not (isinstance(default, ast.Name) and default.id in allowed)]
+    assert not bad, f"{module} has tol parameters without a Tolerance default: {bad}"

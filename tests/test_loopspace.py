@@ -3,6 +3,7 @@ import pytest
 
 from tensorstruct.calculus import constant_field, grid_points, is_integrable_structure
 from tensorstruct.errors import ShapeMismatch
+from tensorstruct.linalg import Tolerance
 from tensorstruct.loopspace import (
     DiscretizedLoopSpace,
     ascending_coherence,
@@ -140,7 +141,7 @@ def test_pointwise_defect_vanishes_for_constant_target_structure():
     target = block_kahler_target(2)
     field = constant_field(target.structure.matrix, "1,1", "none")
     grid = grid_points([-0.5] * 4, [0.5] * 4, 2)
-    report = is_integrable_structure(field, "complex", grid, tol=1e-9)
+    report = is_integrable_structure(field, "complex", grid, tol=Tolerance(atol=1e-9, rtol=0.0))
     assert report.passed
     assert report.notes == ["verdict: formally integrable"]
 
