@@ -41,11 +41,12 @@ R(e_k, e_l) e_j; ``partials(x)[..., i, :]`` is d_i of a vector field and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMetricAtPoint, ModeMismatch
+from .errors import DegenerateMetricAtPoint, ModeMismatch, SingularJacobianAtPoint
 from .linalg import DEFAULT_TOL, Tolerance
 from .poly import Poly, PolyArray
 from .report import Report
@@ -360,30 +361,35 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
     A field that fails its algebraic identity (A^2 = 0, 1 or -1 within 1e-6,
     relative to max(|A|^2, 1)) at some grid point fails the entry with
     residual inf at the first such point and the note ``not a <kind>
-    structure``.
+    structure``; so does a pullback whose Jacobian is singular at a point
+    the check evaluates, with the note ``jacobian singular``.
     """
     if kind not in _STRUCTURE_SQUARES:
         raise ValueError(f"unknown structure kind {kind!r}")
     identity = _STRUCTURE_SQUARES[kind] * np.eye(field.dim)
     upper = np.triu_indices(field.dim, 1)
 
-    invalid_at = []  # the first point where the field is not a structure
+    bad = []  # (point, reason) at the first point where the input is bad
 
     def residuals(points):
         a = field(points)
         valid = _IDENTITY_TOL.accepts(np.linalg.norm(a @ a - identity, axis=(-2, -1)),
                                       np.maximum(np.linalg.norm(a, axis=(-2, -1)) ** 2, 1.0))
         if not valid.all():
-            invalid_at.append(points[np.argmin(valid)])
+            bad.append((points[np.argmin(valid)], f"not a {kind} structure"))
             return np.zeros(len(points))
         defect = _defect_tensor(a, field.partials(points))[..., upper[0], upper[1]]
         return np.linalg.norm(defect, axis=-2).max(axis=-1, initial=0.0)
 
     name = f"defect_tensor_{kind}"
     label = "formally integrable" if kind == "complex" else "integrable"
-    report = _grid_report(name, residuals, grid, tol, label)
-    if invalid_at:
-        return _bad_input_report(name, invalid_at[0], label, f"not a {kind} structure")
+    try:
+        report = _grid_report(name, residuals, grid, tol, label)
+    except SingularJacobianAtPoint as exc:
+        bad.append((exc.point, "jacobian singular"))
+    if bad:
+        point, reason = bad[0]
+        return _bad_input_report(name, point, label, reason)
     return report
 
 
@@ -556,15 +562,22 @@ class PolyMap:
     """Polynomial map R^d -> R^d with exact Jacobian entries.
 
     Both the map and its Jacobian evaluate at one point or at every row of a
-    (..., d) array of points.
+    (..., d) array of points; each is compiled on its first evaluation, since
+    a pullback metric only reads the Jacobian polynomials.
     """
 
     def __init__(self, components: Sequence[Poly]):
         self.components = list(components)
         self.dim = self.components[0].dim
         self._jac = [[p.diff(j) for j in range(self.dim)] for p in self.components]
-        self._values = PolyArray(self.components)
-        self._jac_values = PolyArray(p for row in self._jac for p in row)
+
+    @cached_property
+    def _values(self):
+        return PolyArray(self.components)
+
+    @cached_property
+    def _jac_values(self):
+        return PolyArray(p for row in self._jac for p in row)
 
     def __call__(self, x):
         return self._values(x)
@@ -601,15 +614,23 @@ def pullback_metric(phi: PolyMap, constant_metric_matrix) -> TensorFieldOnChart:
     g0 = np.asarray(constant_metric_matrix, dtype=float)
     dim = phi.dim
     jac = phi.jacobian_polys()
-    entries = [[Poly(dim) for _ in range(dim)] for _ in range(dim)]
+    weights = [(a, b, float(g0[a, b])) for a in range(dim) for b in range(dim) if g0[a, b]]
+    entries = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
-            acc = Poly(dim)
-            for a in range(dim):
-                for b in range(dim):
-                    if g0[a, b]:
-                        acc = acc + jac[a][i] * jac[b][j] * g0[a, b]
-            entries[i][j] = acc
+            # the sum of jac[a][i] * jac[b][j] * g0[a, b] over (a, b), folded
+            # into one dict with the rounding and zero drops of Poly arithmetic
+            acc = {}
+            for a, b, weight in weights:
+                for expo, c in (jac[a][i] * jac[b][j]).coeffs.items():
+                    c = c * weight
+                    if c != 0.0:
+                        total = acc.get(expo, 0.0) + c
+                        if total != 0.0:
+                            acc[expo] = total
+                        else:
+                            del acc[expo]
+            entries[i][j] = Poly._of(dim, acc)
     return TensorFieldOnChart.from_polys(entries, "2,0")
 
 
@@ -618,12 +639,23 @@ def pullback_endomorphism(phi: PolyMap, constant_matrix,
     """Pullback of a constant endomorphism: T(x) = DPhi(x)^-1 T0 DPhi(x).
 
     The inverse Jacobian is not polynomial, so this field lives in FD mode.
+    A Jacobian that is singular at a point raises SingularJacobianAtPoint at
+    the first such point, in row order.
     """
     t0 = np.asarray(constant_matrix, dtype=float)
 
     def fn(x):
         j = phi.jacobian(x)
-        return np.linalg.solve(j, t0 @ j)
+        try:
+            return np.linalg.solve(j, t0 @ j)
+        except np.linalg.LinAlgError:
+            points = np.reshape(x, (-1, phi.dim))
+            for point, jp in zip(points, j.reshape(-1, phi.dim, phi.dim)):
+                try:
+                    np.linalg.solve(jp, t0 @ jp)
+                except np.linalg.LinAlgError:
+                    raise SingularJacobianAtPoint(point) from None
+            raise
 
     return TensorFieldOnChart(phi.dim, "1,1", fn, step=step, symmetry="none",
                               vectorized=True)

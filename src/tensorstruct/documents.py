@@ -155,6 +155,29 @@ class Num:
         return arr
 
 
+class _Terms(Num):
+    """Polynomial terms ``[exponents..., coefficient]``, one per row, in
+    ``dim`` variables: exponents are whole numbers at least 0, and no two
+    terms share their exponents.  Returns ``{exponents: coefficient}`` in
+    document order."""
+
+    def __init__(self):
+        super().__init__(None, "dim+1", integer=np.s_[..., :-1])
+
+    def walk(self, value, path, env):
+        terms, rows = {}, {}
+        for row, term in enumerate(super().walk(value, path, env).tolist()):
+            expo = tuple(map(int, term[:-1]))
+            if min(expo) < 0:
+                raise DocumentError(f"{path}[{row}]: exponents must be at least 0, "
+                                    f"got {list(expo)}")
+            if expo in terms:
+                raise DocumentError(f"{path}[{rows[expo]}] and {path}[{row}]: "
+                                    f"repeated exponents {list(expo)}")
+            terms[expo], rows[expo] = term[-1], row
+        return terms
+
+
 class Str:
     """A JSON string, one of ``choices`` when given.  ``declares`` adds it
     to a list of names; ``declared`` requires it to be in one."""
@@ -288,7 +311,7 @@ ATLAS = Obj({
 TENSOR = Obj({"kind": KIND, "matrix": Num("fiber_dim", "fiber_dim"), "symmetry?": SYMMETRY})
 
 # per coordinate, a list of terms [exponents..., coefficient]
-_DIFFEO = Each(Num(None, "dim+1", integer=np.s_[..., :-1]), length="dim")
+_DIFFEO = Each(_Terms(), length="dim")
 FD_STEP = Num(positive=True)
 FIELD = Obj({
     "dim": Num(integer=True, least=1, bind="dim"),
@@ -443,8 +466,7 @@ def parse_field(doc, fd_step=None, rank="dim"):
     elif spec["name"] == "sphere_stereographic":
         field = calculus.sphere_stereographic_metric(step=step)
     else:
-        phi = calculus.PolyMap([Poly(dim, {tuple(map(int, t[:-1])): t[-1] for t in terms.tolist()})
-                                for terms in spec["diffeo"]])
+        phi = calculus.PolyMap([Poly(dim, terms) for terms in spec["diffeo"]])
         field = (calculus.pullback_metric(phi, spec["base_metric"])
                  if spec["name"] == "pullback_flat"
                  else calculus.pullback_endomorphism(phi, spec["base_matrix"], step=step))

@@ -68,6 +68,12 @@ class DegenerateMetricAtPoint(TensorStructError):
         super().__init__(message or f"metric degenerate at {point}")
 
 
+class SingularJacobianAtPoint(TensorStructError):
+    def __init__(self, point, message=""):
+        self.point = point
+        super().__init__(message or f"jacobian singular at {point}")
+
+
 class ShapeMismatch(TensorStructError):
     pass
 

@@ -4,6 +4,14 @@ Coefficients are floats keyed by exponent tuples.  This is the exact
 derivative mode for chart fields: differentiation is closed-form, so
 polynomial-mode oracles carry no finite-difference truncation error.
 
+Only the public constructor ``Poly(dim, coeffs)`` normalises its input:
+exponents become tuples of ``int``, coefficients ``float``, and zero
+coefficients are dropped.  Arithmetic and ``diff`` combine terms that are
+already normal, so their results go through ``Poly._of``, which only drops
+zero coefficients.  Every coefficient is the same float sum, in the same
+order, as normalising would give, and the dict keeps the same key order, so
+results are bit-identical to normalising every intermediate.
+
 Evaluation is compiled: a ``PolyArray`` holds the union of the monomials of
 several polynomials as an exponent matrix and their coefficients as one
 ``(terms, outputs)`` matrix, and evaluates a whole ``(..., d)`` array of
@@ -12,6 +20,8 @@ exponent are read, so a constant evaluates at points of any length.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 import numpy as np
 
@@ -31,9 +41,11 @@ class PolyArray:
         monomials = sorted({e for p in polys for e in p.coeffs})
         index = {e: t for t, e in enumerate(monomials)}
         self._coeffs = np.zeros((len(monomials), len(polys)))
-        for out, p in enumerate(polys):
-            for expo, c in p.coeffs.items():
-                self._coeffs[index[expo], out] = c
+        terms = [(index[expo], out, c)
+                 for out, p in enumerate(polys) for expo, c in p.coeffs.items()]
+        if terms:
+            rows, outs, values = zip(*terms)
+            self._coeffs[rows, outs] = values
         expos = np.array(monomials, dtype=int) if monomials else np.zeros((0, 0), int)
         self._vars = np.flatnonzero(expos.any(axis=0))
         self._expos = expos[:, self._vars]
@@ -65,6 +77,17 @@ class Poly:
                     self.coeffs[tuple(int(e) for e in expo)] = float(c)
 
     @classmethod
+    def _of(cls, dim, coeffs):
+        """A Poly of normal terms (``int`` exponent tuples, ``float``
+        coefficients, as arithmetic produces them); only zeros are dropped."""
+        p = cls.__new__(cls)
+        p.dim = dim
+        p.coeffs = {e: c for e, c in coeffs.items() if c != 0.0}
+        p._compiled = None
+        p._diffs = {}
+        return p
+
+    @classmethod
     def constant(cls, dim, value):
         return cls(dim, {(0,) * dim: float(value)})
 
@@ -86,7 +109,7 @@ class Poly:
         out = dict(self.coeffs)
         for expo, c in other.coeffs.items():
             out[expo] = out.get(expo, 0.0) + sign * c
-        return Poly(self.dim, out)
+        return Poly._of(self.dim, out)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -100,17 +123,19 @@ class Poly:
         return (-self) + other
 
     def __neg__(self):
-        return Poly(self.dim, {e: -c for e, c in self.coeffs.items()})
+        return Poly._of(self.dim, {e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return Poly(self.dim, {e: c * float(other) for e, c in self.coeffs.items()})
+            scale = float(other)
+            return Poly._of(self.dim, {e: c * scale for e, c in self.coeffs.items()})
         out = {}
+        get, terms = out.get, list(other.coeffs.items())
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                out[expo] = out.get(expo, 0.0) + c1 * c2
-        return Poly(self.dim, out)
+            for e2, c2 in terms:
+                expo = tuple(map(add, e1, e2))
+                out[expo] = get(expo, 0.0) + c1 * c2
+        return Poly._of(self.dim, out)
 
     __rmul__ = __mul__
 
@@ -126,7 +151,7 @@ class Poly:
                 new[index] = e - 1
                 key = tuple(new)
                 out[key] = out.get(key, 0.0) + c * e
-        self._diffs[index] = Poly(self.dim, out)
+        self._diffs[index] = Poly._of(self.dim, out)
         return self._diffs[index]
 
     def __repr__(self):

@@ -23,7 +23,7 @@ from tensorstruct.calculus import (
     sphere_stereographic_metric,
     PolyMap,
 )
-from tensorstruct.errors import DegenerateMetricAtPoint
+from tensorstruct.errors import DegenerateMetricAtPoint, SingularJacobianAtPoint
 from tensorstruct.linalg import Tolerance
 from tensorstruct.poly import Poly
 from tensorstruct.structures import complex_canonical, para_complex_canonical, tangent_canonical
@@ -614,6 +614,27 @@ def test_grid_checks_report_first_failure_and_first_worst_point():
     assert report.entries[0].location == np.array2string(grid[1], precision=3)
     flat = is_metric_integrable(constant_field(np.eye(2)), GRID2)
     assert (flat.worst_residual, flat.entries[0].location) == (0.0, "")
+
+
+def test_singular_jacobian_fails_the_defect_entry_at_the_first_point():
+    # phi = (x_0^2 - 0.04 x_0, x_1): singular where x_0 = 0.02
+    phi = PolyMap([Poly(2, {(2, 0): 1.0, (1, 0): -0.04}), Poly.coordinate(2, 1)])
+    field = pullback_endomorphism(phi, complex_canonical(2).matrix)
+    grid = np.array([[0.5, 0.1], [0.02, 0.3], [0.02, -0.2]])
+    with pytest.raises(SingularJacobianAtPoint) as err:
+        field(grid)
+    np.testing.assert_array_equal(err.value.point, grid[1])
+    report = is_integrable_structure(field, "complex", grid)
+    assert (report.passed, report.worst_residual, report.entries[0].location) == (
+        False, np.inf, np.array2string(grid[1], precision=3))
+    assert report.notes == ["verdict: not formally integrable", "jacobian singular"]
+    # singular only at a shifted point the central differences evaluate
+    h = 1e-5
+    shifted = is_integrable_structure(pullback_endomorphism(phi, complex_canonical(2).matrix,
+                                                            step=h),
+                                      "complex", [[0.5, 0.1], [0.02 - h, 0.3]])
+    assert shifted.entries[0].location == np.array2string(np.array([0.02, 0.3]), precision=3)
+    assert shifted.notes[1] == "jacobian singular"
 
 
 def _non_involutive_para_field():

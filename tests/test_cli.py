@@ -803,6 +803,95 @@ def test_field_that_is_not_the_structure_is_a_failing_defect_entry(tmp_path, cap
     assert run(["nijenhuis", "--kind", "tangent", path]) == 0
 
 
+def test_singular_jacobian_is_a_failing_defect_entry(tmp_path, capsys):
+    # x_0^2 has a singular Jacobian on the line x_0 = 0
+    path = write(tmp_path, "singular.json",
+                 {"dim": 2, "field": {"name": "pullback_structure",
+                                      "base_matrix": [[0, -1], [1, 0]],
+                                      "diffeo": [[[2, 0, 1.0]], [[0, 1, 1.0]]]},
+                  "grid": {"counts": 3}})
+    where = np.array2string(np.array([0.0, -0.5]), precision=3)
+    assert run(["nijenhuis", "--kind", "complex", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        f"FAIL  defect_tensor_complex  residual=inf  [{where}]",
+        "note: verdict: not formally integrable", "note: jacobian singular",
+        "FAIL (1 checks, worst residual inf)"]
+    assert run(["--json", "nijenhuis", "--kind", "complex", path]) == 1
+    out = capsys.readouterr().out
+    assert strict_entries(out) == [{"location": where, "name": "defect_tensor_complex",
+                                    "passed": False, "residual": "Infinity"}]
+    assert json.loads(out)["notes"] == ["verdict: not formally integrable",
+                                        "jacobian singular"]
+    # reduce --field has no grid entry for it: an error, not a traceback;
+    # x_0^2 - 0.2 x_0 is singular at the atlas's first sample
+    docs = dict(reduce_docs(), tensor={"kind": "1,1", "matrix": [[0, -1], [1, 0]]},
+                field={"dim": 2, "field": {"name": "pullback_structure",
+                                           "base_matrix": [[0, -1], [1, 0]],
+                                           "diffeo": [[[2, 0, 1.0], [1, 0, -0.2]],
+                                                      [[0, 1, 1.0]]]}})
+    assert run(reduce_argv(tmp_path, docs)) == 1
+    assert capsys.readouterr().err == "error: jacobian singular at [0.1 0.2]\n"
+
+
+def test_diffeo_exponents_must_be_nonnegative_and_distinct(tmp_path, capsys):
+    negative = flat_field_doc()
+    negative["field"]["diffeo"][0][1] = [-1, 0, 0.1]
+    assert run(["curvature", write(tmp_path, "negative.json", negative)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: $.field.diffeo[0][1]: exponents must be at least 0, got [-1, 0]\n")
+    repeated = {"dim": 1, "field": {"name": "pullback_flat", "base_metric": [[1.0]],
+                                    "diffeo": [[[1, 1.0], [1, 2.0], [2, 0.1]]]}}
+    assert run(["curvature", write(tmp_path, "repeated.json", repeated)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: $.field.diffeo[0][0] and $.field.diffeo[0][1]: "
+        "repeated exponents [1]\n")
+    # coefficients are free: negative, zero, or repeated across components
+    free = flat_field_doc()
+    free["field"]["diffeo"][0] += [[1, 1, -3.0], [0, 0, 0.0]]
+    free["field"]["diffeo"][1] += [[1, 1, -3.0]]
+    assert run(["curvature", write(tmp_path, "free.json", free)]) in (0, 1)
+
+
+# base matrices: zero on R^1, a complex structure on R^2, an involution on R^3
+_BASE_MATRICES = {1: [[0.0]], 2: [[0.0, -1.0], [1.0, 0.0]],
+                  3: np.diag([1.0, 1.0, -1.0]).tolist()}
+
+
+@st.composite
+def diffeo_documents(draw):
+    """Field documents whose diffeo terms have exponents -1 to 3, may repeat
+    an exponent, and often have a Jacobian singular on the grid."""
+    dim = draw(st.integers(1, 3))
+    term = st.tuples(*[st.integers(-1, 3)] * dim, st.sampled_from([1.0, -1.0, 0.5, 2.0, 0.0]))
+    diffeo = [[list(t) for t in draw(st.lists(term, max_size=4))] for _ in range(dim)]
+    name = draw(st.sampled_from(["pullback_flat", "pullback_structure"]))
+    key = "base_metric" if name == "pullback_flat" else "base_matrix"
+    base = np.diag([1.0, -1.0, 1.0][:dim]).tolist() if name == "pullback_flat" \
+        else _BASE_MATRICES[dim]
+    doc = {"dim": dim, "field": {"name": name, key: base, "diffeo": diffeo},
+           "grid": {"counts": draw(st.integers(1, 3))}}
+    if name == "pullback_flat":
+        return doc, ["curvature"]
+    return doc, ["nijenhuis", "--kind",
+                 draw(st.sampled_from(["tangent", "para_complex", "complex"]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=diffeo_documents())
+def test_diffeo_documents_exit_cleanly_with_strict_json(case, tmp_path_factory):
+    doc, command = case
+    argv = fixture_argv(tmp_path_factory.mktemp("diffeo"), command, [(None, doc)])
+    status, out, err = run_captured(["--json", *argv])
+    assert status in (0, 1, 2), err
+    assert "Traceback" not in err
+    if status == 2:
+        assert err.startswith("parse error: $.field.diffeo")
+    else:
+        assert strict_entries(out)
+
+
 def test_curvature_step_follows_fd_step_for_polynomial_metrics(tmp_path, capsys):
     # curvature differentiates the exact Christoffel symbols by central
     # differences, so the step must come from the document, else --fd-step
