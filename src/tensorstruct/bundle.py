@@ -14,11 +14,19 @@ points each verdict rests on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingTransition, ShapeMismatch, Singular, UnsupportedKind
+from .errors import (
+    MissingTransition,
+    NonFiniteTransition,
+    ShapeMismatch,
+    Singular,
+    SingularJacobianAtPoint,
+    UnsupportedKind,
+)
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -121,6 +129,14 @@ class AffineTransition:
         return out
 
 
+def _finite(value, a, b, x):
+    """T_ab(x) as a float array; NonFiniteTransition unless it is finite."""
+    m = np.asarray(value, dtype=float)
+    if not np.isfinite(m).all():
+        raise NonFiniteTransition(x, f"transition {a}->{b} not finite at {x}")
+    return m
+
+
 @dataclass
 class ChartAtlas:
     """Finite chart cover with overlap samples and transition evaluators.
@@ -148,16 +164,18 @@ class ChartAtlas:
     def transition_at(self, a, b, x):
         """Evaluate T_ab(x); T_aa is the identity, T_ba the inverse of T_ab.
 
-        Raises MissingTransition when neither T_ab nor T_ba is declared.
+        Raises MissingTransition when neither T_ab nor T_ba is declared, and
+        NonFiniteTransition when the declared one, or its inverse, is not
+        finite at x.
         """
         if a == b:
             return np.eye(self.fiber_dim)
         if (a, b) in self.transitions:
-            return np.asarray(self.transitions[(a, b)](x), dtype=float)
+            return _finite(self.transitions[(a, b)](x), a, b, x)
         if (b, a) in self.transitions:
-            m = np.asarray(self.transitions[(b, a)](x), dtype=float)
+            m = _finite(self.transitions[(b, a)](x), b, a, x)
             try:
-                return np.linalg.inv(m)
+                return _finite(np.linalg.inv(m), a, b, x)
             except np.linalg.LinAlgError as exc:
                 raise Singular(f"transition {b}->{a} not invertible at {x}") from exc
         raise MissingTransition(f"no transition declared between {a!r} and {b!r}")
@@ -184,6 +202,11 @@ def tensor_action(g, tensor: StructureMatrix) -> StructureMatrix:
     inverse congruence g^-T S g^-1, matching the pullback action evaluated
     in coordinates.  Raises Singular when g is not invertible.
     """
+    return StructureMatrix(_acted(g, tensor), tensor.kind, tensor.symmetry)
+
+
+def _acted(g, tensor: StructureMatrix):
+    """The matrix of action(g, T), which may overflow to non-finite entries."""
     g = as_matrix(g, square=True, name="g")
     if g.shape != tensor.matrix.shape:
         raise ShapeMismatch(f"map {g.shape} vs tensor {tensor.matrix.shape}")
@@ -192,25 +215,28 @@ def tensor_action(g, tensor: StructureMatrix) -> StructureMatrix:
     except np.linalg.LinAlgError as exc:
         raise Singular("tensor action needs an invertible map") from exc
     if tensor.kind == "1,1":
-        moved = g @ tensor.matrix @ g_inv
-    else:
-        moved = g_inv.T @ tensor.matrix @ g_inv
-    return StructureMatrix(moved, tensor.kind, tensor.symmetry)
+        return g @ tensor.matrix @ g_inv
+    return g_inv.T @ tensor.matrix @ g_inv
 
 
 def in_isotropy(g, spec: IsotropyGroupSpec, tol: Tolerance = DEFAULT_TOL):
     """True iff the action of g fixes the model tensor within tol.
 
-    Acceptance is ``|action(g, T) - T| <= rtol |T| + atol``.
+    Acceptance is ``|action(g, T) - T| <= rtol |T| + atol``; an action
+    that overflows gives an inf or NaN residual, which is not accepted.
     """
-    moved = tensor_action(g, spec.model)
-    resid = fro(moved.matrix - spec.model.matrix)
+    resid = fro(_acted(g, spec.model) - spec.model.matrix)
     return tol.accepts(resid, fro(spec.model.matrix)), resid
 
 
 def _location(x):
     """A worst sample's location, ``x`` to 3 digits; "" when there is none."""
     return "" if x is None else np.array2string(np.asarray(x), precision=3)
+
+
+def _worse(resid, worst):
+    """Whether ``resid`` beats ``worst``: larger, or the first NaN."""
+    return resid > worst or (math.isnan(resid) and not math.isnan(worst))
 
 
 def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -220,7 +246,8 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     residual |T_ac(x) - T_ab(x) T_bc(x)| is measured and accepted at the
     scale max(1, |T_ac(x)|) of that sample; a triple passes when every
     sample does, and the report keeps its worst residual.  A single-chart
-    atlas passes vacuously.
+    atlas passes vacuously.  A transition that is not finite at a sample
+    fails there with residual inf; a NaN residual is the worst.
     """
     report = Report()
     n = atlas.fiber_dim
@@ -229,7 +256,11 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
         worst = 0.0
         ok = True
         for x in np.atleast_2d(points):
-            t = atlas.transition_at(a, b, x)
+            try:
+                t = atlas.transition_at(a, b, x)
+            except NonFiniteTransition:
+                ok, worst = False, np.inf
+                continue
             s = np.linalg.svd(t, compute_uv=False)
             if s[-1] <= tol.rank_threshold(s[0]):
                 ok = False
@@ -237,11 +268,13 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
         report.add(f"invertible[{a},{b}]", ok, worst if not ok else 0.0,
                    f"{len(np.atleast_2d(points))} samples")
 
-    # identity on the diagonal wherever a self-transition was declared
+    # identity on the diagonal wherever a self-transition was declared; a
+    # NaN residual is the worst, and no samples leave nothing to fail
     for (a, b), fn in atlas.transitions.items():
         if a == b:
             pts = atlas.overlaps.get((a, b), np.zeros((1, len(atlas.charts[0].lo))))
-            worst = max(fro(np.asarray(fn(x)) - np.eye(n)) for x in np.atleast_2d(pts))
+            worst = float(np.max([fro(np.asarray(fn(x)) - np.eye(n))
+                                  for x in np.atleast_2d(pts)], initial=0.0))
             report.add(f"identity_on_diagonal[{a}]", tol.accepts(worst, 1.0), worst)
 
     if not atlas.triple_overlaps:
@@ -253,11 +286,16 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
         worst = 0.0
         at = None
         for x in np.atleast_2d(points):
-            lhs = atlas.transition_at(a, c, x)
-            rhs = atlas.transition_at(a, b, x) @ atlas.transition_at(b, c, x)
-            resid = fro(lhs - rhs)
-            ok = ok and tol.accepts(resid, max(1.0, fro(lhs)))
-            if resid > worst:
+            try:
+                lhs = atlas.transition_at(a, c, x)
+                rhs = atlas.transition_at(a, b, x) @ atlas.transition_at(b, c, x)
+            except NonFiniteTransition:
+                resid, good = np.inf, False
+            else:
+                resid = fro(lhs - rhs)
+                good = tol.accepts(resid, max(1.0, fro(lhs)))
+            ok = ok and good
+            if _worse(resid, worst):
                 worst, at = resid, x
         report.add(f"cocycle[{a},{b},{c}]", ok, worst, _location(at))
 
@@ -273,7 +311,9 @@ def check_reduction(atlas: ChartAtlas, spec: IsotropyGroupSpec,
     """Every sampled transition must lie in the model tensor's isotropy group.
 
     The report starts with the cocycle gate and then carries one entry per
-    declared overlap with the worst isotropy residual over its samples.
+    declared overlap with the worst isotropy residual over its samples; a
+    transition that is not finite at a sample fails there with residual
+    inf.
     """
     report = check_cocycle(atlas, tol)
     if not report.passed:
@@ -284,9 +324,11 @@ def check_reduction(atlas: ChartAtlas, spec: IsotropyGroupSpec,
         ok = True
         at = None
         for x in np.atleast_2d(points):
-            t = atlas.transition_at(a, b, x)
-            inside, resid = in_isotropy(t, spec, tol)
-            if resid >= worst:
+            try:
+                inside, resid = in_isotropy(atlas.transition_at(a, b, x), spec, tol)
+            except NonFiniteTransition:
+                inside, resid = False, np.inf
+            if resid >= worst or math.isnan(resid):
                 worst, at = resid, x
             ok = ok and inside
         report.add(f"isotropy[{a},{b}]", ok, worst, _location(at))
@@ -392,8 +434,9 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     forms, rank for skew forms, rank pattern for nilpotent endomorphisms,
     eigenvalue structure for complex/para-complex ones.
 
-    Raises UnsupportedKind when the model tensor has no implemented
-    invariant.
+    A field whose Jacobian is singular at a sample fails its chart there
+    with residual inf and the note ``jacobian singular``.  Raises
+    UnsupportedKind when the model tensor has no implemented invariant.
     """
     if field.kind != spec.model.kind:
         raise ShapeMismatch(
@@ -401,6 +444,7 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     model_class = _orbit_class(spec.model, tol)
     report = Report()
     report.note(f"orbit invariant: {model_class[0]}")
+    singular = False
     for chart in atlas.charts:
         if chart.name not in field.evaluators:
             report.add(f"modelled[{chart.name}]", False, np.inf, "field missing")
@@ -414,11 +458,17 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
         worst = 0.0
         at = None
         for x in pts:
-            value = field.at(chart.name, x)
-            good, resid = _same_orbit(value, model_class, tol)
+            try:
+                value = field.at(chart.name, x)
+            except SingularJacobianAtPoint:
+                good, resid, singular = False, np.inf, True
+            else:
+                good, resid = _same_orbit(value, model_class, tol)
             if not good and resid >= worst:
                 worst, at = resid, x
             ok = ok and good
         report.add(f"modelled[{chart.name}]", ok, worst,
                    _location(at) or f"{pts.shape[0]} samples")
+    if singular:
+        report.note("jacobian singular")
     return report

@@ -155,11 +155,16 @@ class Num:
         return arr
 
 
+# compiled polynomials hold exponents as int64, and a pullback metric's
+# terms are products of two Jacobian terms: their exponents must still fit
+_MAX_EXPONENT = 2**62
+
+
 class _Terms(Num):
     """Polynomial terms ``[exponents..., coefficient]``, one per row, in
-    ``dim`` variables: exponents are whole numbers at least 0, and no two
-    terms share their exponents.  Returns ``{exponents: coefficient}`` in
-    document order."""
+    ``dim`` variables: exponents are whole numbers from 0 to 2**62, and no
+    two terms share their exponents.  Returns ``{exponents: coefficient}``
+    in document order."""
 
     def __init__(self):
         super().__init__(None, "dim+1", integer=np.s_[..., :-1])
@@ -171,6 +176,9 @@ class _Terms(Num):
             if min(expo) < 0:
                 raise DocumentError(f"{path}[{row}]: exponents must be at least 0, "
                                     f"got {list(expo)}")
+            if max(expo) > _MAX_EXPONENT:
+                raise DocumentError(f"{path}[{row}]: exponents must be at most 2**62, "
+                                    f"got {term[:-1]}")
             if expo in terms:
                 raise DocumentError(f"{path}[{rows[expo]}] and {path}[{row}]: "
                                     f"repeated exponents {list(expo)}")

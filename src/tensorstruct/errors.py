@@ -74,6 +74,14 @@ class SingularJacobianAtPoint(TensorStructError):
         super().__init__(message or f"jacobian singular at {point}")
 
 
+class NonFiniteTransition(TensorStructError):
+    """A declared transition function is not finite at a sample point."""
+
+    def __init__(self, point, message=""):
+        self.point = point
+        super().__init__(message or f"transition not finite at {point}")
+
+
 class ShapeMismatch(TensorStructError):
     pass
 

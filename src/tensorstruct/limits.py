@@ -34,6 +34,15 @@ to the single composite.  The checks over pairs and triples
 only index into them; ``gEn_membership``, which reads only the composites
 into and out of the top level, builds the one projection column it needs.
 Nothing is cached on the tower, which stays a plain mutable dataclass.
+
+Connection towers.  ``check_connection_coherence`` evaluates every sample
+at once: the (sample point, tangent direction) pairs form one axis of rows,
+``LevelForm.at`` evaluates a level's form on all rows in one stacked call,
+and each level and each pair of levels costs a fixed number of numpy calls
+whatever the number of samples.  Every product is the one the per-sample
+evaluation made, row by row, so reports are bit-identical to it.  A NaN
+residual (an overflow to inf - inf, say) is the worst residual of its
+entry and fails it.
 """
 
 from __future__ import annotations
@@ -496,19 +505,36 @@ class LevelForm:
     def dim(self):
         return self.stack.shape[1]
 
-    def __call__(self, x, v):
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-        if len(v) > len(self.stack):
-            raise ShapeMismatch(f"tangent has {len(v)} components, form has "
+    def at(self, xs, vs):
+        """The form at every row: ``(S, n, n)`` values for ``(S, k)``
+        tangents ``vs`` at ``(S, m)`` points ``xs`` (read only when the form
+        has ``linear`` coefficients).
+
+        Each row is the vector-matrix product ``np.tensordot(v, mats,
+        axes=1)`` makes, one gemv per row, so every value equals the
+        single-row contraction bit for bit; one gemm over all rows would
+        not.  The one exception is the sign of a zero: a 1x1 form on a
+        one-component tangent adds its single product to +0.0, where
+        tensordot multiplies two scalars and may give -0.0.
+        """
+        vs = np.asarray(vs, dtype=float)
+        rows, k = vs.shape
+        if k > len(self.stack):
+            raise ShapeMismatch(f"tangent has {k} components, form has "
                                 f"{len(self.stack)} coefficient matrices")
-        mats = self.stack[: len(v)]
+        n = self.dim
+        mats = self.stack[:k]
         if self.linear is not None:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            mats = np.stack([mat + sum(xb * mb for xb, mb in zip(x, row))
-                             for mat, row in zip(mats, self.linear)])
-        # the one BLAS product np.tensordot(v, mats, axes=1) makes
-        n = mats.shape[1]
-        return np.dot(v.reshape(1, -1), mats.reshape(len(v), n * n)).reshape(n, n)
+            xs = np.asarray(xs, dtype=float)
+            # per row, the sum over x_b M_ab in the order of the single row
+            mats = np.stack([mat + sum((xb[:, None, None] * mb for xb, mb in zip(xs.T, row)),
+                                       np.zeros((rows, n, n)))
+                             for mat, row in zip(mats, self.linear)], axis=1)
+        return np.matmul(vs[:, None, :],
+                         mats.reshape(*mats.shape[:-2], n * n)).reshape(rows, n, n)
+
+    def __call__(self, x, v):
+        return self.at(np.atleast_2d(x), np.atleast_2d(v))[0]
 
 
 @dataclass
@@ -542,10 +568,30 @@ class ConnectionFormSequence:
         return lam, projections[i][j]
 
 
-def _algebra_residual(w, kind, model):
+def _norms(d):
+    """``fro`` of each matrix of the stack ``d``: the one ddot per matrix
+    that ``fro`` makes, so each norm is bit-identical to it."""
+    d = d.reshape(len(d), -1)
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _algebra_residuals(w, kind, model):
+    """Defect of each matrix of the stack ``w`` from the model's isotropy
+    algebra."""
     if kind == "1,1":
-        return fro(w @ model - model @ w)
-    return fro(w.T @ model + model @ w)
+        return _norms(w @ model - model @ w)
+    return _norms(np.swapaxes(w, -1, -2) @ model + model @ w)
+
+
+def _worst(residuals):
+    """The largest residual, 0 for none; a NaN residual is the worst."""
+    return float(np.max(residuals, initial=0.0))
+
+
+def _carry(lam, rows):
+    """``lam @ r`` for every row ``r`` of ``rows``: one mat-vec product per
+    row, as the single-row product makes, not one gemm over all rows."""
+    return np.matmul(lam, rows[:, :, None])[:, :, 0]
 
 
 def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
@@ -581,33 +627,32 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
              else None)
     if len(seq.forms) < n or len(seq.models) < n:
         raise ShapeMismatch(f"need a form and a model for each of the {n} levels")
+    forms = seq.forms[:n]
     models = [(kind, as_matrix(model, square=True)) for kind, model in seq.models[:n]]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     morphisms = [seq.morphism(i, j, maps, projs) for i, j in pairs]
-    # the composites that carry sample data from its level to every level
+    # one row per sample point and tangent direction, points outermost
+    xs = np.repeat(pts, dim, axis=0)
+    vs = np.tile(np.eye(dim), (len(pts), 1))
+    # the composites that carry sample data from its level to every level;
+    # points matter only to forms with x-dependence
     onto = [maps[lvl][n - 1] if variance == "projective" else maps[0][lvl]
             for lvl in range(n)]
-    adapted = [0.0] * n
-    coherent = [0.0] * len(pairs)
-    for x in pts:
-        for v in np.eye(dim):
-            # the sample on every level and each level's form value there;
-            # adaptedness is sampled on each level's own data
-            moved = [(lam @ x, lam @ v) for lam in onto]
-            values = [form(*xv) for form, xv in zip(seq.forms, moved)]
-            for lvl, (kind, model) in enumerate(models):
-                adapted[lvl] = max(adapted[lvl], _algebra_residual(values[lvl], kind, model))
-            for p, ((i, j), (left, right)) in enumerate(zip(pairs, morphisms)):
-                lam = maps[i][j]
-                if variance == "projective":
-                    x_j, v_j = moved[j]
-                    lhs = seq.forms[i](lam @ x_j, lam @ v_j)
-                    rhs = left @ values[j] @ right
-                else:
-                    x_i, v_i = moved[i]
-                    lhs = seq.forms[j](lam @ x_i, lam @ v_i)
-                    rhs = left @ values[i] @ right
-                coherent[p] = max(coherent[p], fro(lhs - rhs))
+    moved_v = [_carry(lam, vs) for lam in onto]
+    moved_x = ([_carry(lam, xs) for lam in onto]
+               if any(form.linear is not None for form in forms) else [None] * n)
+    # each level's form on its own data; adaptedness is sampled there
+    values = [form.at(x, v) for form, x, v in zip(forms, moved_x, moved_v)]
+    adapted = [_worst(_algebra_residuals(w, kind, model))
+               for w, (kind, model) in zip(values, models)]
+    coherent = []
+    for (i, j), (left, right) in zip(pairs, morphisms):
+        # the upper level's data for projective towers, the lower's for direct
+        src, dst = (j, i) if variance == "projective" else (i, j)
+        lam = maps[i][j]
+        x = None if forms[dst].linear is None else _carry(lam, moved_x[src])
+        lhs = forms[dst].at(x, _carry(lam, moved_v[src]))
+        coherent.append(_worst(_norms(lhs - left @ values[src] @ right)))
 
     for lvl, (_, model) in enumerate(models):
         report.add(f"adapted[{lvl}]",

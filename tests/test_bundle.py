@@ -9,13 +9,21 @@ from tensorstruct.bundle import (
     IsotropyGroupSpec,
     LocalTensorField,
     StructureMatrix,
+    _worse,
     check_cocycle,
     check_locally_modelled,
     check_reduction,
     in_isotropy,
     tensor_action,
 )
-from tensorstruct.errors import MissingTransition, Singular, TensorStructError, UnsupportedKind
+from tensorstruct.errors import (
+    MissingTransition,
+    NonFiniteTransition,
+    Singular,
+    SingularJacobianAtPoint,
+    TensorStructError,
+    UnsupportedKind,
+)
 from tensorstruct.linalg import Tolerance
 from tensorstruct.structures import complex_canonical, symplectic_canonical
 
@@ -397,3 +405,133 @@ def test_worst_sample_locations_on_ties_and_zeros():
 
     assert modelled([-1.0, -1.0, 1.0, 1.0]) == at_sample(1)
     assert modelled([1.0] * 4) == "4 samples"
+
+
+# ---------------------------------------------------------------------------
+# transitions and fields that cannot be evaluated at a sample
+# ---------------------------------------------------------------------------
+
+def overflow_atlas():
+    """T_ab(x) = Id + x diag(1e300, 1) overflows at x = 1e300; T_bc and T_ac
+    are the identity."""
+    charts = [Chart(name, [-1.0], [1.0]) for name in "abc"]
+    far = np.array([[1e300]])
+    return ChartAtlas(
+        fiber_dim=2, charts=charts,
+        overlaps={("a", "b"): far, ("b", "c"): far},
+        transitions={("a", "b"): AffineTransition(np.eye(2), [np.diag([1e300, 1.0])]),
+                     ("b", "c"): ConstantTransition(np.eye(2)),
+                     ("a", "c"): ConstantTransition(np.eye(2))},
+        triple_overlaps=[("a", "b", "c", np.array([[0.0], [1e300], [0.5]]))])
+
+
+def test_a_transition_that_overflows_fails_at_its_sample():
+    atlas = overflow_atlas()
+    far = np.array2string(np.array([1e300]), precision=3)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        cocycle = {e.name: e for e in check_cocycle(atlas).entries}
+    assert not cocycle["invertible[a,b]"].passed
+    assert cocycle["invertible[a,b]"].residual == np.inf
+    assert cocycle["invertible[b,c]"].passed
+    assert not cocycle["cocycle[a,b,c]"].passed
+    assert cocycle["cocycle[a,b,c]"].residual == np.inf
+    assert cocycle["cocycle[a,b,c]"].location == far
+    spec = IsotropyGroupSpec(StructureMatrix(np.eye(2), "2,0"))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        reduction = {e.name: e for e in check_reduction(atlas, spec).entries}
+    assert not reduction["isotropy[a,b]"].passed
+    assert reduction["isotropy[a,b]"].residual == np.inf
+    assert reduction["isotropy[a,b]"].location == far
+    assert reduction["isotropy[b,c]"].passed
+
+
+# T_ba overflows at x = 1e300 (np.linalg.inv would turn its inf into a
+# finite matrix), or T_ba = diag(1e-320, 1) has the inverse diag(inf, 1)
+INVERTED = {"overflowing": AffineTransition(np.eye(2), [np.diag([1e300, 1.0])]),
+            "subnormal": ConstantTransition(np.diag([1e-320, 1.0]))}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("declared", INVERTED)
+def test_an_inverted_transition_is_finite_or_fails(declared):
+    atlas = overflow_atlas()
+    del atlas.transitions[("a", "b")]
+    atlas.transitions[("b", "a")] = INVERTED[declared]
+    with pytest.raises(NonFiniteTransition):
+        atlas.transition_at("a", "b", np.array([1e300]))
+    entries = {e.name: e for e in check_cocycle(atlas).entries}
+    assert not entries["invertible[a,b]"].passed
+    assert entries["invertible[a,b]"].residual == np.inf
+    assert not entries["cocycle[a,b,c]"].passed
+    assert entries["cocycle[a,b,c]"].residual == np.inf
+
+
+def test_a_nan_residual_beats_every_number():
+    assert _worse(np.nan, 1.0) and _worse(np.nan, 0.0) and _worse(2.0, 1.0)
+    assert not _worse(1.0, np.nan) and not _worse(np.nan, np.nan)
+    assert not _worse(1.0, 1.0) and not _worse(np.inf, np.inf)
+
+
+def test_a_nan_isotropy_residual_is_the_worst():
+    # g = diag(1e-320, 1) has the inverse diag(inf, 1), which moves the unit
+    # form to a matrix with inf * 0 = NaN entries; the last such sample wins
+    charts = [Chart(name, [-1.0], [4.0], SAMPLES) for name in "ab"]
+    atlas = ChartAtlas(
+        fiber_dim=2, charts=charts, overlaps={("a", "b"): SAMPLES},
+        transitions={("a", "b"): lambda x: np.diag([1e-320 if x[0] in (1.0, 2.0) else 2.0,
+                                                    1.0])})
+    spec = IsotropyGroupSpec(StructureMatrix(np.eye(2), "2,0"))
+    with pytest.warns(RuntimeWarning):
+        entry = [e for e in check_reduction(atlas, spec).entries
+                 if e.name == "isotropy[a,b]"][0]
+    assert not entry.passed
+    assert np.isnan(entry.residual)
+    assert entry.location == at_sample(2)
+
+
+def test_an_action_that_overflows_is_outside_the_isotropy_group():
+    # g = 1e-200 is finite, but it moves the unit form to 1e400 = inf
+    charts = [Chart(name, [-1.0], [4.0], SAMPLES) for name in "ab"]
+    atlas = ChartAtlas(fiber_dim=1, charts=charts, overlaps={("a", "b"): SAMPLES},
+                       transitions={("a", "b"): tabulated([1.0, 1e-200, 1.0, 2.0])})
+    spec = IsotropyGroupSpec(StructureMatrix([[1.0]], "2,0"))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        entry = [e for e in check_reduction(atlas, spec).entries
+                 if e.name == "isotropy[a,b]"][0]
+    assert not entry.passed
+    assert entry.residual == np.inf
+    assert entry.location == at_sample(1)
+
+
+def test_a_singular_jacobian_fails_its_chart_at_that_sample():
+    charts = [Chart(name, [-1.0], [4.0], SAMPLES) for name in "ab"]
+
+    def pulled(x):
+        if x[0] in (1.0, 2.0):
+            raise SingularJacobianAtPoint(x)
+        return [[1.0]]
+
+    field = LocalTensorField("2,0", {"a": pulled, "b": pulled})
+    spec = IsotropyGroupSpec(StructureMatrix([[1.0]], "2,0"))
+    report = check_locally_modelled(field, ChartAtlas(1, charts), spec)
+    assert [(e.name, e.passed, e.residual, e.location) for e in report.entries] == [
+        (f"modelled[{name}]", False, np.inf, at_sample(2)) for name in "ab"]
+    assert report.notes == ["orbit invariant: signature", "jacobian singular"]
+
+
+def test_identity_on_the_diagonal_keeps_nan_and_allows_no_samples():
+    # T_aa(x) = 1 + 1e300 x_0 - 1e300 x_1 is inf - inf = NaN at (1e300, 1e300)
+    chart = Chart("a", [-1.0, -1.0], [1.0, 1.0])
+    self_map = AffineTransition([[1.0]], [[[1e300]], [[-1e300]]])
+    atlas = ChartAtlas(fiber_dim=1, charts=[chart],
+                       overlaps={("a", "a"): np.array([[0.0, 0.0], [1e300, 1e300]])},
+                       transitions={("a", "a"): self_map})
+    with pytest.warns(RuntimeWarning):
+        entry = [e for e in check_cocycle(atlas).entries
+                 if e.name == "identity_on_diagonal[a]"][0]
+    assert not entry.passed and np.isnan(entry.residual)
+    # declared with no sample points: nothing is tested, and nothing fails
+    atlas.overlaps[("a", "a")] = np.zeros((0, 2))
+    entry = [e for e in check_cocycle(atlas).entries
+             if e.name == "identity_on_diagonal[a]"][0]
+    assert entry.passed and entry.residual == 0.0

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -824,15 +825,21 @@ def test_singular_jacobian_is_a_failing_defect_entry(tmp_path, capsys):
                                     "passed": False, "residual": "Infinity"}]
     assert json.loads(out)["notes"] == ["verdict: not formally integrable",
                                         "jacobian singular"]
-    # reduce --field has no grid entry for it: an error, not a traceback;
+    # under reduce --field every chart fails at the singular sample:
     # x_0^2 - 0.2 x_0 is singular at the atlas's first sample
     docs = dict(reduce_docs(), tensor={"kind": "1,1", "matrix": [[0, -1], [1, 0]]},
                 field={"dim": 2, "field": {"name": "pullback_structure",
                                            "base_matrix": [[0, -1], [1, 0]],
                                            "diffeo": [[[2, 0, 1.0], [1, 0, -0.2]],
                                                       [[0, 1, 1.0]]]}})
-    assert run(reduce_argv(tmp_path, docs)) == 1
-    assert capsys.readouterr().err == "error: jacobian singular at [0.1 0.2]\n"
+    assert run(["--json", *reduce_argv(tmp_path, docs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    fields = [e for e in strict_entries(captured.out) if e["name"].startswith("field/")]
+    assert fields == [{"location": "[0.1 0.2]", "name": f"field/modelled[{chart}]",
+                       "passed": False, "residual": "Infinity"} for chart in "abc"]
+    assert json.loads(captured.out)["notes"] == ["orbit invariant: complex",
+                                                 "jacobian singular"]
 
 
 def test_diffeo_exponents_must_be_nonnegative_and_distinct(tmp_path, capsys):
@@ -1025,3 +1032,71 @@ def test_seeded_loopspace_deterministic(capsys):
     run(["--json", "--seed", "3", "loopspace", "demo", "--levels", "2"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_diffeo_exponents_must_fit_in_int64_products(tmp_path, capsys):
+    doc = {"dim": 1, "field": {"name": "pullback_flat", "base_metric": [[1]],
+                               "diffeo": [[[1, 1.0], [1e300, 2.0]]]}, "grid": {"counts": 3}}
+    assert run(["curvature", write(tmp_path, "huge.json", doc)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: $.field.diffeo[0][1]: exponents must be at most 2**62, got [1e+300]\n")
+    # the largest exponent allowed: the metric's products of two Jacobian
+    # terms still have int64 exponents
+    doc["field"]["diffeo"][0][1][0] = 2**62
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+        assert run(["curvature", write(tmp_path, "largest.json", doc)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+def overflowing_connection_doc():
+    """Two one-dimensional levels whose form values overflow to inf."""
+    return {"variance": "projective", "dims": [1, 1], "maps": [[[1e200]]],
+            "forms": [{"coeffs": [[[1e200]]]}, {"coeffs": [[[1e200]]]}],
+            "models": [{"kind": "1,1", "matrix": [[1.0]]}] * 2,
+            "sample_points": [[0.5]]}
+
+
+def test_nan_connection_residuals_fail_as_strict_json(tmp_path, capsys):
+    path = write(tmp_path, "connection.json", overflowing_connection_doc())
+    with pytest.warns(RuntimeWarning):
+        assert run(["--json", "connection", "check", path]) == 1
+    assert strict_entries(capsys.readouterr().out) == [
+        {"location": "", "name": "adapted[0]", "passed": False, "residual": "NaN"},
+        {"location": "", "name": "adapted[1]", "passed": True, "residual": 0.0},
+        {"location": "", "name": "coherent[0,1]", "passed": False, "residual": "NaN"}]
+
+
+def overflowing_atlas_doc():
+    """T_ab(x) = Id + x diag(1e300, 1) overflows at x = 1e300."""
+    identity = np.eye(2).tolist()
+    return {"fiber_dim": 2,
+            "charts": [{"name": name, "lo": [-1], "hi": [1]} for name in "abc"],
+            "overlaps": [{"charts": ["a", "b"], "points": [[1e300]],
+                          "transition": {"affine": {"base": identity,
+                                                    "coeffs": [[[1e300, 0], [0, 1]]]}}},
+                         {"charts": ["b", "c"], "points": [[1e300]],
+                          "transition": {"constant": identity}},
+                         {"charts": ["a", "c"], "points": [[0.5]],
+                          "transition": {"constant": identity}}],
+            "triples": [{"charts": ["a", "b", "c"], "points": [[1e300]]}]}
+
+
+def test_a_transition_that_overflows_fails_as_strict_json(tmp_path, capsys):
+    atlas = write(tmp_path, "atlas.json", overflowing_atlas_doc())
+    tensor = write(tmp_path, "tensor.json", {"kind": "2,0", "matrix": np.eye(2).tolist()})
+    far = "[1.e+300]"
+    for argv in (["cocycle", atlas], ["reduce", atlas, tensor]):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run(["--json", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        failed = [e for e in strict_entries(captured.out) if not e["passed"]]
+        expected = [{"location": "1 samples", "name": "invertible[a,b]", "passed": False,
+                     "residual": "Infinity"},
+                    {"location": far, "name": "cocycle[a,b,c]", "passed": False,
+                     "residual": "Infinity"}]
+        if argv[0] == "reduce":
+            expected.append({"location": far, "name": "isotropy[a,b]", "passed": False,
+                             "residual": "Infinity"})
+        assert failed == expected

@@ -7,6 +7,7 @@ bit, and the checks the same reports entry for entry.
 """
 
 import json
+import struct
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,8 @@ from tensorstruct.limits import (
     tuple_membership,
     validate_bonding,
 )
-from tensorstruct.linalg import DEFAULT_TOL, Tolerance, fro, rank_of
+from tensorstruct.errors import ShapeMismatch
+from tensorstruct.linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, rank_of
 from tensorstruct.report import Report
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,89 @@ def naive_connection_coherence(seq, pts, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
+# the per-sample connection check, as it was before the sample-at-once one
+# ---------------------------------------------------------------------------
+
+
+def per_sample_form(form, x, v):
+    """``LevelForm.__call__`` before ``LevelForm.at``: one tangent at a time."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if len(v) > len(form.stack):
+        raise ShapeMismatch(f"tangent has {len(v)} components, form has "
+                            f"{len(form.stack)} coefficient matrices")
+    mats = form.stack[: len(v)]
+    if form.linear is not None:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        mats = np.stack([mat + sum(xb * mb for xb, mb in zip(x, row))
+                         for mat, row in zip(mats, form.linear)])
+    # the one BLAS product np.tensordot(v, mats, axes=1) makes
+    n = mats.shape[1]
+    return np.dot(v.reshape(1, -1), mats.reshape(len(v), n * n)).reshape(n, n)
+
+
+def _algebra_residual(w, kind, model):
+    if kind == "1,1":
+        return fro(w @ model - model @ w)
+    return fro(w.T @ model + model @ w)
+
+
+def per_sample_connection_coherence(seq: ConnectionFormSequence, sample_points,
+                                    tol: Tolerance = DEFAULT_TOL) -> Report:
+    """``check_connection_coherence`` with one pass per sample point and
+    tangent direction; its running ``max`` drops NaN residuals."""
+    report = Report()
+    b = seq.bonding
+    n = b.levels
+    variance = b.variance
+    base_level = n - 1 if variance == "projective" else 0
+    dim = b.dims[base_level]
+    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    if pts.shape[1] != dim:
+        raise ShapeMismatch(f"sample points have dim {pts.shape[1]}, want {dim}")
+
+    maps = b.map_table()
+    projs = (b.projection_table() if variance == "direct" and b.projections is not None
+             else None)
+    if len(seq.forms) < n or len(seq.models) < n:
+        raise ShapeMismatch(f"need a form and a model for each of the {n} levels")
+    models = [(kind, as_matrix(model, square=True)) for kind, model in seq.models[:n]]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    morphisms = [seq.morphism(i, j, maps, projs) for i, j in pairs]
+    # the composites that carry sample data from its level to every level
+    onto = [maps[lvl][n - 1] if variance == "projective" else maps[0][lvl]
+            for lvl in range(n)]
+    adapted = [0.0] * n
+    coherent = [0.0] * len(pairs)
+    for x in pts:
+        for v in np.eye(dim):
+            # the sample on every level and each level's form value there;
+            # adaptedness is sampled on each level's own data
+            moved = [(lam @ x, lam @ v) for lam in onto]
+            values = [per_sample_form(form, *xv) for form, xv in zip(seq.forms, moved)]
+            for lvl, (kind, model) in enumerate(models):
+                adapted[lvl] = max(adapted[lvl], _algebra_residual(values[lvl], kind, model))
+            for p, ((i, j), (left, right)) in enumerate(zip(pairs, morphisms)):
+                lam = maps[i][j]
+                if variance == "projective":
+                    x_j, v_j = moved[j]
+                    lhs = per_sample_form(seq.forms[i], lam @ x_j, lam @ v_j)
+                    rhs = left @ values[j] @ right
+                else:
+                    x_i, v_i = moved[i]
+                    lhs = per_sample_form(seq.forms[j], lam @ x_i, lam @ v_i)
+                    rhs = left @ values[i] @ right
+                coherent[p] = max(coherent[p], fro(lhs - rhs))
+
+    for lvl, (_, model) in enumerate(models):
+        report.add(f"adapted[{lvl}]",
+                   tol.accepts(adapted[lvl], max(fro(model), 1.0)), adapted[lvl])
+    for (i, j), worst in zip(pairs, coherent):
+        report.add(f"coherent[{i},{j}]", tol.accepts(worst, 1.0), worst)
+    report.note(f"{pts.shape[0]} sample points, {dim} tangent directions")
+    return report
+
+
+# ---------------------------------------------------------------------------
 # random towers
 # ---------------------------------------------------------------------------
 
@@ -198,6 +283,13 @@ def random_tower(rng, depth, variance, explicit, gain=1.0):
 
 def entries(report):
     return [(e.name, e.passed, e.residual, e.location) for e in report.entries], report.notes
+
+
+def entry_bits(report):
+    """``entries`` with each residual as its 8 bytes, so -0.0 and NaN compare
+    by their bits."""
+    return ([(e.name, e.passed, struct.pack("<d", e.residual), e.location)
+             for e in report.entries], report.notes)
 
 
 def same_bits(a, b):
@@ -290,6 +382,107 @@ def test_connection_check_matches_the_per_pair_loop(depth, variance, explicit, s
         entries(naive_connection_coherence(seq, pts))
 
 
+def random_forms(rng, dims, linear, extra, zeros):
+    """One form per level with ``extra`` more coefficient matrices than the
+    level's dimension; ``linear`` per level; with ``zeros``, about half the
+    coefficients are 0.0 or -0.0."""
+    forms = []
+    for d, lin in zip(dims, linear):
+        coeffs = rng.normal(size=(d + extra, d, d))
+        if zeros:
+            mask = rng.random(coeffs.shape) < 0.5
+            coeffs[mask] = rng.choice([0.0, -0.0], size=mask.sum())
+        forms.append(LevelForm(coeffs, rng.normal(size=(d + extra, d, d, d)) if lin else None))
+    return forms
+
+
+@settings(max_examples=60, deadline=None)
+@given(**towers, gain=st.sampled_from([1.0, 30.0]), extra=st.integers(0, 2),
+       zeros=st.booleans(), points=st.integers(1, 3), scale=st.sampled_from([1.0, 1e3]),
+       data=st.data())
+def test_connection_check_matches_the_per_sample_loop_bit_for_bit(
+        depth, variance, explicit, seed, gain, extra, zeros, points, scale, data):
+    rng = np.random.default_rng(seed)
+    b = random_tower(rng, depth, variance, explicit, gain)
+    linear = data.draw(st.lists(st.booleans(), min_size=depth, max_size=depth))
+    forms = random_forms(rng, b.dims, linear, extra, zeros)
+    models = [(data.draw(st.sampled_from(["1,1", "2,0"])), rng.normal(size=(d, d)))
+              for d in b.dims]
+    pairs = [(i, j) for i in range(depth) for j in range(i + 1, depth)]
+    overridden = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)
+                           if pairs else st.just([]))
+    morphisms = {}
+    for i, j in overridden:
+        lo, hi = b.dims[i], b.dims[j]
+        shape = (hi, lo) if variance == "direct" else (lo, hi)
+        morphisms[(i, j)] = (rng.normal(size=shape), rng.normal(size=shape[::-1]))
+    seq = ConnectionFormSequence(b, forms, models, morphisms or None)
+    base = b.dims[-1] if variance == "projective" else b.dims[0]
+    pts = scale * rng.normal(size=(points, base))
+    assert entry_bits(check_connection_coherence(seq, pts)) == \
+        entry_bits(per_sample_connection_coherence(seq, pts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), extra=st.integers(0, 2), rows=st.integers(0, 6),
+       linear=st.booleans(), zeros=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_level_form_at_is_the_tensordot_contraction_of_each_row(d, extra, rows, linear,
+                                                                zeros, seed, data):
+    rng = np.random.default_rng(seed)
+    form = random_forms(rng, [d], [linear], extra, zeros)[0]
+    k = data.draw(st.integers(1, d + extra))  # any tangent length the form allows
+    xs, vs = rng.normal(size=(rows, d)), rng.normal(size=(rows, k))
+    if zeros:
+        vs[rng.random(vs.shape) < 0.5] = 0.0
+    values = form.at(xs, vs)
+    assert values.shape == (rows, d, d)
+    for x, v, value in zip(xs, vs, values):
+        mats = form.stack[:k]
+        if linear:
+            mats = np.stack([mat + sum(xb * mb for xb, mb in zip(x, row))
+                             for mat, row in zip(mats, form.linear)])
+        expected = np.tensordot(v, mats, axes=1)
+        if d == 1 and k == 1:
+            # tensordot multiplies two scalars here and at takes a dot
+            # product, which adds the product to +0.0: a -0.0 value turns
+            # +0.0 (every residual is a norm, so no report sees the sign)
+            expected = expected + 0.0
+        assert same_bits(value, expected)
+        assert same_bits(value, form(x, v))
+
+
+def test_level_form_rejects_a_tangent_longer_than_its_coefficients():
+    form = LevelForm(np.zeros((2, 2, 2)))
+    with pytest.raises(ShapeMismatch):
+        form.at(np.zeros((1, 2)), np.zeros((1, 3)))
+
+
+def overflowing_tower(variance):
+    """Two one-dimensional levels whose form values overflow to inf, so the
+    adaptedness of the level that sees the map and the coherence of the pair
+    are inf - inf."""
+    b = BondingSystem([1, 1], variance, [[[1e200]]],
+                      [[[1.0]]] if variance == "direct" else None)
+    forms = [LevelForm([[[1e200]]]), LevelForm([[[1e200]]])]
+    return ConnectionFormSequence(b, forms, [("1,1", [[1.0]])] * 2)
+
+
+@pytest.mark.parametrize("variance", ["projective", "direct"])
+def test_nan_residuals_fail_the_connection_check(variance):
+    seq = overflowing_tower(variance)
+    bad = 0 if variance == "projective" else 1
+    with pytest.warns(RuntimeWarning):
+        report = check_connection_coherence(seq, [[0.5]])
+    got = {e.name: (e.passed, e.residual) for e in report.entries}
+    assert not got[f"adapted[{bad}]"][0] and np.isnan(got[f"adapted[{bad}]"][1])
+    assert got[f"adapted[{1 - bad}]"] == (True, 0.0)
+    assert not got["coherent[0,1]"][0] and np.isnan(got["coherent[0,1]"][1])
+    # the per-sample loop's running max dropped them: every entry passed
+    with pytest.warns(RuntimeWarning):
+        assert per_sample_connection_coherence(seq, [[0.5]]).passed
+
+
 # ---------------------------------------------------------------------------
 # composites are built once per check
 # ---------------------------------------------------------------------------
@@ -333,6 +526,22 @@ def test_checks_compose_each_map_once(variance, tmp_path, monkeypatch):
         calls.clear()
         assert run([*command, str(path)]) == 0
         assert sum(calls.values()) <= DEPTH, (command, dict(calls))
+
+
+@pytest.mark.parametrize("variance", ["projective", "direct"])
+def test_connection_check_evaluates_no_form_per_sample(variance, tmp_path, monkeypatch):
+    calls = Counter()
+    for name in ("__call__", "at"):
+        def counted(self, *args, _original=getattr(LevelForm, name), _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(LevelForm, name, counted)
+
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(guard_docs(variance)[1]))
+    assert run(["connection", "check", str(path)]) == 0
+    # one evaluation over all samples per level and per pair of levels
+    assert calls == {"at": DEPTH + DEPTH * (DEPTH - 1) // 2}
 
 
 @pytest.mark.parametrize("variance", ["projective", "direct"])
