@@ -10,6 +10,13 @@ tensor action convention is the single source of truth here:
 
 Sample-set density is the caller's responsibility; reports record how many
 points each verdict rests on.
+
+A transition or field that cannot be evaluated at a sample (not finite,
+or the inverse of a singular declared transition) raises ``BadAtPoint``
+from ``ChartAtlas.transition_at`` or ``LocalTensorField.at``; each check's
+per-sample loop turns it into a failing sample with residual inf.  A
+singular map lies in no isotropy group, so ``in_isotropy`` rejects it with
+residual inf.
 """
 
 from __future__ import annotations
@@ -20,11 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BadAtPoint,
     MissingTransition,
-    NonFiniteTransition,
     ShapeMismatch,
     Singular,
-    SingularJacobianAtPoint,
     UnsupportedKind,
 )
 from .linalg import (
@@ -130,10 +136,10 @@ class AffineTransition:
 
 
 def _finite(value, a, b, x):
-    """T_ab(x) as a float array; NonFiniteTransition unless it is finite."""
+    """T_ab(x) as a float array; BadAtPoint unless it is finite."""
     m = np.asarray(value, dtype=float)
     if not np.isfinite(m).all():
-        raise NonFiniteTransition(x, f"transition {a}->{b} not finite at {x}")
+        raise BadAtPoint(x, f"transition {a}->{b} not finite")
     return m
 
 
@@ -162,14 +168,13 @@ class ChartAtlas:
         return a == b or (a, b) in self.transitions or (b, a) in self.transitions
 
     def transition_at(self, a, b, x):
-        """Evaluate T_ab(x); T_aa is the identity, T_ba the inverse of T_ab.
+        """Evaluate T_ab(x): the declared T_ab, else the inverse of the
+        declared T_ba, else the identity when a == b.
 
         Raises MissingTransition when neither T_ab nor T_ba is declared, and
-        NonFiniteTransition when the declared one, or its inverse, is not
-        finite at x.
+        BadAtPoint when the declared one, or its inverse, is not finite at x,
+        or the declared T_ba is singular there.
         """
-        if a == b:
-            return np.eye(self.fiber_dim)
         if (a, b) in self.transitions:
             return _finite(self.transitions[(a, b)](x), a, b, x)
         if (b, a) in self.transitions:
@@ -177,7 +182,9 @@ class ChartAtlas:
             try:
                 return _finite(np.linalg.inv(m), a, b, x)
             except np.linalg.LinAlgError as exc:
-                raise Singular(f"transition {b}->{a} not invertible at {x}") from exc
+                raise BadAtPoint(x, f"transition {b}->{a} not invertible") from exc
+        if a == b:
+            return np.eye(self.fiber_dim)
         raise MissingTransition(f"no transition declared between {a!r} and {b!r}")
 
     def overlap_connectivity(self):
@@ -223,9 +230,14 @@ def in_isotropy(g, spec: IsotropyGroupSpec, tol: Tolerance = DEFAULT_TOL):
     """True iff the action of g fixes the model tensor within tol.
 
     Acceptance is ``|action(g, T) - T| <= rtol |T| + atol``; an action
-    that overflows gives an inf or NaN residual, which is not accepted.
+    that overflows gives an inf or NaN residual, which is not accepted.  A
+    singular g lies in no isotropy group: ``(False, inf)``.
     """
-    resid = fro(_acted(g, spec.model) - spec.model.matrix)
+    try:
+        acted = _acted(g, spec.model)
+    except Singular:
+        return False, np.inf
+    resid = fro(acted - spec.model.matrix)
     return tol.accepts(resid, fro(spec.model.matrix)), resid
 
 
@@ -246,8 +258,9 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     residual |T_ac(x) - T_ab(x) T_bc(x)| is measured and accepted at the
     scale max(1, |T_ac(x)|) of that sample; a triple passes when every
     sample does, and the report keeps its worst residual.  A single-chart
-    atlas passes vacuously.  A transition that is not finite at a sample
-    fails there with residual inf; a NaN residual is the worst.
+    atlas passes vacuously.  A transition that cannot be evaluated at a
+    sample (``BadAtPoint``) fails there with residual inf; a NaN residual
+    is the worst.
     """
     report = Report()
     n = atlas.fiber_dim
@@ -258,7 +271,7 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
         for x in np.atleast_2d(points):
             try:
                 t = atlas.transition_at(a, b, x)
-            except NonFiniteTransition:
+            except BadAtPoint:
                 ok, worst = False, np.inf
                 continue
             s = np.linalg.svd(t, compute_uv=False)
@@ -289,7 +302,7 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
             try:
                 lhs = atlas.transition_at(a, c, x)
                 rhs = atlas.transition_at(a, b, x) @ atlas.transition_at(b, c, x)
-            except NonFiniteTransition:
+            except BadAtPoint:
                 resid, good = np.inf, False
             else:
                 resid = fro(lhs - rhs)
@@ -312,8 +325,8 @@ def check_reduction(atlas: ChartAtlas, spec: IsotropyGroupSpec,
 
     The report starts with the cocycle gate and then carries one entry per
     declared overlap with the worst isotropy residual over its samples; a
-    transition that is not finite at a sample fails there with residual
-    inf.
+    transition that cannot be evaluated at a sample, or is singular there,
+    fails there with residual inf.
     """
     report = check_cocycle(atlas, tol)
     if not report.passed:
@@ -326,7 +339,7 @@ def check_reduction(atlas: ChartAtlas, spec: IsotropyGroupSpec,
         for x in np.atleast_2d(points):
             try:
                 inside, resid = in_isotropy(atlas.transition_at(a, b, x), spec, tol)
-            except NonFiniteTransition:
+            except BadAtPoint:
                 inside, resid = False, np.inf
             if resid >= worst or math.isnan(resid):
                 worst, at = resid, x
@@ -348,9 +361,10 @@ class LocalTensorField:
     symmetry: str = "symmetric"
 
     def at(self, chart_name, x):
+        """The field's value on ``chart_name`` at x; BadAtPoint unless finite."""
         value = np.asarray(self.evaluators[chart_name](x), dtype=float)
         if not np.all(np.isfinite(value)):
-            raise ValueError(f"field not finite on {chart_name} at {x}")
+            raise BadAtPoint(x, "field not finite")
         return value
 
 
@@ -434,9 +448,11 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     forms, rank for skew forms, rank pattern for nilpotent endomorphisms,
     eigenvalue structure for complex/para-complex ones.
 
-    A field whose Jacobian is singular at a sample fails its chart there
-    with residual inf and the note ``jacobian singular``.  Raises
-    UnsupportedKind when the model tensor has no implemented invariant.
+    A field that cannot be evaluated at a sample (``BadAtPoint``: not
+    finite there, or a pullback whose Jacobian is singular) fails its chart
+    there with residual inf; each distinct reason is noted once, in order
+    of first occurrence.  Raises UnsupportedKind when the model tensor has
+    no implemented invariant.
     """
     if field.kind != spec.model.kind:
         raise ShapeMismatch(
@@ -444,7 +460,7 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     model_class = _orbit_class(spec.model, tol)
     report = Report()
     report.note(f"orbit invariant: {model_class[0]}")
-    singular = False
+    reasons = {}  # the distinct BadAtPoint reasons, in order of first occurrence
     for chart in atlas.charts:
         if chart.name not in field.evaluators:
             report.add(f"modelled[{chart.name}]", False, np.inf, "field missing")
@@ -460,8 +476,9 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
         for x in pts:
             try:
                 value = field.at(chart.name, x)
-            except SingularJacobianAtPoint:
-                good, resid, singular = False, np.inf, True
+            except BadAtPoint as exc:
+                good, resid = False, np.inf
+                reasons.setdefault(exc.reason)
             else:
                 good, resid = _same_orbit(value, model_class, tol)
             if not good and resid >= worst:
@@ -469,6 +486,6 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
             ok = ok and good
         report.add(f"modelled[{chart.name}]", ok, worst,
                    _location(at) or f"{pts.shape[0]} samples")
-    if singular:
-        report.note("jacobian singular")
+    for reason in reasons:
+        report.note(reason)
     return report

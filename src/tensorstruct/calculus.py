@@ -28,9 +28,11 @@ mode; the CLI passes the field document's ``fd_step`` (else ``--fd-step``).
 The grid checks evaluate every grid point and every shifted point they need
 in one call, so a check costs a fixed number of numpy calls per block of
 points rather than per point.  They decide with a ``Tolerance``, by default
-``GRID_TOL`` (absolute 1e-6); a check about the input (a field that is not
-a structure of the asked kind, a degenerate metric) fails its entry with
-residual inf at the first bad point instead of raising.
+``GRID_TOL`` (absolute 1e-6).  An input that is bad at a point (a field
+that is not a structure of the asked kind, a degenerate metric, a singular
+Jacobian) raises ``BadAtPoint`` there, and ``_grid_report`` turns it into
+the failing entry: residual inf at that point, and the reason as a note.
+That is the one place a grid check catches it.
 
 Conventions: ``christoffel[k, i, j]`` is the e_k-component of the derivative
 of e_j along e_i; ``curvature[i, j, k, l]`` is the e_i-component of
@@ -46,7 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMetricAtPoint, ModeMismatch, SingularJacobianAtPoint
+from .errors import BadAtPoint, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance
 from .poly import Poly, PolyArray
 from .report import Report
@@ -252,11 +254,20 @@ def _grid_report(name, residuals_of, grid, tol: Tolerance, label) -> Report:
     ``residuals_of`` maps a block of points to one residual per point.  The
     entry passes when ``tol`` accepts that residual (at scale 1); its
     location is the first point attaining it, and "" when it is 0.  The note
-    is ``verdict: <label>``, or ``verdict: not <label>`` on failure.
+    is ``verdict: <label>``, or ``verdict: not <label>`` on failure.  A
+    ``BadAtPoint`` from ``residuals_of`` fails the entry with residual inf
+    at its point, and its reason follows the verdict as a second note.
     """
     points = np.atleast_2d(np.asarray(grid, dtype=float))
-    blocks = [residuals_of(points[s:s + _BLOCK_POINTS])
-              for s in range(0, len(points), _BLOCK_POINTS)]
+    report = Report()
+    try:
+        blocks = [residuals_of(points[s:s + _BLOCK_POINTS])
+                  for s in range(0, len(points), _BLOCK_POINTS)]
+    except BadAtPoint as exc:
+        report.add(name, False, np.inf, np.array2string(np.asarray(exc.point), precision=3))
+        report.note(f"verdict: not {label}")
+        report.note(exc.reason)
+        return report
     worst, where = 0.0, ""
     if blocks:
         resid = np.concatenate(blocks)
@@ -264,18 +275,8 @@ def _grid_report(name, residuals_of, grid, tol: Tolerance, label) -> Report:
         if resid[k] != 0.0:
             worst, where = float(resid[k]), np.array2string(points[k], precision=3)
     passed = tol.accepts(worst)
-    report = Report()
     report.add(name, passed, worst, where)
     report.note(f"verdict: {label if passed else 'not ' + label}")
-    return report
-
-
-def _bad_input_report(name, point, label, reason) -> Report:
-    """The failing entry of a grid check whose input is bad at ``point``."""
-    report = Report()
-    report.add(name, False, np.inf, np.array2string(np.asarray(point), precision=3))
-    report.note(f"verdict: not {label}")
-    report.note(reason)
     return report
 
 
@@ -288,11 +289,11 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
 
     Polynomial inputs give a polynomial bracket (exact); otherwise the
     bracket differentiates by central differences with the smaller of the
-    two steps.  Raises ModeMismatch when the fields live on different
+    two steps.  Raises ShapeMismatch when the fields live on different
     dimensions.
     """
     if x_field.dim != y_field.dim:
-        raise ModeMismatch(f"dimension {x_field.dim} vs {y_field.dim}")
+        raise ShapeMismatch(f"dimension {x_field.dim} vs {y_field.dim}")
     dim = x_field.dim
     if x_field.polys is not None and y_field.polys is not None:
         comps = []
@@ -338,7 +339,7 @@ def nijenhuis(a_field: TensorFieldOnChart, x_field: VectorField,
     differentiated in its own derivative mode).
     """
     if a_field.kind != "1,1":
-        raise ModeMismatch("defect tensor needs an endomorphism field")
+        raise ShapeMismatch("defect tensor needs an endomorphism field")
     x = np.asarray(x, dtype=float)
     defect = _defect_tensor(a_field(x), a_field.partials(x))
     return np.einsum("kij,i,j->k", defect, x_field(x), y_field(x))
@@ -362,35 +363,25 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
     relative to max(|A|^2, 1)) at some grid point fails the entry with
     residual inf at the first such point and the note ``not a <kind>
     structure``; so does a pullback whose Jacobian is singular at a point
-    the check evaluates, with the note ``jacobian singular``.
+    the check evaluates, with the note ``jacobian singular``.  Both are a
+    ``BadAtPoint`` that ``_grid_report`` turns into the entry.
     """
     if kind not in _STRUCTURE_SQUARES:
         raise ValueError(f"unknown structure kind {kind!r}")
     identity = _STRUCTURE_SQUARES[kind] * np.eye(field.dim)
     upper = np.triu_indices(field.dim, 1)
 
-    bad = []  # (point, reason) at the first point where the input is bad
-
     def residuals(points):
         a = field(points)
         valid = _IDENTITY_TOL.accepts(np.linalg.norm(a @ a - identity, axis=(-2, -1)),
                                       np.maximum(np.linalg.norm(a, axis=(-2, -1)) ** 2, 1.0))
         if not valid.all():
-            bad.append((points[np.argmin(valid)], f"not a {kind} structure"))
-            return np.zeros(len(points))
+            raise BadAtPoint(points[np.argmin(valid)], f"not a {kind} structure")
         defect = _defect_tensor(a, field.partials(points))[..., upper[0], upper[1]]
         return np.linalg.norm(defect, axis=-2).max(axis=-1, initial=0.0)
 
-    name = f"defect_tensor_{kind}"
     label = "formally integrable" if kind == "complex" else "integrable"
-    try:
-        report = _grid_report(name, residuals, grid, tol, label)
-    except SingularJacobianAtPoint as exc:
-        bad.append((exc.point, "jacobian singular"))
-    if bad:
-        point, reason = bad[0]
-        return _bad_input_report(name, point, label, reason)
-    return report
+    return _grid_report(f"defect_tensor_{kind}", residuals, grid, tol, label)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +396,9 @@ class ConnectionData:
     at every row of a (..., d) array of points, solved from the Koszul
     identity with the metric's values and partials.  A metric whose smallest
     singular value is at most ``tol.rank_threshold`` of its largest raises
-    DegenerateMetricAtPoint at the first such point, in row order.  ``step``
-    is the default central-difference step of ``curvature``.
+    ``BadAtPoint`` (``metric degenerate``) at the first such point, in row
+    order.  ``step`` is the default central-difference step of
+    ``curvature``.
     """
 
     metric: TensorFieldOnChart
@@ -430,7 +422,7 @@ class ConnectionData:
         degenerate = sv[..., -1] <= self.tol.rank_threshold(sv[..., 0])
         if degenerate.any():
             first = np.unravel_index(np.argmax(degenerate), degenerate.shape)
-            raise DegenerateMetricAtPoint(x[first])
+            raise BadAtPoint(x[first], "metric degenerate")
         batch = x.shape[:-1]
         gamma = np.linalg.solve(g, rhs.reshape(batch + (dim, dim * dim)))
         return gamma.reshape(batch + (dim, dim, dim))
@@ -442,11 +434,11 @@ def levi_civita(metric: TensorFieldOnChart,
 
     Works for any nondegenerate symmetric field (either signature).  The
     Christoffel array is symmetric in its lower indices by construction;
-    degeneracy (judged by ``tol``) raises DegenerateMetricAtPoint when the
-    connection is evaluated.
+    degeneracy (judged by ``tol``) raises ``BadAtPoint`` when the connection
+    is evaluated.
     """
     if metric.kind != "2,0":
-        raise ModeMismatch("connection needs a (2,0) metric field")
+        raise ShapeMismatch("connection needs a (2,0) metric field")
     # exact-mode metrics carry an infinite step; the connection still needs a
     # finite one for the outer derivatives taken by curvature()
     step = metric.step if np.isfinite(metric.step) else DEFAULT_FD_STEP
@@ -498,11 +490,7 @@ def is_metric_integrable(metric: TensorFieldOnChart, grid,
         riem = curvature(conn, points, step=step)
         return np.linalg.norm(riem.reshape(len(points), -1), axis=-1)
 
-    try:
-        return _grid_report("curvature_residual", residuals, grid, tol, "integrable")
-    except DegenerateMetricAtPoint as exc:
-        return _bad_input_report("curvature_residual", exc.point, "integrable",
-                                 "metric degenerate")
+    return _grid_report("curvature_residual", residuals, grid, tol, "integrable")
 
 
 def covariant_derivative_of_structure(conn: ConnectionData,
@@ -515,7 +503,9 @@ def covariant_derivative_of_structure(conn: ConnectionData,
                                        - T[j, m] Gamma[m, i, k].
 
     A flat connection with a parallel structure field certifies that the
-    constant normal form is attainable in some chart.
+    constant normal form is attainable in some chart.  A metric degenerate,
+    or a field not evaluable, at a grid point fails the entry with residual
+    inf at that point, as in the other grid checks.
     """
     def residuals(points):
         along = np.moveaxis(conn(points), -2, -3)  # along[p, i] = Gamma[:, i, :]
@@ -639,8 +629,8 @@ def pullback_endomorphism(phi: PolyMap, constant_matrix,
     """Pullback of a constant endomorphism: T(x) = DPhi(x)^-1 T0 DPhi(x).
 
     The inverse Jacobian is not polynomial, so this field lives in FD mode.
-    A Jacobian that is singular at a point raises SingularJacobianAtPoint at
-    the first such point, in row order.
+    A Jacobian that is singular at a point raises ``BadAtPoint`` (``jacobian
+    singular``) at the first such point, in row order.
     """
     t0 = np.asarray(constant_matrix, dtype=float)
 
@@ -654,7 +644,7 @@ def pullback_endomorphism(phi: PolyMap, constant_matrix,
                 try:
                     np.linalg.solve(jp, t0 @ jp)
                 except np.linalg.LinAlgError:
-                    raise SingularJacobianAtPoint(point) from None
+                    raise BadAtPoint(point, "jacobian singular") from None
             raise
 
     return TensorFieldOnChart(phi.dim, "1,1", fn, step=step, symmetry="none",

@@ -29,9 +29,9 @@ import numpy as np
 from .errors import (
     Degenerate,
     IncompatibleInputs,
-    InvalidTriple,
+    InvalidStructure,
     NotInvolutive,
-    NotPositive,
+    NotPositiveDefinite,
     ShapeMismatch,
     TensorStructError,
 )
@@ -192,9 +192,9 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
 
     Raises
     ------
-    NotPositive   (Kahler) the input metric is not positive definite.
-    Degenerate    the form fails nondegeneracy.
-    NotInvolutive (para) J^2 differs from Id beyond tolerance.
+    NotPositiveDefinite  (Kahler) the input metric is not positive definite.
+    Degenerate           the form fails nondegeneracy.
+    NotInvolutive        (para) J^2 differs from Id beyond tolerance.
     """
     g = as_matrix(getattr(metric, "matrix", metric), square=True, name="metric")
     s = omega.matrix
@@ -211,7 +211,7 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         try:
             g_half = spd_sqrt(g, tol)
         except (TensorStructError, ValueError) as exc:
-            raise NotPositive(f"metric is not positive definite: {exc}") from exc
+            raise NotPositiveDefinite(f"metric is not positive definite: {exc}") from exc
         a_star = metric_adjoint(a, g)
         m = a @ a_star
         # m is self-adjoint for g; conjugating by G^(1/2) makes it symmetric
@@ -219,7 +219,7 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         try:
             root = spd_sqrt(g_half @ m @ g_half_inv, tol)
         except (TensorStructError, ValueError) as exc:
-            raise NotPositive(f"A A* is not positive: {exc}") from exc
+            raise NotPositiveDefinite(f"A A* is not positive: {exc}") from exc
         r = g_half_inv @ root @ g_half
         i = np.linalg.solve(r, a)
         # Newton polish toward exact involutivity: X -> (X - X^-1)/2 squares
@@ -423,10 +423,10 @@ def lagrangian_orthogonal_decomposition(triple: CompatibleTriple,
     J swaps them.
 
     Returns (E1, E2) with basis vectors as columns.
-    Raises InvalidTriple if the triple fails ``check_triple``.
+    Raises InvalidStructure if the triple fails ``check_triple``.
     """
     if not check_triple(triple, tol).passed:
-        raise InvalidTriple("triple fails its compatibility predicates")
+        raise InvalidStructure("triple fails its compatibility predicates")
     n = triple.dim
     k = n // 2
     g = triple.metric_matrix
@@ -435,7 +435,7 @@ def lagrangian_orthogonal_decomposition(triple: CompatibleTriple,
     if triple.flavor == "kahler":
         e1 = _unitary_half_basis(g, i)
         if e1 is None:
-            raise InvalidTriple("could not build an adapted unitary basis")
+            raise InvalidStructure("could not build an adapted unitary basis")
         return e1, i @ e1
 
     # para flavor: graphs over the +1 eigenspace.  With P the perfect pairing
@@ -444,12 +444,12 @@ def lagrangian_orthogonal_decomposition(triple: CompatibleTriple,
     # image {u - phi(u)} is Lagrangian and negative.
     plus, minus = involution_eigenbases(i, tol)
     if plus.shape[1] != k or minus.shape[1] != k:
-        raise InvalidTriple("eigenspaces are not balanced")
+        raise InvalidStructure("eigenspaces are not balanced")
     pairing = plus.T @ g @ minus
     try:
         phi = minus @ np.linalg.inv(pairing)
     except np.linalg.LinAlgError as exc:
-        raise InvalidTriple("pairing between eigenspaces is degenerate") from exc
+        raise InvalidStructure("pairing between eigenspaces is degenerate") from exc
     e1 = plus + phi
     e2 = i @ e1
     return e1, e2

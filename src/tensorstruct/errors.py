@@ -3,6 +3,23 @@
 Checks that are *about* the input (does this matrix square to -Id?) never
 raise; they produce report entries.  Exceptions are reserved for misuse:
 wrong shapes, missing data, or preconditions a caller promised to uphold.
+
+One exception crosses that line on purpose: ``BadAtPoint``, "the input
+cannot be evaluated at this point".  It is raised where the evaluation
+fails, with the point and a short reason:
+
+  * ``calculus.ConnectionData`` (``metric degenerate``);
+  * ``calculus.pullback_endomorphism`` (``jacobian singular``);
+  * the residuals of ``calculus.is_integrable_structure`` (``not a <kind>
+    structure``);
+  * ``bundle.ChartAtlas.transition_at`` (``transition a->b not finite``,
+    ``transition a->b not invertible``);
+  * ``bundle.LocalTensorField.at`` (``field not finite``).
+
+Each check turns it into its failing entry in one place: the grid checks
+in ``calculus._grid_report`` (residual inf at the point, the reason as a
+note), the bundle checks in their per-sample loops (residual inf at the
+sample).  Only a direct library call of the raising function sees it.
 """
 
 
@@ -22,10 +39,6 @@ class Singular(TensorStructError):
     pass
 
 
-class InvalidDecomposition(TensorStructError):
-    pass
-
-
 class MissingDecomposition(TensorStructError):
     pass
 
@@ -42,15 +55,7 @@ class IncompatibleInputs(TensorStructError):
     pass
 
 
-class NotPositive(TensorStructError):
-    pass
-
-
 class NotInvolutive(TensorStructError):
-    pass
-
-
-class InvalidTriple(TensorStructError):
     pass
 
 
@@ -58,28 +63,13 @@ class UnsupportedKind(TensorStructError):
     pass
 
 
-class ModeMismatch(TensorStructError):
-    pass
+class BadAtPoint(TensorStructError):
+    """The input cannot be evaluated at ``point``, for ``reason``."""
 
-
-class DegenerateMetricAtPoint(TensorStructError):
-    def __init__(self, point, message=""):
+    def __init__(self, point, reason):
         self.point = point
-        super().__init__(message or f"metric degenerate at {point}")
-
-
-class SingularJacobianAtPoint(TensorStructError):
-    def __init__(self, point, message=""):
-        self.point = point
-        super().__init__(message or f"jacobian singular at {point}")
-
-
-class NonFiniteTransition(TensorStructError):
-    """A declared transition function is not finite at a sample point."""
-
-    def __init__(self, point, message=""):
-        self.point = point
-        super().__init__(message or f"transition not finite at {point}")
+        self.reason = reason
+        super().__init__(f"{reason} at {point}")
 
 
 class ShapeMismatch(TensorStructError):

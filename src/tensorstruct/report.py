@@ -81,7 +81,11 @@ class Report:
 
     @property
     def worst_residual(self) -> float:
-        return max((entry.residual for entry in self.entries), default=0.0)
+        """The largest residual, 0.0 for none; a NaN residual is the worst."""
+        residuals = [entry.residual for entry in self.entries]
+        if any(math.isnan(r) for r in residuals):
+            return math.nan
+        return max(residuals, default=0.0)
 
     @property
     def exit_status(self) -> int:

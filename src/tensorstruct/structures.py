@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     Degenerate,
-    InvalidDecomposition,
     InvalidStructure,
     MissingDecomposition,
     ShapeMismatch,
@@ -75,49 +74,59 @@ __all__ = [
 # types
 # ---------------------------------------------------------------------------
 
+def _coerce_columns(owner, names):
+    """Set each named field of a frozen ``owner`` to a float (dim, k) array
+    of basis vectors as columns."""
+    for name in names:
+        object.__setattr__(owner, name, np.asarray(getattr(owner, name), dtype=float)
+                           .reshape(owner.dim, -1))
+
+
 @dataclass(frozen=True)
-class BilinearForm:
-    """A bilinear form B(u,v) = u^T S v with a declared symmetry tag."""
+class _MatrixStructure:
+    """Base of the structure types that carry a square ``matrix``.
+
+    ``matrix`` is coerced by ``as_matrix(square=True)``, and every field
+    named in ``_BASES`` to a float ``(dim, k)`` array of basis vectors as
+    columns.
+    """
 
     matrix: np.ndarray
+    _BASES = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", as_matrix(self.matrix, square=True))
+        _coerce_columns(self, self._BASES)
+
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
+
+
+@dataclass(frozen=True)
+class BilinearForm(_MatrixStructure):
+    """A bilinear form B(u,v) = u^T S v with a declared symmetry tag."""
+
     symmetry: str  # "symmetric" | "skew"
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix, square=True))
+        super().__post_init__()
         if self.symmetry not in ("symmetric", "skew"):
             raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
     def __call__(self, u, v):
         return float(np.asarray(u) @ self.matrix @ np.asarray(v))
 
 
 @dataclass(frozen=True)
-class SymplecticForm:
+class SymplecticForm(_MatrixStructure):
     """A skew form expected to be nondegenerate (checked by ``validate``)."""
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix, square=True))
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    @property
-    def form(self):
-        return BilinearForm(self.matrix, "skew")
-
-    def __call__(self, u, v):
-        return float(np.asarray(u) @ self.matrix @ np.asarray(v))
+    __call__ = BilinearForm.__call__
 
 
 @dataclass(frozen=True)
-class KreinMetric:
+class KreinMetric(_MatrixStructure):
     """Symmetric form with a splitting into positive and negative subspaces.
 
     ``plus_basis`` / ``minus_basis`` hold basis vectors as columns.  The two
@@ -125,21 +134,9 @@ class KreinMetric:
     positive definite on the first and negative definite on the second.
     """
 
-    matrix: np.ndarray
     plus_basis: np.ndarray
     minus_basis: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix, square=True))
-        n = self.matrix.shape[0]
-        plus = np.asarray(self.plus_basis, dtype=float).reshape(n, -1)
-        minus = np.asarray(self.minus_basis, dtype=float).reshape(n, -1)
-        object.__setattr__(self, "plus_basis", plus)
-        object.__setattr__(self, "minus_basis", minus)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
+    _BASES = ("plus_basis", "minus_basis")
 
     @property
     def signature(self):
@@ -149,13 +146,9 @@ class KreinMetric:
     def is_neutral(self):
         return self.plus_basis.shape[1] == self.minus_basis.shape[1]
 
-    @property
-    def form(self):
-        return BilinearForm(self.matrix, "symmetric")
-
 
 @dataclass(frozen=True)
-class ComplexStructure:
+class ComplexStructure(_MatrixStructure):
     """Endomorphism squaring to -Id, optionally with a decomposition.
 
     A decomposition is a triple ``(basis1, basis2, iso)``: two complementary
@@ -164,64 +157,35 @@ class ComplexStructure:
     the block form [[0, -iso], [iso^-1, 0]].
     """
 
-    matrix: np.ndarray
     decomposition: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix, square=True))
+        super().__post_init__()
         if self.decomposition is not None:
             b1, b2, iso = self.decomposition
-            n = self.matrix.shape[0]
+            n = self.dim
             b1 = np.asarray(b1, dtype=float).reshape(n, -1)
             b2 = np.asarray(b2, dtype=float).reshape(n, -1)
             iso = as_matrix(iso, square=True, name="iso")
             object.__setattr__(self, "decomposition", (b1, b2, iso))
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
-class ParaComplexStructure:
+class ParaComplexStructure(_MatrixStructure):
     """Endomorphism squaring to +Id with balanced +1/-1 eigenspaces."""
 
-    matrix: np.ndarray
     eigen_plus: np.ndarray
     eigen_minus: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix, square=True))
-        n = self.matrix.shape[0]
-        object.__setattr__(self, "eigen_plus",
-                           np.asarray(self.eigen_plus, dtype=float).reshape(n, -1))
-        object.__setattr__(self, "eigen_minus",
-                           np.asarray(self.eigen_minus, dtype=float).reshape(n, -1))
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
+    _BASES = ("eigen_plus", "eigen_minus")
 
 
 @dataclass(frozen=True)
-class TangentStructure:
+class TangentStructure(_MatrixStructure):
     """Nilpotent endomorphism J with im J = ker J."""
 
-    matrix: np.ndarray
     kernel_basis: np.ndarray
     complement_basis: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix, square=True))
-        n = self.matrix.shape[0]
-        object.__setattr__(self, "kernel_basis",
-                           np.asarray(self.kernel_basis, dtype=float).reshape(n, -1))
-        object.__setattr__(self, "complement_basis",
-                           np.asarray(self.complement_basis, dtype=float).reshape(n, -1))
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
+    _BASES = ("kernel_basis", "complement_basis")
 
 
 @dataclass(frozen=True)
@@ -233,11 +197,7 @@ class CotangentStructure:
     complement_basis: np.ndarray
 
     def __post_init__(self):
-        n = self.symplectic.dim
-        object.__setattr__(self, "lagrangian_basis",
-                           np.asarray(self.lagrangian_basis, dtype=float).reshape(n, -1))
-        object.__setattr__(self, "complement_basis",
-                           np.asarray(self.complement_basis, dtype=float).reshape(n, -1))
+        _coerce_columns(self, ("lagrangian_basis", "complement_basis"))
 
     @property
     def dim(self):
@@ -304,18 +264,21 @@ def krein_from_matrix(g, tol: Tolerance = DEFAULT_TOL) -> KreinMetric:
     rank threshold of zero mean the form is degenerate.
     """
     g = as_matrix(g, square=True)
-    sym = 0.5 * (g + g.T)
-    w, q = np.linalg.eigh(sym)
+    w, q = _ordered_eigh(g, tol)
+    return KreinMetric(g, q[:, w > 0], q[:, w < 0])
+
+
+def _ordered_eigh(g, tol: Tolerance):
+    """Eigenvalues of the symmetric part of g in descending order, so the
+    positive block comes first and the basis order is deterministic, with
+    their eigenvectors as columns.  Raises Degenerate when an eigenvalue is
+    within the rank threshold of zero."""
+    w, q = np.linalg.eigh(0.5 * (g + g.T))
     cut = tol.rank_threshold(np.abs(w).max(initial=0.0))
     if np.any(np.abs(w) <= cut):
         raise Degenerate("symmetric form has (numerically) zero eigenvalues")
-    # descending eigenvalues, so the positive block comes first and the
-    # basis order is deterministic
     order = np.argsort(-w)
-    w, q = w[order], q[:, order]
-    plus = q[:, w > 0]
-    minus = q[:, w < 0]
-    return KreinMetric(g, plus, minus)
+    return w[order], q[:, order]
 
 
 # ---------------------------------------------------------------------------
@@ -492,27 +455,27 @@ def fundamental_symmetry(g: KreinMetric, tol: Tolerance = DEFAULT_TOL):
 
     Raises
     ------
-    InvalidDecomposition
+    InvalidStructure
         If the stored bases do not span, or gamma fails to be symmetric
         positive definite (non-orthogonal splitting).
     """
     p, q = g.signature
     n = g.dim
     if p + q != n:
-        raise InvalidDecomposition(f"bases give {p}+{q} directions in dimension {n}")
+        raise InvalidStructure(f"bases give {p}+{q} directions in dimension {n}")
     basis = np.hstack([g.plus_basis, g.minus_basis])
     try:
         inv = np.linalg.inv(basis)
     except np.linalg.LinAlgError as exc:
-        raise InvalidDecomposition("plus/minus bases do not span") from exc
+        raise InvalidStructure("plus/minus bases do not span") from exc
     j = basis @ np.diag(np.concatenate([np.ones(p), -np.ones(q)])) @ inv
     gamma = g.matrix @ j
     gamma = np.asarray(gamma)
     scale = max(fro(gamma), 1.0)
     if not tol.accepts(fro(gamma - gamma.T), scale):
-        raise InvalidDecomposition("splitting is not g-orthogonal: gamma not symmetric")
+        raise InvalidStructure("splitting is not g-orthogonal: gamma not symmetric")
     if np.linalg.eigvalsh(0.5 * (gamma + gamma.T)).min() <= tol.atol:
-        raise InvalidDecomposition("gamma is not positive definite")
+        raise InvalidStructure("gamma is not positive definite")
     return j, BilinearForm(0.5 * (gamma + gamma.T), "symmetric")
 
 
@@ -529,12 +492,7 @@ def krein_isomorphism(g1: KreinMetric, g2: KreinMetric, tol: Tolerance = DEFAULT
 
     def factor(g):
         # G = W Sigma W^T with Sigma = diag(+1..., -1...) in a fixed order
-        w, q = np.linalg.eigh(0.5 * (g.matrix + g.matrix.T))
-        order = np.argsort(-w)
-        w, q = w[order], q[:, order]
-        cut = tol.rank_threshold(np.abs(w).max(initial=0.0))
-        if np.any(np.abs(w) <= cut):
-            raise Degenerate("Krein matrix numerically degenerate")
+        w, q = _ordered_eigh(g.matrix, tol)
         return q * np.sqrt(np.abs(w))
 
     w1 = factor(g1)
@@ -559,7 +517,7 @@ def tangent_normal_form(j: TangentStructure, tol: Tolerance = DEFAULT_TOL):
     # the canonical form
     _, complement = kernel_and_complement(m, tol)
     p = np.hstack([m @ complement, complement])
-    if np.linalg.matrix_rank(p) != n:
+    if rank_of(p, tol) != n:
         raise InvalidStructure("complement construction degenerate")
     return np.linalg.inv(p)
 

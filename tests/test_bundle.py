@@ -17,10 +17,9 @@ from tensorstruct.bundle import (
     tensor_action,
 )
 from tensorstruct.errors import (
+    BadAtPoint,
     MissingTransition,
-    NonFiniteTransition,
     Singular,
-    SingularJacobianAtPoint,
     TensorStructError,
     UnsupportedKind,
 )
@@ -77,6 +76,11 @@ def test_tensor_action_is_an_action():
 def test_tensor_action_rejects_singular():
     with pytest.raises(Singular):
         tensor_action(np.zeros((2, 2)), I_SPEC.model)
+
+
+def test_a_singular_map_lies_in_no_isotropy_group():
+    assert in_isotropy(np.zeros((2, 2)), I_SPEC) == (False, np.inf)
+    assert in_isotropy(np.diag([1.0, 0.0]), OMEGA_SPEC) == (False, np.inf)
 
 
 def test_in_isotropy_shear_preserves_canonical_form():
@@ -449,6 +453,9 @@ def test_a_transition_that_overflows_fails_at_its_sample():
 # finite matrix), or T_ba = diag(1e-320, 1) has the inverse diag(inf, 1)
 INVERTED = {"overflowing": AffineTransition(np.eye(2), [np.diag([1e300, 1.0])]),
             "subnormal": ConstantTransition(np.diag([1e-320, 1.0]))}
+# the declared T_ba is not finite, or its inverse T_ab is not
+NOT_FINITE = {"overflowing": "transition b->a not finite",
+              "subnormal": "transition a->b not finite"}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -457,8 +464,11 @@ def test_an_inverted_transition_is_finite_or_fails(declared):
     atlas = overflow_atlas()
     del atlas.transitions[("a", "b")]
     atlas.transitions[("b", "a")] = INVERTED[declared]
-    with pytest.raises(NonFiniteTransition):
-        atlas.transition_at("a", "b", np.array([1e300]))
+    far = np.array([1e300])
+    with pytest.raises(BadAtPoint) as err:
+        atlas.transition_at("a", "b", far)
+    assert err.value.reason == NOT_FINITE[declared]
+    assert err.value.point is far
     entries = {e.name: e for e in check_cocycle(atlas).entries}
     assert not entries["invertible[a,b]"].passed
     assert entries["invertible[a,b]"].residual == np.inf
@@ -508,7 +518,7 @@ def test_a_singular_jacobian_fails_its_chart_at_that_sample():
 
     def pulled(x):
         if x[0] in (1.0, 2.0):
-            raise SingularJacobianAtPoint(x)
+            raise BadAtPoint(x, "jacobian singular")
         return [[1.0]]
 
     field = LocalTensorField("2,0", {"a": pulled, "b": pulled})
@@ -535,3 +545,60 @@ def test_identity_on_the_diagonal_keeps_nan_and_allows_no_samples():
     entry = [e for e in check_cocycle(atlas).entries
              if e.name == "identity_on_diagonal[a]"][0]
     assert entry.passed and entry.residual == 0.0
+
+
+def test_a_declared_self_transition_is_evaluated():
+    # the one-chart atlas of the test above: T_aa is NaN at (1e300, 1e300)
+    chart = Chart("a", [-1.0, -1.0], [1.0, 1.0])
+    far = np.array([1e300, 1e300])
+    atlas = ChartAtlas(fiber_dim=1, charts=[chart],
+                       overlaps={("a", "a"): np.array([[0.0, 0.0], far])},
+                       transitions={("a", "a"): AffineTransition([[1.0]], [[[1e300]], [[-1e300]]])})
+    near = np.array([1e-300, 0.0])  # T_aa(near) = 1 + 1e-300 * 1e300, about 2
+    assert atlas.transition_at("a", "a", near)[0, 0] == 1.0 + 1e-300 * 1e300
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(BadAtPoint) as err:
+            atlas.transition_at("a", "a", far)
+    assert err.value.reason == "transition a->a not finite"
+    assert err.value.point is far
+    with pytest.warns(RuntimeWarning):
+        entries = {e.name: e for e in check_cocycle(atlas).entries}
+    assert not entries["invertible[a,a]"].passed
+    assert entries["invertible[a,a]"].residual == np.inf
+    # with none declared, T_aa is the identity
+    del atlas.transitions[("a", "a")]
+    np.testing.assert_array_equal(atlas.transition_at("a", "a", far), np.eye(1))
+    assert check_cocycle(atlas).passed
+
+
+def test_each_reason_a_chart_sample_is_bad_is_noted_once():
+    charts = [Chart(name, [-1.0], [4.0], SAMPLES) for name in "abc"]
+
+    def bad_at(reasons):
+        """1 everywhere, except BadAtPoint(x, reasons[k]) at the sample x = k."""
+        def fn(x):
+            reason = reasons.get(int(x[0]))
+            if reason:
+                raise BadAtPoint(x, reason)
+            return [[1.0]]
+        return fn
+
+    field = LocalTensorField("2,0", {"a": bad_at({3: "field not finite"}),
+                                     "b": bad_at({0: "jacobian singular", 1: "field not finite"}),
+                                     "c": bad_at({})})
+    spec = IsotropyGroupSpec(StructureMatrix([[1.0]], "2,0"))
+    report = check_locally_modelled(field, ChartAtlas(1, charts), spec)
+    assert [(e.name, e.passed, e.residual, e.location) for e in report.entries] == [
+        ("modelled[a]", False, np.inf, at_sample(3)),
+        ("modelled[b]", False, np.inf, at_sample(1)),
+        ("modelled[c]", True, 0.0, "4 samples")]
+    assert report.notes == ["orbit invariant: signature", "field not finite",
+                            "jacobian singular"]
+
+
+def test_a_field_value_that_is_not_finite_is_bad_at_that_point():
+    x = np.array([2.0])
+    field = LocalTensorField("2,0", {"a": lambda x: [[np.inf]]})
+    with pytest.raises(BadAtPoint) as err:
+        field.at("a", x)
+    assert err.value.point is x and err.value.reason == "field not finite"

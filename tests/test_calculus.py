@@ -23,7 +23,7 @@ from tensorstruct.calculus import (
     sphere_stereographic_metric,
     PolyMap,
 )
-from tensorstruct.errors import DegenerateMetricAtPoint, SingularJacobianAtPoint
+from tensorstruct.errors import BadAtPoint
 from tensorstruct.linalg import Tolerance
 from tensorstruct.poly import Poly
 from tensorstruct.structures import complex_canonical, para_complex_canonical, tangent_canonical
@@ -281,8 +281,10 @@ def test_degenerate_metric_raises_with_location():
         return np.diag([1.0, x[0]])
     metric = TensorFieldOnChart(2, "2,0", fn)
     conn = levi_civita(metric)
-    with pytest.raises(DegenerateMetricAtPoint):
+    with pytest.raises(BadAtPoint) as err:
         conn([0.0, 0.3])
+    assert err.value.reason == "metric degenerate"
+    np.testing.assert_array_equal(err.value.point, [0.0, 0.3])
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +591,9 @@ def test_grid_checks_report_first_failure_and_first_worst_point():
     h = 1e-5
     metric = TensorFieldOnChart(2, "2,0", lambda x: np.diag([1.0, x[0] - 0.2]))
     grid = np.array([[0.2 - h, 0.1], [0.2, 0.5]])
-    with pytest.raises(DegenerateMetricAtPoint) as err:
+    with pytest.raises(BadAtPoint) as err:
         curvature(levi_civita(metric), grid, step=h)
+    assert err.value.reason == "metric degenerate"
     np.testing.assert_array_equal(err.value.point, grid[0] + [h, 0.0])
 
     field = constant_field(np.diag([1.0, 2.0]), "1,1", "none")
@@ -621,8 +624,9 @@ def test_singular_jacobian_fails_the_defect_entry_at_the_first_point():
     phi = PolyMap([Poly(2, {(2, 0): 1.0, (1, 0): -0.04}), Poly.coordinate(2, 1)])
     field = pullback_endomorphism(phi, complex_canonical(2).matrix)
     grid = np.array([[0.5, 0.1], [0.02, 0.3], [0.02, -0.2]])
-    with pytest.raises(SingularJacobianAtPoint) as err:
+    with pytest.raises(BadAtPoint) as err:
         field(grid)
+    assert err.value.reason == "jacobian singular"
     np.testing.assert_array_equal(err.value.point, grid[1])
     report = is_integrable_structure(field, "complex", grid)
     assert (report.passed, report.worst_residual, report.entries[0].location) == (
@@ -635,6 +639,46 @@ def test_singular_jacobian_fails_the_defect_entry_at_the_first_point():
                                       "complex", [[0.5, 0.1], [0.02 - h, 0.3]])
     assert shifted.entries[0].location == np.array2string(np.array([0.02, 0.3]), precision=3)
     assert shifted.notes[1] == "jacobian singular"
+
+
+BAD = np.array([0.25, -0.25])  # a point of GRID2
+
+
+def _bad_at_one_point(kind, value, reason="made-up reason"):
+    """``value`` everywhere, except BadAtPoint(x, reason) at the point BAD."""
+    def fn(x):
+        if np.array_equal(x, BAD):
+            raise BadAtPoint(x, reason)
+        return value
+    return TensorFieldOnChart(2, kind, fn, symmetry="none" if kind == "1,1" else "symmetric")
+
+
+# check name -> (report, label, reason); each field or metric raises at BAD
+BAD_INPUTS = {
+    "nijenhuis": lambda: (is_integrable_structure(
+        _bad_at_one_point("1,1", complex_canonical(2).matrix), "complex", GRID2),
+        "formally integrable", "made-up reason"),
+    "curvature": lambda: (is_metric_integrable(_bad_at_one_point("2,0", np.eye(2)), GRID2),
+                          "integrable", "made-up reason"),
+    "covariant (field)": lambda: (covariant_derivative_of_structure(
+        levi_civita(constant_field(np.eye(2))),
+        _bad_at_one_point("1,1", complex_canonical(2).matrix), GRID2),
+        "parallel", "made-up reason"),
+    "covariant (metric)": lambda: (covariant_derivative_of_structure(
+        levi_civita(TensorFieldOnChart(
+            2, "2,0", lambda x: np.eye(2) if not np.array_equal(x, BAD) else np.diag([1.0, 0.0]))),
+        constant_field(complex_canonical(2).matrix, "1,1", "none"), GRID2),
+        "parallel", "metric degenerate"),
+}
+
+
+@pytest.mark.parametrize("check", BAD_INPUTS)
+def test_grid_checks_turn_a_bad_point_into_their_failing_entry(check):
+    report, label, reason = BAD_INPUTS[check]()
+    [entry] = report.entries
+    assert (entry.passed, entry.residual, entry.location) == (
+        False, np.inf, np.array2string(BAD, precision=3))
+    assert report.notes == [f"verdict: not {label}", reason]
 
 
 def _non_involutive_para_field():

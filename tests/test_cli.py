@@ -1043,10 +1043,17 @@ def test_diffeo_exponents_must_fit_in_int64_products(tmp_path, capsys):
     # the largest exponent allowed: the metric's products of two Jacobian
     # terms still have int64 exponents
     doc["field"]["diffeo"][0][1][0] = 2**62
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+    with no_warnings():
         assert run(["curvature", write(tmp_path, "largest.json", doc)]) in (0, 1)
     assert capsys.readouterr().err == ""
+
+
+@contextlib.contextmanager
+def no_warnings():
+    """Any warning raised inside is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 def overflowing_connection_doc():
@@ -1059,7 +1066,7 @@ def overflowing_connection_doc():
 
 def test_nan_connection_residuals_fail_as_strict_json(tmp_path, capsys):
     path = write(tmp_path, "connection.json", overflowing_connection_doc())
-    with pytest.warns(RuntimeWarning):
+    with no_warnings():
         assert run(["--json", "connection", "check", path]) == 1
     assert strict_entries(capsys.readouterr().out) == [
         {"location": "", "name": "adapted[0]", "passed": False, "residual": "NaN"},
@@ -1087,7 +1094,7 @@ def test_a_transition_that_overflows_fails_as_strict_json(tmp_path, capsys):
     tensor = write(tmp_path, "tensor.json", {"kind": "2,0", "matrix": np.eye(2).tolist()})
     far = "[1.e+300]"
     for argv in (["cocycle", atlas], ["reduce", atlas, tensor]):
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with no_warnings():
             assert run(["--json", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -1100,3 +1107,93 @@ def test_a_transition_that_overflows_fails_as_strict_json(tmp_path, capsys):
             expected.append({"location": far, "name": "isotropy[a,b]", "passed": False,
                              "residual": "Infinity"})
         assert failed == expected
+
+
+SINGULAR = [[1.0, 0.0], [0.0, 0.0]]
+
+
+def line_atlas_doc(names, overlaps, **extra):
+    """Charts ``names`` on [-1, 1]; each overlap (u, w, matrix) is a
+    constant transition sampled at x = 0.5."""
+    return dict({"fiber_dim": 2,
+                 "charts": [{"name": name, "lo": [-1], "hi": [1]} for name in names],
+                 "overlaps": [{"charts": [u, w], "points": [[0.5]],
+                               "transition": {"constant": m}} for u, w, m in overlaps]},
+                **extra)
+
+
+def run_json(argv):
+    """(exit status, entries) of a ``--json`` run that writes no stderr and
+    raises no warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), no_warnings():
+        status = run(["--json", *argv])
+    assert err.getvalue() == ""
+    return status, json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def test_a_triple_needing_the_inverse_of_a_singular_transition_fails(tmp_path):
+    # T_bc is the inverse of the declared, singular T_cb
+    identity = np.eye(2).tolist()
+    doc = line_atlas_doc("abc", [("a", "b", identity), ("c", "b", SINGULAR),
+                                 ("a", "c", identity)],
+                         triples=[{"charts": ["a", "b", "c"], "points": [[0.5]]}])
+    status, report = run_json(["cocycle", write(tmp_path, "atlas.json", doc)])
+    assert status == 1
+    assert [(e["name"], e["passed"], e["residual"], e["location"])
+            for e in report["entries"]] == [
+        ("invertible[a,b]", True, 0.0, "1 samples"),
+        ("invertible[c,b]", False, 1.0 / np.finfo(float).tiny, "1 samples"),
+        ("invertible[a,c]", True, 0.0, "1 samples"),
+        ("cocycle[a,b,c]", False, "Infinity", "[0.5]")]
+
+
+def test_a_singular_transition_lies_in_no_isotropy_group(tmp_path):
+    atlas = write(tmp_path, "atlas.json", line_atlas_doc("ab", [("a", "b", SINGULAR)]))
+    tensor = write(tmp_path, "tensor.json", {"kind": "2,0", "matrix": np.eye(2).tolist()})
+    status, report = run_json(["reduce", atlas, tensor])
+    assert status == 1
+    assert [(e["name"], e["passed"], e["residual"], e["location"])
+            for e in report["entries"]] == [
+        ("invertible[a,b]", False, 1.0 / np.finfo(float).tiny, "1 samples"),
+        ("isotropy[a,b]", False, "Infinity", "[0.5]")]
+
+
+def test_a_field_that_overflows_at_a_chart_sample_fails_that_chart(tmp_path):
+    # g = diag((1 + 2 x_0)^2, 1) is the identity at 0 and inf at x_0 = 1e200
+    atlas = write(tmp_path, "atlas.json",
+                  {"fiber_dim": 2, "charts": [{"name": "a", "lo": [-1, -1], "hi": [1, 1],
+                                               "samples": [[0, 0], [1e200, 0]]}]})
+    tensor = write(tmp_path, "tensor.json", {"kind": "2,0", "matrix": np.eye(2).tolist()})
+    field = write(tmp_path, "field.json",
+                  {"dim": 2, "field": {"name": "pullback_flat", "base_metric": np.eye(2).tolist(),
+                                       "diffeo": [[[1, 0, 1.0], [2, 0, 1.0]], [[0, 1, 1.0]]]}})
+    status, report = run_json(["reduce", atlas, tensor, "--field", field])
+    assert status == 1
+    [entry] = [e for e in report["entries"] if e["name"] == "field/modelled[a]"]
+    assert entry == {"location": np.array2string(np.array([1e200, 0.0]), precision=3),
+                     "name": "field/modelled[a]", "passed": False, "residual": "Infinity"}
+    assert report["notes"][-2:] == ["orbit invariant: signature", "field not finite"]
+
+
+def self_transition_atlas_doc():
+    """One chart whose self-transition 1 + 1e300 x_0 - 1e300 x_1 is
+    inf - inf = NaN at (1e300, 1e300)."""
+    return {"fiber_dim": 1, "charts": [{"name": "a", "lo": [-1, -1], "hi": [1, 1]}],
+            "overlaps": [{"charts": ["a", "a"], "points": [[0, 0], [1e300, 1e300]],
+                          "transition": {"affine": {"base": [[1]],
+                                                    "coeffs": [[[1e300]], [[-1e300]]]}}}]}
+
+
+def test_a_declared_self_transition_is_evaluated(tmp_path, capsys):
+    atlas = write(tmp_path, "atlas.json", self_transition_atlas_doc())
+    status, report = run_json(["cocycle", atlas])
+    assert status == 1
+    assert [(e["name"], e["passed"], e["residual"]) for e in report["entries"]] == [
+        ("invertible[a,a]", False, "Infinity"), ("identity_on_diagonal[a]", False, "NaN")]
+    # the text summary names the NaN as the worst residual
+    with no_warnings():
+        assert run(["cocycle", atlas]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "FAIL (2 checks, worst residual nan)"

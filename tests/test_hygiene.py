@@ -39,6 +39,19 @@ def test_all_names_resolve(module):
 
 
 
+def test_every_error_class_is_raised():
+    # an exception class that nothing raises is a distinction no caller meets
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                raised.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", ""))
+    assert not sorted(classes - raised), f"errors.py classes never raised: {sorted(classes - raised)}"
+
+
 def _catches_everything(handler):
     """Whether an except clause is bare or names Exception or BaseException."""
     if handler.type is None:

@@ -63,6 +63,14 @@ def test_empty_report_layout():
         '  "inputs_digest": "abc",\n  "notes": [],\n  "passed": true\n}')
 
 
+@pytest.mark.parametrize("residuals, worst", [
+    ([], 0.0), ([0.5, 2.0, 1.0], 2.0), ([0.0, math.nan, math.inf], math.nan),
+    ([math.nan, 1.0], math.nan), ([1.0, math.inf], math.inf)])
+def test_a_nan_residual_is_the_worst_wherever_it_stands(residuals, worst):
+    report = build("c", "d", [(f"e{k}", False, r, "") for k, r in enumerate(residuals)], [])
+    assert struct.pack("<d", report.worst_residual) == struct.pack("<d", worst)
+
+
 def test_non_finite_residuals_are_json_strings():
     values = [math.inf, -math.inf, math.nan, 1.5]
     report = build("c", "d", [(f"e{k}", False, v, "") for k, v in enumerate(values)], [])
