@@ -14,6 +14,7 @@ from .structures import (
     CotangentStructure,
     KreinMetric,
     ParaComplexStructure,
+    StructureMatrix,
     SymplecticForm,
     TangentStructure,
     complex_canonical,
@@ -41,9 +42,7 @@ from .compat import (
 )
 from .bundle import (
     ChartAtlas,
-    IsotropyGroupSpec,
     LocalTensorField,
-    StructureMatrix,
     check_cocycle,
     check_locally_modelled,
     check_reduction,

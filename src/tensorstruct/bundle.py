@@ -1,12 +1,20 @@
 """Chart atlases with sampled transition functions and isotropy checks.
 
 Transition functions are evaluable matrix-valued maps sampled at declared
-overlap points; triple overlaps carry their own shared sample sets.  The
-tensor action convention is the single source of truth here:
+overlap points; triple overlaps carry their own shared sample sets.  A
+reduction is checked against a model tensor, a ``StructureMatrix``, whose
+isotropy group the transitions must lie in.  This module is the single
+source of truth for how the group and its Lie algebra act on that tensor:
 
     kind (1,1):  action(g, T) = g T g^-1       (isotropy = commutation)
+                 algebra(W, T) = W T - T W
     kind (2,0):  action(g, S) = g^-T S g^-1    (isotropy = congruence
-                                                invariance of the form)
+                 algebra(W, S) = W^T S + S W    invariance of the form)
+
+``algebra`` is the linearised action at the identity, up to sign, so its
+zeros are the isotropy algebra in which an adapted connection of
+``limits`` takes its values.  Whether a (1,1) tensor is a complex,
+para-complex or tangent structure is read from ``structures.SQUARES``.
 
 Sample-set density is the caller's responsibility; reports record how many
 points each verdict rests on.
@@ -43,52 +51,22 @@ from .linalg import (
     signature_of,
 )
 from .report import Report
+from .structures import SQUARES, StructureMatrix, square_defect
 
 __all__ = [
     "StructureMatrix",
-    "IsotropyGroupSpec",
     "Chart",
     "ConstantTransition",
     "AffineTransition",
     "ChartAtlas",
     "LocalTensorField",
     "tensor_action",
+    "algebra_action",
     "in_isotropy",
     "check_cocycle",
     "check_reduction",
     "check_locally_modelled",
 ]
-
-
-@dataclass(frozen=True)
-class StructureMatrix:
-    """Square matrix with a role tag: endomorphism, symmetric or skew form."""
-
-    matrix: np.ndarray
-    kind: str  # "1,1" | "2,0"
-    symmetry: str = "symmetric"  # only meaningful for kind "2,0"
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", as_matrix(self.matrix, square=True))
-        if self.kind not in ("1,1", "2,0"):
-            raise ValueError(f"unknown tensor kind {self.kind!r}")
-        if self.symmetry not in ("symmetric", "skew"):
-            raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class IsotropyGroupSpec:
-    """Model tensor whose isotropy group the transitions should live in."""
-
-    model: StructureMatrix
-
-    @property
-    def dim(self):
-        return self.model.dim
 
 
 @dataclass(frozen=True)
@@ -226,7 +204,16 @@ def _acted(g, tensor: StructureMatrix):
     return g_inv.T @ tensor.matrix @ g_inv
 
 
-def in_isotropy(g, spec: IsotropyGroupSpec, tol: Tolerance = DEFAULT_TOL):
+def algebra_action(w, tensor: StructureMatrix):
+    """algebra(W, T) for every matrix W of the stack ``w``: zero exactly
+    when W lies in the isotropy algebra of the model tensor."""
+    t = tensor.matrix
+    if tensor.kind == "1,1":
+        return w @ t - t @ w
+    return np.swapaxes(w, -1, -2) @ t + t @ w
+
+
+def in_isotropy(g, model: StructureMatrix, tol: Tolerance = DEFAULT_TOL):
     """True iff the action of g fixes the model tensor within tol.
 
     Acceptance is ``|action(g, T) - T| <= rtol |T| + atol``; an action
@@ -234,11 +221,11 @@ def in_isotropy(g, spec: IsotropyGroupSpec, tol: Tolerance = DEFAULT_TOL):
     singular g lies in no isotropy group: ``(False, inf)``.
     """
     try:
-        acted = _acted(g, spec.model)
+        acted = _acted(g, model)
     except Singular:
         return False, np.inf
-    resid = fro(acted - spec.model.matrix)
-    return tol.accepts(resid, fro(spec.model.matrix)), resid
+    resid = fro(acted - model.matrix)
+    return tol.accepts(resid, fro(model.matrix)), resid
 
 
 def _location(x):
@@ -276,8 +263,9 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
                 continue
             s = np.linalg.svd(t, compute_uv=False)
             if s[-1] <= tol.rank_threshold(s[0]):
+                # the condition number, inf for an exactly singular transition
                 ok = False
-                worst = max(worst, float(s[0] / max(s[-1], np.finfo(float).tiny)))
+                worst = max(worst, float(s[0]) / float(s[-1]) if s[-1] else math.inf)
         report.add(f"invertible[{a},{b}]", ok, worst if not ok else 0.0,
                    f"{len(np.atleast_2d(points))} samples")
 
@@ -319,7 +307,7 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     return report
 
 
-def check_reduction(atlas: ChartAtlas, spec: IsotropyGroupSpec,
+def check_reduction(atlas: ChartAtlas, model: StructureMatrix,
                     tol: Tolerance = DEFAULT_TOL) -> Report:
     """Every sampled transition must lie in the model tensor's isotropy group.
 
@@ -338,7 +326,7 @@ def check_reduction(atlas: ChartAtlas, spec: IsotropyGroupSpec,
         at = None
         for x in np.atleast_2d(points):
             try:
-                inside, resid = in_isotropy(atlas.transition_at(a, b, x), spec, tol)
+                inside, resid = in_isotropy(atlas.transition_at(a, b, x), model, tol)
             except BadAtPoint:
                 inside, resid = False, np.inf
             if resid >= worst or math.isnan(resid):
@@ -368,27 +356,6 @@ class LocalTensorField:
         return value
 
 
-def _orbit_class(model: StructureMatrix, tol):
-    """Classify the model tensor by the complete orbit invariant we support."""
-    m = model.matrix
-    n = m.shape[0]
-    scale = max(fro(m) ** 2, 1.0)
-    if model.kind == "2,0":
-        if model.symmetry == "symmetric":
-            return ("signature", signature_of(m, tol))
-        return ("rank", kernel_and_image(m, tol)[2])
-    if tol.accepts(fro(m @ m + np.eye(n)), scale):
-        return ("complex", None)
-    if tol.accepts(fro(m @ m - np.eye(n)), scale):
-        # the signature: dimensions of the +1 and -1 eigenspaces
-        return ("involution", tuple(b.shape[1] for b in involution_eigenbases(m, tol)))
-    if tol.accepts(fro(m @ m), scale):
-        return ("nilpotent", rank_pattern(m, tol))
-    raise UnsupportedKind(
-        "no complete orbit invariant for this (1,1) tensor; supported: "
-        "complex, involutive, nilpotent-of-order-2")
-
-
 def rank_pattern(m, tol=DEFAULT_TOL):
     """Ranks of successive powers, a complete nilpotent conjugation invariant."""
     n = m.shape[0]
@@ -403,11 +370,38 @@ def rank_pattern(m, tol=DEFAULT_TOL):
     return tuple(out)
 
 
+def _involution_signature(m, tol):
+    """Dimensions of the +1 and -1 eigenspaces of an involution."""
+    return tuple(b.shape[1] for b in involution_eigenbases(m, tol))
+
+
+# the supported (1,1) orbits, in the order they are tried: the structure
+# whose square defines each, and its complete conjugation invariant
+_ENDOMORPHISM_ORBITS = {
+    "complex": ("complex", lambda m, tol: None),
+    "involution": ("para_complex", _involution_signature),
+    "nilpotent": ("tangent", rank_pattern),
+}
+
+
+def _orbit_class(model: StructureMatrix, tol):
+    """Classify the model tensor by the complete orbit invariant we support."""
+    m = model.matrix
+    if model.kind == "2,0":
+        if model.symmetry == "symmetric":
+            return ("signature", signature_of(m, tol))
+        return ("rank", kernel_and_image(m, tol)[2])
+    for label, (structure, invariant) in _ENDOMORPHISM_ORBITS.items():
+        if tol.accepts(*square_defect(m, SQUARES[structure])):
+            return (label, invariant(m, tol))
+    raise UnsupportedKind(
+        "no complete orbit invariant for this (1,1) tensor; supported: "
+        "complex, involutive, nilpotent-of-order-2")
+
+
 def _same_orbit(value, model_class, tol):
     """(passed, residual) for 'value lies in the model tensor's orbit'."""
     label, invariant = model_class
-    n = value.shape[0]
-    scale = max(fro(value) ** 2, 1.0)
     if label == "signature":
         sym_resid = fro(value - value.T)
         if not tol.accepts(sym_resid, max(fro(value), 1.0)):
@@ -420,26 +414,16 @@ def _same_orbit(value, model_class, tol):
             return False, skew_resid
         got = kernel_and_image(value, tol)[2]
         return got == invariant, float(abs(got - invariant))
-    if label == "complex":
-        resid = fro(value @ value + np.eye(n))
-        return tol.accepts(resid, scale), resid
-    if label == "involution":
-        resid = fro(value @ value - np.eye(n))
-        if not tol.accepts(resid, scale):
-            return False, resid
-        got = tuple(b.shape[1] for b in involution_eigenbases(value, tol))
-        return got == invariant, 0.0 if got == invariant else 1.0
-    if label == "nilpotent":
-        resid = fro(value @ value)
-        if not tol.accepts(resid, scale):
-            return False, resid
-        got = rank_pattern(value, tol)
-        return got == invariant, 0.0 if got == invariant else 1.0
-    raise UnsupportedKind(label)
+    structure, invariant_of = _ENDOMORPHISM_ORBITS[label]
+    resid, scale = square_defect(value, SQUARES[structure])
+    if not tol.accepts(resid, scale):
+        return False, resid
+    got = invariant_of(value, tol)
+    return got == invariant, 0.0 if got == invariant else 1.0
 
 
 def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
-                           spec: IsotropyGroupSpec,
+                           model: StructureMatrix,
                            tol: Tolerance = DEFAULT_TOL) -> Report:
     """Is the field, chart by chart, in the orbit of the model tensor?
 
@@ -454,10 +438,9 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     of first occurrence.  Raises UnsupportedKind when the model tensor has
     no implemented invariant.
     """
-    if field.kind != spec.model.kind:
-        raise ShapeMismatch(
-            f"field kind {field.kind} vs model kind {spec.model.kind}")
-    model_class = _orbit_class(spec.model, tol)
+    if field.kind != model.kind:
+        raise ShapeMismatch(f"field kind {field.kind} vs model kind {model.kind}")
+    model_class = _orbit_class(model, tol)
     report = Report()
     report.note(f"orbit invariant: {model_class[0]}")
     reasons = {}  # the distinct BadAtPoint reasons, in order of first occurrence

@@ -52,6 +52,7 @@ from .errors import BadAtPoint, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance
 from .poly import Poly, PolyArray
 from .report import Report
+from .structures import SQUARES
 
 __all__ = [
     "DEFAULT_FD_STEP",
@@ -345,9 +346,6 @@ def nijenhuis(a_field: TensorFieldOnChart, x_field: VectorField,
     return np.einsum("kij,i,j->k", defect, x_field(x), y_field(x))
 
 
-_STRUCTURE_SQUARES = {"tangent": 0.0, "para_complex": 1.0, "complex": -1.0}
-
-
 def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
                             tol: Tolerance = GRID_TOL) -> Report:
     """Evaluate the bracket-defect tensor on coordinate pairs over a grid.
@@ -366,9 +364,9 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
     the check evaluates, with the note ``jacobian singular``.  Both are a
     ``BadAtPoint`` that ``_grid_report`` turns into the entry.
     """
-    if kind not in _STRUCTURE_SQUARES:
+    if kind not in SQUARES:
         raise ValueError(f"unknown structure kind {kind!r}")
-    identity = _STRUCTURE_SQUARES[kind] * np.eye(field.dim)
+    identity = SQUARES[kind] * np.eye(field.dim)
     upper = np.triu_indices(field.dim, 1)
 
     def residuals(points):

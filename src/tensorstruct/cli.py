@@ -242,13 +242,13 @@ def _dispatch(args, tol, rng) -> Report:
         tdoc, tensor_digest = _load(args.tensor)
         digests = [atlas_digest, tensor_digest]
         atlas = documents.parse_atlas(adoc)
-        spec = documents.parse_tensor(tdoc, atlas.fiber_dim)
-        report = check_reduction(atlas, spec, tol)
+        model = documents.parse_tensor(tdoc, atlas.fiber_dim)
+        report = check_reduction(atlas, model, tol)
         if args.field:
             fdoc, field_digest = _load(args.field)
             digests.append(field_digest)
             field = _field_on_charts(fdoc, atlas)
-            report.extend(check_locally_modelled(field, atlas, spec, tol),
+            report.extend(check_locally_modelled(field, atlas, model, tol),
                           prefix="field/")
         report.command, report.digest = "reduce", ",".join(digests)
         return report

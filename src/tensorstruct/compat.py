@@ -47,12 +47,14 @@ from .linalg import (
 )
 from .report import Report
 from .structures import (
+    SQUARES,
     BilinearForm,
     ComplexStructure,
     KreinMetric,
     ParaComplexStructure,
     SymplecticForm,
     krein_from_matrix,
+    square_defect,
     validate,
 )
 
@@ -108,11 +110,6 @@ class OperatorA:
     def residual(self):
         """Frobenius defect of the defining relation G A = S^T."""
         return fro(self.metric @ self.matrix - self.omega.T)
-
-
-def _structure_sign(flavor):
-    # structure squares to sign * Id
-    return -1.0 if flavor == "kahler" else 1.0
 
 
 def _metric_ok(g, flavor, tol):
@@ -202,7 +199,6 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         raise ShapeMismatch(f"metric {g.shape} vs form {s.shape}")
     if not validate(omega, tol).passed:
         raise Degenerate("form is degenerate or not skew")
-    n = g.shape[0]
 
     a = np.linalg.solve(g, s.T)
     operator = OperatorA(a, g, s)
@@ -225,13 +221,12 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         # Newton polish toward exact involutivity: X -> (X - X^-1)/2 squares
         # the defect of X^2 = -Id and contracts toward the exact polar
         # factor, so all compatibility identities tighten with it
-        n_eye = np.eye(n)
         for _ in range(3):
-            defect = fro(i @ i + n_eye)
-            if defect <= 1e-14 * max(fro(i) ** 2, 1.0):
+            defect, scale = square_defect(i, SQUARES["complex"])
+            if defect <= 1e-14 * scale:
                 break
             candidate = 0.5 * (i - np.linalg.inv(i))
-            if fro(candidate @ candidate + n_eye) < defect:
+            if square_defect(candidate, SQUARES["complex"])[0] < defect:
                 i = candidate
             else:
                 break
@@ -248,8 +243,8 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         if not ok:
             raise IncompatibleInputs(f"metric is not neutral: {detail}")
         j = a
-        resid = fro(j @ j - np.eye(n))
-        if not tol.accepts(resid, max(fro(j) ** 2, 1.0)):
+        resid, scale = square_defect(j, SQUARES["para_complex"])
+        if not tol.accepts(resid, scale):
             raise NotInvolutive(f"J^2 - Id residual {resid:.3e}")
         corrected = s @ j
         corrected = 0.5 * (corrected + corrected.T)
@@ -311,7 +306,8 @@ def is_compatible(first, second, flavor="kahler", tol: Tolerance = DEFAULT_TOL) 
     or (metric, form).  Returns a report; never raises on incompatibility.
     """
     report = Report()
-    sign = _structure_sign(flavor)
+    # the structure squares to sign * Id
+    sign = SQUARES["complex" if flavor == "kahler" else "para_complex"]
 
     def _is_metric(x):
         return isinstance(x, (BilinearForm, KreinMetric)) or (
@@ -343,11 +339,8 @@ def is_compatible(first, second, flavor="kahler", tol: Tolerance = DEFAULT_TOL) 
     if _is_metric(first) and isinstance(second, SymplecticForm):
         g = np.asarray(getattr(first, "matrix", first), dtype=float)
         s = second.matrix
-        j = np.linalg.solve(g, s.T)
-        n = g.shape[0]
-        res = fro(j @ j - sign * np.eye(n))
-        report.add("flat_composition_squares_correctly",
-                   tol.accepts(res, max(fro(j) ** 2, 1.0)), res)
+        res, scale = square_defect(np.linalg.solve(g, s.T), sign)
+        report.add("flat_composition_squares_correctly", tol.accepts(res, scale), res)
         ok, detail = _metric_ok(g, flavor, tol)
         report.add("metric_signature", ok, 0.0 if ok else 1.0, detail)
         return report

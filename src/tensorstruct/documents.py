@@ -26,14 +26,7 @@ from reprlib import repr as _repr  # abbreviates long values in messages
 import numpy as np
 
 from . import calculus
-from .bundle import (
-    AffineTransition,
-    Chart,
-    ChartAtlas,
-    ConstantTransition,
-    IsotropyGroupSpec,
-    StructureMatrix,
-)
+from .bundle import AffineTransition, Chart, ChartAtlas, ConstantTransition
 from .compat import complete_triple
 from .errors import TensorStructError
 from .limits import BondingSystem, CoherentSequence, ConnectionFormSequence, LevelForm
@@ -46,6 +39,7 @@ from .structures import (
     CotangentStructure,
     KreinMetric,
     ParaComplexStructure,
+    StructureMatrix,
     SymplecticForm,
     TangentStructure,
     krein_from_matrix,
@@ -450,8 +444,7 @@ def parse_atlas(doc):
 def parse_tensor(doc, fiber_dim):
     """A model tensor on a fiber of dimension ``fiber_dim``."""
     v = check(doc, TENSOR, fiber_dim=fiber_dim)
-    return IsotropyGroupSpec(StructureMatrix(v["matrix"], v["kind"],
-                                             v.get("symmetry", "symmetric")))
+    return StructureMatrix(v["matrix"], v["kind"], v.get("symmetry", "symmetric"))
 
 
 def field_step(doc, fd_step=None):
@@ -503,8 +496,8 @@ def parse_connection_tower(doc):
     if "morphisms" in v:
         morphisms = {tuple(m["levels"].astype(int).tolist()): (m["left"], m["right"])
                      for m in v["morphisms"]}
-    seq = ConnectionFormSequence(_build_bonding(v), forms,
-                                 [(m["kind"], m["matrix"]) for m in v["models"]], morphisms)
+    models = [StructureMatrix(m["matrix"], m["kind"]) for m in v["models"]]
+    seq = ConnectionFormSequence(_build_bonding(v), forms, models, morphisms)
     return seq, v["sample_points"]
 
 

@@ -35,6 +35,13 @@ only index into them; ``gEn_membership``, which reads only the composites
 into and out of the top level, builds the one projection column it needs.
 Nothing is cached on the tower, which stays a plain mutable dataclass.
 
+Model tensors.  Every per-level model (``tuple_membership``'s isotropy
+models, ``ConnectionFormSequence.models``) is a ``StructureMatrix``, and
+the group and Lie algebra act on it as ``bundle`` defines: an entry of a
+level tuple lies in its level's isotropy group when ``bundle.in_isotropy``
+accepts it, and a connection form is adapted where
+``bundle.algebra_action`` vanishes on its values.
+
 Connection towers.  ``check_connection_coherence`` evaluates every sample
 at once: the (sample point, tangent direction) pairs form one axis of rows,
 ``LevelForm.at`` evaluates a level's form on all rows in one stacked call,
@@ -52,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bundle import IsotropyGroupSpec, StructureMatrix, in_isotropy
+from .bundle import algebra_action, in_isotropy
 from .errors import (
     IncoherentSequence,
     NotInvertible,
@@ -368,10 +375,11 @@ def tuple_membership(a: LevelTuple, tol: Tolerance = DEFAULT_TOL,
                      isotropy_models=None) -> Report:
     """Intertwining constraint, invertibility, optional per-level isotropy.
 
-    ``isotropy_models`` is an optional list of (kind, matrix) model tensors,
-    one per level; when given, each entry must additionally fix its model
-    under the tensor action (membership in the constrained subgroup built
-    from per-level isotropy groups).
+    ``isotropy_models`` is an optional list of model tensors
+    (``StructureMatrix``), one per entry; when given, each entry must
+    additionally fix its model under the tensor action (membership in the
+    constrained subgroup built from per-level isotropy groups), and a
+    shorter list raises ShapeMismatch.
     """
     report = Report()
     maps = a.bonding.map_table(a.level)
@@ -386,9 +394,11 @@ def tuple_membership(a: LevelTuple, tol: Tolerance = DEFAULT_TOL,
         ok = rank_of(m, tol) == m.shape[0]
         report.add(f"invertible[{lvl}]", ok, 0.0 if ok else 1.0)
     if isotropy_models is not None:
-        for lvl, (kind, model) in enumerate(isotropy_models[: a.level]):
-            spec = IsotropyGroupSpec(StructureMatrix(model, kind))
-            inside, res = in_isotropy(a.entries[lvl], spec, tol)
+        if len(isotropy_models) < a.level:
+            raise ShapeMismatch(f"{len(isotropy_models)} isotropy models for "
+                                f"{a.level} entries")
+        for lvl, (entry, model) in enumerate(zip(a.entries, isotropy_models)):
+            inside, res = in_isotropy(entry, model, tol)
             report.add(f"isotropy[{lvl}]", inside, res)
     return report
 
@@ -541,12 +551,12 @@ class LevelForm:
 class ConnectionFormSequence:
     """Per-level connection forms over a tower, with algebra morphisms.
 
-    ``models`` holds one (kind, matrix) model tensor per level; adaptedness
-    means each form value lies in the model's isotropy algebra (linearized
-    isotropy: commutator with the model vanishes for (1,1), W^T S + S W
-    vanishes for (2,0)).  ``morphisms`` optionally overrides the default
-    algebra morphisms (pairs (L, R) acting by W -> L W R); the defaults are
-    built from the bonding maps.
+    ``models`` holds one model tensor (``StructureMatrix``) per level;
+    adaptedness means each form value lies in the model's isotropy algebra,
+    where ``bundle.algebra_action`` vanishes (the commutator with the model
+    for (1,1), W^T S + S W for (2,0)).  ``morphisms`` optionally overrides
+    the default algebra morphisms (pairs (L, R) acting by W -> L W R); the
+    defaults are built from the bonding maps.
     """
 
     bonding: BondingSystem
@@ -573,14 +583,6 @@ def _norms(d):
     that ``fro`` makes, so each norm is bit-identical to it."""
     d = d.reshape(len(d), -1)
     return np.sqrt(np.vecdot(d, d))
-
-
-def _algebra_residuals(w, kind, model):
-    """Defect of each matrix of the stack ``w`` from the model's isotropy
-    algebra."""
-    if kind == "1,1":
-        return _norms(w @ model - model @ w)
-    return _norms(np.swapaxes(w, -1, -2) @ model + model @ w)
 
 
 def _worst(residuals):
@@ -628,7 +630,6 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
     if len(seq.forms) < n or len(seq.models) < n:
         raise ShapeMismatch(f"need a form and a model for each of the {n} levels")
     forms = seq.forms[:n]
-    models = [(kind, as_matrix(model, square=True)) for kind, model in seq.models[:n]]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     morphisms = [seq.morphism(i, j, maps, projs) for i, j in pairs]
     # one row per sample point and tangent direction, points outermost
@@ -643,8 +644,8 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
                if any(form.linear is not None for form in forms) else [None] * n)
     # each level's form on its own data; adaptedness is sampled there
     values = [form.at(x, v) for form, x, v in zip(forms, moved_x, moved_v)]
-    adapted = [_worst(_algebra_residuals(w, kind, model))
-               for w, (kind, model) in zip(values, models)]
+    adapted = [_worst(_norms(algebra_action(w, model)))
+               for w, model in zip(values, seq.models)]
     coherent = []
     for (i, j), (left, right) in zip(pairs, morphisms):
         # the upper level's data for projective towers, the lower's for direct
@@ -654,9 +655,9 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
         lhs = forms[dst].at(x, _carry(lam, moved_v[src]))
         coherent.append(_worst(_norms(lhs - left @ values[src] @ right)))
 
-    for lvl, (_, model) in enumerate(models):
-        report.add(f"adapted[{lvl}]",
-                   tol.accepts(adapted[lvl], max(fro(model), 1.0)), adapted[lvl])
+    for lvl, (model, worst) in enumerate(zip(seq.models, adapted)):
+        report.add(f"adapted[{lvl}]", tol.accepts(worst, max(fro(model.matrix), 1.0)),
+                   worst)
     for (i, j), worst in zip(pairs, coherent):
         report.add(f"coherent[{i},{j}]", tol.accepts(worst, 1.0), worst)
     report.note(f"{pts.shape[0]} sample points, {dim} tangent directions")

@@ -39,7 +39,10 @@ class Tolerance:
     """Absolute/relative tolerance pair used by every validating operation.
 
     The rank threshold for a matrix with largest singular value ``smax`` is
-    ``atol + rtol * smax``; residual checks accept ``r <= rtol * scale + atol``.
+    ``atol + rtol * smax``; residual checks accept ``r <= rtol * scale + atol``
+    for a finite ``r``, element by element for arrays.  An infinite residual
+    is never accepted, not even at an infinite scale (a scale such as
+    ``fro(m) ** 2`` overflows once entries pass about 1e154).
     """
 
     atol: float = 1e-9
@@ -52,7 +55,7 @@ class Tolerance:
             raise ValueError("atol and rtol cannot both be zero")
 
     def accepts(self, residual, scale=1.0):
-        return residual <= self.rtol * scale + self.atol
+        return (residual <= self.rtol * scale + self.atol) & (residual < math.inf)
 
     def rank_threshold(self, smax):
         return self.atol + self.rtol * smax

@@ -1,7 +1,9 @@
 """Linear structures on R^n: validators and canonical normal forms.
 
 Covers symplectic/Darboux forms, Krein and neutral inner products, tangent,
-cotangent, complex and para-complex structures.  One convention is fixed
+cotangent, complex and para-complex structures, and ``StructureMatrix``, the
+package's one model tensor: a (1,1) endomorphism or a (2,0) form whose
+isotropy group ``bundle`` and ``limits`` reduce to.  One convention is fixed
 throughout the package and is normative:
 
     B(u, v) = u^T S v,
@@ -16,6 +18,11 @@ Canonical matrices on R^(2k):
     para-complex [[0,  I], [I, 0]]
     tangent      [[0,  I], [0, 0]]
     symplectic   [[0,  I], [-I, 0]]
+
+The first three are defined by their square: ``SQUARES[kind]`` is the
+multiple of Id that a ``kind`` structure squares to, and ``square_defect``
+measures a matrix against it.  Every check of those identities, here and
+in ``bundle``, ``calculus`` and ``compat``, reads that one table.
 
 Validation never raises on bad structure data: every invariant becomes a
 report entry with its measured residual, so the CLI can surface degenerate
@@ -48,6 +55,9 @@ from .linalg import (
 from .report import Report
 
 __all__ = [
+    "SQUARES",
+    "square_defect",
+    "StructureMatrix",
     "BilinearForm",
     "SymplecticForm",
     "KreinMetric",
@@ -101,6 +111,22 @@ class _MatrixStructure:
     @property
     def dim(self):
         return self.matrix.shape[0]
+
+
+@dataclass(frozen=True)
+class StructureMatrix(_MatrixStructure):
+    """Model tensor: a square matrix with a role tag, an endomorphism
+    (kind "1,1") or a symmetric or skew form (kind "2,0")."""
+
+    kind: str  # "1,1" | "2,0"
+    symmetry: str = "symmetric"  # only meaningful for kind "2,0"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind not in ("1,1", "2,0"):
+            raise ValueError(f"unknown tensor kind {self.kind!r}")
+        if self.symmetry not in ("symmetric", "skew"):
+            raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
 
 
 @dataclass(frozen=True)
@@ -207,6 +233,16 @@ class CotangentStructure:
 # ---------------------------------------------------------------------------
 # canonical models
 # ---------------------------------------------------------------------------
+
+# the multiple of Id that each kind of structure squares to
+SQUARES = {"complex": -1.0, "para_complex": 1.0, "tangent": 0.0}
+
+
+def square_defect(m, square):
+    """``(|m m - square Id|, max(|m|^2, 1))``: the defect of ``m`` squaring
+    to ``square`` times Id and the scale it is judged at."""
+    return fro(m @ m - square * np.eye(len(m))), max(fro(m) ** 2, 1.0)
+
 
 def _half(dim):
     if dim % 2:
@@ -365,8 +401,7 @@ def _validate_krein(g, tol, report):
 def _validate_complex(c, tol, report):
     m = c.matrix
     n = c.dim
-    scale = max(fro(m) ** 2, 1.0)
-    res = fro(m @ m + np.eye(n))
+    res, scale = square_defect(m, SQUARES["complex"])
     report.add("squares_to_minus_id", tol.accepts(res, scale), res)
     report.add("even_dimension", n % 2 == 0, float(n % 2))
     if c.decomposition is not None:
@@ -387,8 +422,7 @@ def _validate_complex(c, tol, report):
 def _validate_para(j, tol, report):
     m = j.matrix
     n = j.dim
-    scale = max(fro(m) ** 2, 1.0)
-    res = fro(m @ m - np.eye(n))
+    res, scale = square_defect(m, SQUARES["para_complex"])
     report.add("squares_to_id", tol.accepts(res, scale), res)
     tr = abs(float(np.trace(m)))
     report.add("trace_zero", tol.accepts(tr, max(n, 1)), tr)
@@ -408,8 +442,7 @@ def _validate_para(j, tol, report):
 def _validate_tangent(t, tol, report):
     m = t.matrix
     n = t.dim
-    scale = max(fro(m) ** 2, 1.0)
-    res = fro(m @ m)
+    res, scale = square_defect(m, SQUARES["tangent"])
     report.add("squares_to_zero", tol.accepts(res, scale), res)
     report.add("even_dimension", n % 2 == 0, float(n % 2))
     kernel, image, rank = kernel_and_image(m, tol)

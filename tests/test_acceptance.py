@@ -13,7 +13,6 @@ from tensorstruct.bundle import (
     Chart,
     ChartAtlas,
     ConstantTransition,
-    IsotropyGroupSpec,
     StructureMatrix,
     check_reduction,
 )
@@ -237,7 +236,7 @@ def test_criterion_5_cocycle_and_reduction():
     # generated atlases with isotropy-valued transitions pass; a 1e-3
     # off-group perturbation is detected within x2 of the injected size
     rng = np.random.default_rng(113)
-    spec = IsotropyGroupSpec(StructureMatrix(complex_canonical(2).matrix, "1,1"))
+    model = StructureMatrix(complex_canonical(2).matrix, "1,1")
     pts = rng.uniform(-0.5, 0.5, size=(4, 2))
     thetas = rng.uniform(0, 2 * np.pi, size=2)
     charts = [Chart(n, [-1, -1], [1, 1], pts) for n in "abc"]
@@ -248,12 +247,12 @@ def test_criterion_5_cocycle_and_reduction():
                      ("b", "c"): ConstantTransition(rotation(thetas[1])),
                      ("a", "c"): ConstantTransition(rotation(thetas.sum()))},
         triple_overlaps=[("a", "b", "c", pts)])
-    clean = check_reduction(atlas, spec)
+    clean = check_reduction(atlas, model)
 
     eps = 1e-3
     perturbed = rotation(thetas.sum()) + eps * np.array([[1.0, 0.0], [0.0, 0.0]])
     atlas.transitions[("a", "c")] = ConstantTransition(perturbed)
-    dirty = check_reduction(atlas, spec)
+    dirty = check_reduction(atlas, model)
     entry = [e for e in dirty.entries if e.name == "isotropy[a,c]"][0]
     detected = (not entry.passed) and eps / 2 <= entry.residual <= 2 * eps
     announce("cocycle and reduction", clean.passed and detected,
@@ -345,7 +344,7 @@ def test_criterion_7_connection_coherence():
                 mat[2:, 2:] = fresh[2:, 2:]
             coeffs.append(mat)
         forms.append(LevelForm(coeffs))
-    models = [("2,0", np.eye(d)) for d in dims]
+    models = [StructureMatrix(np.eye(d), "2,0") for d in dims]
     seq_direct = ConnectionFormSequence(direct, forms, models)
     pts2 = rng.uniform(-1, 1, size=(20, 2))
     direct_ok = check_connection_coherence(seq_direct, pts2).passed

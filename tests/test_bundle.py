@@ -6,7 +6,6 @@ from tensorstruct.bundle import (
     Chart,
     ChartAtlas,
     ConstantTransition,
-    IsotropyGroupSpec,
     LocalTensorField,
     StructureMatrix,
     _worse,
@@ -32,9 +31,8 @@ def rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
-OMEGA_SPEC = IsotropyGroupSpec(StructureMatrix(symplectic_canonical(2).matrix,
-                                               "2,0", "skew"))
-I_SPEC = IsotropyGroupSpec(StructureMatrix(complex_canonical(2).matrix, "1,1"))
+OMEGA = StructureMatrix(symplectic_canonical(2).matrix, "2,0", "skew")
+I_MODEL = StructureMatrix(complex_canonical(2).matrix, "1,1")
 
 
 # ---------------------------------------------------------------------------
@@ -48,13 +46,13 @@ def test_tensor_action_identity():
 
 def test_tensor_action_sl2_preserves_area_form():
     g = np.array([[2.0, 1.0], [1.0, 1.0]])  # det 1
-    moved = tensor_action(g, OMEGA_SPEC.model)
-    np.testing.assert_allclose(moved.matrix, OMEGA_SPEC.model.matrix, atol=1e-12)
+    moved = tensor_action(g, OMEGA)
+    np.testing.assert_allclose(moved.matrix, OMEGA.matrix, atol=1e-12)
 
 
 def test_tensor_action_rotation_commutes_with_complex_canonical():
-    moved = tensor_action(rotation(0.7), I_SPEC.model)
-    np.testing.assert_allclose(moved.matrix, I_SPEC.model.matrix, atol=1e-12)
+    moved = tensor_action(rotation(0.7), I_MODEL)
+    np.testing.assert_allclose(moved.matrix, I_MODEL.matrix, atol=1e-12)
 
 
 def test_tensor_action_is_an_action():
@@ -75,34 +73,34 @@ def test_tensor_action_is_an_action():
 
 def test_tensor_action_rejects_singular():
     with pytest.raises(Singular):
-        tensor_action(np.zeros((2, 2)), I_SPEC.model)
+        tensor_action(np.zeros((2, 2)), I_MODEL)
 
 
 def test_a_singular_map_lies_in_no_isotropy_group():
-    assert in_isotropy(np.zeros((2, 2)), I_SPEC) == (False, np.inf)
-    assert in_isotropy(np.diag([1.0, 0.0]), OMEGA_SPEC) == (False, np.inf)
+    assert in_isotropy(np.zeros((2, 2)), I_MODEL) == (False, np.inf)
+    assert in_isotropy(np.diag([1.0, 0.0]), OMEGA) == (False, np.inf)
 
 
 def test_in_isotropy_shear_preserves_canonical_form():
-    assert in_isotropy(np.array([[1.0, 1.0], [0.0, 1.0]]), OMEGA_SPEC)[0]
+    assert in_isotropy(np.array([[1.0, 1.0], [0.0, 1.0]]), OMEGA)[0]
 
 
 def test_in_isotropy_scaling_breaks_form():
-    assert not in_isotropy(np.diag([2.0, 1.0]), OMEGA_SPEC)[0]
+    assert not in_isotropy(np.diag([2.0, 1.0]), OMEGA)[0]
 
 
 def test_in_isotropy_reflection_anticommutes_with_complex():
-    assert not in_isotropy(np.diag([1.0, -1.0]), I_SPEC)[0]
+    assert not in_isotropy(np.diag([1.0, -1.0]), I_MODEL)[0]
 
 
 def test_isotropy_group_closure_spot_check():
     rng = np.random.default_rng(5)
     members = [rotation(t) for t in rng.uniform(0, 2 * np.pi, size=8)]
     for a in members:
-        assert in_isotropy(a, I_SPEC)[0]
-        assert in_isotropy(np.linalg.inv(a), I_SPEC)[0]
+        assert in_isotropy(a, I_MODEL)[0]
+        assert in_isotropy(np.linalg.inv(a), I_MODEL)[0]
         for b in members:
-            assert in_isotropy(a @ b, I_SPEC)[0]
+            assert in_isotropy(a @ b, I_MODEL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +190,17 @@ def test_transition_between_unjoined_charts_raises_package_error():
         check_cocycle(atlas)
 
 
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+def test_an_exactly_singular_transition_is_infinitely_ill_conditioned(scale):
+    # no division by the zero singular value, so no warning either
+    pts = np.array([[0.0, 0.0]])
+    atlas = ChartAtlas(2, [Chart(n, [-1, -1], [1, 1], pts) for n in "ab"],
+                       overlaps={("a", "b"): pts},
+                       transitions={("a", "b"): ConstantTransition(np.diag([scale, 0.0]))})
+    [entry] = check_cocycle(atlas).entries
+    assert (entry.name, entry.passed, entry.residual) == ("invertible[a,b]", False, np.inf)
+
+
 def test_cocycle_single_chart_vacuous_pass():
     atlas = ChartAtlas(2, [Chart("only", [-1, -1], [1, 1])])
     rep = check_cocycle(atlas)
@@ -211,13 +220,13 @@ def test_cocycle_notes_disconnected_cover():
 
 
 def test_reduction_rotations_in_complex_isotropy():
-    rep = check_reduction(three_chart_rotation_atlas(), I_SPEC)
+    rep = check_reduction(three_chart_rotation_atlas(), I_MODEL)
     assert rep.passed
 
 
 def test_reduction_fails_for_noncommuting_model():
-    spec = IsotropyGroupSpec(StructureMatrix(np.diag([1.0, 2.0]), "1,1"))
-    rep = check_reduction(three_chart_rotation_atlas(), spec)
+    model = StructureMatrix(np.diag([1.0, 2.0]), "1,1")
+    rep = check_reduction(three_chart_rotation_atlas(), model)
     assert not rep.passed
 
 
@@ -226,9 +235,8 @@ def test_reduction_identity_transitions_pass_any_spec():
     charts = [Chart(n, [-1, -1], [1, 1], pts) for n in "ab"]
     atlas = ChartAtlas(2, charts, overlaps={("a", "b"): pts},
                        transitions={("a", "b"): ConstantTransition(np.eye(2))})
-    for spec in (OMEGA_SPEC, I_SPEC,
-                 IsotropyGroupSpec(StructureMatrix(np.diag([1.0, 7.0]), "1,1"))):
-        assert check_reduction(atlas, spec).passed
+    for model in (OMEGA, I_MODEL, StructureMatrix(np.diag([1.0, 7.0]), "1,1")):
+        assert check_reduction(atlas, model).passed
 
 
 def test_reduction_detects_off_group_perturbation_size():
@@ -241,7 +249,7 @@ def test_reduction_detects_off_group_perturbation_size():
                            Chart("b", [-1, -1], [1, 1], pts)],
                        overlaps={("a", "b"): pts},
                        transitions={("a", "b"): ConstantTransition(t)})
-    rep = check_reduction(atlas, OMEGA_SPEC)
+    rep = check_reduction(atlas, OMEGA)
     entry = [e for e in rep.entries if e.name.startswith("isotropy")][0]
     assert not entry.passed
     assert eps / 2 <= entry.residual <= 2 * eps
@@ -266,7 +274,7 @@ def test_locally_modelled_constant_field_equals_model():
     chart = chart_with_grid()
     atlas = ChartAtlas(2, [chart])
     field = LocalTensorField("1,1", {"u": lambda x: complex_canonical(2).matrix})
-    rep = check_locally_modelled(field, atlas, I_SPEC)
+    rep = check_locally_modelled(field, atlas, I_MODEL)
     assert rep.passed
 
 
@@ -274,26 +282,26 @@ def test_locally_modelled_spd_field_matches_identity_model():
     # Sylvester: any SPD-valued field is in the identity form's orbit
     chart = chart_with_grid()
     atlas = ChartAtlas(2, [chart])
-    spec = IsotropyGroupSpec(StructureMatrix(np.eye(2), "2,0", "symmetric"))
+    model = StructureMatrix(np.eye(2), "2,0", "symmetric")
 
     def spd(x):
         return np.array([[2.0 + x[0] ** 2, x[0] * x[1]],
                          [x[0] * x[1], 1.0 + x[1] ** 2]])
 
     field = LocalTensorField("2,0", {"u": spd})
-    assert check_locally_modelled(field, atlas, spec).passed
+    assert check_locally_modelled(field, atlas, model).passed
 
 
 def test_locally_modelled_detects_signature_crossing():
     chart = chart_with_grid()
     atlas = ChartAtlas(2, [chart])
-    spec = IsotropyGroupSpec(StructureMatrix(np.eye(2), "2,0", "symmetric"))
+    model = StructureMatrix(np.eye(2), "2,0", "symmetric")
 
     def crossing(x):
         return np.diag([1.0, x[0]])  # degenerate/negative for x[0] <= 0
 
     field = LocalTensorField("2,0", {"u": crossing})
-    rep = check_locally_modelled(field, atlas, spec)
+    rep = check_locally_modelled(field, atlas, model)
     assert not rep.passed
 
 
@@ -301,20 +309,19 @@ def test_locally_modelled_nilpotent_rank_pattern():
     chart = chart_with_grid()
     atlas = ChartAtlas(2, [chart])
     model = StructureMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), "1,1")
-    spec = IsotropyGroupSpec(model)
 
     def tangent_field(x):
         return np.array([[0.0, 1.0 + x[0] ** 2], [0.0, 0.0]])
 
     field = LocalTensorField("1,1", {"u": tangent_field})
-    assert check_locally_modelled(field, atlas, spec).passed
+    assert check_locally_modelled(field, atlas, model).passed
 
 
 def test_locally_modelled_involution_signature():
     # involutions are in one orbit iff their +1/-1 eigenspaces match in size
     chart = chart_with_grid()
     atlas = ChartAtlas(3, [chart])
-    spec = IsotropyGroupSpec(StructureMatrix(np.diag([1.0, 1.0, -1.0]), "1,1"))
+    model = StructureMatrix(np.diag([1.0, 1.0, -1.0]), "1,1")
 
     def conjugated(signs):
         def fn(x):
@@ -323,9 +330,9 @@ def test_locally_modelled_involution_signature():
         return fn
 
     field = LocalTensorField("1,1", {"u": conjugated([1.0, -1.0, 1.0])})
-    assert check_locally_modelled(field, atlas, spec).passed
+    assert check_locally_modelled(field, atlas, model).passed
     field = LocalTensorField("1,1", {"u": conjugated([1.0, -1.0, -1.0])})
-    rep = check_locally_modelled(field, atlas, spec)
+    rep = check_locally_modelled(field, atlas, model)
     assert not rep.passed
     assert rep.entries[0].residual == 1.0
 
@@ -333,10 +340,10 @@ def test_locally_modelled_involution_signature():
 def test_locally_modelled_unsupported_kind():
     chart = chart_with_grid()
     atlas = ChartAtlas(2, [chart])
-    spec = IsotropyGroupSpec(StructureMatrix(np.diag([1.0, 2.0]), "1,1"))
+    model = StructureMatrix(np.diag([1.0, 2.0]), "1,1")
     field = LocalTensorField("1,1", {"u": lambda x: np.diag([1.0, 2.0])})
     with pytest.raises(UnsupportedKind):
-        check_locally_modelled(field, atlas, spec)
+        check_locally_modelled(field, atlas, model)
 
 
 def test_reduction_implies_locally_modelled_for_pushed_fields():
@@ -345,16 +352,16 @@ def test_reduction_implies_locally_modelled_for_pushed_fields():
     atlas = three_chart_rotation_atlas()
     for chart in atlas.charts:
         object.__setattr__(chart, "samples", np.array([[0.1, 0.1], [0.2, -0.2]]))
-    assert check_reduction(atlas, I_SPEC).passed
+    assert check_reduction(atlas, I_MODEL).passed
 
     def push(name):
         def fn(x):
             t = atlas.transition_at("a", name, x)
-            return np.linalg.inv(t) @ I_SPEC.model.matrix @ t
+            return np.linalg.inv(t) @ I_MODEL.matrix @ t
         return fn
 
     field = LocalTensorField("1,1", {name: push(name) for name in "abc"})
-    assert check_locally_modelled(field, atlas, I_SPEC).passed
+    assert check_locally_modelled(field, atlas, I_MODEL).passed
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +403,15 @@ def test_worst_sample_locations_on_ties_and_zeros():
     # isotropy of the unit form: g = 2 and g = -2 move it equally, so the
     # last sample attaining the worst residual is reported; all 0 reports
     # the last sample
-    spec = IsotropyGroupSpec(StructureMatrix([[1.0]], "2,0"))
-    tied = check_reduction(atlas([1.0] * 4, [1.0, 2.0, -2.0, 1.0]), spec)
+    model = StructureMatrix([[1.0]], "2,0")
+    tied = check_reduction(atlas([1.0] * 4, [1.0, 2.0, -2.0, 1.0]), model)
     assert location(tied, "isotropy") == at_sample(2)
-    assert location(check_reduction(atlas([1.0] * 4), spec), "isotropy") == at_sample(3)
+    assert location(check_reduction(atlas([1.0] * 4), model), "isotropy") == at_sample(3)
     # locally modelled: the last failing sample attaining the worst residual
     # (every failing sample has residual 1); none failing reports the count
     def modelled(values):
         field = LocalTensorField("2,0", {"a": tabulated(values)})
-        return location(check_locally_modelled(field, ChartAtlas(1, charts[:1]), spec),
+        return location(check_locally_modelled(field, ChartAtlas(1, charts[:1]), model),
                         "modelled")
 
     assert modelled([-1.0, -1.0, 1.0, 1.0]) == at_sample(1)
@@ -440,9 +447,9 @@ def test_a_transition_that_overflows_fails_at_its_sample():
     assert not cocycle["cocycle[a,b,c]"].passed
     assert cocycle["cocycle[a,b,c]"].residual == np.inf
     assert cocycle["cocycle[a,b,c]"].location == far
-    spec = IsotropyGroupSpec(StructureMatrix(np.eye(2), "2,0"))
+    model = StructureMatrix(np.eye(2), "2,0")
     with pytest.warns(RuntimeWarning, match="overflow"):
-        reduction = {e.name: e for e in check_reduction(atlas, spec).entries}
+        reduction = {e.name: e for e in check_reduction(atlas, model).entries}
     assert not reduction["isotropy[a,b]"].passed
     assert reduction["isotropy[a,b]"].residual == np.inf
     assert reduction["isotropy[a,b]"].location == far
@@ -490,9 +497,9 @@ def test_a_nan_isotropy_residual_is_the_worst():
         fiber_dim=2, charts=charts, overlaps={("a", "b"): SAMPLES},
         transitions={("a", "b"): lambda x: np.diag([1e-320 if x[0] in (1.0, 2.0) else 2.0,
                                                     1.0])})
-    spec = IsotropyGroupSpec(StructureMatrix(np.eye(2), "2,0"))
+    model = StructureMatrix(np.eye(2), "2,0")
     with pytest.warns(RuntimeWarning):
-        entry = [e for e in check_reduction(atlas, spec).entries
+        entry = [e for e in check_reduction(atlas, model).entries
                  if e.name == "isotropy[a,b]"][0]
     assert not entry.passed
     assert np.isnan(entry.residual)
@@ -504,9 +511,9 @@ def test_an_action_that_overflows_is_outside_the_isotropy_group():
     charts = [Chart(name, [-1.0], [4.0], SAMPLES) for name in "ab"]
     atlas = ChartAtlas(fiber_dim=1, charts=charts, overlaps={("a", "b"): SAMPLES},
                        transitions={("a", "b"): tabulated([1.0, 1e-200, 1.0, 2.0])})
-    spec = IsotropyGroupSpec(StructureMatrix([[1.0]], "2,0"))
+    model = StructureMatrix([[1.0]], "2,0")
     with pytest.warns(RuntimeWarning, match="overflow"):
-        entry = [e for e in check_reduction(atlas, spec).entries
+        entry = [e for e in check_reduction(atlas, model).entries
                  if e.name == "isotropy[a,b]"][0]
     assert not entry.passed
     assert entry.residual == np.inf
@@ -522,8 +529,8 @@ def test_a_singular_jacobian_fails_its_chart_at_that_sample():
         return [[1.0]]
 
     field = LocalTensorField("2,0", {"a": pulled, "b": pulled})
-    spec = IsotropyGroupSpec(StructureMatrix([[1.0]], "2,0"))
-    report = check_locally_modelled(field, ChartAtlas(1, charts), spec)
+    model = StructureMatrix([[1.0]], "2,0")
+    report = check_locally_modelled(field, ChartAtlas(1, charts), model)
     assert [(e.name, e.passed, e.residual, e.location) for e in report.entries] == [
         (f"modelled[{name}]", False, np.inf, at_sample(2)) for name in "ab"]
     assert report.notes == ["orbit invariant: signature", "jacobian singular"]
@@ -586,8 +593,8 @@ def test_each_reason_a_chart_sample_is_bad_is_noted_once():
     field = LocalTensorField("2,0", {"a": bad_at({3: "field not finite"}),
                                      "b": bad_at({0: "jacobian singular", 1: "field not finite"}),
                                      "c": bad_at({})})
-    spec = IsotropyGroupSpec(StructureMatrix([[1.0]], "2,0"))
-    report = check_locally_modelled(field, ChartAtlas(1, charts), spec)
+    model = StructureMatrix([[1.0]], "2,0")
+    report = check_locally_modelled(field, ChartAtlas(1, charts), model)
     assert [(e.name, e.passed, e.residual, e.location) for e in report.entries] == [
         ("modelled[a]", False, np.inf, at_sample(3)),
         ("modelled[b]", False, np.inf, at_sample(1)),

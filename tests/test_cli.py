@@ -1143,7 +1143,7 @@ def test_a_triple_needing_the_inverse_of_a_singular_transition_fails(tmp_path):
     assert [(e["name"], e["passed"], e["residual"], e["location"])
             for e in report["entries"]] == [
         ("invertible[a,b]", True, 0.0, "1 samples"),
-        ("invertible[c,b]", False, 1.0 / np.finfo(float).tiny, "1 samples"),
+        ("invertible[c,b]", False, "Infinity", "1 samples"),
         ("invertible[a,c]", True, 0.0, "1 samples"),
         ("cocycle[a,b,c]", False, "Infinity", "[0.5]")]
 
@@ -1155,8 +1155,54 @@ def test_a_singular_transition_lies_in_no_isotropy_group(tmp_path):
     assert status == 1
     assert [(e["name"], e["passed"], e["residual"], e["location"])
             for e in report["entries"]] == [
-        ("invertible[a,b]", False, 1.0 / np.finfo(float).tiny, "1 samples"),
+        ("invertible[a,b]", False, "Infinity", "1 samples"),
         ("isotropy[a,b]", False, "Infinity", "[0.5]")]
+
+
+def test_a_singular_transition_with_a_large_singular_value_reads_infinity(tmp_path):
+    # s = (10, 0): the old floor s[0] / tiny overflowed here, and read
+    # 4.494e+307 for s[0] = 1
+    doc = line_atlas_doc("ab", [("a", "b", [[10.0, 0.0], [0.0, 0.0]])])
+    status, report = run_json(["cocycle", write(tmp_path, "atlas.json", doc)])
+    assert status == 1
+    assert [(e["name"], e["passed"], e["residual"]) for e in report["entries"]] == [
+        ("invertible[a,b]", False, "Infinity")]
+
+
+def test_an_overflowing_structure_does_not_pass_with_an_infinite_residual(tmp_path):
+    # |m m + Id| and its scale |m|^2 both overflow to inf
+    doc = {"kind": "complex", "matrix": [[0, -1e200], [1e200, 0]]}
+    status, report = run_json(["validate", write(tmp_path, "structure.json", doc)])
+    assert status == 1
+    assert report["entries"][0] == {"location": "", "name": "squares_to_minus_id",
+                                    "passed": False, "residual": "Infinity"}
+
+
+def test_an_overflowing_structure_field_is_not_a_structure(tmp_path):
+    # the grid check's |A A + Id| and |A|^2 overflow together, as above
+    path = write(tmp_path, "field.json",
+                 {"dim": 2, "field": {"name": "constant", "kind": "1,1",
+                                      "matrix": [[0, -1e200], [1e200, 0]]},
+                  "grid": {"counts": 2}})
+    status, report = run_json(["nijenhuis", "--kind", "complex", path])
+    assert status == 1
+    assert report["entries"][0]["residual"] == "Infinity"
+    assert report["notes"] == ["verdict: not formally integrable", "not a complex structure"]
+
+
+def test_an_overflowing_field_is_not_modelled(tmp_path):
+    # a constant field whose square and scale overflow, against the complex model
+    atlas = write(tmp_path, "atlas.json",
+                  {"fiber_dim": 2, "charts": [{"name": "a", "lo": [-1, -1], "hi": [1, 1],
+                                               "samples": [[0, 0]]}]})
+    tensor = write(tmp_path, "tensor.json", {"kind": "1,1", "matrix": [[0, -1], [1, 0]]})
+    big = [[1e200, 1e200], [-1e200, 1e200]]
+    field = write(tmp_path, "field.json",
+                  {"dim": 2, "field": {"name": "constant", "kind": "1,1", "matrix": big}})
+    status, report = run_json(["reduce", atlas, tensor, "--field", field])
+    assert status == 1
+    assert report["entries"] == [{"location": "[0. 0.]", "name": "field/modelled[a]",
+                                  "passed": False, "residual": "Infinity"}]
 
 
 def test_a_field_that_overflows_at_a_chart_sample_fails_that_chart(tmp_path):

@@ -27,7 +27,8 @@ from tensorstruct.limits import (
     validate_bonding,
 )
 from tensorstruct.errors import ShapeMismatch
-from tensorstruct.linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, rank_of
+from tensorstruct.structures import StructureMatrix
+from tensorstruct.linalg import DEFAULT_TOL, Tolerance, fro, rank_of
 from tensorstruct.report import Report
 
 # ---------------------------------------------------------------------------
@@ -147,7 +148,7 @@ def naive_connection_coherence(seq, pts, tol=DEFAULT_TOL):
     projective = b.variance == "projective"
     tangents = list(np.eye(b.dims[n - 1 if projective else 0]))
     for lvl in range(n):
-        kind, model = seq.models[lvl]
+        kind, model = seq.models[lvl].kind, seq.models[lvl].matrix
         worst = 0.0
         for x in pts:
             for v in tangents:
@@ -224,7 +225,7 @@ def per_sample_connection_coherence(seq: ConnectionFormSequence, sample_points,
              else None)
     if len(seq.forms) < n or len(seq.models) < n:
         raise ShapeMismatch(f"need a form and a model for each of the {n} levels")
-    models = [(kind, as_matrix(model, square=True)) for kind, model in seq.models[:n]]
+    models = [(model.kind, model.matrix) for model in seq.models[:n]]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     morphisms = [seq.morphism(i, j, maps, projs) for i, j in pairs]
     # the composites that carry sample data from its level to every level
@@ -369,7 +370,8 @@ def test_connection_check_matches_the_per_pair_loop(depth, variance, explicit, s
         coeffs = [rng.normal(size=(d, d)) for _ in range(d)]
         lin = [[rng.normal(size=(d, d)) for _ in range(d)] for _ in range(d)] if linear else None
         forms.append(LevelForm(coeffs, lin))
-    models = [(str(rng.choice(["1,1", "2,0"])), rng.normal(size=(d, d))) for d in b.dims]
+    models = [StructureMatrix(kind=str(rng.choice(["1,1", "2,0"])), matrix=rng.normal(size=(d, d)))
+              for d in b.dims]
     morphisms = None
     if override and depth > 1:
         lo, hi = b.dims[0], b.dims[-1]
@@ -406,7 +408,8 @@ def test_connection_check_matches_the_per_sample_loop_bit_for_bit(
     b = random_tower(rng, depth, variance, explicit, gain)
     linear = data.draw(st.lists(st.booleans(), min_size=depth, max_size=depth))
     forms = random_forms(rng, b.dims, linear, extra, zeros)
-    models = [(data.draw(st.sampled_from(["1,1", "2,0"])), rng.normal(size=(d, d)))
+    models = [StructureMatrix(kind=data.draw(st.sampled_from(["1,1", "2,0"])),
+                              matrix=rng.normal(size=(d, d)))
               for d in b.dims]
     pairs = [(i, j) for i in range(depth) for j in range(i + 1, depth)]
     overridden = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)
@@ -465,7 +468,7 @@ def overflowing_tower(variance):
     b = BondingSystem([1, 1], variance, [[[1e200]]],
                       [[[1.0]]] if variance == "direct" else None)
     forms = [LevelForm([[[1e200]]]), LevelForm([[[1e200]]])]
-    return ConnectionFormSequence(b, forms, [("1,1", [[1.0]])] * 2)
+    return ConnectionFormSequence(b, forms, [StructureMatrix([[1.0]], "1,1")] * 2)
 
 
 @pytest.mark.parametrize("variance", ["projective", "direct"])

@@ -25,6 +25,7 @@ from tensorstruct.limits import (
     tuple_project,
     validate_bonding,
 )
+from tensorstruct.structures import StructureMatrix
 
 DIMS = [1, 2, 3, 4]
 
@@ -275,8 +276,27 @@ def test_tuple_projection_functorial():
 def test_tuple_membership_with_isotropy_models():
     bonding = padded_projective()
     ident = LevelTuple(bonding, [np.eye(d) for d in DIMS])
-    models = [("1,1", np.diag(np.arange(1.0, d + 1))) for d in DIMS]
+    models = [StructureMatrix(np.diag(np.arange(1.0, d + 1)), "1,1") for d in DIMS]
     assert tuple_membership(ident, isotropy_models=models).passed
+
+
+def test_tuple_membership_needs_an_isotropy_model_per_entry():
+    ident = LevelTuple(padded_projective(), [np.eye(d) for d in DIMS])
+    models = [StructureMatrix(np.eye(d), "2,0") for d in DIMS[:-1]]
+    with pytest.raises(ShapeMismatch):
+        tuple_membership(ident, isotropy_models=models)
+
+
+@pytest.mark.parametrize("top, residual", [(2.0, 0.75), (0.0, np.inf)])
+def test_tuple_membership_fails_an_entry_outside_its_isotropy_group(top, residual):
+    # diag(1, top) intertwines with the padding, and moves the identity form
+    # to diag(1, 1/top^2): by 3/4 for top = 2; a singular entry is in no group
+    a = LevelTuple(BondingSystem.padded([1, 2], "projective"), [np.eye(1), np.diag([1.0, top])])
+    models = [StructureMatrix(np.eye(d), "2,0") for d in (1, 2)]
+    report = tuple_membership(a, isotropy_models=models)
+    assert [(e.name, e.passed, e.residual) for e in report.entries
+            if e.name.startswith("isotropy")] == [("isotropy[0]", True, 0.0),
+                                                  ("isotropy[1]", False, residual)]
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +417,7 @@ def skew(n, rng):
 def zero_form_tower(variance):
     bonding = BondingSystem.padded([2, 3, 4], variance)
     forms = [LevelForm([np.zeros((d, d)) for _ in range(d)]) for d in [2, 3, 4]]
-    models = [("2,0", np.eye(d)) for d in [2, 3, 4]]
+    models = [StructureMatrix(np.eye(d), "2,0") for d in [2, 3, 4]]
     return ConnectionFormSequence(bonding, forms, models)
 
 
@@ -427,7 +447,7 @@ def coherent_direct_form_tower(rng, dims=(2, 3, 4)):
                 mat[:dims[lvl - 1], :dims[lvl - 1]] = 0.0 if lvl else mat
             coeffs.append(mat if a >= dims[0] else mat)
         forms.append(LevelForm(coeffs))
-    models = [("2,0", np.eye(d)) for d in dims]
+    models = [StructureMatrix(np.eye(d), "2,0") for d in dims]
     return ConnectionFormSequence(bonding, forms, models)
 
 
@@ -457,7 +477,7 @@ def test_projective_form_tower_passes():
                 mat[2:, 2:] = skew(d - 2, rng)
             coeffs.append(mat)
         forms.append(LevelForm(coeffs))
-    models = [("2,0", np.eye(d)) for d in dims]
+    models = [StructureMatrix(np.eye(d), "2,0") for d in dims]
     seq = ConnectionFormSequence(bonding, forms, models)
     pts = rng.uniform(-1, 1, size=(20, 4))
     rep = check_connection_coherence(seq, pts)

@@ -33,6 +33,16 @@ def test_tolerance_rejects_degenerate_settings():
         Tolerance(atol=0.0, rtol=0.0)
 
 
+def test_tolerance_never_accepts_an_infinite_residual():
+    tol = Tolerance()
+    assert tol.accepts(1e300, np.inf)
+    assert not tol.accepts(np.inf, np.inf)
+    assert not tol.accepts(np.nan, np.inf)
+    np.testing.assert_array_equal(
+        tol.accepts(np.array([0.0, np.inf, 1.0, np.inf]), np.array([1.0, np.inf, np.inf, 1.0])),
+        [True, False, True, False])
+
+
 def test_spd_sqrt_identity():
     np.testing.assert_allclose(spd_sqrt(np.eye(4)), np.eye(4), atol=1e-14)
 

@@ -1,0 +1,77 @@
+"""Digest every benchmark CLI invocation, to show that two trees print the same bytes.
+
+    python3 tools/cli_digests.py SRC DOCDIR > digests.txt
+
+``SRC`` is the root of a source checkout: the package is imported from
+``SRC/src`` and the documents are generated by ``SRC/bench/workloads.py``,
+which this script only reads.  For every CLI operation of rounds 0 and 1
+of seeds 0, 3 and 7, in every workload at both sizes, it calls
+``tensorstruct.cli.run`` in this process twice, with and without
+``--json``, and prints one line per call: workload, size, seed, round,
+operation id, output mode and the sha256 of (exit status, stdout,
+stderr).  The last line is the number of calls.
+
+Documents are written under ``DOCDIR``; paths can appear in the output, so
+compare two trees with the same ``DOCDIR``:
+
+    python3 tools/cli_digests.py parent /tmp/docs > a.txt
+    python3 tools/cli_digests.py . /tmp/docs > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+SEEDS = (0, 3, 7)
+ROUNDS = (0, 1)
+
+
+def digest(cli, argv):
+    """sha256 of the exit status, stdout and stderr of one ``cli.run``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.run(argv)
+    payload = "\0".join((repr(status), out.getvalue(), err.getvalue()))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: cli_digests.py SRC DOCDIR", file=sys.stderr)
+        return 2
+    src, docdir = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    # single-threaded BLAS, as the benchmark runs it, set before numpy loads
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"
+    sys.path[:0] = [str(src / "src"), str(src / "bench")]
+    sys.dont_write_bytecode = True  # leave no cache files in the source tree
+    import workloads
+    import tensorstruct.cli as cli
+
+    calls = 0
+    for workload in workloads.WORKLOADS:
+        for size in workloads.SIZES:
+            for seed in SEEDS:
+                for index in ROUNDS:
+                    where = docdir / workload / size / str(seed) / str(index)
+                    for op in workloads.round_ops(workload, seed, index, size, where):
+                        if op["kind"] != "cli":
+                            continue
+                        text = [a for a in op["argv"] if a != "--json"]
+                        for mode, args in (("json", op["argv"]), ("text", text)):
+                            print(workload, size, seed, index, op["id"], mode,
+                                  digest(cli, args))
+                            calls += 1
+    print(f"{calls} invocations")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
