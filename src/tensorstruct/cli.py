@@ -60,14 +60,15 @@ def _emit(report: Report, as_json):
     if as_json:
         print(report.to_json())
     else:
-        for entry in report.entries:
+        entries = report.entries
+        for entry in entries:
             status = "pass" if entry.passed else "FAIL"
             location = f"  [{entry.location}]" if entry.location else ""
             print(f"{status}  {entry.name}  residual={entry.residual:.3e}{location}")
         for note in report.notes:
             print(f"note: {note}")
         print(f"{'PASS' if report.passed else 'FAIL'} "
-              f"({len(report.entries)} checks, worst residual "
+              f"({len(entries)} checks, worst residual "
               f"{report.worst_residual:.3e})")
     return report.exit_status
 

@@ -35,6 +35,16 @@ only index into them; ``gEn_membership``, which reads only the composites
 into and out of the top level, builds the one projection column it needs.
 Nothing is cached on the tower, which stays a plain mutable dataclass.
 
+Reports.  Each of those checks collects the residuals of one law over all
+its pairs or triples in a list and adds them to its report as one block
+(``Report.block``), decided by one element-wise ``Tolerance.accepts``; no
+check formats an entry name.  The products and norms stay one per entry,
+so every residual is the one the per-entry loop made.  A composition law
+is accepted at scale ``max(fro(lhs), 1)``, which is at least 1: the block
+is decided at scale 1 first, and only where that fails is the product
+made again and its norm taken.  The coherence laws take each level's norm
+once and build the scale of each pair from those.
+
 Model tensors.  Every per-level model (``tuple_membership``'s isotropy
 models, ``ConnectionFormSequence.models``) is a ``StructureMatrix``, and
 the group and Lie algebra act on it as ``bundle`` defines: an entry of a
@@ -220,23 +230,9 @@ def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
     report.note(f"{n} levels supplied; all checks quantify over them")
     maps = b.map_table()
 
-    for i in range(n):
-        res = fro(maps[i][i] - np.eye(b.dims[i]))
-        report.add(f"identity_at[{i}]", tol.accepts(res, 1.0), res)
-
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                if b.variance == "projective":
-                    lhs = maps[i][j] @ maps[j][k]
-                else:
-                    lhs = maps[j][k] @ maps[i][j]
-                res = fro(lhs - maps[i][k])
-                # the scale is at least 1, so a residual accepted at scale 1
-                # is accepted at it too: compute it only when that fails
-                report.add(f"composition[{i},{j},{k}]",
-                           tol.accepts(res) or tol.accepts(res, max(fro(lhs), 1.0)),
-                           res)
+    identity = np.array([fro(maps[i][i] - np.eye(b.dims[i])) for i in range(n)])
+    report.block("identity_at[%d]", [(i,) for i in range(n)], tol.accepts(identity, 1.0), identity)
+    _composition_block(report, "composition[%d,%d,%d]", maps, b.variance != "projective", tol)
 
     for i in range(n - 1):
         m = b.maps[i]
@@ -246,19 +242,30 @@ def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
 
     if b.variance == "direct" and b.projections is not None:
         projs = b.projection_table()
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                sec = fro(projs[i][j] @ maps[i][j] - np.eye(b.dims[i]))
-                report.add(f"section[{i},{j}]", tol.accepts(sec, 1.0), sec)
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    lhs = projs[i][j] @ projs[j][k]
-                    res = fro(lhs - projs[i][k])
-                    report.add(f"projection_composition[{i},{j},{k}]",
-                               tol.accepts(res)
-                               or tol.accepts(res, max(fro(lhs), 1.0)), res)
+        pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+        sections = np.array([fro(projs[i][j] @ maps[i][j] - np.eye(b.dims[i]))
+                             for i, j in pairs])
+        report.block("section[%d,%d]", pairs, tol.accepts(sections, 1.0), sections)
+        _composition_block(report, "projection_composition[%d,%d,%d]", projs, False, tol)
     return report
+
+
+def _composition_block(report, template, table, reverse, tol):
+    """The law ``table[i][j] @ table[j][k] = table[i][k]`` (the factors
+    swapped when ``reverse``) for every i <= j <= k, as one block.  A law
+    is accepted at the scale ``max(fro(lhs), 1)``; that scale is at least
+    1, so a residual accepted at scale 1 is accepted at it too, and the
+    product is made again, and its norm taken, only where that fails."""
+    def lhs(i, j, k):
+        return table[j][k] @ table[i][j] if reverse else table[i][j] @ table[j][k]
+
+    n = len(table)
+    triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
+    residuals = np.array([fro(lhs(i, j, k) - table[i][k]) for i, j, k in triples])
+    passed = tol.accepts(residuals)
+    for f in np.flatnonzero(~passed):
+        passed[f] = tol.accepts(residuals[f], max(fro(lhs(*triples[f])), 1.0))
+    report.block(template, triples, passed, residuals)
 
 
 @dataclass
@@ -294,18 +301,23 @@ def _coherence_residual(variance, kind, lam, a_i, a_j):
     return fro(a_i - lam.T @ a_j @ lam)
 
 
+def _coherence_block(report, template, variance, kind, maps, mats, tol):
+    """Add to ``report``, and return it, the variance/kind intertwining law
+    of ``mats`` over every pair of levels i < j, as one block, each
+    residual accepted at the scale ``max(fro(mats[i]), fro(mats[j]), 1)``."""
+    norms = [fro(m) for m in mats]
+    pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
+    residuals = np.array([_coherence_residual(variance, kind, maps[i][j], mats[i], mats[j])
+                          for i, j in pairs])
+    scales = np.array([max(norms[i], norms[j], 1.0) for i, j in pairs])
+    report.block(template, pairs, tol.accepts(residuals, scales), residuals)
+    return report
+
+
 def check_coherent(seq: CoherentSequence, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Per-pair residual of the variance/kind-appropriate intertwining law."""
-    report = Report()
-    n = seq.bonding.levels
-    maps = seq.bonding.map_table()
-    for i in range(n):
-        for j in range(i + 1, n):
-            res = _coherence_residual(seq.bonding.variance, seq.kind, maps[i][j],
-                                      seq.levels[i], seq.levels[j])
-            scale = max(fro(seq.levels[i]), fro(seq.levels[j]), 1.0)
-            report.add(f"coherent[{i},{j}]", tol.accepts(res, scale), res)
-    return report
+    return _coherence_block(Report(), "coherent[%d,%d]", seq.bonding.variance, seq.kind,
+                            seq.bonding.map_table(), seq.levels, tol)
 
 
 def limit_eval(seq: CoherentSequence, level, vectors, tol: Tolerance = DEFAULT_TOL):
@@ -318,7 +330,7 @@ def limit_eval(seq: CoherentSequence, level, vectors, tol: Tolerance = DEFAULT_T
     """
     rep = check_coherent(seq, tol)
     if not rep.passed:
-        worst = max(e.residual for e in rep.failures())
+        worst = _worst([e.residual for e in rep.failures()])
         raise IncoherentSequence(f"worst coherence residual {worst:.3e}")
     m = seq.levels[level]
     if seq.kind == "1,1":
@@ -381,15 +393,9 @@ def tuple_membership(a: LevelTuple, tol: Tolerance = DEFAULT_TOL,
     constrained subgroup built from per-level isotropy groups), and a
     shorter list raises ShapeMismatch.
     """
-    report = Report()
-    maps = a.bonding.map_table(a.level)
     # intertwining: the (1,1) coherence law of the entries
-    for i in range(a.level):
-        for j in range(i + 1, a.level):
-            res = _coherence_residual(a.bonding.variance, "1,1", maps[i][j],
-                                      a.entries[i], a.entries[j])
-            scale = max(fro(a.entries[i]), fro(a.entries[j]), 1.0)
-            report.add(f"intertwines[{i},{j}]", tol.accepts(res, scale), res)
+    report = _coherence_block(Report(), "intertwines[%d,%d]", a.bonding.variance, "1,1",
+                              a.bonding.map_table(a.level), a.entries, tol)
     for lvl, m in enumerate(a.entries):
         ok = rank_of(m, tol) == m.shape[0]
         report.add(f"invertible[{lvl}]", ok, 0.0 if ok else 1.0)
@@ -481,7 +487,7 @@ def theta_projection(a, j, i, bonding: BondingSystem, tol: Tolerance = DEFAULT_T
                         bonding.projections[:j] if bonding.projections else None)
     member, _, rep = gEn_membership(a, sub, tol)
     if not member:
-        worst = max(e.residual for e in rep.failures())
+        worst = _worst([e.residual for e in rep.failures()])
         raise NotMember(f"operator violates the flag (worst residual {worst:.3e})")
     return bonding.projection(i, j) @ a @ bonding.map(i, j)
 
@@ -644,8 +650,8 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
                if any(form.linear is not None for form in forms) else [None] * n)
     # each level's form on its own data; adaptedness is sampled there
     values = [form.at(x, v) for form, x, v in zip(forms, moved_x, moved_v)]
-    adapted = [_worst(_norms(algebra_action(w, model)))
-               for w, model in zip(values, seq.models)]
+    adapted = np.array([_worst(_norms(algebra_action(w, model)))
+                        for w, model in zip(values, seq.models)])
     coherent = []
     for (i, j), (left, right) in zip(pairs, morphisms):
         # the upper level's data for projective towers, the lower's for direct
@@ -655,10 +661,9 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
         lhs = forms[dst].at(x, _carry(lam, moved_v[src]))
         coherent.append(_worst(_norms(lhs - left @ values[src] @ right)))
 
-    for lvl, (model, worst) in enumerate(zip(seq.models, adapted)):
-        report.add(f"adapted[{lvl}]", tol.accepts(worst, max(fro(model.matrix), 1.0)),
-                   worst)
-    for (i, j), worst in zip(pairs, coherent):
-        report.add(f"coherent[{i},{j}]", tol.accepts(worst, 1.0), worst)
+    scales = np.array([max(fro(model.matrix), 1.0) for model in seq.models[:n]])
+    report.block("adapted[%d]", [(k,) for k in range(n)], tol.accepts(adapted, scales), adapted)
+    coherent = np.array(coherent)
+    report.block("coherent[%d,%d]", pairs, tol.accepts(coherent, 1.0), coherent)
     report.note(f"{pts.shape[0]} sample points, {dim} tangent directions")
     return report

@@ -1,5 +1,18 @@
 """Structured pass/fail reports shared by all validators and the CLI.
 
+A report is an ordered list of blocks.  A block holds the entries of one
+check that share a name: a ``%``-format template such as
+``composition[%d,%d,%d]``, one tuple of integer indices per entry (the
+entry's name is ``template % index``), the verdicts, the residuals and one
+location for all of them.  The tower checks fill one block per law from a
+list of residuals; ``Report.add`` appends a one-entry block whose template
+is its name with every ``%`` doubled, so the name comes out verbatim.
+``Report.extend`` shares the other report's blocks and only prefixes their
+templates.  Names are formatted only where entries are written out:
+``Report.to_json`` builds one pre-escaped entry format per block, and
+``entries``, which the CLI's text output and library callers read, is a
+read-only tuple of ``CheckEntry`` built from the blocks on each access.
+
 ``Report.to_json`` writes the ``--json`` report in one pass, and its layout
 is the contract, byte for byte.  Top-level keys are ``command``,
 ``entries``, ``exit_status``, ``inputs_digest``, ``notes``, ``passed``;
@@ -25,7 +38,6 @@ _ENTRY = ('    {\n      "location": %s,\n      "name": %s,\n'
 
 def _number(value):
     """A residual as a JSON value: its repr when finite, else a string."""
-    value = float(value)
     if math.isfinite(value):
         return float.__repr__(value)
     if value != value:
@@ -50,39 +62,55 @@ class CheckEntry:
 
 @dataclass
 class Report:
-    """An ordered list of check entries plus optional provenance.
+    """An ordered list of check entries, held as blocks, plus optional
+    provenance.
 
+    Each block is a tuple ``(template, indices, passed, residuals,
+    location)``: entry k of the block is named ``template % indices[k]``
+    and has verdict ``passed[k]`` and residual ``residuals[k]``.
     ``command`` and ``digest`` are filled in by the CLI; library callers
     usually leave them empty and only look at ``passed`` / ``entries``.
     """
 
     command: str = ""
     digest: str = ""
-    entries: list[CheckEntry] = field(default_factory=list)
+    blocks: list[tuple] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def add(self, name, passed, residual, location=""):
-        entry = CheckEntry(name, bool(passed), float(residual), location)
-        self.entries.append(entry)
-        return entry
+        """Append one entry: a block with the one, empty, index tuple."""
+        self.blocks.append((name.replace("%", "%%"), ((),), [bool(passed)],
+                            [float(residual)], location))
+
+    def block(self, template, indices, passed, residuals):
+        """Append one entry per index tuple, named ``template % index``;
+        ``passed`` and ``residuals`` are bool and float arrays in the same
+        order."""
+        self.blocks.append((template, indices, passed.tolist(), residuals.tolist(), ""))
 
     def note(self, text):
         self.notes.append(text)
 
     def extend(self, other: "Report", prefix=""):
-        for entry in other.entries:
-            name = f"{prefix}{entry.name}" if prefix else entry.name
-            self.entries.append(CheckEntry(name, entry.passed, entry.residual, entry.location))
+        prefix = prefix.replace("%", "%%")
+        self.blocks.extend((prefix + template, *rest) for template, *rest in other.blocks)
         self.notes.extend(other.notes)
 
     @property
+    def entries(self) -> tuple[CheckEntry, ...]:
+        """Every entry in order, built from the blocks on each access."""
+        return tuple(CheckEntry(template % index, passed, residual, location)
+                     for template, indices, verdicts, residuals, location in self.blocks
+                     for index, passed, residual in zip(indices, verdicts, residuals))
+
+    @property
     def passed(self) -> bool:
-        return all(entry.passed for entry in self.entries)
+        return all(all(verdicts) for _, _, verdicts, _, _ in self.blocks)
 
     @property
     def worst_residual(self) -> float:
         """The largest residual, 0.0 for none; a NaN residual is the worst."""
-        residuals = [entry.residual for entry in self.entries]
+        residuals = [r for _, _, _, rs, _ in self.blocks for r in rs]
         if any(math.isnan(r) for r in residuals):
             return math.nan
         return max(residuals, default=0.0)
@@ -97,9 +125,19 @@ class Report:
     def to_json(self):
         """The ``--json`` report (no trailing newline); see the module
         docstring for the layout."""
-        entries = [_ENTRY % (_string(e.location), _string(e.name),
-                             "true" if e.passed else "false", _number(e.residual))
-                   for e in self.entries]
+        entries = []
+        for template, indices, verdicts, residuals, location in self.blocks:
+            if len(indices) == 1:  # as from ``add``: one format, no template
+                entries.append(_ENTRY % (_string(location), _string(template % indices[0]),
+                                         "true" if verdicts[0] else "false",
+                                         _number(residuals[0])))
+                continue
+            # the name escaped as a template: escaping leaves every % alone,
+            # and the integers formatted into it need no escaping
+            entry = _ENTRY % (_string(location).replace("%", "%%"), _string(template),
+                              "%s", "%s")
+            entries += [entry % (*index, "true" if passed else "false", _number(residual))
+                        for index, passed, residual in zip(indices, verdicts, residuals)]
         status = self.exit_status
         return ("{\n"
                 f'  "command": {_string(self.command)},\n'

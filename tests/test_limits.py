@@ -197,6 +197,17 @@ def test_limit_eval_refuses_incoherent_sequence():
         limit_eval(seq, 1, np.array([1.0, 1.0]))
 
 
+def test_limit_eval_names_a_nan_residual_as_the_worst():
+    # coherent[0,1] fails with 2.0 first; diag(0, 1e308) overflows the
+    # scale and the residual of coherent[2,3] to inf - inf
+    b = BondingSystem([1, 1, 2, 2], "direct", [[[1.0]], [[2.0], [0.0]], np.diag([1.0, 2.0])])
+    seq = CoherentSequence(b, [[[1.0]], [[3.0]], np.diag([0.0, 1e308]),
+                               np.diag([0.0, 1e308])], "1,1")
+    with np.errstate(all="ignore"), pytest.raises(IncoherentSequence) as exc:
+        limit_eval(seq, 0, np.array([1.0]))
+    assert str(exc.value) == "worst coherence residual nan"
+
+
 def test_limit_eval_degrades_linearly_with_injected_incoherence():
     for eps in (1e-8, 1e-4):
         seq = diag_direct_sequence()
@@ -371,6 +382,23 @@ def test_theta_projection_rejects_non_member():
     a = np.ones((4, 4)) + np.eye(4)
     with pytest.raises(NotMember):
         theta_projection(a, 3, 0, padded_direct())
+
+
+def test_theta_projection_names_a_nan_residual_as_the_worst():
+    # flag_invariant[0] fails with a finite residual first; at level 1 the
+    # image overflows and the invariance defect is inf - inf
+    maps = [[[1e-200], [0.0]], [[1e200, 0.0], [0.0, 1e200], [0.0, 0.0]]]
+    projs = [[[1e200, 0.0]], [[1e-200, 0.0, 0.0], [0.0, 1e-200, 0.0]]]
+    bonding = BondingSystem([1, 2, 3], "direct", maps, projs)
+    a = 1e150 * np.array([[0.6, 0.0, -0.8], [0.0, 1.0, 0.0], [0.8, 0.0, 0.6]])
+    with np.errstate(all="ignore"):
+        _, _, rep = gEn_membership(a, bonding)
+        with pytest.raises(NotMember) as exc:
+            theta_projection(a, 2, 0, bonding)
+    assert [(e.name, e.passed) for e in rep.entries] == [
+        ("flag_invariant[0]", False), ("flag_invariant[1]", False)]
+    assert rep.entries[0].residual == 8e149 and np.isnan(rep.entries[1].residual)
+    assert str(exc.value) == "operator violates the flag (worst residual nan)"
 
 
 def test_projected_members_stay_members():

@@ -1,7 +1,10 @@
 """The one-pass ``--json`` writer and ``fro`` against the library paths they
 replace: ``json.dumps(..., indent=2, sort_keys=True)`` of the report's dict,
-and ``np.linalg.norm``."""
+and ``np.linalg.norm``; reports held as blocks against the entries they
+stand for."""
 
+import contextlib
+import io
 import json
 import math
 import struct
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensorstruct.cli import _emit
 from tensorstruct.linalg import fro
 from tensorstruct.report import Report
 
@@ -90,12 +94,157 @@ def test_non_finite_residuals_are_json_strings():
 
 
 # ---------------------------------------------------------------------------
-# fro
+# blocks
 # ---------------------------------------------------------------------------
+
+# text with % signs in every role a %-format gives them
+texts = st.lists(awkward | st.sampled_from(["%", "%%", "%d", "%s", "50%"]) | st.text(max_size=6),
+                 max_size=4).map("".join)
+values = residuals | st.sampled_from([math.inf, -math.inf, math.nan])
+one = st.tuples(st.just("add"), texts, st.booleans(), values, texts)
+blocks = st.integers(0, 3).flatmap(lambda arity: st.tuples(
+    st.just("block"), texts, st.just(arity),
+    st.lists(st.tuples(st.tuples(*[st.integers(-9, 10**9)] * arity), st.booleans(), values),
+             max_size=4)))
+
 
 def bits(x):
     return struct.pack("<d", x)
 
+
+def fill(report, ops):
+    """Apply ``add`` and ``block`` operations; the entries they stand for,
+    as ``(name, passed, residual, location)`` rows."""
+    rows = []
+    for op in ops:
+        if op[0] == "add":
+            _, name, passed, residual, location = op
+            report.add(name, passed, residual, location)
+            rows.append((name, passed, residual, location))
+            continue
+        _, text, arity, items = op
+        template = text.replace("%", "%%") + "[" + ",".join(["%d"] * arity) + "]"
+        report.block(template, [index for index, _, _ in items],
+                     np.array([p for _, p, _ in items], dtype=bool),
+                     np.array([r for _, _, r in items], dtype=float))
+        rows += [(f"{text}[{','.join(map(str, index))}]", p, r, "") for index, p, r in items]
+    return rows
+
+
+def json_of(command, digest, rows, notes):
+    """The report the rows stand for, as the indented sorted dump, with a
+    non-finite residual as its string."""
+    passed = all(p for _, p, _, _ in rows)
+    text = {math.inf: "Infinity", -math.inf: "-Infinity"}
+    return json.dumps({
+        "command": command, "inputs_digest": digest, "notes": notes, "passed": passed,
+        "exit_status": 0 if passed else 1,
+        "entries": [{"name": n, "passed": p, "location": loc,
+                     "residual": r if math.isfinite(r) else text.get(r, "NaN")}
+                    for n, p, r, loc in rows]}, indent=2, sort_keys=True)
+
+
+def text_of(rows, notes):
+    """The CLI's text output for the rows, written one entry at a time."""
+    lines = []
+    for name, passed, residual, location in rows:
+        where = f"  [{location}]" if location else ""
+        lines.append(f"{'pass' if passed else 'FAIL'}  {name}  residual={residual:.3e}{where}")
+    lines += [f"note: {note}" for note in notes]
+    residuals = [r for _, _, r, _ in rows]
+    worst = math.nan if any(map(math.isnan, residuals)) else max(residuals, default=0.0)
+    passed = all(p for _, p, _, _ in rows)
+    lines.append(f"{'PASS' if passed else 'FAIL'} ({len(rows)} checks, worst residual "
+                 f"{worst:.3e})")
+    return "\n".join(lines) + "\n"
+
+
+def text_output(report):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = _emit(report, False)
+    assert status == report.exit_status
+    return out.getvalue()
+
+
+def bit_rows(rows):
+    return [(n, p, bits(float(r)), loc) for n, p, r, loc in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=strings, digest=strings, ops=st.lists(one | blocks, max_size=5),
+       prefix=st.none() | texts, notes=st.lists(texts, max_size=3))
+def test_blocks_stand_for_their_entries(command, digest, ops, prefix, notes):
+    report = Report(command, digest)
+    rows = fill(report, ops)
+    for text in notes:
+        report.note(text)
+    if prefix is not None:
+        # as the CLI nests a sub-report: one entry of its own, then the
+        # sub-report's entries under the prefix
+        outer = Report(command, digest)
+        outer.add("own", True, 0.0)
+        outer.extend(report, prefix)
+        rows = [("own", True, 0.0, "")] + [(prefix + n, p, r, loc) for n, p, r, loc in rows]
+        report = outer
+    got = [(e.name, e.passed, bits(e.residual), e.location) for e in report.entries]
+    assert got == bit_rows(rows)
+    assert bit_rows((e.name, e.passed, e.residual, e.location) for e in report.failures()) \
+        == bit_rows(row for row in rows if not row[1])
+    assert report.passed == all(p for _, p, _, _ in rows)
+    assert report.to_json() == json_of(command, digest, rows, notes)
+    assert text_output(report) == text_of(rows, notes)
+
+
+def test_extend_prefixes_each_block_and_keeps_percent_signs():
+    inner = Report()
+    inner.add("modelled[50%]", True, 0.0, "at 10%")
+    inner.block("coherent[%d,%d]", [], np.array([], dtype=bool), np.array([]))
+    inner.block("composition[%d,%d,%d]", [(0, 1, 2), (1, 1, 2)], np.array([False, True]),
+                np.array([0.5, 1e-12]))
+    outer = Report("reduce", "d")
+    outer.add("cocycle[a,b,c]", True, 1e-17)
+    outer.extend(inner, prefix="field%d/")
+    assert [(e.name, e.passed, e.residual, e.location) for e in outer.entries] == [
+        ("cocycle[a,b,c]", True, 1e-17, ""),
+        ("field%d/modelled[50%]", True, 0.0, "at 10%"),
+        ("field%d/composition[0,1,2]", False, 0.5, ""),
+        ("field%d/composition[1,1,2]", True, 1e-12, "")]
+    # the extended report shares the blocks and changes none of them
+    assert [e.name for e in inner.entries] == [
+        "modelled[50%]", "composition[0,1,2]", "composition[1,1,2]"]
+    assert text_output(outer) == (
+        "pass  cocycle[a,b,c]  residual=1.000e-17\n"
+        "pass  field%d/modelled[50%]  residual=0.000e+00  [at 10%]\n"
+        "FAIL  field%d/composition[0,1,2]  residual=5.000e-01\n"
+        "pass  field%d/composition[1,1,2]  residual=1.000e-12\n"
+        "FAIL (4 checks, worst residual 5.000e-01)\n")
+
+
+def test_an_empty_block_writes_no_entries():
+    report = Report("tower check", "abc")
+    report.block("coherent[%d,%d]", [], np.array([], dtype=bool), np.array([]))
+    assert report.entries == () and report.passed and report.worst_residual == 0.0
+    assert report.to_json() == Report("tower check", "abc").to_json()
+    assert text_output(report) == "PASS (0 checks, worst residual 0.000e+00)\n"
+
+
+@pytest.mark.parametrize("blocks, worst", [
+    ([[0.5, 2.0], [1.0]], 2.0), ([[0.5, 2.0], [1.0, math.nan]], math.nan),
+    ([[math.inf], [], [0.0, math.nan, 3.0]], math.nan), ([[math.inf, 1.0], [2.0]], math.inf)])
+def test_a_nan_residual_is_the_worst_in_any_block(blocks, worst):
+    report = Report()
+    for k, block in enumerate(blocks):
+        report.block(f"law{k}[%d]", [(i,) for i in range(len(block))],
+                     np.zeros(len(block), dtype=bool), np.array(block, dtype=float))
+        report.add(f"single{k}", True, 0.25)
+    assert bits(report.worst_residual) == bits(worst)
+    assert not report.passed and report.exit_status == 1
+
+
+# ---------------------------------------------------------------------------
+# fro
+# ---------------------------------------------------------------------------
 
 def layouts(rng):
     a = rng.normal(size=(6, 5)) * 10.0 ** rng.integers(-150, 150)

@@ -9,7 +9,11 @@ of seeds 0, 3 and 7, in every workload at both sizes, it calls
 ``tensorstruct.cli.run`` in this process twice, with and without
 ``--json``, and prints one line per call: workload, size, seed, round,
 operation id, output mode and the sha256 of (exit status, stdout,
-stderr).  The last line is the number of calls.
+stderr).  For every ``tuple_membership`` library operation of the same
+rounds, with its inputs built as ``SRC/bench/execute.py`` builds them, it
+prints one line with output mode ``library`` and the sha256 of the
+report's entries: name, verdict, the 8 bytes of the residual and location.
+The last line is the number of calls.
 
 Documents are written under ``DOCDIR``; paths can appear in the output, so
 compare two trees with the same ``DOCDIR``:
@@ -25,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import os
+import struct
 import sys
 from pathlib import Path
 
@@ -41,6 +46,17 @@ def digest(cli, argv):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def library_digest(limits, prepared):
+    """sha256 of the entries of the ``tuple_membership`` report the
+    benchmark's library operation makes from ``prepared``."""
+    report = limits.tuple_membership(limits.tuple_compose(*prepared))
+    payload = hashlib.sha256()
+    for e in report.entries:
+        payload.update(repr((e.name, e.passed, struct.pack("<d", e.residual),
+                             e.location)).encode())
+    return payload.hexdigest()
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -52,8 +68,10 @@ def main(argv=None):
         os.environ[name] = "1"
     sys.path[:0] = [str(src / "src"), str(src / "bench")]
     sys.dont_write_bytecode = True  # leave no cache files in the source tree
+    import execute
     import workloads
     import tensorstruct.cli as cli
+    import tensorstruct.limits as limits
 
     calls = 0
     for workload in workloads.WORKLOADS:
@@ -63,6 +81,10 @@ def main(argv=None):
                     where = docdir / workload / size / str(seed) / str(index)
                     for op in workloads.round_ops(workload, seed, index, size, where):
                         if op["kind"] != "cli":
+                            if op["fn"] == "tuple_membership":
+                                print(workload, size, seed, index, op["id"], "library",
+                                      library_digest(limits, execute.prepare(op)))
+                                calls += 1
                             continue
                         text = [a for a in op["argv"] if a != "--json"]
                         for mode, args in (("json", op["argv"]), ("text", text)):
