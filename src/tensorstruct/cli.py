@@ -8,6 +8,13 @@ emitted bytes are reproducible.  numpy's floating-point warnings are off
 while a command runs: an overflow shows as a failing entry, not as a
 warning on stderr.
 
+``run`` alone names each report (the subcommand words, such as ``tower
+check``), digests its inputs (the sha256 of each document, comma-joined in
+the order read) and picks its ``Tolerance``: ``nijenhuis`` and
+``curvature`` are judged with ``Tolerance(atol=--tol, rtol=0)``, every other
+subcommand with ``--atol``/``--rtol``.  The subcommand branches only load,
+parse and check.
+
 The argument parser is built once per process, on the first ``run``, and
 reused; ``run`` may be called any number of times in one process.
 """
@@ -179,40 +186,46 @@ def run(argv=None):
             parser.error("--atol and --rtol cannot both be 0")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    tol = Tolerance(args.atol, args.rtol)
 
     if args.command in RANDOMIZED and args.json and args.seed is None:
         print("error: randomized subcommands need --seed with --json",
               file=sys.stderr)
         return 2
     rng = np.random.default_rng(0 if args.seed is None else args.seed)
+    # the grid checks take their own absolute --tol; every other check --atol/--rtol
+    tol = Tolerance(args.tol, 0.0) if "tol" in args else Tolerance(args.atol, args.rtol)
+    digests = []
+
+    def load(path):
+        doc, digest = _load(path)
+        digests.append(digest)
+        return doc
 
     try:
         with np.errstate(all="ignore"):
-            report = _dispatch(args, tol, rng)
+            report = _dispatch(args, load, tol, rng)
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except TensorStructError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    action = getattr(args, f"{args.command}_command", None)
+    report.command = f"{args.command} {action}" if action else args.command
+    report.digest = ",".join(digests)
     return _emit(report, args.json)
 
 
-def _dispatch(args, tol, rng) -> Report:
+def _dispatch(args, load, tol, rng) -> Report:
+    """The report of the parsed subcommand; ``load(path)`` reads each
+    document."""
     if args.command == "validate":
-        doc, digest = _load(args.structure)
-        structure = documents.parse_structure(doc)
-        report = validate(structure, tol)
-        report.command, report.digest = "validate", digest
-        return report
+        return validate(documents.parse_structure(load(args.structure)), tol)
 
     if args.command == "triple":
-        doc, digest = _load(args.pair)
-        first, second, flavor = documents.parse_pair(doc)
+        first, second, flavor = documents.parse_pair(load(args.pair))
         triple = complete_triple(first, second, flavor, tol)
         report = check_triple(triple, tol)
-        report.command, report.digest = "triple complete", digest
         report.note(f"flavor {flavor}, dimension {triple.dim}")
         report.note(_matrix_note("omega", triple.omega.matrix))
         report.note(_matrix_note("metric", triple.metric_matrix))
@@ -220,75 +233,54 @@ def _dispatch(args, tol, rng) -> Report:
         return report
 
     if args.command == "darboux":
-        doc, digest = _load(args.form)
-        structure = documents.parse_structure(doc, even=True)
+        structure = documents.parse_structure(load(args.form), even=True)
         # a cotangent structure carries its symplectic form
         form = SymplecticForm(getattr(structure, "symplectic", structure).matrix)
         basis, certificate = darboux_basis(form, tol)
-        report = Report("darboux", digest)
+        report = Report()
         report.add("canonical_form_residual", tol.accepts(certificate, 1.0),
                    certificate)
         report.note(_matrix_note("basis", basis))
         return report
 
     if args.command == "cocycle":
-        doc, digest = _load(args.atlas)
-        atlas = documents.parse_atlas(doc)
-        report = check_cocycle(atlas, tol)
-        report.command, report.digest = "cocycle", digest
-        return report
+        return check_cocycle(documents.parse_atlas(load(args.atlas)), tol)
 
     if args.command == "reduce":
-        adoc, atlas_digest = _load(args.atlas)
-        tdoc, tensor_digest = _load(args.tensor)
-        digests = [atlas_digest, tensor_digest]
+        adoc, tdoc = load(args.atlas), load(args.tensor)
         atlas = documents.parse_atlas(adoc)
         model = documents.parse_tensor(tdoc, atlas.fiber_dim)
         report = check_reduction(atlas, model, tol)
         if args.field:
-            fdoc, field_digest = _load(args.field)
-            digests.append(field_digest)
-            field = _field_on_charts(fdoc, atlas)
+            field = _field_on_charts(load(args.field), atlas)
             report.extend(check_locally_modelled(field, atlas, model, tol),
                           prefix="field/")
-        report.command, report.digest = "reduce", ",".join(digests)
         return report
 
     if args.command == "nijenhuis":
-        doc, digest = _load(args.field)
-        field, grid = documents.parse_field(doc, fd_step=args.fd_step)
-        report = is_integrable_structure(field, args.kind, grid,
-                                         Tolerance(atol=args.tol, rtol=0.0))
-        report.command, report.digest = "nijenhuis", digest
-        return report
+        field, grid = documents.parse_field(load(args.field), fd_step=args.fd_step)
+        return is_integrable_structure(field, args.kind, grid, tol)
 
     if args.command == "curvature":
-        doc, digest = _load(args.metric)
+        doc = load(args.metric)
         field, grid = documents.parse_field(doc, fd_step=args.fd_step)
-        report = is_metric_integrable(field, grid, Tolerance(atol=args.tol, rtol=0.0),
-                                      step=documents.field_step(doc, args.fd_step))
-        report.command, report.digest = "curvature", digest
-        return report
+        return is_metric_integrable(field, grid, tol,
+                                    step=documents.field_step(doc, args.fd_step))
 
     if args.command == "tower":
-        doc, digest = _load(args.tower)
-        bonding, sequence = documents.parse_tower(doc)
+        bonding, sequence = documents.parse_tower(load(args.tower))
         report = validate_bonding(bonding, tol)
         if sequence is not None:
             report.extend(check_coherent(sequence, tol), prefix="sequence/")
-        report.command, report.digest = "tower check", digest
         return report
 
     if args.command == "connection":
-        doc, digest = _load(args.tower)
-        seq, points = documents.parse_connection_tower(doc)
-        report = check_connection_coherence(seq, points, tol)
-        report.command, report.digest = "connection check", digest
-        return report
+        seq, points = documents.parse_connection_tower(load(args.tower))
+        return check_connection_coherence(seq, points, tol)
 
     if args.command == "loopspace":
         if args.loopspace_command == "demo":
-            report = Report("loopspace demo")
+            report = Report()
             targets = [block_kahler_target(m) for m in range(1, args.levels + 1)]
             loop = rng.normal(size=(args.samples, targets[0].dim))
             space = DiscretizedLoopSpace(targets[0], loop)
@@ -300,14 +292,12 @@ def _dispatch(args, tol, rng) -> Report:
             report.note(f"levels={args.levels} samples={args.samples} "
                         f"seed={'default' if args.seed is None else args.seed}")
             return report
-        doc, digest = _load(args.loop)
-        space, tangents = documents.parse_loop(doc)
+        space, tangents = documents.parse_loop(load(args.loop))
         report = check_induced_compatibility(space, trials=args.trials, tol=tol,
                                              rng=rng)
         if tangents is not None:
             o, g, _ = induced_forms(space, *tangents)
             report.note(f"omega(x, y)={o!r} g(x, y)={g!r}")
-        report.command, report.digest = "loopspace check", digest
         return report
 
     raise DocumentError(f"unknown command {args.command!r}")

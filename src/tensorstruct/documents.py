@@ -182,7 +182,8 @@ class _Terms(Num):
 
 class Str:
     """A JSON string, one of ``choices`` when given.  ``declares`` adds it
-    to a list of names; ``declared`` requires it to be in one."""
+    to a set of names, which must not hold it yet; ``declared`` requires it
+    to be in one."""
 
     def __init__(self, *choices, declares=None, declared=None):
         self.choices, self.declares, self.declared = choices, declares, declared
@@ -195,7 +196,11 @@ class Str:
         if self.declared is not None and value not in env.get(self.declared, ()):
             raise DocumentError(f"{path}: {value!r} is not a declared {self.declared} name")
         if self.declares is not None:
-            env.setdefault(self.declares, []).append(value)
+            names = env.setdefault(self.declares, {})  # name: path of its declaration
+            if value in names:
+                raise DocumentError(f"{names[value]} and {path}: repeated {self.declares} "
+                                    f"name {value!r}")
+            names[value] = path
         return value
 
 
@@ -300,7 +305,7 @@ ATLAS = Obj({
     "fiber_dim": Num(integer=True, least=1, bind="fiber_dim"),
     "charts": Each(Obj({"name": Str(declares="chart"), "lo": Num("base"), "hi": Num("base"),
                         "samples?": _POINTS})),
-    "base_dim?": Num(integer=True, bind="base"),
+    "base_dim?": Num(integer=True, least=1, bind="base"),
     "overlaps?": Each(Obj({"charts": Each(Str(declared="chart"), length=2), "points": _POINTS,
                            "transition": Obj({
                                "constant?": Num("fiber_dim", "fiber_dim"),
@@ -423,10 +428,15 @@ def parse_pair(doc):
 
 def parse_atlas(doc):
     v = check(doc, ATLAS)
-    overlaps, transitions = {}, {}
-    for o in v.get("overlaps", []):
+    if v["charts"] and not v["charts"][0]["lo"].size:
+        raise DocumentError("$.charts[0].lo: a chart needs at least 1 coordinate, got []")
+    overlaps, transitions, rows = {}, {}, {}
+    for row, o in enumerate(v.get("overlaps", [])):
         pair, t = tuple(o["charts"]), o["transition"]
-        overlaps[pair] = o["points"]
+        if pair in rows:
+            raise DocumentError(f"$.overlaps[{rows[pair]}].charts and $.overlaps[{row}].charts: "
+                                f"repeated overlap {list(pair)!r}")
+        overlaps[pair], rows[pair] = o["points"], row
         transitions[pair] = (ConstantTransition(t["constant"]) if "constant" in t
                              else AffineTransition(t["affine"]["base"], t["affine"]["coeffs"]))
     triples = [(*t["charts"], t["points"]) for t in v.get("triples", [])]

@@ -373,6 +373,24 @@ def _validate_symplectic(o, tol, report):
     report.add("nondegenerate", rank == o.dim, float(o.dim - rank))
 
 
+def _restricted_eigenvalues(s, basis):
+    """Eigenvalues of the symmetric part of the form ``s`` on the span of
+    ``basis``; all NaN when that form overflows (LAPACK may not converge on
+    it)."""
+    f = basis.T @ s @ basis
+    f = 0.5 * (f + f.T)
+    return np.linalg.eigvalsh(f) if np.isfinite(f).all() else np.full(len(f), np.nan)
+
+
+def _shortfall(w, atol):
+    """Residual of the check ``w > atol``: 0 when it holds, ``-w`` when ``w``
+    is negative, else the least increase of ``w`` that passes, so a failure
+    never reads 0 (and a NaN ``w`` reads NaN)."""
+    if w > atol:
+        return 0.0
+    return float(-w) if w < 0 else float(np.nextafter(atol, np.inf) - w)
+
+
 def _validate_krein(g, tol, report):
     s = g.matrix
     n = g.dim
@@ -380,18 +398,17 @@ def _validate_krein(g, tol, report):
     res = fro(s - s.T)
     report.add("symmetric", tol.accepts(res, scale), res)
 
-    spans = rank_of(np.hstack([g.plus_basis, g.minus_basis]), tol) == n
+    rank = rank_of(np.hstack([g.plus_basis, g.minus_basis]), tol)
     p, q = g.signature
-    report.add("bases_span", spans and p + q == n, float(n - p - q))
+    # the count mismatch, else the missing rank: positive whenever it fails
+    report.add("bases_span", rank == n and p + q == n, float(abs(n - p - q) or n - rank))
 
     if p:
-        gp = g.plus_basis.T @ s @ g.plus_basis
-        wmin = np.linalg.eigvalsh(0.5 * (gp + gp.T)).min()
-        report.add("positive_on_plus", wmin > tol.atol, float(max(0.0, -wmin)))
+        wmin = _restricted_eigenvalues(s, g.plus_basis).min()
+        report.add("positive_on_plus", wmin > tol.atol, _shortfall(wmin, tol.atol))
     if q:
-        gm = g.minus_basis.T @ s @ g.minus_basis
-        wmax = np.linalg.eigvalsh(0.5 * (gm + gm.T)).max()
-        report.add("negative_on_minus", wmax < -tol.atol, float(max(0.0, wmax)))
+        wmax = _restricted_eigenvalues(s, g.minus_basis).max()
+        report.add("negative_on_minus", wmax < -tol.atol, _shortfall(-wmax, tol.atol))
     if p and q:
         cross = fro(g.plus_basis.T @ s @ g.minus_basis)
         report.add("parts_orthogonal", tol.accepts(cross, scale), cross)
@@ -428,7 +445,8 @@ def _validate_para(j, tol, report):
     report.add("trace_zero", tol.accepts(tr, max(n, 1)), tr)
     p = j.eigen_plus.shape[1]
     q = j.eigen_minus.shape[1]
-    report.add("balanced_eigenspaces", p == q and p + q == n, float(abs(p - q)))
+    report.add("balanced_eigenspaces", p == q and p + q == n,
+               float(abs(p - q) or abs(n - p - q)))
     if p:
         rp = fro(m @ j.eigen_plus - j.eigen_plus)
         report.add("plus_eigenspace", tol.accepts(rp, scale), rp)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import warnings
@@ -484,6 +485,36 @@ def test_base_dim_must_agree_with_the_charts(tmp_path):
     assert run(["cocycle", path]) == 0
     path = write(tmp_path, "atlas.json", dict(atlas_doc(), base_dim=3))
     assert run(["cocycle", path]) == 2
+
+
+@pytest.mark.parametrize("extra, where", [({}, "$.charts[0].lo"),
+                                          ({"base_dim": 0}, "$.base_dim")])
+def test_a_base_of_dimension_zero_exits_two(extra, where, tmp_path, capsys):
+    doc = dict({"fiber_dim": 1, "charts": [{"name": "a", "lo": [], "hi": []}]}, **extra)
+    assert run(["cocycle", write(tmp_path, "atlas.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {where}: ") and "Traceback" not in err
+    doc = {"fiber_dim": 1, "charts": [], "base_dim": 0}
+    assert run(["cocycle", write(tmp_path, "empty.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: $.base_dim: ")
+
+
+def test_repeated_atlas_declarations_exit_two(tmp_path, capsys):
+    # a singular T_ab fails alone, and a second declaration must not hide it
+    first, second = ("a", "b", [[0.0]]), ("a", "b", [[2.0]])
+    doc = dict(line_atlas_doc("ab", [first]), fiber_dim=1)
+    assert run(["cocycle", write(tmp_path, "one.json", doc)]) == 1
+    doc = dict(line_atlas_doc("ab", [first, ("b", "a", [[0.5]]), second]), fiber_dim=1)
+    assert run(["cocycle", write(tmp_path, "twice.json", doc)]) == 2
+    assert capsys.readouterr().err == ("parse error: $.overlaps[0].charts and "
+                                       "$.overlaps[2].charts: repeated overlap ['a', 'b']\n")
+    doc = dict(line_atlas_doc("aba", []), fiber_dim=1)
+    assert run(["cocycle", write(tmp_path, "charts.json", doc)]) == 2
+    assert capsys.readouterr().err == ("parse error: $.charts[0].name and "
+                                       "$.charts[2].name: repeated chart name 'a'\n")
+    # (b, a) beside (a, b) is the other direction, not a repeat
+    doc = dict(line_atlas_doc("ab", [second, ("b", "a", [[0.5]])]), fiber_dim=1)
+    assert run(["cocycle", write(tmp_path, "both.json", doc)]) == 0
 
 
 def test_unknown_keys_are_ignored(tmp_path):
@@ -1243,3 +1274,73 @@ def test_a_declared_self_transition_is_evaluated(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines()[-1] == "FAIL (2 checks, worst residual nan)"
+
+
+# ---------------------------------------------------------------------------
+# what run decides for every subcommand: the name, the digest, the Tolerance
+# ---------------------------------------------------------------------------
+
+NIJENHUIS_DOC = {"dim": 2, "fd_step": 0.1,
+                 "field": {"name": "pullback_structure", "base_matrix": [[0, -1], [1, 0]],
+                           "diffeo": [[[1, 0, 1.0], [0, 2, 0.3]], [[0, 1, 1.0], [3, 0, 0.2]]]},
+                 "grid": {"counts": 3}}
+SYMPLECTIC_DOC = {"kind": "symplectic", "matrix": [[0.0, 3.0], [-3.0, 0.0]]}
+
+# (argv before the documents, [(flag before a path or None, document)])
+SUBCOMMANDS = {
+    "validate": (["validate"], [(None, complex_canonical_doc())]),
+    "triple complete": (["triple", "complete"], [(None, pair_doc())]),
+    "darboux": (["darboux"], [(None, SYMPLECTIC_DOC)]),
+    "cocycle": (["cocycle"], [(None, atlas_doc())]),
+    "reduce": (["reduce"], [(None, reduce_docs()["atlas"]), (None, reduce_docs()["tensor"])]),
+    "reduce --field": (["reduce"], [(None, reduce_docs()["atlas"]),
+                                    (None, reduce_docs()["tensor"]),
+                                    ("--field", reduce_docs()["field"])]),
+    "nijenhuis": (["nijenhuis", "--kind", "complex"], [(None, NIJENHUIS_DOC)]),
+    "curvature": (["curvature"], [(None, flat_field_doc())]),
+    "tower check": (["tower", "check"], [(None, tower_doc())]),
+    "connection check": (["connection", "check"], [(None, connection_doc())]),
+    "loopspace check": (LOOP_CHECK, [(None, loop_doc())]),
+    "loopspace demo": (["--seed", "1", "loopspace", "demo"], []),
+}
+
+
+@pytest.mark.parametrize("case", SUBCOMMANDS)
+def test_each_report_is_named_and_digested_by_run(case, tmp_path):
+    command, docs = SUBCOMMANDS[case]
+    status, out, err = run_captured(["--json", *fixture_argv(tmp_path, command, docs)])
+    assert status in (0, 1) and err == ""
+    payload = json.loads(out)
+    assert payload["command"] == case.removesuffix(" --field")
+    # fixture_argv writes doc0.json, doc1.json, ... in argument order
+    assert payload["inputs_digest"] == ",".join(
+        hashlib.sha256((tmp_path / f"doc{n}.json").read_bytes()).hexdigest()
+        for n in range(len(docs)))
+
+
+def worst_residual(argv):
+    status, out, err = run_captured(["--json", *argv])
+    assert err == ""
+    return status, max(e["residual"] for e in json.loads(out)["entries"])
+
+
+SPHERE_DOC = {"dim": 2, "field": {"name": "sphere_stereographic"}, "grid": {"counts": 3}}
+
+
+@pytest.mark.parametrize("command, doc, low, high", [
+    (["nijenhuis", "--kind", "complex"], NIJENHUIS_DOC, 1e-3, 1e-2),
+    (["curvature"], SPHERE_DOC, 1.0, 10.0)])
+def test_tol_alone_judges_nijenhuis_and_curvature(command, doc, low, high, tmp_path):
+    argv = [*command, write(tmp_path, "field.json", doc)]
+    status, worst = worst_residual(argv)
+    assert status == 1 and low < worst < high
+    for flags in ([], ["--atol", "100", "--rtol", "100"], ["--atol", "1e-12", "--rtol", "0"]):
+        assert run([*flags, *argv, "--tol", str(low)]) == 1
+        assert run([*flags, *argv, "--tol", str(high)]) == 0
+
+
+def test_atol_judges_validate(tmp_path):
+    path = write(tmp_path, "near.json", {"kind": "complex", "matrix": [[0, -1], [1, 1e-7]]})
+    assert worst_residual(["validate", path]) == (1, pytest.approx(1.414e-7, rel=1e-3))
+    assert run(["--atol", "1e-6", "validate", path]) == 0
+    assert run(["--atol", "1e-8", "validate", path]) == 1

@@ -97,3 +97,26 @@ def test_tol_parameters_default_to_a_tolerance(module):
            for arg, default in _defaults(node.args)
            if arg.arg == "tol" and not (isinstance(default, ast.Name) and default.id in allowed)]
     assert not bad, f"{module} has tol parameters without a Tolerance default: {bad}"
+
+
+def _decides_provenance_or_tolerance(node):
+    """A ``Tolerance(...)`` call, a ``Report(...)`` call with provenance
+    arguments, or an assignment to a ``.command`` or ``.digest``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id == "Tolerance" or (
+            node.func.id == "Report" and bool(node.args or node.keywords))
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+    return any(isinstance(t, ast.Attribute) and t.attr in ("command", "digest")
+               for target in targets for t in ast.walk(target))
+
+
+def test_only_cli_run_names_digests_and_picks_a_tolerance():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    [run] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "run"]
+    inside = {id(node) for node in ast.walk(run)}
+    outside = [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+               if id(node) not in inside and _decides_provenance_or_tolerance(node)]
+    assert not outside, f"cli.py decides a report's name, digest or Tolerance outside run: {outside}"
+    # the name, the digest and the two Tolerance policies
+    assert sum(map(_decides_provenance_or_tolerance, ast.walk(run))) == 4

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tensorstruct.documents import parse_structure
 from tensorstruct.errors import Degenerate, MissingDecomposition
 from tensorstruct.linalg import Tolerance
 from tensorstruct.structures import (
@@ -349,3 +353,53 @@ def test_normal_form_conjugation_soundness_batch():
         a = tangent_normal_form(TangentStructure(m, kernel, complement))
         assert np.linalg.norm(np.linalg.solve(a, can_t @ a) - m) <= 1e-7 * max(
             1.0, np.linalg.norm(m))
+
+
+# whole numbers make dependent bases and zero eigenvalues common; 1e-10 lies
+# within the default atol, and 1e200 overflows the restricted forms
+_ENTRIES = st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5, 1e-10, -1e-10, 1e200])
+
+
+@st.composite
+def decomposed_documents(draw):
+    """Krein and para-complex documents with random bases, often dependent,
+    too few or too many."""
+    kind, n = draw(st.sampled_from(["krein", "para_complex"])), draw(st.integers(1, 4))
+    matrix = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "krein" and draw(st.booleans()):
+        matrix = [[matrix[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    names = ("plus_basis", "minus_basis") if kind == "krein" else ("eigen_plus", "eigen_minus")
+    bases = {name: draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), max_size=n + 1))
+             for name in names}
+    return {"kind": kind, "matrix": matrix, "decomposition": bases}
+
+
+def _old_residuals(s):
+    """The four entries' residuals as computed before a failure had to read
+    above 0, where they were computed at all (not on an overflowing form)."""
+    if isinstance(s, ParaComplexStructure):
+        p, q = s.eigen_plus.shape[1], s.eigen_minus.shape[1]
+        return {"balanced_eigenspaces": float(abs(p - q))}
+    p, q = s.signature
+    old = {"bases_span": float(s.dim - p - q)}
+    for name, basis, sign in (("positive_on_plus", s.plus_basis, -1),
+                              ("negative_on_minus", s.minus_basis, 1)):
+        f = basis.T @ s.matrix @ basis
+        if basis.shape[1] and np.isfinite(f).all():
+            w = np.linalg.eigvalsh(0.5 * (f + f.T))
+            old[name] = float(max(0.0, sign * (w.min() if sign < 0 else w.max())))
+    return old
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=decomposed_documents())
+def test_every_failing_validate_entry_reads_above_zero(doc):
+    tol = Tolerance()
+    with np.errstate(all="ignore"):
+        structure = parse_structure(doc)
+        entries = validate(structure, tol).entries
+        old = _old_residuals(structure)
+    for e in entries:
+        assert e.passed or e.residual > 0 or math.isinf(e.residual) or math.isnan(e.residual), e
+        if old.get(e.name, 0.0) > 0:  # a residual that read above 0 keeps its bits
+            assert e.residual == old[e.name], e
