@@ -21,10 +21,11 @@ points each verdict rests on.
 
 A transition or field that cannot be evaluated at a sample (not finite,
 or the inverse of a singular declared transition) raises ``BadAtPoint``
-from ``ChartAtlas.transition_at`` or ``LocalTensorField.at``; each check's
-per-sample loop turns it into a failing sample with residual inf.  A
-singular map lies in no isotropy group, so ``in_isotropy`` rejects it with
-residual inf.
+from ``ChartAtlas.transition_at`` or ``LocalTensorField.at``; ``_sampled``,
+the one per-sample loop of the checks, turns it into a failing sample with
+residual inf.  A singular map lies in no isotropy group, so ``in_isotropy``
+rejects it with residual inf.  Each entry keeps the worst residual of its
+samples by the rule of ``report.worst_index``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .linalg import (
     kernel_and_image,
     signature_of,
 )
-from .report import Report
+from .report import Report, worst, worst_at
 from .structures import SQUARES, StructureMatrix, square_defect
 
 __all__ = [
@@ -228,14 +229,21 @@ def in_isotropy(g, model: StructureMatrix, tol: Tolerance = DEFAULT_TOL):
     return tol.accepts(resid, fro(model.matrix)), resid
 
 
-def _location(x):
-    """A worst sample's location, ``x`` to 3 digits; "" when there is none."""
-    return "" if x is None else np.array2string(np.asarray(x), precision=3)
-
-
-def _worse(resid, worst):
-    """Whether ``resid`` beats ``worst``: larger, or the first NaN."""
-    return resid > worst or (math.isnan(resid) and not math.isnan(worst))
+def _sampled(points, judge):
+    """Judge each sample point: ``judge(x)`` gives (passed, residual), and
+    a ``BadAtPoint`` fails the sample with residual inf.  Returns the
+    verdicts, the residuals and the distinct reasons of the failures, in
+    order of first occurrence."""
+    passed, residuals, reasons = [], [], {}
+    for x in points:
+        try:
+            good, resid = judge(x)
+        except BadAtPoint as exc:
+            good, resid = False, math.inf
+            reasons.setdefault(exc.reason)
+        passed.append(good)
+        residuals.append(resid)
+    return passed, residuals, list(reasons)
 
 
 def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -244,61 +252,46 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     For every declared triple (a, b, c) and each of its sample points the
     residual |T_ac(x) - T_ab(x) T_bc(x)| is measured and accepted at the
     scale max(1, |T_ac(x)|) of that sample; a triple passes when every
-    sample does, and the report keeps its worst residual.  A single-chart
-    atlas passes vacuously.  A transition that cannot be evaluated at a
-    sample (``BadAtPoint``) fails there with residual inf; a NaN residual
-    is the worst.
+    sample does, and the report keeps its worst residual (``report.worst``)
+    and the first sample attaining it.  A single-chart atlas passes
+    vacuously.  A transition that cannot be evaluated at a sample
+    (``BadAtPoint``) fails there with residual inf.
     """
     report = Report()
     n = atlas.fiber_dim
 
-    for (a, b), points in atlas.overlaps.items():
-        worst = 0.0
-        ok = True
-        for x in np.atleast_2d(points):
-            try:
-                t = atlas.transition_at(a, b, x)
-            except BadAtPoint:
-                ok, worst = False, np.inf
-                continue
-            s = np.linalg.svd(t, compute_uv=False)
-            if s[-1] <= tol.rank_threshold(s[0]):
-                # the condition number, inf for an exactly singular transition
-                ok = False
-                worst = max(worst, float(s[0]) / float(s[-1]) if s[-1] else math.inf)
-        report.add(f"invertible[{a},{b}]", ok, worst if not ok else 0.0,
-                   f"{len(np.atleast_2d(points))} samples")
+    def invertible(a, b, x):
+        # the condition number, inf for an exactly singular transition
+        s = np.linalg.svd(atlas.transition_at(a, b, x), compute_uv=False)
+        if s[-1] <= tol.rank_threshold(s[0]):
+            return False, float(s[0]) / float(s[-1]) if s[-1] else math.inf
+        return True, 0.0
 
-    # identity on the diagonal wherever a self-transition was declared; a
-    # NaN residual is the worst, and no samples leave nothing to fail
+    for (a, b), points in atlas.overlaps.items():
+        points = np.atleast_2d(points)
+        passed, residuals, _ = _sampled(points, lambda x: invertible(a, b, x))
+        report.add(f"invertible[{a},{b}]", all(passed), worst(residuals),
+                   f"{len(points)} samples")
+
+    # identity on the diagonal wherever a self-transition was declared; no
+    # samples leave nothing to fail
     for (a, b), fn in atlas.transitions.items():
         if a == b:
             pts = atlas.overlaps.get((a, b), np.zeros((1, len(atlas.charts[0].lo))))
-            worst = float(np.max([fro(np.asarray(fn(x)) - np.eye(n))
-                                  for x in np.atleast_2d(pts)], initial=0.0))
-            report.add(f"identity_on_diagonal[{a}]", tol.accepts(worst, 1.0), worst)
+            resid = worst([fro(np.asarray(fn(x)) - np.eye(n)) for x in np.atleast_2d(pts)])
+            report.add(f"identity_on_diagonal[{a}]", tol.accepts(resid, 1.0), resid)
+
+    def cocycle(a, b, c, x):
+        lhs = atlas.transition_at(a, c, x)
+        resid = fro(lhs - atlas.transition_at(a, b, x) @ atlas.transition_at(b, c, x))
+        return tol.accepts(resid, max(1.0, fro(lhs))), resid
 
     if not atlas.triple_overlaps:
         report.note("no triple overlaps declared: cocycle condition vacuous")
     for (a, b, c, points) in atlas.triple_overlaps:
-        # each sample is judged at its own scale |T_ac(x)|; the entry keeps
-        # the worst absolute residual and the first sample attaining it
-        ok = True
-        worst = 0.0
-        at = None
-        for x in np.atleast_2d(points):
-            try:
-                lhs = atlas.transition_at(a, c, x)
-                rhs = atlas.transition_at(a, b, x) @ atlas.transition_at(b, c, x)
-            except BadAtPoint:
-                resid, good = np.inf, False
-            else:
-                resid = fro(lhs - rhs)
-                good = tol.accepts(resid, max(1.0, fro(lhs)))
-            ok = ok and good
-            if _worse(resid, worst):
-                worst, at = resid, x
-        report.add(f"cocycle[{a},{b},{c}]", ok, worst, _location(at))
+        points = np.atleast_2d(points)
+        passed, residuals, _ = _sampled(points, lambda x: cocycle(a, b, c, x))
+        report.add(f"cocycle[{a},{b},{c}]", all(passed), *worst_at(residuals, points))
 
     components = atlas.overlap_connectivity()
     if components > 1:
@@ -312,27 +305,18 @@ def check_reduction(atlas: ChartAtlas, model: StructureMatrix,
     """Every sampled transition must lie in the model tensor's isotropy group.
 
     The report starts with the cocycle gate and then carries one entry per
-    declared overlap with the worst isotropy residual over its samples; a
-    transition that cannot be evaluated at a sample, or is singular there,
-    fails there with residual inf.
+    declared overlap with the worst isotropy residual over its samples, at
+    the last sample attaining it; a transition that cannot be evaluated at
+    a sample, or is singular there, fails there with residual inf.
     """
     report = check_cocycle(atlas, tol)
     if not report.passed:
         report.note("cocycle precondition failed; isotropy entries reported anyway")
     for (a, b), points in atlas.overlaps.items():
-        # the location is the last sample attaining the worst residual
-        worst = 0.0
-        ok = True
-        at = None
-        for x in np.atleast_2d(points):
-            try:
-                inside, resid = in_isotropy(atlas.transition_at(a, b, x), model, tol)
-            except BadAtPoint:
-                inside, resid = False, np.inf
-            if resid >= worst or math.isnan(resid):
-                worst, at = resid, x
-            ok = ok and inside
-        report.add(f"isotropy[{a},{b}]", ok, worst, _location(at))
+        points = np.atleast_2d(points)
+        passed, residuals, _ = _sampled(
+            points, lambda x: in_isotropy(atlas.transition_at(a, b, x), model, tol))
+        report.add(f"isotropy[{a},{b}]", all(passed), *worst_at(residuals, points, last=True))
     return report
 
 
@@ -452,23 +436,14 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
         if pts.shape[0] == 0:
             report.add(f"modelled[{chart.name}]", True, 0.0, "no samples declared")
             continue
-        # the location is the last failing sample attaining the worst residual
-        ok = True
-        worst = 0.0
-        at = None
-        for x in pts:
-            try:
-                value = field.at(chart.name, x)
-            except BadAtPoint as exc:
-                good, resid = False, np.inf
-                reasons.setdefault(exc.reason)
-            else:
-                good, resid = _same_orbit(value, model_class, tol)
-            if not good and resid >= worst:
-                worst, at = resid, x
-            ok = ok and good
-        report.add(f"modelled[{chart.name}]", ok, worst,
-                   _location(at) or f"{pts.shape[0]} samples")
+        passed, residuals, failed = _sampled(
+            pts, lambda x: _same_orbit(field.at(chart.name, x), model_class, tol))
+        reasons.update(dict.fromkeys(failed))
+        # the entry keeps the last failing sample attaining the worst residual
+        failing = [k for k, good in enumerate(passed) if not good]
+        resid, where = worst_at([residuals[k] for k in failing], pts[failing], last=True)
+        report.add(f"modelled[{chart.name}]", not failing, resid,
+                   where or f"{pts.shape[0]} samples")
     for reason in reasons:
         report.note(reason)
     return report

@@ -51,7 +51,7 @@ import numpy as np
 from .errors import BadAtPoint, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance
 from .poly import Poly, PolyArray
-from .report import Report
+from .report import Report, location, worst_at
 from .structures import SQUARES
 
 __all__ = [
@@ -250,14 +250,15 @@ class TensorFieldOnChart(_ChartField):
 
 
 def _grid_report(name, residuals_of, grid, tol: Tolerance, label) -> Report:
-    """One-entry report of the largest per-point residual over the grid.
+    """One-entry report of the worst per-point residual over the grid.
 
     ``residuals_of`` maps a block of points to one residual per point.  The
-    entry passes when ``tol`` accepts that residual (at scale 1); its
-    location is the first point attaining it, and "" when it is 0.  The note
-    is ``verdict: <label>``, or ``verdict: not <label>`` on failure.  A
-    ``BadAtPoint`` from ``residuals_of`` fails the entry with residual inf
-    at its point, and its reason follows the verdict as a second note.
+    entry passes when ``tol`` accepts the worst of them (at scale 1, a NaN
+    being the worst); its location is the first point attaining it, and ""
+    when it is 0 (``report.worst_at``).  The note is ``verdict: <label>``,
+    or ``verdict: not <label>`` on failure.  A ``BadAtPoint`` from
+    ``residuals_of`` fails the entry with residual inf at its point, and
+    its reason follows the verdict as a second note.
     """
     points = np.atleast_2d(np.asarray(grid, dtype=float))
     report = Report()
@@ -265,16 +266,11 @@ def _grid_report(name, residuals_of, grid, tol: Tolerance, label) -> Report:
         blocks = [residuals_of(points[s:s + _BLOCK_POINTS])
                   for s in range(0, len(points), _BLOCK_POINTS)]
     except BadAtPoint as exc:
-        report.add(name, False, np.inf, np.array2string(np.asarray(exc.point), precision=3))
+        report.add(name, False, np.inf, location(exc.point))
         report.note(f"verdict: not {label}")
         report.note(exc.reason)
         return report
-    worst, where = 0.0, ""
-    if blocks:
-        resid = np.concatenate(blocks)
-        k = int(np.argmax(resid))
-        if resid[k] != 0.0:
-            worst, where = float(resid[k]), np.array2string(points[k], precision=3)
+    worst, where = worst_at(np.concatenate(blocks), points) if blocks else (0.0, "")
     passed = tol.accepts(worst)
     report.add(name, passed, worst, where)
     report.note(f"verdict: {label if passed else 'not ' + label}")

@@ -442,12 +442,16 @@ def parse_atlas(doc):
     triples = [(*t["charts"], t["points"]) for t in v.get("triples", [])]
     atlas = ChartAtlas(v["fiber_dim"], [Chart(**c) for c in v["charts"]], overlaps,
                        transitions, triples)
-    for a, b, c, _ in triples:
+    paths = {}  # triple: the path of its first declaration
+    for row, (a, b, c, _) in enumerate(triples):
+        path = f"$.triples[{row}].charts"
+        if paths.setdefault((a, b, c), path) != path:
+            raise DocumentError(f"{paths[a, b, c]} and {path}: repeated triple {[a, b, c]!r}")
         # the cocycle condition T_ac = T_ab T_bc needs all three transitions
         for u, w in ((a, b), (b, c), (a, c)):
             if not atlas.has_transition(u, w):
-                raise DocumentError(f"triple overlap {[a, b, c]!r}: no transition "
-                                    f"declared between {u!r} and {w!r}")
+                raise DocumentError(f"{path}: triple overlap {[a, b, c]!r} has no "
+                                    f"transition declared between {u!r} and {w!r}")
     return atlas
 
 

@@ -18,8 +18,9 @@ fails, with the point and a short reason:
 
 Each check turns it into its failing entry in one place: the grid checks
 in ``calculus._grid_report`` (residual inf at the point, the reason as a
-note), the bundle checks in their per-sample loops (residual inf at the
-sample).  Only a direct library call of the raising function sees it.
+note), the bundle checks in ``bundle._sampled``, their one per-sample loop
+(residual inf at the sample).  Only a direct library call of the raising
+function sees it.
 """
 
 

@@ -59,7 +59,7 @@ and each level and each pair of levels costs a fixed number of numpy calls
 whatever the number of samples.  Every product is the one the per-sample
 evaluation made, row by row, so reports are bit-identical to it.  A NaN
 residual (an overflow to inf - inf, say) is the worst residual of its
-entry and fails it.
+entry (``report.worst``) and fails it.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from .errors import (
     Singular,
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, rank_of
-from .report import Report
+from .report import Report, worst
 
 __all__ = [
     "BondingSystem",
@@ -330,8 +330,8 @@ def limit_eval(seq: CoherentSequence, level, vectors, tol: Tolerance = DEFAULT_T
     """
     rep = check_coherent(seq, tol)
     if not rep.passed:
-        worst = _worst([e.residual for e in rep.failures()])
-        raise IncoherentSequence(f"worst coherence residual {worst:.3e}")
+        resid = worst([e.residual for e in rep.failures()])
+        raise IncoherentSequence(f"worst coherence residual {resid:.3e}")
     m = seq.levels[level]
     if seq.kind == "1,1":
         u = np.asarray(vectors, dtype=float)
@@ -487,8 +487,8 @@ def theta_projection(a, j, i, bonding: BondingSystem, tol: Tolerance = DEFAULT_T
                         bonding.projections[:j] if bonding.projections else None)
     member, _, rep = gEn_membership(a, sub, tol)
     if not member:
-        worst = _worst([e.residual for e in rep.failures()])
-        raise NotMember(f"operator violates the flag (worst residual {worst:.3e})")
+        resid = worst([e.residual for e in rep.failures()])
+        raise NotMember(f"operator violates the flag (worst residual {resid:.3e})")
     return bonding.projection(i, j) @ a @ bonding.map(i, j)
 
 
@@ -591,11 +591,6 @@ def _norms(d):
     return np.sqrt(np.vecdot(d, d))
 
 
-def _worst(residuals):
-    """The largest residual, 0 for none; a NaN residual is the worst."""
-    return float(np.max(residuals, initial=0.0))
-
-
 def _carry(lam, rows):
     """``lam @ r`` for every row ``r`` of ``rows``: one mat-vec product per
     row, as the single-row product makes, not one gemm over all rows."""
@@ -650,7 +645,7 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
                if any(form.linear is not None for form in forms) else [None] * n)
     # each level's form on its own data; adaptedness is sampled there
     values = [form.at(x, v) for form, x, v in zip(forms, moved_x, moved_v)]
-    adapted = np.array([_worst(_norms(algebra_action(w, model)))
+    adapted = np.array([worst(_norms(algebra_action(w, model)))
                         for w, model in zip(values, seq.models)])
     coherent = []
     for (i, j), (left, right) in zip(pairs, morphisms):
@@ -659,7 +654,7 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
         lam = maps[i][j]
         x = None if forms[dst].linear is None else _carry(lam, moved_x[src])
         lhs = forms[dst].at(x, _carry(lam, moved_v[src]))
-        coherent.append(_worst(_norms(lhs - left @ values[src] @ right)))
+        coherent.append(worst(_norms(lhs - left @ values[src] @ right)))
 
     scales = np.array([max(fro(model.matrix), 1.0) for model in seq.models[:n]])
     report.block("adapted[%d]", [(k,) for k in range(n)], tol.accepts(adapted, scales), adapted)

@@ -24,7 +24,7 @@ from .compat import CompatibleTriple, check_triple, complete_triple
 from .errors import ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance, fro, signature_of
 from .limits import BondingSystem, CoherentSequence, check_coherent
-from .report import Report
+from .report import Report, worst
 from .structures import BilinearForm, ComplexStructure, SymplecticForm, krein_from_matrix
 
 __all__ = [
@@ -141,7 +141,8 @@ def check_induced_compatibility(space: DiscretizedLoopSpace, trials=20,
     flavor = space.target.flavor
     i = space.target.structure.matrix
 
-    worst = {"antisymmetry": 0.0, "form_invariance": 0.0, "linking": 0.0}
+    # one residual per trial for each identity; each entry keeps the worst
+    antisymmetry, invariance, linking = [], [], []
     positive_ok = True
     for _ in range(trials):
         x = rng.normal(size=space.loop.shape)
@@ -149,24 +150,21 @@ def check_induced_compatibility(space: DiscretizedLoopSpace, trials=20,
         o_xy, g_xy, ix = induced_forms(space, x, y)
         o_yx, _, iy = induced_forms(space, y, x)
         scale = max(abs(o_xy), 1.0)
-        worst["antisymmetry"] = max(worst["antisymmetry"], abs(o_xy + o_yx) / scale)
+        antisymmetry.append(abs(o_xy + o_yx) / scale)
         o_ii, _, _ = induced_forms(space, ix, iy)
         sign = 1.0 if flavor == "kahler" else -1.0
-        worst["form_invariance"] = max(worst["form_invariance"],
-                                       abs(o_ii - sign * o_xy) / scale)
+        invariance.append(abs(o_ii - sign * o_xy) / scale)
         o_x_iy, _, _ = induced_forms(space, x, iy)
-        worst["linking"] = max(worst["linking"],
-                               abs(g_xy - o_x_iy) / max(abs(g_xy), 1.0))
+        linking.append(abs(g_xy - o_x_iy) / max(abs(g_xy), 1.0))
         if flavor == "kahler":
             _, g_xx, _ = induced_forms(space, x, x)
             positive_ok = positive_ok and g_xx > 0
 
-    report.add("antisymmetry", tol.accepts(worst["antisymmetry"], 1.0),
-               worst["antisymmetry"], f"{trials} trials")
-    report.add("form_invariance", tol.accepts(worst["form_invariance"], 1.0),
-               worst["form_invariance"])
-    report.add("metric_is_form_of_structure", tol.accepts(worst["linking"], 1.0),
-               worst["linking"])
+    for name, residuals, where in (("antisymmetry", antisymmetry, f"{trials} trials"),
+                                   ("form_invariance", invariance, ""),
+                                   ("metric_is_form_of_structure", linking, "")):
+        resid = worst(residuals)
+        report.add(name, tol.accepts(resid, 1.0), resid, where)
     if flavor == "kahler":
         report.add("metric_positive_on_trials", positive_ok,
                    0.0 if positive_ok else 1.0)
@@ -217,7 +215,7 @@ def ascending_coherence(targets: Sequence[CompatibleTriple], samples,
     for i in range(len(targets)):
         for j in range(i + 1, len(targets)):
             inc = maps[i][j]
-            worst = 0.0
+            residuals = []
             for _ in range(5):
                 loop_i = rng.normal(size=(samples, dims[i]))
                 x_i = rng.normal(size=(samples, dims[i]))
@@ -226,10 +224,10 @@ def ascending_coherence(targets: Sequence[CompatibleTriple], samples,
                 space_j = DiscretizedLoopSpace(targets[j], loop_i @ inc.T)
                 o_i, g_i, ix_i = induced_forms(space_i, x_i, y_i)
                 o_j, g_j, ix_j = induced_forms(space_j, x_i @ inc.T, y_i @ inc.T)
-                worst = max(worst,
-                            abs(o_i - o_j) / max(abs(o_i), 1.0),
-                            abs(g_i - g_j) / max(abs(g_i), 1.0),
-                            fro(ix_i @ inc.T - ix_j) / max(fro(ix_i), 1.0))
-            report.add(f"induced_agreement[{i},{j}]", tol.accepts(worst, 1.0), worst)
+                residuals += [abs(o_i - o_j) / max(abs(o_i), 1.0),
+                              abs(g_i - g_j) / max(abs(g_i), 1.0),
+                              fro(ix_i @ inc.T - ix_j) / max(fro(ix_i), 1.0)]
+            resid = worst(residuals)
+            report.add(f"induced_agreement[{i},{j}]", tol.accepts(resid, 1.0), resid)
     report.note(f"{samples} circle samples per loop")
     return report

@@ -24,6 +24,18 @@ are the bytes ``json.dumps(..., indent=2, sort_keys=True)`` writes for the
 same report.  A non-finite residual is written as the JSON string
 ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``, which ``float()`` reads back,
 so the output is strict JSON.
+
+One rule picks the worst of a list of residuals, for every check that
+reports one residual for many samples, grid points or trials: a NaN beats
+every number, and among equals the first wins (``worst_index``, which is
+``np.argmax``; ``last=True`` lets the last win instead).  ``worst`` gives
+that residual, 0.0 for none, and ``Report.worst_residual`` applies it to
+all entries.  ``location`` writes a sample point as an entry's location,
+and ``worst_at`` gives the worst residual with its location.  Each check
+keeps its own choice of location: grids and ``cocycle`` report the first
+sample attaining the worst residual, and "" when it is 0; ``isotropy``
+reports the last such sample, and ``modelled`` the last such failing
+sample.
 """
 
 from __future__ import annotations
@@ -31,6 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _string
+
+import numpy as np
 
 _ENTRY = ('    {\n      "location": %s,\n      "name": %s,\n'
           '      "passed": %s,\n      "residual": %s\n    }')
@@ -48,6 +62,37 @@ def _number(value):
 def _array(items):
     """A JSON array of already-encoded items at the second indent level."""
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def worst_index(residuals, last=False):
+    """The index of the worst of ``residuals``, which must not be empty:
+    the first NaN, else the first of the largest; the last of them when
+    ``last``."""
+    if last:
+        return len(residuals) - 1 - int(np.argmax(np.asarray(residuals)[::-1]))
+    return int(np.argmax(residuals))
+
+
+def worst(residuals):
+    """The worst of ``residuals`` by ``worst_index``, 0.0 for none."""
+    return float(residuals[worst_index(residuals)]) if len(residuals) else 0.0
+
+
+def location(point):
+    """A sample point as an entry's location: its coordinates to 3 digits."""
+    return np.array2string(np.asarray(point), precision=3)
+
+
+def worst_at(residuals, points, last=False):
+    """The worst residual and the location of the first of ``points`` that
+    attains it, ``(0.0, "")`` when it is 0; with ``last``, the location of
+    the last of them, 0 or not.  ``(0.0, "")`` for no residuals."""
+    if not len(residuals):
+        return 0.0, ""
+    k = worst_index(residuals, last)
+    if not (last or residuals[k]):
+        return 0.0, ""
+    return float(residuals[k]), location(points[k])
 
 
 @dataclass
@@ -109,11 +154,8 @@ class Report:
 
     @property
     def worst_residual(self) -> float:
-        """The largest residual, 0.0 for none; a NaN residual is the worst."""
-        residuals = [r for _, _, _, rs, _ in self.blocks for r in rs]
-        if any(math.isnan(r) for r in residuals):
-            return math.nan
-        return max(residuals, default=0.0)
+        """The worst residual of all entries by ``worst``, 0.0 for none."""
+        return worst([r for _, _, _, rs, _ in self.blocks for r in rs])
 
     @property
     def exit_status(self) -> int:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from tensorstruct.bundle import (
     ConstantTransition,
     LocalTensorField,
     StructureMatrix,
-    _worse,
     check_cocycle,
     check_locally_modelled,
     check_reduction,
@@ -23,6 +24,7 @@ from tensorstruct.errors import (
     UnsupportedKind,
 )
 from tensorstruct.linalg import Tolerance
+from tensorstruct.report import worst, worst_index
 from tensorstruct.structures import complex_canonical, symplectic_canonical
 
 
@@ -484,9 +486,17 @@ def test_an_inverted_transition_is_finite_or_fails(declared):
 
 
 def test_a_nan_residual_beats_every_number():
-    assert _worse(np.nan, 1.0) and _worse(np.nan, 0.0) and _worse(2.0, 1.0)
-    assert not _worse(1.0, np.nan) and not _worse(np.nan, np.nan)
-    assert not _worse(1.0, 1.0) and not _worse(np.inf, np.inf)
+    # the rule every check uses: a NaN beats every number, and among equals
+    # the first wins, or the last when asked; (residuals, first, last)
+    for residuals, first, last in [
+            ([1.0, np.nan], 1, 1), ([0.0, np.nan], 1, 1), ([1.0, 2.0], 1, 1),
+            ([np.nan, 1.0], 0, 0), ([np.nan, np.nan], 0, 1), ([1.0, 1.0], 0, 1),
+            ([np.inf, np.inf], 0, 1), ([np.inf, np.nan, 3.0], 1, 1), ([0.0, -0.0], 0, 1),
+            ([-0.0, 0.0], 0, 1)]:
+        assert worst_index(residuals) == first
+        assert worst_index(residuals, last=True) == last
+        assert struct.pack("<d", worst(residuals)) == struct.pack("<d", residuals[first])
+    assert worst([]) == 0.0
 
 
 def test_a_nan_isotropy_residual_is_the_worst():

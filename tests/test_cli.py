@@ -1344,3 +1344,81 @@ def test_atol_judges_validate(tmp_path):
     assert worst_residual(["validate", path]) == (1, pytest.approx(1.414e-7, rel=1e-3))
     assert run(["--atol", "1e-6", "validate", path]) == 0
     assert run(["--atol", "1e-8", "validate", path]) == 1
+
+
+# ---------------------------------------------------------------------------
+# NaN residuals the per-sample reductions used to drop
+# ---------------------------------------------------------------------------
+
+def test_a_nan_condition_number_fails_invertibility(tmp_path, capsys):
+    # T_ab is finite, but both of its singular values overflow to inf, so
+    # its condition number is inf / inf = NaN; it used to read 0
+    big = 1.5e308
+    doc = line_atlas_doc("ab", [("a", "b", [[big, big], [-big, big]])])
+    path = write(tmp_path, "atlas.json", doc)
+    status, report = run_json(["cocycle", path])
+    assert status == 1
+    assert [(e["name"], e["passed"], e["residual"], e["location"])
+            for e in report["entries"]] == [("invertible[a,b]", False, "NaN", "1 samples")]
+    assert run(["cocycle", path]) == 1
+    assert capsys.readouterr().out.startswith("FAIL  invertible[a,b]  residual=nan  [1 samples]\n")
+
+
+def huge_kahler_pair(g):
+    return {"flavor": "kahler",
+            "given": {"g": (g * np.eye(2)).tolist(),
+                      "structure": {"kind": "complex", "matrix": [[0.0, -1.0], [1.0, 0.0]]}}}
+
+
+def test_nan_loop_trials_fail_the_induced_checks(tmp_path, capsys):
+    # g = 8e307 Id: 4 of the 20 trials overflow to a NaN residual, which the
+    # running maximum used to drop, so the check passed
+    doc = {"target": {"pair": huge_kahler_pair(8e307)}, "loop": [[0.0, 0.0]]}
+    path = write(tmp_path, "loop.json", doc)
+    status, report = run_json([*LOOP_CHECK, path])
+    assert status == 1
+    assert [(e["name"], e["passed"], e["residual"]) for e in report["entries"]] == [
+        ("antisymmetry", False, "NaN"), ("form_invariance", False, "NaN"),
+        ("metric_is_form_of_structure", False, "NaN"),
+        ("metric_positive_on_trials", True, 0.0)]
+    assert run(["loopspace", "check", path]) == 1
+    assert capsys.readouterr().out.endswith("FAIL (4 checks, worst residual nan)\n")
+
+
+# ---------------------------------------------------------------------------
+# triples and pairs that cannot be checked
+# ---------------------------------------------------------------------------
+
+def test_a_triple_declared_twice_exits_two(tmp_path, capsys):
+    doc = atlas_doc()
+    doc["triples"] = [doc["triples"][0], {"charts": ["b", "c", "a"], "points": [[0.0, 0.0]]},
+                      doc["triples"][0]]
+    assert run(["cocycle", write(tmp_path, "atlas.json", doc)]) == 2
+    assert capsys.readouterr().err == ("parse error: $.triples[0].charts and "
+                                       "$.triples[2].charts: repeated triple ['a', 'b', 'c']\n")
+
+
+def test_a_triple_without_a_transition_names_its_path(tmp_path, capsys):
+    doc = atlas_doc()
+    doc["overlaps"] = doc["overlaps"][:2]
+    assert run(["cocycle", write(tmp_path, "atlas.json", doc)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: $.triples[0].charts: triple overlap ['a', 'b', 'c'] has no "
+        "transition declared between 'a' and 'c'\n")
+
+
+HUGE_OMEGA_PAIR = {"flavor": "kahler",
+                   "given": {"omega": [[0.0, 1e308], [-1e308, 0.0]],
+                             "structure": {"kind": "complex",
+                                           "matrix": [[0.0, -1.0], [1.0, 0.0]]}}}
+
+
+@pytest.mark.parametrize("argv, doc, built", [
+    (["triple", "complete"], huge_kahler_pair(1e308), "form"),
+    (LOOP_CHECK, {"target": {"pair": huge_kahler_pair(1e308)}, "loop": [[0.0, 0.0]]}, "form"),
+    (["triple", "complete"], HUGE_OMEGA_PAIR, "metric")])
+def test_a_form_that_overflows_is_an_error(argv, doc, built, tmp_path, capsys):
+    # g(Iu, v) is finite and skew, but Omega = (s - s^T) / 2 overflows; or
+    # Omega(u, Iv) is finite and symmetric, but g = (m + m^T) / 2 does
+    assert run([*argv, write(tmp_path, "doc.json", doc)]) == 1
+    assert capsys.readouterr().err == f"error: constructed {built} is not finite\n"

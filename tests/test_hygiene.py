@@ -120,3 +120,38 @@ def test_only_cli_run_names_digests_and_picks_a_tolerance():
     assert not outside, f"cli.py decides a report's name, digest or Tolerance outside run: {outside}"
     # the name, the digest and the two Tolerance policies
     assert sum(map(_decides_provenance_or_tolerance, ast.walk(run))) == 4
+
+
+def _calls_to(tree, attr):
+    """The lines of every call of a function named ``attr``, as ``np.<attr>(...)``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == attr]
+
+
+def test_only_report_formats_locations():
+    # report.location writes every sample point an entry names
+    outside = {module: lines for module in MODULES if module != "report"
+               if (lines := _calls_to(ast.parse((PACKAGE / f"{module}.py").read_text()),
+                                      "array2string"))}
+    assert not outside, f"np.array2string called outside report.py: {outside}"
+
+
+def _catchers(tree, name):
+    """The function around each except clause that names exception ``name``."""
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                             else [node.type])
+                    if any(isinstance(t, ast.Name) and t.id == name for t in types):
+                        yield function.name, node.lineno
+
+
+def test_bad_at_point_is_caught_in_one_place_per_kind_of_check():
+    # the grid checks in calculus._grid_report, the bundle checks in
+    # bundle._sampled; nested functions are reported with their parents
+    caught = {(module, function) for module in MODULES
+              for function, _ in _catchers(ast.parse((PACKAGE / f"{module}.py").read_text()),
+                                           "BadAtPoint")}
+    assert caught == {("calculus", "_grid_report"), ("bundle", "_sampled")}

@@ -27,7 +27,6 @@ from tensorstruct.limits import (
     _carry,
     _coherence_residual,
     _norms,
-    _worst,
     check_coherent,
     check_connection_coherence,
     tuple_membership,
@@ -35,6 +34,7 @@ from tensorstruct.limits import (
 )
 from tensorstruct.linalg import DEFAULT_TOL, Tolerance, fro, rank_of
 from tensorstruct.report import Report
+from tensorstruct.report import worst as _worst
 from tensorstruct.structures import StructureMatrix
 
 # ---------------------------------------------------------------------------
