@@ -230,10 +230,11 @@ def in_isotropy(g, model: StructureMatrix, tol: Tolerance = DEFAULT_TOL):
 
 
 def _sampled(points, judge):
-    """Judge each sample point: ``judge(x)`` gives (passed, residual), and
-    a ``BadAtPoint`` fails the sample with residual inf.  Returns the
-    verdicts, the residuals and the distinct reasons of the failures, in
-    order of first occurrence."""
+    """Judge each sample point: ``judge(x)`` gives (passed, residual), or
+    (scale, residual) for a check that ``Report.measured`` decides, and a
+    ``BadAtPoint`` gives (False, inf), which fails either way.  Returns the
+    verdicts (or scales), the residuals and the distinct reasons of the
+    ``BadAtPoint`` failures, in order of first occurrence."""
     passed, residuals, reasons = [], [], {}
     for x in points:
         try:
@@ -257,7 +258,7 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     vacuously.  A transition that cannot be evaluated at a sample
     (``BadAtPoint``) fails there with residual inf.
     """
-    report = Report()
+    report = Report(tol=tol)
     n = atlas.fiber_dim
 
     def invertible(a, b, x):
@@ -279,19 +280,21 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
         if a == b:
             pts = atlas.overlaps.get((a, b), np.zeros((1, len(atlas.charts[0].lo))))
             resid = worst([fro(np.asarray(fn(x)) - np.eye(n)) for x in np.atleast_2d(pts)])
-            report.add(f"identity_on_diagonal[{a}]", tol.accepts(resid, 1.0), resid)
+            report.measured(f"identity_on_diagonal[{a}]", resid)
 
     def cocycle(a, b, c, x):
+        # the scale and the residual of the sample
         lhs = atlas.transition_at(a, c, x)
         resid = fro(lhs - atlas.transition_at(a, b, x) @ atlas.transition_at(b, c, x))
-        return tol.accepts(resid, max(1.0, fro(lhs))), resid
+        return max(1.0, fro(lhs)), resid
 
     if not atlas.triple_overlaps:
         report.note("no triple overlaps declared: cocycle condition vacuous")
     for (a, b, c, points) in atlas.triple_overlaps:
         points = np.atleast_2d(points)
-        passed, residuals, _ = _sampled(points, lambda x: cocycle(a, b, c, x))
-        report.add(f"cocycle[{a},{b},{c}]", all(passed), *worst_at(residuals, points))
+        scales, residuals, _ = _sampled(points, lambda x: cocycle(a, b, c, x))
+        report.measured(f"cocycle[{a},{b},{c}]", np.array(residuals),
+                        np.array(scales, dtype=float), worst_at(residuals, points)[1])
 
     components = atlas.overlap_connectivity()
     if components > 1:
@@ -425,7 +428,7 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     if field.kind != model.kind:
         raise ShapeMismatch(f"field kind {field.kind} vs model kind {model.kind}")
     model_class = _orbit_class(model, tol)
-    report = Report()
+    report = Report(tol=tol)
     report.note(f"orbit invariant: {model_class[0]}")
     reasons = {}  # the distinct BadAtPoint reasons, in order of first occurrence
     for chart in atlas.charts:

@@ -253,15 +253,15 @@ def _grid_report(name, residuals_of, grid, tol: Tolerance, label) -> Report:
     """One-entry report of the worst per-point residual over the grid.
 
     ``residuals_of`` maps a block of points to one residual per point.  The
-    entry passes when ``tol`` accepts the worst of them (at scale 1, a NaN
-    being the worst); its location is the first point attaining it, and ""
-    when it is 0 (``report.worst_at``).  The note is ``verdict: <label>``,
+    entry passes when the report's ``tol`` accepts the worst of them (at
+    scale 1, a NaN being the worst); its location is the first point
+    attaining it, and "" when it is 0 (``report.worst_at``).  The note is ``verdict: <label>``,
     or ``verdict: not <label>`` on failure.  A ``BadAtPoint`` from
     ``residuals_of`` fails the entry with residual inf at its point, and
     its reason follows the verdict as a second note.
     """
     points = np.atleast_2d(np.asarray(grid, dtype=float))
-    report = Report()
+    report = Report(tol=tol)
     try:
         blocks = [residuals_of(points[s:s + _BLOCK_POINTS])
                   for s in range(0, len(points), _BLOCK_POINTS)]
@@ -271,9 +271,8 @@ def _grid_report(name, residuals_of, grid, tol: Tolerance, label) -> Report:
         report.note(exc.reason)
         return report
     worst, where = worst_at(np.concatenate(blocks), points) if blocks else (0.0, "")
-    passed = tol.accepts(worst)
-    report.add(name, passed, worst, where)
-    report.note(f"verdict: {label if passed else 'not ' + label}")
+    report.measured(name, worst, location=where)
+    report.note(f"verdict: {label if report.passed else 'not ' + label}")
     return report
 
 

@@ -237,9 +237,8 @@ def _dispatch(args, load, tol, rng) -> Report:
         # a cotangent structure carries its symplectic form
         form = SymplecticForm(getattr(structure, "symplectic", structure).matrix)
         basis, certificate = darboux_basis(form, tol)
-        report = Report()
-        report.add("canonical_form_residual", tol.accepts(certificate, 1.0),
-                   certificate)
+        report = Report(tol=tol)
+        report.measured("canonical_form_residual", certificate)
         report.note(_matrix_note("basis", basis))
         return report
 
@@ -280,7 +279,7 @@ def _dispatch(args, load, tol, rng) -> Report:
 
     if args.command == "loopspace":
         if args.loopspace_command == "demo":
-            report = Report()
+            report = Report(tol=tol)
             targets = [block_kahler_target(m) for m in range(1, args.levels + 1)]
             loop = rng.normal(size=(args.samples, targets[0].dim))
             space = DiscretizedLoopSpace(targets[0], loop)

@@ -314,7 +314,7 @@ def is_compatible(first, second, flavor="kahler", tol: Tolerance = DEFAULT_TOL) 
     The pair is recognized by type: (form, structure), (metric, structure)
     or (metric, form).  Returns a report; never raises on incompatibility.
     """
-    report = Report()
+    report = Report(tol=tol)
     # the structure squares to sign * Id
     sign = SQUARES["complex" if flavor == "kahler" else "para_complex"]
 
@@ -326,11 +326,9 @@ def is_compatible(first, second, flavor="kahler", tol: Tolerance = DEFAULT_TOL) 
         s, i = first.matrix, second.matrix
         scale = max(fro(s), 1.0)
         # Omega(Iu, Iv) = -sign * Omega(u, v): +1 for kahler, -1 for para
-        res = fro(i.T @ s @ i - (-sign) * s)
-        report.add("form_invariance", tol.accepts(res, scale), res)
+        report.measured("form_invariance", fro(i.T @ s @ i - (-sign) * s), scale)
         induced = s @ i
-        sym = fro(induced - induced.T)
-        report.add("induced_metric_symmetric", tol.accepts(sym, scale), sym)
+        report.measured("induced_metric_symmetric", fro(induced - induced.T), scale)
         ok, detail = _metric_ok(0.5 * (induced + induced.T), flavor, tol)
         report.add("induced_metric_signature", ok, 0.0 if ok else 1.0, detail)
         return report
@@ -338,9 +336,7 @@ def is_compatible(first, second, flavor="kahler", tol: Tolerance = DEFAULT_TOL) 
     if _is_metric(first) and isinstance(second, (ComplexStructure, ParaComplexStructure)):
         g = np.asarray(getattr(first, "matrix", first), dtype=float)
         i = second.matrix
-        scale = max(fro(g), 1.0)
-        res = fro(i.T @ g @ i - (-sign) * g)
-        report.add("metric_invariance", tol.accepts(res, scale), res)
+        report.measured("metric_invariance", fro(i.T @ g @ i - (-sign) * g), max(fro(g), 1.0))
         ok, detail = _metric_ok(g, flavor, tol)
         report.add("metric_signature", ok, 0.0 if ok else 1.0, detail)
         return report
@@ -348,8 +344,8 @@ def is_compatible(first, second, flavor="kahler", tol: Tolerance = DEFAULT_TOL) 
     if _is_metric(first) and isinstance(second, SymplecticForm):
         g = np.asarray(getattr(first, "matrix", first), dtype=float)
         s = second.matrix
-        res, scale = square_defect(np.linalg.solve(g, s.T), sign)
-        report.add("flat_composition_squares_correctly", tol.accepts(res, scale), res)
+        report.measured("flat_composition_squares_correctly",
+                        *square_defect(np.linalg.solve(g, s.T), sign))
         ok, detail = _metric_ok(g, flavor, tol)
         report.add("metric_signature", ok, 0.0 if ok else 1.0, detail)
         return report
@@ -397,7 +393,7 @@ def complete_triple(first, second, flavor="kahler",
 
 def check_triple(triple: CompatibleTriple, tol: Tolerance = DEFAULT_TOL) -> Report:
     """All three pairwise predicates plus the linking identity g = Omega(., I.)."""
-    report = Report()
+    report = Report(tol=tol)
     report.extend(is_compatible(triple.omega, triple.structure, triple.flavor, tol),
                   prefix="form_structure/")
     report.extend(is_compatible(triple.metric, triple.structure, triple.flavor, tol),
@@ -411,7 +407,7 @@ def check_triple(triple: CompatibleTriple, tol: Tolerance = DEFAULT_TOL) -> Repo
         # the two linking formulas g = Omega(., J.) and Omega = g(J., .)
         # differ by a sign in the para case; accept either orientation
         link = min(link, fro(induced + g))
-    report.add("metric_is_omega_of_structure", tol.accepts(link, max(fro(g), 1.0)), link)
+    report.measured("metric_is_omega_of_structure", link, max(fro(g), 1.0))
     return report
 
 

@@ -37,12 +37,12 @@ Nothing is cached on the tower, which stays a plain mutable dataclass.
 
 Reports.  Each of those checks collects the residuals of one law over all
 its pairs or triples in a list and adds them to its report as one block
-(``Report.block``), decided by one element-wise ``Tolerance.accepts``; no
-check formats an entry name.  The products and norms stay one per entry,
-so every residual is the one the per-entry loop made.  A composition law
+(``Report.measured_block``), decided element-wise by the report's
+``Tolerance``; no check formats an entry name.  The products and norms
+stay one per entry, so every residual is the one the per-entry loop made.  A composition law
 is accepted at scale ``max(fro(lhs), 1)``, which is at least 1: the block
-is decided at scale 1 first, and only where that fails is the product
-made again and its norm taken.  The coherence laws take each level's norm
+is probed at scale 1 first, and only where that fails is the product made
+again and its norm taken.  The coherence laws take each level's norm
 once and build the scale of each pair from those.
 
 Model tensors.  Every per-level model (``tuple_membership``'s isotropy
@@ -225,14 +225,14 @@ class BondingSystem:
 
 def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Composition laws, identity maps, surjectivity/injectivity, sections."""
-    report = Report()
+    report = Report(tol=tol)
     n = b.levels
     report.note(f"{n} levels supplied; all checks quantify over them")
     maps = b.map_table()
 
     identity = np.array([fro(maps[i][i] - np.eye(b.dims[i])) for i in range(n)])
-    report.block("identity_at[%d]", [(i,) for i in range(n)], tol.accepts(identity, 1.0), identity)
-    _composition_block(report, "composition[%d,%d,%d]", maps, b.variance != "projective", tol)
+    report.measured_block("identity_at[%d]", [(i,) for i in range(n)], identity)
+    _composition_block(report, "composition[%d,%d,%d]", maps, b.variance != "projective")
 
     for i in range(n - 1):
         m = b.maps[i]
@@ -245,27 +245,28 @@ def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
         pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
         sections = np.array([fro(projs[i][j] @ maps[i][j] - np.eye(b.dims[i]))
                              for i, j in pairs])
-        report.block("section[%d,%d]", pairs, tol.accepts(sections, 1.0), sections)
-        _composition_block(report, "projection_composition[%d,%d,%d]", projs, False, tol)
+        report.measured_block("section[%d,%d]", pairs, sections)
+        _composition_block(report, "projection_composition[%d,%d,%d]", projs, False)
     return report
 
 
-def _composition_block(report, template, table, reverse, tol):
+def _composition_block(report, template, table, reverse):
     """The law ``table[i][j] @ table[j][k] = table[i][k]`` (the factors
     swapped when ``reverse``) for every i <= j <= k, as one block.  A law
     is accepted at the scale ``max(fro(lhs), 1)``; that scale is at least
     1, so a residual accepted at scale 1 is accepted at it too, and the
-    product is made again, and its norm taken, only where that fails."""
+    product is made again, and its norm taken, only where that fails;
+    every other law keeps scale 1."""
     def lhs(i, j, k):
         return table[j][k] @ table[i][j] if reverse else table[i][j] @ table[j][k]
 
     n = len(table)
     triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
     residuals = np.array([fro(lhs(i, j, k) - table[i][k]) for i, j, k in triples])
-    passed = tol.accepts(residuals)
-    for f in np.flatnonzero(~passed):
-        passed[f] = tol.accepts(residuals[f], max(fro(lhs(*triples[f])), 1.0))
-    report.block(template, triples, passed, residuals)
+    scales = np.ones(len(triples))
+    for f in np.flatnonzero(~report.tol.accepts(residuals)):
+        scales[f] = max(fro(lhs(*triples[f])), 1.0)
+    report.measured_block(template, triples, residuals, scales)
 
 
 @dataclass
@@ -301,7 +302,7 @@ def _coherence_residual(variance, kind, lam, a_i, a_j):
     return fro(a_i - lam.T @ a_j @ lam)
 
 
-def _coherence_block(report, template, variance, kind, maps, mats, tol):
+def _coherence_block(report, template, variance, kind, maps, mats):
     """Add to ``report``, and return it, the variance/kind intertwining law
     of ``mats`` over every pair of levels i < j, as one block, each
     residual accepted at the scale ``max(fro(mats[i]), fro(mats[j]), 1)``."""
@@ -310,14 +311,14 @@ def _coherence_block(report, template, variance, kind, maps, mats, tol):
     residuals = np.array([_coherence_residual(variance, kind, maps[i][j], mats[i], mats[j])
                           for i, j in pairs])
     scales = np.array([max(norms[i], norms[j], 1.0) for i, j in pairs])
-    report.block(template, pairs, tol.accepts(residuals, scales), residuals)
+    report.measured_block(template, pairs, residuals, scales)
     return report
 
 
 def check_coherent(seq: CoherentSequence, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Per-pair residual of the variance/kind-appropriate intertwining law."""
-    return _coherence_block(Report(), "coherent[%d,%d]", seq.bonding.variance, seq.kind,
-                            seq.bonding.map_table(), seq.levels, tol)
+    return _coherence_block(Report(tol=tol), "coherent[%d,%d]", seq.bonding.variance,
+                            seq.kind, seq.bonding.map_table(), seq.levels)
 
 
 def limit_eval(seq: CoherentSequence, level, vectors, tol: Tolerance = DEFAULT_TOL):
@@ -394,8 +395,8 @@ def tuple_membership(a: LevelTuple, tol: Tolerance = DEFAULT_TOL,
     shorter list raises ShapeMismatch.
     """
     # intertwining: the (1,1) coherence law of the entries
-    report = _coherence_block(Report(), "intertwines[%d,%d]", a.bonding.variance, "1,1",
-                              a.bonding.map_table(a.level), a.entries, tol)
+    report = _coherence_block(Report(tol=tol), "intertwines[%d,%d]", a.bonding.variance,
+                              "1,1", a.bonding.map_table(a.level), a.entries)
     for lvl, m in enumerate(a.entries):
         ok = rank_of(m, tol) == m.shape[0]
         report.add(f"invertible[{lvl}]", ok, 0.0 if ok else 1.0)
@@ -442,8 +443,7 @@ def gEn_membership(a, bonding: BondingSystem, tol: Tolerance = DEFAULT_TOL):
     if rank_of(a, tol) < n:
         raise Singular("operator is not invertible")
 
-    report = Report()
-    member = True
+    report = Report(tol=tol)
     scale = max(fro(a), 1.0)
     bonding._check_projections()
     # only the projections out of the top level are shared between levels
@@ -455,10 +455,9 @@ def gEn_membership(a, bonding: BondingSystem, tol: Tolerance = DEFAULT_TOL):
         # complementary projection
         proj = projs[k]
         resid = fro(image - inc @ (proj @ image))
-        ok = tol.accepts(resid, scale)
-        member = member and ok
-        report.add(f"flag_invariant[{k}]", ok, resid)
+        report.measured(f"flag_invariant[{k}]", resid, scale)
 
+    member = report.passed
     blocks = None
     if member and bonding._maps_are_padding():
         blocks = {}
@@ -615,7 +614,7 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
     the bottom level for direct towers, and the tangents are the coordinate
     directions of that level.
     """
-    report = Report()
+    report = Report(tol=tol)
     b = seq.bonding
     n = b.levels
     variance = b.variance
@@ -657,8 +656,7 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
         coherent.append(worst(_norms(lhs - left @ values[src] @ right)))
 
     scales = np.array([max(fro(model.matrix), 1.0) for model in seq.models[:n]])
-    report.block("adapted[%d]", [(k,) for k in range(n)], tol.accepts(adapted, scales), adapted)
-    coherent = np.array(coherent)
-    report.block("coherent[%d,%d]", pairs, tol.accepts(coherent, 1.0), coherent)
+    report.measured_block("adapted[%d]", [(k,) for k in range(n)], adapted, scales)
+    report.measured_block("coherent[%d,%d]", pairs, np.array(coherent))
     report.note(f"{pts.shape[0]} sample points, {dim} tangent directions")
     return report

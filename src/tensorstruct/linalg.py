@@ -40,9 +40,12 @@ class Tolerance:
 
     The rank threshold for a matrix with largest singular value ``smax`` is
     ``atol + rtol * smax``; residual checks accept ``r <= rtol * scale + atol``
-    for a finite ``r``, element by element for arrays.  An infinite residual
-    is never accepted, not even at an infinite scale (a scale such as
-    ``fro(m) ** 2`` overflows once entries pass about 1e154).
+    for a finite ``r``, element by element for arrays.  An infinite or NaN
+    residual is never accepted, not even at an infinite scale.  Every report
+    entry is decided this way by ``Report.measured`` (or its block form),
+    with the ``Tolerance`` the report holds; only constructions that decide
+    their own preconditions, and public predicates, call ``accepts``
+    themselves.
     """
 
     atol: float = 1e-9
@@ -80,9 +83,19 @@ def as_matrix(m, square=False, name="matrix", ndim=2):
 
 def fro(a):
     """Frobenius norm: for float64 and integer input, the computation
-    ``np.linalg.norm(a)`` makes, bit for bit, without its per-call dispatch."""
+    ``np.linalg.norm(a)`` makes, bit for bit, without its per-call dispatch,
+    except where the sum of squares overflows.  For finite entries whose
+    sum of squares passes the largest double (entries above about 1.3e154)
+    it is the scaled norm ``m * sqrt(sum((x / m)**2))``, ``m = max|x|``,
+    which stays finite up to a norm of about 1.8e308; entries holding an
+    inf or a NaN still give inf or NaN."""
     x = np.asarray(a, dtype=float).ravel(order="K")
-    return math.sqrt(x.dot(x))
+    d = x.dot(x)
+    if d == math.inf and np.isfinite(x).all():
+        m = float(np.abs(x).max())
+        y = x / m
+        return m * math.sqrt(y.dot(y))
+    return math.sqrt(d)
 
 
 def spd_sqrt(m, tol: Tolerance = DEFAULT_TOL):

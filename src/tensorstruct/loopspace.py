@@ -137,7 +137,7 @@ def check_induced_compatibility(space: DiscretizedLoopSpace, trials=20,
     block per sample point, so it is N * signature(target).
     """
     rng = rng or np.random.default_rng(0)
-    report = Report()
+    report = Report(tol=tol)
     flavor = space.target.flavor
     i = space.target.structure.matrix
 
@@ -163,8 +163,7 @@ def check_induced_compatibility(space: DiscretizedLoopSpace, trials=20,
     for name, residuals, where in (("antisymmetry", antisymmetry, f"{trials} trials"),
                                    ("form_invariance", invariance, ""),
                                    ("metric_is_form_of_structure", linking, "")):
-        resid = worst(residuals)
-        report.add(name, tol.accepts(resid, 1.0), resid, where)
+        report.measured(name, worst(residuals), location=where)
     if flavor == "kahler":
         report.add("metric_positive_on_trials", positive_ok,
                    0.0 if positive_ok else 1.0)
@@ -192,7 +191,7 @@ def ascending_coherence(targets: Sequence[CompatibleTriple], samples,
     tangent data.
     """
     rng = rng or np.random.default_rng(0)
-    report = Report()
+    report = Report(tol=tol)
     dims = [t.dim for t in targets]
     bonding = BondingSystem.padded(dims, "direct")
 
@@ -227,7 +226,6 @@ def ascending_coherence(targets: Sequence[CompatibleTriple], samples,
                 residuals += [abs(o_i - o_j) / max(abs(o_i), 1.0),
                               abs(g_i - g_j) / max(abs(g_i), 1.0),
                               fro(ix_i @ inc.T - ix_j) / max(fro(ix_i), 1.0)]
-            resid = worst(residuals)
-            report.add(f"induced_agreement[{i},{j}]", tol.accepts(resid, 1.0), resid)
+            report.measured(f"induced_agreement[{i},{j}]", worst(residuals))
     report.note(f"{samples} circle samples per loop")
     return report

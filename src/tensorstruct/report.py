@@ -25,6 +25,17 @@ same report.  A non-finite residual is written as the JSON string
 ``"Infinity"``, ``"-Infinity"`` or ``"NaN"``, which ``float()`` reads back,
 so the output is strict JSON.
 
+One rule decides every measured entry: a report holds the ``Tolerance``
+its check runs under (``tol``, ``DEFAULT_TOL`` unless given), and
+``Report.measured(name, residual, scale)`` appends an entry that passes
+when ``tol.accepts(residual, scale)``; with arrays of per-sample residuals
+and scales, it passes when every sample is accepted and reads the worst
+residual.  ``Report.measured_block`` decides a block element by element.
+Discrete verdicts (a rank, a signature, a dimension) are added as they are,
+by ``add``.  Only constructions that decide their own preconditions, and
+public predicates such as ``bundle.in_isotropy``, call ``accepts`` outside
+this module.
+
 One rule picks the worst of a list of residuals, for every check that
 reports one residual for many samples, grid points or trials: a NaN beats
 every number, and among equals the first wins (``worst_index``, which is
@@ -45,6 +56,8 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
+
+from .linalg import DEFAULT_TOL, Tolerance
 
 _ENTRY = ('    {\n      "location": %s,\n      "name": %s,\n'
           '      "passed": %s,\n      "residual": %s\n    }')
@@ -108,19 +121,21 @@ class CheckEntry:
 @dataclass
 class Report:
     """An ordered list of check entries, held as blocks, plus optional
-    provenance.
+    provenance and the tolerance its measured entries are decided by.
 
     Each block is a tuple ``(template, indices, passed, residuals,
     location)``: entry k of the block is named ``template % indices[k]``
     and has verdict ``passed[k]`` and residual ``residuals[k]``.
     ``command`` and ``digest`` are filled in by the CLI; library callers
     usually leave them empty and only look at ``passed`` / ``entries``.
+    ``tol`` decides every entry added by ``measured`` or ``measured_block``.
     """
 
     command: str = ""
     digest: str = ""
     blocks: list[tuple] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    tol: Tolerance = DEFAULT_TOL
 
     def add(self, name, passed, residual, location=""):
         """Append one entry: a block with the one, empty, index tuple."""
@@ -132,6 +147,21 @@ class Report:
         ``passed`` and ``residuals`` are bool and float arrays in the same
         order."""
         self.blocks.append((template, indices, passed.tolist(), residuals.tolist(), ""))
+
+    def measured(self, name, residual, scale=1.0, location=""):
+        """Append one entry that passes when ``tol`` accepts ``residual`` at
+        ``scale``.  Given arrays of per-sample residuals and scales, it
+        passes when every sample is accepted and reads the worst residual."""
+        passed = self.tol.accepts(residual, scale)
+        if isinstance(passed, np.ndarray):
+            passed, residual = passed.all(), worst(residual)
+        self.add(name, passed, residual, location)
+
+    def measured_block(self, template, indices, residuals, scales=1.0):
+        """``block`` with each entry decided by ``tol`` at its scale:
+        ``residuals`` is a float array and ``scales`` a number or an array
+        in the same order."""
+        self.block(template, indices, self.tol.accepts(residuals, scales), residuals)
 
     def note(self, text):
         self.notes.append(text)

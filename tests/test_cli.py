@@ -1422,3 +1422,68 @@ def test_a_form_that_overflows_is_an_error(argv, doc, built, tmp_path, capsys):
     # Omega(u, Iv) is finite and symmetric, but g = (m + m^T) / 2 does
     assert run([*argv, write(tmp_path, "doc.json", doc)]) == 1
     assert capsys.readouterr().err == f"error: constructed {built} is not finite\n"
+
+
+# ---------------------------------------------------------------------------
+# verdicts that do not depend on the exponent range
+# ---------------------------------------------------------------------------
+
+def test_a_failing_block_form_entry_reads_nan(tmp_path, capsys):
+    # r1 is 0 and r2 is NaN (1e200 * 1e200 overflows); Python's max dropped
+    # a NaN in second place, so the failing entry read 0
+    doc = {"kind": "complex", "matrix": [[0, -1e200], [1e-200, 0]],
+           "decomposition": {"basis1": [[1e200, 0]], "basis2": [[0, 1e200]],
+                             "iso": [[1e200]]}}
+    path = write(tmp_path, "structure.json", doc)
+    status, report = run_json(["validate", path])
+    assert status == 1
+    assert report["entries"][-1] == {"location": "", "name": "decomposition_block_form",
+                                     "passed": False, "residual": "NaN"}
+    assert run(["validate", path]) == 1
+    assert "FAIL  decomposition_block_form  residual=nan\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("s", [1e100, 1e160])
+def test_a_relative_skew_defect_fails_at_every_exponent(s, tmp_path):
+    # a relative defect of 1e-7; |s| used to overflow to inf past 1e154 and
+    # accept every residual
+    doc = {"kind": "symplectic", "matrix": [[0, s], [-s * (1 + 1e-7), 0]]}
+    status, report = run_json(["validate", write(tmp_path, "structure.json", doc)])
+    assert status == 1
+    [skew] = [e for e in report["entries"] if e["name"] == "skew"]
+    assert not skew["passed"]
+    assert skew["residual"] == pytest.approx(s * 1e-7 * 2 ** 0.5, rel=1e-6)
+
+
+@pytest.mark.parametrize("s", [1e100, 1e160])
+def test_a_relative_cocycle_defect_fails_at_every_exponent(s, tmp_path):
+    identity = np.eye(2).tolist()
+    doc = line_atlas_doc("abc", [("a", "b", (s * np.eye(2)).tolist()), ("b", "c", identity),
+                                 ("a", "c", [[s * (1 + 1e-7), 0.0], [0.0, s]])],
+                         triples=[{"charts": ["a", "b", "c"], "points": [[0.5]]}])
+    status, report = run_json(["cocycle", write(tmp_path, "atlas.json", doc)])
+    assert status == 1
+    [cocycle] = [e for e in report["entries"] if e["name"] == "cocycle[a,b,c]"]
+    assert not cocycle["passed"]
+    assert cocycle["residual"] == pytest.approx(s * 1e-7, rel=1e-6)
+
+
+def test_a_large_symplectic_form_has_a_darboux_basis(tmp_path, capsys):
+    # the pairing threshold rtol * |s| used to overflow to inf here, so
+    # every pairing read as degenerate
+    doc = {"kind": "symplectic", "matrix": [[0, 1e155], [-1e155, 0]]}
+    assert run(["darboux", write(tmp_path, "form.json", doc)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("pass  canonical_form_residual  residual=0.000e+00\n")
+
+
+def test_a_square_defect_is_judged_below_an_overflowing_scale(tmp_path):
+    # |m|^2 (6.8e308) overflows and the defect (2.4e305) does not: judged at
+    # an infinite scale, the entry would pass
+    a = 1.3e154
+    doc = {"kind": "complex", "matrix": [[a, a], [-1.001 * a, -a]]}
+    status, report = run_json(["validate", write(tmp_path, "structure.json", doc)])
+    assert status == 1
+    [square] = [e for e in report["entries"] if e["name"] == "squares_to_minus_id"]
+    assert not square["passed"]
+    assert square["residual"] == pytest.approx(2.39e305, rel=1e-2)

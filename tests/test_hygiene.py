@@ -101,10 +101,13 @@ def test_tol_parameters_default_to_a_tolerance(module):
 
 def _decides_provenance_or_tolerance(node):
     """A ``Tolerance(...)`` call, a ``Report(...)`` call with provenance
-    arguments, or an assignment to a ``.command`` or ``.digest``."""
+    arguments (positional, ``command=`` or ``digest=``; ``tol=`` only hands
+    on a tolerance picked elsewhere), or an assignment to a ``.command`` or
+    ``.digest``."""
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         return node.func.id == "Tolerance" or (
-            node.func.id == "Report" and bool(node.args or node.keywords))
+            node.func.id == "Report" and bool(node.args or any(
+                k.arg in ("command", "digest") for k in node.keywords)))
     targets = (node.targets if isinstance(node, ast.Assign)
                else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
     return any(isinstance(t, ast.Attribute) and t.attr in ("command", "digest")
@@ -155,3 +158,34 @@ def test_bad_at_point_is_caught_in_one_place_per_kind_of_check():
               for function, _ in _catchers(ast.parse((PACKAGE / f"{module}.py").read_text()),
                                            "BadAtPoint")}
     assert caught == {("calculus", "_grid_report"), ("bundle", "_sampled")}
+
+
+# the constructions that decide their own preconditions, and the public
+# predicates; every report entry is decided by ``Report.measured`` or
+# ``Report.measured_block``
+DECIDE_FOR_THEMSELVES = {
+    ("linalg", "spd_sqrt"),
+    ("compat", "omega_from"), ("compat", "g_from"), ("compat", "structure_from"),
+    ("structures", "fundamental_symmetry"),
+    ("bundle", "in_isotropy"), ("bundle", "_orbit_class"), ("bundle", "_same_orbit"),
+    ("calculus", "is_integrable_structure"),
+    ("limits", "_composition_block"),  # its probe at scale 1
+}
+
+
+def _accepts_callers(module):
+    """(module, function) for every ``.accepts(...)`` call of a module: the
+    function or method of the module's body around it (nested functions
+    count as their parent), or "<module>" outside every function."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [f for node in tree.body if isinstance(node, ast.ClassDef)
+                  for f in node.body if isinstance(f, ast.FunctionDef)]
+    around = {line: f.name for f in functions for line in _calls_to(f, "accepts")}
+    return {(module, around.get(line, "<module>")) for line in _calls_to(tree, "accepts")}
+
+
+def test_only_the_report_decides_measured_entries():
+    callers = set().union(*(_accepts_callers(m) for m in MODULES if m != "report"))
+    assert callers <= DECIDE_FOR_THEMSELVES, (
+        f"Tolerance.accepts called outside report.py by {sorted(callers - DECIDE_FOR_THEMSELVES)}")

@@ -1,9 +1,13 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
 from tensorstruct.errors import NotPositiveDefinite, NotSymmetric, ShapeMismatch
 from tensorstruct.linalg import (
     Tolerance,
+    fro,
     involution_eigenbases,
     kernel_and_complement,
     kernel_and_image,
@@ -12,6 +16,7 @@ from tensorstruct.linalg import (
     signature_of,
     spd_sqrt,
 )
+from tensorstruct.structures import square_defect
 
 RNG = np.random.default_rng(20240811)
 
@@ -206,3 +211,35 @@ def test_signature_of_minkowski():
     assert signature_of(np.diag([1.0, -1.0])) == (1, 1, 0)
     assert signature_of(np.diag([2.0, 3.0, -5.0])) == (2, 1, 0)
     assert signature_of(np.zeros((2, 2))) == (0, 0, 2)
+
+
+def test_fro_is_numpy_norm_bit_for_bit_unless_the_sum_overflows():
+    for shape in [(0,), (3,), (4, 4), (2, 3, 5)]:
+        for scale in (1e-200, 1.0, 1e150):
+            x = RNG.normal(size=shape) * scale
+            assert fro(x) == np.linalg.norm(x)
+    assert fro(np.zeros((3, 3))) == 0.0
+    assert fro([[3, 4]]) == 5.0
+
+
+def test_fro_scales_a_sum_of_squares_that_overflows():
+    # the sum of squares overflows as in np.linalg.norm, with numpy's
+    # warning, which the CLI turns off; the fallback raises no other
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        assert np.linalg.norm([1e200, 1e200]) == np.inf
+        assert fro([1e200, 1e200]) == pytest.approx(1e200 * 2 ** 0.5, rel=1e-15)
+        assert fro([[0.0, 1e160], [-1e160, 0.0]]) == pytest.approx(1e160 * 2 ** 0.5, rel=1e-15)
+        # a norm past the largest double is still inf, and so are inf and NaN entries
+        assert fro([1.7e308, 1.7e308]) == np.inf
+        assert fro([np.inf, 1.0]) == np.inf
+        assert np.isnan(fro([np.nan, 1e200]))
+
+
+def test_square_defect_keeps_an_overflowing_scale_finite():
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        m = np.array([[0.0, -1e100], [1e-100, 0.0]])
+        assert square_defect(m, -1.0) == (0.0, fro(m) ** 2)
+        defect, scale = square_defect(np.array([[0.0, -1e200], [1e200, 0.0]]), -1.0)
+        assert (defect, scale) == (np.inf, sys.float_info.max)
