@@ -19,13 +19,19 @@ para-complex or tangent structure is read from ``structures.SQUARES``.
 Sample-set density is the caller's responsibility; reports record how many
 points each verdict rests on.
 
-A transition or field that cannot be evaluated at a sample (not finite,
-or the inverse of a singular declared transition) raises ``BadAtPoint``
-from ``ChartAtlas.transition_at`` or ``LocalTensorField.at``; ``_sampled``,
-the one per-sample loop of the checks, turns it into a failing sample with
-residual inf.  A singular map lies in no isotropy group, so ``in_isotropy``
-rejects it with residual inf.  Each entry keeps the worst residual of its
-samples by the rule of ``report.worst_index``.
+``check_cocycle`` and ``check_reduction`` take all samples of a
+transition at once: ``ChartAtlas.transitions_at`` gives a ``(P, n, n)``
+stack and the samples it cannot be evaluated at (not finite, or the
+inverse of a singular declared transition), and each residual is one
+stacked computation whose every row has the bits of the one-sample
+computation (``np.linalg`` and ``matmul`` run each matrix of a stack
+alone, and ``linalg.fro_each`` is ``fro`` row by row).  Such a sample
+fails with residual inf, and so does a singular map, which lies in no
+isotropy group.  ``ChartAtlas.transition_at``, the one-sample case, raises
+``BadAtPoint`` there instead, as ``LocalTensorField.at`` does for a field;
+``_sampled``, the per-sample loop of ``check_locally_modelled``, turns that
+into a failing sample with residual inf.  Each entry keeps the worst
+residual of its samples by the rule of ``report.worst_index``.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .linalg import (
     Tolerance,
     as_matrix,
     fro,
+    fro_each,
     involution_eigenbases,
     kernel_and_image,
     signature_of,
@@ -99,6 +106,10 @@ class ConstantTransition:
     def __call__(self, x):
         return self.matrix
 
+    def stacked(self, xs):
+        """T0 once per row of the ``(P, d)`` points ``xs``."""
+        return self.matrix[None].repeat(len(xs), axis=0)
+
 
 class AffineTransition:
     """x -> T0 + sum_i x_i T_i."""
@@ -108,18 +119,60 @@ class AffineTransition:
         self.coefficients = [as_matrix(c, square=True) for c in coefficients]
 
     def __call__(self, x):
-        out = self.base.copy()
-        for xi, ci in zip(np.atleast_1d(x), self.coefficients):
-            out += xi * ci
+        return self.stacked(np.atleast_1d(x)[None])[0]
+
+    def stacked(self, xs):
+        """The value at every row of the ``(P, d)`` points ``xs``.  The terms
+        are added in order, element by element, so each matrix has the
+        bits of the same sum at its row alone."""
+        out = self.base[None].repeat(len(xs), axis=0)
+        for xi, ci in zip(np.asarray(xs, dtype=float).T, self.coefficients):
+            out += xi[:, None, None] * ci
         return out
 
 
-def _finite(value, a, b, x):
-    """T_ab(x) as a float array; BadAtPoint unless it is finite."""
-    m = np.asarray(value, dtype=float)
-    if not np.isfinite(m).all():
-        raise BadAtPoint(x, f"transition {a}->{b} not finite")
-    return m
+def _inverted(stack):
+    """The inverse of every matrix of a ``(P, n, n)`` stack, and the mask of
+    the singular ones, whose rows hold the identity.  Each inverse has the
+    bits of ``np.linalg.inv`` of its matrix alone."""
+    try:
+        return np.linalg.inv(stack), np.zeros(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty(stack.shape)
+    singular = np.zeros(len(stack), dtype=bool)
+    for k, m in enumerate(stack):
+        try:
+            out[k] = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            out[k], singular[k] = np.eye(len(m)), True
+    return out, singular
+
+
+def _evaluated(evaluator, xs, n):
+    """A transition's ``n x n`` values at every row of the points ``xs``, as
+    a float stack: one call of a ``stacked`` evaluator, else one call per
+    row."""
+    if isinstance(evaluator, (ConstantTransition, AffineTransition)):
+        return evaluator.stacked(xs)
+    if not len(xs):
+        return np.empty((0, n, n))
+    return np.array([evaluator(x) for x in xs], dtype=float)
+
+
+def _finite_each(stack):
+    """Whether each matrix of a stack is finite."""
+    return np.isfinite(stack).all((1, 2))
+
+
+def _masked(stack, rows):
+    """A copy of the stack with the identity in ``rows``, or the stack
+    itself when there are none."""
+    if not len(rows):
+        return stack
+    out = np.array(stack)
+    out[rows] = np.eye(stack.shape[-1])
+    return out
 
 
 @dataclass
@@ -146,25 +199,50 @@ class ChartAtlas:
         T_ba is declared."""
         return a == b or (a, b) in self.transitions or (b, a) in self.transitions
 
+    def transitions_at(self, a, b, xs):
+        """T_ab at every row of the ``(P, d)`` points ``xs``: the declared
+        T_ab, else the inverse of the declared T_ba, else the identity when
+        a == b.
+
+        Returns a ``(P, n, n)`` stack and the samples T_ab cannot be
+        evaluated at, as a dict from row index to the reason: the declared
+        one, or its inverse, is not finite there, or the declared T_ba is
+        singular there.  Those rows hold the identity.
+        ``ConstantTransition`` and ``AffineTransition`` are evaluated as
+        stacks, any other evaluator row by row.  Raises MissingTransition
+        when neither T_ab nor T_ba is declared.
+        """
+        n = self.fiber_dim
+        if (a, b) in self.transitions:
+            stack = _evaluated(self.transitions[(a, b)], xs, n)
+            failures = [(~_finite_each(stack), f"transition {a}->{b} not finite")]
+        elif (b, a) in self.transitions:
+            declared = _evaluated(self.transitions[(b, a)], xs, n)
+            bad = ~_finite_each(declared)
+            stack, singular = _inverted(_masked(declared, bad.nonzero()[0]))
+            failures = [(bad, f"transition {b}->{a} not finite"),
+                        (singular, f"transition {b}->{a} not invertible"),
+                        (~_finite_each(stack), f"transition {a}->{b} not finite")]
+        elif a == b:
+            return np.eye(n)[None].repeat(len(xs), axis=0), {}
+        else:
+            raise MissingTransition(f"no transition declared between {a!r} and {b!r}")
+        bad = {}  # each sample's first failure
+        for failed, reason in failures:
+            for k in failed.nonzero()[0]:
+                bad.setdefault(int(k), reason)
+        return _masked(stack, list(bad)), bad
+
     def transition_at(self, a, b, x):
-        """Evaluate T_ab(x): the declared T_ab, else the inverse of the
-        declared T_ba, else the identity when a == b.
+        """T_ab(x): the one-sample case of ``transitions_at``.
 
         Raises MissingTransition when neither T_ab nor T_ba is declared, and
-        BadAtPoint when the declared one, or its inverse, is not finite at x,
-        or the declared T_ba is singular there.
+        BadAtPoint(x, reason) when T_ab cannot be evaluated at x.
         """
-        if (a, b) in self.transitions:
-            return _finite(self.transitions[(a, b)](x), a, b, x)
-        if (b, a) in self.transitions:
-            m = _finite(self.transitions[(b, a)](x), b, a, x)
-            try:
-                return _finite(np.linalg.inv(m), a, b, x)
-            except np.linalg.LinAlgError as exc:
-                raise BadAtPoint(x, f"transition {b}->{a} not invertible") from exc
-        if a == b:
-            return np.eye(self.fiber_dim)
-        raise MissingTransition(f"no transition declared between {a!r} and {b!r}")
+        stack, bad = self.transitions_at(a, b, np.atleast_2d(np.asarray(x, dtype=float)))
+        if bad:
+            raise BadAtPoint(x, bad[0])
+        return stack[0]
 
     def overlap_connectivity(self):
         """Connected components of the chart cover's overlap graph."""
@@ -188,21 +266,23 @@ def tensor_action(g, tensor: StructureMatrix) -> StructureMatrix:
     inverse congruence g^-T S g^-1, matching the pullback action evaluated
     in coordinates.  Raises Singular when g is not invertible.
     """
-    return StructureMatrix(_acted(g, tensor), tensor.kind, tensor.symmetry)
+    acted, singular = _acted(as_matrix(g, square=True, name="g")[None], tensor)
+    if singular[0]:
+        raise Singular("tensor action needs an invertible map")
+    return StructureMatrix(acted[0], tensor.kind, tensor.symmetry)
 
 
 def _acted(g, tensor: StructureMatrix):
-    """The matrix of action(g, T), which may overflow to non-finite entries."""
-    g = as_matrix(g, square=True, name="g")
-    if g.shape != tensor.matrix.shape:
-        raise ShapeMismatch(f"map {g.shape} vs tensor {tensor.matrix.shape}")
-    try:
-        g_inv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise Singular("tensor action needs an invertible map") from exc
+    """The matrices of action(g, T) for the ``(P, n, n)`` stack of maps
+    ``g``, which may overflow to non-finite entries, and the mask of the
+    singular maps, whose rows hold T."""
+    if g.shape[-2:] != tensor.matrix.shape:
+        raise ShapeMismatch(f"map {g.shape[-2:]} vs tensor {tensor.matrix.shape}")
+    g_inv, singular = _inverted(g)
+    g = _masked(g, singular.nonzero()[0])
     if tensor.kind == "1,1":
-        return g @ tensor.matrix @ g_inv
-    return g_inv.T @ tensor.matrix @ g_inv
+        return g @ tensor.matrix @ g_inv, singular
+    return np.swapaxes(g_inv, -1, -2) @ tensor.matrix @ g_inv, singular
 
 
 def algebra_action(w, tensor: StructureMatrix):
@@ -221,20 +301,18 @@ def in_isotropy(g, model: StructureMatrix, tol: Tolerance = DEFAULT_TOL):
     that overflows gives an inf or NaN residual, which is not accepted.  A
     singular g lies in no isotropy group: ``(False, inf)``.
     """
-    try:
-        acted = _acted(g, model)
-    except Singular:
+    acted, singular = _acted(as_matrix(g, square=True, name="g")[None], model)
+    if singular[0]:
         return False, np.inf
-    resid = fro(acted - model.matrix)
+    resid = fro(acted[0] - model.matrix)
     return tol.accepts(resid, fro(model.matrix)), resid
 
 
 def _sampled(points, judge):
-    """Judge each sample point: ``judge(x)`` gives (passed, residual), or
-    (scale, residual) for a check that ``Report.measured`` decides, and a
-    ``BadAtPoint`` gives (False, inf), which fails either way.  Returns the
-    verdicts (or scales), the residuals and the distinct reasons of the
-    ``BadAtPoint`` failures, in order of first occurrence."""
+    """Judge each sample point: ``judge(x)`` gives (passed, residual), and a
+    ``BadAtPoint`` gives (False, inf).  Returns the verdicts, the residuals
+    and the distinct reasons of the ``BadAtPoint`` failures, in order of
+    first occurrence."""
     passed, residuals, reasons = [], [], {}
     for x in points:
         try:
@@ -255,46 +333,45 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     scale max(1, |T_ac(x)|) of that sample; a triple passes when every
     sample does, and the report keeps its worst residual (``report.worst``)
     and the first sample attaining it.  A single-chart atlas passes
-    vacuously.  A transition that cannot be evaluated at a sample
-    (``BadAtPoint``) fails there with residual inf.
+    vacuously.  A transition that cannot be evaluated at a sample fails
+    there with residual inf.
     """
     report = Report(tol=tol)
     n = atlas.fiber_dim
 
-    def invertible(a, b, x):
-        # the condition number, inf for an exactly singular transition
-        s = np.linalg.svd(atlas.transition_at(a, b, x), compute_uv=False)
-        if s[-1] <= tol.rank_threshold(s[0]):
-            return False, float(s[0]) / float(s[-1]) if s[-1] else math.inf
-        return True, 0.0
-
     for (a, b), points in atlas.overlaps.items():
         points = np.atleast_2d(points)
-        passed, residuals, _ = _sampled(points, lambda x: invertible(a, b, x))
-        report.add(f"invertible[{a},{b}]", all(passed), worst(residuals),
-                   f"{len(points)} samples")
+        t, bad = atlas.transitions_at(a, b, points)
+        s = np.linalg.svd(t, compute_uv=False)
+        singular = s[:, -1] <= tol.rank_threshold(s[:, 0])
+        residuals = np.zeros(len(points))
+        for k in singular.nonzero()[0]:
+            # the condition number, inf for an exactly singular transition
+            residuals[k] = float(s[k, 0]) / float(s[k, -1]) if s[k, -1] else math.inf
+        residuals[list(bad)] = math.inf
+        report.add(f"invertible[{a},{b}]", not (bad or singular.any()),
+                   worst(residuals), f"{len(points)} samples")
 
     # identity on the diagonal wherever a self-transition was declared; no
     # samples leave nothing to fail
     for (a, b), fn in atlas.transitions.items():
         if a == b:
             pts = atlas.overlaps.get((a, b), np.zeros((1, len(atlas.charts[0].lo))))
-            resid = worst([fro(np.asarray(fn(x)) - np.eye(n)) for x in np.atleast_2d(pts)])
+            resid = worst(fro_each(_evaluated(fn, np.atleast_2d(pts), n) - np.eye(n)))
             report.measured(f"identity_on_diagonal[{a}]", resid)
-
-    def cocycle(a, b, c, x):
-        # the scale and the residual of the sample
-        lhs = atlas.transition_at(a, c, x)
-        resid = fro(lhs - atlas.transition_at(a, b, x) @ atlas.transition_at(b, c, x))
-        return max(1.0, fro(lhs)), resid
 
     if not atlas.triple_overlaps:
         report.note("no triple overlaps declared: cocycle condition vacuous")
     for (a, b, c, points) in atlas.triple_overlaps:
+        # each sample is judged at its own scale max(1, |T_ac(x)|)
         points = np.atleast_2d(points)
-        scales, residuals, _ = _sampled(points, lambda x: cocycle(a, b, c, x))
-        report.measured(f"cocycle[{a},{b},{c}]", np.array(residuals),
-                        np.array(scales, dtype=float), worst_at(residuals, points)[1])
+        lhs, bad_ac = atlas.transitions_at(a, c, points)
+        t_ab, bad_ab = atlas.transitions_at(a, b, points)
+        t_bc, bad_bc = atlas.transitions_at(b, c, points)
+        residuals = fro_each(lhs - t_ab @ t_bc)
+        residuals[[*bad_ac, *bad_ab, *bad_bc]] = math.inf
+        report.measured(f"cocycle[{a},{b},{c}]", residuals, np.fmax(fro_each(lhs), 1.0),
+                        worst_at(residuals, points)[1])
 
     components = atlas.overlap_connectivity()
     if components > 1:
@@ -315,11 +392,17 @@ def check_reduction(atlas: ChartAtlas, model: StructureMatrix,
     report = check_cocycle(atlas, tol)
     if not report.passed:
         report.note("cocycle precondition failed; isotropy entries reported anyway")
+    scale = fro(model.matrix)
     for (a, b), points in atlas.overlaps.items():
         points = np.atleast_2d(points)
-        passed, residuals, _ = _sampled(
-            points, lambda x: in_isotropy(atlas.transition_at(a, b, x), model, tol))
-        report.add(f"isotropy[{a},{b}]", all(passed), *worst_at(residuals, points, last=True))
+        g, bad = atlas.transitions_at(a, b, points)
+        acted, singular = _acted(g, model)
+        residuals = fro_each(acted - model.matrix)
+        residuals[singular] = math.inf
+        residuals[list(bad)] = math.inf
+        # Tolerance.accepts is monotone in the residual: the worst sample decides
+        resid, where = worst_at(residuals, points, last=True)
+        report.measured(f"isotropy[{a},{b}]", resid, scale, where)
     return report
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "fro",
+    "fro_each",
     "spd_sqrt",
     "metric_adjoint",
     "kernel_and_image",
@@ -96,6 +97,18 @@ def fro(a):
         y = x / m
         return m * math.sqrt(y.dot(y))
     return math.sqrt(d)
+
+
+def fro_each(stack):
+    """``fro`` of each matrix of a ``(P, n, n)`` stack, bit for bit: one
+    stacked row-by-row dot product (the dot ``fro`` takes), and ``fro``
+    itself on the rows whose norm comes out infinite."""
+    p, n, m = np.shape(stack)
+    rows = np.asarray(stack, dtype=float).reshape(p, n * m)
+    out = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
+    for k in np.flatnonzero(out == math.inf):
+        out[k] = fro(rows[k])
+    return out
 
 
 def spd_sqrt(m, tol: Tolerance = DEFAULT_TOL):

@@ -91,9 +91,45 @@ def worst(residuals):
     return float(residuals[worst_index(residuals)]) if len(residuals) else 0.0
 
 
+# numpy's default print options that ``_positional`` writes a row under
+_DEFAULT_PRINT = {"floatmode": "maxprec", "suppress": False, "linewidth": 75, "sign": "-",
+                  "formatter": None, "legacy": False}
+
+
 def location(point):
-    """A sample point as an entry's location: its coordinates to 3 digits."""
-    return np.array2string(np.asarray(point), precision=3)
+    """A sample point as an entry's location: its coordinates to 3 digits,
+    the text of ``np.array2string(point, precision=3)``.  Under numpy's
+    default print options, a row of floats that it writes in positional
+    notation on one line is written by ``_positional``; every other point,
+    and every point under other options, by ``array2string``."""
+    x = np.asarray(point)
+    text = None
+    if x.ndim == 1 and x.dtype == np.float64:
+        options = np.get_printoptions()
+        if {key: options[key] for key in _DEFAULT_PRINT} == _DEFAULT_PRINT:
+            text = _positional(x.tolist())
+    return text or np.array2string(x, precision=3)
+
+
+def _positional(values):
+    """The coordinates as ``array2string`` writes them when they are all
+    finite, the largest nonzero magnitude is below 1e8, the smallest at
+    least 1e-4 and their ratio at most 1e3, and the text fits in 75
+    columns: each to at most 3 unique fractional digits, padded to the
+    widest integer part and the widest fractional part.  None otherwise."""
+    if not values or not all(map(math.isfinite, values)):
+        return None
+    magnitudes = [abs(v) for v in values if v]
+    if magnitudes:
+        top, low = max(magnitudes), min(magnitudes)
+        if top >= 1e8 or low < 1e-4 or top / low > 1e3:
+            return None
+    parts = [np.format_float_positional(v, precision=3, unique=True, fractional=True,
+                                        trim=".").split(".") for v in values]
+    left = max(len(whole) for whole, _ in parts)
+    right = max(len(fraction) for _, fraction in parts)
+    text = "[" + " ".join(f"{whole:>{left}}.{fraction:<{right}}" for whole, fraction in parts) + "]"
+    return text if len(text) <= 75 else None
 
 
 def worst_at(residuals, points, last=False):

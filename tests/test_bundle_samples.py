@@ -11,18 +11,27 @@ notes.  The one allowed difference is a NaN residual that a reference
 reduction dropped: ``invertible``'s ``max(worst, cond)`` and
 ``modelled``'s ``resid >= worst`` both skip a NaN, where the shared rule
 makes it the worst.
+
+``reference_transition_at`` is ``ChartAtlas.transition_at`` as it was
+before the checks evaluated each transition at all samples at once
+(``ChartAtlas.transitions_at``); every row of a stack must have its bits,
+and the stack must mark exactly the samples where it raises.
 """
 
+import itertools
 import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorstruct import bundle
 from tensorstruct.bundle import (
+    AffineTransition,
     Chart,
     ChartAtlas,
+    ConstantTransition,
     LocalTensorField,
     StructureMatrix,
     _orbit_class,
@@ -32,7 +41,7 @@ from tensorstruct.bundle import (
     check_reduction,
     in_isotropy,
 )
-from tensorstruct.errors import BadAtPoint, ShapeMismatch
+from tensorstruct.errors import BadAtPoint, MissingTransition, ShapeMismatch
 from tensorstruct.linalg import DEFAULT_TOL, Tolerance, fro
 from tensorstruct.report import Report
 
@@ -201,11 +210,40 @@ def reference_check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     return report
 
 
+def _finite(value, a, b, x):
+    """T_ab(x) as a float array; BadAtPoint unless it is finite."""
+    m = np.asarray(value, dtype=float)
+    if not np.isfinite(m).all():
+        raise BadAtPoint(x, f"transition {a}->{b} not finite")
+    return m
+
+
+def reference_transition_at(atlas, a, b, x):
+    """Evaluate T_ab(x): the declared T_ab, else the inverse of the
+    declared T_ba, else the identity when a == b.
+
+    Raises MissingTransition when neither T_ab nor T_ba is declared, and
+    BadAtPoint when the declared one, or its inverse, is not finite at x,
+    or the declared T_ba is singular there.
+    """
+    if (a, b) in atlas.transitions:
+        return _finite(atlas.transitions[(a, b)](x), a, b, x)
+    if (b, a) in atlas.transitions:
+        m = _finite(atlas.transitions[(b, a)](x), b, a, x)
+        try:
+            return _finite(np.linalg.inv(m), a, b, x)
+        except np.linalg.LinAlgError as exc:
+            raise BadAtPoint(x, f"transition {b}->{a} not invertible") from exc
+    if a == b:
+        return np.eye(atlas.fiber_dim)
+    raise MissingTransition(f"no transition declared between {a!r} and {b!r}")
+
+
 # ---------------------------------------------------------------------------
 # random atlases and fields
 # ---------------------------------------------------------------------------
 
-SAMPLES = np.arange(4.0).reshape(4, 1)  # sample k is the point x = k
+SAMPLES = np.repeat(np.arange(4.0), 2).reshape(4, 2)  # sample k is the point x = (k, k)
 
 HUGE = 1.5e308
 # transitions: few distinct values, so that residuals tie and are often 0.
@@ -241,6 +279,13 @@ FIELD_VALUES = {
         [[0.0, -1e200], [1e200, 0.0]], [[np.nan, 0.0], [0.0, 0.0]],
         [[np.inf, 0.0], [0.0, 1.0]]],
 }
+# the coefficients of an affine transition, T0 + x_0 s_0 E_0 + x_1 s_1 E_1
+# with T0 a finite value above and E_i a unit pattern: at x = (k, k) it
+# takes 1e200, 1e-320, singular values, inf (1e308 + 1e308) and NaN
+# (inf - inf), from finite data
+SCALES = [0.0, 1.0, -1.0, 0.5, 1e-320, 1e200, 1e308, -1e308]
+PATTERNS = {1: [[[1.0]], [[1.0]]],
+            2: [np.eye(2), [[0.0, -1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}
 TOLS = [DEFAULT_TOL, Tolerance(0.0, 1e-15), Tolerance(1e-16, 1e-14)]
 
 
@@ -249,11 +294,26 @@ def tabulated(values):
     return lambda x: values[int(x[0])]
 
 
-def draw(rng, pool):
+def draw(rng, pool, size=len(SAMPLES)):
     """One of ``pool`` per sample; about half the draws keep to its first
     two entries, so that residuals tie and are often 0."""
     top = 2 if rng.uniform() < 0.5 else len(pool)
-    return [pool[int(rng.integers(0, top))] for _ in SAMPLES]
+    return [pool[int(rng.integers(0, top))] for _ in range(size)]
+
+
+def declared(rng, dim):
+    """A transition: tabulated values, or a ``ConstantTransition`` or an
+    ``AffineTransition`` from the finite values, which the checks evaluate
+    as stacks."""
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return tabulated(draw(rng, TRANSITIONS[dim]))
+    finite = [m for m in TRANSITIONS[dim] if np.isfinite(m).all()]
+    [base] = draw(rng, finite, 1)
+    if kind == 1:
+        return ConstantTransition(base)
+    return AffineTransition(base, [s * np.asarray(e) for s, e in zip(
+        draw(rng, SCALES, 2), draw(rng, PATTERNS[dim], 2))])
 
 
 def points(rng):
@@ -263,14 +323,15 @@ def points(rng):
 
 def random_atlas(rng, dim, charts):
     """Charts with random samples; each ordered pair of charts, a chart
-    with itself included, declares a tabulated transition or not; overlaps
-    and triples are sampled wherever their transitions exist."""
+    with itself included, declares a transition or not; overlaps and
+    triples are sampled wherever their transitions exist."""
     names = "abc"[:charts]
-    atlas = ChartAtlas(dim, [Chart(name, [-1.0], [8.0], points(rng)) for name in names])
+    atlas = ChartAtlas(dim, [Chart(name, [-1.0, -1.0], [8.0, 8.0], points(rng))
+                             for name in names])
     for u in names:
         for w in names:
             if rng.uniform() < (0.2 if u == w else 0.6):
-                atlas.transitions[(u, w)] = tabulated(draw(rng, TRANSITIONS[dim]))
+                atlas.transitions[(u, w)] = declared(rng, dim)
     for u in names:
         for w in names:
             if atlas.has_transition(u, w) and rng.uniform() < 0.7:
@@ -350,29 +411,68 @@ def test_bundle_checks_match_the_per_sample_reductions(seed, dim, charts, tol):
     compare(seed, dim, charts, tol)
 
 
+def test_transitions_at_stacks_the_per_sample_transitions():
+    """Row k of ``transitions_at`` has the bits of ``transition_at`` and of
+    the reference at sample k, and the samples it marks are exactly those
+    where they raise, for the same reason."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        dim = 1 + seed % 2
+        atlas = random_atlas(rng, dim, 1 + seed % 3)
+        for a, b in itertools.product(atlas.chart_names(), repeat=2):
+            xs = points(rng)
+            if not atlas.has_transition(a, b):
+                with pytest.raises(MissingTransition):
+                    atlas.transitions_at(a, b, xs)
+                continue
+            with np.errstate(all="ignore"):
+                stack, bad = atlas.transitions_at(a, b, xs)
+                assert stack.shape == (len(xs), dim, dim)
+                assert set(bad) <= set(range(len(xs)))
+                for k, x in enumerate(xs):
+                    for evaluate in (atlas.transition_at, reference_transition_at.__get__(atlas)):
+                        try:
+                            want = evaluate(a, b, x)
+                        except BadAtPoint as exc:
+                            assert bad.get(k) == exc.reason and exc.point is x
+                        else:
+                            assert k not in bad and stack[k].tobytes() == want.tobytes()
+
+
 def test_the_random_atlases_reach_every_path(monkeypatch):
     """The draws above include ties, all-zero residuals, samples that
     cannot be evaluated, inf and NaN residuals, and the NaN condition
     numbers the reference ``invertible`` reduction dropped."""
-    seen = []  # the residuals and reasons of every sampled entry
+    seen = []  # every residual array the bundle checks reduce
+    bad = []  # the samples each stack of transitions could not evaluate
 
-    def spied(points, judge):
-        verdicts, residuals, reasons = sampled(points, judge)
-        seen.append((residuals, reasons))
-        return verdicts, residuals, reasons
+    def spied_worst(residuals):
+        seen.append(list(residuals))
+        return worst(residuals)
 
-    sampled = bundle._sampled
-    monkeypatch.setattr(bundle, "_sampled", spied)
+    def spied_worst_at(residuals, points, last=False):
+        seen.append(list(residuals))
+        return worst_at(residuals, points, last)
+
+    def spied_transitions_at(atlas, a, b, xs):
+        stack, failed = transitions_at(atlas, a, b, xs)
+        bad.append(failed)
+        return stack, failed
+
+    worst, worst_at, transitions_at = bundle.worst, bundle.worst_at, ChartAtlas.transitions_at
+    monkeypatch.setattr(bundle, "worst", spied_worst)
+    monkeypatch.setattr(bundle, "worst_at", spied_worst_at)
+    monkeypatch.setattr(ChartAtlas, "transitions_at", spied_transitions_at)
     dropped = set()
     for seed in range(150):
         names = compare(seed, 1 + seed % 2, 1 + seed % 3, DEFAULT_TOL)
         dropped.update(name.partition("[")[0] for name in names)
-    numbers = [r for r, _ in seen if r and not any(map(math.isnan, r))]
+    numbers = [r for r in seen if r and not any(map(math.isnan, r))]
     assert any(max(r) > 0 and r.count(max(r)) > 1 for r in numbers)  # a tie
     assert any(len(r) > 1 and not any(r) for r in numbers)  # all zero
-    assert any(reasons for _, reasons in seen)
+    assert any(bad)
     assert any(math.inf in r for r in numbers)
-    assert any(any(map(math.isnan, r)) for r, _ in seen)
+    assert any(any(map(math.isnan, r)) for r in seen)
     assert "invertible" in dropped
 
 
@@ -387,7 +487,7 @@ def test_a_nan_orbit_residual_is_the_worst_of_its_chart(monkeypatch):
 
     monkeypatch.setattr(bundle, "_same_orbit", same_orbit)
     monkeypatch.setitem(globals(), "_same_orbit", same_orbit)  # the reference's
-    atlas = ChartAtlas(1, [Chart("a", [-1.0], [8.0], SAMPLES)])
+    atlas = ChartAtlas(1, [Chart("a", [-1.0, -1.0], [8.0, 8.0], SAMPLES)])
     model = StructureMatrix([[1.0]], "2,0")
     at = [np.array2string(x, precision=3) for x in SAMPLES]
     # values at the samples; (residual, location) of the shared rule and of

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tensorstruct import cli, documents
+from tensorstruct import report as report_module
 from tensorstruct.cli import run
 from tensorstruct.documents import (
     DocumentError,
@@ -232,11 +233,11 @@ def sampled_atlas_doc():
 def test_bundle_checks_format_each_location_once(tmp_path, monkeypatch, capsys):
     calls = []
 
-    def counted(*args, _original=np.array2string, **kwargs):
-        calls.append(args)
-        return _original(*args, **kwargs)
+    def counted(point, _original=report_module.location):
+        calls.append(point)
+        return _original(point)
 
-    monkeypatch.setattr(np, "array2string", counted)
+    monkeypatch.setattr(report_module, "location", counted)
     atlas = write(tmp_path, "atlas.json", sampled_atlas_doc())
     tensor = write(tmp_path, "tensor.json", {"kind": "2,0", "matrix": np.eye(2).tolist()})
     # an indefinite field fails, with the same residual, at every sample

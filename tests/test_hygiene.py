@@ -152,12 +152,36 @@ def _catchers(tree, name):
 
 
 def test_bad_at_point_is_caught_in_one_place_per_kind_of_check():
-    # the grid checks in calculus._grid_report, the bundle checks in
-    # bundle._sampled; nested functions are reported with their parents
+    # the grid checks in calculus._grid_report, the field check of bundle in
+    # bundle._sampled (the atlas checks get their bad samples from
+    # ChartAtlas.transitions_at, which raises nothing per sample); nested
+    # functions are reported with their parents
     caught = {(module, function) for module in MODULES
               for function, _ in _catchers(ast.parse((PACKAGE / f"{module}.py").read_text()),
                                            "BadAtPoint")}
     assert caught == {("calculus", "_grid_report"), ("bundle", "_sampled")}
+
+
+def _called_names(tree):
+    """The name of every function called in ``tree``, as ``f(...)`` or ``x.f(...)``."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_the_atlas_checks_evaluate_stacks_and_only_modelled_samples_one_at_a_time():
+    # check_cocycle and check_reduction take every sample of a transition
+    # at once from ChartAtlas.transitions_at; _sampled is the per-sample
+    # loop of check_locally_modelled alone
+    tree = ast.parse((PACKAGE / "bundle.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_finite" not in functions
+    for name in ("check_cocycle", "check_reduction"):
+        called = _called_names(functions[name])
+        assert "transitions_at" in called
+        assert not called & {"transition_at", "_sampled"}, name
+    assert [name for name, function in functions.items()
+            if "_sampled" in _called_names(function)] == ["check_locally_modelled"]
 
 
 # the constructions that decide their own preconditions, and the public

@@ -1,7 +1,7 @@
-"""The one-pass ``--json`` writer and ``fro`` against the library paths they
-replace: ``json.dumps(..., indent=2, sort_keys=True)`` of the report's dict,
-and ``np.linalg.norm``; reports held as blocks against the entries they
-stand for."""
+"""The one-pass ``--json`` writer, ``fro`` and ``location`` against the
+library paths they replace: ``json.dumps(..., indent=2, sort_keys=True)`` of
+the report's dict, ``np.linalg.norm`` and ``np.array2string``; reports held
+as blocks against the entries they stand for; ``fro_each`` against ``fro``."""
 
 import contextlib
 import io
@@ -11,11 +11,11 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tensorstruct.cli import _emit
-from tensorstruct.linalg import fro
-from tensorstruct.report import Report
+from tensorstruct.linalg import fro, fro_each
+from tensorstruct.report import Report, location
 
 # strings with the characters JSON escapes, plus arbitrary text
 awkward = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é",
@@ -267,3 +267,53 @@ def layouts(rng):
 def test_fro_is_linalg_norm_bit_for_bit(seed):
     for a in layouts(np.random.default_rng(seed)):
         assert bits(fro(a)) == bits(float(np.linalg.norm(a)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fro_each_is_fro_bit_for_bit(seed):
+    # rows that overflow to the scaled norm, rows with inf and NaN entries
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    stack = rng.normal(size=(12, n, n)) * 10.0 ** rng.integers(-300, 300, size=(12, 1, 1))
+    stack[0, 0, 0], stack[1, -1, -1], stack[2] = np.inf, np.nan, 1e200
+    stack[3] = 0.0
+    with np.errstate(all="ignore"):
+        got = fro_each(stack)
+        assert [bits(r) for r in got] == [bits(fro(m)) for m in stack]
+    assert fro_each(np.zeros((0, n, n))).shape == (0,)
+
+
+# the switches of array2string: positional notation needs the nonzero
+# magnitudes in [1e-4, 1e8) and their ratio at most 1e3, and a row wraps
+# past 75 columns
+SWITCHES = [1e-4, 1e8, 1e3, 1e-1, 1.0]
+coordinates = (
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+    | st.sampled_from(SWITCHES).flatmap(lambda v: st.sampled_from(
+        [v, -v, np.nextafter(v, 0.0), np.nextafter(v, math.inf)]))
+    | st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0), st.integers(-300, 300))
+    | st.builds(round, st.floats(-1e8, 1e8), st.integers(0, 4))
+    | st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(coordinates, min_size=1, max_size=8))
+@example([1.0, 1e3])  # max/min = 1e3
+@example([1.0, np.nextafter(1e3, 1e4)])
+@example([1e-4, 0.1])
+@example([99999999.875, 1.0])
+@example([-0.0, 0.0, 1.5])
+@example([12345678.125] * 8)  # 105 columns on one line
+@example([1.25] * 8)
+def test_location_is_array2string(coordinates):
+    assert location(np.array(coordinates)) == np.array2string(np.array(coordinates),
+                                                              precision=3)
+
+
+@pytest.mark.parametrize("options", [{"floatmode": "fixed"}, {"suppress": True},
+                                     {"linewidth": 10}, {"sign": "+"}, {"legacy": "1.13"},
+                                     {"formatter": {"float": "{:.1f}".format}}])
+def test_location_follows_numpy_print_options(options):
+    with np.printoptions(**options):
+        for x in ([0.5, 1.0], [1e-5, 1.0], [12.5, -3.25, 0.0]):
+            assert location(np.array(x)) == np.array2string(np.array(x), precision=3)
