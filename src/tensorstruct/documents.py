@@ -19,6 +19,7 @@ A caller may pin a size to a number or to another expression, so
 
 from __future__ import annotations
 
+import functools
 import re
 from contextlib import contextmanager
 from reprlib import repr as _repr  # abbreviates long values in messages
@@ -70,6 +71,18 @@ class DocumentError(TensorStructError):
 _SIZE = re.compile(r"(?:(\d+)\*)?(\w+)(?:\[(-?\w+)(?:\+(\d+))?\])?([+-]\d+)?")
 
 
+@functools.cache
+def _parsed(expr):
+    """The parts ``(k, name, index, offset, shift)`` of the size expression
+    ``expr``, parsed once per string: ``k``, ``offset`` and ``shift`` as
+    numbers (1, 0 and 0 when absent), ``index`` as a number, a name or
+    None."""
+    k, name, index, offset, shift = _SIZE.fullmatch(expr).groups()
+    if index is not None and index.lstrip("-").isdigit():
+        index = int(index)
+    return int(k or 1), name, index, int(offset or 0), int(shift or 0)
+
+
 def _unify(expr, size, env):
     """None when ``size`` agrees with the size expression ``expr``, else
     what the expression wants.  Binds an unbound plain name in ``env``."""
@@ -78,11 +91,10 @@ def _unify(expr, size, env):
     bound = expr if isinstance(expr, int) else env.get(expr)
     if isinstance(bound, int):  # a number, or a name bound before
         return None if size == bound else f"want {bound}"
-    k, name, index, offset, shift = _SIZE.fullmatch(expr).groups()
-    k, shift = int(k or 1), int(shift or 0)
+    k, name, index, offset, shift = _parsed(expr)
     if index is not None:
         entries = env[name]
-        at = (int(index) if index.lstrip("-").isdigit() else env[index]) + int(offset or 0)
+        at = (index if isinstance(index, int) else env[index]) + offset
         if not -len(entries) <= at < len(entries):
             return f"{name} has no entry {at}"
         want = k * entries[at] + shift

@@ -36,14 +36,21 @@ into and out of the top level, builds the one projection column it needs.
 Nothing is cached on the tower, which stays a plain mutable dataclass.
 
 Reports.  Each of those checks collects the residuals of one law over all
-its pairs or triples in a list and adds them to its report as one block
+its pairs or triples and adds them to its report as one block
 (``Report.measured_block``), decided element-wise by the report's
-``Tolerance``; no check formats an entry name.  The products and norms
-stay one per entry, so every residual is the one the per-entry loop made.  A composition law
-is accepted at scale ``max(fro(lhs), 1)``, which is at least 1: the block
-is probed at scale 1 first, and only where that fails is the product made
-again and its norm taken.  The coherence laws take each level's norm
-once and build the scale of each pair from those.
+``Tolerance``; no check formats an entry name.  The composition and
+section laws are computed in groups whose left-hand sides share a shape:
+one (i, k) for a composition law, one i for a section law.  Each product
+of a group is written into the group's stack by ``ndarray.dot``, which
+calls the BLAS routine ``@`` calls without the ufunc dispatch, and the
+group takes one subtraction and one ``linalg.fro_each``, so every residual
+has the bits of the per-entry ``fro(lhs - rhs)``.  A table holding a map
+with other strides than C or F order is multiplied by ``np.matmul``, as
+``@`` would, since there ``@`` may sum in another order than BLAS.  A
+composition law is accepted at scale ``max(fro(lhs), 1)``, which is at
+least 1: the block is probed at scale 1 first, and only where that fails
+is the product made again and its norm taken.  The coherence laws take
+each level's norm once and build the scale of each pair from those.
 
 Model tensors.  Every per-level model (``tuple_membership``'s isotropy
 models, ``ConnectionFormSequence.models``) is a ``StructureMatrix``, and
@@ -77,7 +84,7 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, rank_of
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, fro_each, rank_of
 from .report import Report, worst
 
 __all__ = [
@@ -243,29 +250,68 @@ def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
     if b.variance == "direct" and b.projections is not None:
         projs = b.projection_table()
         pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-        sections = np.array([fro(projs[i][j] @ maps[i][j] - np.eye(b.dims[i]))
-                             for i, j in pairs])
-        report.measured_block("section[%d,%d]", pairs, sections)
+        product = _product(maps, projs)
+        # grouped by i: every law of a group has the shape (d_i, d_i)
+        sections = [_law_norms(product, [projs[i][j] for j in range(i + 1, n)],
+                               maps[i][i + 1:], np.eye(b.dims[i])) for i in range(n - 1)]
+        report.measured_block("section[%d,%d]", pairs, np.concatenate([np.empty(0), *sections]))
         _composition_block(report, "projection_composition[%d,%d,%d]", projs, False)
     return report
 
 
+def _product(*tables):
+    """The matrix product the laws over ``tables`` are made with, writing
+    into its third argument: ``ndarray.dot`` when every entry is C- or
+    F-contiguous, where it calls the BLAS routine ``@`` calls, with the
+    same bits and without the ufunc dispatch, else ``np.matmul``, which is
+    ``@`` (on other strides ``@`` may sum in another order than BLAS)."""
+    if all(m.flags.c_contiguous or m.flags.f_contiguous
+           for table in tables for row in table for m in row if m is not None):
+        return np.ndarray.dot
+    return np.matmul
+
+
+def _law_norms(product, lefts, rights, target):
+    """``fro(product(a, b) - target)`` for each a of ``lefts`` and b of
+    ``rights``, bit for bit: every product written into one stack, then
+    one subtraction and one ``fro_each`` for the whole stack."""
+    stack = np.empty((len(lefts),) + target.shape)
+    for a, b, out in zip(lefts, rights, stack):
+        product(a, b, out)
+    stack -= target
+    return fro_each(stack)
+
+
 def _composition_block(report, template, table, reverse):
     """The law ``table[i][j] @ table[j][k] = table[i][k]`` (the factors
-    swapped when ``reverse``) for every i <= j <= k, as one block.  A law
-    is accepted at the scale ``max(fro(lhs), 1)``; that scale is at least
-    1, so a residual accepted at scale 1 is accepted at it too, and the
-    product is made again, and its norm taken, only where that fails;
-    every other law keeps scale 1."""
-    def lhs(i, j, k):
-        return table[j][k] @ table[i][j] if reverse else table[i][j] @ table[j][k]
-
+    swapped when ``reverse``) for every i <= j <= k, as one block in the
+    lexicographic order of (i, j, k).  The laws are computed in groups of
+    one (i, k), whose left-hand sides all have the shape of
+    ``table[i][k]``.  A law is accepted at the scale ``max(fro(lhs), 1)``;
+    that scale is at least 1, so a residual accepted at scale 1 is
+    accepted at it too, and the product is made again, and its norm taken,
+    only where that fails; every other law keeps scale 1."""
     n = len(table)
+    product = _product(table)
+    r = np.arange(n)
+    upper = r[:, None] <= r
+    by_jk = np.empty((n, n))
+    by_i = []
+    for i, row in enumerate(table):
+        for k in range(i, n):
+            firsts, seconds = row[i:k + 1], [table[j][k] for j in range(i, k + 1)]
+            if reverse:
+                firsts, seconds = seconds, firsts
+            by_jk[i:k + 1, k] = _law_norms(product, firsts, seconds, row[k])
+        # the (i, j, k) with i <= j <= k in C order, which is lexicographic
+        by_i.append(by_jk[i:, i:][upper[i:, i:]])
+    residuals = np.concatenate([np.empty(0), *by_i])
     triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
-    residuals = np.array([fro(lhs(i, j, k) - table[i][k]) for i, j, k in triples])
     scales = np.ones(len(triples))
     for f in np.flatnonzero(~report.tol.accepts(residuals)):
-        scales[f] = max(fro(lhs(*triples[f])), 1.0)
+        i, j, k = triples[f]
+        a, b = (table[j][k], table[i][j]) if reverse else (table[i][j], table[j][k])
+        scales[f] = max(fro(product(a, b)), 1.0)
     report.measured_block(template, triples, residuals, scales)
 
 
@@ -583,13 +629,6 @@ class ConnectionFormSequence:
         return lam, projections[i][j]
 
 
-def _norms(d):
-    """``fro`` of each matrix of the stack ``d``: the one ddot per matrix
-    that ``fro`` makes, so each norm is bit-identical to it."""
-    d = d.reshape(len(d), -1)
-    return np.sqrt(np.vecdot(d, d))
-
-
 def _carry(lam, rows):
     """``lam @ r`` for every row ``r`` of ``rows``: one mat-vec product per
     row, as the single-row product makes, not one gemm over all rows."""
@@ -644,7 +683,7 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
                if any(form.linear is not None for form in forms) else [None] * n)
     # each level's form on its own data; adaptedness is sampled there
     values = [form.at(x, v) for form, x, v in zip(forms, moved_x, moved_v)]
-    adapted = np.array([worst(_norms(algebra_action(w, model)))
+    adapted = np.array([worst(fro_each(algebra_action(w, model)))
                         for w, model in zip(values, seq.models)])
     coherent = []
     for (i, j), (left, right) in zip(pairs, morphisms):
@@ -653,7 +692,7 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
         lam = maps[i][j]
         x = None if forms[dst].linear is None else _carry(lam, moved_x[src])
         lhs = forms[dst].at(x, _carry(lam, moved_v[src]))
-        coherent.append(worst(_norms(lhs - left @ values[src] @ right)))
+        coherent.append(worst(fro_each(lhs - left @ values[src] @ right)))
 
     scales = np.array([max(fro(model.matrix), 1.0) for model in seq.models[:n]])
     report.measured_block("adapted[%d]", [(k,) for k in range(n)], adapted, scales)

@@ -100,14 +100,17 @@ def fro(a):
 
 
 def fro_each(stack):
-    """``fro`` of each matrix of a ``(P, n, n)`` stack, bit for bit: one
-    stacked row-by-row dot product (the dot ``fro`` takes), and ``fro``
-    itself on the rows whose norm comes out infinite."""
-    p, n, m = np.shape(stack)
-    rows = np.asarray(stack, dtype=float).reshape(p, n * m)
-    out = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0, 0]
-    for k in np.flatnonzero(out == math.inf):
-        out[k] = fro(rows[k])
+    """``fro`` of each matrix of a ``(P, n, m)`` stack, bit for bit: one
+    ``vecdot`` of the flattened matrices with themselves (the dot ``fro``
+    takes, row by row), and ``fro`` itself on the rows whose norm comes out
+    infinite, looked for only when some norm is infinite."""
+    stack = np.asarray(stack, dtype=float)
+    p, n, m = stack.shape
+    rows = stack.reshape(p, n * m)
+    out = np.sqrt(np.vecdot(rows, rows))
+    if math.inf in out.tolist():
+        for k in np.flatnonzero(out == math.inf):
+            out[k] = fro(rows[k])
     return out
 
 

@@ -1106,6 +1106,19 @@ def test_nan_connection_residuals_fail_as_strict_json(tmp_path, capsys):
         {"location": "", "name": "coherent[0,1]", "passed": False, "residual": "NaN"}]
 
 
+@pytest.mark.parametrize("s, residual", [(1e100, "2.000e+90"), (1e165, "2.000e+155")])
+def test_connection_adaptedness_residual_is_fro_past_overflow(tmp_path, capsys, s, residual):
+    # the algebra action on the model s Id has entries about 1e-10 s, whose
+    # sum of squares overflows at s = 1e165; the residual is still fro's
+    # finite scaled norm, and passes at the threshold rtol * fro(s Id)
+    doc = {"variance": "direct", "dims": [2],
+           "forms": [{"coeffs": [[[0, 1], [-1, 1e-10]], [[0, 2], [-2, 1e-10]]]}],
+           "models": [{"kind": "2,0", "matrix": (s * np.eye(2)).tolist()}],
+           "sample_points": [[0.0, 0.0]]}
+    assert run(["connection", "check", write(tmp_path, "connection.json", doc)]) == 0
+    assert f"pass  adapted[0]  residual={residual}" in capsys.readouterr().out
+
+
 def overflowing_atlas_doc():
     """T_ab(x) = Id + x diag(1e300, 1) overflows at x = 1e300."""
     identity = np.eye(2).tolist()

@@ -271,16 +271,22 @@ def test_fro_is_linalg_norm_bit_for_bit(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_fro_each_is_fro_bit_for_bit(seed):
-    # rows that overflow to the scaled norm, rows with inf and NaN entries
+    # rows that overflow to the scaled norm, rows with inf and NaN entries;
+    # square stacks of n <= 3, and (P, a, c) stacks up to the (32, 32, 32)
+    # of a composition law of a depth-32 tower, empty matrices included
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
-    stack = rng.normal(size=(12, n, n)) * 10.0 ** rng.integers(-300, 300, size=(12, 1, 1))
-    stack[0, 0, 0], stack[1, -1, -1], stack[2] = np.inf, np.nan, 1e200
-    stack[3] = 0.0
-    with np.errstate(all="ignore"):
-        got = fro_each(stack)
-        assert [bits(r) for r in got] == [bits(fro(m)) for m in stack]
-    assert fro_each(np.zeros((0, n, n))).shape == (0,)
+    stacks = [rng.normal(size=(12, n, n)) * 10.0 ** rng.integers(-300, 300, size=(12, 1, 1))]
+    p, a, c = (int(rng.integers(low, 33)) for low in (4, 0, 0))
+    stacks.append(rng.normal(size=(p, a, c)) * 10.0 ** rng.integers(-300, 300, size=(p, 1, 1)))
+    for stack in stacks:
+        if stack[0].size:
+            stack[0, 0, 0], stack[1, -1, -1] = np.inf, np.nan
+        stack[2], stack[3] = 1e200, 0.0
+        with np.errstate(all="ignore"):
+            got = fro_each(stack)
+            assert [bits(r) for r in got] == [bits(fro(m)) for m in stack]
+        assert fro_each(np.zeros((0,) + stack.shape[1:])).shape == (0,)
 
 
 # the switches of array2string: positional notation needs the nonzero

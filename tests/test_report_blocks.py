@@ -26,7 +26,6 @@ from tensorstruct.limits import (
     LevelTuple,
     _carry,
     _coherence_residual,
-    _norms,
     check_coherent,
     check_connection_coherence,
     tuple_membership,
@@ -40,6 +39,11 @@ from tensorstruct.structures import StructureMatrix
 # ---------------------------------------------------------------------------
 # the per-entry checks
 # ---------------------------------------------------------------------------
+
+
+def _norms(stack):
+    """``fro`` of each matrix of ``stack``, one matrix at a time."""
+    return np.array([fro(m) for m in stack])
 
 
 def per_entry_validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -193,18 +197,25 @@ GAINS = [1.0, 30.0, 1e80, 1e160]
 TOLS = [DEFAULT_TOL, Tolerance(0.0, 1e-15), Tolerance(1e-16, 1e-14)]
 
 
-def random_tower(rng, depth, variance, explicit, gain):
-    """Nondecreasing dims; padding maps, or dense random maps (and, for
-    direct towers, dense random projections) scaled by ``gain``."""
-    dims = list(np.cumsum([int(rng.integers(1, 3))]
+def random_tower(rng, depth, variance, explicit, gain, low=1, flipped=False):
+    """Nondecreasing dims from ``low`` or more (0 gives zero-dimensional
+    levels); padding maps, or dense random maps (and, for direct towers,
+    dense random projections) scaled by ``gain``, with negative strides
+    when ``flipped``."""
+    dims = list(np.cumsum([int(rng.integers(low, 3))]
                           + [int(rng.integers(0, 2)) for _ in range(depth - 1)]))
     if not explicit:
         return BondingSystem.padded(dims, variance)
+
+    def draw(shape):
+        m = gain * rng.normal(size=shape)
+        return m[::-1, ::-1].copy()[::-1, ::-1] if flipped else m
+
     pairs = list(zip(dims, dims[1:]))
     if variance == "projective":
-        return BondingSystem(dims, variance, [gain * rng.normal(size=(a, b)) for a, b in pairs])
-    return BondingSystem(dims, variance, [gain * rng.normal(size=(b, a)) for a, b in pairs],
-                         [gain * rng.normal(size=(a, b)) for a, b in pairs])
+        return BondingSystem(dims, variance, [draw((a, b)) for a, b in pairs])
+    return BondingSystem(dims, variance, [draw((b, a)) for a, b in pairs],
+                         [draw((a, b)) for a, b in pairs])
 
 
 def random_matrices(rng, dims, gain, style):
@@ -231,18 +242,23 @@ def observed(report):
     return rows, report.notes, report.to_json(), out.getvalue(), status
 
 
-towers = dict(depth=st.integers(1, 9), variance=st.sampled_from(["projective", "direct"]),
+# depths of 12 or more make groups of a composition law up to 16 products long
+towers = dict(depth=st.integers(1, 9) | st.integers(12, 16), variance=st.sampled_from(["projective", "direct"]),
               explicit=st.booleans(), seed=st.integers(0, 2**32 - 1),
               gain=st.sampled_from(GAINS), tol=st.sampled_from(TOLS))
 
 
 @settings(max_examples=80, deadline=None)
 @given(**towers, kind=st.sampled_from(["1,1", "2,0"]),
-       style=st.sampled_from(["zero", "random", "near"]), models=st.booleans())
+       style=st.sampled_from(["zero", "random", "near"]), models=st.booleans(),
+       low=st.sampled_from([1, 0]), flipped=st.booleans())
 def test_tower_checks_match_the_per_entry_checks(depth, variance, explicit, seed, gain,
-                                                 tol, kind, style, models):
+                                                 tol, kind, style, models, low, flipped):
+    # ``low`` 0 draws zero-dimensional levels, whose laws have empty
+    # stacks; ``flipped`` maps have negative strides, on which ``@`` and
+    # BLAS may sum in different orders
     rng = np.random.default_rng(seed)
-    b = random_tower(rng, depth, variance, explicit, gain)
+    b = random_tower(rng, depth, variance, explicit, gain, low, flipped)
     seq = CoherentSequence(b, random_matrices(rng, b.dims, gain, style), kind)
     level = int(rng.integers(0, depth + 1))
     tup = LevelTuple(b, random_matrices(rng, b.dims[:level], gain, style))
@@ -292,7 +308,9 @@ def test_connection_check_matches_the_per_entry_check(depth, variance, explicit,
 
 def test_the_random_towers_reach_every_path():
     """The draws above include laws that pass only at the relative scale,
-    failing laws, and inf and NaN residuals."""
+    failing laws, inf and NaN residuals, and zero-dimensional levels."""
+    assert any(random_tower(np.random.default_rng(seed), 12, "direct", True, 1.0, 0).dims[0]
+               == 0 for seed in range(40))
     relative = failing = infinite = nan = False
     for seed in range(40):
         rng = np.random.default_rng(seed)
