@@ -44,9 +44,11 @@ one (i, k) for a composition law, one i for a section law.  Each product
 of a group is written into the group's stack by ``ndarray.dot``, which
 calls the BLAS routine ``@`` calls without the ufunc dispatch, and the
 group takes one subtraction and one ``linalg.fro_each``, so every residual
-has the bits of the per-entry ``fro(lhs - rhs)``.  A table holding a map
-with other strides than C or F order is multiplied by ``np.matmul``, as
-``@`` would, since there ``@`` may sum in another order than BLAS.  A
+has the bits of the per-entry ``fro(lhs - rhs)``.  The tower stores its
+maps and projections C-contiguous, so every table entry is, and the bits
+of a composite depend on the values of the maps alone, not on the strides
+they were passed with.  A product whose inner dimension is 1 is made by
+``@``: its factors may be 1 x 1, which ``dot`` takes for a scalar.  A
 composition law is accepted at scale ``max(fro(lhs), 1)``, which is at
 least 1: the block is probed at scale 1 first, and only where that fails
 is the product made again and its norm taken.  The coherence laws take
@@ -112,7 +114,8 @@ class BondingSystem:
     ``maps[i]`` joins levels i and i+1: shape (dims[i], dims[i+1]) for the
     projective variant (a surjection down) and (dims[i+1], dims[i]) for the
     direct variant (an injection up).  Direct systems carry complementary
-    projections ``projections[i]`` of shape (dims[i], dims[i+1]).
+    projections ``projections[i]`` of shape (dims[i], dims[i+1]).  Maps and
+    projections are stored as C-contiguous float arrays.
     """
 
     dims: list
@@ -126,7 +129,7 @@ class BondingSystem:
             raise ValueError(f"unknown variance {self.variance!r}")
         if any(a > b for a, b in zip(self.dims, self.dims[1:])):
             raise ShapeMismatch("dims must be nondecreasing")
-        self.maps = [as_matrix(m) for m in self.maps]
+        self.maps = [np.ascontiguousarray(as_matrix(m)) for m in self.maps]
         if len(self.maps) != self.levels - 1:
             raise ShapeMismatch(
                 f"need {self.levels - 1} consecutive maps, got {len(self.maps)}")
@@ -136,7 +139,7 @@ class BondingSystem:
             if m.shape != want:
                 raise ShapeMismatch(f"map {i}->{i + 1} has shape {m.shape}, want {want}")
         if self.projections is not None:
-            self.projections = [as_matrix(p) for p in self.projections]
+            self.projections = [np.ascontiguousarray(as_matrix(p)) for p in self.projections]
             for i, p in enumerate(self.projections):
                 want = (self.dims[i], self.dims[i + 1])
                 if p.shape != want:
@@ -250,34 +253,28 @@ def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
     if b.variance == "direct" and b.projections is not None:
         projs = b.projection_table()
         pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-        product = _product(maps, projs)
         # grouped by i: every law of a group has the shape (d_i, d_i)
-        sections = [_law_norms(product, [projs[i][j] for j in range(i + 1, n)],
-                               maps[i][i + 1:], np.eye(b.dims[i])) for i in range(n - 1)]
+        sections = [_law_norms([projs[i][j] for j in range(i + 1, n)], maps[i][i + 1:],
+                               np.eye(b.dims[i])) for i in range(n - 1)]
         report.measured_block("section[%d,%d]", pairs, np.concatenate([np.empty(0), *sections]))
         _composition_block(report, "projection_composition[%d,%d,%d]", projs, False)
     return report
 
 
-def _product(*tables):
-    """The matrix product the laws over ``tables`` are made with, writing
-    into its third argument: ``ndarray.dot`` when every entry is C- or
-    F-contiguous, where it calls the BLAS routine ``@`` calls, with the
-    same bits and without the ufunc dispatch, else ``np.matmul``, which is
-    ``@`` (on other strides ``@`` may sum in another order than BLAS)."""
-    if all(m.flags.c_contiguous or m.flags.f_contiguous
-           for table in tables for row in table for m in row if m is not None):
-        return np.ndarray.dot
-    return np.matmul
-
-
-def _law_norms(product, lefts, rights, target):
-    """``fro(product(a, b) - target)`` for each a of ``lefts`` and b of
-    ``rights``, bit for bit: every product written into one stack, then
-    one subtraction and one ``fro_each`` for the whole stack."""
+def _law_norms(lefts, rights, target):
+    """``fro(a @ b - target)`` for each a of ``lefts`` and b of ``rights``,
+    bit for bit: every product written into one stack, then one subtraction
+    and one ``fro_each`` for the whole stack.  On C-contiguous factors
+    ``ndarray.dot`` makes the BLAS call ``@`` makes, without the ufunc
+    dispatch, except on a 1 x 1 factor: ``dot`` scales the other factor by
+    it and skips a zero one, so 0 * inf reads 0 where ``@`` gives NaN.  A
+    1 x 1 factor has an inner dimension of 1, so those products take ``@``."""
     stack = np.empty((len(lefts),) + target.shape)
     for a, b, out in zip(lefts, rights, stack):
-        product(a, b, out)
+        if a.shape[1] == 1:
+            np.matmul(a, b, out)
+        else:
+            a.dot(b, out)
     stack -= target
     return fro_each(stack)
 
@@ -292,7 +289,6 @@ def _composition_block(report, template, table, reverse):
     accepted at it too, and the product is made again, and its norm taken,
     only where that fails; every other law keeps scale 1."""
     n = len(table)
-    product = _product(table)
     r = np.arange(n)
     upper = r[:, None] <= r
     by_jk = np.empty((n, n))
@@ -302,7 +298,7 @@ def _composition_block(report, template, table, reverse):
             firsts, seconds = row[i:k + 1], [table[j][k] for j in range(i, k + 1)]
             if reverse:
                 firsts, seconds = seconds, firsts
-            by_jk[i:k + 1, k] = _law_norms(product, firsts, seconds, row[k])
+            by_jk[i:k + 1, k] = _law_norms(firsts, seconds, row[k])
         # the (i, j, k) with i <= j <= k in C order, which is lexicographic
         by_i.append(by_jk[i:, i:][upper[i:, i:]])
     residuals = np.concatenate([np.empty(0), *by_i])
@@ -311,7 +307,7 @@ def _composition_block(report, template, table, reverse):
     for f in np.flatnonzero(~report.tol.accepts(residuals)):
         i, j, k = triples[f]
         a, b = (table[j][k], table[i][j]) if reverse else (table[i][j], table[j][k])
-        scales[f] = max(fro(product(a, b)), 1.0)
+        scales[f] = max(fro(a @ b), 1.0)
     report.measured_block(template, triples, residuals, scales)
 
 

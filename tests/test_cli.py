@@ -1119,6 +1119,20 @@ def test_connection_adaptedness_residual_is_fro_past_overflow(tmp_path, capsys, 
     assert f"pass  adapted[0]  residual={residual}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("variance", ["projective", "direct"])
+def test_composition_law_with_a_zero_one_by_one_factor_reads_nan(tmp_path, capsys, variance):
+    # map(0, 1) = [[0]] times map(1, 3), whose entries overflow to inf, is
+    # 0 * inf: NaN, which fails the law, as the product ``@`` gives
+    s = 1e200
+    up = [[s, s]] if variance == "projective" else [[s], [s]]
+    doc = {"variance": variance, "dims": [1, 1, 2, 2],
+           "maps": [[[0.0]], up, (s * np.eye(2)).tolist()]}
+    assert run(["tower", "check", write(tmp_path, "tower.json", doc)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  composition[0,1,3]  residual=nan" in out
+    assert "pass  composition[0,1,2]" in out
+
+
 def overflowing_atlas_doc():
     """T_ab(x) = Id + x diag(1e300, 1) overflows at x = 1e300."""
     identity = np.eye(2).tolist()

@@ -325,6 +325,21 @@ def test_tables_equal_composites_bit_for_bit(depth, variance, explicit, seed):
                 assert same_bits(projs[i][j], naive_projection(b, i, j))
 
 
+@settings(max_examples=30, deadline=None)
+@given(**towers, layout=st.sampled_from(["F", "negative"]))
+def test_tower_reports_do_not_depend_on_the_strides_of_the_maps(depth, variance, explicit,
+                                                                 seed, layout):
+    # the same values passed in F order or with negative strides give the
+    # report of the C-ordered maps, bit for bit
+    b = random_tower(np.random.default_rng(seed), depth, variance, True, gain=30.0)
+    relaid = (np.asfortranarray if layout == "F"
+              else lambda m: m[::-1, ::-1].copy()[::-1, ::-1])
+    c = BondingSystem(b.dims, variance, [relaid(m) for m in b.maps],
+                      None if b.projections is None else [relaid(p) for p in b.projections])
+    assert all(m.flags.c_contiguous for m in c.maps + (c.projections or []))
+    assert entry_bits(validate_bonding(c)) == entry_bits(validate_bonding(b))
+
+
 # tolerances at which large composites pass some composition laws only at
 # their relative scale max(|lhs|, 1), and fail others
 TOLS = [DEFAULT_TOL, Tolerance(0.0, 1e-15), Tolerance(1e-16, 1e-14)]

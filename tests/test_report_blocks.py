@@ -255,8 +255,9 @@ towers = dict(depth=st.integers(1, 9) | st.integers(12, 16), variance=st.sampled
 def test_tower_checks_match_the_per_entry_checks(depth, variance, explicit, seed, gain,
                                                  tol, kind, style, models, low, flipped):
     # ``low`` 0 draws zero-dimensional levels, whose laws have empty
-    # stacks; ``flipped`` maps have negative strides, on which ``@`` and
-    # BLAS may sum in different orders
+    # stacks; ``flipped`` maps have negative strides, which the tower must
+    # store C-contiguous, since on such strides ``@`` and BLAS may sum in
+    # different orders
     rng = np.random.default_rng(seed)
     b = random_tower(rng, depth, variance, explicit, gain, low, flipped)
     seq = CoherentSequence(b, random_matrices(rng, b.dims, gain, style), kind)
