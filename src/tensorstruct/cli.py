@@ -291,7 +291,7 @@ def _dispatch(args, load, tol, rng) -> Report:
             report.note(f"levels={args.levels} samples={args.samples} "
                         f"seed={'default' if args.seed is None else args.seed}")
             return report
-        space, tangents = documents.parse_loop(load(args.loop))
+        space, tangents = documents.parse_loop(load(args.loop), tol)
         report = check_induced_compatibility(space, trials=args.trials, tol=tol,
                                              rng=rng)
         if tangents is not None:

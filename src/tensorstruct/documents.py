@@ -31,7 +31,7 @@ from .bundle import AffineTransition, Chart, ChartAtlas, ConstantTransition
 from .compat import complete_triple
 from .errors import TensorStructError
 from .limits import BondingSystem, CoherentSequence, ConnectionFormSequence, LevelForm
-from .linalg import involution_eigenbases, kernel_and_complement
+from .linalg import DEFAULT_TOL, Tolerance, involution_eigenbases, kernel_and_complement
 from .loopspace import DiscretizedLoopSpace, block_kahler_target, block_para_target
 from .poly import Poly
 from .structures import (
@@ -527,14 +527,16 @@ def parse_connection_tower(doc):
     return seq, v["sample_points"]
 
 
-def parse_loop(doc):
+def parse_loop(doc, tol: Tolerance = DEFAULT_TOL):
+    """Returns (loop space, tangents or None) from a loop document; a
+    ``pair`` target is completed under ``tol``."""
     v = check(doc, LOOP, n="2*half")
     target = v["target"]
     if "pairs" in target:
         kahler = target.get("flavor", "kahler") == "kahler"
         target = (block_kahler_target if kahler else block_para_target)(target["pairs"])
     else:
-        target = complete_triple(*_build_pair(target["pair"]))
+        target = complete_triple(*_build_pair(target["pair"]), tol=tol)
     with _building("loop document"):
         space = DiscretizedLoopSpace(target, v["loop"], v.get("weights"))
     tangents = v.get("tangents")

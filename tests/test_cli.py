@@ -1413,6 +1413,20 @@ def test_nan_loop_trials_fail_the_induced_checks(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("FAIL (4 checks, worst residual nan)\n")
 
 
+def test_tolerance_flags_reach_a_loop_documents_pair(tmp_path, capsys):
+    # a complex structure off by 1e-7: --rtol 1e-5 completes the pair for
+    # `triple complete`, and must complete it for a loop document as well
+    pair = {"given": {"g": np.eye(2).tolist(), "structure": {
+        "kind": "complex", "matrix": [[0.0, -1.0], [1.0 + 1e-7, 0.0]]}}}
+    assert run(["--rtol", "1e-5", "triple", "complete", write(tmp_path, "pair.json", pair)]) == 0
+    assert "worst residual 2.000e-07" in capsys.readouterr().out
+    loop = write(tmp_path, "loop.json", {"target": {"pair": pair}, "loop": np.eye(2).tolist()})
+    assert run(["--rtol", "1e-5", *LOOP_CHECK, loop]) == 0
+    assert capsys.readouterr().out.startswith("pass  antisymmetry")
+    assert run([*LOOP_CHECK, loop]) == 1
+    assert "g(Iu, v) is not skew" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # triples and pairs that cannot be checked
 # ---------------------------------------------------------------------------

@@ -32,6 +32,31 @@ def test_weights_default_uniform_and_validated():
                              weights=np.full(8, 1.0))
 
 
+def test_empty_loops_and_nonfinite_weights_are_rejected():
+    target = block_kahler_target(1)
+    with pytest.raises(ShapeMismatch, match="at least one sample"):
+        DiscretizedLoopSpace(target, np.zeros((0, 2)))
+    for weights in (np.full(4, np.nan), [0.5, 0.5, np.nan, 0.0], [np.inf, 0.5, 0.25, 0.25]):
+        with pytest.raises(ValueError, match="finite"):
+            DiscretizedLoopSpace(target, unit_circle_loop(4, 2), weights=weights)
+
+
+def test_induced_signature_is_counted_under_the_checks_tolerance():
+    # a neutral metric whose negative eigenvalue is 1e-3: zero to rtol 1e-2
+    from tensorstruct.compat import CompatibleTriple
+    from tensorstruct.structures import BilinearForm
+
+    para = block_para_target(1)
+    target = CompatibleTriple(para.omega, BilinearForm(np.diag([1.0, -1e-3]), "symmetric"),
+                              para.structure, "para_kahler")
+    space = DiscretizedLoopSpace(target, unit_circle_loop(4, 2))
+    for tol, location in ((Tolerance(), "signature (4, 4)"),
+                          (Tolerance(1e-9, 1e-2), "signature (4, 0)")):
+        [entry] = [e for e in check_induced_compatibility(space, trials=0, tol=tol).entries
+                   if e.name == "metric_neutral"]
+        assert (entry.passed, entry.location) == (location == "signature (4, 4)", location)
+
+
 def test_constant_tangents_reproduce_target_values():
     target = block_kahler_target(1)
     space = DiscretizedLoopSpace(target, unit_circle_loop(8, 2))
