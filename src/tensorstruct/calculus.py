@@ -29,8 +29,8 @@ The grid checks evaluate every grid point and every shifted point they need
 in one call, so a check costs a fixed number of numpy calls per block of
 points rather than per point.  They decide with a ``Tolerance``, by default
 ``GRID_TOL`` (absolute 1e-6).  An input that is bad at a point (a field
-that is not a structure of the asked kind, a degenerate metric, a singular
-Jacobian) raises ``BadAtPoint`` there, and ``_grid_report`` turns it into
+that is not a structure of the asked kind, a metric that is not finite or
+is degenerate, a singular Jacobian) raises ``BadAtPoint`` there, and ``_grid_report`` turns it into
 the failing entry: residual inf at that point, and the reason as a note.
 That is the one place a grid check catches it.
 
@@ -122,10 +122,19 @@ class _ChartField:
         self.shape = (self.dim,) * rank
         self.fn = fn
         self.step = float(step)
-        self.polys = polys
+        self._polys = polys
         self.gradient = gradient
         self.vectorized = vectorized
         self._poly_partials = None  # compiled on first use, polynomial mode
+
+    @property
+    def polys(self):
+        """The entries as ``Poly`` objects in polynomial mode, else None.  A
+        field compiled from a coefficient table holds a callable that builds
+        them, called on first use."""
+        if callable(self._polys):
+            self._polys = self._polys()
+        return self._polys
 
     def _on_points(self, fn, x, shape):
         """fn at one point, or stacked over the rows of x (shape per row)."""
@@ -143,11 +152,11 @@ class _ChartField:
         x = np.asarray(x, dtype=float)
         n = self.dim
         shape = (n,) + self.shape
-        if self.polys is not None:
-            if self._poly_partials is None:
-                entries = self.polys if len(self.shape) == 1 else [
-                    p for row in self.polys for p in row]
-                self._poly_partials = PolyArray(p.diff(i) for i in range(n) for p in entries)
+        if self._poly_partials is None and self.polys is not None:
+            entries = self.polys if len(self.shape) == 1 else [
+                p for row in self.polys for p in row]
+            self._poly_partials = PolyArray(p.diff(i) for i in range(n) for p in entries)
+        if self._poly_partials is not None:
             return self._poly_partials(x).reshape(x.shape[:-1] + shape)
         if self.gradient is not None:
             def gradients(p):
@@ -217,15 +226,22 @@ class TensorFieldOnChart(_ChartField):
 
     @classmethod
     def from_polys(cls, polys, kind, symmetry="symmetric"):
-        dim = len(polys)
-        values = PolyArray(p for row in polys for p in row)
+        return cls._compiled(len(polys), kind, PolyArray(p for row in polys for p in row),
+                             polys, symmetry)
 
+    @classmethod
+    def _compiled(cls, dim, kind, values, polys, symmetry="symmetric", partials=None):
+        """A polynomial-mode field from its compiled entries ``values`` (in
+        row-major order), with its ``polys`` (or a callable that builds
+        them) and, when known, its compiled ``partials``."""
         def fn(x):
             x = np.asarray(x, dtype=float)
             return values(x).reshape(x.shape[:-1] + (dim, dim))
 
-        return cls(dim, kind, fn, step=np.inf, polys=polys, symmetry=symmetry,
-                   vectorized=True)
+        field = cls(dim, kind, fn, step=np.inf, polys=polys, symmetry=symmetry,
+                    vectorized=True)
+        field._poly_partials = partials
+        return field
 
     @classmethod
     def constant(cls, matrix, kind, symmetry="symmetric"):
@@ -387,11 +403,12 @@ class ConnectionData:
 
     ``conn(x)`` is the Christoffel array Gamma[..., k, i, j] at one point or
     at every row of a (..., d) array of points, solved from the Koszul
-    identity with the metric's values and partials.  A metric whose smallest
-    singular value is at most ``tol.rank_threshold`` of its largest raises
-    ``BadAtPoint`` (``metric degenerate``) at the first such point, in row
-    order.  ``step`` is the default central-difference step of
-    ``curvature``.
+    identity with the metric's values and partials.  A metric with an entry
+    that is not finite raises ``BadAtPoint`` (``metric not finite``) at the
+    first such point, in row order; then one whose smallest singular value
+    is at most ``tol.rank_threshold`` of its largest raises ``BadAtPoint``
+    (``metric degenerate``) at the first such point.  ``step`` is the
+    default central-difference step of ``curvature``.
     """
 
     metric: TensorFieldOnChart
@@ -406,6 +423,10 @@ class ConnectionData:
         x = np.asarray(x, dtype=float)
         dim = self.dim
         g = self.metric(x)
+        finite = np.isfinite(g).all(axis=(-2, -1))
+        if not finite.all():
+            first = np.unravel_index(np.argmin(finite), finite.shape)
+            raise BadAtPoint(x[first], "metric not finite")
         partials = self.metric.partials(x)
         # rhs[..., k, i, j] = (d_i g_jk + d_j g_ik - d_k g_ij) / 2
         rhs = 0.5 * (np.einsum("...ijk->...kij", partials)
@@ -474,8 +495,9 @@ def is_metric_integrable(metric: TensorFieldOnChart, grid,
 
     The report's entry is ``curvature_residual``, the Frobenius norm of R at
     the worst grid point; ``step`` is the curvature's central-difference
-    step (defaults to the connection's).  A metric degenerate at some point
-    the curvature needs fails the entry with residual inf at that point.
+    step (defaults to the connection's).  A metric not finite or degenerate
+    at some point the curvature needs fails the entry with residual inf at
+    that point.
     """
     conn = levi_civita(metric)
 
@@ -546,13 +568,32 @@ class PolyMap:
 
     Both the map and its Jacobian evaluate at one point or at every row of a
     (..., d) array of points; each is compiled on its first evaluation, since
-    a pullback metric only reads the Jacobian polynomials.
+    a pullback metric only reads the Jacobian's terms.
     """
 
     def __init__(self, components: Sequence[Poly]):
         self.components = list(components)
         self.dim = self.components[0].dim
-        self._jac = [[p.diff(j) for j in range(self.dim)] for p in self.components]
+
+    @cached_property
+    def _jac_terms(self):
+        """The Jacobian's terms as arrays ``(entries, exponents,
+        coefficients)``: entry a * d + i is d_i of component a, where d_i of
+        c x^e is c e_i x^(e - e_i), and each entry's terms come in the key
+        order of ``Poly.diff``."""
+        d = self.dim
+        comps, expos, coeffs = [], [], []
+        for a, p in enumerate(self.components):
+            comps += [a] * len(p.coeffs)
+            expos += p.coeffs
+            coeffs += p.coeffs.values()
+        expos = np.array(expos, dtype=np.int64).reshape(-1, d)
+        term, var = np.nonzero(expos > 0)
+        comp = np.array(comps, dtype=int)[term]
+        order = np.lexsort((term, var, comp))
+        term, var, comp = term[order], var[order], comp[order]
+        return (comp * d + var, expos[term] - np.eye(d, dtype=np.int64)[var],
+                np.array(coeffs)[term] * expos[term, var])
 
     @cached_property
     def _values(self):
@@ -560,17 +601,15 @@ class PolyMap:
 
     @cached_property
     def _jac_values(self):
-        return PolyArray(p for row in self._jac for p in row)
+        entries, expos, coeffs = self._jac_terms
+        return PolyArray.from_terms(expos, entries, coeffs, len(self.components) * self.dim)
 
     def __call__(self, x):
         return self._values(x)
 
-    def jacobian_polys(self):
-        return self._jac
-
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
-        return self._jac_values(x).reshape(x.shape[:-1] + (len(self._jac), self.dim))
+        return self._jac_values(x).reshape(x.shape[:-1] + (len(self.components), self.dim))
 
 
 def random_quadratic_diffeo(dim, rng, scale=0.15):
@@ -593,28 +632,88 @@ def random_quadratic_diffeo(dim, rng, scale=0.15):
 
 
 def pullback_metric(phi: PolyMap, constant_metric_matrix) -> TensorFieldOnChart:
-    """Pullback of a constant metric: g(x) = DPhi(x)^T G0 DPhi(x), polynomial."""
+    """Pullback of a constant metric: g(x) = DPhi(x)^T G0 DPhi(x), polynomial.
+
+    The entries g_ij = sum_ab G0[a, b] J_ai J_bj (J = DPhi) are built as one
+    coefficient table, with array operations over every (i, j, a, b) and
+    every pair of Jacobian terms, and the values and partials are compiled
+    straight from it.  Each coefficient is the float of ``Poly``
+    arithmetic: within a product J_ai J_bj a left fold from 0.0 over the
+    term pairs in term order, whose total of 0 drops the product's term;
+    that times G0[a, b]; then a left fold over (a, b) in row-major order,
+    whose total of exactly 0 drops the term.  ``np.add.at`` adds in index
+    order, so both are left folds.  ``field.polys`` replays the second fold
+    through dicts on first use, which gives each entry the key order of
+    that arithmetic.
+    """
     g0 = np.asarray(constant_metric_matrix, dtype=float)
-    dim = phi.dim
-    jac = phi.jacobian_polys()
-    weights = [(a, b, float(g0[a, b])) for a in range(dim) for b in range(dim) if g0[a, b]]
-    entries = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            # the sum of jac[a][i] * jac[b][j] * g0[a, b] over (a, b), folded
-            # into one dict with the rounding and zero drops of Poly arithmetic
-            acc = {}
-            for a, b, weight in weights:
-                for expo, c in (jac[a][i] * jac[b][j]).coeffs.items():
-                    c = c * weight
-                    if c != 0.0:
-                        total = acc.get(expo, 0.0) + c
-                        if total != 0.0:
-                            acc[expo] = total
-                        else:
-                            del acc[expo]
-            entries[i][j] = Poly._of(dim, acc)
-    return TensorFieldOnChart.from_polys(entries, "2,0")
+    d = phi.dim
+    jac_entry, jac_expos, jac_coeffs = phi._jac_terms
+    sizes = np.bincount(jac_entry, minlength=d * d)
+    starts = np.cumsum(sizes) - sizes
+
+    # every pair of terms of J_ai and J_bj with G0[a, b] != 0, in the order
+    # (i, j, a, b, term of J_ai, term of J_bj); ``case`` numbers (i, j, a, b)
+    i, j, a, b = (axis.ravel() for axis in np.indices((d,) * 4))
+    live = g0[a, b] != 0.0
+    i, j, a, b = i[live], j[live], a[live], b[live]
+    left, right = a * d + i, b * d + j
+    counts = sizes[left] * sizes[right]
+    case = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(case)) - np.repeat(np.cumsum(counts) - counts, counts)
+    width = sizes[right][case]
+    first = starts[left][case] + k // width
+    second = starts[right][case] + k % width
+    pair_expos = jac_expos[first] + jac_expos[second]
+    if (pair_expos < 0).any():
+        raise OverflowError("a pullback metric exponent exceeds the int64 range")
+    products = jac_coeffs[first] * jac_coeffs[second]
+
+    # sort by monomial, then case; stable, so each product's pairs keep
+    # their order and each entry's products come in (a, b) order
+    order = np.lexsort((case, *pair_expos.T[::-1]))
+    pair_expos, case, products = pair_expos[order], case[order], products[order]
+    entry = (i * d + j)[case]
+    same = np.zeros(len(order), dtype=bool)
+    same[1:] = (pair_expos[1:] == pair_expos[:-1]).all(axis=1)
+    new_product = np.ones(len(order), dtype=bool)
+    new_product[1:] = ~(same[1:] & (case[1:] == case[:-1]))
+    new_term = np.ones(len(order), dtype=bool)
+    new_term[1:] = ~(same[1:] & (entry[1:] == entry[:-1]))
+    folded = np.zeros(np.count_nonzero(new_product))
+    np.add.at(folded, np.cumsum(new_product) - 1, products)
+    kept = folded != 0.0
+    owner = (np.cumsum(new_term) - 1)[new_product][kept]
+    contributions = folded[kept] * g0[a, b][case[new_product][kept]]
+    totals = np.zeros(np.count_nonzero(new_term))
+    np.add.at(totals, owner, contributions)
+
+    survive = totals != 0.0
+    term_expos, term_entry = pair_expos[new_term][survive], entry[new_term][survive]
+    values = totals[survive]
+    term, var = np.nonzero(term_expos > 0)
+    partials = PolyArray.from_terms(
+        term_expos[term] - np.eye(d, dtype=np.int64)[var], var * d * d + term_entry[term],
+        values[term] * term_expos[term, var], d ** 3)
+
+    def polys():
+        # the dict fold meets the products in the order of their first pair
+        meets = np.argsort(order[new_product][kept])
+        acc = [{} for _ in range(d * d)]
+        for ij, expo, c in zip(entry[new_product][kept][meets].tolist(),
+                               map(tuple, pair_expos[new_product][kept][meets].tolist()),
+                               contributions[meets].tolist()):
+            if c != 0.0:
+                total = acc[ij].get(expo, 0.0) + c
+                if total != 0.0:
+                    acc[ij][expo] = total
+                else:
+                    del acc[ij][expo]
+        return [[Poly._of(d, acc[i * d + j]) for j in range(d)] for i in range(d)]
+
+    return TensorFieldOnChart._compiled(
+        d, "2,0", PolyArray.from_terms(term_expos, term_entry, values, d * d), polys,
+        partials=partials)
 
 
 def pullback_endomorphism(phi: PolyMap, constant_matrix,

@@ -44,6 +44,7 @@ from .linalg import (
     metric_adjoint,
     signature_of,
     spd_sqrt,
+    symmetric_part,
 )
 from .report import Report
 from .structures import (
@@ -255,8 +256,7 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         resid, scale = square_defect(j, SQUARES["para_complex"])
         if not tol.accepts(resid, scale):
             raise NotInvolutive(f"J^2 - Id residual {resid:.3e}")
-        corrected = s @ j
-        corrected = 0.5 * (corrected + corrected.T)
+        corrected = symmetric_part(s @ j)
         plus, minus = involution_eigenbases(j, tol)
         structure = ParaComplexStructure(j, plus, minus)
         return structure, krein_from_matrix(corrected, tol), operator
@@ -329,7 +329,7 @@ def is_compatible(first, second, flavor="kahler", tol: Tolerance = DEFAULT_TOL) 
         report.measured("form_invariance", fro(i.T @ s @ i - (-sign) * s), scale)
         induced = s @ i
         report.measured("induced_metric_symmetric", fro(induced - induced.T), scale)
-        ok, detail = _metric_ok(0.5 * (induced + induced.T), flavor, tol)
+        ok, detail = _metric_ok(symmetric_part(induced), flavor, tol)
         report.add("induced_metric_signature", ok, 0.0 if ok else 1.0, detail)
         return report
 

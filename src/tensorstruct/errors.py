@@ -8,7 +8,7 @@ One exception crosses that line on purpose: ``BadAtPoint``, "the input
 cannot be evaluated at this point".  It is raised where the evaluation
 fails, with the point and a short reason:
 
-  * ``calculus.ConnectionData`` (``metric degenerate``);
+  * ``calculus.ConnectionData`` (``metric not finite``, ``metric degenerate``);
   * ``calculus.pullback_endomorphism`` (``jacobian singular``);
   * the residuals of ``calculus.is_integrable_structure`` (``not a <kind>
     structure``);

@@ -32,6 +32,7 @@ __all__ = [
     "involution_eigenbases",
     "rank_of",
     "signature_of",
+    "symmetric_part",
 ]
 
 
@@ -213,8 +214,16 @@ def signature_of(g, tol: Tolerance = DEFAULT_TOL):
     Eigenvalues within ``atol + rtol*max|eig|`` of zero count as zero.
     """
     g = as_matrix(g, square=True)
-    w = np.linalg.eigvalsh(0.5 * (g + g.T))
+    w = np.linalg.eigvalsh(symmetric_part(g))
     cut = tol.rank_threshold(np.abs(w).max(initial=0.0))
     n_plus = int(np.sum(w > cut))
     n_minus = int(np.sum(w < -cut))
     return n_plus, n_minus, g.shape[0] - n_plus - n_minus
+
+
+def symmetric_part(m):
+    """(m + m^T) / 2, computed as ``0.5 * m + 0.5 * m.T``: it stays finite
+    for every finite m, where ``0.5 * (m + m.T)`` overflows once entries
+    pass about 9e307, and it has the same bits wherever that sum neither
+    overflows nor leaves a subnormal."""
+    return 0.5 * m + 0.5 * m.T

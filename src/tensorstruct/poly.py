@@ -15,8 +15,17 @@ results are bit-identical to normalising every intermediate.
 Evaluation is compiled: a ``PolyArray`` holds the union of the monomials of
 several polynomials as an exponent matrix and their coefficients as one
 ``(terms, outputs)`` matrix, and evaluates a whole ``(..., d)`` array of
-points in one numpy expression.  Only the variables that occur in some
-exponent are read, so a constant evaluates at points of any length.
+points from a power table.  The table has a column of 1.0 for exponent 0,
+the column x_v for exponent 1, and one column x_v ** e for each distinct
+exponent e >= 2 of a variable (indexed by position, since exponents reach
+2**62); only those go through ``np.power``.  Each monomial multiplies its
+gathered factors in variable order, and one matrix product with the
+coefficients gives every polynomial at every point.  The floats are those
+of ``prod(x ** expos, axis=-1) @ coeffs``, bit for bit except for the sign
+of a NaN.  Only the variables that occur in some exponent are read, so a
+constant evaluates at points of any length.  ``PolyArray.from_terms``
+compiles terms given as arrays, as a pullback metric's coefficient table
+holds them.
 """
 
 from __future__ import annotations
@@ -34,26 +43,82 @@ class PolyArray:
     ``PolyArray(polys)(points)`` has shape ``points.shape[:-1] + (len(polys),)``.
     """
 
-    __slots__ = ("_vars", "_expos", "_coeffs")
+    __slots__ = ("_vars", "_expos", "_coeffs", "_bases", "_exponents", "_gather")
 
     def __init__(self, polys):
         polys = list(polys)
         monomials = sorted({e for p in polys for e in p.coeffs})
         index = {e: t for t, e in enumerate(monomials)}
-        self._coeffs = np.zeros((len(monomials), len(polys)))
+        coeffs = np.zeros((len(monomials), len(polys)))
         terms = [(index[expo], out, c)
                  for out, p in enumerate(polys) for expo, c in p.coeffs.items()]
         if terms:
             rows, outs, values = zip(*terms)
-            self._coeffs[rows, outs] = values
+            coeffs[rows, outs] = values
         expos = np.array(monomials, dtype=int) if monomials else np.zeros((0, 0), int)
+        self._compile(expos, coeffs)
+
+    @classmethod
+    def from_terms(cls, expos, outputs, values, size):
+        """The ``PolyArray`` of ``size`` polynomials whose terms are given
+        as arrays: term t is ``values[t] * x^expos[t]`` in polynomial
+        ``outputs[t]``.  No two terms may share exponents and output, and
+        none may be zero; then it equals ``PolyArray`` of those polynomials,
+        bit for bit."""
+        order = np.lexsort(expos.T[::-1])
+        expos = expos[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (expos[1:] != expos[:-1]).any(axis=1)
+        coeffs = np.zeros((np.count_nonzero(new), size))
+        coeffs[np.cumsum(new) - 1, outputs[order]] = values[order]
+        compiled = cls.__new__(cls)
+        compiled._compile(expos[new], coeffs)
+        return compiled
+
+    def _compile(self, expos, coeffs):
+        """Keep the used variables' columns of the sorted exponent matrix
+        ``expos`` and lay out the power table of ``__call__``."""
+        self._coeffs = coeffs
         self._vars = np.flatnonzero(expos.any(axis=0))
-        self._expos = expos[:, self._vars]
+        expos = self._expos = expos[:, self._vars]
+        # table columns: 0 is 1.0 (exponent 0), 1 + v is x_v (exponent 1),
+        # then x_v ** e for each distinct (v, e) with e >= 2, by (v, e);
+        # _gather[v, t] is the column of variable v's factor in term t (with
+        # no variable, one row of 1.0 factors)
+        nv = expos.shape[1]
+        self._gather = (np.where(expos.T == 0, 0, np.arange(1, nv + 1)[:, None]) if nv
+                        else np.zeros((1, len(expos)), dtype=int))
+        self._bases = self._exponents = None
+        terms, cols = np.nonzero(expos >= 2)
+        if not terms.size:
+            return
+        powers = expos[terms, cols]
+        order = np.lexsort((powers, cols))
+        terms, cols, powers = terms[order], cols[order], powers[order]
+        new = np.ones(powers.size, dtype=bool)
+        new[1:] = (cols[1:] != cols[:-1]) | (powers[1:] != powers[:-1])
+        self._gather[cols, terms] = nv + np.cumsum(new)
+        self._bases, self._exponents = self._vars[cols[new]], powers[new].astype(float)
+        # numpy's power squares by x * x when the exponent is constant along
+        # its inner loop, which ``x ** expos`` meets only for one monomial in
+        # one variable: a 0-d exponent keeps that case, and a second copy of
+        # a lone column keeps every other case on the general power loop
+        if self._exponents.size == 1 and expos.shape == (1, 1):
+            self._exponents = self._exponents.reshape(())
+        elif self._exponents.size == 1:
+            self._bases, self._exponents = self._bases.repeat(2), self._exponents.repeat(2)
 
     def __call__(self, points):
         x = np.asarray(points, dtype=float)
-        # (..., terms): every monomial at every point
-        monomials = np.prod(x[..., None, self._vars] ** self._expos, axis=-1)
+        columns = [np.ones(x.shape[:-1] + (1,)), x[..., self._vars]]
+        if self._bases is not None:
+            columns.append(np.power(x[..., self._bases], self._exponents))
+        table = np.concatenate(columns, axis=-1)
+        # (..., terms): every monomial at every point, its factors multiplied
+        # in variable order, as np.prod over them does
+        monomials = np.take(table, self._gather[0], axis=-1)
+        for column in self._gather[1:]:
+            monomials = monomials * np.take(table, column, axis=-1)
         return monomials @ self._coeffs
 
 

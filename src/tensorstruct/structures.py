@@ -52,6 +52,7 @@ from .linalg import (
     kernel_and_complement,
     kernel_and_image,
     rank_of,
+    symmetric_part,
 )
 from .report import Report, worst
 
@@ -322,7 +323,7 @@ def _ordered_eigh(g, tol: Tolerance):
     positive block comes first and the basis order is deterministic, with
     their eigenvectors as columns.  Raises Degenerate when an eigenvalue is
     within the rank threshold of zero."""
-    w, q = np.linalg.eigh(0.5 * (g + g.T))
+    w, q = np.linalg.eigh(symmetric_part(g))
     cut = tol.rank_threshold(np.abs(w).max(initial=0.0))
     if np.any(np.abs(w) <= cut):
         raise Degenerate("symmetric form has (numerically) zero eigenvalues")

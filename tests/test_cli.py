@@ -1529,3 +1529,64 @@ def test_a_square_defect_is_judged_below_an_overflowing_scale(tmp_path):
     [square] = [e for e in report["entries"] if e["name"] == "squares_to_minus_id"]
     assert not square["passed"]
     assert square["residual"] == pytest.approx(2.39e305, rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# metrics and pairs past the exponent range
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c", [1e200, 1e160])
+def test_a_metric_that_is_not_finite_is_a_failing_curvature_entry(c, tmp_path, capsys):
+    # g = diag((1 + 2c x)^2, (1 + 2c y)^2) overflows wherever x or y is not
+    # 0; the SVD of a non-finite metric used to escape as a LinAlgError
+    path = write(tmp_path, "overflow.json",
+                 {"dim": 2, "field": {"name": "pullback_flat",
+                                      "base_metric": [[1, 0], [0, 1]],
+                                      "diffeo": [[[1, 0, 1.0], [2, 0, c]],
+                                                 [[0, 1, 1.0], [0, 2, c]]]},
+                  "grid": {"counts": 3}})
+    where = np.array2string(np.array([-0.5, -0.5]), precision=3)
+    assert run(["curvature", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        f"FAIL  curvature_residual  residual=inf  [{where}]",
+        "note: verdict: not integrable", "note: metric not finite",
+        "FAIL (1 checks, worst residual inf)"]
+    status, report = run_json(["curvature", path])
+    assert status == 1
+    assert report["entries"] == [{"location": where, "name": "curvature_residual",
+                                  "passed": False, "residual": "Infinity"}]
+    assert report["notes"] == ["verdict: not integrable", "metric not finite"]
+
+
+def huge_para_pair(s):
+    return {"flavor": "para_kahler",
+            "given": {"g": [[s, 0.0], [0.0, -s]], "omega": [[0.0, s], [-s, 0.0]]}}
+
+
+@pytest.mark.parametrize("s", [9e307, 1.5e308])
+def test_a_huge_neutral_metric_completes_its_para_pair(s, tmp_path, capsys):
+    # (g + g^T) / 2 overflowed, so the neutral metric read as degenerate
+    path = write(tmp_path, "pair.json", huge_para_pair(s))
+    assert run(["triple", "complete", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1].startswith("PASS (8 checks")
+    status, report = run_json(["triple", "complete", path])
+    assert status == 0 and report["passed"]
+
+
+@pytest.mark.parametrize("s", [9e307, 1.5e308])
+def test_a_huge_neutral_target_gives_a_loop_space_report(s, tmp_path, capsys):
+    # the target used to be rejected with "metric is not neutral"; its
+    # trials overflow, so the induced identities fail with NaN residuals
+    path = write(tmp_path, "loop.json",
+                 {"target": {"pair": huge_para_pair(s)}, "loop": [[0.0, 0.0]]})
+    assert run([*LOOP_CHECK, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "pass  metric_neutral  residual=0.000e+00  [signature (1, 1)]" in captured.out
+    status, report = run_json([*LOOP_CHECK, path])
+    assert status == 1
+    assert {e["name"]: e["passed"] for e in report["entries"]}["metric_neutral"]

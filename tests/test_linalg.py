@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorstruct.errors import NotPositiveDefinite, NotSymmetric, ShapeMismatch
 from tensorstruct.linalg import (
@@ -15,6 +16,7 @@ from tensorstruct.linalg import (
     rank_of,
     signature_of,
     spd_sqrt,
+    symmetric_part,
 )
 from tensorstruct.structures import square_defect
 
@@ -211,6 +213,32 @@ def test_signature_of_minkowski():
     assert signature_of(np.diag([1.0, -1.0])) == (1, 1, 0)
     assert signature_of(np.diag([2.0, 3.0, -5.0])) == (2, 1, 0)
     assert signature_of(np.zeros((2, 2))) == (0, 0, 2)
+
+
+@pytest.mark.parametrize("s", [9e307, 1.5e308, np.finfo(float).max])
+def test_signature_of_a_neutral_metric_past_9e307(s):
+    # 0.5 * (g + g.T) overflowed to inf there, and NaN eigenvalues counted
+    # as zero
+    assert signature_of(np.diag([s, -s])) == (1, 1, 0)
+    assert signature_of(np.array([[0.0, s], [s, 0.0]])) == (1, 1, 0)
+
+
+MAGNITUDES = st.floats(-1e300, 1e300, allow_nan=False).filter(
+    lambda v: v == 0 or abs(v) >= 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(MAGNITUDES, min_size=n * n, max_size=n * n).map(
+        lambda v: np.array(v).reshape(n, n))))
+def test_symmetric_part_keeps_the_bits_of_the_halved_sum(m):
+    # halving is exact on normal floats, so both round the true (m + m^T) / 2
+    # once; they can differ only where that is subnormal
+    want = 0.5 * (m + m.T)
+    got = symmetric_part(m)
+    normal = (want == 0) | (np.abs(want) >= np.finfo(float).tiny)
+    assert got[normal].tobytes() == want[normal].tobytes()
+    assert np.array_equal(got, got.T)
 
 
 def test_fro_is_numpy_norm_bit_for_bit_unless_the_sum_overflows():

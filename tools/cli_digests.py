@@ -9,11 +9,13 @@ of seeds 0, 3 and 7, in every workload at both sizes, it calls
 ``tensorstruct.cli.run`` in this process twice, with and without
 ``--json``, and prints one line per call: workload, size, seed, round,
 operation id, output mode and the sha256 of (exit status, stdout,
-stderr).  For every ``tuple_membership`` library operation of the same
-rounds, with its inputs built as ``SRC/bench/execute.py`` builds them, it
-prints one line with output mode ``library`` and the sha256 of the
-report's entries: name, verdict, the 8 bytes of the residual and location.
-The last line is the number of calls.
+stderr).  For every library operation of the same rounds, with its
+inputs built as ``SRC/bench/execute.py`` builds them, it prints one line
+with output mode ``library`` and a sha256: for ``tuple_membership`` of the
+report's entries (name, verdict, the 8 bytes of the residual and
+location), for ``theta_projection`` and ``structure_from`` of the shape
+and bytes of every matrix the calls return.  The last line is the number
+of calls.
 
 Documents are written under ``DOCDIR``; paths can appear in the output, so
 compare two trees with the same ``DOCDIR``:
@@ -46,14 +48,32 @@ def digest(cli, argv):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def library_digest(limits, prepared):
-    """sha256 of the entries of the ``tuple_membership`` report the
-    benchmark's library operation makes from ``prepared``."""
-    report = limits.tuple_membership(limits.tuple_compose(*prepared))
+def library_digest(op, prepared):
+    """sha256 of what the benchmark's library operation ``op`` computes
+    from ``prepared``, calling the library as ``bench/execute.py`` does."""
+    import numpy as np
+    import tensorstruct.compat as compat
+    import tensorstruct.limits as limits
+
     payload = hashlib.sha256()
-    for e in report.entries:
-        payload.update(repr((e.name, e.passed, struct.pack("<d", e.residual),
-                             e.location)).encode())
+    args = op["args"]
+    if op["fn"] == "tuple_membership":
+        report = limits.tuple_membership(limits.tuple_compose(*prepared))
+        for e in report.entries:
+            payload.update(repr((e.name, e.passed, struct.pack("<d", e.residual),
+                                 e.location)).encode())
+        return payload.hexdigest()
+    if op["fn"] == "theta_projection":
+        a, mid, top = args["member"], args["mid"], len(args["dims"]) - 1
+        matrices = (limits.theta_projection(
+                        limits.theta_projection(a, top, mid, prepared), mid, 0, prepared),
+                    limits.theta_projection(a, top, 0, prepared))
+    else:
+        structure, corrected, operator = compat.structure_from(args["g"], prepared)
+        matrices = (structure.matrix, corrected.matrix, operator.matrix)
+    for m in matrices:
+        m = np.ascontiguousarray(m, dtype=float)
+        payload.update(repr(m.shape).encode() + m.tobytes())
     return payload.hexdigest()
 
 
@@ -71,7 +91,6 @@ def main(argv=None):
     import execute
     import workloads
     import tensorstruct.cli as cli
-    import tensorstruct.limits as limits
 
     calls = 0
     for workload in workloads.WORKLOADS:
@@ -81,10 +100,9 @@ def main(argv=None):
                     where = docdir / workload / size / str(seed) / str(index)
                     for op in workloads.round_ops(workload, seed, index, size, where):
                         if op["kind"] != "cli":
-                            if op["fn"] == "tuple_membership":
-                                print(workload, size, seed, index, op["id"], "library",
-                                      library_digest(limits, execute.prepare(op)))
-                                calls += 1
+                            print(workload, size, seed, index, op["id"], "library",
+                                  library_digest(op, execute.prepare(op)))
+                            calls += 1
                             continue
                         text = [a for a in op["argv"] if a != "--json"]
                         for mode, args in (("json", op["argv"]), ("text", text)):
