@@ -29,8 +29,8 @@ alone, and ``linalg.fro_each`` is ``fro`` row by row).  Such a sample
 fails with residual inf, and so does a singular map, which lies in no
 isotropy group.  ``ChartAtlas.transition_at``, the one-sample case, raises
 ``BadAtPoint`` there instead, as ``LocalTensorField.at`` does for a field;
-``_sampled``, the per-sample loop of ``check_locally_modelled``, turns that
-into a failing sample with residual inf.  Each entry keeps the worst
+the per-sample loop of ``check_locally_modelled`` turns that into a
+failing sample with residual inf.  Each entry keeps the worst
 residual of its samples by the rule of ``report.worst_index``.
 """
 
@@ -308,23 +308,6 @@ def in_isotropy(g, model: StructureMatrix, tol: Tolerance = DEFAULT_TOL):
     return tol.accepts(resid, fro(model.matrix)), resid
 
 
-def _sampled(points, judge):
-    """Judge each sample point: ``judge(x)`` gives (passed, residual), and a
-    ``BadAtPoint`` gives (False, inf).  Returns the verdicts, the residuals
-    and the distinct reasons of the ``BadAtPoint`` failures, in order of
-    first occurrence."""
-    passed, residuals, reasons = [], [], {}
-    for x in points:
-        try:
-            good, resid = judge(x)
-        except BadAtPoint as exc:
-            good, resid = False, math.inf
-            reasons.setdefault(exc.reason)
-        passed.append(good)
-        residuals.append(resid)
-    return passed, residuals, list(reasons)
-
-
 def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     """Verify T_aa = Id, sampled invertibility, and the triple condition.
 
@@ -522,12 +505,18 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
         if pts.shape[0] == 0:
             report.add(f"modelled[{chart.name}]", True, 0.0, "no samples declared")
             continue
-        passed, residuals, failed = _sampled(
-            pts, lambda x: _same_orbit(field.at(chart.name, x), model_class, tol))
-        reasons.update(dict.fromkeys(failed))
+        failing, residuals = [], []  # the failing samples and their residuals
+        for k, x in enumerate(pts):
+            try:
+                good, resid = _same_orbit(field.at(chart.name, x), model_class, tol)
+            except BadAtPoint as exc:
+                good, resid = False, math.inf
+                reasons.setdefault(exc.reason)
+            if not good:
+                failing.append(k)
+                residuals.append(resid)
         # the entry keeps the last failing sample attaining the worst residual
-        failing = [k for k, good in enumerate(passed) if not good]
-        resid, where = worst_at([residuals[k] for k in failing], pts[failing], last=True)
+        resid, where = worst_at(residuals, pts[failing], last=True)
         report.add(f"modelled[{chart.name}]", not failing, resid,
                    where or f"{pts.shape[0]} samples")
     for reason in reasons:

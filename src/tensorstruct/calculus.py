@@ -9,8 +9,9 @@ One field core serves ``VectorField`` (vector values) and
 or at every row of a ``(P, d)`` array of points, and returns every partial
 derivative at once in the derivative mode the field's data selects:
 
-  * polynomial: entries are ``Poly`` objects whose partials are compiled
-    once into a ``PolyArray`` and are exact (the oracle mode);
+  * polynomial: the field is ``values``, the ``PolyArray`` of its entries
+    in row-major order, and its exact partials are ``values.partials()``,
+    compiled on first use (the oracle mode);
   * analytic: a closed-form gradient callable supplies the partials;
   * finite differences: any callable, differentiated by one batched central
     difference over every point shifted by the step along each axis
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import BadAtPoint, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance
-from .poly import Poly, PolyArray
+from .poly import Poly, PolyArray, derivative_terms, term_arrays
 from .report import Report, location, worst_at
 from .structures import SQUARES
 
@@ -110,31 +111,49 @@ def _shifted(x, offsets):
 class _ChartField:
     """The field core: values of shape ``(dim,) * rank`` and their partials.
 
-    The derivative mode is data: ``polys`` (exact; a list of ``Poly`` for
-    rank 1, a nested list for rank 2), ``gradient`` (a callable
-    ``x, i -> d_i F(x)``) or neither (central differences with ``step``).
-    ``vectorized`` says that ``fn`` and ``gradient`` accept a ``(..., d)``
-    array of points; otherwise they are called once per point.
+    The derivative mode is data: ``values`` (exact; the ``PolyArray`` of the
+    entries in row-major order, set by ``_exact``), ``gradient`` (a
+    callable ``x, i -> d_i F(x)``) or neither (central differences with
+    ``step``).  ``vectorized`` says that ``fn`` and ``gradient`` accept a
+    ``(..., d)`` array of points; otherwise they are called once per point.
     """
 
-    def __init__(self, dim, rank, fn, step, polys, gradient, vectorized):
+    def __init__(self, dim, rank, fn, step, gradient, vectorized):
         self.dim = int(dim)
         self.shape = (self.dim,) * rank
         self.fn = fn
         self.step = float(step)
-        self._polys = polys
         self.gradient = gradient
         self.vectorized = vectorized
-        self._poly_partials = None  # compiled on first use, polynomial mode
+        self.values = self._polys = None
+
+    def _exact(self, values, polys):
+        """This field in polynomial mode: its entries are ``values`` and
+        ``polys``, their ``Poly`` objects (a list for rank 1, a nested list
+        for rank 2) or a callable that builds them."""
+        shape = self.shape
+
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            return values(x).reshape(x.shape[:-1] + shape)
+
+        self.fn, self.values, self._polys, self.vectorized = fn, values, polys, True
+        # an infinite step means "never the binding constraint" when steps
+        # propagate through mixed-mode products and brackets
+        self.step = np.inf
+        return self
 
     @property
     def polys(self):
-        """The entries as ``Poly`` objects in polynomial mode, else None.  A
-        field compiled from a coefficient table holds a callable that builds
-        them, called on first use."""
+        """The entries as ``Poly`` objects in polynomial mode, else None,
+        built on first use when the field holds a callable for them."""
         if callable(self._polys):
             self._polys = self._polys()
         return self._polys
+
+    @cached_property
+    def _poly_partials(self):
+        return self.values.partials()
 
     def _on_points(self, fn, x, shape):
         """fn at one point, or stacked over the rows of x (shape per row)."""
@@ -152,11 +171,7 @@ class _ChartField:
         x = np.asarray(x, dtype=float)
         n = self.dim
         shape = (n,) + self.shape
-        if self._poly_partials is None and self.polys is not None:
-            entries = self.polys if len(self.shape) == 1 else [
-                p for row in self.polys for p in row]
-            self._poly_partials = PolyArray(p.diff(i) for i in range(n) for p in entries)
-        if self._poly_partials is not None:
+        if self.values is not None:
             return self._poly_partials(x).reshape(x.shape[:-1] + shape)
         if self.gradient is not None:
             def gradients(p):
@@ -174,15 +189,13 @@ class VectorField(_ChartField):
     (``VectorField.from_polys([p1, .., pd])``).
     """
 
-    def __init__(self, dim, fn: Callable, step=DEFAULT_FD_STEP, polys=None):
-        super().__init__(dim, 1, fn, step, polys, None, polys is not None)
+    def __init__(self, dim, fn: Callable, step=DEFAULT_FD_STEP):
+        super().__init__(dim, 1, fn, step, None, False)
 
     @classmethod
     def from_polys(cls, polys: Sequence[Poly]):
         polys = list(polys)
-        # exact mode: an infinite step means "never the binding constraint"
-        # when steps propagate through mixed-mode products and brackets
-        return cls(polys[0].dim, PolyArray(polys), step=np.inf, polys=polys)
+        return cls(polys[0].dim, None)._exact(PolyArray(polys), polys)
 
     @classmethod
     def constant(cls, vec):
@@ -207,17 +220,17 @@ def _on_arrays(dim, fn, step):
 class TensorFieldOnChart(_ChartField):
     """Matrix-valued field of a declared kind ("1,1" or "2,0").
 
-    The derivative mode is data, as in the field core: ``polys`` (exact),
-    ``gradient`` (a callable ``x, i -> d_i T(x)``) or neither (central
-    differences with ``step``).
+    The derivative mode is data, as in the field core: ``values`` (exact,
+    from ``from_polys``), ``gradient`` (a callable ``x, i -> d_i T(x)``) or
+    neither (central differences with ``step``).
     """
 
     def __init__(self, dim, kind, fn: Callable, step=DEFAULT_FD_STEP,
-                 polys=None, gradient: Optional[Callable] = None,
-                 symmetry="symmetric", vectorized=False):
+                 gradient: Optional[Callable] = None, symmetry="symmetric",
+                 vectorized=False):
         if kind not in ("1,1", "2,0"):
             raise ValueError(f"unknown tensor kind {kind!r}")
-        super().__init__(dim, 2, fn, step, polys, gradient, vectorized)
+        super().__init__(dim, 2, fn, step, gradient, vectorized)
         self.kind = kind
         self.symmetry = symmetry
 
@@ -226,22 +239,8 @@ class TensorFieldOnChart(_ChartField):
 
     @classmethod
     def from_polys(cls, polys, kind, symmetry="symmetric"):
-        return cls._compiled(len(polys), kind, PolyArray(p for row in polys for p in row),
-                             polys, symmetry)
-
-    @classmethod
-    def _compiled(cls, dim, kind, values, polys, symmetry="symmetric", partials=None):
-        """A polynomial-mode field from its compiled entries ``values`` (in
-        row-major order), with its ``polys`` (or a callable that builds
-        them) and, when known, its compiled ``partials``."""
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            return values(x).reshape(x.shape[:-1] + (dim, dim))
-
-        field = cls(dim, kind, fn, step=np.inf, polys=polys, symmetry=symmetry,
-                    vectorized=True)
-        field._poly_partials = partials
-        return field
+        return cls(len(polys), kind, None, symmetry=symmetry)._exact(
+            PolyArray(p for row in polys for p in row), polys)
 
     @classmethod
     def constant(cls, matrix, kind, symmetry="symmetric"):
@@ -578,22 +577,11 @@ class PolyMap:
     @cached_property
     def _jac_terms(self):
         """The Jacobian's terms as arrays ``(entries, exponents,
-        coefficients)``: entry a * d + i is d_i of component a, where d_i of
-        c x^e is c e_i x^(e - e_i), and each entry's terms come in the key
-        order of ``Poly.diff``."""
-        d = self.dim
-        comps, expos, coeffs = [], [], []
-        for a, p in enumerate(self.components):
-            comps += [a] * len(p.coeffs)
-            expos += p.coeffs
-            coeffs += p.coeffs.values()
-        expos = np.array(expos, dtype=np.int64).reshape(-1, d)
-        term, var = np.nonzero(expos > 0)
-        comp = np.array(comps, dtype=int)[term]
-        order = np.lexsort((term, var, comp))
-        term, var, comp = term[order], var[order], comp[order]
-        return (comp * d + var, expos[term] - np.eye(d, dtype=np.int64)[var],
-                np.array(coeffs)[term] * expos[term, var])
+        coefficients)``: entry a * d + i is d_i of component a, and each
+        entry's terms come in the key order of ``Poly.diff``
+        (``poly.derivative_terms``)."""
+        comp, var, expos, coeffs = derivative_terms(*term_arrays(self.components))
+        return comp * self.dim + var, expos, coeffs
 
     @cached_property
     def _values(self):
@@ -636,7 +624,7 @@ def pullback_metric(phi: PolyMap, constant_metric_matrix) -> TensorFieldOnChart:
 
     The entries g_ij = sum_ab G0[a, b] J_ai J_bj (J = DPhi) are built as one
     coefficient table, with array operations over every (i, j, a, b) and
-    every pair of Jacobian terms, and the values and partials are compiled
+    every pair of Jacobian terms, and the field's ``values`` are compiled
     straight from it.  Each coefficient is the float of ``Poly``
     arithmetic: within a product J_ai J_bj a left fold from 0.0 over the
     term pairs in term order, whose total of 0 drops the product's term;
@@ -644,7 +632,9 @@ def pullback_metric(phi: PolyMap, constant_metric_matrix) -> TensorFieldOnChart:
     whose total of exactly 0 drops the term.  ``np.add.at`` adds in index
     order, so both are left folds.  ``field.polys`` replays the second fold
     through dicts on first use, which gives each entry the key order of
-    that arithmetic.
+    that arithmetic.  Raises ValueError when an exponent of the metric
+    exceeds the int64 range: the product of the Jacobian terms of
+    x^(2**62) y and of y has the exponent 2**63 in x.
     """
     g0 = np.asarray(constant_metric_matrix, dtype=float)
     d = phi.dim
@@ -666,7 +656,7 @@ def pullback_metric(phi: PolyMap, constant_metric_matrix) -> TensorFieldOnChart:
     second = starts[right][case] + k % width
     pair_expos = jac_expos[first] + jac_expos[second]
     if (pair_expos < 0).any():
-        raise OverflowError("a pullback metric exponent exceeds the int64 range")
+        raise ValueError("a pullback metric exponent exceeds the int64 range")
     products = jac_coeffs[first] * jac_coeffs[second]
 
     # sort by monomial, then case; stable, so each product's pairs keep
@@ -689,12 +679,8 @@ def pullback_metric(phi: PolyMap, constant_metric_matrix) -> TensorFieldOnChart:
     np.add.at(totals, owner, contributions)
 
     survive = totals != 0.0
-    term_expos, term_entry = pair_expos[new_term][survive], entry[new_term][survive]
-    values = totals[survive]
-    term, var = np.nonzero(term_expos > 0)
-    partials = PolyArray.from_terms(
-        term_expos[term] - np.eye(d, dtype=np.int64)[var], var * d * d + term_entry[term],
-        values[term] * term_expos[term, var], d ** 3)
+    values = PolyArray.from_terms(pair_expos[new_term][survive], entry[new_term][survive],
+                                  totals[survive], d * d)
 
     def polys():
         # the dict fold meets the products in the order of their first pair
@@ -711,9 +697,7 @@ def pullback_metric(phi: PolyMap, constant_metric_matrix) -> TensorFieldOnChart:
                     del acc[ij][expo]
         return [[Poly._of(d, acc[i * d + j]) for j in range(d)] for i in range(d)]
 
-    return TensorFieldOnChart._compiled(
-        d, "2,0", PolyArray.from_terms(term_expos, term_entry, values, d * d), polys,
-        partials=partials)
+    return TensorFieldOnChart(d, "2,0", None)._exact(values, polys)
 
 
 def pullback_endomorphism(phi: PolyMap, constant_matrix,

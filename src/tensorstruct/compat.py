@@ -128,7 +128,7 @@ def omega_from(metric, structure: Structure, tol: Tolerance = DEFAULT_TOL) -> Sy
 
     Works for both flavors; raises IncompatibleInputs when the inputs fail
     their own compatibility (the resulting form would not be skew or would
-    be degenerate) and when the form overflows to non-finite entries.
+    be degenerate).
     """
     g = as_matrix(getattr(metric, "matrix", metric), square=True, name="metric")
     i = structure.matrix
@@ -138,11 +138,7 @@ def omega_from(metric, structure: Structure, tol: Tolerance = DEFAULT_TOL) -> Sy
     scale = max(fro(s), 1.0)
     if not tol.accepts(fro(s + s.T), scale):
         raise IncompatibleInputs("g(Iu, v) is not skew: metric and structure incompatible")
-    omega = 0.5 * (s - s.T)
-    if not np.isfinite(omega).all():
-        # g(Iu, v) is finite and skew, but s - s.T overflows
-        raise IncompatibleInputs("constructed form is not finite")
-    omega = SymplecticForm(omega)
+    omega = SymplecticForm(0.5 * s - 0.5 * s.T)
     rep = validate(omega, tol)
     if not rep.passed:
         raise IncompatibleInputs("constructed form is degenerate")
@@ -155,8 +151,8 @@ def g_from(omega: SymplecticForm, structure: Structure, flavor=None,
 
     Returns a symmetric BilinearForm (Kahler: positive definite) or a
     KreinMetric (para flavor: neutral, with its Krein splitting attached).
-    Raises IncompatibleInputs when the metric is not symmetric, fails its
-    signature test or overflows to non-finite entries.
+    Raises IncompatibleInputs when the metric is not symmetric or fails its
+    signature test.
     """
     if flavor is None:
         flavor = "kahler" if isinstance(structure, ComplexStructure) else "para_kahler"
@@ -168,10 +164,7 @@ def g_from(omega: SymplecticForm, structure: Structure, flavor=None,
     scale = max(fro(g), 1.0)
     if not tol.accepts(fro(g - g.T), scale):
         raise IncompatibleInputs("Omega(u, Iv) is not symmetric")
-    g = 0.5 * (g + g.T)
-    if not np.isfinite(g).all():
-        # Omega(u, Iv) is finite and symmetric, but g + g.T overflows
-        raise IncompatibleInputs("constructed metric is not finite")
+    g = symmetric_part(g)
     ok, detail = _metric_ok(g, flavor, tol)
     if not ok:
         raise IncompatibleInputs(f"metric fails {flavor} signature test: {detail}")
@@ -243,8 +236,7 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         # refresh the root so that corrected = g(R ., .) keeps the exact
         # link corrected = Omega(., I.) after polishing
         r = a @ np.linalg.inv(i)
-        corrected = g @ r
-        corrected = 0.5 * (corrected + corrected.T)
+        corrected = symmetric_part(g @ r)
         structure = ComplexStructure(i, _adapted_decomposition(corrected, i))
         return structure, BilinearForm(corrected, "symmetric"), operator
 

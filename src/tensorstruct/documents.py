@@ -161,8 +161,9 @@ class Num:
         return arr
 
 
-# compiled polynomials hold exponents as int64, and a pullback metric's
-# terms are products of two Jacobian terms: their exponents must still fit
+# compiled polynomials hold exponents as int64; a pullback metric's terms
+# are products of two Jacobian terms, whose exponents can reach 2**63 in
+# one variable, and ``calculus.pullback_metric`` rejects those
 _MAX_EXPONENT = 2**62
 
 
@@ -494,9 +495,10 @@ def parse_field(doc, fd_step=None, rank="dim"):
         field = calculus.sphere_stereographic_metric(step=step)
     else:
         phi = calculus.PolyMap([Poly(dim, terms) for terms in spec["diffeo"]])
-        field = (calculus.pullback_metric(phi, spec["base_metric"])
-                 if spec["name"] == "pullback_flat"
-                 else calculus.pullback_endomorphism(phi, spec["base_matrix"], step=step))
+        with _building("$.field.diffeo"):
+            field = (calculus.pullback_metric(phi, spec["base_metric"])
+                     if spec["name"] == "pullback_flat"
+                     else calculus.pullback_endomorphism(phi, spec["base_matrix"], step=step))
     grid = v.get("grid", {})
     return field, calculus.grid_points(grid.get("lo", [-0.5] * dim),
                                        grid.get("hi", [0.5] * dim), grid.get("counts", 5))

@@ -18,8 +18,8 @@ fails, with the point and a short reason:
 
 Each check turns it into its failing entry in one place: the grid checks
 in ``calculus._grid_report`` (residual inf at the point, the reason as a
-note), ``bundle.check_locally_modelled`` in ``bundle._sampled``, its
-per-sample loop (residual inf at the sample).  ``check_cocycle`` and
+note), ``bundle.check_locally_modelled`` in its per-sample loop
+(residual inf at the sample).  ``check_cocycle`` and
 ``check_reduction`` evaluate every sample at once with
 ``ChartAtlas.transitions_at``, which returns the samples that cannot be
 evaluated, with the reasons ``transition_at`` raises, instead of raising.

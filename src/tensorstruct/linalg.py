@@ -139,11 +139,10 @@ def spd_sqrt(m, tol: Tolerance = DEFAULT_TOL):
     asym = fro(m - m.T)
     if not tol.accepts(asym, fro(m)):
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance")
-    w, q = np.linalg.eigh(0.5 * (m + m.T))
+    w, q = np.linalg.eigh(symmetric_part(m))
     if w.min(initial=np.inf) <= tol.atol:
         raise NotPositiveDefinite(f"smallest eigenvalue {w.min():.3e} <= atol")
-    r = (q * np.sqrt(w)) @ q.T
-    return 0.5 * (r + r.T)
+    return symmetric_part((q * np.sqrt(w)) @ q.T)
 
 
 def metric_adjoint(a, g):

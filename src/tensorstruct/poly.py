@@ -23,9 +23,15 @@ gathered factors in variable order, and one matrix product with the
 coefficients gives every polynomial at every point.  The floats are those
 of ``prod(x ** expos, axis=-1) @ coeffs``, bit for bit except for the sign
 of a NaN.  Only the variables that occur in some exponent are read, so a
-constant evaluates at points of any length.  ``PolyArray.from_terms``
-compiles terms given as arrays, as a pullback metric's coefficient table
-holds them.
+constant evaluates at points of any length.
+
+Every table is compiled one way, from terms given as arrays
+(``term_arrays`` flattens ``Poly`` objects to them, and a pullback
+metric's coefficient table holds them): ``PolyArray(polys)`` is
+``PolyArray.from_terms`` of their terms.  ``derivative_terms`` is the one
+derivative rule on term arrays, d_v(c x^e) = c e_v x^(e - e_v), and
+``PolyArray.partials`` compiles every first partial of a table through it.
+The partials have the bits of the table compiled from ``Poly.diff``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,33 @@ from operator import add
 
 import numpy as np
 
-__all__ = ["Poly", "PolyArray"]
+__all__ = ["Poly", "PolyArray", "derivative_terms", "term_arrays"]
+
+
+def term_arrays(polys):
+    """The terms of a list of polynomials as arrays ``(expos, outputs,
+    values)``: term t is ``values[t] * x^expos[t]`` in polynomial
+    ``outputs[t]``, and each polynomial's terms come in its key order."""
+    expos = [e for p in polys for e in p.coeffs]
+    return (np.array(expos, dtype=np.int64).reshape(len(expos), polys[0].dim if polys else 0),
+            np.array([k for k, p in enumerate(polys) for _ in p.coeffs], dtype=int),
+            np.array([c for p in polys for c in p.coeffs.values()], dtype=float))
+
+
+def derivative_terms(expos, outputs, values):
+    """Every first partial of polynomials given as term arrays (as
+    ``term_arrays`` gives them): d_v of c x^e is c e_v x^(e - e_v), one term
+    for each term and variable v with e_v > 0.  Returns ``(outputs,
+    variables, expos, values)``, ordered by output, then variable, then
+    input term: the key order of ``Poly.diff`` when each polynomial's terms
+    come in its key order.  A coefficient c e_v past the float range is
+    inf, as ``Poly.diff`` makes it, without a warning."""
+    term, var = np.nonzero(expos > 0)  # by term, then variable
+    order = np.lexsort((var, outputs[term]))  # stable: terms stay in order
+    term, var = term[order], var[order]
+    with np.errstate(over="ignore"):
+        values = values[term] * expos[term, var]
+    return outputs[term], var, expos[term] - np.eye(expos.shape[1], dtype=np.int64)[var], values
 
 
 class PolyArray:
@@ -43,42 +75,45 @@ class PolyArray:
     ``PolyArray(polys)(points)`` has shape ``points.shape[:-1] + (len(polys),)``.
     """
 
-    __slots__ = ("_vars", "_expos", "_coeffs", "_bases", "_exponents", "_gather")
+    __slots__ = ("_monomials", "_vars", "_expos", "_coeffs", "_bases", "_exponents",
+                 "_gather")
 
     def __init__(self, polys):
         polys = list(polys)
-        monomials = sorted({e for p in polys for e in p.coeffs})
-        index = {e: t for t, e in enumerate(monomials)}
-        coeffs = np.zeros((len(monomials), len(polys)))
-        terms = [(index[expo], out, c)
-                 for out, p in enumerate(polys) for expo, c in p.coeffs.items()]
-        if terms:
-            rows, outs, values = zip(*terms)
-            coeffs[rows, outs] = values
-        expos = np.array(monomials, dtype=int) if monomials else np.zeros((0, 0), int)
-        self._compile(expos, coeffs)
+        self._compile(*term_arrays(polys), len(polys))
 
     @classmethod
     def from_terms(cls, expos, outputs, values, size):
         """The ``PolyArray`` of ``size`` polynomials whose terms are given
         as arrays: term t is ``values[t] * x^expos[t]`` in polynomial
         ``outputs[t]``.  No two terms may share exponents and output, and
-        none may be zero; then it equals ``PolyArray`` of those polynomials,
-        bit for bit."""
-        order = np.lexsort(expos.T[::-1])
+        none may be zero."""
+        compiled = cls.__new__(cls)
+        compiled._compile(expos, outputs, values, size)
+        return compiled
+
+    def partials(self):
+        """Every first partial, compiled: output ``i * size + k`` is d_i of
+        polynomial k, for ``size`` polynomials in d variables."""
+        terms, outputs = np.nonzero(self._coeffs)
+        size = self._coeffs.shape[1]
+        outputs, var, expos, values = derivative_terms(self._monomials[terms], outputs,
+                                                       self._coeffs[terms, outputs])
+        return PolyArray.from_terms(expos, var * size + outputs, values,
+                                    self._monomials.shape[1] * size)
+
+    def _compile(self, expos, outputs, values, size):
+        """Sort the terms by exponents into the full exponent matrix
+        ``_monomials`` and the ``(terms, size)`` coefficient matrix, keep
+        the used variables' columns and lay out the power table of
+        ``__call__``."""
+        order = np.lexsort(expos.T[::-1]) if expos.shape[1] else np.arange(len(expos))
         expos = expos[order]
         new = np.ones(len(order), dtype=bool)
         new[1:] = (expos[1:] != expos[:-1]).any(axis=1)
-        coeffs = np.zeros((np.count_nonzero(new), size))
-        coeffs[np.cumsum(new) - 1, outputs[order]] = values[order]
-        compiled = cls.__new__(cls)
-        compiled._compile(expos[new], coeffs)
-        return compiled
-
-    def _compile(self, expos, coeffs):
-        """Keep the used variables' columns of the sorted exponent matrix
-        ``expos`` and lay out the power table of ``__call__``."""
-        self._coeffs = coeffs
+        self._coeffs = np.zeros((np.count_nonzero(new), size))
+        self._coeffs[np.cumsum(new) - 1, outputs[order]] = values[order]
+        expos = self._monomials = expos[new]
         self._vars = np.flatnonzero(expos.any(axis=0))
         expos = self._expos = expos[:, self._vars]
         # table columns: 0 is 1.0 (exponent 0), 1 + v is x_v (exponent 1),

@@ -387,8 +387,7 @@ def _restricted_eigenvalues(s, basis):
     """Eigenvalues of the symmetric part of the form ``s`` on the span of
     ``basis``; all NaN when that form overflows (LAPACK may not converge on
     it)."""
-    f = basis.T @ s @ basis
-    f = 0.5 * (f + f.T)
+    f = symmetric_part(basis.T @ s @ basis)
     return np.linalg.eigvalsh(f) if np.isfinite(f).all() else np.full(len(f), np.nan)
 
 
@@ -521,13 +520,13 @@ def fundamental_symmetry(g: KreinMetric, tol: Tolerance = DEFAULT_TOL):
         raise InvalidStructure("plus/minus bases do not span") from exc
     j = basis @ np.diag(np.concatenate([np.ones(p), -np.ones(q)])) @ inv
     gamma = g.matrix @ j
-    gamma = np.asarray(gamma)
     scale = max(fro(gamma), 1.0)
     if not tol.accepts(fro(gamma - gamma.T), scale):
         raise InvalidStructure("splitting is not g-orthogonal: gamma not symmetric")
-    if np.linalg.eigvalsh(0.5 * (gamma + gamma.T)).min() <= tol.atol:
+    gamma = symmetric_part(gamma)
+    if np.linalg.eigvalsh(gamma).min() <= tol.atol:
         raise InvalidStructure("gamma is not positive definite")
-    return j, BilinearForm(0.5 * (gamma + gamma.T), "symmetric")
+    return j, BilinearForm(gamma, "symmetric")
 
 
 def krein_isomorphism(g1: KreinMetric, g2: KreinMetric, tol: Tolerance = DEFAULT_TOL):

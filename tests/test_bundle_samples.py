@@ -2,7 +2,7 @@
 
 The reference functions below are ``check_cocycle``, ``check_reduction``
 and ``check_locally_modelled`` as they were before the bundle checks shared
-one per-sample loop (``bundle._sampled``) and one worst-residual rule
+one per-sample loop (now inside ``check_locally_modelled``) and one worst-residual rule
 (``report.worst_index``): five reductions, each with its own running
 maximum.  On random atlases and fields, with ties, all-zero residuals,
 samples that cannot be evaluated, and inf and NaN residuals, the shared

@@ -1080,6 +1080,31 @@ def test_diffeo_exponents_must_fit_in_int64_products(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# x^(2**62) y: d/dy of it is x^(2**62), whose square in g_yy is x^(2**63)
+WIDE_PULLBACK = {"dim": 2, "field": {"name": "pullback_flat", "base_metric": [[1, 0], [0, 1]],
+                                     "diffeo": [[[1, 0, 1.0], [2**62, 1, 0.001]],
+                                                [[0, 1, 1.0]]]},
+                 "grid": {"counts": 2}}
+WIDE_PULLBACK_ERROR = ("parse error: $.field.diffeo: a pullback metric exponent exceeds "
+                       "the int64 range\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_a_pullback_metric_past_int64_exponents_is_a_parse_error(mode, tmp_path, capsys):
+    path = write(tmp_path, "wide.json", WIDE_PULLBACK)
+    with no_warnings():
+        assert run([*mode, "curvature", path]) == 2
+    assert capsys.readouterr() == ("", WIDE_PULLBACK_ERROR)
+
+
+def test_a_chart_field_past_int64_exponents_is_a_parse_error(tmp_path, capsys):
+    docs = reduce_docs()
+    docs["field"] = WIDE_PULLBACK
+    with no_warnings():
+        assert run(reduce_argv(tmp_path, docs)) == 2
+    assert capsys.readouterr() == ("", WIDE_PULLBACK_ERROR)
+
+
 @contextlib.contextmanager
 def no_warnings():
     """Any warning raised inside is an error."""
@@ -1455,15 +1480,37 @@ HUGE_OMEGA_PAIR = {"flavor": "kahler",
                                            "matrix": [[0.0, -1.0], [1.0, 0.0]]}}}
 
 
-@pytest.mark.parametrize("argv, doc, built", [
-    (["triple", "complete"], huge_kahler_pair(1e308), "form"),
-    (LOOP_CHECK, {"target": {"pair": huge_kahler_pair(1e308)}, "loop": [[0.0, 0.0]]}, "form"),
-    (["triple", "complete"], HUGE_OMEGA_PAIR, "metric")])
-def test_a_form_that_overflows_is_an_error(argv, doc, built, tmp_path, capsys):
-    # g(Iu, v) is finite and skew, but Omega = (s - s^T) / 2 overflows; or
-    # Omega(u, Iv) is finite and symmetric, but g = (m + m^T) / 2 does
-    assert run([*argv, write(tmp_path, "doc.json", doc)]) == 1
-    assert capsys.readouterr().err == f"error: constructed {built} is not finite\n"
+@pytest.mark.parametrize("doc", [huge_kahler_pair(1e308), HUGE_OMEGA_PAIR],
+                         ids=["given_g", "given_omega"])
+def test_a_kahler_pair_near_the_float_limit_completes(doc, tmp_path, capsys):
+    # g(Iu, v) is finite and skew, so Omega = s / 2 - s^T / 2 is finite; or
+    # Omega(u, Iv) is finite and symmetric, and so is g = m / 2 + m^T / 2
+    # ((s - s^T) / 2 and (m + m^T) / 2 overflowed, and were errors)
+    path = write(tmp_path, "pair.json", doc)
+    status, report = run_json(["triple", "complete", path])
+    assert status == 0 and report["passed"]
+    assert all(e["passed"] and e["residual"] <= 3.2e-16 for e in report["entries"])
+    assert report["notes"] == ["flavor kahler, dimension 2",
+                               "omega=[[0.0, 1e+308], [-1e+308, 0.0]]",
+                               "metric=[[1e+308, 0.0], [0.0, 1e+308]]",
+                               "structure=[[0.0, -1.0], [1.0, 0.0]]"]
+    assert run(["triple", "complete", path]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\nPASS (8 checks, worst residual 3.140e-16)\n")
+
+
+def test_a_loop_target_near_the_float_limit_fails_its_checks(tmp_path, capsys):
+    # the target completes, as above; its quadratures overflow to NaN
+    path = write(tmp_path, "loop.json",
+                 {"target": {"pair": huge_kahler_pair(1e308)}, "loop": [[0.0, 0.0]]})
+    status, report = run_json([*LOOP_CHECK, path])
+    assert status == 1 and not report["passed"]
+    assert [(e["name"], e["passed"], e["residual"]) for e in report["entries"]] == [
+        ("antisymmetry", False, "NaN"), ("form_invariance", False, "NaN"),
+        ("metric_is_form_of_structure", False, "NaN"),
+        ("metric_positive_on_trials", True, 0.0)]
+    assert run([*LOOP_CHECK, path]) == 1
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

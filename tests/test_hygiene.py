@@ -153,13 +153,14 @@ def _catchers(tree, name):
 
 def test_bad_at_point_is_caught_in_one_place_per_kind_of_check():
     # the grid checks in calculus._grid_report, the field check of bundle in
-    # bundle._sampled (the atlas checks get their bad samples from
-    # ChartAtlas.transitions_at, which raises nothing per sample); nested
-    # functions are reported with their parents
-    caught = {(module, function) for module in MODULES
+    # the per-sample loop of check_locally_modelled (the atlas checks get
+    # their bad samples from ChartAtlas.transitions_at, which raises nothing
+    # per sample); nested functions are reported with their parents
+    caught = [(module, function) for module in MODULES
               for function, _ in _catchers(ast.parse((PACKAGE / f"{module}.py").read_text()),
-                                           "BadAtPoint")}
-    assert caught == {("calculus", "_grid_report"), ("bundle", "_sampled")}
+                                           "BadAtPoint")]
+    assert sorted(caught) == [("bundle", "check_locally_modelled"),
+                              ("calculus", "_grid_report")]
 
 
 def _called_names(tree):
@@ -171,17 +172,21 @@ def _called_names(tree):
 
 def test_the_atlas_checks_evaluate_stacks_and_only_modelled_samples_one_at_a_time():
     # check_cocycle and check_reduction take every sample of a transition
-    # at once from ChartAtlas.transitions_at; _sampled is the per-sample
-    # loop of check_locally_modelled alone
+    # at once from ChartAtlas.transitions_at; check_locally_modelled alone
+    # loops over its samples, evaluating the field at one sample at a time
     tree = ast.parse((PACKAGE / "bundle.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "_finite" not in functions
     for name in ("check_cocycle", "check_reduction"):
         called = _called_names(functions[name])
         assert "transitions_at" in called
-        assert not called & {"transition_at", "_sampled"}, name
+        assert not called & {"transition_at", "at"}, name
     assert [name for name, function in functions.items()
-            if "_sampled" in _called_names(function)] == ["check_locally_modelled"]
+            if "at" in _called_names(function)] == ["check_locally_modelled"]
+    # ... inside a try, one sample per iteration of a loop
+    assert any(isinstance(node, ast.Try) and "at" in _called_names(node)
+               for loop in ast.walk(functions["check_locally_modelled"])
+               if isinstance(loop, ast.For) for node in loop.body)
 
 
 # the constructions that decide their own preconditions, and the public
@@ -213,3 +218,41 @@ def test_only_the_report_decides_measured_entries():
     callers = set().union(*(_accepts_callers(m) for m in MODULES if m != "report"))
     assert callers <= DECIDE_FOR_THEMSELVES, (
         f"Tolerance.accepts called outside report.py by {sorted(callers - DECIDE_FOR_THEMSELVES)}")
+
+
+def _exported(tree):
+    """The names of a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _definitions(tree):
+    """(qualified name, short name, exported) for every module-level function
+    and every method of a module-level class but the dunder ones; a public
+    method counts as exported when its class is."""
+    exported = _exported(tree)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node.name in exported
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and not (
+                        f.name.startswith("__") and f.name.endswith("__")):
+                    yield (f"{node.name}.{f.name}", f.name,
+                           node.name in exported and not f.name.startswith("_"))
+
+
+def test_every_function_is_referenced_or_exported():
+    # code that nothing calls is code to delete: every function and method
+    # is named somewhere in the package, as ``f`` or ``x.f``, or exported
+    trees = {module: ast.parse((PACKAGE / f"{module}.py").read_text()) for module in MODULES}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [f"{module}.{name}" for module, tree in trees.items()
+              for name, short, exported in _definitions(tree)
+              if not exported and short not in referenced]
+    assert not unused, f"functions that nothing in src/ references: {unused}"

@@ -8,9 +8,10 @@ returns one operand's NaN or the other's depending on the memory layout of
 its input, and the two kernels lay their factors out differently; every
 output writes a NaN alike, so the comparison takes each NaN for any NaN.
 
-A pullback metric compiles its values and partials from its coefficient
-table; they must equal the ``PolyArray`` compiled from its ``Poly`` entries
-and their ``Poly.diff`` partials, which ``tests/test_poly.py`` pins to the
+A pullback metric compiles its values from its coefficient table, and every
+table compiles its partials through ``poly.derivative_terms``; they must
+equal the ``PolyArray`` compiled from the ``Poly`` entries and their
+``Poly.diff`` partials, which ``tests/test_poly.py`` pins to the
 step-by-step sum.
 """
 
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from tensorstruct.calculus import PolyMap, pullback_metric
 from tensorstruct.poly import Poly, PolyArray
 
-COMPILED = ("_vars", "_expos", "_coeffs", "_bases", "_exponents", "_gather")
+COMPILED = ("_monomials", "_vars", "_expos", "_coeffs", "_bases", "_exponents", "_gather")
 
 
 def reference(compiled, points):
@@ -59,15 +60,21 @@ LEADING = st.sampled_from([(), (1,), (2,), (7,), (1, 1), (2, 3), (3, 1, 2), (20,
 
 
 @st.composite
-def poly_arrays(draw):
-    """A PolyArray of 0-4 polynomials in 1-4 variables: constants, empty
-    polynomials and exponents up to 2**62 among them."""
+def poly_lists(draw):
+    """0-4 polynomials in 1-4 variables: constants, empty polynomials and
+    exponents up to 2**62 among them."""
     dim = draw(st.integers(1, 4))
     constant = draw(st.booleans()) and draw(st.booleans())
     expo = (st.just((0,) * dim) if constant
             else st.tuples(*[EXPONENTS] * dim))
-    polys = [Poly(dim, draw(st.dictionaries(expo, COEFFS, max_size=6)))
-             for _ in range(draw(st.integers(0, 4)))]
+    return dim, [Poly(dim, draw(st.dictionaries(expo, COEFFS, max_size=6)))
+                 for _ in range(draw(st.integers(0, 4)))]
+
+
+@st.composite
+def poly_arrays(draw):
+    """The PolyArray of a ``poly_lists`` draw."""
+    dim, polys = draw(poly_lists())
     return dim, PolyArray(polys)
 
 
@@ -154,9 +161,37 @@ def test_pullback_metrics_compile_their_table_like_their_polys(case, seed):
         want = PolyArray(entries)
         partials = PolyArray(p.diff(i) for i in range(dim) for p in entries)
         x = np.random.default_rng(seed).uniform(-1.5, 1.5, (6, dim))
-        assert_same_compiled(field._poly_partials, partials)
+        assert_same_compiled(field.values, want)
+        assert_same_compiled(field.values.partials(), partials)
         assert_same_bits(field(x), want(x).reshape(6, dim, dim))
         assert_same_bits(field.partials(x), partials(x).reshape(6, dim, dim, dim))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_compiled_partials_are_the_compiled_diffs(data):
+    # output i * size + k of partials() is d_i of polynomial k
+    dim, polys = data.draw(poly_lists())
+    got = PolyArray(polys).partials()
+    want = PolyArray([p.diff(i) for i in range(dim) for p in polys])
+    assert_same_compiled(got, want)
+    x = data.draw(points(dim))
+    with np.errstate(all="ignore"):
+        assert_same_bits(got(x), want(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=maps())
+def test_poly_map_jacobian_terms_come_in_diff_key_order(case):
+    # entry a * d + i, in entry order, then its terms in the key order of
+    # p_a.diff(i): the order pullback_metric's folds depend on
+    dim, comps, _ = case
+    entries, expos, coeffs = PolyMap(comps)._jac_terms
+    want = [(a * dim + i, e, c) for a, p in enumerate(comps) for i in range(dim)
+            for e, c in p.diff(i).coeffs.items()]
+    assert entries.tolist() == [entry for entry, _, _ in want]
+    assert list(map(tuple, expos.tolist())) == [e for _, e, _ in want]
+    assert coeffs.tobytes() == np.array([c for _, _, c in want], dtype=float).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
