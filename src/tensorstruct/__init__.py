@@ -33,6 +33,7 @@ from .structures import (
 from .compat import (
     CompatibleTriple,
     check_triple,
+    complete_pair,
     complete_triple,
     g_from,
     is_compatible,

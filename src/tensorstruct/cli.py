@@ -33,7 +33,7 @@ import numpy as np
 from . import documents
 from .bundle import LocalTensorField, check_cocycle, check_locally_modelled, check_reduction
 from .calculus import is_integrable_structure, is_metric_integrable
-from .compat import check_triple, complete_triple
+from .compat import complete_pair
 from .documents import DocumentError
 from .errors import TensorStructError
 from .limits import check_coherent, check_connection_coherence, validate_bonding
@@ -224,8 +224,7 @@ def _dispatch(args, load, tol, rng) -> Report:
 
     if args.command == "triple":
         first, second, flavor = documents.parse_pair(load(args.pair))
-        triple = complete_triple(first, second, flavor, tol)
-        report = check_triple(triple, tol)
+        triple, report = complete_pair(first, second, flavor, tol)
         report.note(f"flavor {flavor}, dimension {triple.dim}")
         report.note(_matrix_note("omega", triple.omega.matrix))
         report.note(_matrix_note("metric", triple.metric_matrix))

@@ -66,6 +66,7 @@ __all__ = [
     "g_from",
     "structure_from",
     "is_compatible",
+    "complete_pair",
     "complete_triple",
     "check_triple",
     "lagrangian_orthogonal_decomposition",
@@ -300,59 +301,72 @@ def _adapted_decomposition(g, i_matrix):
     return b1, b2, iso
 
 
+def _signature_entry(report, name, metric_ok):
+    ok, detail = metric_ok
+    report.add(name, ok, 0.0 if ok else 1.0, detail)
+
+
+def _form_structure(s, i, flavor, sign, tol):
+    """The (form, structure) pair: invariance, and the induced metric
+    Omega(., I.) symmetric with the flavor's signature."""
+    report = Report(tol=tol)
+    scale = max(fro(s), 1.0)
+    # Omega(Iu, Iv) = -sign * Omega(u, v): +1 for kahler, -1 for para
+    report.measured("form_invariance", fro(i.T @ s @ i - (-sign) * s), scale)
+    induced = s @ i
+    report.measured("induced_metric_symmetric", fro(induced - induced.T), scale)
+    _signature_entry(report, "induced_metric_signature",
+                     _metric_ok(symmetric_part(induced), flavor, tol))
+    return report
+
+
+def _metric_structure(g, i, sign, metric_ok, tol):
+    """The (metric, structure) pair, given the metric's ``_metric_ok``."""
+    report = Report(tol=tol)
+    report.measured("metric_invariance", fro(i.T @ g @ i - (-sign) * g), max(fro(g), 1.0))
+    _signature_entry(report, "metric_signature", metric_ok)
+    return report
+
+
+def _metric_form(g, s, sign, metric_ok, tol):
+    """The (metric, form) pair, given the metric's ``_metric_ok``."""
+    report = Report(tol=tol)
+    report.measured("flat_composition_squares_correctly",
+                    *square_defect(np.linalg.solve(g, s.T), sign))
+    _signature_entry(report, "metric_signature", metric_ok)
+    return report
+
+
 def is_compatible(first, second, flavor="kahler", tol: Tolerance = DEFAULT_TOL) -> Report:
     """Evaluate the defining compatibility identity of a pair on a full basis.
 
     The pair is recognized by type: (form, structure), (metric, structure)
     or (metric, form).  Returns a report; never raises on incompatibility.
     """
-    report = Report(tol=tol)
     # the structure squares to sign * Id
     sign = SQUARES["complex" if flavor == "kahler" else "para_complex"]
-
-    def _is_metric(x):
-        return isinstance(x, (BilinearForm, KreinMetric)) or (
-            isinstance(x, np.ndarray))
-
-    if isinstance(first, SymplecticForm) and isinstance(second, (ComplexStructure, ParaComplexStructure)):
-        s, i = first.matrix, second.matrix
-        scale = max(fro(s), 1.0)
-        # Omega(Iu, Iv) = -sign * Omega(u, v): +1 for kahler, -1 for para
-        report.measured("form_invariance", fro(i.T @ s @ i - (-sign) * s), scale)
-        induced = s @ i
-        report.measured("induced_metric_symmetric", fro(induced - induced.T), scale)
-        ok, detail = _metric_ok(symmetric_part(induced), flavor, tol)
-        report.add("induced_metric_signature", ok, 0.0 if ok else 1.0, detail)
-        return report
-
-    if _is_metric(first) and isinstance(second, (ComplexStructure, ParaComplexStructure)):
+    structure = (ComplexStructure, ParaComplexStructure)
+    if isinstance(first, SymplecticForm) and isinstance(second, structure):
+        return _form_structure(first.matrix, second.matrix, flavor, sign, tol)
+    if isinstance(first, (BilinearForm, KreinMetric, np.ndarray)) and isinstance(
+            second, (*structure, SymplecticForm)):
         g = np.asarray(getattr(first, "matrix", first), dtype=float)
-        i = second.matrix
-        report.measured("metric_invariance", fro(i.T @ g @ i - (-sign) * g), max(fro(g), 1.0))
-        ok, detail = _metric_ok(g, flavor, tol)
-        report.add("metric_signature", ok, 0.0 if ok else 1.0, detail)
-        return report
-
-    if _is_metric(first) and isinstance(second, SymplecticForm):
-        g = np.asarray(getattr(first, "matrix", first), dtype=float)
-        s = second.matrix
-        report.measured("flat_composition_squares_correctly",
-                        *square_defect(np.linalg.solve(g, s.T), sign))
-        ok, detail = _metric_ok(g, flavor, tol)
-        report.add("metric_signature", ok, 0.0 if ok else 1.0, detail)
-        return report
-
+        pair = _metric_structure if isinstance(second, structure) else _metric_form
+        return pair(g, second.matrix, sign, _metric_ok(g, flavor, tol), tol)
     raise TypeError(
         f"unrecognized pair ({type(first).__name__}, {type(second).__name__})")
 
 
-def complete_triple(first, second, flavor="kahler",
-                    tol: Tolerance = DEFAULT_TOL) -> CompatibleTriple:
-    """Complete a compatible pair to a full triple and validate it.
+def complete_pair(first, second, flavor="kahler",
+                  tol: Tolerance = DEFAULT_TOL) -> tuple[CompatibleTriple, Report]:
+    """Complete a compatible pair to a full triple, with the ``check_triple``
+    report that accepted it.
 
     Dispatches on the pair's types to ``omega_from`` / ``g_from`` /
     ``structure_from``.  The polar route replaces the input metric by the
-    corrected one; the other routes keep both inputs.
+    corrected one; the other routes keep both inputs.  Raises
+    IncompatibleInputs, naming the failing entries, when the completed
+    triple fails ``check_triple``.
     """
     if isinstance(first, (ComplexStructure, ParaComplexStructure)):
         first, second = second, first
@@ -380,22 +394,35 @@ def complete_triple(first, second, flavor="kahler",
     if not rep.passed:
         raise IncompatibleInputs(
             "completed triple fails: " + "; ".join(e.name for e in rep.failures()))
-    return triple
+    return triple, rep
+
+
+def complete_triple(first, second, flavor="kahler",
+                    tol: Tolerance = DEFAULT_TOL) -> CompatibleTriple:
+    """Complete a compatible pair to a full triple and validate it: the
+    triple of ``complete_pair``."""
+    return complete_pair(first, second, flavor, tol)[0]
 
 
 def check_triple(triple: CompatibleTriple, tol: Tolerance = DEFAULT_TOL) -> Report:
-    """All three pairwise predicates plus the linking identity g = Omega(., I.)."""
+    """All three pairwise predicates plus the linking identity g = Omega(., I.).
+
+    The entries are those of ``is_compatible`` on the (form, structure),
+    (metric, structure) and (metric, form) pairs, but the metric's
+    signature is computed once and shared by both metric pairs.
+    """
     report = Report(tol=tol)
-    report.extend(is_compatible(triple.omega, triple.structure, triple.flavor, tol),
-                  prefix="form_structure/")
-    report.extend(is_compatible(triple.metric, triple.structure, triple.flavor, tol),
-                  prefix="metric_structure/")
-    report.extend(is_compatible(triple.metric, triple.omega, triple.flavor, tol),
-                  prefix="metric_form/")
+    flavor = triple.flavor
+    sign = SQUARES["complex" if flavor == "kahler" else "para_complex"]
+    s, i = triple.omega.matrix, triple.structure.matrix
     g = triple.metric_matrix
-    induced = triple.omega.matrix @ triple.structure.matrix
+    report.extend(_form_structure(s, i, flavor, sign, tol), prefix="form_structure/")
+    metric_ok = _metric_ok(g, flavor, tol)
+    report.extend(_metric_structure(g, i, sign, metric_ok, tol), prefix="metric_structure/")
+    report.extend(_metric_form(g, s, sign, metric_ok, tol), prefix="metric_form/")
+    induced = s @ i
     link = fro(induced - g)
-    if triple.flavor == "para_kahler":
+    if flavor == "para_kahler":
         # the two linking formulas g = Omega(., J.) and Omega = g(J., .)
         # differ by a sign in the para case; accept either orientation
         link = min(link, fro(induced + g))

@@ -15,9 +15,10 @@ across an ascending family of targets survives by linearity of the sums.
 The random checks evaluate all of their trials at once: one draw of a
 stack of tangents per check (per level pair for the ascending family), one
 quadrature call (``_forms``) per identity over the whole stack, and one
-stacked product per image.  The draw fills the stack in the order one draw
-per trial would, so the tangents and the generator's final state are those
-of a trial-by-trial loop.
+stacked product per image; a check whose quadratures overflow evaluates
+them once more, at the target's own scale.  The draw fills the stack in
+the order one draw per trial would, so the tangents and the generator's
+final state are those of a trial-by-trial loop.
 """
 
 from __future__ import annotations
@@ -123,15 +124,29 @@ def _conform(space, x):
     return x
 
 
-def _forms(space, x, y):
+def _forms(space, x, y, scale=None):
     """Omega(X, Y) and g(X, Y) for each pair of an ``(..., N, d)`` stack of
-    tangent arrays: one quadrature per form over the whole stack."""
+    tangent arrays: one quadrature per form over the whole stack, on the
+    target's form and metric each divided by ``scale`` when it is given."""
     w = space.weights
-    omega = np.sum(w * np.einsum("...ti,ij,...tj->...t", x, space.target.omega.matrix, y),
-                   axis=-1)
-    metric = np.sum(w * np.einsum("...ti,ij,...tj->...t", x, space.target.metric_matrix, y),
-                    axis=-1)
-    return omega, metric
+    omega, metric = space.target.omega.matrix, space.target.metric_matrix
+    if scale is not None:
+        omega, metric = omega / scale, metric / scale
+    return (np.sum(w * np.einsum("...ti,ij,...tj->...t", x, omega, y), axis=-1),
+            np.sum(w * np.einsum("...ti,ij,...tj->...t", x, metric, y), axis=-1))
+
+
+def _overflow_scale(space, pairs, values):
+    """The scale at which a check judges its target: None where every pair
+    ``(X, Y)`` of finite tangent stacks has finite ``_forms`` ``values``;
+    else the largest entry of the target's form and metric, one scale for
+    both, since the target's entries have overflowed the quadrature."""
+    if np.isfinite(values).all() or not any(
+            np.isfinite(x).all() and np.isfinite(y).all()
+            for (x, y), value in zip(pairs, values) if not np.isfinite(value).all()):
+        return None
+    target = space.target
+    return max(np.abs(target.omega.matrix).max(), np.abs(target.metric_matrix).max())
 
 
 def induced_forms(space: DiscretizedLoopSpace, x, y):
@@ -153,7 +168,10 @@ def check_induced_compatibility(space: DiscretizedLoopSpace, trials=20,
     induced metric's signature is reported: block-diagonal with one target
     block per sample point, so it is N * signature(target).  The pairs are
     one ``(trials, 2, N, d)`` draw, and each identity is evaluated on all of
-    them at once.
+    them at once.  Where a quadrature of finite tangents overflows, the
+    check judges the target at its own scale: every quadrature, and the
+    signature, is evaluated on the target's form and metric divided by the
+    largest entry of either.
     """
     rng = rng or np.random.default_rng(0)
     report = Report(tol=tol)
@@ -162,32 +180,36 @@ def check_induced_compatibility(space: DiscretizedLoopSpace, trials=20,
 
     x, y = np.moveaxis(rng.normal(size=(trials, 2, *space.loop.shape)), 1, 0)
     ix, iy = x @ i.T, y @ i.T
-    o_xy, g_xy = _forms(space, x, y)
-    o_yx, _ = _forms(space, y, x)
-    o_ii, _ = _forms(space, ix, iy)
-    o_x_iy, _ = _forms(space, x, iy)
+    kahler = flavor == "kahler"
+    pairs = [(x, y), (y, x), (ix, iy), (x, iy)] + ([(x, x)] if kahler else [])
+    values = [_forms(space, *pair) for pair in pairs]
+    target_scale = _overflow_scale(space, pairs, values)
+    if target_scale is not None:
+        values = [_forms(space, *pair, target_scale) for pair in pairs]
+    (o_xy, g_xy), (o_yx, _), (o_ii, _), (o_x_iy, _), *g_xx = values
     # one residual per trial for each identity; each entry keeps the worst
     scale = np.maximum(np.abs(o_xy), 1.0)
-    sign = 1.0 if flavor == "kahler" else -1.0
+    sign = 1.0 if kahler else -1.0
     for name, residuals, where in (
             ("antisymmetry", np.abs(o_xy + o_yx) / scale, f"{trials} trials"),
             ("form_invariance", np.abs(o_ii - sign * o_xy) / scale, ""),
             ("metric_is_form_of_structure",
              np.abs(g_xy - o_x_iy) / np.maximum(np.abs(g_xy), 1.0), "")):
         report.measured(name, residuals, location=where)
-    if flavor == "kahler":
-        positive_ok = bool(np.all(_forms(space, x, x)[1] > 0))
+    if kahler:
+        positive_ok = bool(np.all(g_xx[0][1] > 0))
         report.add("metric_positive_on_trials", positive_ok,
                    0.0 if positive_ok else 1.0)
     else:
-        p, q = _induced_signature(space, tol)
+        p, q = _induced_signature(space, tol, target_scale)
         report.add("metric_neutral", p == q, float(abs(p - q)),
                    f"signature ({p}, {q})")
     return report
 
 
-def _induced_signature(space, tol: Tolerance = DEFAULT_TOL):
-    p, q, _ = signature_of(space.target.metric_matrix, tol)
+def _induced_signature(space, tol: Tolerance = DEFAULT_TOL, scale=None):
+    g = space.target.metric_matrix
+    p, q, _ = signature_of(g if scale is None else g / scale, tol)
     return space.samples * p, space.samples * q
 
 

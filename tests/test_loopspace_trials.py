@@ -9,7 +9,10 @@ the stacked kernel ``loopspace._forms``.  On block Kahler and para-Kahler
 targets and on completed dense pairs, with 1 to 16 samples, 0 to 30 trials
 and scales up to the overflow of the quadrature to inf and NaN, the stacked
 checks must give the same entry names, verdicts, locations and notes, and
-leave the generator in the same state.
+leave the generator in the same state.  Where a quadrature of finite
+tangents overflows, the stacked check judges the target at its own scale,
+and the trial loop it is compared with runs on the target ``divided`` by the
+largest entry of its form and metric.
 
 With N >= 3 samples the residuals must have the same bits.  With N <= 2,
 numpy's einsum sums a trial's ``(N, d)`` arrays over (i, j) in another
@@ -39,7 +42,12 @@ from tensorstruct.loopspace import (
     induced_forms,
 )
 from tensorstruct.report import Report, worst
-from tensorstruct.structures import BilinearForm, SymplecticForm, krein_from_matrix
+from tensorstruct.structures import (
+    BilinearForm,
+    ComplexStructure,
+    SymplecticForm,
+    krein_from_matrix,
+)
 
 # ---------------------------------------------------------------------------
 # the trial-by-trial checks
@@ -106,6 +114,40 @@ def reference_check_induced_compatibility(space: DiscretizedLoopSpace, trials=20
         report.add("metric_neutral", p == q, float(abs(p - q)),
                    f"signature ({p}, {q})")
     return report
+
+
+def overflows(space, trials, seed):
+    """Whether a quadrature of finite tangents comes out non-finite in the
+    trial loop of ``reference_check_induced_compatibility`` on ``seed``."""
+    rng = np.random.default_rng(seed)
+    i = space.target.structure.matrix
+    with np.errstate(all="ignore"):
+        for _ in range(trials):
+            x = rng.normal(size=space.loop.shape)
+            y = rng.normal(size=space.loop.shape)
+            ix, iy = x @ i.T, y @ i.T
+            pairs = [(x, y), (y, x), (ix, iy), (x, iy)]
+            for p, q in pairs + ([(x, x)] if space.target.flavor == "kahler" else []):
+                if (np.isfinite(p).all() and np.isfinite(q).all()
+                        and not np.isfinite(reference_induced_forms(space, p, q)[:2]).all()):
+                    return True
+    return False
+
+
+def divided(space):
+    """The loop space on the target divided by the largest entry of its form
+    and metric."""
+    t = space.target
+    scale = max(np.abs(t.omega.matrix).max(), np.abs(t.metric_matrix).max())
+    triple = replace(t, omega=replace(t.omega, matrix=t.omega.matrix / scale),
+                     metric=replace(t.metric, matrix=t.metric_matrix / scale))
+    return DiscretizedLoopSpace(triple, space.loop, space.weights)
+
+
+def judged(space, trials, seed):
+    """The loop space the check with ``seed`` judges: ``divided`` where its
+    quadratures overflow, else ``space`` itself."""
+    return divided(space) if overflows(space, trials, seed) else space
 
 
 def reference_induced_signature(space):
@@ -336,6 +378,7 @@ def compare_induced(seed, kind, pairs, samples, trials, s):
     triple = scaled(target(rng, kind, pairs), s)
     space = DiscretizedLoopSpace(triple, rng.normal(size=(samples, triple.dim)))
     got = outcome(check_induced_compatibility, space, trials, seed=seed)
+    space = judged(space, trials, seed)
     want = outcome(reference_check_induced_compatibility, space, trials, seed=seed)
     bounds = induced_bounds(space, trials, seed) if samples <= 2 else None
     return agree(got, want, bounds)
@@ -409,12 +452,23 @@ def test_induced_forms_keeps_its_bits():
 
 def test_the_draws_reach_every_path():
     """Over fixed draws: residuals that move at N <= 2 and stay within
-    their bounds, the overflow of a trial to NaN, and zero trials."""
+    their bounds, the overflow of a trial judged at the target's own scale,
+    images of tangents that overflow to NaN, and zero trials."""
     moved = [compare_induced(seed, "dense", 1, 1 + seed % 2, 20, 1.0) for seed in range(40)]
     assert any(moved)
     moved = [compare_ascending(seed, "dense", 3, 1 + seed % 2, 1.0) for seed in range(40)]
     assert any(moved)
-    space = DiscretizedLoopSpace(scaled(block_kahler_target(1), 8e307), np.zeros((1, 2)))
-    report, _ = outcome(check_induced_compatibility, space, 20, seed=1)
-    assert math.isnan(report.worst_residual)
+    space = DiscretizedLoopSpace(scaled(block_kahler_target(1), 8e307), np.zeros((3, 2)))
+    assert overflows(space, 20, 1)
+    got = outcome(check_induced_compatibility, space, 20, seed=1)
+    assert got[0].passed and got[0].worst_residual <= 1e-15
+    agree(got, outcome(reference_check_induced_compatibility, divided(space), 20, seed=1))
+    # I X overflows, or comes near it: dividing a target whose form and
+    # metric are canonical changes nothing, and the trials read NaN
+    wide = replace(block_kahler_target(1),
+                   structure=ComplexStructure(np.array([[0.0, -1e308], [1e-308, 0.0]])))
+    space = DiscretizedLoopSpace(wide, np.zeros((3, 2)))
+    got = outcome(check_induced_compatibility, space, 20, seed=1)
+    assert not got[0].passed and math.isnan(got[0].worst_residual)
+    agree(got, outcome(reference_check_induced_compatibility, space, 20, seed=1))
     assert compare_induced(1, "kahler", 1, 4, 0, 1.0) == 0.0
