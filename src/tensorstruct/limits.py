@@ -63,12 +63,19 @@ accepts it, and a connection form is adapted where
 
 Connection towers.  ``check_connection_coherence`` evaluates every sample
 at once: the (sample point, tangent direction) pairs form one axis of rows,
-``LevelForm.at`` evaluates a level's form on all rows in one stacked call,
-and each level and each pair of levels costs a fixed number of numpy calls
-whatever the number of samples.  Every product is the one the per-sample
-evaluation made, row by row, so reports are bit-identical to it.  A NaN
-residual (an overflow to inf - inf, say) is the worst residual of its
-entry (``report.worst``) and fails it.
+and ``LevelForm.at`` evaluates a level's form on all rows in one stacked
+call.  The pullback laws are checked one destination level at a time (the
+lower level i of a pair for projective towers, the upper level j for
+direct ones): each pair carries its own rows to that level and writes its
+morphism image ``L form(x)(v) R`` into the group's stack, and the group
+takes one ``at`` on the concatenated rows, one subtraction, one
+``fro_each`` and one row-wise ``np.argmax``, which is ``report.worst_index``
+on each pair's rows.  ``at`` makes one product per row, so a row's value
+does not depend on the rows that share the call, and a group's stack is
+bounded in bytes (``_GROUP_BYTES``).  Every product is the one the
+per-sample evaluation made, row by row, so reports are bit-identical to it.
+A NaN residual (an overflow to inf - inf, say) is the worst residual of
+its entry (``report.worst``) and fails it.
 """
 
 from __future__ import annotations
@@ -631,6 +638,34 @@ def _carry(lam, rows):
     return np.matmul(lam, rows[:, :, None])[:, :, 0]
 
 
+# Largest stack of form values (of x-dependent coefficients, for a linear
+# form) that one group of pullback laws builds: 4 pairs of 2 rows at d = 32.
+# Measured over 40 rounds of the benchmark's towers workload in one process
+# (tools/peak_rss.py, seed 11), the peak RSS read 57.0 MB one pair at a time,
+# 57.2 MB at this bound and 60.1-60.3 MB at 120 or 128 KiB, where a later
+# tower check took 3 MB more.
+_GROUP_BYTES = 64 * 1024
+
+
+def _pullback_residuals(form, rows, pulls):
+    """The worst pullback residual of each ``(lam, v, x, value, left,
+    right)`` of ``pulls``: ``form`` on the ``rows`` tangents ``v`` (and
+    points ``x``, read when the form is linear) carried by ``lam``, against
+    the morphism image ``left @ value @ right``, all in one stack."""
+    n = form.dim
+    tangents, points = [], []
+    images = np.empty((len(pulls) * rows, n, n))
+    for start, (lam, v, x, value, left, right) in zip(range(0, len(images), rows), pulls):
+        tangents.append(_carry(lam, v))
+        if form.linear is not None:
+            points.append(_carry(lam, x))
+        np.matmul(left @ value, right, out=images[start:start + rows])
+    residuals = form.at(np.concatenate(points) if points else None, np.concatenate(tangents))
+    np.subtract(residuals, images, out=residuals)
+    norms = fro_each(residuals).reshape(len(pulls), rows)
+    return norms[np.arange(len(pulls)), norms.argmax(axis=1)]
+
+
 def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
                                tol: Tolerance = DEFAULT_TOL) -> Report:
     """Levelwise adaptedness plus the cross-level pullback relations.
@@ -681,17 +716,26 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
     values = [form.at(x, v) for form, x, v in zip(forms, moved_x, moved_v)]
     adapted = np.array([worst(fro_each(algebra_action(w, model)))
                         for w, model in zip(values, seq.models)])
-    coherent = []
-    for (i, j), (left, right) in zip(pairs, morphisms):
+    coherent = np.zeros(len(pairs))  # the worst of no rows is 0.0
+    rows = len(xs)
+    number = {pair: k for k, pair in enumerate(pairs)}
+    for dst in range(n if rows else 0):
         # the upper level's data for projective towers, the lower's for direct
-        src, dst = (j, i) if variance == "projective" else (i, j)
-        lam = maps[i][j]
-        x = None if forms[dst].linear is None else _carry(lam, moved_x[src])
-        lhs = forms[dst].at(x, _carry(lam, moved_v[src]))
-        coherent.append(worst(fro_each(lhs - left @ values[src] @ right)))
+        if variance == "projective":
+            group = [(number[dst, j], j, maps[dst][j]) for j in range(dst + 1, n)]
+        else:
+            group = [(number[i, dst], i, maps[i][dst]) for i in range(dst)]
+        d = b.dims[dst]
+        size = max(1, _GROUP_BYTES // (8 * rows * d * d * (1 if forms[dst].linear is None
+                                                            else d) or 1))
+        for first in range(0, len(group), size):
+            chunk = group[first:first + size]
+            coherent[[k for k, _, _ in chunk]] = _pullback_residuals(forms[dst], rows, [
+                (lam, moved_v[src], moved_x[src], values[src], *morphisms[k])
+                for k, src, lam in chunk])
 
     scales = np.array([max(fro(model.matrix), 1.0) for model in seq.models[:n]])
     report.measured_block("adapted[%d]", [(k,) for k in range(n)], adapted, scales)
-    report.measured_block("coherent[%d,%d]", pairs, np.array(coherent))
+    report.measured_block("coherent[%d,%d]", pairs, coherent)
     report.note(f"{pts.shape[0]} sample points, {dim} tangent directions")
     return report

@@ -210,11 +210,18 @@ def rank_of(a, tol: Tolerance = DEFAULT_TOL):
 def signature_of(g, tol: Tolerance = DEFAULT_TOL):
     """Eigenvalue sign counts (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Eigenvalues within ``atol + rtol*max|eig|`` of zero count as zero.
+    Eigenvalues within ``atol + rtol*max|eig|`` of zero count as zero.  When
+    the largest eigenvalue overflows (a finite g with entries near the
+    largest double), the eigenvalues are those of ``g / max|g|``, a positive
+    multiple of g, which has g's signs.
     """
     g = as_matrix(g, square=True)
     w = np.linalg.eigvalsh(symmetric_part(g))
-    cut = tol.rank_threshold(np.abs(w).max(initial=0.0))
+    top = np.abs(w).max(initial=0.0)
+    if not math.isfinite(top):
+        w = np.linalg.eigvalsh(symmetric_part(g / np.abs(g).max()))
+        top = np.abs(w).max()
+    cut = tol.rank_threshold(top)
     n_plus = int(np.sum(w > cut))
     n_minus = int(np.sum(w < -cut))
     return n_plus, n_minus, g.shape[0] - n_plus - n_minus

@@ -21,6 +21,7 @@ from tensorstruct.limits import (
     ConnectionFormSequence,
     LevelForm,
     LevelTuple,
+    _GROUP_BYTES,
     check_coherent,
     check_connection_coherence,
     tuple_membership,
@@ -558,8 +559,13 @@ def test_connection_check_evaluates_no_form_per_sample(variance, tmp_path, monke
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(guard_docs(variance)[1]))
     assert run(["connection", "check", str(path)]) == 0
-    # one evaluation over all samples per level and per pair of levels
-    assert calls == {"at": DEPTH + DEPTH * (DEPTH - 1) // 2}
+    # one evaluation over all samples per level, and one per destination
+    # level of the pullback laws: each level's group of pairs fits in one
+    # stack, at most DEPTH - 1 - i pairs into level i of 2 * 8 rows (the
+    # projective tower's; the direct one's have 2)
+    dims = [1 + k // 2 for k in range(DEPTH)]
+    assert max((DEPTH - 1 - i) * 16 * d * d * 8 for i, d in enumerate(dims)) <= _GROUP_BYTES
+    assert calls == {"at": DEPTH + DEPTH - 1}
 
 
 @pytest.mark.parametrize("variance", ["projective", "direct"])

@@ -12,7 +12,7 @@ every k that keeps every entry and every product finite.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tensorstruct.bundle import (
     Chart,
@@ -23,7 +23,7 @@ from tensorstruct.bundle import (
     in_isotropy,
 )
 from tensorstruct.limits import BondingSystem, CoherentSequence, check_coherent
-from tensorstruct.linalg import Tolerance
+from tensorstruct.linalg import Tolerance, signature_of
 from tensorstruct.structures import BilinearForm, validate
 
 
@@ -119,3 +119,24 @@ def test_a_verdict_does_not_depend_on_the_exponent(case, seed, accept, k):
     with np.errstate(over="ignore"):  # a sum of squares overflows before fro scales it
         for exponent in sorted({0, min(k, top), top}):
             assert judge(exponent, tol) == accept, exponent
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), plus=st.integers(0, 3), minus=st.integers(0, 3),
+       k=st.integers(0, 1023))
+def test_a_signature_does_not_depend_on_the_exponent(seed, plus, minus, k):
+    # P^T J P for a signs matrix J and a P with singular values in [1, 2]:
+    # its eigenvalues have J's signs and magnitudes within a factor 4 of
+    # each other, so no tolerance decides them; scaled to a largest entry in
+    # [1, 2), every 2**k up to 2**1023 keeps the entries finite, though the
+    # eigenvalues may overflow
+    assume(plus + minus)
+    rng = np.random.default_rng(seed)
+    n = plus + minus
+    p = np.linalg.qr(rng.normal(size=(n, n)))[0] * rng.uniform(1.0, 2.0, size=n)
+    g = p.T @ np.diag([1.0] * plus + [-1.0] * minus) @ p
+    g = 0.5 * (g + g.T)
+    g = g / 2.0 ** math.floor(math.log2(np.abs(g).max()))
+    tol = Tolerance(atol=0.0, rtol=1e-9)
+    for exponent in sorted({0, k, 1023}):
+        assert signature_of(g * 2.0 ** exponent, tol) == (plus, minus, 0), exponent

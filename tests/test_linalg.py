@@ -221,6 +221,12 @@ def test_signature_of_a_neutral_metric_past_9e307(s):
     # as zero
     assert signature_of(np.diag([s, -s])) == (1, 1, 0)
     assert signature_of(np.array([[0.0, s], [s, 0.0]])) == (1, 1, 0)
+    # a dense neutral metric with largest entry s has eigenvalues past the
+    # largest double, and read (0, 0, 4) from their inf
+    p = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))[0] * [1.0, 1.5, 2.0, 1.25]
+    g = p.T @ np.diag([1.0, 1.0, -1.0, -1.0]) @ p
+    g = symmetric_part(g) / np.abs(g).max()
+    assert signature_of(g * s) == signature_of(g) == (2, 2, 0)
 
 
 MAGNITUDES = st.floats(-1e300, 1e300, allow_nan=False).filter(

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tensorstruct.cli import _emit
 from tensorstruct.linalg import fro, fro_each
-from tensorstruct.report import Report, location
+from tensorstruct.report import _CHUNK, Report, location
 
 # strings with the characters JSON escapes, plus arbitrary text
 awkward = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é",
@@ -108,6 +108,27 @@ blocks = st.integers(0, 3).flatmap(lambda arity: st.tuples(
              max_size=4)))
 
 
+def long_block(text, arity, length, seed, value, at):
+    """A block of ``length`` random entries, with residual ``value`` at
+    entry ``at`` (counted from the end when negative)."""
+    rng = np.random.default_rng(seed)
+    items = [(tuple(rng.integers(-9, 10**9, size=arity).tolist()), bool(rng.integers(2)),
+              float(rng.normal() * 10.0 ** rng.integers(-300, 300))) for _ in range(length)]
+    if -length <= at < length:
+        index, passed, _ = items[at]
+        items[at] = (index, passed, value)
+    return "block", text, arity, items
+
+
+# blocks of a chunk of entries the writer formats at once, and one entry
+# fewer or more, or longer, with a residual at a chunk boundary that may be
+# non-finite
+long_blocks = st.builds(
+    long_block, texts, st.integers(0, 3),
+    st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 3]),
+    st.integers(0, 2**32 - 1), values, st.sampled_from([0, _CHUNK - 1, _CHUNK, -1]))
+
+
 def bits(x):
     return struct.pack("<d", x)
 
@@ -172,7 +193,7 @@ def bit_rows(rows):
 
 
 @settings(max_examples=200, deadline=None)
-@given(command=strings, digest=strings, ops=st.lists(one | blocks, max_size=5),
+@given(command=strings, digest=strings, ops=st.lists(one | blocks | long_blocks, max_size=5),
        prefix=st.none() | texts, notes=st.lists(texts, max_size=3))
 def test_blocks_stand_for_their_entries(command, digest, ops, prefix, notes):
     report = Report(command, digest)

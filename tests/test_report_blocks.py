@@ -11,10 +11,12 @@ same names, verdicts, residual bits, locations and notes, and the same
 import contextlib
 import io
 import struct
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from tensorstruct import limits
 from tensorstruct.bundle import algebra_action, in_isotropy
 from tensorstruct.cli import _emit
 from tensorstruct.errors import ShapeMismatch
@@ -278,13 +280,18 @@ def test_tower_checks_match_the_per_entry_checks(depth, variance, explicit, seed
     assert observed(bonding) == observed(references[0])
 
 
-@settings(max_examples=60, deadline=None)
-@given(**towers, linear=st.booleans(), override=st.booleans(),
-       scale=st.sampled_from([1.0, 1e3, 1e160]), size=st.sampled_from([1.0, 1e-10, 1e-11]))
+@settings(max_examples=80, deadline=None)
+@given(**towers, linear=st.booleans(), override=st.booleans(), poison=st.booleans(),
+       scale=st.sampled_from([1.0, 1e3, 1e160]), size=st.sampled_from([1.0, 1e-10, 1e-11]),
+       points=st.integers(0, 2), bound=st.sampled_from([limits._GROUP_BYTES, 1, 2048]))
 def test_connection_check_matches_the_per_entry_check(depth, variance, explicit, seed, gain,
-                                                      tol, linear, override, scale, size):
+                                                      tol, linear, override, poison, scale,
+                                                      size, points, bound):
     # forms of ``size`` 1e-10 or 1e-11 give residuals on either side of
-    # the tolerance
+    # the tolerance; a ``poison`` entry 1e308 in the morphism's left factor
+    # overflows that pair's image, so its residual is inf, and now and then
+    # NaN (inf - inf in a product); a ``bound`` of 1 or 2048 bytes splits a
+    # destination level's pairs into groups of one or a few
     rng = np.random.default_rng(seed)
     b = random_tower(rng, depth, variance, explicit, min(gain, 1e80))
     forms = []
@@ -297,14 +304,38 @@ def test_connection_check_matches_the_per_entry_check(depth, variance, explicit,
     if override and depth > 1:
         lo, hi = b.dims[0], b.dims[-1]
         shape = (hi, lo) if variance == "direct" else (lo, hi)
-        morphisms = {(0, depth - 1): (rng.normal(size=shape), rng.normal(size=shape[::-1]))}
+        left = rng.normal(size=shape)
+        if poison:
+            left[0, 0] = 1e308
+        morphisms = {(0, depth - 1): (left, rng.normal(size=shape[::-1]))}
     seq = ConnectionFormSequence(b, forms, models, morphisms)
     base = b.dims[-1] if variance == "projective" else b.dims[0]
-    pts = scale * rng.normal(size=(int(rng.integers(1, 3)), base))
-    with np.errstate(all="ignore"):
+    pts = scale * rng.normal(size=(points, base))
+    with np.errstate(all="ignore"), mock.patch.object(limits, "_GROUP_BYTES", bound):
         report = check_connection_coherence(seq, pts, tol)
         reference = per_entry_connection_coherence(seq, pts, tol)
     assert observed(report) == observed(reference)
+
+
+def test_a_nan_row_is_the_worst_of_its_pair_in_a_group():
+    """On a direct tower of three 1-dimensional levels the forms are
+    W(x)(v) = x v, x v and 2 x v, and the override of levels (1, 2) is
+    L = 2, so pair (1, 2)'s rows at x = 1 and x = 1e308 read 2 - 2 and
+    inf - inf: the NaN of the second row is its residual.  Pair (0, 2),
+    with the default morphism, reads 2 - 1 and inf - 1e308, so inf.  Both
+    pairs have destination level 2 and share one group."""
+    b = BondingSystem.padded([1, 1, 1], "direct")
+    forms = [LevelForm([[[0.0]]], [[[[c]]]]) for c in (1.0, 1.0, 2.0)]
+    models = [StructureMatrix([[1.0]], "1,1")] * 3
+    seq = ConnectionFormSequence(b, forms, models, {(1, 2): ([[2.0]], [[1.0]])})
+    points = [[1.0], [1e308]]
+    with np.errstate(all="ignore"):
+        report = check_connection_coherence(seq, points)
+        reference = per_entry_connection_coherence(seq, points)
+    assert observed(report) == observed(reference)
+    rows = {e.name: (e.passed, e.residual) for e in report.entries}
+    assert rows["coherent[0,1]"] == (True, 0.0) and rows["coherent[0,2]"] == (False, np.inf)
+    assert not rows["coherent[1,2]"][0] and np.isnan(rows["coherent[1,2]"][1])
 
 
 def test_the_random_towers_reach_every_path():

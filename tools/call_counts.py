@@ -14,7 +14,8 @@ argument parser is done, then once more with each operation under its own
 function that the operation called: operation id, function and number of
 calls.  The counted functions are the public kernels and checks that the
 benchmark's tracer wraps, plus ``compat.complete_pair``,
-``compat.is_compatible``, ``compat._metric_ok`` and ``linalg.fro``; a name
+``compat.is_compatible``, ``compat._metric_ok``, ``limits.LevelForm.at``,
+``linalg.fro`` and ``linalg.fro_each``; a name
 the checkout does not define is skipped, so two checkouts can be compared
 line by line:
 
@@ -41,10 +42,11 @@ COUNTED = (
     ("calculus", "curvature"), ("calculus", "is_integrable_structure"),
     ("calculus", "is_metric_integrable"),
     ("limits", "BondingSystem.map"), ("limits", "BondingSystem.projection"),
-    ("limits", "LevelForm.__call__"), ("limits", "validate_bonding"),
+    ("limits", "LevelForm.__call__"), ("limits", "LevelForm.at"),
+    ("limits", "validate_bonding"),
     ("limits", "check_coherent"), ("limits", "check_connection_coherence"),
     ("limits", "tuple_membership"), ("limits", "theta_projection"),
-    ("linalg", "fro"), ("linalg", "spd_sqrt"), ("linalg", "kernel_and_image"),
+    ("linalg", "fro"), ("linalg", "fro_each"), ("linalg", "spd_sqrt"), ("linalg", "kernel_and_image"),
     ("linalg", "signature_of"),
     ("structures", "validate"), ("structures", "darboux_basis"),
     ("compat", "structure_from"), ("compat", "complete_pair"),
