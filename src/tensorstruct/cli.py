@@ -191,7 +191,6 @@ def run(argv=None):
         print("error: randomized subcommands need --seed with --json",
               file=sys.stderr)
         return 2
-    rng = np.random.default_rng(0 if args.seed is None else args.seed)
     # the grid checks take their own absolute --tol; every other check --atol/--rtol
     tol = Tolerance(args.tol, 0.0) if "tol" in args else Tolerance(args.atol, args.rtol)
     digests = []
@@ -203,7 +202,7 @@ def run(argv=None):
 
     try:
         with np.errstate(all="ignore"):
-            report = _dispatch(args, load, tol, rng)
+            report = _dispatch(args, load, tol)
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -216,7 +215,7 @@ def run(argv=None):
     return _emit(report, args.json)
 
 
-def _dispatch(args, load, tol, rng) -> Report:
+def _dispatch(args, load, tol) -> Report:
     """The report of the parsed subcommand; ``load(path)`` reads each
     document."""
     if args.command == "validate":
@@ -277,6 +276,7 @@ def _dispatch(args, load, tol, rng) -> Report:
         return check_connection_coherence(seq, points, tol)
 
     if args.command == "loopspace":
+        rng = np.random.default_rng(0 if args.seed is None else args.seed)
         if args.loopspace_command == "demo":
             report = Report(tol=tol)
             targets = [block_kahler_target(m) for m in range(1, args.levels + 1)]

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensorstruct import documents
 from tensorstruct.calculus import (
     GRID_TOL,
     ConnectionData,
@@ -285,6 +288,141 @@ def test_degenerate_metric_raises_with_location():
         conn([0.0, 0.3])
     assert err.value.reason == "metric degenerate"
     np.testing.assert_array_equal(err.value.point, [0.0, 0.3])
+
+
+# ---------------------------------------------------------------------------
+# the nondegeneracy certificate
+# ---------------------------------------------------------------------------
+
+def stack_metric(mats):
+    """A vectorized metric field that takes the values ``mats`` at the points
+    it is asked for (one matrix per point), with zero partials."""
+    return TensorFieldOnChart(mats.shape[-1], "2,0", lambda x: mats,
+                              gradient=lambda x, i: np.zeros_like(mats),
+                              symmetry="none", vectorized=True)
+
+
+def svd_rule_first(mats, tol):
+    """Index of the first matrix whose smallest singular value is at most
+    ``tol.rank_threshold`` of its largest, or None."""
+    sv = np.linalg.svd(mats, compute_uv=False)
+    bad = sv[..., -1] <= tol.rank_threshold(sv[..., 0])
+    return np.unravel_index(np.argmax(bad), bad.shape) if bad.any() else None
+
+
+def straddling(rng, dim, tol, scale):
+    """U diag(s) V^T with largest singular value ``scale`` and smallest
+    ``tol.rank_threshold(scale) * (1 +- 2**-k)``: symmetric (an indefinite
+    metric) or not, with U and V random or near a permutation (then g is
+    diagonally dominant up to the order of its rows)."""
+    k = rng.integers(1, 53)
+    s = np.sort(rng.uniform(0.0, scale, dim))[::-1]
+    s[0] = scale
+    s[-1] = tol.rank_threshold(scale) * (1.0 + rng.choice([-1.0, 1.0]) * 2.0 ** -k)
+    spread = rng.choice([1.0, 1e-3])
+
+    def orthogonal():
+        q = np.linalg.qr(np.eye(dim) + spread * rng.standard_normal((dim, dim)))[0]
+        return q[rng.permutation(dim)]
+
+    u = orthogonal()
+    v = u * rng.choice([-1.0, 1.0], dim) if rng.random() < 0.5 else orthogonal()
+    return (u * s) @ v.T
+
+
+def dominant(rng, dim, scale):
+    """A diagonally dominant matrix of either signature, not symmetric."""
+    diagonal = rng.choice([-1.0, 1.0], dim) * rng.uniform(1.0, 2.0, dim)
+    return scale * (np.diag(diagonal) + rng.uniform(-0.5, 0.5, (dim, dim)) / dim)
+
+
+CERTIFICATE_TOLS = [Tolerance(), Tolerance(1e-6, 0.0), Tolerance(1e-9, 0.0),
+                    Tolerance(0.0, 1e-9), Tolerance(0.0, 1e-3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+       tol=st.sampled_from(CERTIFICATE_TOLS),
+       scale=st.sampled_from([1.0, 1e-3, 1e154, 1e300, 1e307]),
+       points=st.sampled_from([None, 1, 3]), share=st.sampled_from([0.0, 0.1, 0.5]))
+def test_the_certificate_decides_as_the_svd_rule(seed, dim, tol, scale, points, share):
+    # a stack of (points, 2 dim + 1) metrics, as curvature asks for, or one
+    # metric; straddling matrices sit among dominant ones
+    rng = np.random.default_rng(seed)
+    batch = () if points is None else (points, 2 * dim + 1)
+    mats = np.array([straddling(rng, dim, tol, scale) if rng.random() < share
+                     else dominant(rng, dim, scale)
+                     for _ in range(int(np.prod(batch)))]).reshape(batch + (dim, dim))
+    x = np.arange(mats.size // dim, dtype=float).reshape(batch + (dim,))
+    first = svd_rule_first(mats, tol)
+    conn = ConnectionData(stack_metric(mats), tol=tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if first is None:
+            try:
+                assert conn(x).shape == batch + (dim,) * 3
+            except np.linalg.LinAlgError:
+                # accepted by an absolute threshold alone, a metric can be
+                # singular to working precision, and then the solve fails
+                assert tol.rtol == 0
+            return
+        with pytest.raises(BadAtPoint) as err:
+            conn(x)
+    assert err.value.reason == "metric degenerate"
+    np.testing.assert_array_equal(err.value.point, x[first])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+       dominance=st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0]))
+def test_the_gershgorin_bound_never_exceeds_the_smallest_singular_value(seed, dim, dominance):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((64, dim, dim))
+    g += dominance * np.eye(dim) * rng.choice([-1.0, 1.0], (64, 1, dim))
+    a = np.abs(g)
+    # Johnson: min_i |g_ii| - (R_i + C_i) / 2 over off-diagonal sums R_i, C_i
+    lower = (2.0 * a.diagonal(0, -2, -1) - 0.5 * (a.sum(axis=-1) + a.sum(axis=-2))).min(axis=-1)
+    assert (lower <= np.linalg.svd(g, compute_uv=False)[:, -1]).all()
+
+
+def counting_svd(monkeypatch):
+    """The list that records each call of ``np.linalg.svd`` from now on."""
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 3, "field": {"name": "pullback_flat", "base_metric": np.diag([1.0, -1.0, 1.0]).tolist(),
+                         "diffeo": [[[1, 0, 0, 1.0], [0, 2, 0, 0.1]],
+                                    [[0, 1, 0, 1.0], [1, 0, 1, -0.1]],
+                                    [[0, 0, 1, 1.0], [2, 0, 0, 0.05]]]},
+     "grid": {"counts": 4}},
+    {"dim": 2, "field": {"name": "sphere_stereographic"}, "grid": {"counts": 9}},
+], ids=["pullback_flat", "sphere_stereographic"])
+def test_certified_metric_stacks_take_no_svd(doc, monkeypatch):
+    field, grid = documents.parse_field(doc)
+    calls = counting_svd(monkeypatch)
+    report = is_metric_integrable(field, grid, step=documents.field_step(doc, None))
+    assert report.worst_residual < np.inf
+    assert calls == []
+
+
+def test_a_degenerate_metric_still_reaches_the_svd(monkeypatch):
+    metric = TensorFieldOnChart(2, "2,0", lambda x: np.diag([1.0, x[0]]))
+    conn = levi_civita(metric)
+    calls = counting_svd(monkeypatch)
+    with pytest.raises(BadAtPoint) as err:
+        conn([0.0, 0.3])
+    assert err.value.reason == "metric degenerate"
+    np.testing.assert_array_equal(err.value.point, [0.0, 0.3])
+    assert len(calls) == 1
+    # in a stack, only the metric the bound cannot certify meets the SVD
+    points = np.array([[0.5, 0.1], [0.0, 0.3], [0.7, 0.2]])
+    with pytest.raises(BadAtPoint) as err:
+        conn(points)
+    np.testing.assert_array_equal(err.value.point, [0.0, 0.3])
+    assert calls[-1][0].shape == (1, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ function that the operation called: operation id, function and number of
 calls.  The counted functions are the public kernels and checks that the
 benchmark's tracer wraps, plus ``compat.complete_pair``,
 ``compat.is_compatible``, ``compat._metric_ok``, ``limits.LevelForm.at``,
-``linalg.fro`` and ``linalg.fro_each``; a name
-the checkout does not define is skipped, so two checkouts can be compared
-line by line:
+``linalg.fro`` and ``linalg.fro_each``, and ``numpy.linalg.svd`` and
+``numpy.linalg.solve``; a name that cannot be resolved is skipped, so two
+checkouts can be compared line by line:
 
     python3 tools/call_counts.py parent /tmp/docs --workload linear-batch --seed 3 --round 1 > a.txt
     python3 tools/call_counts.py . /tmp/docs --workload linear-batch --seed 3 --round 1 > b.txt
@@ -34,7 +34,8 @@ import os
 import sys
 from pathlib import Path
 
-# (module, qualified name) of every counted function
+# (module, qualified name) of every counted function; a module is one of the
+# package's unless it is numpy's
 COUNTED = (
     ("poly", "Poly.__call__"), ("poly", "Poly.diff"),
     ("calculus", "TensorFieldOnChart.__call__"), ("calculus", "lie_bracket"),
@@ -58,24 +59,28 @@ COUNTED = (
     ("loopspace", "induced_forms"), ("loopspace", "check_induced_compatibility"),
     ("loopspace", "ascending_coherence"),
     ("cli", "_load"), ("cli", "run"), ("cli", "build_parser"), ("cli", "_emit"),
+    ("numpy.linalg", "svd"), ("numpy.linalg", "solve"),
 )
 
 
 def counted_functions():
     """{(file, first line, code name): "module.qualname"} for every counted
-    function the imported package defines, plus each ``documents.parse_*``."""
+    function that the imported package, or numpy, defines, plus each
+    ``documents.parse_*``."""
     names = list(COUNTED)
     documents = importlib.import_module("tensorstruct.documents")
     names += [("documents", n) for n in documents.__all__ if n.startswith("parse_")]
     keys = {}
     for module, qualname in names:
-        owner = importlib.import_module(f"tensorstruct.{module}")
+        package = "" if module.startswith("numpy.") else "tensorstruct."
+        owner = importlib.import_module(package + module)
         try:
             for part in qualname.split("."):
                 owner = getattr(owner, part)
+            # numpy's public functions wrap the Python function they run
+            code = inspect.unwrap(owner).__code__
         except AttributeError:
             continue
-        code = inspect.unwrap(owner).__code__
         keys[code.co_filename, code.co_firstlineno, code.co_name] = f"{module}.{qualname}"
     return keys
 
