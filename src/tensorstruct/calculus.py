@@ -24,14 +24,14 @@ it ``vectorized``.
 On coordinate fields the brackets vanish, so the Koszul identity reduces to
 ``2 g(grad_i e_j, e_k) = d_i g_jk + d_j g_ki - d_k g_ij`` and the Christoffel
 array follows by solving with g.  A metric is degenerate when its smallest
-singular value is at most the rank threshold of its largest; on a stack of
-points, a bound made of absolute row and column sums certifies most metrics
-nondegenerate, and only the rest take an SVD.  Curvature differentiates the
-Christoffel evaluator by central differences with its own step, in every
-derivative mode; the CLI passes the field document's ``fd_step`` (else
-``--fd-step``).  The grid checks evaluate every grid point and every shifted
-point they need in one call, so a check costs a fixed number of numpy calls
-per block of points rather than per point.  They decide with a ``Tolerance``, by default
+singular value is at most the rank threshold of its largest; a bound made
+of absolute row and column sums certifies most metrics nondegenerate, and
+only the rest take an SVD.  Curvature differentiates the Christoffel
+evaluator by central differences with its own step, in every derivative
+mode; the CLI passes the field document's ``fd_step`` (else ``--fd-step``).
+The grid checks evaluate every grid point and every shifted point they need
+in one call, so a check costs a fixed number of numpy calls per block of
+points rather than per point.  They decide with a ``Tolerance``, by default
 ``GRID_TOL`` (absolute 1e-6).  An input that is bad at a point (a field
 that is not a structure of the asked kind, a metric that is not finite or
 is degenerate, a singular Jacobian) raises ``BadAtPoint`` there, and ``_grid_report`` turns it into
@@ -399,13 +399,6 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
 # metric connection and curvature
 # ---------------------------------------------------------------------------
 
-def _svd_degenerate(g, tol: Tolerance):
-    """Per matrix of the stack g: is its smallest singular value at most
-    ``tol.rank_threshold`` of its largest?"""
-    sv = np.linalg.svd(g, compute_uv=False)
-    return sv[..., -1] <= tol.rank_threshold(sv[..., 0])
-
-
 @dataclass
 class ConnectionData:
     """The metric connection of ``metric`` on coordinate fields.
@@ -416,11 +409,10 @@ class ConnectionData:
     that is not finite raises ``BadAtPoint`` (``metric not finite``) at the
     first such point, in row order; then one whose smallest singular value
     is at most ``tol.rank_threshold`` of its largest raises ``BadAtPoint``
-    (``metric degenerate``) at the first such point.  In a stack of points,
-    a Gershgorin-type lower bound on the smallest singular value certifies
-    most metrics nondegenerate, and only the others take an SVD; a single
-    point always does.  ``step`` is the default central-difference step of
-    ``curvature``.
+    (``metric degenerate``) at the first such point.  A Gershgorin-type
+    lower bound on the smallest singular value certifies most metrics
+    nondegenerate, and only the others take an SVD.  ``step`` is the default
+    central-difference step of ``curvature``.
     """
 
     metric: TensorFieldOnChart
@@ -444,35 +436,32 @@ class ConnectionData:
         rhs = 0.5 * (np.einsum("...ijk->...kij", partials)
                      + np.einsum("...jik->...kij", partials)
                      - partials)
-        if g.ndim == 2:
-            # one matrix: its SVD costs less than the bound's numpy calls
-            degenerate = _svd_degenerate(g, self.tol)
-        else:
-            # Johnson's Gershgorin-type bound (Linear Algebra Appl. 112 (1989)
-            # 1-7) sigma_min >= min_i |g_ii| - (R_i + C_i) / 2, with R_i and
-            # C_i the off-diagonal absolute row and column sums, is 2 |g_ii|
-            # minus half the full sums; the sum of all |g_ij| bounds
-            # sigma_max.  A matrix whose bound exceeds twice the rank
-            # threshold of that upper bound plus 2**-30 * dim * upper is
-            # nondegenerate under the SVD rule as well: LAPACK's singular
-            # values err by at most p(d) eps sigma_max, and the bound's own
-            # rounding by a few dim eps upper, both far below the slack
-            # (2**-30 is about 4.8e6 eps); the computed sigma_max stays below
-            # twice the upper bound, which the factor 2 covers.  An inf or
-            # NaN certifies nothing, and every matrix not certified meets the
-            # SVD rule itself.
-            a = np.abs(g)
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums = (a + a.swapaxes(-1, -2)).sum(axis=-1)
-                upper = 0.5 * sums.sum(axis=-1)
-                lower = (2.0 * a.diagonal(0, -2, -1) - 0.5 * sums).min(axis=-1)
-                certified = lower > 2.0 * self.tol.rank_threshold(upper) + 2.0**-30 * dim * upper
+        # Johnson's Gershgorin-type bound (Linear Algebra Appl. 112 (1989)
+        # 1-7) sigma_min >= min_i |g_ii| - (R_i + C_i) / 2, with R_i and C_i
+        # the off-diagonal absolute row and column sums, is 2 |g_ii| minus
+        # half the full sums; `lower` is half of it.  The sum of all |g_ij|,
+        # `upper`, bounds sigma_max.  A matrix is certified when its bound
+        # exceeds twice the rank threshold of `upper` plus 2**-30 * dim *
+        # upper (halved on both sides below, which is exact), and then it is
+        # nondegenerate under the SVD rule as well: LAPACK's singular values
+        # err by at most p(d) eps sigma_max, and the bound's own rounding by
+        # a few dim eps upper, both far below that slack (2**-30 is about
+        # 4.8e6 eps); the computed sigma_max stays below twice `upper`,
+        # which the factor 2 covers.  An inf or NaN certifies nothing, and
+        # every matrix not certified meets the SVD rule itself.
+        a = np.abs(g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            upper = a.sum(axis=(-2, -1))
+            sums = (a + a.swapaxes(-1, -2)).sum(axis=-1)
+            lower = (a.diagonal(0, -2, -1) - 0.25 * sums).min(axis=-1)
+            certified = lower > self.tol.rank_threshold(upper) + 2.0**-31 * dim * upper
+        if not certified.all():
+            sv = np.linalg.svd(g[~certified], compute_uv=False)
             degenerate = np.zeros_like(certified)
-            if not certified.all():
-                degenerate[~certified] = _svd_degenerate(g[~certified], self.tol)
-        if degenerate.any():
-            first = np.unravel_index(np.argmax(degenerate), degenerate.shape)
-            raise BadAtPoint(x[first], "metric degenerate")
+            degenerate[~certified] = sv[..., -1] <= self.tol.rank_threshold(sv[..., 0])
+            if degenerate.any():
+                first = np.unravel_index(np.argmax(degenerate), degenerate.shape)
+                raise BadAtPoint(x[first], "metric degenerate")
         batch = x.shape[:-1]
         gamma = np.linalg.solve(g, rhs.reshape(batch + (dim, dim * dim)))
         return gamma.reshape(batch + (dim, dim, dim))

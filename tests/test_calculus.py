@@ -27,7 +27,7 @@ from tensorstruct.calculus import (
     PolyMap,
 )
 from tensorstruct.errors import BadAtPoint
-from tensorstruct.linalg import Tolerance
+from tensorstruct.linalg import DEFAULT_TOL, Tolerance
 from tensorstruct.poly import Poly
 from tensorstruct.structures import complex_canonical, para_complex_canonical, tangent_canonical
 
@@ -343,7 +343,7 @@ CERTIFICATE_TOLS = [Tolerance(), Tolerance(1e-6, 0.0), Tolerance(1e-9, 0.0),
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
        tol=st.sampled_from(CERTIFICATE_TOLS),
-       scale=st.sampled_from([1.0, 1e-3, 1e154, 1e300, 1e307]),
+       scale=st.sampled_from([1.0, 1e-3, 1e154, 1e300, 1e307, 5e307]),
        points=st.sampled_from([None, 1, 3]), share=st.sampled_from([0.0, 0.1, 0.5]))
 def test_the_certificate_decides_as_the_svd_rule(seed, dim, tol, scale, points, share):
     # a stack of (points, 2 dim + 1) metrics, as curvature asks for, or one
@@ -372,24 +372,52 @@ def test_the_certificate_decides_as_the_svd_rule(seed, dim, tol, scale, points, 
     np.testing.assert_array_equal(err.value.point, x[first])
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
-       dominance=st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0]))
-def test_the_gershgorin_bound_never_exceeds_the_smallest_singular_value(seed, dim, dominance):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((64, dim, dim))
-    g += dominance * np.eye(dim) * rng.choice([-1.0, 1.0], (64, 1, dim))
-    a = np.abs(g)
-    # Johnson: min_i |g_ii| - (R_i + C_i) / 2 over off-diagonal sums R_i, C_i
-    lower = (2.0 * a.diagonal(0, -2, -1) - 0.5 * (a.sum(axis=-1) + a.sum(axis=-2))).min(axis=-1)
-    assert (lower <= np.linalg.svd(g, compute_uv=False)[:, -1]).all()
-
-
 def counting_svd(monkeypatch):
     """The list that records each call of ``np.linalg.svd`` from now on."""
     calls, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
     return calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6),
+       dominance=st.sampled_from([0.0, 0.5, 1.0, 3.0, 10.0]),
+       share=st.sampled_from([0.0, 0.25]))
+def test_every_metric_the_bound_certifies_passes_the_svd_rule(seed, dim, dominance, share):
+    # Gaussian matrices with a diagonal of either sign pushed out by
+    # `dominance` sit on both sides of the bound's margin.  A share of them
+    # is made singular by removing its smallest singular triple, and as many
+    # become diagonal, where the bound is exact, with a smallest entry within
+    # a factor 8 of the rank threshold: a bound or threshold that certified
+    # too much would let a degenerate metric through
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((64, dim, dim))
+    g += dominance * np.eye(dim) * rng.choice([-1.0, 1.0], (64, 1, dim))
+    u, s, vt = np.linalg.svd(g)
+    kind = rng.choice(3, 64, p=[1.0 - 2.0 * share, share, share])
+    singular, tight = kind == 1, kind == 2
+    g[singular] -= s[singular, -1, None, None] * u[singular, :, -1:] * vt[singular, -1:, :]
+    t = s[tight] * 10.0 ** rng.uniform(0.0, 4.0, (tight.sum(), 1))
+    t[:, -1] = DEFAULT_TOL.rank_threshold(t[:, 0]) * 2.0 ** rng.uniform(-3.0, 3.0, len(t))
+    g[tight] = (t * rng.choice([-1.0, 1.0], t.shape))[..., None] * np.eye(dim)
+    x = np.arange(64 * dim, dtype=float).reshape(64, dim)
+    first = svd_rule_first(g, DEFAULT_TOL)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = counting_svd(patch)
+        try:
+            ConnectionData(stack_metric(g))(x)
+        except BadAtPoint as err:
+            assert err.reason == "metric degenerate"
+            np.testing.assert_array_equal(err.point, x[first])
+        else:
+            assert first is None
+    # the metrics sent to the SVD are the uncertified ones, in order; every
+    # other one must be nondegenerate under the SVD rule
+    unsure = calls[0][0] if calls else g[:0]
+    certified = ~(g[:, None] == unsure[None]).all(axis=(-2, -1)).any(axis=1)
+    assert len(unsure) + certified.sum() == 64
+    sv = np.linalg.svd(g[certified], compute_uv=False)
+    assert (sv[:, -1] > DEFAULT_TOL.rank_threshold(sv[:, 0])).all()
 
 
 @pytest.mark.parametrize("doc", [
