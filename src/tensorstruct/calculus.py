@@ -11,7 +11,8 @@ derivative at once in the derivative mode the field's data selects:
 
   * polynomial: the field is ``values``, the ``PolyArray`` of its entries
     in row-major order, and its exact partials are ``values.partials()``,
-    compiled on first use (the oracle mode);
+    compiled on first use (the oracle mode); brackets and images of
+    polynomial fields are polynomial, built by ``poly.sum_of_products``;
   * analytic: a closed-form gradient callable supplies the partials;
   * finite differences: any callable, differentiated by one batched central
     difference over every point shifted by the step along each axis
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import BadAtPoint, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance
-from .poly import Poly, PolyArray, derivative_terms, term_arrays
+from .poly import Poly, PolyArray, derivative_terms, sum_of_products, term_arrays
 from .report import Report, location, worst_at
 from .structures import SQUARES
 
@@ -107,6 +108,31 @@ def _shifted(x, offsets):
     return np.asarray(x, dtype=float)[..., None, :] + offsets
 
 
+def _solve(a, b, points, reason):
+    """``np.linalg.solve(a, b)`` over stacks of matrices taken at
+    ``points``; when it fails, ``BadAtPoint(reason)`` at the first point,
+    in row order, whose own solve fails."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        d = a.shape[-1]
+        for point, ap, bp in zip(np.reshape(points, (-1, d)), a.reshape(-1, d, d),
+                                 b.reshape(-1, d, b.shape[-1])):
+            try:
+                np.linalg.solve(ap, bp)
+            except np.linalg.LinAlgError:
+                raise BadAtPoint(point, reason) from None
+        raise
+
+
+def _check_rows(rows, dim):
+    """ShapeMismatch unless ``dim`` >= 1 and every row holds ``dim``
+    polynomials in ``dim`` variables."""
+    if dim < 1 or any(len(row) != dim or any(p.dim != dim for p in row) for row in rows):
+        raise ShapeMismatch(f"polynomial entries need rows of {dim} >= 1 polynomials "
+                            f"in {dim} variables")
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
@@ -128,31 +154,22 @@ class _ChartField:
         self.step = float(step)
         self.gradient = gradient
         self.vectorized = vectorized
-        self.values = self._polys = None
+        self.values = None
 
-    def _exact(self, values, polys):
-        """This field in polynomial mode: its entries are ``values`` and
-        ``polys``, their ``Poly`` objects (a list for rank 1, a nested list
-        for rank 2) or a callable that builds them."""
+    def _exact(self, values):
+        """This field in polynomial mode: its entries are ``values``, their
+        ``PolyArray`` in row-major order."""
         shape = self.shape
 
         def fn(x):
             x = np.asarray(x, dtype=float)
             return values(x).reshape(x.shape[:-1] + shape)
 
-        self.fn, self.values, self._polys, self.vectorized = fn, values, polys, True
+        self.fn, self.values, self.vectorized = fn, values, True
         # an infinite step means "never the binding constraint" when steps
         # propagate through mixed-mode products and brackets
         self.step = np.inf
         return self
-
-    @property
-    def polys(self):
-        """The entries as ``Poly`` objects in polynomial mode, else None,
-        built on first use when the field holds a callable for them."""
-        if callable(self._polys):
-            self._polys = self._polys()
-        return self._polys
 
     @cached_property
     def _poly_partials(self):
@@ -198,7 +215,8 @@ class VectorField(_ChartField):
     @classmethod
     def from_polys(cls, polys: Sequence[Poly]):
         polys = list(polys)
-        return cls(polys[0].dim, None)._exact(PolyArray(polys), polys)
+        _check_rows([polys], len(polys))
+        return cls(len(polys), None)._exact(PolyArray(polys))
 
     @classmethod
     def constant(cls, vec):
@@ -242,8 +260,9 @@ class TensorFieldOnChart(_ChartField):
 
     @classmethod
     def from_polys(cls, polys, kind, symmetry="symmetric"):
+        _check_rows(polys, len(polys))
         return cls(len(polys), kind, None, symmetry=symmetry)._exact(
-            PolyArray(p for row in polys for p in row), polys)
+            PolyArray(p for row in polys for p in row))
 
     @classmethod
     def constant(cls, matrix, kind, symmetry="symmetric"):
@@ -254,16 +273,18 @@ class TensorFieldOnChart(_ChartField):
         return cls.from_polys(polys, kind, symmetry)
 
     def apply(self, x_field: VectorField) -> VectorField:
-        """Pointwise image field x -> T(x) X(x), staying exact when possible."""
-        if self.polys is not None and x_field.polys is not None:
-            comps = []
-            for i in range(self.dim):
-                acc = Poly(self.dim)
-                for j in range(self.dim):
-                    acc = acc + self.polys[i][j] * x_field.polys[j]
-                comps.append(acc)
-            return VectorField.from_polys(comps)
-        return _on_arrays(self.dim, lambda x: (self(x) @ x_field(x)[..., None])[..., 0],
+        """Pointwise image field x -> T(x) X(x), staying exact when possible.
+        Raises ShapeMismatch when the fields live on different dimensions."""
+        dim = self.dim
+        if x_field.dim != dim:
+            raise ShapeMismatch(f"dimension {dim} vs {x_field.dim}")
+        if self.values is not None and x_field.values is not None:
+            # component i sums T_ij X_j over j in order
+            i, j = np.indices((dim, dim)).reshape(2, -1)
+            return VectorField(dim, None)._exact(sum_of_products(
+                self.values.terms(), x_field.values.terms(),
+                (i, i * dim + j, j, np.ones(dim * dim)), dim))
+        return _on_arrays(dim, lambda x: (self(x) @ x_field(x)[..., None])[..., 0],
                           min(self.step, x_field.step))
 
 
@@ -309,15 +330,18 @@ def lie_bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     if x_field.dim != y_field.dim:
         raise ShapeMismatch(f"dimension {x_field.dim} vs {y_field.dim}")
     dim = x_field.dim
-    if x_field.polys is not None and y_field.polys is not None:
-        comps = []
-        for i in range(dim):
-            acc = Poly(dim)
-            for j in range(dim):
-                acc = acc + y_field.polys[i].diff(j) * x_field.polys[j]
-                acc = acc - x_field.polys[i].diff(j) * y_field.polys[j]
-            comps.append(acc)
-        return VectorField.from_polys(comps)
+    if x_field.values is not None and y_field.values is not None:
+        # components k < dim are X's and the others Y's; left polynomial
+        # k * dim + v is d_v of component k.  Component i sums, over j in
+        # order, d_j Y_i X_j and then -d_j X_i Y_j
+        x, y = x_field.values.terms(), y_field.values.terms()
+        both = tuple(np.concatenate(pair) for pair in zip(x, (y[0] + dim, y[1], y[2])))
+        outputs, var, expos, values = derivative_terms(*both)
+        i, j = np.indices((dim, dim)).reshape(2, -1).repeat(2, axis=1)
+        of_y = np.tile([dim, 0], dim * dim)
+        return VectorField(dim, None)._exact(sum_of_products(
+            (outputs * dim + var, expos, values), both,
+            (i, (i + of_y) * dim + j, j + dim - of_y, np.where(of_y, 1.0, -1.0)), dim))
 
     def fn(x):
         # partials(x)[..., j, i] = d_j of component i
@@ -411,8 +435,11 @@ class ConnectionData:
     is at most ``tol.rank_threshold`` of its largest raises ``BadAtPoint``
     (``metric degenerate``) at the first such point.  A Gershgorin-type
     lower bound on the smallest singular value certifies most metrics
-    nondegenerate, and only the others take an SVD.  ``step`` is the default
-    central-difference step of ``curvature``.
+    nondegenerate, and only the others take an SVD.  A metric that passes
+    the rule but is singular to working precision (an absolute threshold
+    can accept one) raises the same ``BadAtPoint`` at the first point where
+    its solve fails.  ``step`` is the default central-difference step of
+    ``curvature``.
     """
 
     metric: TensorFieldOnChart
@@ -463,7 +490,7 @@ class ConnectionData:
                 first = np.unravel_index(np.argmax(degenerate), degenerate.shape)
                 raise BadAtPoint(x[first], "metric degenerate")
         batch = x.shape[:-1]
-        gamma = np.linalg.solve(g, rhs.reshape(batch + (dim, dim * dim)))
+        gamma = _solve(g, rhs.reshape(batch + (dim, dim * dim)), x, "metric degenerate")
         return gamma.reshape(batch + (dim, dim, dim))
 
 
@@ -589,7 +616,8 @@ def parallel_transport(conn: ConnectionData, path, vector, steps_per_leg=32):
 # ---------------------------------------------------------------------------
 
 class PolyMap:
-    """Polynomial map R^d -> R^d with exact Jacobian entries.
+    """Polynomial map R^d -> R^d with exact Jacobian entries, from d
+    components in d variables (ShapeMismatch otherwise).
 
     Both the map and its Jacobian evaluate at one point or at every row of a
     (..., d) array of points; each is compiled on its first evaluation, since
@@ -598,14 +626,14 @@ class PolyMap:
 
     def __init__(self, components: Sequence[Poly]):
         self.components = list(components)
-        self.dim = self.components[0].dim
+        self.dim = len(self.components)
+        _check_rows([self.components], self.dim)
 
     @cached_property
     def _jac_terms(self):
-        """The Jacobian's terms as arrays ``(entries, exponents,
-        coefficients)``: entry a * d + i is d_i of component a, and each
-        entry's terms come in the key order of ``Poly.diff``
-        (``poly.derivative_terms``)."""
+        """The Jacobian's term table ``(entries, exponents, coefficients)``:
+        entry a * d + i is d_i of component a, and each entry's terms come
+        in the key order of ``Poly.diff`` (``poly.derivative_terms``)."""
         comp, var, expos, coeffs = derivative_terms(*term_arrays(self.components))
         return comp * self.dim + var, expos, coeffs
 
@@ -615,15 +643,14 @@ class PolyMap:
 
     @cached_property
     def _jac_values(self):
-        entries, expos, coeffs = self._jac_terms
-        return PolyArray.from_terms(expos, entries, coeffs, len(self.components) * self.dim)
+        return PolyArray.from_terms(*self._jac_terms, self.dim * self.dim)
 
     def __call__(self, x):
         return self._values(x)
 
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
-        return self._jac_values(x).reshape(x.shape[:-1] + (len(self.components), self.dim))
+        return self._jac_values(x).reshape(x.shape[:-1] + (self.dim, self.dim))
 
 
 def random_quadratic_diffeo(dim, rng, scale=0.15):
@@ -632,98 +659,34 @@ def random_quadratic_diffeo(dim, rng, scale=0.15):
     The quadratic coefficients are bounded so the Jacobian stays within
     distance < 1 of the identity on the box.
     """
-    comps = []
-    for i in range(dim):
-        p = Poly.coordinate(dim, i)
-        for a in range(dim):
-            for b in range(a, dim):
-                expo = [0] * dim
-                expo[a] += 1
-                expo[b] += 1
-                p = p + Poly(dim, {tuple(expo): scale * rng.uniform(-1.0, 1.0)})
-        comps.append(p)
-    return PolyMap(comps)
+    unit = np.eye(dim, dtype=int)
+    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
+    return PolyMap([Poly(dim, {tuple(unit[i]): 1.0} | {
+        tuple(unit[a] + unit[b]): scale * rng.uniform(-1.0, 1.0) for a, b in pairs})
+        for i in range(dim)])
 
 
 def pullback_metric(phi: PolyMap, constant_metric_matrix) -> TensorFieldOnChart:
     """Pullback of a constant metric: g(x) = DPhi(x)^T G0 DPhi(x), polynomial.
 
-    The entries g_ij = sum_ab G0[a, b] J_ai J_bj (J = DPhi) are built as one
-    coefficient table, with array operations over every (i, j, a, b) and
-    every pair of Jacobian terms, and the field's ``values`` are compiled
-    straight from it.  Each coefficient is the float of ``Poly``
-    arithmetic: within a product J_ai J_bj a left fold from 0.0 over the
-    term pairs in term order, whose total of 0 drops the product's term;
-    that times G0[a, b]; then a left fold over (a, b) in row-major order,
-    whose total of exactly 0 drops the term.  ``np.add.at`` adds in index
-    order, so both are left folds.  ``field.polys`` replays the second fold
-    through dicts on first use, which gives each entry the key order of
-    that arithmetic.  Raises ValueError when an exponent of the metric
-    exceeds the int64 range: the product of the Jacobian terms of
+    The entries g_ij = sum_ab G0[a, b] J_ai J_bj (J = DPhi) are the
+    ``values`` that ``poly.sum_of_products`` builds from the Jacobian's term
+    table, with one case for each (i, j, a, b) with G0[a, b] != 0, in that
+    order: each coefficient is the float of dict arithmetic summing the
+    products in (a, b) order.  Raises ValueError when an exponent of the
+    metric exceeds the int64 range: the product of the Jacobian terms of
     x^(2**62) y and of y has the exponent 2**63 in x.
     """
     g0 = np.asarray(constant_metric_matrix, dtype=float)
     d = phi.dim
-    jac_entry, jac_expos, jac_coeffs = phi._jac_terms
-    sizes = np.bincount(jac_entry, minlength=d * d)
-    starts = np.cumsum(sizes) - sizes
-
-    # every pair of terms of J_ai and J_bj with G0[a, b] != 0, in the order
-    # (i, j, a, b, term of J_ai, term of J_bj); ``case`` numbers (i, j, a, b)
-    i, j, a, b = (axis.ravel() for axis in np.indices((d,) * 4))
-    live = g0[a, b] != 0.0
-    i, j, a, b = i[live], j[live], a[live], b[live]
-    left, right = a * d + i, b * d + j
-    counts = sizes[left] * sizes[right]
-    case = np.repeat(np.arange(len(counts)), counts)
-    k = np.arange(len(case)) - np.repeat(np.cumsum(counts) - counts, counts)
-    width = sizes[right][case]
-    first = starts[left][case] + k // width
-    second = starts[right][case] + k % width
-    pair_expos = jac_expos[first] + jac_expos[second]
-    if (pair_expos < 0).any():
-        raise ValueError("a pullback metric exponent exceeds the int64 range")
-    products = jac_coeffs[first] * jac_coeffs[second]
-
-    # sort by monomial, then case; stable, so each product's pairs keep
-    # their order and each entry's products come in (a, b) order
-    order = np.lexsort((case, *pair_expos.T[::-1]))
-    pair_expos, case, products = pair_expos[order], case[order], products[order]
-    entry = (i * d + j)[case]
-    same = np.zeros(len(order), dtype=bool)
-    same[1:] = (pair_expos[1:] == pair_expos[:-1]).all(axis=1)
-    new_product = np.ones(len(order), dtype=bool)
-    new_product[1:] = ~(same[1:] & (case[1:] == case[:-1]))
-    new_term = np.ones(len(order), dtype=bool)
-    new_term[1:] = ~(same[1:] & (entry[1:] == entry[:-1]))
-    folded = np.zeros(np.count_nonzero(new_product))
-    np.add.at(folded, np.cumsum(new_product) - 1, products)
-    kept = folded != 0.0
-    owner = (np.cumsum(new_term) - 1)[new_product][kept]
-    contributions = folded[kept] * g0[a, b][case[new_product][kept]]
-    totals = np.zeros(np.count_nonzero(new_term))
-    np.add.at(totals, owner, contributions)
-
-    survive = totals != 0.0
-    values = PolyArray.from_terms(pair_expos[new_term][survive], entry[new_term][survive],
-                                  totals[survive], d * d)
-
-    def polys():
-        # the dict fold meets the products in the order of their first pair
-        meets = np.argsort(order[new_product][kept])
-        acc = [{} for _ in range(d * d)]
-        for ij, expo, c in zip(entry[new_product][kept][meets].tolist(),
-                               map(tuple, pair_expos[new_product][kept][meets].tolist()),
-                               contributions[meets].tolist()):
-            if c != 0.0:
-                total = acc[ij].get(expo, 0.0) + c
-                if total != 0.0:
-                    acc[ij][expo] = total
-                else:
-                    del acc[ij][expo]
-        return [[Poly._of(d, acc[i * d + j]) for j in range(d)] for i in range(d)]
-
-    return TensorFieldOnChart(d, "2,0", None)._exact(values, polys)
+    cases = np.indices((d,) * 4).reshape(4, -1)
+    i, j, a, b = cases[:, g0[cases[2], cases[3]] != 0.0]
+    try:
+        values = sum_of_products(phi._jac_terms, phi._jac_terms,
+                                 (i * d + j, a * d + i, b * d + j, g0[a, b]), d * d)
+    except OverflowError:
+        raise ValueError("a pullback metric exponent exceeds the int64 range") from None
+    return TensorFieldOnChart(d, "2,0", None)._exact(values)
 
 
 def pullback_endomorphism(phi: PolyMap, constant_matrix,
@@ -738,16 +701,7 @@ def pullback_endomorphism(phi: PolyMap, constant_matrix,
 
     def fn(x):
         j = phi.jacobian(x)
-        try:
-            return np.linalg.solve(j, t0 @ j)
-        except np.linalg.LinAlgError:
-            points = np.reshape(x, (-1, phi.dim))
-            for point, jp in zip(points, j.reshape(-1, phi.dim, phi.dim)):
-                try:
-                    np.linalg.solve(jp, t0 @ jp)
-                except np.linalg.LinAlgError:
-                    raise BadAtPoint(point, "jacobian singular") from None
-            raise
+        return _solve(j, t0 @ j, x, "jacobian singular")
 
     return TensorFieldOnChart(phi.dim, "1,1", fn, step=step, symmetry="none",
                               vectorized=True)

@@ -1,16 +1,25 @@
-"""Small multivariate polynomials with exact differentiation.
+"""Small multivariate polynomials with exact differentiation, on term tables.
 
-Coefficients are floats keyed by exponent tuples.  This is the exact
-derivative mode for chart fields: differentiation is closed-form, so
-polynomial-mode oracles carry no finite-difference truncation error.
+This is the exact derivative mode for chart fields: differentiation is
+closed-form, so polynomial-mode oracles carry no finite-difference
+truncation error.
 
-Only the public constructor ``Poly(dim, coeffs)`` normalises its input:
-exponents become tuples of ``int``, coefficients ``float``, and zero
-coefficients are dropped.  Arithmetic and ``diff`` combine terms that are
-already normal, so their results go through ``Poly._of``, which only drops
-zero coefficients.  Every coefficient is the same float sum, in the same
-order, as normalising would give, and the dict keeps the same key order, so
-results are bit-identical to normalising every intermediate.
+``Poly(dim, coeffs)`` is the input record of one polynomial: float
+coefficients keyed by exponent tuples of length ``dim``.  Its constructor
+normalises them (exponents become tuples of ``int``, coefficients ``float``,
+and zero coefficients are dropped; an exponent of another length raises
+``ShapeMismatch``).  A ``Poly`` evaluates and differentiates but has no
+arithmetic: every computation on polynomials runs on term tables.
+
+A term table is three arrays ``(outputs, expos, values)``: term t is
+``values[t] * x^expos[t]`` in polynomial ``outputs[t]``.  ``term_arrays``
+flattens ``Poly`` objects to one, in their key order, and
+``PolyArray.terms`` reads a compiled table back, by output and in monomial
+order within each output.  ``derivative_terms`` is the one derivative rule
+on term tables, d_v(c x^e) = c e_v x^(e - e_v), and ``sum_of_products`` the
+one product rule: weighted sums of products of the polynomials of two
+tables, folded as dict arithmetic folds them.  Pullback metrics, Lie
+brackets and images of vector fields under matrix fields are built by it.
 
 Evaluation is compiled: a ``PolyArray`` holds the union of the monomials of
 several polynomials as an exponent matrix and their coefficients as one
@@ -23,50 +32,99 @@ gathered factors in variable order, and one matrix product with the
 coefficients gives every polynomial at every point.  The floats are those
 of ``prod(x ** expos, axis=-1) @ coeffs``, bit for bit except for the sign
 of a NaN.  Only the variables that occur in some exponent are read, so a
-constant evaluates at points of any length.
-
-Every table is compiled one way, from terms given as arrays
-(``term_arrays`` flattens ``Poly`` objects to them, and a pullback
-metric's coefficient table holds them): ``PolyArray(polys)`` is
-``PolyArray.from_terms`` of their terms.  ``derivative_terms`` is the one
-derivative rule on term arrays, d_v(c x^e) = c e_v x^(e - e_v), and
-``PolyArray.partials`` compiles every first partial of a table through it.
-The partials have the bits of the table compiled from ``Poly.diff``.
+constant evaluates at points of any length.  Every table is compiled one
+way, by ``PolyArray.from_terms``: ``PolyArray(polys)`` compiles
+``term_arrays(polys)``, and ``PolyArray.partials`` compiles every first
+partial of a table through ``derivative_terms``.
 """
 
 from __future__ import annotations
 
-from operator import add
-
 import numpy as np
 
-__all__ = ["Poly", "PolyArray", "derivative_terms", "term_arrays"]
+from .errors import ShapeMismatch
+
+__all__ = ["Poly", "PolyArray", "derivative_terms", "sum_of_products", "term_arrays"]
 
 
 def term_arrays(polys):
-    """The terms of a list of polynomials as arrays ``(expos, outputs,
-    values)``: term t is ``values[t] * x^expos[t]`` in polynomial
-    ``outputs[t]``, and each polynomial's terms come in its key order."""
+    """The term table ``(outputs, expos, values)`` of a list of
+    polynomials: polynomial k is output k, and its terms come in its key
+    order."""
     expos = [e for p in polys for e in p.coeffs]
-    return (np.array(expos, dtype=np.int64).reshape(len(expos), polys[0].dim if polys else 0),
-            np.array([k for k, p in enumerate(polys) for _ in p.coeffs], dtype=int),
+    return (np.array([k for k, p in enumerate(polys) for _ in p.coeffs], dtype=int),
+            np.array(expos, dtype=np.int64).reshape(len(expos), polys[0].dim if polys else 0),
             np.array([c for p in polys for c in p.coeffs.values()], dtype=float))
 
 
-def derivative_terms(expos, outputs, values):
-    """Every first partial of polynomials given as term arrays (as
-    ``term_arrays`` gives them): d_v of c x^e is c e_v x^(e - e_v), one term
-    for each term and variable v with e_v > 0.  Returns ``(outputs,
-    variables, expos, values)``, ordered by output, then variable, then
-    input term: the key order of ``Poly.diff`` when each polynomial's terms
-    come in its key order.  A coefficient c e_v past the float range is
-    inf, as ``Poly.diff`` makes it, without a warning."""
+def derivative_terms(outputs, expos, values):
+    """Every first partial of the polynomials of a term table: d_v of
+    c x^e is c e_v x^(e - e_v), one term for each term and variable v with
+    e_v > 0.  Returns ``(outputs, variables, expos, values)``, ordered by
+    output, then variable, then input term: the key order of ``Poly.diff``
+    when each polynomial's terms come in its key order.  A coefficient
+    c e_v past the float range is inf, without a warning."""
     term, var = np.nonzero(expos > 0)  # by term, then variable
     order = np.lexsort((var, outputs[term]))  # stable: terms stay in order
     term, var = term[order], var[order]
     with np.errstate(over="ignore"):
         values = values[term] * expos[term, var]
     return outputs[term], var, expos[term] - np.eye(expos.shape[1], dtype=np.int64)[var], values
+
+
+def sum_of_products(left, right, cases, size):
+    """The ``PolyArray`` of ``size`` polynomials, each a weighted sum of
+    products of a polynomial of the term table ``left`` and one of
+    ``right``.  Both tables are sorted by output.  ``cases`` is
+    ``(out, l, r, weight)``, sorted by ``out``: case c adds ``weight[c]``
+    times the product of polynomial ``l[c]`` of ``left`` and polynomial
+    ``r[c]`` of ``right`` to polynomial ``out[c]``.
+
+    The floats are those of dict arithmetic.  Within a product, a left fold
+    from 0.0 over its term pairs, row-major in the tables' term order, whose
+    total of 0 drops the product's term; that times the weight; then a left
+    fold over the cases in order, whose total of 0 drops the term.
+    ``np.add.at`` adds in index order, so both are left folds.  A float past
+    the range is inf, and an invalid one NaN, without a warning.  Raises
+    OverflowError when a product's exponent exceeds the int64 range.
+    """
+    out, l, r, weight = cases
+    (l_out, l_expos, l_values), (r_out, r_expos, r_values) = left, right
+    l_start, r_start = np.searchsorted(l_out, l), np.searchsorted(r_out, r)
+    width = np.searchsorted(r_out, r, side="right") - r_start
+    counts = (np.searchsorted(l_out, l, side="right") - l_start) * width
+    # every pair of terms of every case, in the order (case, left term,
+    # right term)
+    case = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(case)) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = l_start[case] + k // width[case]
+    second = r_start[case] + k % width[case]
+    expos = l_expos[first] + r_expos[second]
+    if (expos < 0).any():
+        raise OverflowError("a product's exponent exceeds the int64 range")
+
+    # sort by monomial, then case; stable, so each product's pairs keep
+    # their order and each output's products come in case order
+    order = np.lexsort((case, *expos.T[::-1]))
+    expos, case = expos[order], case[order]
+    entry = out[case]
+    same = np.zeros(len(order), dtype=bool)
+    same[1:] = (expos[1:] == expos[:-1]).all(axis=1)
+    new_product = np.ones(len(order), dtype=bool)
+    new_product[1:] = ~(same[1:] & (case[1:] == case[:-1]))
+    new_term = np.ones(len(order), dtype=bool)
+    new_term[1:] = ~(same[1:] & (entry[1:] == entry[:-1]))
+    folded = np.zeros(np.count_nonzero(new_product))
+    totals = np.zeros(np.count_nonzero(new_term))
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = (l_values[first] * r_values[second])[order]
+        np.add.at(folded, np.cumsum(new_product) - 1, products)
+        kept = folded != 0.0
+        np.add.at(totals, (np.cumsum(new_term) - 1)[new_product][kept],
+                  folded[kept] * weight[case[new_product][kept]])
+    survive = totals != 0.0
+    return PolyArray.from_terms(entry[new_term][survive], expos[new_term][survive],
+                                totals[survive], size)
 
 
 class PolyArray:
@@ -83,26 +141,29 @@ class PolyArray:
         self._compile(*term_arrays(polys), len(polys))
 
     @classmethod
-    def from_terms(cls, expos, outputs, values, size):
-        """The ``PolyArray`` of ``size`` polynomials whose terms are given
-        as arrays: term t is ``values[t] * x^expos[t]`` in polynomial
-        ``outputs[t]``.  No two terms may share exponents and output, and
-        none may be zero."""
+    def from_terms(cls, outputs, expos, values, size):
+        """The ``PolyArray`` of ``size`` polynomials given as a term table.
+        No two terms may share exponents and output, and none may be
+        zero."""
         compiled = cls.__new__(cls)
-        compiled._compile(expos, outputs, values, size)
+        compiled._compile(outputs, expos, values, size)
         return compiled
+
+    def terms(self):
+        """The table's terms ``(outputs, expos, values)``, by output and in
+        monomial order within each output."""
+        outputs, terms = np.nonzero(self._coeffs.T)
+        return outputs, self._monomials[terms], self._coeffs[terms, outputs]
 
     def partials(self):
         """Every first partial, compiled: output ``i * size + k`` is d_i of
         polynomial k, for ``size`` polynomials in d variables."""
-        terms, outputs = np.nonzero(self._coeffs)
         size = self._coeffs.shape[1]
-        outputs, var, expos, values = derivative_terms(self._monomials[terms], outputs,
-                                                       self._coeffs[terms, outputs])
-        return PolyArray.from_terms(expos, var * size + outputs, values,
+        outputs, var, expos, values = derivative_terms(*self.terms())
+        return PolyArray.from_terms(var * size + outputs, expos, values,
                                     self._monomials.shape[1] * size)
 
-    def _compile(self, expos, outputs, values, size):
+    def _compile(self, outputs, expos, values, size):
         """Sort the terms by exponents into the full exponent matrix
         ``_monomials`` and the ``(terms, size)`` coefficient matrix, keep
         the used variables' columns and lay out the power table of
@@ -158,7 +219,7 @@ class PolyArray:
 
 
 class Poly:
-    """sum_e coeffs[e] * x^e with e an exponent tuple of fixed length.
+    """sum_e coeffs[e] * x^e with e an exponent tuple of length ``dim``.
 
     A Poly is immutable once built: its compiled evaluator and its partial
     derivatives are computed on first use and kept.
@@ -171,21 +232,12 @@ class Poly:
         self.coeffs = {}
         self._compiled = None
         self._diffs = {}
-        if coeffs:
-            for expo, c in coeffs.items():
-                if c != 0.0:
-                    self.coeffs[tuple(int(e) for e in expo)] = float(c)
-
-    @classmethod
-    def _of(cls, dim, coeffs):
-        """A Poly of normal terms (``int`` exponent tuples, ``float``
-        coefficients, as arithmetic produces them); only zeros are dropped."""
-        p = cls.__new__(cls)
-        p.dim = dim
-        p.coeffs = {e: c for e, c in coeffs.items() if c != 0.0}
-        p._compiled = None
-        p._diffs = {}
-        return p
+        for expo, c in (coeffs or {}).items():
+            expo = tuple(int(e) for e in expo)
+            if len(expo) != self.dim:
+                raise ShapeMismatch(f"exponent {expo} in a polynomial of {self.dim} variables")
+            if c != 0.0:
+                self.coeffs[expo] = float(c)
 
     @classmethod
     def constant(cls, dim, value):
@@ -203,56 +255,16 @@ class Poly:
             self._compiled = PolyArray([self])
         return self._compiled(np.atleast_1d(np.asarray(x, dtype=float)))[..., 0]
 
-    def _binary(self, other, sign):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.dim, other)
-        out = dict(self.coeffs)
-        for expo, c in other.coeffs.items():
-            out[expo] = out.get(expo, 0.0) + sign * c
-        return Poly._of(self.dim, out)
-
-    def __add__(self, other):
-        return self._binary(other, 1.0)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Poly._of(self.dim, {e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            scale = float(other)
-            return Poly._of(self.dim, {e: c * scale for e, c in self.coeffs.items()})
-        out = {}
-        get, terms = out.get, list(other.coeffs.items())
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in terms:
-                expo = tuple(map(add, e1, e2))
-                out[expo] = get(expo, 0.0) + c1 * c2
-        return Poly._of(self.dim, out)
-
-    __rmul__ = __mul__
-
     def diff(self, index):
+        """d_index of this polynomial, by ``derivative_terms`` (``index``
+        counts as a sequence index does, so -1 is the last variable)."""
         cached = self._diffs.get(index)
-        if cached is not None:
-            return cached
-        out = {}
-        for expo, c in self.coeffs.items():
-            e = expo[index]
-            if e:
-                new = list(expo)
-                new[index] = e - 1
-                key = tuple(new)
-                out[key] = out.get(key, 0.0) + c * e
-        self._diffs[index] = Poly._of(self.dim, out)
-        return self._diffs[index]
+        if cached is None:
+            _, var, expos, values = derivative_terms(*term_arrays([self]))
+            keep = var == range(self.dim)[index]
+            cached = self._diffs[index] = Poly(self.dim, dict(
+                zip(map(tuple, expos[keep].tolist()), values[keep].tolist())))
+        return cached
 
     def __repr__(self):
         return f"Poly(dim={self.dim}, terms={len(self.coeffs)})"

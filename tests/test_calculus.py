@@ -26,7 +26,7 @@ from tensorstruct.calculus import (
     sphere_stereographic_metric,
     PolyMap,
 )
-from tensorstruct.errors import BadAtPoint
+from tensorstruct.errors import BadAtPoint, ShapeMismatch
 from tensorstruct.linalg import DEFAULT_TOL, Tolerance
 from tensorstruct.poly import Poly
 from tensorstruct.structures import complex_canonical, para_complex_canonical, tangent_canonical
@@ -64,6 +64,35 @@ def test_lie_bracket_antisymmetry_and_bilinearity():
     p = rng.normal(size=2)
     np.testing.assert_allclose(lie_bracket(x, y)(p), -lie_bracket(y, x)(p),
                                atol=1e-12)
+
+
+def x_in(dim):
+    return Poly(dim, {(1,) + (0,) * (dim - 1): 1.0})
+
+
+SHAPE_ERRORS = {
+    "no components": lambda: VectorField.from_polys([]),
+    "map without components": lambda: PolyMap([]),
+    "map of mixed dimensions": lambda: PolyMap([x_in(2), x_in(3)]),
+    "image across dimensions":
+        lambda: constant_field(np.eye(3), "1,1").apply(VectorField.constant([1.0, 2.0])),
+    "bracket across dimensions":
+        lambda: lie_bracket(VectorField.constant([1.0]), VectorField.constant([1.0, 2.0])),
+    "exponent of another length": lambda: Poly(2, {(1, 0, 0): 1.0}),
+    "components of mixed dimensions": lambda: VectorField.from_polys([x_in(2), x_in(3)]),
+    "components in other variables": lambda: VectorField.from_polys([x_in(3), x_in(3)]),
+    "matrix entry in other variables": lambda: TensorFieldOnChart.from_polys(
+        [[x_in(2), x_in(3)], [x_in(2), x_in(2)]], "2,0"),
+    "ragged matrix": lambda: TensorFieldOnChart.from_polys(
+        [[x_in(2), x_in(2), x_in(2)], [x_in(2)]], "1,1"),
+    "no matrix entries": lambda: TensorFieldOnChart.from_polys([], "2,0"),
+}
+
+
+@pytest.mark.parametrize("build", SHAPE_ERRORS.values(), ids=SHAPE_ERRORS.keys())
+def test_polynomial_fields_raise_the_shape_error(build):
+    with pytest.raises(ShapeMismatch):
+        build()
 
 
 def test_jacobi_identity_polynomial_exact_fd_approximate():
@@ -165,9 +194,9 @@ def test_defect_depends_only_on_pointwise_values():
     e1 = VectorField.coordinate(2, 0)
     e2 = VectorField.coordinate(2, 1)
     base = nijenhuis(a, e1, e2, p)
-    bump = Poly(2, {(2, 0): 1.0}) * Poly(2, {(0, 0): 1.0}) \
-        - Poly(2, {(1, 0): 2 * p[0]}) + Poly(2, {(0, 0): p[0] ** 2})
-    modified = VectorField.from_polys([Poly(2, {(0, 0): 1.0}) + bump, Poly(2)])
+    # 1 plus the bump (x_0 - p_0)^2
+    bumped = Poly(2, {(0, 0): 1.0 + p[0] ** 2, (2, 0): 1.0, (1, 0): -2 * p[0]})
+    modified = VectorField.from_polys([bumped, Poly(2)])
     other = nijenhuis(a, modified, e2, p)
     np.testing.assert_allclose(other, base, atol=1e-6)
 
@@ -361,15 +390,35 @@ def test_the_certificate_decides_as_the_svd_rule(seed, dim, tol, scale, points, 
         if first is None:
             try:
                 assert conn(x).shape == batch + (dim,) * 3
-            except np.linalg.LinAlgError:
+            except BadAtPoint as err:
                 # accepted by an absolute threshold alone, a metric can be
                 # singular to working precision, and then the solve fails
-                assert tol.rtol == 0
+                assert tol.rtol == 0 and err.reason == "metric degenerate"
             return
         with pytest.raises(BadAtPoint) as err:
             conn(x)
     assert err.value.reason == "metric degenerate"
     np.testing.assert_array_equal(err.value.point, x[first])
+
+
+def test_a_metric_singular_to_working_precision_fails_where_its_solve_does():
+    # computed singular values 1.18e152 and 8.07e133: the SVD rule under an
+    # absolute threshold passes it, and the solve finds it singular
+    g = np.array([[8.052048143345078e+151, 1.318911492237454e+151],
+                  [-8.460294668546299e+151, -1.3857815635743862e+151]])
+    tol = Tolerance(1e-6, 0.0)
+    assert svd_rule_first(g, tol) is None
+    with pytest.raises(BadAtPoint) as err:
+        ConnectionData(constant_field(g), tol=tol)(np.zeros(2))
+    assert err.value.reason == "metric degenerate"
+    np.testing.assert_array_equal(err.value.point, np.zeros(2))
+    # in a stack, at the first point whose own solve fails
+    metric = TensorFieldOnChart(2, "2,0", lambda x: g if x[0] > 0 else np.eye(2))
+    points = np.array([[-1.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+    with pytest.raises(BadAtPoint) as err:
+        ConnectionData(metric, tol=tol)(points)
+    assert err.value.reason == "metric degenerate"
+    np.testing.assert_array_equal(err.value.point, points[1])
 
 
 def counting_svd(monkeypatch):
@@ -586,9 +635,8 @@ def cubic_metric_polys(rng):
                 coeffs[expo] = coeffs.get(expo, 0.0) + c
             entries[i][j] = Poly(2, coeffs)
     # symmetrize
-    sym = Poly(2, entries[0][1].coeffs) + Poly(2, entries[1][0].coeffs)
-    entries[0][1] = sym * 0.5
-    entries[1][0] = sym * 0.5
+    sym = {e: (c + entries[1][0].coeffs[e]) * 0.5 for e, c in entries[0][1].coeffs.items()}
+    entries[0][1], entries[1][0] = Poly(2, sym), Poly(2, sym)
     return entries
 
 

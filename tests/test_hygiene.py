@@ -139,6 +139,24 @@ def test_only_report_formats_locations():
     assert not outside, f"np.array2string called outside report.py: {outside}"
 
 
+def _term_table_lines(tree):
+    """The lines of every ``<x>.add.at`` and every read of ``<x>.coeffs``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and (
+        (node.attr == "coeffs" and isinstance(node.ctx, ast.Load))
+        or (node.attr == "at" and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "add"))]
+
+
+def test_only_poly_reads_polynomial_terms_and_folds_them():
+    # one polynomial representation: the term format of ``Poly`` and the
+    # np.add.at folds over term tables stay behind poly.py
+    lines = {module: _term_table_lines(ast.parse((PACKAGE / f"{module}.py").read_text()))
+             for module in MODULES}
+    assert lines.pop("poly")
+    outside = {module: found for module, found in lines.items() if found}
+    assert not outside, f"polynomial terms read or folded outside poly.py: {outside}"
+
+
 def _catchers(tree, name):
     """The function around each except clause that names exception ``name``."""
     for function in ast.walk(tree):

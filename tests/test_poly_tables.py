@@ -8,11 +8,11 @@ returns one operand's NaN or the other's depending on the memory layout of
 its input, and the two kernels lay their factors out differently; every
 output writes a NaN alike, so the comparison takes each NaN for any NaN.
 
-A pullback metric compiles its values from its coefficient table, and every
-table compiles its partials through ``poly.derivative_terms``; they must
-equal the ``PolyArray`` compiled from the ``Poly`` entries and their
-``Poly.diff`` partials, which ``tests/test_poly.py`` pins to the
-step-by-step sum.
+A pullback metric compiles its values from the table ``poly.sum_of_products``
+builds, and every table compiles its partials through
+``poly.derivative_terms``; they must equal the ``PolyArray`` compiled from
+the entries of the step-by-step reference of ``tests/test_poly.py`` and
+from their ``diff`` partials.
 """
 
 import numpy as np
@@ -20,6 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from tensorstruct.calculus import PolyMap, pullback_metric
 from tensorstruct.poly import Poly, PolyArray
+
+from test_poly import DictPoly, ref_pullback_metric
 
 COMPILED = ("_monomials", "_vars", "_expos", "_coeffs", "_bases", "_exponents", "_gather")
 
@@ -157,7 +159,8 @@ def test_pullback_metrics_compile_their_table_like_their_polys(case, seed):
     dim, comps, g0 = case
     with np.errstate(all="ignore"):
         field = pullback_metric(PolyMap(comps), g0)
-        entries = [p for row in field.polys for p in row]
+        entries = [p for row in ref_pullback_metric([DictPoly(dim, p.coeffs) for p in comps], g0)
+                   for p in row]
         want = PolyArray(entries)
         partials = PolyArray(p.diff(i) for i in range(dim) for p in entries)
         x = np.random.default_rng(seed).uniform(-1.5, 1.5, (6, dim))
@@ -200,13 +203,3 @@ def test_poly_map_jacobians_compile_like_their_diffs(case):
     dim, comps, _ = case
     want = PolyArray(p.diff(i) for p in comps for i in range(dim))
     assert_same_compiled(PolyMap(comps)._jac_values, want)
-
-
-def test_a_pullback_metric_builds_its_polys_only_on_request():
-    field = pullback_metric(PolyMap([Poly(2, {(1, 0): 1.0, (0, 2): 0.1}),
-                                     Poly(2, {(0, 1): 1.0})]), np.eye(2))
-    field.partials(np.zeros((3, 2)))
-    assert callable(field._polys)
-    assert [list(p.coeffs) for row in field.polys for p in row] == [
-        [(0, 0)], [(0, 1)], [(0, 1)], [(0, 2), (0, 0)]]
-    assert not callable(field._polys)

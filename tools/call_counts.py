@@ -13,11 +13,13 @@ argument parser is done, then once more with each operation under its own
 ``cProfile`` profile.  For every operation it prints one line per counted
 function that the operation called: operation id, function and number of
 calls.  The counted functions are the public kernels and checks that the
-benchmark's tracer wraps, plus ``compat.complete_pair``,
-``compat.is_compatible``, ``compat._metric_ok``, ``limits.LevelForm.at``,
-``linalg.fro`` and ``linalg.fro_each``, and ``numpy.linalg.svd`` and
-``numpy.linalg.solve``; a name that cannot be resolved is skipped, so two
-checkouts can be compared line by line:
+benchmark's tracer wraps, plus ``poly.PolyArray.__call__`` and
+``poly.sum_of_products``, where polynomial evaluations and products run
+(the traced ``Poly.__call__`` and ``Poly.diff`` are not on CLI paths),
+``compat.complete_pair``, ``compat.is_compatible``, ``compat._metric_ok``,
+``limits.LevelForm.at``, ``linalg.fro`` and ``linalg.fro_each``, and
+``numpy.linalg.svd`` and ``numpy.linalg.solve``; a name that cannot be
+resolved is skipped, so two checkouts can be compared line by line:
 
     python3 tools/call_counts.py parent /tmp/docs --workload linear-batch --seed 3 --round 1 > a.txt
     python3 tools/call_counts.py . /tmp/docs --workload linear-batch --seed 3 --round 1 > b.txt
@@ -37,7 +39,8 @@ from pathlib import Path
 # (module, qualified name) of every counted function; a module is one of the
 # package's unless it is numpy's
 COUNTED = (
-    ("poly", "Poly.__call__"), ("poly", "Poly.diff"),
+    ("poly", "Poly.__call__"), ("poly", "Poly.diff"), ("poly", "PolyArray.__call__"),
+    ("poly", "sum_of_products"),
     ("calculus", "TensorFieldOnChart.__call__"), ("calculus", "lie_bracket"),
     ("calculus", "nijenhuis"), ("calculus", "ConnectionData.__call__"),
     ("calculus", "curvature"), ("calculus", "is_integrable_structure"),
