@@ -88,6 +88,9 @@ DEFAULT_FD_STEP = 1e-5
 GRID_TOL = Tolerance(atol=1e-6, rtol=0.0)
 # A^2 = 0, 1 or -1 within 1e-6 relative to max(|A|^2, 1)
 _IDENTITY_TOL = Tolerance(atol=0.0, rtol=1e-6)
+# curvature judges a metric degenerate relative to its own size only, so a
+# metric scaled by a power of 2 keeps its verdict and its residual's bits
+_NONDEGENERATE_TOL = Tolerance(atol=0.0, rtol=DEFAULT_TOL.rtol)
 
 # grid checks hold O(points) intermediate arrays; blocks bound their memory
 _BLOCK_POINTS = 2048
@@ -549,9 +552,11 @@ def is_metric_integrable(metric: TensorFieldOnChart, grid,
     the worst grid point; ``step`` is the curvature's central-difference
     step (defaults to the connection's).  A metric not finite or degenerate
     at some point the curvature needs fails the entry with residual inf at
-    that point.
+    that point; degeneracy is judged relative to the metric's largest
+    singular value alone (``_NONDEGENERATE_TOL``), so scaling a metric by a
+    power of 2 changes neither verdict nor residual.
     """
-    conn = levi_civita(metric)
+    conn = levi_civita(metric, _NONDEGENERATE_TOL)
 
     def residuals(points):
         riem = curvature(conn, points, step=step)

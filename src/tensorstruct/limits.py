@@ -20,20 +20,18 @@ Coherence of a per-level tensor sequence depends on variance and kind:
 All checks quantify over the supplied levels and report that count; the
 infinite limit object is represented exactly by its levelwise conditions.
 
-Composite tables.  ``BondingSystem.map_table()`` returns every composite
-map at once, ``table[i][j] = map(i, j)`` for i <= j: row i starts at the
-identity and entry j is one product of entry j-1 with the consecutive map
-``maps[j-1]``, so a tower of n levels costs about n^2/2 products instead
-of the O(n) per composite that rebuilding each one takes.
+Composite tables.  A tower owns its composites: ``map_table()`` is every
+composite map at once, ``table[i][j] = map(i, j)`` for i <= j, where row i
+starts at the identity and entry j is one product of entry j-1 with the
+consecutive map ``maps[j-1]``, so a tower of n levels costs about n^2/2
+products instead of the O(n) per composite that rebuilding each one takes.
 ``projection_table()`` does the same for projections, column by column
-from the identity at level j downwards.  ``map`` and ``projection`` read
-one entry of the same row or column, so each table entry is bit-identical
-to the single composite.  The checks over pairs and triples
-(``validate_bonding``, ``check_coherent``, ``tuple_membership``,
-``check_connection_coherence``) build the tables once per call and then
-only index into them; ``gEn_membership``, which reads only the composites
-into and out of the top level, builds the one projection column it needs.
-Nothing is cached on the tower, which stays a plain mutable dataclass.
+from the identity at level j downwards.  The tower is frozen, builds each
+table on first use and keeps it, so every check on the same tower
+(``validate_bonding``, ``check_coherent``, ``tuple_membership``, the flag
+tests of ``gEn_membership`` and ``theta_projection``, and
+``ConnectionFormSequence.morphism``) reads the same entries, and ``map``
+and ``projection`` index them.
 
 Reports.  Each of those checks collects the residuals of one law over all
 its pairs or triples and adds them to its report as one block
@@ -81,6 +79,7 @@ its entry (``report.worst``) and fails it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -114,7 +113,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BondingSystem:
     """Finite tower of levels joined by consecutive linear maps.
 
@@ -122,7 +121,9 @@ class BondingSystem:
     projective variant (a surjection down) and (dims[i+1], dims[i]) for the
     direct variant (an injection up).  Direct systems carry complementary
     projections ``projections[i]`` of shape (dims[i], dims[i+1]).  Maps and
-    projections are stored as C-contiguous float arrays.
+    projections are stored as read-only C-contiguous float copies.  The
+    tower is frozen: it builds its composite tables on first use and keeps
+    them.
     """
 
     dims: list
@@ -131,53 +132,39 @@ class BondingSystem:
     projections: Optional[list] = None
 
     def __post_init__(self):
-        self.dims = [int(d) for d in self.dims]
+        dims = [int(d) for d in self.dims]
+        object.__setattr__(self, "dims", dims)
         if self.variance not in ("projective", "direct"):
             raise ValueError(f"unknown variance {self.variance!r}")
-        if any(a > b for a, b in zip(self.dims, self.dims[1:])):
+        if any(a > b for a, b in zip(dims, dims[1:])):
             raise ShapeMismatch("dims must be nondecreasing")
-        self.maps = [np.ascontiguousarray(as_matrix(m)) for m in self.maps]
-        if len(self.maps) != self.levels - 1:
-            raise ShapeMismatch(
-                f"need {self.levels - 1} consecutive maps, got {len(self.maps)}")
+        object.__setattr__(self, "maps", _consecutive(self.maps, "maps", self.levels))
         for i, m in enumerate(self.maps):
-            want = ((self.dims[i], self.dims[i + 1]) if self.variance == "projective"
-                    else (self.dims[i + 1], self.dims[i]))
+            want = ((dims[i], dims[i + 1]) if self.variance == "projective"
+                    else (dims[i + 1], dims[i]))
             if m.shape != want:
                 raise ShapeMismatch(f"map {i}->{i + 1} has shape {m.shape}, want {want}")
-        if self.projections is not None:
-            self.projections = [np.ascontiguousarray(as_matrix(p)) for p in self.projections]
-            for i, p in enumerate(self.projections):
-                want = (self.dims[i], self.dims[i + 1])
+        projections = self.projections
+        if projections is None and self.variance == "direct" and self._maps_are_padding():
+            projections = [np.eye(a, b) for a, b in zip(dims, dims[1:])]
+        if projections is not None:
+            projections = _consecutive(projections, "projections", self.levels)
+            for i, p in enumerate(projections):
+                want = (dims[i], dims[i + 1])
                 if p.shape != want:
                     raise ShapeMismatch(
                         f"projection {i + 1}->{i} has shape {p.shape}, want {want}")
-        elif self.variance == "direct" and self._maps_are_padding():
-            self.projections = [
-                np.eye(self.dims[i + 1])[: self.dims[i]] for i in range(self.levels - 1)
-            ]
+        object.__setattr__(self, "projections", projections)
 
     def _maps_are_padding(self):
-        for i, m in enumerate(self.maps):
-            pad = np.zeros((self.dims[i + 1], self.dims[i]))
-            pad[: self.dims[i], :] = np.eye(self.dims[i])
-            if not np.array_equal(m, pad):
-                return False
-        return True
+        return all(np.array_equal(m, np.eye(*m.shape)) for m in self.maps)
 
     @classmethod
     def padded(cls, dims, variance):
         """Canonical tower: coordinate padding up / leading-block projection down."""
         dims = [int(d) for d in dims]
-        maps = []
-        for a, b in zip(dims, dims[1:]):
-            if variance == "projective":
-                maps.append(np.eye(b)[:a])
-            else:
-                pad = np.zeros((b, a))
-                pad[:a, :] = np.eye(a)
-                maps.append(pad)
-        return cls(dims, variance, maps)
+        return cls(dims, variance, [np.eye(a, b) if variance == "projective" else np.eye(b, a)
+                                    for a, b in zip(dims, dims[1:])])
 
     @property
     def levels(self):
@@ -186,58 +173,67 @@ class BondingSystem:
     def map(self, i, j):
         """Composite bonding map between levels i <= j (identity at i == j)."""
         self._check_levels(i, j)
-        return self._maps_from(i, j)[j]
+        return self._map_table[i][j]
 
     def projection(self, i, j):
         """Composite projection from level j down to i (direct variant)."""
-        self._check_projections()
+        table = self._projection_table
         self._check_levels(i, j)
-        return self._projections_onto(j, i)[i]
+        return table[i][j]
 
-    def map_table(self, levels=None):
-        """Every composite map of the first ``levels`` levels (default all):
-        ``table[i][j]`` is ``map(i, j)`` for i <= j and None below."""
-        top = self.levels - 1 if levels is None else levels - 1
-        return [self._maps_from(i, top) for i in range(top + 1)]
+    def map_table(self):
+        """Every composite map: ``table[i][j]`` is ``map(i, j)`` for i <= j
+        and None below.  Built on first use; later calls return the same
+        table."""
+        return self._map_table
 
     def projection_table(self):
         """Every composite projection: ``table[i][j]`` is ``projection(i, j)``
-        for i <= j and None below."""
-        self._check_projections()
-        n = self.levels
-        columns = [self._projections_onto(j, 0) for j in range(n)]
-        return [[columns[j][i] if i <= j else None for j in range(n)] for i in range(n)]
+        for i <= j and None below.  Built on first use, like ``map_table``."""
+        return self._projection_table
 
     def _check_levels(self, i, j):
         if not 0 <= i <= j < self.levels:
             raise ShapeMismatch(f"levels ({i}, {j}) out of range")
 
-    def _check_projections(self):
+    @cached_property
+    def _map_table(self):
+        # row i: the identity, maps[i] itself (an identity product would
+        # turn a -0.0 into +0.0), then one product per later map
+        table = []
+        for i, d in enumerate(self.dims):
+            row = [None] * i + [np.eye(d)] + self.maps[i:i + 1]
+            for m in self.maps[i + 1:]:
+                row.append(row[-1] @ m if self.variance == "projective" else m @ row[-1])
+            table.append(row)
+        return table
+
+    @cached_property
+    def _projection_table(self):
         if self.variance != "direct":
             raise ShapeMismatch("projections only exist for direct systems")
         if self.projections is None:
             raise ShapeMismatch("no projections supplied and maps are not padding")
+        n = self.levels
+        table = [[None] * n for _ in range(n)]
+        # column j: downwards from the identity at level j, one product each
+        for j, d in enumerate(self.dims):
+            table[j][j] = np.eye(d)
+            for k in range(j - 1, -1, -1):
+                table[k][j] = self.projections[k] @ table[k + 1][j]
+        return table
 
-    def _maps_from(self, i, last):
-        """``row[j]`` is map(i, j) for i <= j <= last (None below i); each
-        entry is one product of the entry before it and one consecutive map."""
-        row = [None] * i + [np.eye(self.dims[i])]
-        if last > i:
-            row.append(self.maps[i])
-        for k in range(i + 1, last):
-            if self.variance == "projective":
-                row.append(row[-1] @ self.maps[k])  # maps[i] ... maps[k]
-            else:
-                row.append(self.maps[k] @ row[-1])  # maps[k] ... maps[i]
-        return row
 
-    def _projections_onto(self, j, first):
-        """``column[i]`` is projection(i, j) for first <= i <= j (None below
-        first), built downwards from the identity at j, one product each."""
-        column = [np.eye(self.dims[j])]
-        for k in range(j - 1, first - 1, -1):
-            column.append(self.projections[k] @ column[-1])
-        return [None] * first + column[::-1]
+def _consecutive(matrices, name, levels):
+    """Read-only C-contiguous float copies of ``matrices``, one per
+    consecutive pair of ``levels`` levels: the tables a tower keeps are
+    built from them, so no caller may change them in place."""
+    out = [np.array(as_matrix(m), order="C") for m in matrices]
+    if len(out) != levels - 1:
+        raise ShapeMismatch(f"need {levels - 1} consecutive {name}, got {len(out)}")
+    for m in out:
+        m.flags.writeable = False
+    return out
 
 
 def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -445,7 +441,7 @@ def tuple_membership(a: LevelTuple, tol: Tolerance = DEFAULT_TOL,
     """
     # intertwining: the (1,1) coherence law of the entries
     report = _coherence_block(Report(tol=tol), "intertwines[%d,%d]", a.bonding.variance,
-                              "1,1", a.bonding.map_table(a.level), a.entries)
+                              "1,1", a.bonding.map_table(), a.entries)
     for lvl, m in enumerate(a.entries):
         ok = rank_of(m, tol) == m.shape[0]
         report.add(f"invertible[{lvl}]", ok, 0.0 if ok else 1.0)
@@ -470,6 +466,30 @@ def tuple_project(a: LevelTuple, level) -> LevelTuple:
 # flag-preserving operators on direct towers
 # ---------------------------------------------------------------------------
 
+def _flag_report(a, bonding: BondingSystem, top, tol: Tolerance):
+    """The invariance of the flag of levels 0..``top`` under ``a``, an
+    invertible operator at level ``top``: one entry per level k < top, the
+    residual of a(E_k) in E_k measured through the complementary projection
+    and read from the tower's tables."""
+    if bonding.variance != "direct":
+        raise ShapeMismatch("flag membership needs a direct system")
+    a = as_matrix(a, square=True)
+    n = bonding.dims[top]
+    if a.shape[0] != n:
+        raise ShapeMismatch(f"operator size {a.shape[0]}, top dimension {n}")
+    if rank_of(a, tol) < n:
+        raise Singular("operator is not invertible")
+    maps, projs = bonding.map_table(), bonding.projection_table()
+    report = Report(tol=tol)
+    scale = max(fro(a), 1.0)
+    for k in range(top):
+        inc = maps[k][top]
+        image = a @ inc
+        report.measured(f"flag_invariant[{k}]",
+                        fro(image - inc @ (projs[k][top] @ image)), scale)
+    return report
+
+
 def gEn_membership(a, bonding: BondingSystem, tol: Tolerance = DEFAULT_TOL):
     """Does an operator at the top level preserve the tower's flag?
 
@@ -482,33 +502,11 @@ def gEn_membership(a, bonding: BondingSystem, tol: Tolerance = DEFAULT_TOL):
 
     Raises Singular when ``a`` is not invertible.
     """
-    if bonding.variance != "direct":
-        raise ShapeMismatch("flag membership needs a direct system")
-    a = as_matrix(a, square=True)
-    top = bonding.levels - 1
-    n = bonding.dims[top]
-    if a.shape[0] != n:
-        raise ShapeMismatch(f"operator size {a.shape[0]}, top dimension {n}")
-    if rank_of(a, tol) < n:
-        raise Singular("operator is not invertible")
-
-    report = Report(tol=tol)
-    scale = max(fro(a), 1.0)
-    bonding._check_projections()
-    # only the projections out of the top level are shared between levels
-    projs = bonding._projections_onto(top, 0)
-    for k in range(top):
-        inc = bonding.map(k, top)
-        image = a @ inc
-        # residual of the invariance a(E_k) subset E_k measured through the
-        # complementary projection
-        proj = projs[k]
-        resid = fro(image - inc @ (proj @ image))
-        report.measured(f"flag_invariant[{k}]", resid, scale)
-
+    report = _flag_report(a, bonding, bonding.levels - 1, tol)
     member = report.passed
     blocks = None
     if member and bonding._maps_are_padding():
+        a = as_matrix(a)
         blocks = {}
         prev = 0
         for k in range(bonding.levels):
@@ -526,18 +524,18 @@ def theta_projection(a, j, i, bonding: BondingSystem, tol: Tolerance = DEFAULT_T
     proj(i,j) . a . map(i,j).  Functorial on members:
     theta(i,j) o theta(j,k) = theta(i,k).
 
-    Raises NotMember when ``a`` does not preserve the flag up to level j.
+    Raises ShapeMismatch unless 0 <= i <= j < levels on a direct tower
+    with projections, and then NotMember when ``a`` does not preserve the
+    flag up to level j.
     """
     if bonding.variance != "direct":
         raise ShapeMismatch("theta projections need a direct system")
-    sub = BondingSystem(bonding.dims[: j + 1], "direct",
-                        bonding.maps[:j],
-                        bonding.projections[:j] if bonding.projections else None)
-    member, _, rep = gEn_membership(a, sub, tol)
-    if not member:
-        resid = worst([e.residual for e in rep.failures()])
+    proj, inc = bonding.projection(i, j), bonding.map(i, j)
+    report = _flag_report(a, bonding, j, tol)
+    if not report.passed:
+        resid = worst([e.residual for e in report.failures()])
         raise NotMember(f"operator violates the flag (worst residual {resid:.3e})")
-    return bonding.projection(i, j) @ a @ bonding.map(i, j)
+    return proj @ a @ inc
 
 
 # ---------------------------------------------------------------------------
@@ -618,18 +616,15 @@ class ConnectionFormSequence:
     models: list
     morphisms: Optional[dict] = None
 
-    def morphism(self, i, j, maps, projections):
-        """(L, R) for levels i < j, read from the tower's composite tables
-        ``maps`` and ``projections`` (None when the tower has none)."""
+    def morphism(self, i, j):
+        """(L, R) for levels i < j, read from the tower's composite tables."""
         if self.morphisms and (i, j) in self.morphisms:
             left, right = self.morphisms[(i, j)]
             return as_matrix(left), as_matrix(right)
-        lam = maps[i][j]
+        lam = self.bonding.map_table()[i][j]
         if self.bonding.variance == "projective":
             return lam, lam.T
-        if projections is None:
-            self.bonding._check_projections()
-        return lam, projections[i][j]
+        return lam, self.bonding.projection_table()[i][j]
 
 
 def _carry(lam, rows):
@@ -695,13 +690,11 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
         raise ShapeMismatch(f"sample points have dim {pts.shape[1]}, want {dim}")
 
     maps = b.map_table()
-    projs = (b.projection_table() if variance == "direct" and b.projections is not None
-             else None)
     if len(seq.forms) < n or len(seq.models) < n:
         raise ShapeMismatch(f"need a form and a model for each of the {n} levels")
     forms = seq.forms[:n]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    morphisms = [seq.morphism(i, j, maps, projs) for i, j in pairs]
+    morphisms = [seq.morphism(i, j) for i, j in pairs]
     # one row per sample point and tangent direction, points outermost
     xs = np.repeat(pts, dim, axis=0)
     vs = np.tile(np.eye(dim), (len(pts), 1))

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -792,6 +793,25 @@ def test_curvature_subcommand(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [e["name"] for e in payload["entries"]] == ["curvature_residual"]
     assert payload["notes"] == ["verdict: integrable"]
+
+
+@pytest.mark.parametrize("signature", [(1.0, 1.0), (-1.0, 1.0)])
+@pytest.mark.parametrize("k", [-40, -30, -29, 40])
+def test_curvature_does_not_depend_on_the_scale_of_a_flat_metric(k, signature, tmp_path,
+                                                                 capsys):
+    # degeneracy is judged relative to the metric's own size, so a metric
+    # scaled by 2**k keeps every bit of the residual and its location
+    def entry(base_metric):
+        doc = flat_field_doc()
+        doc["field"]["base_metric"] = base_metric.tolist()
+        assert run(["--json", "curvature", write(tmp_path, "flat.json", doc)]) == 0
+        [e] = json.loads(capsys.readouterr().out)["entries"]
+        return struct.pack("<d", e["residual"]), e["location"]
+
+    base = np.diag(signature)
+    unscaled = entry(base)
+    assert unscaled[0] != struct.pack("<d", 0.0)
+    assert entry(2.0**k * base) == unscaled
 
 
 def test_degenerate_metric_is_a_failing_curvature_entry(tmp_path, capsys):

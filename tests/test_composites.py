@@ -9,6 +9,8 @@ bit, and the checks the same reports entry for entry.
 import json
 import struct
 from collections import Counter
+from dataclasses import FrozenInstanceError
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -222,13 +224,11 @@ def per_sample_connection_coherence(seq: ConnectionFormSequence, sample_points,
         raise ShapeMismatch(f"sample points have dim {pts.shape[1]}, want {dim}")
 
     maps = b.map_table()
-    projs = (b.projection_table() if variance == "direct" and b.projections is not None
-             else None)
     if len(seq.forms) < n or len(seq.models) < n:
         raise ShapeMismatch(f"need a form and a model for each of the {n} levels")
     models = [(model.kind, model.matrix) for model in seq.models[:n]]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    morphisms = [seq.morphism(i, j, maps, projs) for i, j in pairs]
+    morphisms = [seq.morphism(i, j) for i, j in pairs]
     # the composites that carry sample data from its level to every level
     onto = [maps[lvl][n - 1] if variance == "projective" else maps[0][lvl]
             for lvl in range(n)]
@@ -314,10 +314,6 @@ def test_tables_equal_composites_bit_for_bit(depth, variance, explicit, seed):
                 continue
             assert same_bits(maps[i][j], b.map(i, j))
             assert same_bits(maps[i][j], naive_map(b, i, j))
-    prefix = b.map_table(depth // 2 + 1)
-    assert len(prefix) == depth // 2 + 1
-    for i, row in enumerate(prefix):
-        assert all(same_bits(m, maps[i][j]) for j, m in enumerate(row) if j >= i)
     if variance == "direct":
         projs = b.projection_table()
         for i in range(b.levels):
@@ -545,6 +541,48 @@ def test_checks_compose_each_map_once(variance, tmp_path, monkeypatch):
         calls.clear()
         assert run([*command, str(path)]) == 0
         assert sum(calls.values()) <= DEPTH, (command, dict(calls))
+
+
+@pytest.mark.parametrize("variance", ["projective", "direct"])
+def test_checks_build_each_table_once_per_tower(variance, tmp_path, monkeypatch):
+    # every law of a check reads the one table its tower keeps
+    built = Counter()
+    for name in ("_map_table", "_projection_table"):
+        def counted(self, _build=getattr(BondingSystem, name).func, _name=name):
+            built[_name] += 1
+            return _build(self)
+        table = cached_property(counted)
+        table.__set_name__(BondingSystem, name)
+        monkeypatch.setattr(BondingSystem, name, table)
+
+    tower, conn = guard_docs(variance)
+    want = {"_map_table": 1, "_projection_table": int(variance == "direct")}
+    for command, doc in ((["tower", "check"], tower), (["connection", "check"], conn)):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        built.clear()
+        assert run([*command, str(path)]) == 0
+        assert {name: built[name] for name in want} == want, command
+
+
+def test_a_tower_keeps_its_tables_and_its_fields():
+    b = random_tower(np.random.default_rng(5), 6, "direct", True)
+    assert b.map_table() is b.map_table()
+    assert b.projection_table() is b.projection_table()
+    assert b.map(1, 4) is b.map_table()[1][4]
+    for name in ("dims", "variance", "maps", "projections"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(b, name, getattr(b, name))
+    # its maps and projections are read-only copies of what it was given,
+    # so no write can leave a kept table stale
+    for m in b.maps + b.projections:
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+    given = [np.eye(2, 1), np.eye(3, 2)]
+    c = BondingSystem([1, 2, 3], "direct", given)
+    validate_bonding(c)
+    given[0][1, 0] = 5.0
+    assert c.maps[0][1, 0] == 0.0 and validate_bonding(c).passed
 
 
 @pytest.mark.parametrize("variance", ["projective", "direct"])

@@ -249,8 +249,8 @@ def _exported(tree):
 
 def _definitions(tree):
     """(qualified name, short name, exported) for every module-level function
-    and every method of a module-level class but the dunder ones; a public
-    method counts as exported when its class is."""
+    and every method of a module-level class but the dunder ones; only a
+    function of ``__all__`` counts as exported, never a method."""
     exported = _exported(tree)
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -259,18 +259,32 @@ def _definitions(tree):
             for f in node.body:
                 if isinstance(f, ast.FunctionDef) and not (
                         f.name.startswith("__") and f.name.endswith("__")):
-                    yield (f"{node.name}.{f.name}", f.name,
-                           node.name in exported and not f.name.startswith("_"))
+                    yield f"{node.name}.{f.name}", f.name, False
+
+
+# public methods of exported classes that nothing in src/ names, each kept
+# for a caller outside the package
+CALLED_FROM_OUTSIDE = {
+    "bundle.ChartAtlas.transition_at": "bench/tracing.py wraps it",
+    "poly.Poly.diff": "bench/tracing.py wraps it",
+    "calculus.TensorFieldOnChart.apply": "library API the tests use",
+    "calculus.VectorField.coordinate": "library API the tests use",
+    "poly.Poly.coordinate": "library API the tests use",
+}
 
 
 def test_every_function_is_referenced_or_exported():
     # code that nothing calls is code to delete: every function and method
-    # is named somewhere in the package, as ``f`` or ``x.f``, or exported
+    # is named somewhere in the package, as ``f`` or ``x.f``, or is a
+    # function of ``__all__``; a method counts only when src/ names it, or
+    # when CALLED_FROM_OUTSIDE names its caller
     trees = {module: ast.parse((PACKAGE / f"{module}.py").read_text()) for module in MODULES}
     referenced = {node.id if isinstance(node, ast.Name) else node.attr
                   for tree in trees.values() for node in ast.walk(tree)
                   if isinstance(node, (ast.Name, ast.Attribute))}
-    unused = [f"{module}.{name}" for module, tree in trees.items()
+    unused = {f"{module}.{name}" for module, tree in trees.items()
               for name, short, exported in _definitions(tree)
-              if not exported and short not in referenced]
-    assert not unused, f"functions that nothing in src/ references: {unused}"
+              if not exported and short not in referenced}
+    assert unused == set(CALLED_FROM_OUTSIDE), (
+        f"functions that nothing in src/ references: {sorted(unused - set(CALLED_FROM_OUTSIDE))}; "
+        f"allowed but now referenced: {sorted(set(CALLED_FROM_OUTSIDE) - unused)}")

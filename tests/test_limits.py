@@ -120,6 +120,12 @@ def test_bonding_shape_errors():
         BondingSystem([1, 2], "projective", [np.eye(3)])
 
 
+@pytest.mark.parametrize("count", [0, 2])
+def test_wrong_number_of_projections_is_a_shape_error(count):
+    with pytest.raises(ShapeMismatch, match=f"need 1 consecutive projections, got {count}"):
+        BondingSystem([1, 2], "direct", [np.eye(2, 1)], [np.eye(1, 2)] * count)
+
+
 # ---------------------------------------------------------------------------
 # coherent sequences
 # ---------------------------------------------------------------------------
@@ -382,6 +388,21 @@ def test_theta_projection_rejects_non_member():
     a = np.ones((4, 4)) + np.eye(4)
     with pytest.raises(NotMember):
         theta_projection(a, 3, 0, padded_direct())
+
+
+def test_theta_projection_checks_levels_and_projections_before_membership():
+    non_member = np.ones((4, 4)) + np.eye(4)
+    # levels out of order, on a tower that has its projections
+    with pytest.raises(ShapeMismatch, match="out of range"):
+        theta_projection(non_member[:3, :3], 2, 3, padded_direct())
+    # a direct tower without projections, whose first two maps are padding
+    rng = np.random.default_rng(3)
+    maps = [np.eye(2, 1), np.eye(3, 2), rng.normal(size=(4, 3))]
+    with pytest.raises(ShapeMismatch, match="no projections"):
+        theta_projection(non_member[:3, :3], 2, 0, BondingSystem(DIMS, "direct", maps))
+    # levels in range and projections present: membership decides
+    with pytest.raises(NotMember):
+        theta_projection(non_member, 3, 1, padded_direct())
 
 
 def test_theta_projection_names_a_nan_residual_as_the_worst():

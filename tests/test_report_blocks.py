@@ -114,7 +114,7 @@ def per_entry_tuple_membership(a: LevelTuple, tol: Tolerance = DEFAULT_TOL,
                                isotropy_models=None) -> Report:
     """Intertwining constraint, invertibility, optional per-level isotropy."""
     report = Report()
-    maps = a.bonding.map_table(a.level)
+    maps = a.bonding.map_table()
     # intertwining: the (1,1) coherence law of the entries
     for i in range(a.level):
         for j in range(i + 1, a.level):
@@ -149,13 +149,11 @@ def per_entry_connection_coherence(seq: ConnectionFormSequence, sample_points,
         raise ShapeMismatch(f"sample points have dim {pts.shape[1]}, want {dim}")
 
     maps = b.map_table()
-    projs = (b.projection_table() if variance == "direct" and b.projections is not None
-             else None)
     if len(seq.forms) < n or len(seq.models) < n:
         raise ShapeMismatch(f"need a form and a model for each of the {n} levels")
     forms = seq.forms[:n]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    morphisms = [seq.morphism(i, j, maps, projs) for i, j in pairs]
+    morphisms = [seq.morphism(i, j) for i, j in pairs]
     # one row per sample point and tangent direction, points outermost
     xs = np.repeat(pts, dim, axis=0)
     vs = np.tile(np.eye(dim), (len(pts), 1))
