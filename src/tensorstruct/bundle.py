@@ -15,6 +15,8 @@ source of truth for how the group and its Lie algebra act on that tensor:
 zeros are the isotropy algebra in which an adapted connection of
 ``limits`` takes its values.  Whether a (1,1) tensor is a complex,
 para-complex or tangent structure is read from ``structures.SQUARES``.
+Each orbit a field is compared against is one entry of ``_ORBITS``: the
+defect that admits a value and the value's complete invariant.
 
 Sample-set density is the caller's responsibility; reports record how many
 points each verdict rests on.
@@ -77,7 +79,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chart:
     """Named open box with optional interior sample points."""
 
@@ -95,20 +97,6 @@ class Chart:
         if pts.size == 0:
             pts = np.zeros((0, lo.size))
         object.__setattr__(self, "samples", pts.reshape(-1, lo.size))
-
-
-class ConstantTransition:
-    """x -> T0."""
-
-    def __init__(self, matrix):
-        self.matrix = as_matrix(matrix, square=True)
-
-    def __call__(self, x):
-        return self.matrix
-
-    def stacked(self, xs):
-        """T0 once per row of the ``(P, d)`` points ``xs``."""
-        return self.matrix[None].repeat(len(xs), axis=0)
 
 
 class AffineTransition:
@@ -129,6 +117,13 @@ class AffineTransition:
         for xi, ci in zip(np.asarray(xs, dtype=float).T, self.coefficients):
             out += xi[:, None, None] * ci
         return out
+
+
+class ConstantTransition(AffineTransition):
+    """x -> T0: the affine transition with no coefficients."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix, ())
 
 
 def _inverted(stack):
@@ -153,7 +148,7 @@ def _evaluated(evaluator, xs, n):
     """A transition's ``n x n`` values at every row of the points ``xs``, as
     a float stack: one call of a ``stacked`` evaluator, else one call per
     row."""
-    if isinstance(evaluator, (ConstantTransition, AffineTransition)):
+    if isinstance(evaluator, AffineTransition):
         return evaluator.stacked(xs)
     if not len(xs):
         return np.empty((0, n, n))
@@ -175,7 +170,7 @@ def _masked(stack, rows):
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class ChartAtlas:
     """Finite chart cover with overlap samples and transition evaluators.
 
@@ -208,9 +203,9 @@ class ChartAtlas:
         evaluated at, as a dict from row index to the reason: the declared
         one, or its inverse, is not finite there, or the declared T_ba is
         singular there.  Those rows hold the identity.
-        ``ConstantTransition`` and ``AffineTransition`` are evaluated as
-        stacks, any other evaluator row by row.  Raises MissingTransition
-        when neither T_ab nor T_ba is declared.
+        An ``AffineTransition``, ``ConstantTransition`` included, is
+        evaluated as a stack, any other evaluator row by row.  Raises
+        MissingTransition when neither T_ab nor T_ba is declared.
         """
         n = self.fiber_dim
         if (a, b) in self.transitions:
@@ -399,7 +394,6 @@ class LocalTensorField:
 
     kind: str  # "1,1" | "2,0"
     evaluators: dict  # chart name -> callable x -> matrix
-    symmetry: str = "symmetric"
 
     def at(self, chart_name, x):
         """The field's value on ``chart_name`` at x; BadAtPoint unless finite."""
@@ -428,24 +422,34 @@ def _involution_signature(m, tol):
     return tuple(b.shape[1] for b in involution_eigenbases(m, tol))
 
 
-# the supported (1,1) orbits, in the order they are tried: the structure
-# whose square defines each, and its complete conjugation invariant
-_ENDOMORPHISM_ORBITS = {
-    "complex": ("complex", lambda m, tol: None),
-    "involution": ("para_complex", _involution_signature),
-    "nilpotent": ("tangent", rank_pattern),
+# each supported orbit: the defect that admits a value, as (residual,
+# scale), and the value's complete invariant.  The entries look their
+# functions up by name when called, so a wrapper bound to the module
+# attribute (bench/tracing.py installs one) is what runs.
+_ORBITS = {
+    "signature": (lambda m: (fro(m - m.T), max(fro(m), 1.0)),
+                  lambda m, tol: signature_of(m, tol)),
+    "rank": (lambda m: (fro(m + m.T), max(fro(m), 1.0)),
+             lambda m, tol: kernel_and_image(m, tol)[2]),
+    "complex": (lambda m: square_defect(m, SQUARES["complex"]), lambda m, tol: None),
+    "involution": (lambda m: square_defect(m, SQUARES["para_complex"]),
+                   lambda m, tol: _involution_signature(m, tol)),
+    "nilpotent": (lambda m: square_defect(m, SQUARES["tangent"]),
+                  lambda m, tol: rank_pattern(m, tol)),
 }
 
 
 def _orbit_class(model: StructureMatrix, tol):
-    """Classify the model tensor by the complete orbit invariant we support."""
+    """Classify the model tensor by the complete orbit invariant we support:
+    a (2,0) form by its symmetry tag, a (1,1) tensor by the first of the
+    complex, involution and nilpotent orbits that admits it."""
     m = model.matrix
     if model.kind == "2,0":
-        if model.symmetry == "symmetric":
-            return ("signature", signature_of(m, tol))
-        return ("rank", kernel_and_image(m, tol)[2])
-    for label, (structure, invariant) in _ENDOMORPHISM_ORBITS.items():
-        if tol.accepts(*square_defect(m, SQUARES[structure])):
+        label = "signature" if model.symmetry == "symmetric" else "rank"
+        return (label, _ORBITS[label][1](m, tol))
+    for label in ("complex", "involution", "nilpotent"):
+        defect, invariant = _ORBITS[label]
+        if tol.accepts(*defect(m)):
             return (label, invariant(m, tol))
     raise UnsupportedKind(
         "no complete orbit invariant for this (1,1) tensor; supported: "
@@ -453,26 +457,18 @@ def _orbit_class(model: StructureMatrix, tol):
 
 
 def _same_orbit(value, model_class, tol):
-    """(passed, residual) for 'value lies in the model tensor's orbit'."""
-    label, invariant = model_class
-    if label == "signature":
-        sym_resid = fro(value - value.T)
-        if not tol.accepts(sym_resid, max(fro(value), 1.0)):
-            return False, sym_resid
-        got = signature_of(value, tol)
-        return got == invariant, 0.0 if got == invariant else 1.0
-    if label == "rank":
-        skew_resid = fro(value + value.T)
-        if not tol.accepts(skew_resid, max(fro(value), 1.0)):
-            return False, skew_resid
-        got = kernel_and_image(value, tol)[2]
-        return got == invariant, float(abs(got - invariant))
-    structure, invariant_of = _ENDOMORPHISM_ORBITS[label]
-    resid, scale = square_defect(value, SQUARES[structure])
+    """(passed, residual) for 'value lies in the model tensor's orbit': the
+    defect of a value the orbit does not admit, else ``|got - want|`` for
+    a rank and 0 or 1 for any other invariant."""
+    label, want = model_class
+    defect, invariant = _ORBITS[label]
+    resid, scale = defect(value)
     if not tol.accepts(resid, scale):
         return False, resid
-    got = invariant_of(value, tol)
-    return got == invariant, 0.0 if got == invariant else 1.0
+    got = invariant(value, tol)
+    if label == "rank":
+        return got == want, float(abs(got - want))
+    return got == want, 0.0 if got == want else 1.0
 
 
 def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,

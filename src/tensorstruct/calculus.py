@@ -250,30 +250,27 @@ class TensorFieldOnChart(_ChartField):
     """
 
     def __init__(self, dim, kind, fn: Callable, step=DEFAULT_FD_STEP,
-                 gradient: Optional[Callable] = None, symmetry="symmetric",
-                 vectorized=False):
+                 gradient: Optional[Callable] = None, vectorized=False):
         if kind not in ("1,1", "2,0"):
             raise ValueError(f"unknown tensor kind {kind!r}")
         super().__init__(dim, 2, fn, step, gradient, vectorized)
         self.kind = kind
-        self.symmetry = symmetry
 
     # its own entry, so bench/tracing.py can wrap this class's calls alone
     __call__ = _ChartField.__call__
 
     @classmethod
-    def from_polys(cls, polys, kind, symmetry="symmetric"):
+    def from_polys(cls, polys, kind):
         _check_rows(polys, len(polys))
-        return cls(len(polys), kind, None, symmetry=symmetry)._exact(
-            PolyArray(p for row in polys for p in row))
+        return cls(len(polys), kind, None)._exact(PolyArray(p for row in polys for p in row))
 
     @classmethod
-    def constant(cls, matrix, kind, symmetry="symmetric"):
+    def constant(cls, matrix, kind):
         matrix = np.asarray(matrix, dtype=float)
         dim = matrix.shape[0]
         polys = [[Poly.constant(dim, matrix[i, j]) for j in range(dim)]
                  for i in range(dim)]
-        return cls.from_polys(polys, kind, symmetry)
+        return cls.from_polys(polys, kind)
 
     def apply(self, x_field: VectorField) -> VectorField:
         """Pointwise image field x -> T(x) X(x), staying exact when possible.
@@ -708,8 +705,7 @@ def pullback_endomorphism(phi: PolyMap, constant_matrix,
         j = phi.jacobian(x)
         return _solve(j, t0 @ j, x, "jacobian singular")
 
-    return TensorFieldOnChart(phi.dim, "1,1", fn, step=step, symmetry="none",
-                              vectorized=True)
+    return TensorFieldOnChart(phi.dim, "1,1", fn, step=step, vectorized=True)
 
 
 def sphere_stereographic_metric(step=DEFAULT_FD_STEP) -> TensorFieldOnChart:
@@ -728,5 +724,5 @@ def sphere_stereographic_metric(step=DEFAULT_FD_STEP) -> TensorFieldOnChart:
                               vectorized=True)
 
 
-def constant_field(matrix, kind="2,0", symmetry="symmetric") -> TensorFieldOnChart:
-    return TensorFieldOnChart.constant(matrix, kind, symmetry)
+def constant_field(matrix, kind="2,0") -> TensorFieldOnChart:
+    return TensorFieldOnChart.constant(matrix, kind)

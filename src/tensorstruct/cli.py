@@ -304,7 +304,7 @@ def _dispatch(args, load, tol) -> Report:
 def _field_on_charts(fdoc, atlas):
     field, _ = documents.parse_field(fdoc, rank=atlas.fiber_dim)
     evaluators = {chart.name: field.fn for chart in atlas.charts}
-    return LocalTensorField(field.kind, evaluators, field.symmetry)
+    return LocalTensorField(field.kind, evaluators)
 
 
 def main():

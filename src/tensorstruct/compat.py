@@ -75,7 +75,7 @@ __all__ = [
 Structure = Union[ComplexStructure, ParaComplexStructure]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatibleTriple:
     """A symplectic form, a metric and a (para-)complex structure.
 
@@ -101,7 +101,7 @@ class CompatibleTriple:
         return self.metric.matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorA:
     """The operator linking a metric and a form: g(A u, v) = Omega(u, v)."""
 

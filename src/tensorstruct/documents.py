@@ -489,8 +489,7 @@ def parse_field(doc, fd_step=None, rank="dim"):
     v = check(doc, FIELD, rank=rank)
     dim, spec, step = v["dim"], v["field"], field_step(v, fd_step)
     if spec["name"] == "constant":
-        field = calculus.TensorFieldOnChart.constant(
-            spec["matrix"], spec.get("kind", "2,0"), spec.get("symmetry", "symmetric"))
+        field = calculus.TensorFieldOnChart.constant(spec["matrix"], spec.get("kind", "2,0"))
     elif spec["name"] == "sphere_stereographic":
         field = calculus.sphere_stereographic_metric(step=step)
     else:

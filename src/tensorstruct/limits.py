@@ -10,12 +10,12 @@ consecutive ones and must satisfy the composition laws
     direct:      map(j,k) o map(i,j) = map(i,k)           (maps d_i -> d_j)
     direct:      proj(i,j) o map(i,j) = Id,  proj(i,j) o proj(j,k) = proj(i,k)
 
-Coherence of a per-level tensor sequence depends on variance and kind:
+Coherence of a per-level tensor sequence is one law per kind, for the
+composite lam = map(i,j) from its source level s to its target level t
+(s = j, t = i on projective towers; s = i, t = j on direct ones):
 
-    projective (1,1):  A_i map(i,j) = map(i,j) A_j
-    direct     (1,1):  map(i,j) A_i = A_j map(i,j)
-    projective (2,0):  S_j = map(i,j)^T S_i map(i,j)
-    direct     (2,0):  S_i = map(i,j)^T S_j map(i,j)
+    (1,1):  A_t lam = lam A_s
+    (2,0):  S_s = lam^T S_t lam
 
 All checks quantify over the supplied levels and report that count; the
 infinite limit object is represented exactly by its levelwise conditions.
@@ -113,7 +113,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BondingSystem:
     """Finite tower of levels joined by consecutive linear maps.
 
@@ -314,7 +314,7 @@ def _composition_block(report, template, table, reverse):
     report.measured_block(template, triples, residuals, scales)
 
 
-@dataclass
+@dataclass(eq=False)
 class CoherentSequence:
     """One structure matrix per level, intertwined by the bonding maps."""
 
@@ -335,16 +335,12 @@ class CoherentSequence:
                     f"level {lvl} matrix is {m.shape[0]}x, dim is {self.bonding.dims[lvl]}")
 
 
-def _coherence_residual(variance, kind, lam, a_i, a_j):
-    """Defect of the variance/kind intertwining law between levels i < j,
-    joined by the composite map ``lam`` = map(i, j)."""
-    if variance == "projective":
-        if kind == "1,1":
-            return fro(a_i @ lam - lam @ a_j)
-        return fro(a_j - lam.T @ a_i @ lam)
+def _coherence_residual(kind, lam, a_src, a_dst):
+    """Defect of the ``kind`` intertwining law of the composite map ``lam``
+    from the level of ``a_src`` to the level of ``a_dst``."""
     if kind == "1,1":
-        return fro(lam @ a_i - a_j @ lam)
-    return fro(a_i - lam.T @ a_j @ lam)
+        return fro(a_dst @ lam - lam @ a_src)
+    return fro(a_src - lam.T @ a_dst @ lam)
 
 
 def _coherence_block(report, template, variance, kind, maps, mats):
@@ -353,8 +349,10 @@ def _coherence_block(report, template, variance, kind, maps, mats):
     residual accepted at the scale ``max(fro(mats[i]), fro(mats[j]), 1)``."""
     norms = [fro(m) for m in mats]
     pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
-    residuals = np.array([_coherence_residual(variance, kind, maps[i][j], mats[i], mats[j])
-                          for i, j in pairs])
+    # map(i, j) runs from level j down to i on projective towers, up from i to j on direct
+    ends = [(j, i) for i, j in pairs] if variance == "projective" else pairs
+    residuals = np.array([_coherence_residual(kind, maps[i][j], mats[s], mats[t])
+                          for (i, j), (s, t) in zip(pairs, ends)])
     scales = np.array([max(norms[i], norms[j], 1.0) for i, j in pairs])
     report.measured_block(template, pairs, residuals, scales)
     return report
@@ -390,7 +388,7 @@ def limit_eval(seq: CoherentSequence, level, vectors, tol: Tolerance = DEFAULT_T
 # level tuples (constrained operator families)
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class LevelTuple:
     """Operators (f_0, .., f_{n-1}), one per level, intertwining the bonding."""
 
@@ -559,11 +557,6 @@ class LevelForm:
             self.linear = [[as_matrix(m, square=True) for m in row] for row in linear]
 
     @property
-    def coeffs(self):
-        """The coefficient matrices, a tuple of views into ``stack``."""
-        return tuple(self.stack)
-
-    @property
     def dim(self):
         return self.stack.shape[1]
 
@@ -599,7 +592,7 @@ class LevelForm:
         return self.at(np.atleast_2d(x), np.atleast_2d(v))[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class ConnectionFormSequence:
     """Per-level connection forms over a tower, with algebra morphisms.
 

@@ -74,7 +74,7 @@ def block_para_target(pairs) -> CompatibleTriple:
     return complete_triple(metric, omega, flavor="para_kahler")
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscretizedLoopSpace:
     """A loop into a constant-coefficient Kahler/para-Kahler target.
 
@@ -111,10 +111,6 @@ class DiscretizedLoopSpace:
     @property
     def samples(self):
         return self.loop.shape[0]
-
-    @property
-    def dim(self):
-        return self.loop.shape[1]
 
 
 def _conform(space, x):

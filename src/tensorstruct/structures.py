@@ -12,7 +12,8 @@ so the flat map of B sends u to the covector with coordinate column S^T u.
 For a symmetric metric G this makes the flat map's matrix G itself, and for
 a skew form S it is -S.
 
-Canonical matrices on R^(2k):
+Canonical matrices on R^(2k), each ``[[0, upper I], [lower I, 0]]``
+from ``_canonical``:
 
     complex      [[0, -I], [I, 0]]
     para-complex [[0,  I], [I, 0]]
@@ -26,7 +27,8 @@ in ``bundle``, ``calculus`` and ``compat``, reads that one table.
 
 Validation never raises on bad structure data: every invariant becomes a
 report entry with its measured residual, so the CLI can surface degenerate
-inputs instead of crashing on them.
+inputs instead of crashing on them.  ``validate`` finds each type's
+validator in ``_VALIDATORS``.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def _coerce_columns(owner, names):
                            .reshape(owner.dim, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MatrixStructure:
     """Base of the structure types that carry a square ``matrix``.
 
@@ -115,7 +117,7 @@ class _MatrixStructure:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureMatrix(_MatrixStructure):
     """Model tensor: a square matrix with a role tag, an endomorphism
     (kind "1,1") or a symmetric or skew form (kind "2,0")."""
@@ -131,7 +133,7 @@ class StructureMatrix(_MatrixStructure):
             raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearForm(_MatrixStructure):
     """A bilinear form B(u,v) = u^T S v with a declared symmetry tag."""
 
@@ -146,14 +148,14 @@ class BilinearForm(_MatrixStructure):
         return float(np.asarray(u) @ self.matrix @ np.asarray(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticForm(_MatrixStructure):
     """A skew form expected to be nondegenerate (checked by ``validate``)."""
 
     __call__ = BilinearForm.__call__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KreinMetric(_MatrixStructure):
     """Symmetric form with a splitting into positive and negative subspaces.
 
@@ -175,7 +177,7 @@ class KreinMetric(_MatrixStructure):
         return self.plus_basis.shape[1] == self.minus_basis.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexStructure(_MatrixStructure):
     """Endomorphism squaring to -Id, optionally with a decomposition.
 
@@ -198,7 +200,7 @@ class ComplexStructure(_MatrixStructure):
             object.__setattr__(self, "decomposition", (b1, b2, iso))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParaComplexStructure(_MatrixStructure):
     """Endomorphism squaring to +Id with balanced +1/-1 eigenspaces."""
 
@@ -207,7 +209,7 @@ class ParaComplexStructure(_MatrixStructure):
     _BASES = ("eigen_plus", "eigen_minus")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentStructure(_MatrixStructure):
     """Nilpotent endomorphism J with im J = ker J."""
 
@@ -216,7 +218,7 @@ class TangentStructure(_MatrixStructure):
     _BASES = ("kernel_basis", "complement_basis")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CotangentStructure:
     """Symplectic form together with a maximal isotropic (Lagrangian) space."""
 
@@ -264,45 +266,38 @@ def _half(dim):
     return dim // 2
 
 
-def complex_canonical(dim) -> ComplexStructure:
-    """[[0, -I], [I, 0]] with the coordinate decomposition attached."""
+def _canonical(dim, upper, lower):
+    """[[0, upper I], [lower I, 0]] on R^dim, and the first and second
+    column halves of the identity."""
     k = _half(dim)
     m = np.zeros((dim, dim))
-    m[:k, k:] = -np.eye(k)
-    m[k:, :k] = np.eye(k)
-    b1 = np.eye(dim)[:, :k]
-    b2 = np.eye(dim)[:, k:]
-    return ComplexStructure(m, (b1, b2, np.eye(k)))
+    m[:k, k:] = upper * np.eye(k)
+    m[k:, :k] = lower * np.eye(k)
+    eye = np.eye(dim)
+    return m, eye[:, :k], eye[:, k:]
+
+
+def complex_canonical(dim) -> ComplexStructure:
+    """[[0, -I], [I, 0]] with the coordinate decomposition attached."""
+    m, b1, b2 = _canonical(dim, -1.0, 1.0)
+    return ComplexStructure(m, (b1, b2, np.eye(dim // 2)))
 
 
 def para_complex_canonical(dim) -> ParaComplexStructure:
     """[[0, I], [I, 0]]; eigenvectors are (e_i +- e_{k+i})/sqrt(2)."""
-    k = _half(dim)
-    m = np.zeros((dim, dim))
-    m[:k, k:] = np.eye(k)
-    m[k:, :k] = np.eye(k)
-    eye = np.eye(dim)
-    plus = (eye[:, :k] + eye[:, k:]) / np.sqrt(2.0)
-    minus = (eye[:, :k] - eye[:, k:]) / np.sqrt(2.0)
-    return ParaComplexStructure(m, plus, minus)
+    m, first, second = _canonical(dim, 1.0, 1.0)
+    return ParaComplexStructure(m, (first + second) / np.sqrt(2.0),
+                                (first - second) / np.sqrt(2.0))
 
 
 def tangent_canonical(dim) -> TangentStructure:
     """[[0, I], [0, 0]]."""
-    k = _half(dim)
-    m = np.zeros((dim, dim))
-    m[:k, k:] = np.eye(k)
-    eye = np.eye(dim)
-    return TangentStructure(m, eye[:, :k], eye[:, k:])
+    return TangentStructure(*_canonical(dim, 1.0, 0.0))
 
 
 def symplectic_canonical(dim) -> SymplecticForm:
     """[[0, I], [-I, 0]]."""
-    k = _half(dim)
-    m = np.zeros((dim, dim))
-    m[:k, k:] = np.eye(k)
-    m[k:, :k] = -np.eye(k)
-    return SymplecticForm(m)
+    return SymplecticForm(_canonical(dim, 1.0, -1.0)[0])
 
 
 def krein_from_matrix(g, tol: Tolerance = DEFAULT_TOL) -> KreinMetric:
@@ -345,25 +340,14 @@ def _subspace_gap(a, b):
 
 
 def validate(structure, tol: Tolerance = DEFAULT_TOL) -> Report:
-    """Check every defining invariant of a structure; residuals per entry."""
-    report = Report(tol=tol)
-    if isinstance(structure, BilinearForm):
-        _validate_bilinear(structure, report)
-    elif isinstance(structure, SymplecticForm):
-        _validate_symplectic(structure, tol, report)
-    elif isinstance(structure, KreinMetric):
-        _validate_krein(structure, tol, report)
-    elif isinstance(structure, ComplexStructure):
-        _validate_complex(structure, tol, report)
-    elif isinstance(structure, ParaComplexStructure):
-        _validate_para(structure, tol, report)
-    elif isinstance(structure, TangentStructure):
-        _validate_tangent(structure, tol, report)
-    elif isinstance(structure, CotangentStructure):
-        _validate_cotangent(structure, tol, report)
-    else:
-        raise TypeError(f"cannot validate {type(structure).__name__}")
-    return report
+    """Check every defining invariant of a structure; residuals per entry.
+    Raises TypeError for a type ``_VALIDATORS`` does not name."""
+    for cls, validator in _VALIDATORS.items():
+        if isinstance(structure, cls):
+            report = Report(tol=tol)
+            validator(structure, report)
+            return report
+    raise TypeError(f"cannot validate {type(structure).__name__}")
 
 
 def _validate_bilinear(b, report):
@@ -375,11 +359,11 @@ def _validate_bilinear(b, report):
         report.measured("skew", fro(s + s.T), scale)
 
 
-def _validate_symplectic(o, tol, report):
+def _validate_symplectic(o, report):
     s = o.matrix
     report.measured("skew", fro(s + s.T), max(fro(s), 1.0))
     report.add("even_dimension", o.dim % 2 == 0, float(o.dim % 2))
-    _, _, rank = kernel_and_image(s, tol)
+    _, _, rank = kernel_and_image(s, report.tol)
     report.add("nondegenerate", rank == o.dim, float(o.dim - rank))
 
 
@@ -400,7 +384,8 @@ def _shortfall(w, atol):
     return float(-w) if w < 0 else float(np.nextafter(atol, np.inf) - w)
 
 
-def _validate_krein(g, tol, report):
+def _validate_krein(g, report):
+    tol = report.tol
     s = g.matrix
     n = g.dim
     scale = max(fro(s), 1.0)
@@ -422,7 +407,7 @@ def _validate_krein(g, tol, report):
     report.note(f"signature ({p}, {q}); neutral: {g.is_neutral}")
 
 
-def _validate_complex(c, tol, report):
+def _validate_complex(c, report):
     m = c.matrix
     n = c.dim
     res, scale = square_defect(m, SQUARES["complex"])
@@ -430,7 +415,7 @@ def _validate_complex(c, tol, report):
     report.add("even_dimension", n % 2 == 0, float(n % 2))
     if c.decomposition is not None:
         b1, b2, iso = c.decomposition
-        spans = rank_of(np.hstack([b1, b2]), tol) == n
+        spans = rank_of(np.hstack([b1, b2]), report.tol) == n
         report.add("decomposition_spans", spans, 0.0 if spans else 1.0)
         # block form [[0, -iso], [iso^-1, 0]]: structure maps basis1 into
         # basis2 via iso^-1 and basis2 into basis1 via -iso
@@ -442,7 +427,7 @@ def _validate_complex(c, tol, report):
             report.add("decomposition_block_form", False, np.inf, "iso singular")
 
 
-def _validate_para(j, tol, report):
+def _validate_para(j, report):
     m = j.matrix
     n = j.dim
     res, scale = square_defect(m, SQUARES["para_complex"])
@@ -456,29 +441,29 @@ def _validate_para(j, tol, report):
         report.measured("plus_eigenspace", fro(m @ j.eigen_plus - j.eigen_plus), scale)
     if q:
         report.measured("minus_eigenspace", fro(m @ j.eigen_minus + j.eigen_minus), scale)
-    spans = rank_of(np.hstack([j.eigen_plus, j.eigen_minus]), tol) == n
+    spans = rank_of(np.hstack([j.eigen_plus, j.eigen_minus]), report.tol) == n
     report.add("eigenspaces_span", spans, 0.0 if spans else 1.0)
 
 
-def _validate_tangent(t, tol, report):
+def _validate_tangent(t, report):
     m = t.matrix
     n = t.dim
     res, scale = square_defect(m, SQUARES["tangent"])
     report.measured("squares_to_zero", res, scale)
     report.add("even_dimension", n % 2 == 0, float(n % 2))
-    kernel, image, rank = kernel_and_image(m, tol)
+    kernel, image, rank = kernel_and_image(m, report.tol)
     report.add("rank_is_half_dim", 2 * rank == n, float(abs(2 * rank - n)))
     if 2 * rank == n:
         report.measured("image_equals_kernel", _subspace_gap(image, kernel))
     report.measured("kernel_basis_annihilated", fro(m @ t.kernel_basis), scale)
-    _, _, rank_on_complement = kernel_and_image(m @ t.complement_basis, tol)
+    _, _, rank_on_complement = kernel_and_image(m @ t.complement_basis, report.tol)
     want = t.complement_basis.shape[1]
     report.add("restriction_isomorphism", rank_on_complement == want,
                float(want - rank_on_complement))
 
 
-def _validate_cotangent(c, tol, report):
-    _validate_symplectic(c.symplectic, tol, report)
+def _validate_cotangent(c, report):
+    _validate_symplectic(c.symplectic, report)
     s = c.symplectic.matrix
     n = c.dim
     lag = c.lagrangian_basis
@@ -488,8 +473,20 @@ def _validate_cotangent(c, tol, report):
     report.add("complement_dimension",
                lag.shape[1] == c.complement_basis.shape[1],
                float(abs(lag.shape[1] - c.complement_basis.shape[1])))
-    spans = rank_of(np.hstack([lag, c.complement_basis]), tol) == n
+    spans = rank_of(np.hstack([lag, c.complement_basis]), report.tol) == n
     report.add("decomposition_spans", spans, 0.0 if spans else 1.0)
+
+
+# each validated type and its validator, tried in order with isinstance
+_VALIDATORS = {
+    BilinearForm: _validate_bilinear,
+    SymplecticForm: _validate_symplectic,
+    KreinMetric: _validate_krein,
+    ComplexStructure: _validate_complex,
+    ParaComplexStructure: _validate_para,
+    TangentStructure: _validate_tangent,
+    CotangentStructure: _validate_cotangent,
+}
 
 
 # ---------------------------------------------------------------------------

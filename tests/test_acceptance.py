@@ -217,7 +217,7 @@ def test_criterion_4_nijenhuis_criterion():
             basis[2, 1] = c * x[0]
             return basis @ np.diag([1.0, 1.0, -1.0, -1.0]) @ np.linalg.inv(basis)
 
-        field = TensorFieldOnChart(4, "1,1", fn, symmetry="none")
+        field = TensorFieldOnChart(4, "1,1", fn)
         report = is_integrable_structure(field, "para_complex", grid4,
                                          tol=Tolerance(atol=1e-6, rtol=0.0))
         assert not report.passed
@@ -366,7 +366,7 @@ def test_criterion_7_connection_coherence():
     pts4 = rng.uniform(-1, 1, size=(20, 4))
     projective_ok = check_connection_coherence(seq_proj, pts4).passed
 
-    bad_coeffs = [c.copy() for c in forms[1].coeffs]
+    bad_coeffs = [c.copy() for c in forms[1].stack]
     bad_coeffs[0] = bad_coeffs[0] + 1e-3 * np.eye(3)
     seq_direct.forms[1] = LevelForm(bad_coeffs)
     rep = check_connection_coherence(seq_direct, pts2)
@@ -444,13 +444,13 @@ def test_criterion_9_fd_convergence():
                   Poly(2, {(1, 2): 0.3})],
                  [Poly(2, {(2, 1): -0.25}),
                   Poly(2, {(0, 0): -1.0, (0, 3): 0.15})]]
-    a_exact = TensorFieldOnChart.from_polys(a_entries, "1,1", symmetry="none")
+    a_exact = TensorFieldOnChart.from_polys(a_entries, "1,1")
     e1 = VectorField.coordinate(2, 0)
     e2 = VectorField.coordinate(2, 1)
     defect_exact = nijenhuis(a_exact, e1, e2, p)
 
     def defect_err(h):
-        fd = TensorFieldOnChart(2, "1,1", a_exact.fn, step=h, symmetry="none")
+        fd = TensorFieldOnChart(2, "1,1", a_exact.fn, step=h)
         return np.linalg.norm(nijenhuis(fd, e1, e2, p) - defect_exact)
 
     ratios["defect_tensor"] = defect_err(1e-2) / defect_err(5e-3)

@@ -19,6 +19,7 @@ from tensorstruct.bundle import (
 from tensorstruct.errors import (
     BadAtPoint,
     MissingTransition,
+    ShapeMismatch,
     Singular,
     TensorStructError,
     UnsupportedKind,
@@ -81,6 +82,11 @@ def test_tensor_action_rejects_singular():
 def test_a_singular_map_lies_in_no_isotropy_group():
     assert in_isotropy(np.zeros((2, 2)), I_MODEL) == (False, np.inf)
     assert in_isotropy(np.diag([1.0, 0.0]), OMEGA) == (False, np.inf)
+
+
+def test_in_isotropy_refuses_a_map_of_another_size():
+    with pytest.raises(ShapeMismatch, match=r"map \(3, 3\) vs tensor \(2, 2\)"):
+        in_isotropy(np.eye(3), I_MODEL)
 
 
 def test_in_isotropy_shear_preserves_canonical_form():
@@ -255,6 +261,23 @@ def test_reduction_detects_off_group_perturbation_size():
     entry = [e for e in rep.entries if e.name.startswith("isotropy")][0]
     assert not entry.passed
     assert eps / 2 <= entry.residual <= 2 * eps
+
+
+def test_constant_transition_keeps_the_bits_of_its_own_evaluator():
+    # the evaluator ConstantTransition had before it became an AffineTransition
+    # with no coefficients, verbatim
+    def old_call(matrix, x):
+        return matrix
+
+    def old_stacked(matrix, xs):
+        return matrix[None].repeat(len(xs), axis=0)
+
+    matrix = np.array([[-0.0, 1e-320], [np.nextafter(1.0, 2.0), -3.5]])
+    fn = ConstantTransition(matrix)
+    for xs in (np.zeros((0, 2)), np.array([[0.5, -1.0]]), np.arange(6.0).reshape(3, 2)):
+        got, want = fn.stacked(xs), old_stacked(matrix, xs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert fn([0.5, -1.0]).tobytes() == old_call(matrix, [0.5, -1.0]).tobytes()
 
 
 def test_affine_transition_evaluation():

@@ -347,8 +347,7 @@ def random_field(rng, atlas, model):
     """A field of the model's kind on some of the charts."""
     pool = FIELD_VALUES[atlas.fiber_dim]
     return LocalTensorField(model.kind, {chart.name: tabulated(draw(rng, pool))
-                                         for chart in atlas.charts if rng.uniform() < 0.8},
-                            model.symmetry)
+                                         for chart in atlas.charts if rng.uniform() < 0.8})
 
 
 def outcome(check, *args):

@@ -57,6 +57,15 @@ def test_lie_bracket_hand_example():
     np.testing.assert_allclose(b([0.7, -0.4]), [0.0, 1.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TensorFieldOnChart(2, "0,2", lambda x: np.eye(2)),
+    lambda: is_integrable_structure(constant_field(np.eye(2), "1,1"), "symplectic", GRID2),
+], ids=["field", "integrability"])
+def test_an_unknown_kind_is_refused(build):
+    with pytest.raises(ValueError, match="unknown (tensor|structure) kind '(0,2|symplectic)'"):
+        build()
+
+
 def test_lie_bracket_antisymmetry_and_bilinearity():
     rng = np.random.default_rng(3)
     x = poly_vector(2, [{(1, 0): 0.3, (0, 1): -1.2}, {(2, 0): 0.5}])
@@ -159,7 +168,7 @@ def rotation_by_x_field(step=1e-5):
     def fn(x):
         c, s = np.cos(x[0]), np.sin(x[0])
         return np.array([[c, -s], [s, c]])
-    return TensorFieldOnChart(2, "1,1", fn, step=step, symmetry="none")
+    return TensorFieldOnChart(2, "1,1", fn, step=step)
 
 
 def test_defect_rotation_field_against_symbolic_oracle():
@@ -204,7 +213,7 @@ def test_defect_depends_only_on_pointwise_values():
 def test_defect_vanishes_on_kernel_sections_of_tangent_structure():
     def fn(x):
         return np.array([[0.0, 1.0 + x[0] ** 2], [0.0, 0.0]])
-    j = TensorFieldOnChart(2, "1,1", fn, symmetry="none")
+    j = TensorFieldOnChart(2, "1,1", fn)
     kernel_section = poly_vector(2, [{(0, 0): 1.0, (0, 1): 0.8}, {}])
     other = poly_vector(2, [{(1, 0): 0.3}, {(0, 0): 1.0, (1, 1): -0.2}])
     for p in ([0.0, 0.0], [0.3, -0.4]):
@@ -219,7 +228,7 @@ def test_defect_vanishes_on_kernel_sections_of_tangent_structure():
 # ---------------------------------------------------------------------------
 
 def test_constant_tangent_field_integrable():
-    field = constant_field(tangent_canonical(2).matrix, "1,1", "none")
+    field = constant_field(tangent_canonical(2).matrix, "1,1")
     report = is_integrable_structure(field, "tangent", GRID2, tol=Tolerance(atol=1e-6, rtol=0.0))
     assert report.passed
     assert report.notes == ["verdict: integrable"]
@@ -234,7 +243,7 @@ def test_pullback_tangent_field_integrable():
 
 
 def test_complex_field_verdict_is_formal_only():
-    field = constant_field(complex_canonical(2).matrix, "1,1", "none")
+    field = constant_field(complex_canonical(2).matrix, "1,1")
     report = is_integrable_structure(field, "complex", GRID2, tol=Tolerance(atol=1e-6, rtol=0.0))
     assert report.passed
     assert report.notes == ["verdict: formally integrable"]
@@ -248,7 +257,7 @@ def test_non_involutive_para_field_not_integrable():
         basis[2, 1] = x[0]
         return basis @ np.diag([1.0, 1.0, -1.0, -1.0]) @ np.linalg.inv(basis)
 
-    field = TensorFieldOnChart(4, "1,1", fn, symmetry="none")
+    field = TensorFieldOnChart(4, "1,1", fn)
     grid = grid_points([-0.5] * 4, [0.5] * 4, 2)
     report = is_integrable_structure(field, "para_complex", grid,
                                      tol=Tolerance(atol=1e-6, rtol=0.0))
@@ -257,7 +266,7 @@ def test_non_involutive_para_field_not_integrable():
 
 
 def test_integrability_rejects_invalid_structure_field():
-    field = constant_field(np.diag([1.0, 2.0]), "1,1", "none")
+    field = constant_field(np.diag([1.0, 2.0]), "1,1")
     report = is_integrable_structure(field, "para_complex", GRID2)
     assert [(e.name, e.passed, e.residual, e.location) for e in report.entries] == [
         ("defect_tensor_para_complex", False, np.inf, np.array2string(GRID2[0], precision=3))]
@@ -327,8 +336,7 @@ def stack_metric(mats):
     """A vectorized metric field that takes the values ``mats`` at the points
     it is asked for (one matrix per point), with zero partials."""
     return TensorFieldOnChart(mats.shape[-1], "2,0", lambda x: mats,
-                              gradient=lambda x, i: np.zeros_like(mats),
-                              symmetry="none", vectorized=True)
+                              gradient=lambda x, i: np.zeros_like(mats), vectorized=True)
 
 
 def svd_rule_first(mats, tol):
@@ -563,7 +571,7 @@ def test_metric_integrability_verdicts():
 
 def test_constant_triple_flat_connection_parallel():
     conn = levi_civita(constant_field(np.eye(2), "2,0"))
-    field = constant_field(complex_canonical(2).matrix, "1,1", "none")
+    field = constant_field(complex_canonical(2).matrix, "1,1")
     report = covariant_derivative_of_structure(conn, field, GRID2,
                                                tol=Tolerance(atol=1e-8, rtol=0.0))
     assert report.passed
@@ -588,7 +596,7 @@ def test_incompatible_structure_field_not_parallel():
         a = np.diag([1.0, 1.0 + x[0]])
         return np.linalg.solve(a, complex_canonical(2).matrix @ a)
 
-    field = TensorFieldOnChart(2, "1,1", fn, symmetry="none")
+    field = TensorFieldOnChart(2, "1,1", fn)
     report = covariant_derivative_of_structure(conn, field, GRID2,
                                                tol=Tolerance(atol=1e-5, rtol=0.0))
     assert not report.passed
@@ -763,9 +771,8 @@ def test_tensorial_defect_matches_closure_formula(seed, dim, twist):
     pulled = pullback_endomorphism(phi, rng.normal(size=(dim, dim)))
     bend = TensorFieldOnChart.from_polys(
         [[random_poly(rng, dim, 2, 3) for _ in range(dim)] for _ in range(dim)],
-        "1,1", symmetry="none")
-    field = TensorFieldOnChart(dim, "1,1", lambda x: pulled(x) + twist * bend(x),
-                               symmetry="none")
+        "1,1")
+    field = TensorFieldOnChart(dim, "1,1", lambda x: pulled(x) + twist * bend(x))
     x_field, y_field = random_vector_field(rng, dim), random_vector_field(rng, dim)
     p = rng.uniform(-0.5, 0.5, size=dim)
     np.testing.assert_allclose(nijenhuis(field, x_field, y_field, p),
@@ -810,10 +817,10 @@ def test_grid_checks_report_first_failure_and_first_worst_point():
     assert err.value.reason == "metric degenerate"
     np.testing.assert_array_equal(err.value.point, grid[0] + [h, 0.0])
 
-    field = constant_field(np.diag([1.0, 2.0]), "1,1", "none")
+    field = constant_field(np.diag([1.0, 2.0]), "1,1")
     partly = TensorFieldOnChart(
         2, "1,1", lambda x: para_complex_canonical(2).matrix if x[0] < 0
-        else field(x), symmetry="none")
+        else field(x))
     report = is_integrable_structure(partly, "para_complex",
                                      [[-0.1, 0.0], [0.1, 0.3], [0.2, 0.0]])
     assert (report.worst_residual, report.entries[0].location) == (
@@ -826,7 +833,7 @@ def test_grid_checks_report_first_failure_and_first_worst_point():
         return basis @ np.diag([1.0, 1.0, -1.0, -1.0]) @ np.linalg.inv(basis)
 
     grid = np.array([[0.1, 0.1, 0.2, 0.3], [0.4, 0.0, 0.2, 0.3], [0.4, -0.3, 0.5, 0.3]])
-    report = is_integrable_structure(TensorFieldOnChart(4, "1,1", fn, symmetry="none"),
+    report = is_integrable_structure(TensorFieldOnChart(4, "1,1", fn),
                                      "para_complex", grid)
     assert report.entries[0].location == np.array2string(grid[1], precision=3)
     flat = is_metric_integrable(constant_field(np.eye(2)), GRID2)
@@ -864,7 +871,7 @@ def _bad_at_one_point(kind, value, reason="made-up reason"):
         if np.array_equal(x, BAD):
             raise BadAtPoint(x, reason)
         return value
-    return TensorFieldOnChart(2, kind, fn, symmetry="none" if kind == "1,1" else "symmetric")
+    return TensorFieldOnChart(2, kind, fn)
 
 
 # check name -> (report, label, reason); each field or metric raises at BAD
@@ -881,7 +888,7 @@ BAD_INPUTS = {
     "covariant (metric)": lambda: (covariant_derivative_of_structure(
         levi_civita(TensorFieldOnChart(
             2, "2,0", lambda x: np.eye(2) if not np.array_equal(x, BAD) else np.diag([1.0, 0.0]))),
-        constant_field(complex_canonical(2).matrix, "1,1", "none"), GRID2),
+        constant_field(complex_canonical(2).matrix, "1,1"), GRID2),
         "parallel", "metric degenerate"),
 }
 
@@ -900,14 +907,14 @@ def _non_involutive_para_field():
         basis = np.eye(4)
         basis[2, 1] = x[0]
         return basis @ np.diag([1.0, 1.0, -1.0, -1.0]) @ np.linalg.inv(basis)
-    return TensorFieldOnChart(4, "1,1", fn, symmetry="none")
+    return TensorFieldOnChart(4, "1,1", fn)
 
 
 def _twisted_complex_field():
     def fn(x):
         a = np.diag([1.0, 1.0 + x[0]])
         return np.linalg.solve(a, complex_canonical(2).matrix @ a)
-    return TensorFieldOnChart(2, "1,1", fn, symmetry="none")
+    return TensorFieldOnChart(2, "1,1", fn)
 
 
 GRID_CHECKS = {

@@ -471,6 +471,12 @@ def test_malformed_reduce_documents_exit_two(case, tmp_path, capsys):
     assert "parse error" in err and "Traceback" not in err
 
 
+def test_reduce_field_of_another_kind_than_the_model_exits_one(tmp_path, capsys):
+    docs = dict(reduce_docs(), tensor={"kind": "1,1", "matrix": [[0, -1], [1, 0]]})
+    assert run(reduce_argv(tmp_path, docs)) == 1
+    assert "error: field kind 2,0 vs model kind 1,1" in capsys.readouterr().err
+
+
 def test_reduce_field_is_fiber_dim_on_a_base_of_dim(tmp_path):
     # a 4x4 field over a two-dimensional base, on a fiber of dimension 4
     docs = reduce_docs()

@@ -4,7 +4,29 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from tensorstruct.bundle import Chart, ChartAtlas
+from tensorstruct.compat import OperatorA
+from tensorstruct.limits import (
+    BondingSystem,
+    CoherentSequence,
+    ConnectionFormSequence,
+    LevelForm,
+    LevelTuple,
+)
+from tensorstruct.loopspace import DiscretizedLoopSpace, block_kahler_target
+from tensorstruct.structures import (
+    BilinearForm,
+    CotangentStructure,
+    StructureMatrix,
+    complex_canonical,
+    krein_from_matrix,
+    para_complex_canonical,
+    symplectic_canonical,
+    tangent_canonical,
+)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tensorstruct"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -288,3 +310,44 @@ def test_every_function_is_referenced_or_exported():
     assert unused == set(CALLED_FROM_OUTSIDE), (
         f"functions that nothing in src/ references: {sorted(unused - set(CALLED_FROM_OUTSIDE))}; "
         f"allowed but now referenced: {sorted(set(CALLED_FROM_OUTSIDE) - unused)}")
+
+
+def _tower():
+    return BondingSystem.padded([1, 2], "projective")
+
+
+# one instance of every dataclass that holds arrays
+ARRAY_HOLDERS = {
+    "Chart": lambda: Chart("u", [0.0], [1.0], [[0.5]]),
+    "ChartAtlas": lambda: ChartAtlas(1, [Chart("u", [0.0], [1.0])]),
+    "BondingSystem": _tower,
+    "CoherentSequence": lambda: CoherentSequence(_tower(), [[[1.0]], np.eye(2)], "1,1"),
+    "LevelTuple": lambda: LevelTuple(_tower(), [[[1.0]], np.eye(2)]),
+    "ConnectionFormSequence": lambda: ConnectionFormSequence(
+        _tower(), [LevelForm([[[0.0]]]), LevelForm(np.zeros((2, 2, 2)))],
+        [StructureMatrix(np.eye(d), "2,0") for d in (1, 2)]),
+    "StructureMatrix": lambda: StructureMatrix(np.eye(2), "1,1"),
+    "BilinearForm": lambda: BilinearForm(np.eye(2), "symmetric"),
+    "SymplecticForm": lambda: symplectic_canonical(2),
+    "KreinMetric": lambda: krein_from_matrix(np.diag([1.0, -1.0])),
+    "ComplexStructure": lambda: complex_canonical(2),
+    "ParaComplexStructure": lambda: para_complex_canonical(2),
+    "TangentStructure": lambda: tangent_canonical(2),
+    "CotangentStructure": lambda: CotangentStructure(symplectic_canonical(2), [1.0, 0.0],
+                                                     [0.0, 1.0]),
+    "CompatibleTriple": lambda: block_kahler_target(1),
+    "OperatorA": lambda: OperatorA(np.eye(2), np.eye(2), np.eye(2)),
+    "DiscretizedLoopSpace": lambda: DiscretizedLoopSpace(block_kahler_target(1),
+                                                         np.zeros((3, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holders_compare_and_hash_by_identity(name):
+    # a generated __eq__ compares the arrays and raises on their truth value
+    build = ARRAY_HOLDERS[name]
+    value = build()
+    assert type(value).__name__ == name
+    assert value == value and value != build()
+    assert hash(value) == hash(value)
+    assert {value: name}[value] == name

@@ -113,6 +113,11 @@ def test_direct_tower_requires_projections_for_general_injections():
         b.projection(0, 1)
 
 
+def test_an_unknown_sequence_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown tensor kind '0,2'"):
+        CoherentSequence(BondingSystem.padded([1, 2], "projective"), [[[1.0]], np.eye(2)], "0,2")
+
+
 def test_bonding_shape_errors():
     with pytest.raises(ShapeMismatch):
         BondingSystem([2, 1], "projective", [np.eye(1, 2)])
@@ -537,7 +542,7 @@ def test_off_subalgebra_perturbation_localized():
     rng = np.random.default_rng(43)
     seq = coherent_direct_form_tower(rng)
     # push the level-1 form off the skew subalgebra
-    bad = [c.copy() for c in seq.forms[1].coeffs]
+    bad = [c.copy() for c in seq.forms[1].stack]
     bad[0] = bad[0] + 1e-3 * np.eye(3)
     seq.forms[1] = LevelForm(bad)
     pts = rng.uniform(-1, 1, size=(10, 2))

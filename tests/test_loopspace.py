@@ -164,7 +164,7 @@ def test_pointwise_defect_vanishes_for_constant_target_structure():
     # the induced structure acts pointwise by the constant target structure,
     # whose bracket defect vanishes identically
     target = block_kahler_target(2)
-    field = constant_field(target.structure.matrix, "1,1", "none")
+    field = constant_field(target.structure.matrix, "1,1")
     grid = grid_points([-0.5] * 4, [0.5] * 4, 2)
     report = is_integrable_structure(field, "complex", grid, tol=Tolerance(atol=1e-9, rtol=0.0))
     assert report.passed

@@ -194,7 +194,7 @@ def test_brackets_and_images_are_bit_identical_to_the_reference(data):
     (xs, rxs), (ys, rys), (ts, rts) = operands(dim), operands(dim), operands(dim * dim)
     x, y = VectorField.from_polys(xs), VectorField.from_polys(ys)
     t = TensorFieldOnChart.from_polys([ts[i * dim:(i + 1) * dim] for i in range(dim)],
-                                      "1,1", symmetry="none")
+                                      "1,1")
     assert_same_table(lie_bracket(x, y).values, ref_bracket(rxs, rys))
     assert_same_table(t.apply(x).values,
                       ref_image([rts[i * dim:(i + 1) * dim] for i in range(dim)], rxs))
@@ -270,8 +270,3 @@ def test_poly_maps_compile_only_what_is_evaluated():
     assert phi(np.array([1.0, 2.0])).tolist() == [1.4, 2.0]
     assert "_values" in vars(phi)
 
-
-@pytest.mark.parametrize("method", ["__call__", "diff"])
-def test_traced_methods_live_on_poly(method):
-    # bench/tracing.py wraps these by name on the class
-    assert method in Poly.__dict__

@@ -27,7 +27,6 @@ from tensorstruct.limits import (
     LevelForm,
     LevelTuple,
     _carry,
-    _coherence_residual,
     check_coherent,
     check_connection_coherence,
     tuple_membership,
@@ -41,6 +40,18 @@ from tensorstruct.structures import StructureMatrix
 # ---------------------------------------------------------------------------
 # the per-entry checks
 # ---------------------------------------------------------------------------
+
+
+def _coherence_residual(variance, kind, lam, a_i, a_j):
+    """Defect of the variance/kind intertwining law between levels i < j,
+    joined by the composite map ``lam`` = map(i, j)."""
+    if variance == "projective":
+        if kind == "1,1":
+            return fro(a_i @ lam - lam @ a_j)
+        return fro(a_j - lam.T @ a_i @ lam)
+    if kind == "1,1":
+        return fro(lam @ a_i - a_j @ lam)
+    return fro(a_i - lam.T @ a_j @ lam)
 
 
 def _norms(stack):

@@ -43,6 +43,11 @@ def random_invertible(n, rng=RNG):
 # validation
 # ---------------------------------------------------------------------------
 
+def test_validate_refuses_an_unsupported_type():
+    with pytest.raises(TypeError, match="cannot validate ndarray"):
+        validate(np.eye(2))
+
+
 def test_validate_canonical_complex():
     rep = validate(complex_canonical(2))
     assert rep.passed
@@ -403,3 +408,62 @@ def test_every_failing_validate_entry_reads_above_zero(doc):
         assert e.passed or e.residual > 0 or math.isinf(e.residual) or math.isnan(e.residual), e
         if old.get(e.name, 0.0) > 0:  # a residual that read above 0 keeps its bits
             assert e.residual == old[e.name], e
+
+
+# ---------------------------------------------------------------------------
+# canonical models
+# ---------------------------------------------------------------------------
+
+# the builders as they were before they shared one block helper, verbatim
+def old_complex(dim):
+    k = dim // 2
+    m = np.zeros((dim, dim))
+    m[:k, k:] = -np.eye(k)
+    m[k:, :k] = np.eye(k)
+    b1 = np.eye(dim)[:, :k]
+    b2 = np.eye(dim)[:, k:]
+    return m, b1, b2, np.eye(k)
+
+
+def old_para(dim):
+    k = dim // 2
+    m = np.zeros((dim, dim))
+    m[:k, k:] = np.eye(k)
+    m[k:, :k] = np.eye(k)
+    eye = np.eye(dim)
+    plus = (eye[:, :k] + eye[:, k:]) / np.sqrt(2.0)
+    minus = (eye[:, :k] - eye[:, k:]) / np.sqrt(2.0)
+    return m, plus, minus
+
+
+def old_tangent(dim):
+    k = dim // 2
+    m = np.zeros((dim, dim))
+    m[:k, k:] = np.eye(k)
+    eye = np.eye(dim)
+    return m, eye[:, :k], eye[:, k:]
+
+
+def old_symplectic(dim):
+    k = dim // 2
+    m = np.zeros((dim, dim))
+    m[:k, k:] = np.eye(k)
+    m[k:, :k] = -np.eye(k)
+    return (m,)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+@pytest.mark.parametrize("build, old, fields", [
+    (complex_canonical, old_complex, lambda c: (c.matrix, *c.decomposition)),
+    (para_complex_canonical, old_para, lambda j: (j.matrix, j.eigen_plus, j.eigen_minus)),
+    (tangent_canonical, old_tangent,
+     lambda t: (t.matrix, t.kernel_basis, t.complement_basis)),
+    (symplectic_canonical, old_symplectic, lambda o: (o.matrix,)),
+], ids=["complex", "para_complex", "tangent", "symplectic"])
+def test_canonical_models_keep_their_bytes(dim, build, old, fields):
+    got = fields(build(dim))
+    want = old(dim)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        # tobytes also tells -0.0 from 0.0
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
