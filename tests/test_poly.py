@@ -270,3 +270,9 @@ def test_poly_maps_compile_only_what_is_evaluated():
     assert phi(np.array([1.0, 2.0])).tolist() == [1.4, 2.0]
     assert "_values" in vars(phi)
 
+
+
+@pytest.mark.parametrize("method", ["__call__", "diff"])
+def test_traced_methods_live_on_poly(method):
+    # bench/tracing.py wraps these by name on the class
+    assert method in Poly.__dict__
