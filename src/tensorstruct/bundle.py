@@ -16,7 +16,8 @@ zeros are the isotropy algebra in which an adapted connection of
 ``limits`` takes its values.  Whether a (1,1) tensor is a complex,
 para-complex or tangent structure is read from ``structures.SQUARES``.
 Each orbit a field is compared against is one entry of ``_ORBITS``: the
-defect that admits a value and the value's complete invariant.
+defect that admits a value (``structures.square_defect`` or
+``symmetry_defect``) and the value's complete invariant.
 
 Sample-set density is the caller's responsibility; reports record how many
 points each verdict rests on.
@@ -24,10 +25,11 @@ points each verdict rests on.
 ``check_cocycle`` and ``check_reduction`` take all samples of a
 transition at once: ``ChartAtlas.transitions_at`` gives a ``(P, n, n)``
 stack and the samples it cannot be evaluated at (not finite, or the
-inverse of a singular declared transition), and each residual is one
-stacked computation whose every row has the bits of the one-sample
-computation (``np.linalg`` and ``matmul`` run each matrix of a stack
-alone, and ``linalg.fro_each`` is ``fro`` row by row).  Such a sample
+inverse of a singular declared transition, found by ``linalg.batched``),
+and each residual is one stacked computation whose every row has the bits
+of the one-sample computation (``np.linalg`` and ``matmul`` run each
+matrix of a stack alone, and ``linalg.fro_each`` is ``fro`` row by row).
+Such a sample
 fails with residual inf, and so does a singular map, which lies in no
 isotropy group.  ``ChartAtlas.transition_at``, the one-sample case, raises
 ``BadAtPoint`` there instead, as ``LocalTensorField.at`` does for a field;
@@ -54,6 +56,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    batched,
     fro,
     fro_each,
     involution_eigenbases,
@@ -61,7 +64,7 @@ from .linalg import (
     signature_of,
 )
 from .report import Report, worst, worst_at
-from .structures import SQUARES, StructureMatrix, square_defect
+from .structures import SQUARES, StructureMatrix, square_defect, symmetry_defect
 
 __all__ = [
     "StructureMatrix",
@@ -112,7 +115,11 @@ class AffineTransition:
     def stacked(self, xs):
         """The value at every row of the ``(P, d)`` points ``xs``.  The terms
         are added in order, element by element, so each matrix has the
-        bits of the same sum at its row alone."""
+        bits of the same sum at its row alone.  Raises ShapeMismatch unless
+        every point has one coordinate per coefficient (any number when
+        there are none)."""
+        if self.coefficients and len(xs) and np.shape(xs)[1] != len(self.coefficients):
+            raise ShapeMismatch(f"{np.shape(xs)[1]} coordinates for {len(self.coefficients)} terms")
         out = self.base[None].repeat(len(xs), axis=0)
         for xi, ci in zip(np.asarray(xs, dtype=float).T, self.coefficients):
             out += xi[:, None, None] * ci
@@ -129,19 +136,9 @@ class ConstantTransition(AffineTransition):
 def _inverted(stack):
     """The inverse of every matrix of a ``(P, n, n)`` stack, and the mask of
     the singular ones, whose rows hold the identity.  Each inverse has the
-    bits of ``np.linalg.inv`` of its matrix alone."""
-    try:
-        return np.linalg.inv(stack), np.zeros(len(stack), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    out = np.empty(stack.shape)
-    singular = np.zeros(len(stack), dtype=bool)
-    for k, m in enumerate(stack):
-        try:
-            out[k] = np.linalg.inv(m)
-        except np.linalg.LinAlgError:
-            out[k], singular[k] = np.eye(len(m)), True
-    return out, singular
+    bits of ``np.linalg.inv`` of its matrix alone (``linalg.batched``)."""
+    out, singular = batched(np.linalg.inv, stack)
+    return _masked(out, singular.nonzero()[0]), singular
 
 
 def _evaluated(evaluator, xs, n):
@@ -427,10 +424,9 @@ def _involution_signature(m, tol):
 # functions up by name when called, so a wrapper bound to the module
 # attribute (bench/tracing.py installs one) is what runs.
 _ORBITS = {
-    "signature": (lambda m: (fro(m - m.T), max(fro(m), 1.0)),
+    "signature": (lambda m: symmetry_defect(m, "symmetric"),
                   lambda m, tol: signature_of(m, tol)),
-    "rank": (lambda m: (fro(m + m.T), max(fro(m), 1.0)),
-             lambda m, tol: kernel_and_image(m, tol)[2]),
+    "rank": (lambda m: symmetry_defect(m, "skew"), lambda m, tol: kernel_and_image(m, tol)[2]),
     "complex": (lambda m: square_defect(m, SQUARES["complex"]), lambda m, tol: None),
     "involution": (lambda m: square_defect(m, SQUARES["para_complex"]),
                    lambda m, tol: _involution_signature(m, tol)),

@@ -37,7 +37,8 @@ points rather than per point.  They decide with a ``Tolerance``, by default
 that is not a structure of the asked kind, a metric that is not finite or
 is degenerate, a singular Jacobian) raises ``BadAtPoint`` there, and ``_grid_report`` turns it into
 the failing entry: residual inf at that point, and the reason as a note.
-That is the one place a grid check catches it.
+That is the one place a grid check catches it.  A stacked solve finds its
+first singular point with ``linalg.batched``.
 
 Conventions: ``christoffel[k, i, j]`` is the e_k-component of the derivative
 of e_j along e_i; ``curvature[i, j, k, l]`` is the e_i-component of
@@ -54,10 +55,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import BadAtPoint, ShapeMismatch
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, batched
 from .poly import Poly, PolyArray, derivative_terms, sum_of_products, term_arrays
 from .report import Report, location, worst_at
-from .structures import SQUARES
+from .structures import KINDS, SQUARES, square_defect
 
 __all__ = [
     "DEFAULT_FD_STEP",
@@ -114,18 +115,11 @@ def _shifted(x, offsets):
 def _solve(a, b, points, reason):
     """``np.linalg.solve(a, b)`` over stacks of matrices taken at
     ``points``; when it fails, ``BadAtPoint(reason)`` at the first point,
-    in row order, whose own solve fails."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        d = a.shape[-1]
-        for point, ap, bp in zip(np.reshape(points, (-1, d)), a.reshape(-1, d, d),
-                                 b.reshape(-1, d, b.shape[-1])):
-            try:
-                np.linalg.solve(ap, bp)
-            except np.linalg.LinAlgError:
-                raise BadAtPoint(point, reason) from None
-        raise
+    in row order, whose own solve fails (``linalg.batched``)."""
+    x, failed = batched(np.linalg.solve, a, b)
+    if failed.any():
+        raise BadAtPoint(np.reshape(points, (-1, a.shape[-1]))[failed.argmax()], reason)
+    return x
 
 
 def _check_rows(rows, dim):
@@ -251,7 +245,7 @@ class TensorFieldOnChart(_ChartField):
 
     def __init__(self, dim, kind, fn: Callable, step=DEFAULT_FD_STEP,
                  gradient: Optional[Callable] = None, vectorized=False):
-        if kind not in ("1,1", "2,0"):
+        if kind not in KINDS:
             raise ValueError(f"unknown tensor kind {kind!r}")
         super().__init__(dim, 2, fn, step, gradient, vectorized)
         self.kind = kind
@@ -395,7 +389,9 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
     N(e_i, e_j) over pairs i < j.
 
     A field that fails its algebraic identity (A^2 = 0, 1 or -1 within 1e-6,
-    relative to max(|A|^2, 1)) at some grid point fails the entry with
+    relative to max(|A|^2, 1): ``structures.square_defect``, the rule
+    ``validate`` applies, on the stack of the field's values at a block of
+    points) at some grid point fails the entry with
     residual inf at the first such point and the note ``not a <kind>
     structure``; so does a pullback whose Jacobian is singular at a point
     the check evaluates, with the note ``jacobian singular``.  Both are a
@@ -403,13 +399,11 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
     """
     if kind not in SQUARES:
         raise ValueError(f"unknown structure kind {kind!r}")
-    identity = SQUARES[kind] * np.eye(field.dim)
     upper = np.triu_indices(field.dim, 1)
 
     def residuals(points):
         a = field(points)
-        valid = _IDENTITY_TOL.accepts(np.linalg.norm(a @ a - identity, axis=(-2, -1)),
-                                      np.maximum(np.linalg.norm(a, axis=(-2, -1)) ** 2, 1.0))
+        valid = _IDENTITY_TOL.accepts(*square_defect(a, SQUARES[kind]))
         if not valid.all():
             raise BadAtPoint(points[np.argmin(valid)], f"not a {kind} structure")
         defect = _defect_tensor(a, field.partials(points))[..., upper[0], upper[1]]

@@ -56,6 +56,7 @@ from .structures import (
     SymplecticForm,
     krein_from_matrix,
     square_defect,
+    symmetry_defect,
     validate,
 )
 
@@ -73,6 +74,9 @@ __all__ = [
 ]
 
 Structure = Union[ComplexStructure, ParaComplexStructure]
+# the flavors of a triple: a positive metric with a complex structure, a
+# neutral metric with a para-complex one
+FLAVORS = ("kahler", "para_kahler")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +93,7 @@ class CompatibleTriple:
     flavor: str  # "kahler" | "para_kahler"
 
     def __post_init__(self):
-        if self.flavor not in ("kahler", "para_kahler"):
+        if self.flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
 
     @property
@@ -119,9 +123,8 @@ def _metric_ok(g, flavor, tol):
     n_plus, n_minus, n_zero = signature_of(g, tol)
     if n_zero:
         return False, f"degenerate metric (zero count {n_zero})"
-    if flavor == "kahler":
-        return n_minus == 0, f"signature ({n_plus}, {n_minus})"
-    return n_plus == n_minus, f"signature ({n_plus}, {n_minus})"
+    return (n_minus == 0 if flavor == "kahler" else n_plus == n_minus,
+            f"signature ({n_plus}, {n_minus})")
 
 
 def omega_from(metric, structure: Structure, tol: Tolerance = DEFAULT_TOL) -> SymplecticForm:
@@ -136,12 +139,10 @@ def omega_from(metric, structure: Structure, tol: Tolerance = DEFAULT_TOL) -> Sy
     if g.shape != i.shape:
         raise ShapeMismatch(f"metric {g.shape} vs structure {i.shape}")
     s = i.T @ g
-    scale = max(fro(s), 1.0)
-    if not tol.accepts(fro(s + s.T), scale):
+    if not tol.accepts(*symmetry_defect(s, "skew")):
         raise IncompatibleInputs("g(Iu, v) is not skew: metric and structure incompatible")
     omega = SymplecticForm(0.5 * s - 0.5 * s.T)
-    rep = validate(omega, tol)
-    if not rep.passed:
+    if not validate(omega, tol).passed:
         raise IncompatibleInputs("constructed form is degenerate")
     return omega
 
@@ -162,8 +163,7 @@ def g_from(omega: SymplecticForm, structure: Structure, flavor=None,
     if s.shape != i.shape:
         raise ShapeMismatch(f"form {s.shape} vs structure {i.shape}")
     g = s @ i
-    scale = max(fro(g), 1.0)
-    if not tol.accepts(fro(g - g.T), scale):
+    if not tol.accepts(*symmetry_defect(g, "symmetric")):
         raise IncompatibleInputs("Omega(u, Iv) is not symmetric")
     g = symmetric_part(g)
     ok, detail = _metric_ok(g, flavor, tol)
@@ -241,20 +241,19 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         structure = ComplexStructure(i, _adapted_decomposition(corrected, i))
         return structure, BilinearForm(corrected, "symmetric"), operator
 
-    if flavor == "para_kahler":
-        ok, detail = _metric_ok(g, "para_kahler", tol)
-        if not ok:
-            raise IncompatibleInputs(f"metric is not neutral: {detail}")
-        j = a
-        resid, scale = square_defect(j, SQUARES["para_complex"])
-        if not tol.accepts(resid, scale):
-            raise NotInvolutive(f"J^2 - Id residual {resid:.3e}")
-        corrected = symmetric_part(s @ j)
-        plus, minus = involution_eigenbases(j, tol)
-        structure = ParaComplexStructure(j, plus, minus)
-        return structure, krein_from_matrix(corrected, tol), operator
-
-    raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    ok, detail = _metric_ok(g, "para_kahler", tol)
+    if not ok:
+        raise IncompatibleInputs(f"metric is not neutral: {detail}")
+    j = a
+    resid, scale = square_defect(j, SQUARES["para_complex"])
+    if not tol.accepts(resid, scale):
+        raise NotInvolutive(f"J^2 - Id residual {resid:.3e}")
+    corrected = symmetric_part(s @ j)
+    plus, minus = involution_eigenbases(j, tol)
+    structure = ParaComplexStructure(j, plus, minus)
+    return structure, krein_from_matrix(corrected, tol), operator
 
 
 def _unitary_half_basis(g, i):

@@ -26,11 +26,11 @@ from reprlib import repr as _repr  # abbreviates long values in messages
 
 import numpy as np
 
-from . import calculus
+from . import calculus, structures
 from .bundle import AffineTransition, Chart, ChartAtlas, ConstantTransition
-from .compat import complete_triple
+from .compat import FLAVORS, complete_triple
 from .errors import TensorStructError
-from .limits import BondingSystem, CoherentSequence, ConnectionFormSequence, LevelForm
+from .limits import VARIANCES, BondingSystem, CoherentSequence, ConnectionFormSequence, LevelForm
 from .linalg import DEFAULT_TOL, Tolerance, involution_eigenbases, kernel_and_complement
 from .loopspace import DiscretizedLoopSpace, block_kahler_target, block_para_target
 from .poly import Poly
@@ -287,9 +287,9 @@ def check(doc, schema, **sizes):
 # the schemas
 # ---------------------------------------------------------------------------
 
-KIND = Str("1,1", "2,0")
-SYMMETRY = Str("symmetric", "skew")
-FLAVOR = Str("kahler", "para_kahler")
+KIND = Str(*structures.KINDS)
+SYMMETRY = Str(*structures.SYMMETRIES)
+FLAVOR = Str(*FLAVORS)
 _MATRIX = {"matrix": Num("n", "n"), "dim?": Num(integer=True, least=1, bind="n")}
 
 
@@ -371,8 +371,8 @@ def _tower(variance, connection=False):
                 **(per_level if connection else {})})
 
 
-TOWER = Case("variance", {v: _tower(v) for v in ("projective", "direct")})
-CONNECTION = Case("variance", {v: _tower(v, connection=True) for v in ("projective", "direct")})
+TOWER = Case("variance", {v: _tower(v) for v in VARIANCES})
+CONNECTION = Case("variance", {v: _tower(v, connection=True) for v in VARIANCES})
 
 # parse_loop pins n to 2*half: a target of `pairs` pairs has dimension 2*pairs
 LOOP = Obj({

@@ -94,6 +94,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, fro_each, rank_of
 from .report import Report, worst
+from .structures import KINDS
 
 __all__ = [
     "BondingSystem",
@@ -111,6 +112,9 @@ __all__ = [
     "theta_projection",
     "check_connection_coherence",
 ]
+
+# the variances of a tower: surjections down, or injections up
+VARIANCES = ("projective", "direct")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +138,7 @@ class BondingSystem:
     def __post_init__(self):
         dims = [int(d) for d in self.dims]
         object.__setattr__(self, "dims", dims)
-        if self.variance not in ("projective", "direct"):
+        if self.variance not in VARIANCES:
             raise ValueError(f"unknown variance {self.variance!r}")
         if any(a > b for a, b in zip(dims, dims[1:])):
             raise ShapeMismatch("dims must be nondecreasing")
@@ -323,7 +327,7 @@ class CoherentSequence:
     kind: str  # "1,1" | "2,0"
 
     def __post_init__(self):
-        if self.kind not in ("1,1", "2,0"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown tensor kind {self.kind!r}")
         self.levels = [as_matrix(m, square=True) for m in self.levels]
         if len(self.levels) != self.bonding.levels:

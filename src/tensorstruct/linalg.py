@@ -3,7 +3,8 @@
 Everything downstream funnels its numerics through here: symmetric square
 roots, adjoints with respect to a metric, and rank/kernel decisions.  All
 operations are pure; matrices are plain ``numpy`` arrays of floats and are
-never mutated.
+never mutated.  ``batched`` is the one stacked ``np.linalg`` call that
+falls back to one matrix at a time, to find the matrices it fails on.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "as_matrix",
     "fro",
     "fro_each",
+    "batched",
     "spd_sqrt",
     "metric_adjoint",
     "kernel_and_image",
@@ -113,6 +115,28 @@ def fro_each(stack):
         for k in np.flatnonzero(out == math.inf):
             out[k] = fro(rows[k])
     return out
+
+
+def batched(op, *stacks):
+    """``op(*stacks)``, one stacked ``np.linalg`` call on ``(..., n, k)``
+    stacks of one leading shape, and the mask of the matrices it fails on,
+    in row order.
+
+    One batched call; only when it raises ``LinAlgError``, one call per
+    matrix, each with the bits of the batched call's, and the rows that fail
+    hold zeros.  The result has the shape of the last stack.
+    """
+    try:
+        return op(*stacks), np.zeros(math.prod(stacks[0].shape[:-2]), dtype=bool)
+    except np.linalg.LinAlgError:
+        rows = [s.reshape((-1,) + s.shape[-2:]) for s in stacks]
+    out, failed = np.zeros(rows[-1].shape), np.zeros(len(rows[-1]), dtype=bool)
+    for k, row in enumerate(zip(*rows)):
+        try:
+            out[k] = op(*row)
+        except np.linalg.LinAlgError:
+            failed[k] = True
+    return out.reshape(stacks[-1].shape), failed
 
 
 def spd_sqrt(m, tol: Tolerance = DEFAULT_TOL):

@@ -22,8 +22,15 @@ from ``_canonical``:
 
 The first three are defined by their square: ``SQUARES[kind]`` is the
 multiple of Id that a ``kind`` structure squares to, and ``square_defect``
-measures a matrix against it.  Every check of those identities, here and
-in ``bundle``, ``calculus`` and ``compat``, reads that one table.
+measures a matrix, or every matrix of a stack, against it.  A symmetric or
+skew form is defined by its transpose, and ``symmetry_defect`` measures a
+matrix against either tag of ``SYMMETRIES``.  Every check of those
+identities, here and in ``bundle``, ``calculus`` and ``compat``, calls
+these two; only ``linalg.spd_sqrt`` and ``compat``'s induced metric judge
+a symmetry at another scale.  A symplectic form is nondegenerate when its
+``kernel_and_image`` rank is full, in ``validate`` and ``darboux_basis``
+alike.  ``KINDS`` and ``SYMMETRIES`` are the tensor kinds and symmetry
+tags every constructor accepts.
 
 Validation never raises on bad structure data: every invariant becomes a
 report entry with its measured residual, so the CLI can surface degenerate
@@ -50,6 +57,7 @@ from .linalg import (
     Tolerance,
     as_matrix,
     fro,
+    fro_each,
     involution_eigenbases,
     kernel_and_complement,
     kernel_and_image,
@@ -61,6 +69,7 @@ from .report import Report, worst
 __all__ = [
     "SQUARES",
     "square_defect",
+    "symmetry_defect",
     "StructureMatrix",
     "BilinearForm",
     "SymplecticForm",
@@ -87,6 +96,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # types
 # ---------------------------------------------------------------------------
+
+# the tensor kinds: an endomorphism and a bilinear form
+KINDS = ("1,1", "2,0")
+# the symmetry tags of a form
+SYMMETRIES = ("symmetric", "skew")
+
 
 def _coerce_columns(owner, names):
     """Set each named field of a frozen ``owner`` to a float (dim, k) array
@@ -127,9 +142,9 @@ class StructureMatrix(_MatrixStructure):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.kind not in ("1,1", "2,0"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown tensor kind {self.kind!r}")
-        if self.symmetry not in ("symmetric", "skew"):
+        if self.symmetry not in SYMMETRIES:
             raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
 
 
@@ -141,7 +156,7 @@ class BilinearForm(_MatrixStructure):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.symmetry not in ("symmetric", "skew"):
+        if self.symmetry not in SYMMETRIES:
             raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
 
     def __call__(self, u, v):
@@ -240,11 +255,16 @@ class CotangentStructure:
 
 # the multiple of Id that each kind of structure squares to
 SQUARES = {"complex": -1.0, "para_complex": 1.0, "tangent": 0.0}
+# the scale of a square that overflows
+_LARGEST = sys.float_info.max
 
 
 def square_defect(m, square):
     """``(|m m - square Id|, max(|m|^2, 1))``: the defect of ``m`` squaring
-    to ``square`` times Id and the scale it is judged at.
+    to ``square`` times Id and the scale it is judged at.  For a
+    ``(..., n, n)`` stack, both are arrays of the stack's leading shape,
+    with the bits of each matrix alone: ``fro_each`` is ``fro`` row by row,
+    and both scales square the norm by one multiplication.
 
     Where the true |m|^2 passes the largest double, about 1.8e308, the
     scale is that largest double, so the verdict there errs only toward
@@ -252,12 +272,21 @@ def square_defect(m, square):
     defect of ``[[a, a], [-1.001 a, -a]]`` squaring to -Id is finite at
     a = 1.3e154 (2.4e305), though |m|^2 is only about 2,800 times that.
     """
-    norm = fro(m)
-    try:
-        scale = norm ** 2
-    except OverflowError:  # a float's ** raises where numpy would give inf
-        scale = sys.float_info.max
-    return fro(m @ m - square * np.eye(len(m))), max(scale, 1.0)
+    if m.ndim == 2:
+        norm = fro(m)
+        return fro(m @ m - square * np.eye(len(m))), max(min(norm * norm, _LARGEST), 1.0)
+    n = m.shape[-1]
+    flat = m.reshape(-1, n, n)
+    scale = np.minimum(fro_each(flat) ** 2, _LARGEST)
+    defect = fro_each(flat @ flat - square * np.eye(n))
+    return defect.reshape(m.shape[:-2]), np.maximum(scale, 1.0).reshape(m.shape[:-2])
+
+
+def symmetry_defect(m, symmetry):
+    """``(|m -+ m^T|, max(|m|, 1))``: the defect of ``m`` being a form of
+    the ``symmetry`` tag (``m - m^T`` for symmetric, ``m + m^T`` for skew)
+    and the scale it is judged at."""
+    return fro(m - m.T if symmetry == "symmetric" else m + m.T), max(fro(m), 1.0)
 
 
 def _half(dim):
@@ -351,19 +380,13 @@ def validate(structure, tol: Tolerance = DEFAULT_TOL) -> Report:
 
 
 def _validate_bilinear(b, report):
-    s = b.matrix
-    scale = max(fro(s), 1.0)
-    if b.symmetry == "symmetric":
-        report.measured("symmetric", fro(s - s.T), scale)
-    else:
-        report.measured("skew", fro(s + s.T), scale)
+    report.measured(b.symmetry, *symmetry_defect(b.matrix, b.symmetry))
 
 
 def _validate_symplectic(o, report):
-    s = o.matrix
-    report.measured("skew", fro(s + s.T), max(fro(s), 1.0))
+    report.measured("skew", *symmetry_defect(o.matrix, "skew"))
     report.add("even_dimension", o.dim % 2 == 0, float(o.dim % 2))
-    _, _, rank = kernel_and_image(s, report.tol)
+    _, _, rank = kernel_and_image(o.matrix, report.tol)
     report.add("nondegenerate", rank == o.dim, float(o.dim - rank))
 
 
@@ -388,8 +411,8 @@ def _validate_krein(g, report):
     tol = report.tol
     s = g.matrix
     n = g.dim
-    scale = max(fro(s), 1.0)
-    report.measured("symmetric", fro(s - s.T), scale)
+    asymmetry, scale = symmetry_defect(s, "symmetric")
+    report.measured("symmetric", asymmetry, scale)
 
     rank = rank_of(np.hstack([g.plus_basis, g.minus_basis]), tol)
     p, q = g.signature
@@ -517,8 +540,7 @@ def fundamental_symmetry(g: KreinMetric, tol: Tolerance = DEFAULT_TOL):
         raise InvalidStructure("plus/minus bases do not span") from exc
     j = basis @ np.diag(np.concatenate([np.ones(p), -np.ones(q)])) @ inv
     gamma = g.matrix @ j
-    scale = max(fro(gamma), 1.0)
-    if not tol.accepts(fro(gamma - gamma.T), scale):
+    if not tol.accepts(*symmetry_defect(gamma, "symmetric")):
         raise InvalidStructure("splitting is not g-orthogonal: gamma not symmetric")
     gamma = symmetric_part(gamma)
     if np.linalg.eigvalsh(gamma).min() <= tol.atol:
@@ -619,14 +641,16 @@ def darboux_basis(omega: SymplecticForm, tol: Tolerance = DEFAULT_TOL):
     Raises
     ------
     Degenerate
-        Odd dimension, or no partner with nonzero pairing can be found
-        (rank deficiency).
+        Odd dimension, a form that ``validate`` calls degenerate (its rank
+        under ``kernel_and_image`` is below the dimension), or no partner
+        with a nonzero pairing (a form that is not skew).
     """
     s = omega.matrix
     n = omega.dim
     if n % 2:
         raise Degenerate(f"odd dimension {n}")
-    scale = max(fro(s), 1.0)
+    if kernel_and_image(s, tol)[2] < n:
+        raise Degenerate("no symplectic partner found: form is degenerate")
 
     remaining = [np.eye(n)[:, i] for i in range(n)]
     a_cols = []
@@ -638,7 +662,7 @@ def darboux_basis(omega: SymplecticForm, tol: Tolerance = DEFAULT_TOL):
             continue
         u = u / nu
         pairings = [abs(float(u @ s @ w)) for w in remaining]
-        if not pairings or max(pairings) <= tol.rank_threshold(scale):
+        if not pairings or not max(pairings) > 0.0:
             raise Degenerate("no symplectic partner found: form is degenerate")
         pick = int(np.argmax(pairings))
         v = remaining.pop(pick)

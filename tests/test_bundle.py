@@ -285,6 +285,25 @@ def test_affine_transition_evaluation():
     np.testing.assert_allclose(fn([0.5, -0.25]), np.diag([1.5, 0.75]))
 
 
+@pytest.mark.parametrize("point", [[1.0], [1.0, 1.0, 5.0], []])
+def test_an_affine_transition_needs_one_coordinate_per_coefficient(point):
+    # zip used to drop the extra terms or the extra coordinates: [[2.]] and [[3.]]
+    fn = AffineTransition(np.eye(1), [[[1.0]], [[1.0]]])
+    with pytest.raises(ShapeMismatch, match=f"{len(point)} coordinates for 2 terms"):
+        fn(point)
+    with pytest.raises(ShapeMismatch):
+        fn.stacked(np.array([point, point]).reshape(2, -1))
+    assert fn([1.0, 1.0]).tolist() == [[3.0]]
+    # no points, as an overlap document with "points": [] gives
+    assert fn.stacked(np.zeros((0, 0))).shape == (0, 1, 1)
+
+
+def test_a_constant_transition_takes_points_of_any_width():
+    fn = ConstantTransition(np.eye(2))
+    for xs in (np.zeros((3, 0)), np.zeros((1, 1)), np.ones((2, 5))):
+        assert fn.stacked(xs).tobytes() == np.eye(2)[None].repeat(len(xs), axis=0).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # locally modelled
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tensorstruct import documents
 from tensorstruct.calculus import (
+    _IDENTITY_TOL,
     GRID_TOL,
     ConnectionData,
     TensorFieldOnChart,
@@ -29,7 +30,13 @@ from tensorstruct.calculus import (
 from tensorstruct.errors import BadAtPoint, ShapeMismatch
 from tensorstruct.linalg import DEFAULT_TOL, Tolerance
 from tensorstruct.poly import Poly
-from tensorstruct.structures import complex_canonical, para_complex_canonical, tangent_canonical
+from tensorstruct.structures import (
+    SQUARES,
+    complex_canonical,
+    para_complex_canonical,
+    square_defect,
+    tangent_canonical,
+)
 
 GRID2 = grid_points([-0.5, -0.5], [0.5, 0.5], 5)
 
@@ -271,6 +278,35 @@ def test_integrability_rejects_invalid_structure_field():
     assert [(e.name, e.passed, e.residual, e.location) for e in report.entries] == [
         ("defect_tensor_para_complex", False, np.inf, np.array2string(GRID2[0], precision=3))]
     assert report.notes == ["verdict: not integrable", "not a para_complex structure"]
+
+
+CANONICAL = {"complex": complex_canonical, "para_complex": para_complex_canonical,
+             "tangent": tangent_canonical}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(CANONICAL)), pairs=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), spread=st.integers(0, 400),
+       shift=st.integers(-400, 400), perturb=st.sampled_from([0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3]))
+def test_the_grid_check_takes_a_field_for_a_structure_as_square_defect_does(
+        kind, pairs, seed, spread, shift, perturb):
+    # a canonical structure conjugated by a map whose columns lie 2**-spread
+    # to 2**spread apart, its entries perturbed by the relative amount
+    # `perturb`; a tangent structure, whose square is 0 at every scale, also
+    # scaled by 2**shift.  Entries reach about 2**800, where |A|^2 passes
+    # the largest double
+    rng = np.random.default_rng(seed)
+    n = 2 * pairs
+    p = np.linalg.qr(rng.normal(size=(n, n)))[0] * np.exp2(rng.integers(-spread, spread + 1, n))
+    with np.errstate(all="ignore"):
+        a = np.linalg.solve(p, CANONICAL[kind](n).matrix @ p)
+        a *= 1.0 + perturb * rng.uniform(-1.0, 1.0, a.shape)
+        if kind == "tangent":
+            a *= 2.0 ** shift
+        assume(np.isfinite(a).all())
+        want = bool(_IDENTITY_TOL.accepts(*square_defect(a, SQUARES[kind])))
+        report = is_integrable_structure(constant_field(a, "1,1"), kind, np.zeros((1, n)))
+    assert (f"not a {kind} structure" not in report.notes) == want
 
 
 # ---------------------------------------------------------------------------

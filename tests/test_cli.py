@@ -1658,3 +1658,48 @@ def test_a_huge_neutral_target_gives_a_loop_space_report(s, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "pass  metric_neutral  residual=0.000e+00  [signature (1, 1)]" in captured.out
+
+
+def test_the_grid_check_takes_a_matrix_for_a_structure_when_validate_does(tmp_path):
+    # |A|^2 = 4e308 overflows and the square's defect, 1.3e292 where the
+    # product is fused, is finite: both checks judge it below the largest
+    # double, and the grid check used to read |A A + Id| as inf
+    big = [[1e154, 1e154], [-1e154, -1e154]]
+    status, report = run_json(["validate", write(tmp_path, "structure.json",
+                                                 {"kind": "complex", "matrix": big})])
+    [square] = [e for e in report["entries"] if e["name"] == "squares_to_minus_id"]
+    assert status == 0 and square["passed"]
+    field = write(tmp_path, "field.json",
+                  {"dim": 2, "field": {"name": "constant", "kind": "1,1", "matrix": big}})
+    status, report = run_json(["nijenhuis", "--kind", "complex", field])
+    assert status == 0
+    assert report["notes"] == ["verdict: formally integrable"]
+
+
+def test_darboux_finds_a_basis_whenever_validate_calls_the_form_nondegenerate(tmp_path):
+    # with --atol 0 the rank threshold is relative alone, so 2**-40 is a
+    # pairing; the partner search used to compare it with rtol * max(|s|, 1)
+    path = write(tmp_path, "form.json",
+                 {"kind": "symplectic", "matrix": [[0.0, 2.0**-40], [-(2.0**-40), 0.0]]})
+    status, report = run_json(["--atol", "0", "validate", path])
+    [nondegenerate] = [e for e in report["entries"] if e["name"] == "nondegenerate"]
+    assert status == 0 and nondegenerate["passed"]
+    status, report = run_json(["--atol", "0", "darboux", path])
+    assert status == 0
+    assert report["entries"][0]["name"] == "canonical_form_residual"
+    assert report["entries"][0]["residual"] == 0.0
+    # under the default atol 1e-9 both call it degenerate
+    status, report = run_json(["validate", path])
+    assert status == 1
+    assert run(["darboux", path]) == 1
+
+
+def test_an_affine_overlap_without_points_has_nothing_to_check(tmp_path):
+    atlas = write(tmp_path, "atlas.json", {
+        "fiber_dim": 1, "charts": [{"name": "a", "lo": [0.0], "hi": [1.0]},
+                                   {"name": "b", "lo": [0.0], "hi": [1.0]}],
+        "overlaps": [{"charts": ["a", "b"], "points": [],
+                      "transition": {"affine": {"base": [[1.0]], "coeffs": [[[0.5]]]}}}]})
+    status, report = run_json(["cocycle", atlas])
+    assert status == 0
+    assert report["entries"][0]["location"] == "0 samples"

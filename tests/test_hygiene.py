@@ -242,15 +242,21 @@ DECIDE_FOR_THEMSELVES = {
 }
 
 
+def _outer_functions(tree):
+    """Every module-level function and every method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (f for f in node.body if isinstance(f, ast.FunctionDef))
+
+
 def _accepts_callers(module):
     """(module, function) for every ``.accepts(...)`` call of a module: the
     function or method of the module's body around it (nested functions
     count as their parent), or "<module>" outside every function."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
-    functions += [f for node in tree.body if isinstance(node, ast.ClassDef)
-                  for f in node.body if isinstance(f, ast.FunctionDef)]
-    around = {line: f.name for f in functions for line in _calls_to(f, "accepts")}
+    around = {line: f.name for f in _outer_functions(tree) for line in _calls_to(f, "accepts")}
     return {(module, around.get(line, "<module>")) for line in _calls_to(tree, "accepts")}
 
 
@@ -351,3 +357,53 @@ def test_array_holders_compare_and_hash_by_identity(name):
     assert value == value and value != build()
     assert hash(value) == hash(value)
     assert {value: name}[value] == name
+
+
+def _sites(predicate):
+    """(module, function) around every node of the package that satisfies
+    ``predicate`` (nested functions count as their parent, "<module>"
+    stands for code outside every function)."""
+    sites = set()
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        around = {id(node): f.name for f in _outer_functions(tree) for node in ast.walk(f)}
+        sites |= {(module, around.get(id(node), "<module>"))
+                  for node in ast.walk(tree) if predicate(node)}
+    return sites
+
+
+def _squares_itself(node):
+    """``x @ x``: a matrix times itself."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and ast.dump(node.left) == ast.dump(node.right))
+
+
+def _adds_its_transpose(node):
+    """``x - x.T``, ``x + x.T`` or ``x.T +- x``: a symmetry defect."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))):
+        return False
+    return any(isinstance(b, ast.Attribute) and b.attr == "T" and ast.dump(b.value) == ast.dump(a)
+               for a, b in ((node.left, node.right), (node.right, node.left)))
+
+
+def _retries_each_row(node):
+    """A loop holding an ``except`` clause that names ``LinAlgError``."""
+    return isinstance(node, (ast.For, ast.While)) and any(
+        isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        and "LinAlgError" in ast.unparse(handler.type) for handler in ast.walk(node))
+
+
+# symmetry defects judged at another scale than symmetry_defect's max(|m|, 1)
+OTHER_SCALE = {
+    ("linalg", "spd_sqrt"): "the asymmetry of an SPD matrix is judged at |m|",
+    ("compat", "_form_structure"): "the induced metric is judged at the form's scale",
+}
+
+
+def test_each_defining_identity_and_the_row_fallback_have_one_home():
+    # A^2 = c Id in structures.square_defect, S = +-S^T in
+    # structures.symmetry_defect, and the row-by-row retry of a stacked
+    # np.linalg call in linalg.batched: every check calls these
+    assert _sites(_squares_itself) == {("structures", "square_defect")}
+    assert _sites(_adds_its_transpose) == {("structures", "symmetry_defect"), *OTHER_SCALE}
+    assert _sites(_retries_each_row) == {("linalg", "batched")}

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorstruct.errors import NotPositiveDefinite, NotSymmetric, ShapeMismatch
+from tensorstruct.bundle import _inverted
+from tensorstruct.calculus import _solve
+from tensorstruct.errors import BadAtPoint, NotPositiveDefinite, NotSymmetric, ShapeMismatch
 from tensorstruct.linalg import (
     Tolerance,
+    batched,
     fro,
     involution_eigenbases,
     kernel_and_complement,
@@ -277,3 +280,96 @@ def test_square_defect_keeps_an_overflowing_scale_finite():
         assert square_defect(m, -1.0) == (0.0, fro(m) ** 2)
         defect, scale = square_defect(np.array([[0.0, -1e200], [1e200, 0.0]]), -1.0)
         assert (defect, scale) == (np.inf, sys.float_info.max)
+
+
+# the per-row fallbacks of calculus._solve and bundle._inverted before
+# linalg.batched held them, verbatim
+def old_solve(a, b, points, reason):
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        d = a.shape[-1]
+        for point, ap, bp in zip(np.reshape(points, (-1, d)), a.reshape(-1, d, d),
+                                 b.reshape(-1, d, b.shape[-1])):
+            try:
+                np.linalg.solve(ap, bp)
+            except np.linalg.LinAlgError:
+                raise BadAtPoint(point, reason) from None
+        raise
+
+
+def old_inverted(stack):
+    try:
+        return np.linalg.inv(stack), np.zeros(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty(stack.shape)
+    singular = np.zeros(len(stack), dtype=bool)
+    for k, m in enumerate(stack):
+        try:
+            out[k] = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            out[k], singular[k] = np.eye(len(m)), True
+    return out, singular
+
+
+def stack_with_bad_rows(rng, batch, n, share):
+    """Matrices of shape ``batch + (n, n)`` at scales 1e-5 to 1e5; a share
+    of them zero, as many with a repeated row, and as many holding an inf or
+    a NaN."""
+    mats = rng.normal(size=batch + (n, n)) * 10.0 ** rng.integers(-5, 6, batch + (1, 1))
+    flat = mats.reshape(-1, n, n)
+    kind = rng.choice(4, len(flat), p=[1.0 - 3.0 * share, share, share, share])
+    flat[kind == 1] = 0.0
+    flat[kind == 2, -1] = flat[kind == 2, 0]
+    flat[kind == 3, 0, -1] = rng.choice([np.inf, -np.inf, np.nan], int(np.sum(kind == 3)))
+    return mats
+
+
+def outcome(solve, *args):
+    """The bytes of a solve, or the point and reason of its BadAtPoint."""
+    try:
+        return solve(*args).tobytes()
+    except BadAtPoint as err:
+        return np.asarray(err.point).tobytes(), err.reason
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       batch=st.sampled_from([(), (1,), (5,), (3, 4)]), share=st.sampled_from([0.0, 0.1, 0.3]))
+def test_the_stacked_fallback_keeps_the_bits_of_the_old_row_loops(seed, n, batch, share):
+    rng = np.random.default_rng(seed)
+    a = stack_with_bad_rows(rng, batch, n, share)
+    b = rng.normal(size=batch + (n, 2 * n))
+    points = rng.normal(size=batch + (n,))
+    with np.errstate(all="ignore"):
+        assert outcome(_solve, a, b, points, "why") == outcome(old_solve, a, b, points, "why")
+        if len(batch) == 1:
+            (got, got_mask), (want, want_mask) = _inverted(a), old_inverted(a)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got_mask, want_mask)
+        x, failed = batched(np.linalg.solve, a, b)
+        own = [row_solve(ar, br) for ar, br in zip(a.reshape(-1, n, n), b.reshape(-1, n, 2 * n))]
+    assert x.shape == b.shape
+    assert failed.tolist() == [r is None for r in own]
+    for row, want in zip(x.reshape(-1, n, 2 * n), own):
+        assert row.tobytes() == (np.zeros((n, 2 * n)) if want is None else want).tobytes()
+
+
+def row_solve(a, b):
+    """``np.linalg.solve`` of one matrix, None where it fails."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def test_the_stacked_fallback_marks_only_the_failing_rows():
+    a = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2), np.ones((2, 2))])
+    out, failed = batched(np.linalg.inv, a)
+    assert failed.tolist() == [False, True, False, True]
+    assert out.tobytes() == np.stack([np.eye(2), np.zeros((2, 2)), 0.5 * np.eye(2),
+                                      np.zeros((2, 2))]).tobytes()
+    out, failed = batched(np.linalg.inv, a[[0, 2]])
+    assert failed.tolist() == [False, False]
+    assert out.tobytes() == np.linalg.inv(a[[0, 2]]).tobytes()

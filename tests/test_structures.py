@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tensorstruct import documents
+from tensorstruct.calculus import TensorFieldOnChart
 from tensorstruct.documents import parse_structure
+from tensorstruct.compat import FLAVORS, CompatibleTriple, structure_from
 from tensorstruct.errors import Degenerate, MissingDecomposition
-from tensorstruct.linalg import Tolerance
+from tensorstruct.limits import VARIANCES, BondingSystem, CoherentSequence
+from tensorstruct.linalg import DEFAULT_TOL, Tolerance
 from tensorstruct.structures import (
+    KINDS,
+    SQUARES,
+    SYMMETRIES,
     BilinearForm,
     ComplexStructure,
     CotangentStructure,
     KreinMetric,
     ParaComplexStructure,
+    StructureMatrix,
     SymplecticForm,
     TangentStructure,
     complex_canonical,
@@ -23,6 +31,8 @@ from tensorstruct.structures import (
     krein_isomorphism,
     para_complex_canonical,
     para_from_complex,
+    square_defect,
+    symmetry_defect,
     symplectic_canonical,
     tangent_canonical,
     tangent_normal_form,
@@ -467,3 +477,98 @@ def test_canonical_models_keep_their_bytes(dim, build, old, fields):
     for g, w in zip(got, want):
         # tobytes also tells -0.0 from 0.0
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one rule per identity
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("symmetry", SYMMETRIES)
+def test_symmetry_defect_is_the_entry_of_every_form_validator(symmetry):
+    m = RNG.normal(size=(4, 4)) * 1e3
+    want = (float(np.linalg.norm(m - m.T if symmetry == "symmetric" else m + m.T)),
+            float(np.linalg.norm(m)))
+    assert symmetry_defect(m, symmetry) == want
+    assert symmetry_defect(m * 1e-6, symmetry)[1] == 1.0
+    validators = [(BilinearForm(m, symmetry), symmetry)]
+    validators += [(SymplecticForm(m), "skew")] if symmetry == "skew" else [
+        (KreinMetric(m, np.eye(4)[:, :2], np.eye(4)[:, 2:]), "symmetric")]
+    for structure, name in validators:
+        [entry] = [e for e in validate(structure).entries if e.name == name]
+        assert entry.residual == want[0]
+
+
+def finite_or_not_stacks():
+    """(2, 3, n, n) stacks whose entries reach 1e300, some rows holding inf
+    or NaN."""
+    entries = st.floats(-1e300, 1e300, allow_nan=False) | st.sampled_from(
+        [0.0, 1.0, -1.0, 1e154, 2e154, np.inf, np.nan])
+    return st.integers(1, 4).flatmap(lambda n: st.lists(
+        entries, min_size=6 * n * n, max_size=6 * n * n).map(
+        lambda v: np.array(v).reshape(2, 3, n, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=finite_or_not_stacks(), square=st.sampled_from(sorted(SQUARES.values())))
+def test_square_defect_of_a_stack_is_that_of_each_matrix(stack, square):
+    with np.errstate(all="ignore"):
+        defects, scales = square_defect(stack, square)
+        each = [square_defect(m, square) for m in stack.reshape(-1, *stack.shape[2:])]
+    assert defects.shape == scales.shape == stack.shape[:2]
+    np.testing.assert_array_equal(defects.ravel(), [d for d, _ in each])
+    np.testing.assert_array_equal(scales.ravel(), [s for _, s in each])
+    assert np.all(np.isnan(scales) | (scales <= np.finfo(float).max))
+
+
+NONDEGENERACY_TOLS = [DEFAULT_TOL, Tolerance(0.0, 1e-9), Tolerance(1e-6, 0.0),
+                      Tolerance(0.0, 1e-3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(1, 3),
+       exponent=st.integers(-400, 400), weak=st.integers(0, 80),
+       tol=st.sampled_from(NONDEGENERACY_TOLS))
+def test_darboux_basis_exists_exactly_when_validate_calls_a_form_nondegenerate(
+        seed, pairs, exponent, weak, tol):
+    # a congruent canonical form at scale 2**exponent whose last pair is
+    # weaker by 2**-weak (dropped when weak is 80): the weak pairing
+    # straddles each tolerance's rank threshold
+    rng = np.random.default_rng(seed)
+    n = 2 * pairs
+    blocks = np.ones(n)
+    blocks[[pairs - 1, n - 1]] = 0.0 if weak == 80 else 2.0 ** -weak
+    p = random_invertible(n, rng)
+    s = 2.0 ** exponent * (p.T @ (symplectic_canonical(n).matrix * blocks[:, None]) @ p)
+    omega = SymplecticForm(s - s.T)
+    [nondegenerate] = [e for e in validate(omega, tol).entries if e.name == "nondegenerate"]
+    if nondegenerate.passed:
+        a, _ = darboux_basis(omega, tol)
+        assert a.shape == (n, n) and np.isfinite(a).all()
+    else:
+        with pytest.raises(Degenerate):
+            darboux_basis(omega, tol)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda t: StructureMatrix(np.eye(2), t), "unknown tensor kind {!r}"),
+    (lambda t: StructureMatrix(np.eye(2), "2,0", t), "unknown symmetry tag {!r}"),
+    (lambda t: BilinearForm(np.eye(2), t), "unknown symmetry tag {!r}"),
+    (lambda t: TensorFieldOnChart(2, t, lambda x: np.eye(2)), "unknown tensor kind {!r}"),
+    (lambda t: CoherentSequence(BondingSystem.padded([1], "direct"), [[[1.0]]], t),
+     "unknown tensor kind {!r}"),
+    (lambda t: CompatibleTriple(symplectic_canonical(2), BilinearForm(np.eye(2), "symmetric"),
+                                complex_canonical(2), t), "unknown flavor {!r}"),
+    (lambda t: structure_from(np.eye(2), symplectic_canonical(2), t), "unknown flavor {!r}"),
+    (lambda t: BondingSystem([1], t), "unknown variance {!r}"),
+], ids=["structure-kind", "structure-symmetry", "bilinear", "field", "sequence", "triple",
+        "structure_from", "bonding"])
+def test_every_constructor_refuses_a_word_outside_its_vocabulary(build, message):
+    with pytest.raises(ValueError) as err:
+        build("mystery")
+    assert str(err.value) == message.format("mystery")
+
+
+def test_the_document_schemas_read_the_vocabularies():
+    assert (documents.KIND.choices, documents.SYMMETRY.choices, documents.FLAVOR.choices) == (
+        KINDS, SYMMETRIES, FLAVORS)
+    assert tuple(documents.TOWER.variants) == tuple(documents.CONNECTION.variants) == VARIANCES
