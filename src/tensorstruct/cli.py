@@ -17,6 +17,15 @@ parse and check.
 
 The argument parser is built once per process, on the first ``run``, and
 reused; ``run`` may be called any number of times in one process.
+
+A subcommand loads only the modules it uses.  This module imports
+``documents`` (with ``structures``), ``errors``, ``linalg`` and ``report``;
+each branch of ``_dispatch`` imports its own check module on first use:
+``validate`` and ``darboux`` need nothing more, ``triple`` loads
+``compat``, ``cocycle`` and ``reduce`` ``bundle`` (``reduce --field`` also
+``calculus`` and ``poly``), ``nijenhuis`` and ``curvature`` ``calculus``
+and ``poly``, ``tower`` and ``connection`` ``limits`` and ``bundle``, and
+``loopspace`` ``loopspace``, ``compat``, ``limits`` and ``bundle``.
 """
 
 from __future__ import annotations
@@ -31,22 +40,10 @@ import sys
 import numpy as np
 
 from . import documents
-from .bundle import LocalTensorField, check_cocycle, check_locally_modelled, check_reduction
-from .calculus import is_integrable_structure, is_metric_integrable
-from .compat import complete_pair
 from .documents import DocumentError
 from .errors import TensorStructError
-from .limits import check_coherent, check_connection_coherence, validate_bonding
 from .linalg import Tolerance
-from .loopspace import (
-    DiscretizedLoopSpace,
-    ascending_coherence,
-    block_kahler_target,
-    check_induced_compatibility,
-    induced_forms,
-)
 from .report import Report
-from .structures import SymplecticForm, darboux_basis, validate
 
 RANDOMIZED = {"loopspace"}
 
@@ -55,11 +52,11 @@ def _load(path):
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw), hashlib.sha256(raw).hexdigest()
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except (ValueError, RecursionError) as exc:  # bad JSON or encoding; too deeply nested
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -219,11 +216,15 @@ def _dispatch(args, load, tol) -> Report:
     """The report of the parsed subcommand; ``load(path)`` reads each
     document."""
     if args.command == "validate":
-        return validate(documents.parse_structure(load(args.structure)), tol)
+        from . import structures
+
+        return structures.validate(documents.parse_structure(load(args.structure)), tol)
 
     if args.command == "triple":
+        from . import compat
+
         first, second, flavor = documents.parse_pair(load(args.pair))
-        triple, report = complete_pair(first, second, flavor, tol)
+        triple, report = compat.complete_pair(first, second, flavor, tol)
         report.note(f"flavor {flavor}, dimension {triple.dim}")
         report.note(_matrix_note("omega", triple.omega.matrix))
         report.note(_matrix_note("metric", triple.metric_matrix))
@@ -231,70 +232,86 @@ def _dispatch(args, load, tol) -> Report:
         return report
 
     if args.command == "darboux":
+        from . import structures
+
         structure = documents.parse_structure(load(args.form), even=True)
         # a cotangent structure carries its symplectic form
-        form = SymplecticForm(getattr(structure, "symplectic", structure).matrix)
-        basis, certificate = darboux_basis(form, tol)
+        form = structures.SymplecticForm(getattr(structure, "symplectic", structure).matrix)
+        basis, certificate = structures.darboux_basis(form, tol)
         report = Report(tol=tol)
         report.measured("canonical_form_residual", certificate)
         report.note(_matrix_note("basis", basis))
         return report
 
     if args.command == "cocycle":
-        return check_cocycle(documents.parse_atlas(load(args.atlas)), tol)
+        from . import bundle
+
+        return bundle.check_cocycle(documents.parse_atlas(load(args.atlas)), tol)
 
     if args.command == "reduce":
+        from . import bundle
+
         adoc, tdoc = load(args.atlas), load(args.tensor)
         atlas = documents.parse_atlas(adoc)
         model = documents.parse_tensor(tdoc, atlas.fiber_dim)
-        report = check_reduction(atlas, model, tol)
+        report = bundle.check_reduction(atlas, model, tol)
         if args.field:
             field = _field_on_charts(load(args.field), atlas)
-            report.extend(check_locally_modelled(field, atlas, model, tol),
+            report.extend(bundle.check_locally_modelled(field, atlas, model, tol),
                           prefix="field/")
         return report
 
     if args.command == "nijenhuis":
+        from . import calculus
+
         field, grid = documents.parse_field(load(args.field), fd_step=args.fd_step)
-        return is_integrable_structure(field, args.kind, grid, tol)
+        return calculus.is_integrable_structure(field, args.kind, grid, tol)
 
     if args.command == "curvature":
+        from . import calculus
+
         doc = load(args.metric)
         field, grid = documents.parse_field(doc, fd_step=args.fd_step)
-        return is_metric_integrable(field, grid, tol,
-                                    step=documents.field_step(doc, args.fd_step))
+        return calculus.is_metric_integrable(field, grid, tol,
+                                             step=documents.field_step(doc, args.fd_step))
 
     if args.command == "tower":
+        from . import limits
+
         bonding, sequence = documents.parse_tower(load(args.tower))
-        report = validate_bonding(bonding, tol)
+        report = limits.validate_bonding(bonding, tol)
         if sequence is not None:
-            report.extend(check_coherent(sequence, tol), prefix="sequence/")
+            report.extend(limits.check_coherent(sequence, tol), prefix="sequence/")
         return report
 
     if args.command == "connection":
+        from . import limits
+
         seq, points = documents.parse_connection_tower(load(args.tower))
-        return check_connection_coherence(seq, points, tol)
+        return limits.check_connection_coherence(seq, points, tol)
 
     if args.command == "loopspace":
+        from . import loopspace
+
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         if args.loopspace_command == "demo":
             report = Report(tol=tol)
-            targets = [block_kahler_target(m) for m in range(1, args.levels + 1)]
+            targets = [loopspace.block_kahler_target(m) for m in range(1, args.levels + 1)]
             loop = rng.normal(size=(args.samples, targets[0].dim))
-            space = DiscretizedLoopSpace(targets[0], loop)
-            report.extend(check_induced_compatibility(space, trials=20, tol=tol,
-                                                      rng=rng),
+            space = loopspace.DiscretizedLoopSpace(targets[0], loop)
+            report.extend(loopspace.check_induced_compatibility(space, trials=20, tol=tol,
+                                                                rng=rng),
                           prefix="induced/")
-            report.extend(ascending_coherence(targets, args.samples, tol, rng=rng),
+            report.extend(loopspace.ascending_coherence(targets, args.samples, tol, rng=rng),
                           prefix="ascending/")
             report.note(f"levels={args.levels} samples={args.samples} "
                         f"seed={'default' if args.seed is None else args.seed}")
             return report
         space, tangents = documents.parse_loop(load(args.loop), tol)
-        report = check_induced_compatibility(space, trials=args.trials, tol=tol,
-                                             rng=rng)
+        report = loopspace.check_induced_compatibility(space, trials=args.trials, tol=tol,
+                                                       rng=rng)
         if tangents is not None:
-            o, g, _ = induced_forms(space, *tangents)
+            o, g, _ = loopspace.induced_forms(space, *tangents)
             report.note(f"omega(x, y)={o!r} g(x, y)={g!r}")
         return report
 
@@ -302,9 +319,11 @@ def _dispatch(args, load, tol) -> Report:
 
 
 def _field_on_charts(fdoc, atlas):
+    from . import bundle
+
     field, _ = documents.parse_field(fdoc, rank=atlas.fiber_dim)
     evaluators = {chart.name: field.fn for chart in atlas.charts}
-    return LocalTensorField(field.kind, evaluators)
+    return bundle.LocalTensorField(field.kind, evaluators)
 
 
 def main():

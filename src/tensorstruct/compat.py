@@ -48,6 +48,7 @@ from .linalg import (
 )
 from .report import Report
 from .structures import (
+    FLAVORS,
     SQUARES,
     BilinearForm,
     ComplexStructure,
@@ -74,9 +75,6 @@ __all__ = [
 ]
 
 Structure = Union[ComplexStructure, ParaComplexStructure]
-# the flavors of a triple: a positive metric with a complex structure, a
-# neutral metric with a para-complex one
-FLAVORS = ("kahler", "para_kahler")
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,13 @@ in the enclosing list, or a value bound by ``bind``) of the list ``dims``.
 A caller may pin a size to a number or to another expression, so
 ``n="2*half"`` asks for an even dimension.  Every violation raises
 ``DocumentError`` with the JSON path of the offending value.
+
+The schemas read only the vocabularies of ``structures`` (``KINDS``,
+``SYMMETRIES``, ``FLAVORS``, ``VARIANCES``).  Each parser imports the
+module whose objects it builds when it is called: ``parse_atlas`` loads
+``bundle``, ``parse_field`` ``calculus`` and ``poly``, ``parse_tower`` and
+``parse_connection_tower`` ``limits``, ``parse_loop`` ``loopspace`` and
+``compat``; so reading a document loads only what its check needs.
 """
 
 from __future__ import annotations
@@ -26,15 +33,13 @@ from reprlib import repr as _repr  # abbreviates long values in messages
 
 import numpy as np
 
-from . import calculus, structures
-from .bundle import AffineTransition, Chart, ChartAtlas, ConstantTransition
-from .compat import FLAVORS, complete_triple
 from .errors import TensorStructError
-from .limits import VARIANCES, BondingSystem, CoherentSequence, ConnectionFormSequence, LevelForm
 from .linalg import DEFAULT_TOL, Tolerance, involution_eigenbases, kernel_and_complement
-from .loopspace import DiscretizedLoopSpace, block_kahler_target, block_para_target
-from .poly import Poly
 from .structures import (
+    FLAVORS,
+    KINDS,
+    SYMMETRIES,
+    VARIANCES,
     BilinearForm,
     ComplexStructure,
     CotangentStructure,
@@ -287,8 +292,8 @@ def check(doc, schema, **sizes):
 # the schemas
 # ---------------------------------------------------------------------------
 
-KIND = Str(*structures.KINDS)
-SYMMETRY = Str(*structures.SYMMETRIES)
+KIND = Str(*KINDS)
+SYMMETRY = Str(*SYMMETRIES)
 FLAVOR = Str(*FLAVORS)
 _MATRIX = {"matrix": Num("n", "n"), "dim?": Num(integer=True, least=1, bind="n")}
 
@@ -440,6 +445,8 @@ def parse_pair(doc):
 
 
 def parse_atlas(doc):
+    from . import bundle
+
     v = check(doc, ATLAS)
     if v["charts"] and not v["charts"][0]["lo"].size:
         raise DocumentError("$.charts[0].lo: a chart needs at least 1 coordinate, got []")
@@ -450,11 +457,12 @@ def parse_atlas(doc):
             raise DocumentError(f"$.overlaps[{rows[pair]}].charts and $.overlaps[{row}].charts: "
                                 f"repeated overlap {list(pair)!r}")
         overlaps[pair], rows[pair] = o["points"], row
-        transitions[pair] = (ConstantTransition(t["constant"]) if "constant" in t
-                             else AffineTransition(t["affine"]["base"], t["affine"]["coeffs"]))
+        transitions[pair] = (bundle.ConstantTransition(t["constant"]) if "constant" in t
+                             else bundle.AffineTransition(t["affine"]["base"],
+                                                          t["affine"]["coeffs"]))
     triples = [(*t["charts"], t["points"]) for t in v.get("triples", [])]
-    atlas = ChartAtlas(v["fiber_dim"], [Chart(**c) for c in v["charts"]], overlaps,
-                       transitions, triples)
+    atlas = bundle.ChartAtlas(v["fiber_dim"], [bundle.Chart(**c) for c in v["charts"]],
+                              overlaps, transitions, triples)
     paths = {}  # triple: the path of its first declaration
     for row, (a, b, c, _) in enumerate(triples):
         path = f"$.triples[{row}].charts"
@@ -478,6 +486,8 @@ def field_step(doc, fd_step=None):
     """Finite-difference step of a field document: its own ``fd_step``,
     else ``fd_step``, else the package default; DocumentError unless it is
     positive."""
+    from . import calculus
+
     step = doc.get("fd_step", calculus.DEFAULT_FD_STEP if fd_step is None else fd_step)
     return FD_STEP.walk(step, "$.fd_step", {})
 
@@ -486,6 +496,8 @@ def parse_field(doc, fd_step=None, rank="dim"):
     """Returns (tensor field, grid) from a field document.  A constant
     field's matrix is ``rank`` x ``rank``: the base dimension, or a number
     such as the fiber dimension of the atlas the field lives on."""
+    from . import calculus, poly
+
     v = check(doc, FIELD, rank=rank)
     dim, spec, step = v["dim"], v["field"], field_step(v, fd_step)
     if spec["name"] == "constant":
@@ -493,7 +505,7 @@ def parse_field(doc, fd_step=None, rank="dim"):
     elif spec["name"] == "sphere_stereographic":
         field = calculus.sphere_stereographic_metric(step=step)
     else:
-        phi = calculus.PolyMap([Poly(dim, terms) for terms in spec["diffeo"]])
+        phi = calculus.PolyMap([poly.Poly(dim, terms) for terms in spec["diffeo"]])
         with _building("$.field.diffeo"):
             field = (calculus.pullback_metric(phi, spec["base_metric"])
                      if spec["name"] == "pullback_flat"
@@ -504,41 +516,51 @@ def parse_field(doc, fd_step=None, rank="dim"):
 
 
 def _build_bonding(v):
+    from . import limits
+
     with _building("tower document"):
         if "maps" in v:
-            return BondingSystem(v["dims"], v["variance"], v["maps"], v.get("projections"))
-        return BondingSystem.padded(v["dims"], v["variance"])
+            return limits.BondingSystem(v["dims"], v["variance"], v["maps"],
+                                        v.get("projections"))
+        return limits.BondingSystem.padded(v["dims"], v["variance"])
 
 
 def parse_tower(doc):
+    from . import limits
+
     v = check(doc, TOWER)
     bonding, seq = _build_bonding(v), v.get("sequence")
-    return bonding, seq and CoherentSequence(bonding, seq["levels"], seq["kind"])
+    return bonding, seq and limits.CoherentSequence(bonding, seq["levels"], seq["kind"])
 
 
 def parse_connection_tower(doc):
+    from . import limits
+
     v = check(doc, CONNECTION)
-    forms = [LevelForm(f["coeffs"], f.get("linear")) for f in v["forms"]]
+    forms = [limits.LevelForm(f["coeffs"], f.get("linear")) for f in v["forms"]]
     morphisms = None
     if "morphisms" in v:
         morphisms = {tuple(m["levels"].astype(int).tolist()): (m["left"], m["right"])
                      for m in v["morphisms"]}
     models = [StructureMatrix(m["matrix"], m["kind"]) for m in v["models"]]
-    seq = ConnectionFormSequence(_build_bonding(v), forms, models, morphisms)
+    seq = limits.ConnectionFormSequence(_build_bonding(v), forms, models, morphisms)
     return seq, v["sample_points"]
 
 
 def parse_loop(doc, tol: Tolerance = DEFAULT_TOL):
     """Returns (loop space, tangents or None) from a loop document; a
     ``pair`` target is completed under ``tol``."""
+    from . import compat, loopspace
+
     v = check(doc, LOOP, n="2*half")
     target = v["target"]
     if "pairs" in target:
         kahler = target.get("flavor", "kahler") == "kahler"
-        target = (block_kahler_target if kahler else block_para_target)(target["pairs"])
+        target = (loopspace.block_kahler_target if kahler
+                  else loopspace.block_para_target)(target["pairs"])
     else:
-        target = complete_triple(*_build_pair(target["pair"]), tol=tol)
+        target = compat.complete_triple(*_build_pair(target["pair"]), tol=tol)
     with _building("loop document"):
-        space = DiscretizedLoopSpace(target, v["loop"], v.get("weights"))
+        space = loopspace.DiscretizedLoopSpace(target, v["loop"], v.get("weights"))
     tangents = v.get("tangents")
     return space, tangents and (tangents["x"], tangents["y"])

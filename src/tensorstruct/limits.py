@@ -94,7 +94,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, fro_each, rank_of
 from .report import Report, worst
-from .structures import KINDS
+from .structures import KINDS, VARIANCES
 
 __all__ = [
     "BondingSystem",
@@ -112,9 +112,6 @@ __all__ = [
     "theta_projection",
     "check_connection_coherence",
 ]
-
-# the variances of a tower: surjections down, or injections up
-VARIANCES = ("projective", "direct")
 
 
 @dataclass(frozen=True, eq=False)

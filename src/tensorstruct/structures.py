@@ -101,6 +101,11 @@ __all__ = [
 KINDS = ("1,1", "2,0")
 # the symmetry tags of a form
 SYMMETRIES = ("symmetric", "skew")
+# the flavors of a triple: a positive metric with a complex structure, a
+# neutral metric with a para-complex one
+FLAVORS = ("kahler", "para_kahler")
+# the variances of a tower: surjections down, or injections up
+VARIANCES = ("projective", "direct")
 
 
 def _coerce_columns(owner, names):

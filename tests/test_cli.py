@@ -121,6 +121,38 @@ def test_missing_file_exits_two():
     assert run(["validate", "/nonexistent/never.json"]) == 2
 
 
+@pytest.mark.parametrize("raw, reason", [
+    (json.dumps({**complex_canonical_doc(), "x": "\xff"}, ensure_ascii=False).encode("latin-1"),
+     "'utf-8' codec can't decode byte 0xff"),
+    (b'{"kind": "complex", "matrix": [[0, -1], [1, ' + b"1" * 5000 + b"]]}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["not-utf8", "integer-too-long"])
+def test_a_document_json_cannot_decode_exits_two(raw, reason, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    status, out, err = run_captured(["validate", str(path)])
+    assert (status, out) == (2, "")
+    assert err.startswith(f"parse error: {path} is not valid JSON: {reason}")
+
+
+def test_a_path_with_a_nul_byte_exits_two():
+    status, out, err = run_captured(["validate", "a\0b.json"])
+    assert (status, out, err) == (2, "", "parse error: cannot read a\0b.json: embedded null byte\n")
+
+
+_DOC_BYTES = json.dumps(complex_canonical_doc()).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=st.binary() | st.builds(lambda cut, junk: _DOC_BYTES[:cut] + junk + _DOC_BYTES[cut:],
+                                   st.integers(0, len(_DOC_BYTES)), st.binary(max_size=4)))
+def test_any_bytes_as_a_structure_document_exit_cleanly(raw, tmp_path_factory):
+    path = tmp_path_factory.mktemp("bytes") / "doc.json"
+    path.write_bytes(raw)
+    status, _, err = run_captured(["validate", str(path)])  # raises nothing
+    assert status in (0, 1, 2) and "Traceback" not in err
+
+
 def test_triple_complete_canonical(tmp_path, capsys):
     pair = {"flavor": "kahler",
             "given": {"g": [[1.0, 0.0], [0.0, 1.0]],

@@ -267,26 +267,35 @@ def test_only_the_report_decides_measured_entries():
 
 
 def _exported(tree):
-    """The names of a module's ``__all__``."""
+    """The names of a module's ``__all__`` when it is a literal; the package
+    root builds its ``__all__`` from its table of names that other modules
+    define, so it exports none of its own functions."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return set(ast.literal_eval(node.value))
+            try:
+                return set(ast.literal_eval(node.value))
+            except ValueError:
+                return set()
     return set()
+
+
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _definitions(tree):
     """(qualified name, short name, exported) for every module-level function
-    and every method of a module-level class but the dunder ones; only a
-    function of ``__all__`` counts as exported, never a method."""
+    and every method of a module-level class but the dunder ones, which the
+    interpreter calls (a module's ``__getattr__`` and ``__dir__`` too); only
+    a function of ``__all__`` counts as exported, never a method."""
     exported = _exported(tree)
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
+        if isinstance(node, ast.FunctionDef) and not _dunder(node.name):
             yield node.name, node.name, node.name in exported
         elif isinstance(node, ast.ClassDef):
             for f in node.body:
-                if isinstance(f, ast.FunctionDef) and not (
-                        f.name.startswith("__") and f.name.endswith("__")):
+                if isinstance(f, ast.FunctionDef) and not _dunder(f.name):
                     yield f"{node.name}.{f.name}", f.name, False
 
 

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import tensorstruct.cli  # noqa: F401  (imports every module the tracer rebinds)
 from tensorstruct import bundle
 from tensorstruct.bundle import Chart, ChartAtlas, LocalTensorField
 from tensorstruct.structures import StructureMatrix

@@ -14,8 +14,14 @@ inputs built as ``SRC/bench/execute.py`` builds them, it prints one line
 with output mode ``library`` and a sha256: for ``tuple_membership`` of the
 report's entries (name, verdict, the 8 bytes of the residual and
 location), for ``theta_projection`` and ``structure_from`` of the shape
-and bytes of every matrix the calls return.  The last line is the number
-of calls.
+and bytes of every matrix the calls return.  Then, in both output modes,
+it digests ``validate`` on a fixed set of malformed inputs (``MALFORMED``:
+bytes that are not UTF-8, a NUL byte in the path, a UTF-8 BOM, UTF-16
+text, an empty file, a ``NaN`` entry, an entry of 2**64 and nesting
+100,000 deep), one line each with workload ``malformed``; an exception
+that escapes ``cli.run`` is digested in place of the exit status, so the
+script runs on trees that do not mend these inputs.  The last line is the
+number of calls.
 
 Documents are written under ``DOCDIR``; paths can appear in the output, so
 compare two trees with the same ``DOCDIR``:
@@ -38,12 +44,29 @@ from pathlib import Path
 SEEDS = (0, 3, 7)
 ROUNDS = (0, 1)
 
+_STRUCTURE = '{"kind": "complex", "matrix": [[0, -1], [1, 0]]}'
+# name: the bytes of a structure document, or None for a path with a NUL byte
+MALFORMED = {
+    "invalid-utf8": b'{"kind": "complex", "matrix": [[0, -1], [1, 0]], "x": "\xff"}',
+    "nul-in-path": None,
+    "utf8-bom": b"\xef\xbb\xbf" + _STRUCTURE.encode(),
+    "utf16": _STRUCTURE.encode("utf-16"),
+    "empty": b"",
+    "nan-entry": b'{"kind": "complex", "matrix": [[0, -1], [1, NaN]]}',
+    "entry-2**64": b'{"kind": "complex", "matrix": [[0, -1], [1, 18446744073709551616]]}',
+    "nested-100000": b'{"kind": "complex", "matrix": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+}
+
 
 def digest(cli, argv):
-    """sha256 of the exit status, stdout and stderr of one ``cli.run``."""
+    """sha256 of the exit status, stdout and stderr of one ``cli.run``; an
+    exception that escapes stands in for the exit status."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = cli.run(argv)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.run(argv)
+    except Exception as exc:  # an escaping exception is part of what is compared
+        status = f"{type(exc).__name__}: {exc}"
     payload = "\0".join((repr(status), out.getvalue(), err.getvalue()))
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -109,6 +132,16 @@ def main(argv=None):
                             print(workload, size, seed, index, op["id"], mode,
                                   digest(cli, args))
                             calls += 1
+    where = docdir / "malformed"
+    where.mkdir(parents=True, exist_ok=True)
+    for name, raw in MALFORMED.items():
+        path = where / (f"{name}.json" if raw is not None else "a\0b.json")
+        if raw is not None:
+            path.write_bytes(raw)
+        for mode, args in (("json", ["--json", "validate", str(path)]),
+                           ("text", ["validate", str(path)])):
+            print("malformed", "-", "-", "-", name, mode, digest(cli, args))
+            calls += 1
     print(f"{calls} invocations")
     return 0
 
