@@ -45,13 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadAtPoint,
-    MissingTransition,
-    ShapeMismatch,
-    Singular,
-    UnsupportedKind,
-)
+from .errors import BadAtPoint, InvalidInput, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -202,7 +196,7 @@ class ChartAtlas:
         singular there.  Those rows hold the identity.
         An ``AffineTransition``, ``ConstantTransition`` included, is
         evaluated as a stack, any other evaluator row by row.  Raises
-        MissingTransition when neither T_ab nor T_ba is declared.
+        InvalidInput when neither T_ab nor T_ba is declared.
         """
         n = self.fiber_dim
         if (a, b) in self.transitions:
@@ -218,7 +212,7 @@ class ChartAtlas:
         elif a == b:
             return np.eye(n)[None].repeat(len(xs), axis=0), {}
         else:
-            raise MissingTransition(f"no transition declared between {a!r} and {b!r}")
+            raise InvalidInput(f"no transition declared between {a!r} and {b!r}")
         bad = {}  # each sample's first failure
         for failed, reason in failures:
             for k in failed.nonzero()[0]:
@@ -228,7 +222,7 @@ class ChartAtlas:
     def transition_at(self, a, b, x):
         """T_ab(x): the one-sample case of ``transitions_at``.
 
-        Raises MissingTransition when neither T_ab nor T_ba is declared, and
+        Raises InvalidInput when neither T_ab nor T_ba is declared, and
         BadAtPoint(x, reason) when T_ab cannot be evaluated at x.
         """
         stack, bad = self.transitions_at(a, b, np.atleast_2d(np.asarray(x, dtype=float)))
@@ -256,11 +250,11 @@ def tensor_action(g, tensor: StructureMatrix) -> StructureMatrix:
 
     (1,1) tensors transform by conjugation g T g^-1, (2,0) forms by the
     inverse congruence g^-T S g^-1, matching the pullback action evaluated
-    in coordinates.  Raises Singular when g is not invertible.
+    in coordinates.  Raises InvalidInput when g is not invertible.
     """
     acted, singular = _acted(as_matrix(g, square=True, name="g")[None], tensor)
     if singular[0]:
-        raise Singular("tensor action needs an invertible map")
+        raise InvalidInput("tensor action needs an invertible map")
     return StructureMatrix(acted[0], tensor.kind, tensor.symmetry)
 
 
@@ -447,7 +441,7 @@ def _orbit_class(model: StructureMatrix, tol):
         defect, invariant = _ORBITS[label]
         if tol.accepts(*defect(m)):
             return (label, invariant(m, tol))
-    raise UnsupportedKind(
+    raise InvalidInput(
         "no complete orbit invariant for this (1,1) tensor; supported: "
         "complex, involutive, nilpotent-of-order-2")
 
@@ -480,7 +474,7 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     A field that cannot be evaluated at a sample (``BadAtPoint``: not
     finite there, or a pullback whose Jacobian is singular) fails its chart
     there with residual inf; each distinct reason is noted once, in order
-    of first occurrence.  Raises UnsupportedKind when the model tensor has
+    of first occurrence.  Raises InvalidInput when the model tensor has
     no implemented invariant.
     """
     if field.kind != model.kind:

@@ -54,7 +54,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadAtPoint, ShapeMismatch
+from .errors import BadAtPoint, InvalidInput, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance, batched
 from .poly import Poly, PolyArray, derivative_terms, sum_of_products, term_arrays
 from .report import Report, location, worst_at
@@ -80,7 +80,6 @@ __all__ = [
     "pullback_metric",
     "pullback_endomorphism",
     "sphere_stereographic_metric",
-    "constant_field",
 ]
 
 DEFAULT_FD_STEP = 1e-5
@@ -246,7 +245,7 @@ class TensorFieldOnChart(_ChartField):
     def __init__(self, dim, kind, fn: Callable, step=DEFAULT_FD_STEP,
                  gradient: Optional[Callable] = None, vectorized=False):
         if kind not in KINDS:
-            raise ValueError(f"unknown tensor kind {kind!r}")
+            raise InvalidInput(f"unknown tensor kind {kind!r}")
         super().__init__(dim, 2, fn, step, gradient, vectorized)
         self.kind = kind
 
@@ -398,7 +397,7 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
     ``BadAtPoint`` that ``_grid_report`` turns into the entry.
     """
     if kind not in SQUARES:
-        raise ValueError(f"unknown structure kind {kind!r}")
+        raise InvalidInput(f"unknown structure kind {kind!r}")
     upper = np.triu_indices(field.dim, 1)
 
     def residuals(points):
@@ -513,7 +512,7 @@ def curvature(conn: ConnectionData, x, step=None):
                         - Gamma[i, l, m] Gamma[m, k, j]
 
     The Christoffel evaluator is differentiated by central differences with
-    ``step`` (defaults to the connection's step; ValueError unless
+    ``step`` (defaults to the connection's step; InvalidInput unless
     positive).  It runs once, on every point and its shifts in the order x,
     x + h e_0, x - h e_0, x + h e_1, ...
     """
@@ -521,7 +520,7 @@ def curvature(conn: ConnectionData, x, step=None):
     dim = conn.dim
     h = float(conn.step if step is None else step)
     if not h > 0:
-        raise ValueError(f"step must be positive, got {h!r}")
+        raise InvalidInput(f"step must be positive, got {h!r}")
     offsets = np.zeros((2 * dim + 1, dim))
     offsets[1::2] = h * np.eye(dim)
     offsets[2::2] = -h * np.eye(dim)
@@ -669,7 +668,7 @@ def pullback_metric(phi: PolyMap, constant_metric_matrix) -> TensorFieldOnChart:
     ``values`` that ``poly.sum_of_products`` builds from the Jacobian's term
     table, with one case for each (i, j, a, b) with G0[a, b] != 0, in that
     order: each coefficient is the float of dict arithmetic summing the
-    products in (a, b) order.  Raises ValueError when an exponent of the
+    products in (a, b) order.  Raises InvalidInput when an exponent of the
     metric exceeds the int64 range: the product of the Jacobian terms of
     x^(2**62) y and of y has the exponent 2**63 in x.
     """
@@ -681,7 +680,7 @@ def pullback_metric(phi: PolyMap, constant_metric_matrix) -> TensorFieldOnChart:
         values = sum_of_products(phi._jac_terms, phi._jac_terms,
                                  (i * d + j, a * d + i, b * d + j, g0[a, b]), d * d)
     except OverflowError:
-        raise ValueError("a pullback metric exponent exceeds the int64 range") from None
+        raise InvalidInput("a pullback metric exponent exceeds the int64 range") from None
     return TensorFieldOnChart(d, "2,0", None)._exact(values)
 
 
@@ -716,7 +715,3 @@ def sphere_stereographic_metric(step=DEFAULT_FD_STEP) -> TensorFieldOnChart:
 
     return TensorFieldOnChart(2, "2,0", fn, step=step, gradient=gradient,
                               vectorized=True)
-
-
-def constant_field(matrix, kind="2,0") -> TensorFieldOnChart:
-    return TensorFieldOnChart.constant(matrix, kind)

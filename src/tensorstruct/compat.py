@@ -26,15 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    Degenerate,
-    IncompatibleInputs,
-    InvalidStructure,
-    NotInvolutive,
-    NotPositiveDefinite,
-    ShapeMismatch,
-    TensorStructError,
-)
+from .errors import InvalidInput, ShapeMismatch, TensorStructError
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -92,7 +84,7 @@ class CompatibleTriple:
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+            raise InvalidInput(f"unknown flavor {self.flavor!r}")
 
     @property
     def dim(self):
@@ -128,7 +120,7 @@ def _metric_ok(g, flavor, tol):
 def omega_from(metric, structure: Structure, tol: Tolerance = DEFAULT_TOL) -> SymplecticForm:
     """Symplectic form Omega(u,v) = g(Iu, v) from a compatible (metric, structure).
 
-    Works for both flavors; raises IncompatibleInputs when the inputs fail
+    Works for both flavors; raises InvalidInput when the inputs fail
     their own compatibility (the resulting form would not be skew or would
     be degenerate).
     """
@@ -138,10 +130,10 @@ def omega_from(metric, structure: Structure, tol: Tolerance = DEFAULT_TOL) -> Sy
         raise ShapeMismatch(f"metric {g.shape} vs structure {i.shape}")
     s = i.T @ g
     if not tol.accepts(*symmetry_defect(s, "skew")):
-        raise IncompatibleInputs("g(Iu, v) is not skew: metric and structure incompatible")
+        raise InvalidInput("g(Iu, v) is not skew: metric and structure incompatible")
     omega = SymplecticForm(0.5 * s - 0.5 * s.T)
     if not validate(omega, tol).passed:
-        raise IncompatibleInputs("constructed form is degenerate")
+        raise InvalidInput("constructed form is degenerate")
     return omega
 
 
@@ -151,7 +143,7 @@ def g_from(omega: SymplecticForm, structure: Structure, flavor=None,
 
     Returns a symmetric BilinearForm (Kahler: positive definite) or a
     KreinMetric (para flavor: neutral, with its Krein splitting attached).
-    Raises IncompatibleInputs when the metric is not symmetric or fails its
+    Raises InvalidInput when the metric is not symmetric or fails its
     signature test.
     """
     if flavor is None:
@@ -162,11 +154,11 @@ def g_from(omega: SymplecticForm, structure: Structure, flavor=None,
         raise ShapeMismatch(f"form {s.shape} vs structure {i.shape}")
     g = s @ i
     if not tol.accepts(*symmetry_defect(g, "symmetric")):
-        raise IncompatibleInputs("Omega(u, Iv) is not symmetric")
+        raise InvalidInput("Omega(u, Iv) is not symmetric")
     g = symmetric_part(g)
     ok, detail = _metric_ok(g, flavor, tol)
     if not ok:
-        raise IncompatibleInputs(f"metric fails {flavor} signature test: {detail}")
+        raise InvalidInput(f"metric fails {flavor} signature test: {detail}")
     if flavor == "kahler":
         return BilinearForm(g, "symmetric")
     return krein_from_matrix(g, tol)
@@ -191,25 +183,37 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
 
     Raises
     ------
-    NotPositiveDefinite  (Kahler) the input metric is not positive definite.
-    Degenerate           the form fails nondegeneracy.
-    NotInvolutive        (para) J^2 differs from Id beyond tolerance.
+    InvalidInput
+        The form fails nondegeneracy; (Kahler) the input metric is not
+        positive definite; (para) it is not neutral, or J^2 differs from Id
+        beyond tolerance; the flavor is unknown.  The metric is judged
+        before G^-1 S^T is solved, so a singular metric is one of these,
+        never a ``LinAlgError``.
     """
     g = as_matrix(getattr(metric, "matrix", metric), square=True, name="metric")
     s = omega.matrix
     if g.shape != s.shape:
         raise ShapeMismatch(f"metric {g.shape} vs form {s.shape}")
     if not validate(omega, tol).passed:
-        raise Degenerate("form is degenerate or not skew")
-
-    a = np.linalg.solve(g, s.T)
-    operator = OperatorA(a, g, s)
-
+        raise InvalidInput("form is degenerate or not skew")
     if flavor == "kahler":
         try:
             g_half = spd_sqrt(g, tol)
         except (TensorStructError, ValueError) as exc:
-            raise NotPositiveDefinite(f"metric is not positive definite: {exc}") from exc
+            raise InvalidInput(f"metric is not positive definite: {exc}") from exc
+    elif flavor not in FLAVORS:
+        raise InvalidInput(f"unknown flavor {flavor!r}")
+    else:
+        ok, detail = _metric_ok(g, "para_kahler", tol)
+        if not ok:
+            raise InvalidInput(f"metric is not neutral: {detail}")
+    try:
+        a = np.linalg.solve(g, s.T)
+    except np.linalg.LinAlgError as exc:  # a singular g that the tolerance let through
+        raise InvalidInput(f"metric is singular: {exc}") from exc
+    operator = OperatorA(a, g, s)
+
+    if flavor == "kahler":
         a_star = metric_adjoint(a, g)
         m = a @ a_star
         # m is self-adjoint for g; conjugating by G^(1/2) makes it symmetric
@@ -217,7 +221,7 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         try:
             root = spd_sqrt(g_half @ m @ g_half_inv, tol)
         except (TensorStructError, ValueError) as exc:
-            raise NotPositiveDefinite(f"A A* is not positive: {exc}") from exc
+            raise InvalidInput(f"A A* is not positive: {exc}") from exc
         r = g_half_inv @ root @ g_half
         i = np.linalg.solve(r, a)
         # Newton polish toward exact involutivity: X -> (X - X^-1)/2 squares
@@ -239,15 +243,10 @@ def structure_from(metric, omega: SymplecticForm, flavor="kahler",
         structure = ComplexStructure(i, _adapted_decomposition(corrected, i))
         return structure, BilinearForm(corrected, "symmetric"), operator
 
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    ok, detail = _metric_ok(g, "para_kahler", tol)
-    if not ok:
-        raise IncompatibleInputs(f"metric is not neutral: {detail}")
     j = a
     resid, scale = square_defect(j, SQUARES["para_complex"])
     if not tol.accepts(resid, scale):
-        raise NotInvolutive(f"J^2 - Id residual {resid:.3e}")
+        raise InvalidInput(f"J^2 - Id residual {resid:.3e}")
     corrected = symmetric_part(s @ j)
     plus, minus = involution_eigenbases(j, tol)
     structure = ParaComplexStructure(j, plus, minus)
@@ -362,7 +361,7 @@ def complete_pair(first, second, flavor="kahler",
     Dispatches on the pair's types to ``omega_from`` / ``g_from`` /
     ``structure_from``.  The polar route replaces the input metric by the
     corrected one; the other routes keep both inputs.  Raises
-    IncompatibleInputs, naming the failing entries, when the completed
+    InvalidInput, naming the failing entries, when the completed
     triple fails ``check_triple``.
     """
     if isinstance(first, (ComplexStructure, ParaComplexStructure)):
@@ -389,7 +388,7 @@ def complete_pair(first, second, flavor="kahler",
     triple = CompatibleTriple(omega, metric, structure, flavor)
     rep = check_triple(triple, tol)
     if not rep.passed:
-        raise IncompatibleInputs(
+        raise InvalidInput(
             "completed triple fails: " + "; ".join(e.name for e in rep.failures()))
     return triple, rep
 
@@ -437,10 +436,10 @@ def lagrangian_orthogonal_decomposition(triple: CompatibleTriple,
     J swaps them.
 
     Returns (E1, E2) with basis vectors as columns.
-    Raises InvalidStructure if the triple fails ``check_triple``.
+    Raises InvalidInput if the triple fails ``check_triple``.
     """
     if not check_triple(triple, tol).passed:
-        raise InvalidStructure("triple fails its compatibility predicates")
+        raise InvalidInput("triple fails its compatibility predicates")
     n = triple.dim
     k = n // 2
     g = triple.metric_matrix
@@ -449,7 +448,7 @@ def lagrangian_orthogonal_decomposition(triple: CompatibleTriple,
     if triple.flavor == "kahler":
         e1 = _unitary_half_basis(g, i)
         if e1 is None:
-            raise InvalidStructure("could not build an adapted unitary basis")
+            raise InvalidInput("could not build an adapted unitary basis")
         return e1, i @ e1
 
     # para flavor: graphs over the +1 eigenspace.  With P the perfect pairing
@@ -458,12 +457,12 @@ def lagrangian_orthogonal_decomposition(triple: CompatibleTriple,
     # image {u - phi(u)} is Lagrangian and negative.
     plus, minus = involution_eigenbases(i, tol)
     if plus.shape[1] != k or minus.shape[1] != k:
-        raise InvalidStructure("eigenspaces are not balanced")
+        raise InvalidInput("eigenspaces are not balanced")
     pairing = plus.T @ g @ minus
     try:
         phi = minus @ np.linalg.inv(pairing)
     except np.linalg.LinAlgError as exc:
-        raise InvalidStructure("pairing between eigenspaces is degenerate") from exc
+        raise InvalidInput("pairing between eigenspaces is degenerate") from exc
     e1 = plus + phi
     e2 = i @ e1
     return e1, e2

@@ -1,12 +1,23 @@
 """Exception types raised across the package.
 
 Checks that are *about* the input (does this matrix square to -Id?) never
-raise; they produce report entries.  Exceptions are reserved for misuse:
-wrong shapes, missing data, or preconditions a caller promised to uphold.
+raise; they produce report entries.  Exceptions are reserved for inputs an
+operation cannot work with, and every error the package raises for an
+input is a ``TensorStructError`` (``documents.DocumentError``, a parse
+error, is one too).  There are three kinds of failure:
 
-One exception crosses that line on purpose: ``BadAtPoint``, "the input
-cannot be evaluated at this point".  It is raised where the evaluation
-fails, with the point and a short reason:
+  * a shape: ``ShapeMismatch``, arrays whose shapes do not fit together;
+  * a point: ``BadAtPoint``, the input cannot be evaluated at one point;
+  * anything else: ``InvalidInput``, whose message says what the operation
+    rejects (a metric that is not positive definite, an operator that
+    leaves a flag, an incoherent sequence, an unknown kind).
+    ``InvalidInput`` is also a ``ValueError``.
+
+A wrong argument type is a ``TypeError``, as in Python itself.
+
+``BadAtPoint`` crosses the line between checks and errors on purpose: "the
+input cannot be evaluated at this point".  It is raised where the
+evaluation fails, with the point and a short reason:
 
   * ``calculus.ConnectionData`` (``metric not finite``, ``metric degenerate``);
   * ``calculus.pullback_endomorphism`` (``jacobian singular``);
@@ -31,40 +42,8 @@ class TensorStructError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotSymmetric(TensorStructError):
-    pass
-
-
-class NotPositiveDefinite(TensorStructError):
-    pass
-
-
-class Singular(TensorStructError):
-    pass
-
-
-class MissingDecomposition(TensorStructError):
-    pass
-
-
-class InvalidStructure(TensorStructError):
-    pass
-
-
-class Degenerate(TensorStructError):
-    pass
-
-
-class IncompatibleInputs(TensorStructError):
-    pass
-
-
-class NotInvolutive(TensorStructError):
-    pass
-
-
-class UnsupportedKind(TensorStructError):
-    pass
+class ShapeMismatch(TensorStructError):
+    """Arrays whose shapes do not fit together."""
 
 
 class BadAtPoint(TensorStructError):
@@ -76,23 +55,5 @@ class BadAtPoint(TensorStructError):
         super().__init__(f"{reason} at {point}")
 
 
-class ShapeMismatch(TensorStructError):
-    pass
-
-
-class IncoherentSequence(TensorStructError):
-    pass
-
-
-class NotInvertible(TensorStructError):
-    def __init__(self, level, message=""):
-        self.level = level
-        super().__init__(message or f"entry at level {level} is not invertible")
-
-
-class NotMember(TensorStructError):
-    pass
-
-
-class MissingTransition(TensorStructError):
-    """No transition is declared between two charts, in either direction."""
+class InvalidInput(TensorStructError, ValueError):
+    """An input the operation rejects, for the reason in the message."""

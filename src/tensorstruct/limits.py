@@ -85,13 +85,7 @@ from typing import Optional
 import numpy as np
 
 from .bundle import algebra_action, in_isotropy
-from .errors import (
-    IncoherentSequence,
-    NotInvertible,
-    NotMember,
-    ShapeMismatch,
-    Singular,
-)
+from .errors import InvalidInput, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro, fro_each, rank_of
 from .report import Report, worst
 from .structures import KINDS, VARIANCES
@@ -136,7 +130,7 @@ class BondingSystem:
         dims = [int(d) for d in self.dims]
         object.__setattr__(self, "dims", dims)
         if self.variance not in VARIANCES:
-            raise ValueError(f"unknown variance {self.variance!r}")
+            raise InvalidInput(f"unknown variance {self.variance!r}")
         if any(a > b for a, b in zip(dims, dims[1:])):
             raise ShapeMismatch("dims must be nondecreasing")
         object.__setattr__(self, "maps", _consecutive(self.maps, "maps", self.levels))
@@ -325,7 +319,7 @@ class CoherentSequence:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown tensor kind {self.kind!r}")
+            raise InvalidInput(f"unknown tensor kind {self.kind!r}")
         self.levels = [as_matrix(m, square=True) for m in self.levels]
         if len(self.levels) != self.bonding.levels:
             raise ShapeMismatch(
@@ -370,13 +364,13 @@ def limit_eval(seq: CoherentSequence, level, vectors, tol: Tolerance = DEFAULT_T
 
     (1,1) sequences take one vector and return its image; (2,0) sequences
     take a pair (u, v) and return the scalar form value.  Evaluation is
-    refused (IncoherentSequence) unless ``check_coherent`` passes, because
+    refused (InvalidInput) unless ``check_coherent`` passes, because
     only coherence makes the answer level-independent.
     """
     rep = check_coherent(seq, tol)
     if not rep.passed:
         resid = worst([e.residual for e in rep.failures()])
-        raise IncoherentSequence(f"worst coherence residual {resid:.3e}")
+        raise InvalidInput(f"worst coherence residual {resid:.3e}")
     m = seq.levels[level]
     if seq.kind == "1,1":
         u = np.asarray(vectors, dtype=float)
@@ -419,11 +413,12 @@ def tuple_compose(a: LevelTuple, b: LevelTuple) -> LevelTuple:
 
 
 def tuple_inverse(a: LevelTuple, tol: Tolerance = DEFAULT_TOL) -> LevelTuple:
-    """Entrywise inverse; NotInvertible carries the offending level index."""
+    """Entrywise inverse; InvalidInput names the first level whose entry
+    is not invertible."""
     out = []
     for lvl, m in enumerate(a.entries):
         if rank_of(m, tol) < m.shape[0]:
-            raise NotInvertible(lvl)
+            raise InvalidInput(f"entry at level {lvl} is not invertible")
         out.append(np.linalg.inv(m))
     return LevelTuple(a.bonding, out)
 
@@ -477,7 +472,7 @@ def _flag_report(a, bonding: BondingSystem, top, tol: Tolerance):
     if a.shape[0] != n:
         raise ShapeMismatch(f"operator size {a.shape[0]}, top dimension {n}")
     if rank_of(a, tol) < n:
-        raise Singular("operator is not invertible")
+        raise InvalidInput("operator is not invertible")
     maps, projs = bonding.map_table(), bonding.projection_table()
     report = Report(tol=tol)
     scale = max(fro(a), 1.0)
@@ -499,7 +494,7 @@ def gEn_membership(a, bonding: BondingSystem, tol: Tolerance = DEFAULT_TOL):
     the diagonal and diagonal block) for canonical padding towers, and is
     None otherwise.
 
-    Raises Singular when ``a`` is not invertible.
+    Raises InvalidInput when ``a`` is not invertible.
     """
     report = _flag_report(a, bonding, bonding.levels - 1, tol)
     member = report.passed
@@ -524,7 +519,7 @@ def theta_projection(a, j, i, bonding: BondingSystem, tol: Tolerance = DEFAULT_T
     theta(i,j) o theta(j,k) = theta(i,k).
 
     Raises ShapeMismatch unless 0 <= i <= j < levels on a direct tower
-    with projections, and then NotMember when ``a`` does not preserve the
+    with projections, and then InvalidInput when ``a`` does not preserve the
     flag up to level j.
     """
     if bonding.variance != "direct":
@@ -533,7 +528,7 @@ def theta_projection(a, j, i, bonding: BondingSystem, tol: Tolerance = DEFAULT_T
     report = _flag_report(a, bonding, j, tol)
     if not report.passed:
         resid = worst([e.residual for e in report.failures()])
-        raise NotMember(f"operator violates the flag (worst residual {resid:.3e})")
+        raise InvalidInput(f"operator violates the flag (worst residual {resid:.3e})")
     return proj @ a @ inc
 
 

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NotPositiveDefinite,
-    NotSymmetric,
-    ShapeMismatch,
-)
+from .errors import InvalidInput, ShapeMismatch
 
 __all__ = [
     "Tolerance",
@@ -57,9 +53,9 @@ class Tolerance:
 
     def __post_init__(self):
         if self.atol < 0 or self.rtol < 0:
-            raise ValueError("tolerances must be nonnegative")
+            raise InvalidInput("tolerances must be nonnegative")
         if self.atol == 0 and self.rtol == 0:
-            raise ValueError("atol and rtol cannot both be zero")
+            raise InvalidInput("atol and rtol cannot both be zero")
 
     def accepts(self, residual, scale=1.0):
         return (residual <= self.rtol * scale + self.atol) & (residual < math.inf)
@@ -81,7 +77,7 @@ def as_matrix(m, square=False, name="matrix", ndim=2):
     if square and a.shape[-1] != a.shape[-2]:
         raise ShapeMismatch(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise InvalidInput(f"{name} contains non-finite entries")
     return a
 
 
@@ -157,15 +153,16 @@ def spd_sqrt(m, tol: Tolerance = DEFAULT_TOL):
 
     Raises
     ------
-    NotSymmetric, NotPositiveDefinite
+    InvalidInput
+        ``m`` is not symmetric or not positive definite.
     """
     m = as_matrix(m, square=True)
     asym = fro(m - m.T)
     if not tol.accepts(asym, fro(m)):
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance")
+        raise InvalidInput(f"asymmetry {asym:.3e} exceeds tolerance")
     w, q = np.linalg.eigh(symmetric_part(m))
     if w.min(initial=np.inf) <= tol.atol:
-        raise NotPositiveDefinite(f"smallest eigenvalue {w.min():.3e} <= atol")
+        raise InvalidInput(f"smallest eigenvalue {w.min():.3e} <= atol")
     return symmetric_part((q * np.sqrt(w)) @ q.T)
 
 

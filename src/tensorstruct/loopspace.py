@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .compat import CompatibleTriple, check_triple, complete_triple
-from .errors import ShapeMismatch
+from .errors import InvalidInput, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance, fro_each, signature_of
 from .limits import BondingSystem, CoherentSequence, check_coherent
 from .report import Report
@@ -102,11 +102,11 @@ class DiscretizedLoopSpace:
             if self.weights.shape != (n,):
                 raise ShapeMismatch("one weight per sample required")
             if not np.isfinite(self.weights).all():
-                raise ValueError("weights must be finite")
+                raise InvalidInput("weights must be finite")
             if np.any(self.weights <= 0):
-                raise ValueError("weights must be positive")
+                raise InvalidInput("weights must be positive")
             if abs(self.weights.sum() - 1.0) > 1e-12:
-                raise ValueError("weights must sum to one")
+                raise InvalidInput("weights must sum to one")
 
     @property
     def samples(self):

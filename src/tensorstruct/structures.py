@@ -46,12 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    Degenerate,
-    InvalidStructure,
-    MissingDecomposition,
-    ShapeMismatch,
-)
+from .errors import InvalidInput, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -148,9 +143,9 @@ class StructureMatrix(_MatrixStructure):
     def __post_init__(self):
         super().__post_init__()
         if self.kind not in KINDS:
-            raise ValueError(f"unknown tensor kind {self.kind!r}")
+            raise InvalidInput(f"unknown tensor kind {self.kind!r}")
         if self.symmetry not in SYMMETRIES:
-            raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
+            raise InvalidInput(f"unknown symmetry tag {self.symmetry!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +157,7 @@ class BilinearForm(_MatrixStructure):
     def __post_init__(self):
         super().__post_init__()
         if self.symmetry not in SYMMETRIES:
-            raise ValueError(f"unknown symmetry tag {self.symmetry!r}")
+            raise InvalidInput(f"unknown symmetry tag {self.symmetry!r}")
 
     def __call__(self, u, v):
         return float(np.asarray(u) @ self.matrix @ np.asarray(v))
@@ -350,12 +345,12 @@ def krein_from_matrix(g, tol: Tolerance = DEFAULT_TOL) -> KreinMetric:
 def _ordered_eigh(g, tol: Tolerance):
     """Eigenvalues of the symmetric part of g in descending order, so the
     positive block comes first and the basis order is deterministic, with
-    their eigenvectors as columns.  Raises Degenerate when an eigenvalue is
+    their eigenvectors as columns.  Raises InvalidInput when an eigenvalue is
     within the rank threshold of zero."""
     w, q = np.linalg.eigh(symmetric_part(g))
     cut = tol.rank_threshold(np.abs(w).max(initial=0.0))
     if np.any(np.abs(w) <= cut):
-        raise Degenerate("symmetric form has (numerically) zero eigenvalues")
+        raise InvalidInput("symmetric form has (numerically) zero eigenvalues")
     order = np.argsort(-w)
     return w[order], q[:, order]
 
@@ -530,26 +525,26 @@ def fundamental_symmetry(g: KreinMetric, tol: Tolerance = DEFAULT_TOL):
 
     Raises
     ------
-    InvalidStructure
+    InvalidInput
         If the stored bases do not span, or gamma fails to be symmetric
         positive definite (non-orthogonal splitting).
     """
     p, q = g.signature
     n = g.dim
     if p + q != n:
-        raise InvalidStructure(f"bases give {p}+{q} directions in dimension {n}")
+        raise InvalidInput(f"bases give {p}+{q} directions in dimension {n}")
     basis = np.hstack([g.plus_basis, g.minus_basis])
     try:
         inv = np.linalg.inv(basis)
     except np.linalg.LinAlgError as exc:
-        raise InvalidStructure("plus/minus bases do not span") from exc
+        raise InvalidInput("plus/minus bases do not span") from exc
     j = basis @ np.diag(np.concatenate([np.ones(p), -np.ones(q)])) @ inv
     gamma = g.matrix @ j
     if not tol.accepts(*symmetry_defect(gamma, "symmetric")):
-        raise InvalidStructure("splitting is not g-orthogonal: gamma not symmetric")
+        raise InvalidInput("splitting is not g-orthogonal: gamma not symmetric")
     gamma = symmetric_part(gamma)
     if np.linalg.eigvalsh(gamma).min() <= tol.atol:
-        raise InvalidStructure("gamma is not positive definite")
+        raise InvalidInput("gamma is not positive definite")
     return j, BilinearForm(gamma, "symmetric")
 
 
@@ -579,11 +574,11 @@ def krein_isomorphism(g1: KreinMetric, g2: KreinMetric, tol: Tolerance = DEFAULT
 def tangent_normal_form(j: TangentStructure, tol: Tolerance = DEFAULT_TOL):
     """Isomorphism A with A^-1 J_can A = J, J_can the canonical tangent matrix.
 
-    Raises InvalidStructure when J fails its defining invariants.
+    Raises InvalidInput when J fails its defining invariants.
     """
     rep = validate(j, tol)
     if not rep.passed:
-        raise InvalidStructure("; ".join(e.name for e in rep.failures()))
+        raise InvalidInput("; ".join(e.name for e in rep.failures()))
     m = j.matrix
     n = j.dim
     # complement = orthogonal complement of ker J; J maps it isomorphically
@@ -592,7 +587,7 @@ def tangent_normal_form(j: TangentStructure, tol: Tolerance = DEFAULT_TOL):
     _, complement = kernel_and_complement(m, tol)
     p = np.hstack([m @ complement, complement])
     if rank_of(p, tol) != n:
-        raise InvalidStructure("complement construction degenerate")
+        raise InvalidInput("complement construction degenerate")
     return np.linalg.inv(p)
 
 
@@ -602,10 +597,10 @@ def complex_normal_form(c: ComplexStructure, tol: Tolerance = DEFAULT_TOL):
     Sends u + v (u in the first subspace, v in the second) to (u, iso v) in
     coordinates where the canonical complex matrix acts.
 
-    Raises MissingDecomposition if no decomposition is attached.
+    Raises InvalidInput if no decomposition is attached.
     """
     if c.decomposition is None:
-        raise MissingDecomposition("complex structure has no decomposition data")
+        raise InvalidInput("complex structure has no decomposition data")
     b1, b2, iso = c.decomposition
     k = b1.shape[1]
     basis = np.hstack([b1, b2])
@@ -623,7 +618,7 @@ def para_from_complex(c: ComplexStructure, tol: Tolerance = DEFAULT_TOL):
     structure together with S.
     """
     if c.decomposition is None:
-        raise MissingDecomposition("complex structure has no decomposition data")
+        raise InvalidInput("complex structure has no decomposition data")
     b1, b2, _ = c.decomposition
     n = c.dim
     p = b1.shape[1]
@@ -645,7 +640,7 @@ def darboux_basis(omega: SymplecticForm, tol: Tolerance = DEFAULT_TOL):
 
     Raises
     ------
-    Degenerate
+    InvalidInput
         Odd dimension, a form that ``validate`` calls degenerate (its rank
         under ``kernel_and_image`` is below the dimension), or no partner
         with a nonzero pairing (a form that is not skew).
@@ -653,9 +648,9 @@ def darboux_basis(omega: SymplecticForm, tol: Tolerance = DEFAULT_TOL):
     s = omega.matrix
     n = omega.dim
     if n % 2:
-        raise Degenerate(f"odd dimension {n}")
+        raise InvalidInput(f"odd dimension {n}")
     if kernel_and_image(s, tol)[2] < n:
-        raise Degenerate("no symplectic partner found: form is degenerate")
+        raise InvalidInput("no symplectic partner found: form is degenerate")
 
     remaining = [np.eye(n)[:, i] for i in range(n)]
     a_cols = []
@@ -668,7 +663,7 @@ def darboux_basis(omega: SymplecticForm, tol: Tolerance = DEFAULT_TOL):
         u = u / nu
         pairings = [abs(float(u @ s @ w)) for w in remaining]
         if not pairings or not max(pairings) > 0.0:
-            raise Degenerate("no symplectic partner found: form is degenerate")
+            raise InvalidInput("no symplectic partner found: form is degenerate")
         pick = int(np.argmax(pairings))
         v = remaining.pop(pick)
         v = v / float(u @ s @ v)  # now Omega(u, v) = 1
@@ -679,7 +674,7 @@ def darboux_basis(omega: SymplecticForm, tol: Tolerance = DEFAULT_TOL):
                      for w in remaining]
 
     if 2 * len(a_cols) != n:
-        raise Degenerate("symplectic reduction lost directions: form is degenerate")
+        raise InvalidInput("symplectic reduction lost directions: form is degenerate")
     a = np.column_stack(a_cols + b_cols)
     certificate = fro(a.T @ s @ a - symplectic_canonical(n).matrix)
     return a, float(certificate)

@@ -41,7 +41,7 @@ from tensorstruct.bundle import (
     check_reduction,
     in_isotropy,
 )
-from tensorstruct.errors import BadAtPoint, MissingTransition, ShapeMismatch
+from tensorstruct.errors import BadAtPoint, InvalidInput, ShapeMismatch
 from tensorstruct.linalg import DEFAULT_TOL, Tolerance, fro
 from tensorstruct.report import Report
 
@@ -171,7 +171,7 @@ def reference_check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     A field that cannot be evaluated at a sample (``BadAtPoint``: not
     finite there, or a pullback whose Jacobian is singular) fails its chart
     there with residual inf; each distinct reason is noted once, in order
-    of first occurrence.  Raises UnsupportedKind when the model tensor has
+    of first occurrence.  Raises InvalidInput when the model tensor has
     no implemented invariant.
     """
     if field.kind != model.kind:
@@ -222,7 +222,7 @@ def reference_transition_at(atlas, a, b, x):
     """Evaluate T_ab(x): the declared T_ab, else the inverse of the
     declared T_ba, else the identity when a == b.
 
-    Raises MissingTransition when neither T_ab nor T_ba is declared, and
+    Raises InvalidInput when neither T_ab nor T_ba is declared, and
     BadAtPoint when the declared one, or its inverse, is not finite at x,
     or the declared T_ba is singular there.
     """
@@ -236,7 +236,7 @@ def reference_transition_at(atlas, a, b, x):
             raise BadAtPoint(x, f"transition {b}->{a} not invertible") from exc
     if a == b:
         return np.eye(atlas.fiber_dim)
-    raise MissingTransition(f"no transition declared between {a!r} and {b!r}")
+    raise InvalidInput(f"no transition declared between {a!r} and {b!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +421,7 @@ def test_transitions_at_stacks_the_per_sample_transitions():
         for a, b in itertools.product(atlas.chart_names(), repeat=2):
             xs = points(rng)
             if not atlas.has_transition(a, b):
-                with pytest.raises(MissingTransition):
+                with pytest.raises(InvalidInput, match="no transition declared between"):
                     atlas.transitions_at(a, b, xs)
                 continue
             with np.errstate(all="ignore"):

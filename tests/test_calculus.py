@@ -11,7 +11,6 @@ from tensorstruct.calculus import (
     ConnectionData,
     TensorFieldOnChart,
     VectorField,
-    constant_field,
     covariant_derivative_of_structure,
     curvature,
     grid_points,
@@ -66,7 +65,8 @@ def test_lie_bracket_hand_example():
 
 @pytest.mark.parametrize("build", [
     lambda: TensorFieldOnChart(2, "0,2", lambda x: np.eye(2)),
-    lambda: is_integrable_structure(constant_field(np.eye(2), "1,1"), "symplectic", GRID2),
+    lambda: is_integrable_structure(TensorFieldOnChart.constant(np.eye(2), "1,1"), "symplectic",
+                                    GRID2),
 ], ids=["field", "integrability"])
 def test_an_unknown_kind_is_refused(build):
     with pytest.raises(ValueError, match="unknown (tensor|structure) kind '(0,2|symplectic)'"):
@@ -91,7 +91,8 @@ SHAPE_ERRORS = {
     "map without components": lambda: PolyMap([]),
     "map of mixed dimensions": lambda: PolyMap([x_in(2), x_in(3)]),
     "image across dimensions":
-        lambda: constant_field(np.eye(3), "1,1").apply(VectorField.constant([1.0, 2.0])),
+        lambda: TensorFieldOnChart.constant(np.eye(3), "1,1").apply(
+            VectorField.constant([1.0, 2.0])),
     "bracket across dimensions":
         lambda: lie_bracket(VectorField.constant([1.0]), VectorField.constant([1.0, 2.0])),
     "exponent of another length": lambda: Poly(2, {(1, 0, 0): 1.0}),
@@ -157,7 +158,7 @@ def test_fd_bracket_evaluates_on_point_arrays():
 # ---------------------------------------------------------------------------
 
 def test_defect_of_constant_endomorphism_vanishes():
-    a = constant_field(np.array([[1.0, 2.0], [0.5, -1.0]]), "1,1")
+    a = TensorFieldOnChart.constant(np.array([[1.0, 2.0], [0.5, -1.0]]), "1,1")
     x = poly_vector(2, [{(1, 0): 1.0}, {(0, 1): 2.0}])
     y = poly_vector(2, [{(0, 1): 1.0}, {(1, 0): -1.0}])
     value = nijenhuis(a, x, y, [0.2, 0.3])
@@ -165,7 +166,7 @@ def test_defect_of_constant_endomorphism_vanishes():
 
 
 def test_defect_of_constant_complex_structure_vanishes():
-    a = constant_field(complex_canonical(2).matrix, "1,1")
+    a = TensorFieldOnChart.constant(complex_canonical(2).matrix, "1,1")
     x = VectorField.coordinate(2, 0)
     y = VectorField.coordinate(2, 1)
     assert np.linalg.norm(nijenhuis(a, x, y, [0.1, -0.1])) <= 1e-12
@@ -235,7 +236,7 @@ def test_defect_vanishes_on_kernel_sections_of_tangent_structure():
 # ---------------------------------------------------------------------------
 
 def test_constant_tangent_field_integrable():
-    field = constant_field(tangent_canonical(2).matrix, "1,1")
+    field = TensorFieldOnChart.constant(tangent_canonical(2).matrix, "1,1")
     report = is_integrable_structure(field, "tangent", GRID2, tol=Tolerance(atol=1e-6, rtol=0.0))
     assert report.passed
     assert report.notes == ["verdict: integrable"]
@@ -250,7 +251,7 @@ def test_pullback_tangent_field_integrable():
 
 
 def test_complex_field_verdict_is_formal_only():
-    field = constant_field(complex_canonical(2).matrix, "1,1")
+    field = TensorFieldOnChart.constant(complex_canonical(2).matrix, "1,1")
     report = is_integrable_structure(field, "complex", GRID2, tol=Tolerance(atol=1e-6, rtol=0.0))
     assert report.passed
     assert report.notes == ["verdict: formally integrable"]
@@ -273,7 +274,7 @@ def test_non_involutive_para_field_not_integrable():
 
 
 def test_integrability_rejects_invalid_structure_field():
-    field = constant_field(np.diag([1.0, 2.0]), "1,1")
+    field = TensorFieldOnChart.constant(np.diag([1.0, 2.0]), "1,1")
     report = is_integrable_structure(field, "para_complex", GRID2)
     assert [(e.name, e.passed, e.residual, e.location) for e in report.entries] == [
         ("defect_tensor_para_complex", False, np.inf, np.array2string(GRID2[0], precision=3))]
@@ -305,7 +306,8 @@ def test_the_grid_check_takes_a_field_for_a_structure_as_square_defect_does(
             a *= 2.0 ** shift
         assume(np.isfinite(a).all())
         want = bool(_IDENTITY_TOL.accepts(*square_defect(a, SQUARES[kind])))
-        report = is_integrable_structure(constant_field(a, "1,1"), kind, np.zeros((1, n)))
+        report = is_integrable_structure(TensorFieldOnChart.constant(a, "1,1"), kind,
+                                         np.zeros((1, n)))
     assert (f"not a {kind} structure" not in report.notes) == want
 
 
@@ -314,7 +316,7 @@ def test_the_grid_check_takes_a_field_for_a_structure_as_square_defect_does(
 # ---------------------------------------------------------------------------
 
 def test_constant_metric_has_zero_connection():
-    conn = levi_civita(constant_field(np.diag([2.0, 3.0]), "2,0"))
+    conn = levi_civita(TensorFieldOnChart.constant(np.diag([2.0, 3.0]), "2,0"))
     assert np.linalg.norm(conn([0.2, -0.4])) <= 1e-10
 
 
@@ -453,7 +455,7 @@ def test_a_metric_singular_to_working_precision_fails_where_its_solve_does():
     tol = Tolerance(1e-6, 0.0)
     assert svd_rule_first(g, tol) is None
     with pytest.raises(BadAtPoint) as err:
-        ConnectionData(constant_field(g), tol=tol)(np.zeros(2))
+        ConnectionData(TensorFieldOnChart.constant(g, "2,0"), tol=tol)(np.zeros(2))
     assert err.value.reason == "metric degenerate"
     np.testing.assert_array_equal(err.value.point, np.zeros(2))
     # in a stack, at the first point whose own solve fails
@@ -559,7 +561,7 @@ def sectional_curvature(metric, conn, x):
 
 
 def test_flat_connection_zero_curvature():
-    conn = levi_civita(constant_field(np.eye(2), "2,0"))
+    conn = levi_civita(TensorFieldOnChart.constant(np.eye(2), "2,0"))
     assert np.linalg.norm(curvature(conn, [0.1, 0.2])) <= 1e-9
 
 
@@ -588,7 +590,7 @@ def test_curvature_antisymmetric_in_last_pair():
 
 
 def test_metric_integrability_verdicts():
-    flat = constant_field(np.diag([1.0, -1.0]), "2,0")
+    flat = TensorFieldOnChart.constant(np.diag([1.0, -1.0]), "2,0")
     assert is_metric_integrable(flat, GRID2, tol=Tolerance(atol=1e-6, rtol=0.0)).passed
 
     sphere = sphere_stereographic_metric()
@@ -606,8 +608,8 @@ def test_metric_integrability_verdicts():
 # ---------------------------------------------------------------------------
 
 def test_constant_triple_flat_connection_parallel():
-    conn = levi_civita(constant_field(np.eye(2), "2,0"))
-    field = constant_field(complex_canonical(2).matrix, "1,1")
+    conn = levi_civita(TensorFieldOnChart.constant(np.eye(2), "2,0"))
+    field = TensorFieldOnChart.constant(complex_canonical(2).matrix, "1,1")
     report = covariant_derivative_of_structure(conn, field, GRID2,
                                                tol=Tolerance(atol=1e-8, rtol=0.0))
     assert report.passed
@@ -777,7 +779,7 @@ def test_compiled_poly_matches_dict_loop(seed, dim, degree, terms):
     for length in (1, dim, dim + 3):
         x = rng.uniform(-1, 1, size=length)
         assert const(x) == dict_loop_value(const, x)
-    field = constant_field(np.arange(dim * dim, dtype=float).reshape(dim, dim))
+    field = TensorFieldOnChart.constant(np.arange(dim * dim, dtype=float).reshape(dim, dim), "2,0")
     for length in (1, dim + 1):
         np.testing.assert_array_equal(field.fn(np.zeros(length)),
                                       np.arange(dim * dim).reshape(dim, dim))
@@ -853,7 +855,7 @@ def test_grid_checks_report_first_failure_and_first_worst_point():
     assert err.value.reason == "metric degenerate"
     np.testing.assert_array_equal(err.value.point, grid[0] + [h, 0.0])
 
-    field = constant_field(np.diag([1.0, 2.0]), "1,1")
+    field = TensorFieldOnChart.constant(np.diag([1.0, 2.0]), "1,1")
     partly = TensorFieldOnChart(
         2, "1,1", lambda x: para_complex_canonical(2).matrix if x[0] < 0
         else field(x))
@@ -872,7 +874,7 @@ def test_grid_checks_report_first_failure_and_first_worst_point():
     report = is_integrable_structure(TensorFieldOnChart(4, "1,1", fn),
                                      "para_complex", grid)
     assert report.entries[0].location == np.array2string(grid[1], precision=3)
-    flat = is_metric_integrable(constant_field(np.eye(2)), GRID2)
+    flat = is_metric_integrable(TensorFieldOnChart.constant(np.eye(2), "2,0"), GRID2)
     assert (flat.worst_residual, flat.entries[0].location) == (0.0, "")
 
 
@@ -918,13 +920,13 @@ BAD_INPUTS = {
     "curvature": lambda: (is_metric_integrable(_bad_at_one_point("2,0", np.eye(2)), GRID2),
                           "integrable", "made-up reason"),
     "covariant (field)": lambda: (covariant_derivative_of_structure(
-        levi_civita(constant_field(np.eye(2))),
+        levi_civita(TensorFieldOnChart.constant(np.eye(2), "2,0")),
         _bad_at_one_point("1,1", complex_canonical(2).matrix), GRID2),
         "parallel", "made-up reason"),
     "covariant (metric)": lambda: (covariant_derivative_of_structure(
         levi_civita(TensorFieldOnChart(
             2, "2,0", lambda x: np.eye(2) if not np.array_equal(x, BAD) else np.diag([1.0, 0.0]))),
-        constant_field(complex_canonical(2).matrix, "1,1"), GRID2),
+        TensorFieldOnChart.constant(complex_canonical(2).matrix, "1,1"), GRID2),
         "parallel", "metric degenerate"),
 }
 

@@ -165,6 +165,23 @@ def test_triple_complete_canonical(tmp_path, capsys):
     np.testing.assert_allclose(matrix, [[0, -1], [1, 0]], atol=1e-10)
 
 
+_SINGULAR_PAIR = {"given": {"g": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]]}}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["triple", "complete"], _SINGULAR_PAIR),
+    (["--seed", "1", "loopspace", "check"],
+     {"target": {"pair": _SINGULAR_PAIR}, "loop": [[0.1, 0.2], [0.3, 0.4]]}),
+], ids=["triple", "loopspace"])
+def test_a_singular_metric_in_a_pair_exits_one(argv, doc, tmp_path):
+    # the metric is judged before G^-1 S^T is solved
+    path = write(tmp_path, "doc.json", doc)
+    status, out, err = run_captured([*argv, path])
+    assert (status, out) == (1, "")
+    assert err == ("error: metric is not positive definite: "
+                   "smallest eigenvalue 0.000e+00 <= atol\n")
+
+
 def test_darboux_subcommand(tmp_path, capsys):
     doc = {"kind": "symplectic", "matrix": [[0.0, 3.0], [-3.0, 0.0]]}
     path = write(tmp_path, "form.json", doc)

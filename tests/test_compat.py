@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorstruct.compat import (
     CompatibleTriple,
@@ -11,8 +12,8 @@ from tensorstruct.compat import (
     omega_from,
     structure_from,
 )
-from tensorstruct.errors import IncompatibleInputs, NotInvolutive
-from tensorstruct.linalg import Tolerance
+from tensorstruct.errors import InvalidInput
+from tensorstruct.linalg import DEFAULT_TOL, Tolerance
 from tensorstruct.structures import (
     BilinearForm,
     ComplexStructure,
@@ -90,7 +91,7 @@ def test_g_from_scales_with_form():
 
 
 def test_g_from_rejects_wrong_signature():
-    with pytest.raises(IncompatibleInputs):
+    with pytest.raises(InvalidInput, match="metric fails kahler signature test"):
         g_from(CAN2, ComplexStructure(-I_CAN2.matrix))
 
 
@@ -127,8 +128,48 @@ def test_structure_from_para_rejects_non_involutive():
     s = random_skew_nondegenerate(4, np.random.default_rng(2))
     j = np.linalg.solve(g, s.T)
     if np.linalg.norm(j @ j - np.eye(4)) > 1e-2:
-        with pytest.raises(NotInvolutive):
+        with pytest.raises(InvalidInput, match=r"J\^2 - Id residual"):
             structure_from(g, SymplecticForm(s), flavor="para_kahler")
+
+
+@pytest.mark.parametrize("flavor, reason", [
+    ("kahler", "metric is not positive definite"),
+    ("para_kahler", "metric is not neutral: degenerate metric"),
+])
+def test_structure_from_rejects_a_zero_metric(flavor, reason):
+    # the metric is judged before G^-1 S^T is solved
+    with pytest.raises(InvalidInput, match=reason):
+        structure_from(np.zeros((2, 2)), CAN2, flavor=flavor)
+
+
+@st.composite
+def exactly_singular_metrics(draw):
+    """A symmetric g with a zero row and column, or with two equal rows,
+    scaled by 2**k."""
+    n = draw(st.sampled_from([2, 4]))
+    entries = st.floats(-4.0, 4.0, allow_subnormal=False)
+    if draw(st.booleans()):
+        m = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+        g = m + m.T
+        k = draw(st.integers(0, n - 1))
+        g[k, :] = g[:, k] = 0.0
+    else:
+        m = np.array(draw(st.lists(entries, min_size=(n - 1) ** 2,
+                                   max_size=(n - 1) ** 2))).reshape(n - 1, n - 1)
+        rows = np.eye(n - 1)[[*range(n - 1), draw(st.integers(0, n - 2))]]
+        g = rows @ (m + m.T) @ rows.T
+    return np.ldexp(g, draw(st.integers(-600, 600)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=exactly_singular_metrics(), flavor=st.sampled_from(["kahler", "para_kahler"]),
+       tol=st.sampled_from([DEFAULT_TOL, Tolerance(0.0, 1e-9), Tolerance(1e-9, 0.0)]))
+def test_structure_from_on_a_singular_metric_raises_only_invalid_input(g, flavor, tol):
+    with np.errstate(all="ignore"):
+        try:
+            structure_from(g, symplectic_canonical(g.shape[0]), flavor=flavor, tol=tol)
+        except InvalidInput:
+            pass
 
 
 def test_polar_construction_properties_randomized():
@@ -298,7 +339,7 @@ def test_structure_from_para_mismatched_pairing_rejected():
     swap[0, 1] = swap[1, 0] = swap[2, 3] = swap[3, 2] = 1.0
     s_raw = (g @ (q @ swap @ q.T)).T
     s = 0.5 * (s_raw - s_raw.T)  # skew-symmetrize the broken construction
-    with pytest.raises(NotInvolutive):
+    with pytest.raises(InvalidInput, match=r"J\^2 - Id residual"):
         structure_from(g, SymplecticForm(s), flavor="para_kahler")
 
 

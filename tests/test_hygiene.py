@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the standard library's ast."""
 
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -72,6 +73,32 @@ def test_every_error_class_is_raised():
                 func = node.exc.func
                 raised.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", ""))
     assert not sorted(classes - raised), f"errors.py classes never raised: {sorted(classes - raised)}"
+
+
+# the built-in exceptions a module may raise ("*": any module): a wrong
+# argument type, the overflow poly.sum_of_products signals to its caller
+# (which converts it), and the AttributeError a module's __getattr__ must
+# raise for a name it does not serve; every other rejected input is a
+# TensorStructError
+BUILTINS_RAISED = {("*", "TypeError"), ("poly", "OverflowError"), ("__init__", "AttributeError")}
+
+
+def _raised_builtins(tree):
+    """(name, line) of every ``raise`` of a built-in exception class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (isinstance(exc, ast.Name) and isinstance(getattr(builtins, exc.id, None), type)
+                    and issubclass(getattr(builtins, exc.id), BaseException)):
+                yield exc.id, node.lineno
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_rejected_inputs_raise_the_package_errors(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    bad = [f"{name} (line {line})" for name, line in _raised_builtins(tree)
+           if not {("*", name), (module, name)} & BUILTINS_RAISED]
+    assert not bad, f"{module} raises built-in exceptions: {bad}"
 
 
 def _catches_everything(handler):

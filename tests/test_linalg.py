@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tensorstruct.bundle import _inverted
 from tensorstruct.calculus import _solve
-from tensorstruct.errors import BadAtPoint, NotPositiveDefinite, NotSymmetric, ShapeMismatch
+from tensorstruct.errors import BadAtPoint, InvalidInput, ShapeMismatch
 from tensorstruct.linalg import (
     Tolerance,
     batched,
@@ -72,12 +72,12 @@ def test_spd_sqrt_against_eigendecomposition_oracle():
 
 
 def test_spd_sqrt_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(InvalidInput, match="asymmetry .* exceeds tolerance"):
         spd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_spd_sqrt_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(InvalidInput, match="smallest eigenvalue .* <= atol"):
         spd_sqrt(np.diag([1.0, -2.0]))
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tensorstruct.calculus import constant_field, grid_points, is_integrable_structure
+from tensorstruct.calculus import TensorFieldOnChart, grid_points, is_integrable_structure
 from tensorstruct.errors import ShapeMismatch
 from tensorstruct.linalg import Tolerance
 from tensorstruct.loopspace import (
@@ -164,7 +164,7 @@ def test_pointwise_defect_vanishes_for_constant_target_structure():
     # the induced structure acts pointwise by the constant target structure,
     # whose bracket defect vanishes identically
     target = block_kahler_target(2)
-    field = constant_field(target.structure.matrix, "1,1")
+    field = TensorFieldOnChart.constant(target.structure.matrix, "1,1")
     grid = grid_points([-0.5] * 4, [0.5] * 4, 2)
     report = is_integrable_structure(field, "complex", grid, tol=Tolerance(atol=1e-9, rtol=0.0))
     assert report.passed

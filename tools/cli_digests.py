@@ -15,13 +15,15 @@ with output mode ``library`` and a sha256: for ``tuple_membership`` of the
 report's entries (name, verdict, the 8 bytes of the residual and
 location), for ``theta_projection`` and ``structure_from`` of the shape
 and bytes of every matrix the calls return.  Then, in both output modes,
-it digests ``validate`` on a fixed set of malformed inputs (``MALFORMED``:
+it digests a fixed set of malformed inputs (``MALFORMED``, each the argv
+words of its subcommand and the bytes of its document: for ``validate``,
 bytes that are not UTF-8, a NUL byte in the path, a UTF-8 BOM, UTF-16
 text, an empty file, a ``NaN`` entry, an entry of 2**64 and nesting
-100,000 deep), one line each with workload ``malformed``; an exception
-that escapes ``cli.run`` is digested in place of the exit status, so the
-script runs on trees that do not mend these inputs.  The last line is the
-number of calls.
+100,000 deep; for ``triple complete`` and ``loopspace check``, a pair
+whose metric is singular), one line each with workload ``malformed``; an
+exception that escapes ``cli.run`` is digested in place of the exit
+status, so the script runs on trees that do not mend these inputs.  The
+last line is the number of calls.
 
 Documents are written under ``DOCDIR``; paths can appear in the output, so
 compare two trees with the same ``DOCDIR``:
@@ -45,16 +47,25 @@ SEEDS = (0, 3, 7)
 ROUNDS = (0, 1)
 
 _STRUCTURE = '{"kind": "complex", "matrix": [[0, -1], [1, 0]]}'
-# name: the bytes of a structure document, or None for a path with a NUL byte
+_SINGULAR_PAIR = b'{"given": {"g": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]]}}'
+# name: (argv words before the document, the document's bytes, or None for
+# a path with a NUL byte)
 MALFORMED = {
-    "invalid-utf8": b'{"kind": "complex", "matrix": [[0, -1], [1, 0]], "x": "\xff"}',
-    "nul-in-path": None,
-    "utf8-bom": b"\xef\xbb\xbf" + _STRUCTURE.encode(),
-    "utf16": _STRUCTURE.encode("utf-16"),
-    "empty": b"",
-    "nan-entry": b'{"kind": "complex", "matrix": [[0, -1], [1, NaN]]}',
-    "entry-2**64": b'{"kind": "complex", "matrix": [[0, -1], [1, 18446744073709551616]]}',
-    "nested-100000": b'{"kind": "complex", "matrix": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    "invalid-utf8": (["validate"],
+                     b'{"kind": "complex", "matrix": [[0, -1], [1, 0]], "x": "\xff"}'),
+    "nul-in-path": (["validate"], None),
+    "utf8-bom": (["validate"], b"\xef\xbb\xbf" + _STRUCTURE.encode()),
+    "utf16": (["validate"], _STRUCTURE.encode("utf-16")),
+    "empty": (["validate"], b""),
+    "nan-entry": (["validate"], b'{"kind": "complex", "matrix": [[0, -1], [1, NaN]]}'),
+    "entry-2**64": (["validate"],
+                    b'{"kind": "complex", "matrix": [[0, -1], [1, 18446744073709551616]]}'),
+    "nested-100000": (["validate"], b'{"kind": "complex", "matrix": '
+                      + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+    "singular-metric-triple": (["triple", "complete"], _SINGULAR_PAIR),
+    "singular-metric-loopspace": (["--seed", "1", "loopspace", "check"],
+                                  b'{"target": {"pair": ' + _SINGULAR_PAIR
+                                  + b'}, "loop": [[0.1, 0.2], [0.3, 0.4]]}'),
 }
 
 
@@ -134,12 +145,12 @@ def main(argv=None):
                             calls += 1
     where = docdir / "malformed"
     where.mkdir(parents=True, exist_ok=True)
-    for name, raw in MALFORMED.items():
+    for name, (words, raw) in MALFORMED.items():
         path = where / (f"{name}.json" if raw is not None else "a\0b.json")
         if raw is not None:
             path.write_bytes(raw)
-        for mode, args in (("json", ["--json", "validate", str(path)]),
-                           ("text", ["validate", str(path)])):
+        for mode, args in (("json", ["--json", *words, str(path)]),
+                           ("text", [*words, str(path)])):
             print("malformed", "-", "-", "-", name, mode, digest(cli, args))
             calls += 1
     print(f"{calls} invocations")
