@@ -42,7 +42,8 @@ _HOMES = {
         "validate_bonding"),
     "loopspace": (
         "DiscretizedLoopSpace", "ascending_coherence", "block_kahler_target",
-        "block_para_target", "check_induced_compatibility", "induced_forms"),
+        "block_para_target", "block_target", "check_induced_compatibility",
+        "induced_forms"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -29,13 +29,19 @@ inverse of a singular declared transition, found by ``linalg.batched``),
 and each residual is one stacked computation whose every row has the bits
 of the one-sample computation (``np.linalg`` and ``matmul`` run each
 matrix of a stack alone, and ``linalg.fro_each`` is ``fro`` row by row).
-Such a sample
-fails with residual inf, and so does a singular map, which lies in no
-isotropy group.  ``ChartAtlas.transition_at``, the one-sample case, raises
-``BadAtPoint`` there instead, as ``LocalTensorField.at`` does for a field;
-the per-sample loop of ``check_locally_modelled`` turns that into a
-failing sample with residual inf.  Each entry keeps the worst
-residual of its samples by the rule of ``report.worst_index``.
+Such a sample fails with residual inf, and so does a singular map, which
+lies in no isotropy group.  ``ChartAtlas.transition_at``, the one-sample
+case, raises ``BadAtPoint`` there instead, as ``LocalTensorField.at``
+does for a field.  ``check_reduction`` judges the overlap stacks that its
+cocycle gate evaluated, so each overlap's transition is evaluated once.
+
+``check_locally_modelled`` takes a chart's field values as one stack too:
+one call of an evaluator that takes arrays of points, else one call per
+sample, where a ``BadAtPoint`` is a failing sample with residual inf.  One
+stacked defect admits the values, the orbit invariant is computed once per
+distinct admitted value, and charts that share an evaluator and their
+samples are evaluated and judged once.  Each entry keeps the worst residual
+of its samples by the rule of ``report.worst_index``.
 """
 
 from __future__ import annotations
@@ -305,12 +311,29 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     vacuously.  A transition that cannot be evaluated at a sample fails
     there with residual inf.
     """
+    return _cocycle(atlas, tol)[0]
+
+
+def _cocycle(atlas: ChartAtlas, tol: Tolerance):
+    """``check_cocycle``'s report, and the ``transitions_at`` result of each
+    declared overlap: ``{(a, b): (points, stack, bad samples)}``.  Each
+    transition is evaluated once at each distinct array of points (by its
+    bytes), so a triple sampled where its overlaps are reads their stacks:
+    each row of a stack has the bits of its sample alone."""
     report = Report(tol=tol)
     n = atlas.fiber_dim
+    overlaps, evaluated = {}, {}
+
+    def transitions_at(a, b, points):
+        key = (a, b, points.shape, points.tobytes())
+        if key not in evaluated:
+            evaluated[key] = atlas.transitions_at(a, b, points)
+        return evaluated[key]
 
     for (a, b), points in atlas.overlaps.items():
         points = np.atleast_2d(points)
-        t, bad = atlas.transitions_at(a, b, points)
+        t, bad = transitions_at(a, b, points)
+        overlaps[a, b] = points, t, bad
         s = np.linalg.svd(t, compute_uv=False)
         singular = s[:, -1] <= tol.rank_threshold(s[:, 0])
         residuals = np.zeros(len(points))
@@ -334,9 +357,9 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     for (a, b, c, points) in atlas.triple_overlaps:
         # each sample is judged at its own scale max(1, |T_ac(x)|)
         points = np.atleast_2d(points)
-        lhs, bad_ac = atlas.transitions_at(a, c, points)
-        t_ab, bad_ab = atlas.transitions_at(a, b, points)
-        t_bc, bad_bc = atlas.transitions_at(b, c, points)
+        lhs, bad_ac = transitions_at(a, c, points)
+        t_ab, bad_ab = transitions_at(a, b, points)
+        t_bc, bad_bc = transitions_at(b, c, points)
         residuals = fro_each(lhs - t_ab @ t_bc)
         residuals[[*bad_ac, *bad_ab, *bad_bc]] = math.inf
         report.measured(f"cocycle[{a},{b},{c}]", residuals, np.fmax(fro_each(lhs), 1.0),
@@ -346,7 +369,7 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
     if components > 1:
         report.note(f"overlap graph has {components} components; "
                     "chart cover is disconnected")
-    return report
+    return report, overlaps
 
 
 def check_reduction(atlas: ChartAtlas, model: StructureMatrix,
@@ -356,15 +379,14 @@ def check_reduction(atlas: ChartAtlas, model: StructureMatrix,
     The report starts with the cocycle gate and then carries one entry per
     declared overlap with the worst isotropy residual over its samples, at
     the last sample attaining it; a transition that cannot be evaluated at
-    a sample, or is singular there, fails there with residual inf.
+    a sample, or is singular there, fails there with residual inf.  Each
+    overlap's transitions are the stack the cocycle gate evaluated.
     """
-    report = check_cocycle(atlas, tol)
+    report, overlaps = _cocycle(atlas, tol)
     if not report.passed:
         report.note("cocycle precondition failed; isotropy entries reported anyway")
     scale = fro(model.matrix)
-    for (a, b), points in atlas.overlaps.items():
-        points = np.atleast_2d(points)
-        g, bad = atlas.transitions_at(a, b, points)
+    for (a, b), (points, g, bad) in overlaps.items():
         acted, singular = _acted(g, model)
         residuals = fro_each(acted - model.matrix)
         residuals[singular] = math.inf
@@ -381,7 +403,12 @@ def check_reduction(atlas: ChartAtlas, model: StructureMatrix,
 
 @dataclass
 class LocalTensorField:
-    """Per-chart matrix-valued function of a declared tensor kind."""
+    """Per-chart matrix-valued function of a declared tensor kind.
+
+    An evaluator is called at one point ``x``; one whose ``vectorized``
+    attribute is true, as the fields of ``calculus`` that declare it, also
+    takes a ``(..., d)`` array of points and returns a value per point.
+    """
 
     kind: str  # "1,1" | "2,0"
     evaluators: dict  # chart name -> callable x -> matrix
@@ -446,19 +473,25 @@ def _orbit_class(model: StructureMatrix, tol):
         "complex, involutive, nilpotent-of-order-2")
 
 
-def _same_orbit(value, model_class, tol):
-    """(passed, residual) for 'value lies in the model tensor's orbit': the
-    defect of a value the orbit does not admit, else ``|got - want|`` for
-    a rank and 0 or 1 for any other invariant."""
+def _same_orbit(values, model_class, tol):
+    """(passed, residuals) for 'each matrix of the ``(P, n, n)`` stack
+    ``values`` lies in the model tensor's orbit': the defect of a value the
+    orbit does not admit, else ``|got - want|`` for a rank and 0 or 1 for
+    any other invariant.  The defect is one stacked call, and the invariant
+    is computed once for each distinct admitted value (by its bytes)."""
     label, want = model_class
     defect, invariant = _ORBITS[label]
-    resid, scale = defect(value)
-    if not tol.accepts(resid, scale):
-        return False, resid
-    got = invariant(value, tol)
-    if label == "rank":
-        return got == want, float(abs(got - want))
-    return got == want, 0.0 if got == want else 1.0
+    residuals, scales = defect(values)
+    passed = np.zeros(len(values), dtype=bool)
+    invariants = {}  # the invariant of each distinct admitted value
+    for k in np.flatnonzero(tol.accepts(residuals, scales)):
+        key = values[k].tobytes()
+        if key not in invariants:
+            invariants[key] = invariant(values[k], tol)
+        got = invariants[key]
+        passed[k] = got == want
+        residuals[k] = abs(got - want) if label == "rank" else float(got != want)
+    return passed, residuals
 
 
 def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
@@ -470,6 +503,15 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     the check compares complete orbit invariants: signature for symmetric
     forms, rank for skew forms, rank pattern for nilpotent endomorphisms,
     eigenvalue structure for complex/para-complex ones.
+
+    A chart's samples are evaluated in one call, each point as a one-point
+    stack of its own, when its evaluator is ``vectorized``, and otherwise,
+    or when that call raises ``BadAtPoint``, one sample at a time; either
+    way the values are judged as one stack by ``_same_orbit``.  Taking each
+    point as its own stack keeps the bits of the one-point evaluation: a
+    matrix product over a block of points may sum in another order.  Charts
+    that share an evaluator and the bytes of their samples, as the charts
+    of ``reduce --field`` share one field, are evaluated and judged once.
 
     A field that cannot be evaluated at a sample (``BadAtPoint``: not
     finite there, or a pullback whose Jacobian is singular) fails its chart
@@ -483,6 +525,7 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
     report = Report(tol=tol)
     report.note(f"orbit invariant: {model_class[0]}")
     reasons = {}  # the distinct BadAtPoint reasons, in order of first occurrence
+    decided = {}  # (evaluator, samples) -> (passed, residuals, bad samples)
     for chart in atlas.charts:
         if chart.name not in field.evaluators:
             report.add(f"modelled[{chart.name}]", False, np.inf, "field missing")
@@ -491,19 +534,39 @@ def check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
         if pts.shape[0] == 0:
             report.add(f"modelled[{chart.name}]", True, 0.0, "no samples declared")
             continue
-        failing, residuals = [], []  # the failing samples and their residuals
-        for k, x in enumerate(pts):
-            try:
-                good, resid = _same_orbit(field.at(chart.name, x), model_class, tol)
-            except BadAtPoint as exc:
-                good, resid = False, math.inf
-                reasons.setdefault(exc.reason)
-            if not good:
-                failing.append(k)
-                residuals.append(resid)
+        evaluator = field.evaluators[chart.name]
+        # charts with one evaluator and the same samples have the same values
+        key = (id(evaluator), pts.shape, pts.tobytes())
+        if key not in decided:
+            values = None
+            if getattr(evaluator, "vectorized", False):
+                try:
+                    values = np.asarray(evaluator(pts[:, None]), dtype=float)[:, 0]
+                except BadAtPoint:
+                    pass  # evaluated one sample at a time below, which finds each bad one
+            if values is not None:
+                finite = _finite_each(values)
+                bad = dict.fromkeys(np.flatnonzero(~finite).tolist(), "field not finite")
+                values = values[finite]
+            else:
+                bad, rows = {}, []  # the samples that cannot be evaluated, and the values
+                for k, x in enumerate(pts):
+                    try:
+                        rows.append(field.at(chart.name, x))
+                    except BadAtPoint as exc:
+                        bad[k] = exc.reason
+                values = np.array(rows)
+            good = [k for k in range(len(pts)) if k not in bad]
+            passed, residuals = np.zeros(len(pts), dtype=bool), np.full(len(pts), math.inf)
+            if good:
+                passed[good], residuals[good] = _same_orbit(values, model_class, tol)
+            decided[key] = passed, residuals, bad
+        passed, residuals, bad = decided[key]
+        reasons.update(dict.fromkeys(bad.values()))
         # the entry keeps the last failing sample attaining the worst residual
-        resid, where = worst_at(residuals, pts[failing], last=True)
-        report.add(f"modelled[{chart.name}]", not failing, resid,
+        failing = np.flatnonzero(~passed)
+        resid, where = worst_at(residuals[failing], pts[failing], last=True)
+        report.add(f"modelled[{chart.name}]", not len(failing), resid,
                    where or f"{pts.shape[0]} samples")
     for reason in reasons:
         report.note(reason)

@@ -296,13 +296,16 @@ def _dispatch(args, load, tol) -> Report:
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         if args.loopspace_command == "demo":
             report = Report(tol=tol)
-            targets = [loopspace.block_kahler_target(m) for m in range(1, args.levels + 1)]
+            # each target is completed and checked once, under tol
+            targets, checks = zip(*(loopspace.block_target(m, "kahler", tol)
+                                    for m in range(1, args.levels + 1)))
             loop = rng.normal(size=(args.samples, targets[0].dim))
             space = loopspace.DiscretizedLoopSpace(targets[0], loop)
             report.extend(loopspace.check_induced_compatibility(space, trials=20, tol=tol,
                                                                 rng=rng),
                           prefix="induced/")
-            report.extend(loopspace.ascending_coherence(targets, args.samples, tol, rng=rng),
+            report.extend(loopspace.ascending_coherence(targets, args.samples, tol, rng=rng,
+                                                        reports=checks),
                           prefix="ascending/")
             report.note(f"levels={args.levels} samples={args.samples} "
                         f"seed={'default' if args.seed is None else args.seed}")
@@ -319,11 +322,13 @@ def _dispatch(args, load, tol) -> Report:
 
 
 def _field_on_charts(fdoc, atlas):
+    """The field document's field on every chart; the field itself is the
+    evaluator, so a field that takes arrays of points is evaluated at a
+    chart's samples in one call."""
     from . import bundle
 
     field, _ = documents.parse_field(fdoc, rank=atlas.fiber_dim)
-    evaluators = {chart.name: field.fn for chart in atlas.charts}
-    return bundle.LocalTensorField(field.kind, evaluators)
+    return bundle.LocalTensorField(field.kind, {chart.name: field for chart in atlas.charts})
 
 
 def main():

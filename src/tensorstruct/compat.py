@@ -302,17 +302,17 @@ def _signature_entry(report, name, metric_ok):
     report.add(name, ok, 0.0 if ok else 1.0, detail)
 
 
-def _form_structure(s, i, flavor, sign, tol):
+def _form_structure(s, i, sign, induced_ok, tol):
     """The (form, structure) pair: invariance, and the induced metric
-    Omega(., I.) symmetric with the flavor's signature."""
+    Omega(., I.) symmetric with the flavor's signature, given the
+    ``_metric_ok`` of its symmetric part."""
     report = Report(tol=tol)
     scale = max(fro(s), 1.0)
     # Omega(Iu, Iv) = -sign * Omega(u, v): +1 for kahler, -1 for para
     report.measured("form_invariance", fro(i.T @ s @ i - (-sign) * s), scale)
     induced = s @ i
     report.measured("induced_metric_symmetric", fro(induced - induced.T), scale)
-    _signature_entry(report, "induced_metric_signature",
-                     _metric_ok(symmetric_part(induced), flavor, tol))
+    _signature_entry(report, "induced_metric_signature", induced_ok)
     return report
 
 
@@ -343,7 +343,8 @@ def is_compatible(first, second, flavor="kahler", tol: Tolerance = DEFAULT_TOL) 
     sign = SQUARES["complex" if flavor == "kahler" else "para_complex"]
     structure = (ComplexStructure, ParaComplexStructure)
     if isinstance(first, SymplecticForm) and isinstance(second, structure):
-        return _form_structure(first.matrix, second.matrix, flavor, sign, tol)
+        s, i = first.matrix, second.matrix
+        return _form_structure(s, i, sign, _metric_ok(symmetric_part(s @ i), flavor, tol), tol)
     if isinstance(first, (BilinearForm, KreinMetric, np.ndarray)) and isinstance(
             second, (*structure, SymplecticForm)):
         g = np.asarray(getattr(first, "matrix", first), dtype=float)
@@ -405,18 +406,23 @@ def check_triple(triple: CompatibleTriple, tol: Tolerance = DEFAULT_TOL) -> Repo
 
     The entries are those of ``is_compatible`` on the (form, structure),
     (metric, structure) and (metric, form) pairs, but the metric's
-    signature is computed once and shared by both metric pairs.
+    signature is computed once and shared by both metric pairs, and it is
+    the induced metric's when the metric has the bits of the induced
+    metric ``symmetric_part(omega @ structure)``, as a metric built by
+    ``g_from`` and the block targets of ``loopspace`` have.
     """
     report = Report(tol=tol)
     flavor = triple.flavor
     sign = SQUARES["complex" if flavor == "kahler" else "para_complex"]
     s, i = triple.omega.matrix, triple.structure.matrix
     g = triple.metric_matrix
-    report.extend(_form_structure(s, i, flavor, sign, tol), prefix="form_structure/")
-    metric_ok = _metric_ok(g, flavor, tol)
+    induced = s @ i
+    induced_metric = symmetric_part(induced)
+    induced_ok = _metric_ok(induced_metric, flavor, tol)
+    report.extend(_form_structure(s, i, sign, induced_ok, tol), prefix="form_structure/")
+    metric_ok = induced_ok if np.array_equal(g, induced_metric) else _metric_ok(g, flavor, tol)
     report.extend(_metric_structure(g, i, sign, metric_ok, tol), prefix="metric_structure/")
     report.extend(_metric_form(g, s, sign, metric_ok, tol), prefix="metric_form/")
-    induced = s @ i
     link = fro(induced - g)
     if flavor == "para_kahler":
         # the two linking formulas g = Omega(., J.) and Omega = g(J., .)

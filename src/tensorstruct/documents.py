@@ -549,7 +549,7 @@ def parse_connection_tower(doc):
 
 def parse_loop(doc, tol: Tolerance = DEFAULT_TOL):
     """Returns (loop space, tangents or None) from a loop document; a
-    ``pair`` target is completed under ``tol``."""
+    ``pairs`` or ``pair`` target is completed under ``tol``."""
     from . import compat, loopspace
 
     v = check(doc, LOOP, n="2*half")
@@ -557,7 +557,7 @@ def parse_loop(doc, tol: Tolerance = DEFAULT_TOL):
     if "pairs" in target:
         kahler = target.get("flavor", "kahler") == "kahler"
         target = (loopspace.block_kahler_target if kahler
-                  else loopspace.block_para_target)(target["pairs"])
+                  else loopspace.block_para_target)(target["pairs"], tol)
     else:
         target = compat.complete_triple(*_build_pair(target["pair"]), tol=tol)
     with _building("loop document"):

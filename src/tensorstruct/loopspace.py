@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compat import CompatibleTriple, check_triple, complete_triple
+from .compat import CompatibleTriple, check_triple, complete_pair
 from .errors import InvalidInput, ShapeMismatch
 from .linalg import DEFAULT_TOL, Tolerance, fro_each, signature_of
 from .limits import BondingSystem, CoherentSequence, check_coherent
@@ -37,6 +37,7 @@ from .structures import BilinearForm, ComplexStructure, SymplecticForm, krein_fr
 
 __all__ = [
     "DiscretizedLoopSpace",
+    "block_target",
     "block_kahler_target",
     "block_para_target",
     "induced_forms",
@@ -53,25 +54,43 @@ def _block_diag(block, copies):
     return out
 
 
-def block_kahler_target(pairs) -> CompatibleTriple:
-    """Canonical Kahler triple on R^(2*pairs) in the interleaved convention.
+# the interleaved 2 x 2 blocks: complex structure, symplectic form and
+# para-Kahler metric
+_I2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+_S2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_G2 = np.diag([1.0, -1.0])
+
+
+def block_target(pairs, flavor="kahler",
+                 tol: Tolerance = DEFAULT_TOL) -> tuple[CompatibleTriple, Report]:
+    """The canonical triple of ``flavor`` on R^(2*pairs), and the
+    ``check_triple`` report that accepted it: ``complete_pair`` under
+    ``tol`` of the identity metric and the block complex structure
+    (Kahler), or of the block neutral metric and the block form (para)."""
+    if flavor == "kahler":
+        first = BilinearForm(np.eye(2 * pairs), "symmetric")
+        second = ComplexStructure(_block_diag(_I2, pairs))
+    else:
+        first = krein_from_matrix(_block_diag(_G2, pairs), tol)
+        second = SymplecticForm(_block_diag(_S2, pairs))
+    return complete_pair(first, second, flavor, tol)
+
+
+def block_kahler_target(pairs, tol: Tolerance = DEFAULT_TOL) -> CompatibleTriple:
+    """Canonical Kahler triple on R^(2*pairs) in the interleaved convention,
+    completed under ``tol``.
 
     The structure is block diagonal over coordinate pairs, so the family over
     pairs = 1, 2, 3, ... is coherent under coordinate padding (the half-split
     canonical convention is not).
     """
-    i2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    structure = ComplexStructure(_block_diag(i2, pairs))
-    return complete_triple(BilinearForm(np.eye(2 * pairs), "symmetric"), structure)
+    return block_target(pairs, "kahler", tol)[0]
 
 
-def block_para_target(pairs) -> CompatibleTriple:
-    """Canonical para-Kahler triple on R^(2*pairs), interleaved convention."""
-    s2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    g2 = np.diag([1.0, -1.0])
-    omega = SymplecticForm(_block_diag(s2, pairs))
-    metric = krein_from_matrix(_block_diag(g2, pairs))
-    return complete_triple(metric, omega, flavor="para_kahler")
+def block_para_target(pairs, tol: Tolerance = DEFAULT_TOL) -> CompatibleTriple:
+    """Canonical para-Kahler triple on R^(2*pairs), interleaved convention,
+    completed under ``tol``."""
+    return block_target(pairs, "para_kahler", tol)[0]
 
 
 @dataclass(eq=False)
@@ -210,7 +229,8 @@ def _induced_signature(space, tol: Tolerance = DEFAULT_TOL, scale=None):
 
 
 def ascending_coherence(targets: Sequence[CompatibleTriple], samples,
-                        tol: Tolerance = DEFAULT_TOL, rng=None) -> Report:
+                        tol: Tolerance = DEFAULT_TOL, rng=None,
+                        reports: Optional[Sequence[Report]] = None) -> Report:
     """Coherence of induced loop-space data over an ascending target family.
 
     ``targets`` live on padded ambient spaces (dim_0 <= dim_1 <= ...); the
@@ -218,8 +238,13 @@ def ascending_coherence(targets: Sequence[CompatibleTriple], samples,
     induced forms agree across levels on included tangent arrays exactly
     (linearity of the quadrature).  Both facts are checked: the pointwise
     sequences through the tower machinery, the induced agreement on random
-    tangent data.
+    tangent data.  Each target's ``target_compatible`` entry is read from
+    its ``check_triple`` report under ``tol``: ``reports[l]`` when the
+    caller holds them, as ``block_target`` and ``complete_pair`` return
+    them, else a check run here.  Raises ShapeMismatch unless there is one report per target.
     """
+    if reports is not None and len(reports) != len(targets):
+        raise ShapeMismatch(f"{len(reports)} reports for {len(targets)} targets")
     rng = rng or np.random.default_rng(0)
     report = Report(tol=tol)
     dims = [t.dim for t in targets]
@@ -235,7 +260,7 @@ def ascending_coherence(targets: Sequence[CompatibleTriple], samples,
         report.extend(rep, prefix=f"{name}/")
 
     for lvl, triple in enumerate(targets):
-        rep = check_triple(triple, tol)
+        rep = check_triple(triple, tol) if reports is None else reports[lvl]
         report.add(f"target_compatible[{lvl}]", rep.passed, rep.worst_residual)
 
     # induced agreement: evaluate at level i on random tangents, include

@@ -285,8 +285,15 @@ def square_defect(m, square):
 def symmetry_defect(m, symmetry):
     """``(|m -+ m^T|, max(|m|, 1))``: the defect of ``m`` being a form of
     the ``symmetry`` tag (``m - m^T`` for symmetric, ``m + m^T`` for skew)
-    and the scale it is judged at."""
-    return fro(m - m.T if symmetry == "symmetric" else m + m.T), max(fro(m), 1.0)
+    and the scale it is judged at.  For a ``(..., n, n)`` stack, both are
+    arrays of the stack's leading shape, with the bits of each matrix alone
+    (``fro_each`` is ``fro`` row by row)."""
+    if m.ndim == 2:
+        return fro(m - m.T if symmetry == "symmetric" else m + m.T), max(fro(m), 1.0)
+    flat = m.reshape(-1, *m.shape[-2:])
+    flipped = np.swapaxes(flat, -1, -2)
+    defect = fro_each(flat - flipped if symmetry == "symmetric" else flat + flipped)
+    return defect.reshape(m.shape[:-2]), np.maximum(fro_each(flat), 1.0).reshape(m.shape[:-2])
 
 
 def _half(dim):

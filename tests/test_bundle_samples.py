@@ -16,6 +16,14 @@ makes it the worst.
 before the checks evaluated each transition at all samples at once
 (``ChartAtlas.transitions_at``); every row of a stack must have its bits,
 and the stack must mark exactly the samples where it raises.
+
+``reference_same_orbit`` is the one-value orbit decision that the
+reference ``check_locally_modelled`` makes at each sample.  The check now
+evaluates a chart's samples in one call when the field takes arrays of
+points, and decides them as one stack; on the fields of ``calculus``
+(polynomial, constant, pullbacks with singular Jacobians, values that
+overflow) it must give the reference's entries and notes, bit for bit, for
+every orbit of ``bundle._ORBITS``.
 """
 
 import itertools
@@ -26,8 +34,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorstruct import bundle
+from tensorstruct import bundle, calculus, poly
 from tensorstruct.bundle import (
+    _ORBITS,
     AffineTransition,
     Chart,
     ChartAtlas,
@@ -35,7 +44,6 @@ from tensorstruct.bundle import (
     LocalTensorField,
     StructureMatrix,
     _orbit_class,
-    _same_orbit,
     check_cocycle,
     check_locally_modelled,
     check_reduction,
@@ -43,6 +51,7 @@ from tensorstruct.bundle import (
 )
 from tensorstruct.errors import BadAtPoint, InvalidInput, ShapeMismatch
 from tensorstruct.linalg import DEFAULT_TOL, Tolerance, fro
+from tensorstruct.poly import Poly
 from tensorstruct.report import Report
 
 # ---------------------------------------------------------------------------
@@ -158,6 +167,21 @@ def reference_check_reduction(atlas: ChartAtlas, model: StructureMatrix,
     return report
 
 
+def reference_same_orbit(value, model_class, tol):
+    """(passed, residual) for 'value lies in the model tensor's orbit': the
+    defect of a value the orbit does not admit, else ``|got - want|`` for
+    a rank and 0 or 1 for any other invariant."""
+    label, want = model_class
+    defect, invariant = _ORBITS[label]
+    resid, scale = defect(value)
+    if not tol.accepts(resid, scale):
+        return False, resid
+    got = invariant(value, tol)
+    if label == "rank":
+        return got == want, float(abs(got - want))
+    return got == want, 0.0 if got == want else 1.0
+
+
 def reference_check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
                            model: StructureMatrix,
                            tol: Tolerance = DEFAULT_TOL) -> Report:
@@ -199,7 +223,7 @@ def reference_check_locally_modelled(field: LocalTensorField, atlas: ChartAtlas,
                 good, resid = False, np.inf
                 reasons.setdefault(exc.reason)
             else:
-                good, resid = _same_orbit(value, model_class, tol)
+                good, resid = reference_same_orbit(value, model_class, tol)
             if not good and resid >= worst:
                 worst, at = resid, x
             ok = ok and good
@@ -476,16 +500,21 @@ def test_the_random_atlases_reach_every_path(monkeypatch):
 
 
 def test_a_nan_orbit_residual_is_the_worst_of_its_chart(monkeypatch):
-    """A finite field value gives ``_same_orbit`` no NaN residual (numpy's
-    fused products keep an overflowing square at inf), so one is put in by
-    hand.  The reference drops it; the shared rule reports it at the last
-    sample giving it."""
+    """A finite field value gives the orbit decision no NaN residual
+    (numpy's fused products keep an overflowing square at inf), so one is
+    put in by hand, in the one-value decision of the reference and in the
+    stacked decision of the check.  The reference drops it; the shared rule
+    reports it at the last sample giving it."""
     def same_orbit(value, model_class, tol):
         resid = {2.0: math.nan, 3.0: 5.0}.get(float(value[0, 0]), 0.0)
         return resid == 0.0, resid
 
-    monkeypatch.setattr(bundle, "_same_orbit", same_orbit)
-    monkeypatch.setitem(globals(), "_same_orbit", same_orbit)  # the reference's
+    def same_orbit_stacked(values, model_class, tol):
+        passed, residuals = zip(*(same_orbit(v, model_class, tol) for v in values))
+        return np.array(passed), np.array(residuals)
+
+    monkeypatch.setattr(bundle, "_same_orbit", same_orbit_stacked)
+    monkeypatch.setitem(globals(), "reference_same_orbit", same_orbit)
     atlas = ChartAtlas(1, [Chart("a", [-1.0, -1.0], [8.0, 8.0], SAMPLES)])
     model = StructureMatrix([[1.0]], "2,0")
     at = [np.array2string(x, precision=3) for x in SAMPLES]
@@ -501,3 +530,143 @@ def test_a_nan_orbit_residual_is_the_worst_of_its_chart(monkeypatch):
             [entry] = check(field, atlas, model).entries
             assert not entry.passed
             assert (bits(entry.residual), entry.location) == (bits(residual), where)
+
+
+# ---------------------------------------------------------------------------
+# fields that take arrays of points
+# ---------------------------------------------------------------------------
+
+P2 = np.diag([1.0, -1.0])
+S2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+C2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+N2 = np.array([[0.0, 1.0], [0.0, 0.0]])
+# one model per orbit of bundle._ORBITS, by label
+ORBIT_MODELS = {"signature": StructureMatrix(P2, "2,0"),
+                "rank": StructureMatrix(S2, "2,0", "skew"),
+                "complex": StructureMatrix(C2, "1,1"),
+                "involution": StructureMatrix(P2, "1,1"),
+                "nilpotent": StructureMatrix(N2, "1,1")}
+# constant values in and out of those orbits; 1e200 C2 squares to inf
+CONSTANTS = [np.eye(2), P2, S2, C2, N2, np.zeros((2, 2)), 3.0 * C2, 1e200 * C2]
+# sample coordinates: x_0 = -1 makes the Jacobian of FOLD singular, and a
+# quadratic term overflows to inf at 1e160
+COORDS = [-1.0, -0.5, 0.0, 0.25, 1.0, 1e160]
+# (x_0^2 / 2 + x_0, x_1), whose Jacobian diag(x_0 + 1, 1) is singular at x_0 = -1
+FOLD = calculus.PolyMap([Poly(2, {(2, 0): 0.5, (1, 0): 1.0}), Poly.coordinate(2, 1)])
+
+
+def random_poly(rng):
+    """A polynomial of degree at most 2 in 2 variables, about half its terms drawn."""
+    return Poly(2, {(i, j): rng.normal() for i in range(3) for j in range(3 - i)
+                    if rng.uniform() < 0.5})
+
+
+def negated(p):
+    return Poly(p.dim, {e: -c for e, c in p.coeffs.items()})
+
+
+def array_fields(rng):
+    """(kind, field) for fields of ``calculus`` that take arrays of points:
+    constant, polynomial (skew, near a structure and arbitrary), pullback
+    metrics and endomorphisms, through a random diffeomorphism and through
+    ``FOLD``, and the round sphere."""
+    [c] = draw(rng, CONSTANTS, 1)
+    [t0] = draw(rng, [P2, C2, N2, 3.0 * C2, np.eye(2)], 1)
+    diffeo = calculus.random_quadratic_diffeo(2, rng)
+    p = random_poly(rng)
+    zero = Poly(2, {})
+    # C2 plus x_0 times a random matrix: a structure where x_0 = 0 only
+    near = [[Poly(2, {(0, 0): C2[i, j], (1, 0): 1e-3 * rng.normal()}) for j in range(2)]
+            for i in range(2)]
+    return [
+        ("2,0", calculus.TensorFieldOnChart.constant(c, "2,0")),
+        ("1,1", calculus.TensorFieldOnChart.constant(c, "1,1")),
+        ("2,0", calculus.TensorFieldOnChart.from_polys([[zero, p], [negated(p), zero]], "2,0")),
+        ("1,1", calculus.TensorFieldOnChart.from_polys(near, "1,1")),
+        ("1,1", calculus.TensorFieldOnChart.from_polys(
+            [[random_poly(rng) for _ in range(2)] for _ in range(2)], "1,1")),
+        ("2,0", calculus.pullback_metric(diffeo, P2)),
+        ("2,0", calculus.pullback_metric(FOLD, np.eye(2))),
+        ("1,1", calculus.pullback_endomorphism(diffeo, t0)),
+        ("1,1", calculus.pullback_endomorphism(FOLD, t0)),
+        ("2,0", calculus.sphere_stereographic_metric()),
+    ]
+
+
+def array_atlas(rng):
+    """Three charts, each with 0 to 6 samples drawn from ``COORDS`` x
+    ``COORDS``, or, for about half the later charts, a copy of the
+    previous chart's samples."""
+    charts = []
+    for name in "abc":
+        count = int(rng.integers(0, 7))
+        pts = np.array(draw(rng, COORDS, 2 * count)).reshape(count, 2)
+        if charts and rng.uniform() < 0.5:
+            pts = charts[-1].samples.copy()
+        charts.append(Chart(name, [-2.0, -2.0], [2.0, 2.0], pts))
+    return ChartAtlas(2, charts)
+
+
+def test_fields_on_point_arrays_match_the_per_sample_reference():
+    """Every array-taking field, against the model of every orbit and under
+    each tolerance: the same entries (name, verdict, residual bits,
+    location) and notes, in order, as the per-sample reference.  The draws
+    reach singular Jacobians, values that are not finite, admitted values
+    with a wrong invariant and values the orbit does not admit."""
+    notes, outcomes = set(), set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        atlas = array_atlas(rng)
+        for kind, field in array_fields(rng):
+            local = LocalTensorField(kind, {chart.name: field for chart in atlas.charts})
+            for model in ORBIT_MODELS.values():
+                if model.kind != kind:
+                    continue
+                for tol in TOLS:
+                    got = outcome(check_locally_modelled, local, atlas, model, tol)
+                    want = outcome(reference_check_locally_modelled, local, atlas, model, tol)
+                    assert agree(got, want) == []
+                    notes.update(got.notes)
+                    outcomes.update((e.passed, e.residual > 0, math.isinf(e.residual))
+                                    for e in got.entries)
+    assert {f"orbit invariant: {label}" for label in _ORBITS} <= notes
+    assert {"jacobian singular", "field not finite"} <= notes
+    # passing entries, failing ones with finite and with infinite residuals
+    assert {(True, False, False), (False, True, False), (False, True, True)} <= outcomes
+
+
+def test_a_constant_field_is_evaluated_and_classified_once_per_chart(monkeypatch):
+    """The ``reduce --field`` case: one constant field on every chart of an
+    atlas.  Each chart's samples take one polynomial evaluation and one
+    orbit invariant, where the per-sample reference took one of each per
+    sample; charts that share their samples share both."""
+    calls = {"eval": 0, "invariant": 0}
+    evaluate, signature_of = poly.PolyArray.__call__, bundle.signature_of
+
+    def counted_eval(self, points):
+        calls["eval"] += 1
+        return evaluate(self, points)
+
+    def counted_signature(m, tol):
+        calls["invariant"] += 1
+        return signature_of(m, tol)
+
+    monkeypatch.setattr(poly.PolyArray, "__call__", counted_eval)
+    monkeypatch.setattr(bundle, "signature_of", counted_signature)
+    rng = np.random.default_rng(0)
+    field = calculus.TensorFieldOnChart.constant([[2.0, 1.0], [1.0, -3.0]], "2,0")
+    model = ORBIT_MODELS["signature"]
+    own = [rng.uniform(-1.0, 1.0, size=(6, 2)) for _ in "abcd"]
+    shared = [own[0].copy() for _ in "abcd"]
+    # one invariant for the model, then one per distinct sample array
+    for samples, distinct in [(own, 4), (shared, 1)]:
+        atlas = ChartAtlas(2, [Chart(name, [-1.0, -1.0], [1.0, 1.0], pts)
+                               for name, pts in zip("abcd", samples)])
+        local = LocalTensorField("2,0", {chart.name: field for chart in atlas.charts})
+        calls.update(eval=0, invariant=0)
+        report = check_locally_modelled(local, atlas, model)
+        assert report.passed and len(report.entries) == 4
+        assert calls == {"eval": distinct, "invariant": 1 + distinct}
+        calls.update(eval=0, invariant=0)
+        assert agree(report, reference_check_locally_modelled(local, atlas, model)) == []
+        assert calls == {"eval": 24, "invariant": 1 + 24}

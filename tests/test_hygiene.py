@@ -220,13 +220,15 @@ def _catchers(tree, name):
 
 def test_bad_at_point_is_caught_in_one_place_per_kind_of_check():
     # the grid checks in calculus._grid_report, the field check of bundle in
-    # the per-sample loop of check_locally_modelled (the atlas checks get
-    # their bad samples from ChartAtlas.transitions_at, which raises nothing
-    # per sample); nested functions are reported with their parents
+    # check_locally_modelled, twice: around its one call for a chart's
+    # samples and in its per-sample loop (the atlas checks get their bad
+    # samples from ChartAtlas.transitions_at, which raises nothing per
+    # sample); nested functions are reported with their parents
     caught = [(module, function) for module in MODULES
               for function, _ in _catchers(ast.parse((PACKAGE / f"{module}.py").read_text()),
                                            "BadAtPoint")]
     assert sorted(caught) == [("bundle", "check_locally_modelled"),
+                              ("bundle", "check_locally_modelled"),
                               ("calculus", "_grid_report")]
 
 
@@ -239,14 +241,17 @@ def _called_names(tree):
 
 def test_the_atlas_checks_evaluate_stacks_and_only_modelled_samples_one_at_a_time():
     # check_cocycle and check_reduction take every sample of a transition
-    # at once from ChartAtlas.transitions_at; check_locally_modelled alone
-    # loops over its samples, evaluating the field at one sample at a time
+    # at once from ChartAtlas.transitions_at, in _cocycle, whose overlap
+    # stacks check_reduction judges too; check_locally_modelled alone loops
+    # over its samples, evaluating the field at one sample at a time when
+    # it cannot take them all at once
     tree = ast.parse((PACKAGE / "bundle.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "_finite" not in functions
-    for name in ("check_cocycle", "check_reduction"):
+    assert "transitions_at" in _called_names(functions["_cocycle"])
+    for name in ("check_cocycle", "check_reduction", "_cocycle"):
         called = _called_names(functions[name])
-        assert "transitions_at" in called
+        assert name == "_cocycle" or "_cocycle" in called
         assert not called & {"transition_at", "at"}, name
     assert [name for name, function in functions.items()
             if "at" in _called_names(function)] == ["check_locally_modelled"]

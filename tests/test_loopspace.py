@@ -1,9 +1,14 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
+from tensorstruct import cli, compat, loopspace
 from tensorstruct.calculus import TensorFieldOnChart, grid_points, is_integrable_structure
 from tensorstruct.errors import ShapeMismatch
-from tensorstruct.linalg import Tolerance
+from tensorstruct.linalg import DEFAULT_TOL, Tolerance
 from tensorstruct.loopspace import (
     DiscretizedLoopSpace,
     ascending_coherence,
@@ -189,6 +194,23 @@ def test_ascending_coherence_para_variant():
     assert rep.passed
 
 
+@pytest.mark.parametrize("flavor", ["kahler", "para_kahler"])
+def test_ascending_coherence_reads_the_reports_that_completed_its_targets(flavor):
+    # block_target returns the check_triple report that accepted the
+    # triple; given those, ascending_coherence gives the report it gives
+    # when it checks each target itself
+    targets, reports = zip(*(loopspace.block_target(m, flavor) for m in (1, 2, 3)))
+    complete = block_kahler_target if flavor == "kahler" else block_para_target
+    for m, triple, report in zip((1, 2, 3), targets, reports):
+        assert report == compat.check_triple(triple)
+        assert np.array_equal(triple.metric_matrix, complete(m).metric_matrix)
+    given = ascending_coherence(targets, 8, rng=np.random.default_rng(5), reports=reports)
+    checked = ascending_coherence(targets, 8, rng=np.random.default_rng(5))
+    assert given.passed and given == checked
+    with pytest.raises(ShapeMismatch, match="2 reports for 3 targets"):
+        ascending_coherence(targets, 8, reports=reports[:2])
+
+
 def test_ascending_coherence_detects_perturbed_level():
     from tensorstruct.compat import CompatibleTriple
     from tensorstruct.structures import ComplexStructure
@@ -202,3 +224,87 @@ def test_ascending_coherence_detects_perturbed_level():
     failed = {e.name for e in rep.failures()}
     assert any(name.startswith("structure/coherent[0,1]")
                or name.startswith("structure/coherent[1,2]") for name in failed)
+
+
+# ---------------------------------------------------------------------------
+# the command's tolerance, and one check per target
+# ---------------------------------------------------------------------------
+
+def cli_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.run(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """The ``Tolerance`` of every ``complete_pair`` call, through the name
+    each module calls it by."""
+    seen = []
+    complete_pair = compat.complete_pair
+
+    def recorded(first, second, flavor="kahler", tol=DEFAULT_TOL):
+        seen.append(tol)
+        return complete_pair(first, second, flavor, tol)
+
+    monkeypatch.setattr(compat, "complete_pair", recorded)
+    monkeypatch.setattr(loopspace, "complete_pair", recorded)
+    return seen
+
+
+def loop_doc(flavor, pairs):
+    rng = np.random.default_rng(pairs)
+    return {"target": {"flavor": flavor, "pairs": pairs}, "samples": 4,
+            "loop": rng.normal(size=(4, 2 * pairs)).tolist()}
+
+
+def test_loopspace_demo_completes_its_targets_under_the_command_tolerance(completions):
+    status, out, err = cli_run(["--atol", "1e-7", "--seed", "1", "loopspace", "demo",
+                                "--levels", "3", "--samples", "4"])
+    assert (status, err) == (0, "")
+    assert completions == [Tolerance(1e-7, 1e-9)] * 3
+
+
+@pytest.mark.parametrize("flavor", ["kahler", "para_kahler"])
+def test_a_pairs_loop_target_is_completed_under_the_command_tolerance(
+        flavor, completions, tmp_path):
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(loop_doc(flavor, 2)))
+    status, out, err = cli_run(["--atol", "1e-7", "--rtol", "1e-8", "--seed", "1",
+                                "loopspace", "check", str(path)])
+    assert (status, err) == (0, "")
+    assert completions == [Tolerance(1e-7, 1e-8)]
+
+
+def test_a_pairs_loop_target_is_judged_by_the_command_tolerance(tmp_path):
+    # under --atol 10 the unit form of the block target is numerically zero,
+    # as validate judges it; the default tolerance completed it
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(loop_doc("kahler", 1)))
+    assert cli_run(["--atol", "10", "--seed", "1", "loopspace", "check", str(path)]) == (
+        1, "", "error: constructed form is degenerate\n")
+    assert cli_run(["--seed", "1", "loopspace", "check", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_loopspace_demo_checks_each_target_once(levels, monkeypatch):
+    calls = []
+    check_triple = compat.check_triple
+
+    def counted(triple, tol=DEFAULT_TOL):
+        calls.append(triple)
+        return check_triple(triple, tol)
+
+    monkeypatch.setattr(compat, "check_triple", counted)
+    monkeypatch.setattr(loopspace, "check_triple", counted)
+    status, out, err = cli_run(["--json", "--seed", "2", "loopspace", "demo",
+                                "--levels", str(levels), "--samples", "4"])
+    assert (status, err) == (0, "")
+    assert [t.dim for t in calls] == [2 * m for m in range(1, levels + 1)]
+    # every level keeps its entry, with the residual of a fresh check
+    entries = {e["name"]: e for e in json.loads(out)["entries"]}
+    for lvl, triple in enumerate(calls):
+        entry = entries[f"ascending/target_compatible[{lvl}]"]
+        fresh = check_triple(triple)
+        assert (entry["passed"], entry["residual"]) == (fresh.passed, fresh.worst_residual)

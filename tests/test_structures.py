@@ -508,16 +508,24 @@ def finite_or_not_stacks():
         lambda v: np.array(v).reshape(2, 3, n, n)))
 
 
+# each stacked defect with each of its tags
+DEFECTS = [(square_defect, square) for square in sorted(SQUARES.values())] + [
+    (symmetry_defect, symmetry) for symmetry in SYMMETRIES]
+
+
 @settings(max_examples=200, deadline=None)
-@given(stack=finite_or_not_stacks(), square=st.sampled_from(sorted(SQUARES.values())))
-def test_square_defect_of_a_stack_is_that_of_each_matrix(stack, square):
+@given(stack=finite_or_not_stacks(), defect=st.sampled_from(DEFECTS))
+def test_the_defect_of_a_stack_is_that_of_each_matrix(stack, defect):
+    defect, tag = defect
     with np.errstate(all="ignore"):
-        defects, scales = square_defect(stack, square)
-        each = [square_defect(m, square) for m in stack.reshape(-1, *stack.shape[2:])]
+        defects, scales = defect(stack, tag)
+        each = [defect(m, tag) for m in stack.reshape(-1, *stack.shape[2:])]
     assert defects.shape == scales.shape == stack.shape[:2]
     np.testing.assert_array_equal(defects.ravel(), [d for d, _ in each])
     np.testing.assert_array_equal(scales.ravel(), [s for _, s in each])
-    assert np.all(np.isnan(scales) | (scales <= np.finfo(float).max))
+    # the square's scale |m|^2 stops at the largest double
+    assert defect is symmetry_defect or np.all(np.isnan(scales)
+                                               | (scales <= np.finfo(float).max))
 
 
 NONDEGENERACY_TOLS = [DEFAULT_TOL, Tolerance(0.0, 1e-9), Tolerance(1e-6, 0.0),

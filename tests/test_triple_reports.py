@@ -2,7 +2,9 @@
 
 ``complete_pair`` returns the report that accepted its triple, and ``triple
 complete`` prints that report instead of checking the triple again.
-``check_triple`` takes the metric's signature once for both metric pairs.
+``check_triple`` takes the metric's signature once for both metric pairs,
+and not at all when the metric has the bits of the induced metric, whose
+signature it has already taken.
 Neither may move a bit: the returned report must equal a fresh
 ``check_triple``, and ``is_compatible`` must keep the entries it gave when
 ``check_triple`` was three calls of it.
@@ -119,11 +121,16 @@ def test_triple_complete_checks_its_triple_once(flavor, route, counted, tmp_path
     assert (status, err) == (0, "") and out.splitlines()[-1].startswith("PASS (8 checks")
     [inside] = counted["check_triple"]
     triple = counted["triple"]
-    # the form_structure pair's induced metric, then the metric itself once
-    induced, metric = inside
+    # the form_structure pair's induced metric, then the metric itself once,
+    # unless the metric has the induced metric's bits: the metric g_from
+    # builds (no metric given) and the para polar route's corrected metric
     s, i = triple.omega.matrix, triple.structure.matrix
-    assert induced.tobytes() == symmetric_part(s @ i).tobytes()
-    assert metric is triple.metric_matrix
+    induced = symmetric_part(s @ i)
+    shared = np.array_equal(triple.metric_matrix, induced)
+    assert shared == (route == "no-metric" or (flavor, route) == ("para_kahler", "no-structure"))
+    assert inside[0].tobytes() == induced.tobytes()
+    assert len(inside) == (1 if shared else 2)
+    assert shared or inside[1] is triple.metric_matrix
 
 
 def test_a_completion_that_fails_prints_its_failures(counted, tmp_path):
@@ -138,7 +145,8 @@ def test_a_completion_that_fails_prints_its_failures(counted, tmp_path):
         assert cli(argv) == (1, "", "error: completed triple fails: "
                              "form_structure/induced_metric_signature; "
                              "metric_structure/metric_signature; metric_form/metric_signature\n")
-    assert [len(inside) for inside in counted["check_triple"]] == [2, 2]
+    # the completed form is C2 itself, so the induced metric is -Id too
+    assert [len(inside) for inside in counted["check_triple"]] == [1, 1]
 
 
 # ---------------------------------------------------------------------------

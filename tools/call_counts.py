@@ -17,6 +17,7 @@ benchmark's tracer wraps, plus ``poly.PolyArray.__call__`` and
 ``poly.sum_of_products``, where polynomial evaluations and products run
 (the traced ``Poly.__call__`` and ``Poly.diff`` are not on CLI paths),
 ``compat.complete_pair``, ``compat.is_compatible``, ``compat._metric_ok``,
+``bundle.ChartAtlas.transitions_at``, ``loopspace.block_kahler_target``,
 ``limits.LevelForm.at``, ``linalg.fro`` and ``linalg.fro_each``, and
 ``numpy.linalg.svd`` and ``numpy.linalg.solve``; a name that cannot be
 resolved is skipped, so two checkouts can be compared line by line:
@@ -56,9 +57,10 @@ COUNTED = (
     ("compat", "structure_from"), ("compat", "complete_pair"),
     ("compat", "complete_triple"), ("compat", "check_triple"),
     ("compat", "is_compatible"), ("compat", "_metric_ok"),
-    ("bundle", "ChartAtlas.transition_at"), ("bundle", "in_isotropy"),
-    ("bundle", "check_cocycle"), ("bundle", "check_reduction"),
+    ("bundle", "ChartAtlas.transition_at"), ("bundle", "ChartAtlas.transitions_at"),
+    ("bundle", "in_isotropy"), ("bundle", "check_cocycle"), ("bundle", "check_reduction"),
     ("bundle", "check_locally_modelled"),
+    ("loopspace", "block_kahler_target"),
     ("loopspace", "induced_forms"), ("loopspace", "check_induced_compatibility"),
     ("loopspace", "ascending_coherence"),
     ("cli", "_load"), ("cli", "run"), ("cli", "build_parser"), ("cli", "_emit"),
