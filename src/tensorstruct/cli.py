@@ -16,7 +16,12 @@ subcommand with ``--atol``/``--rtol``.  The subcommand branches only load,
 parse and check.
 
 The argument parser is built once per process, on the first ``run``, and
-reused; ``run`` may be called any number of times in one process.
+reused; ``run`` may be called any number of times in one process.  ``run``
+reads well-formed argv straight from the parser's action table (``_quick``:
+exact option strings, each value a word of its own, every positional and
+subcommand present, no option twice, every value passing its ``type`` and
+``choices``), and hands any other argv to argparse, so every usage, help
+and error message is argparse's.
 
 A subcommand loads only the modules it uses.  This module imports
 ``documents`` (with ``structures``), ``errors``, ``linalg`` and ``report``;
@@ -90,10 +95,6 @@ def _number(cast, least, strict=False):
     return parse
 
 
-_positive_int = _number(int, 1)
-_positive_float = _number(float, 0, strict=True)
-
-
 def _matrix_note(label, matrix):
     """``label=<matrix as strict JSON>``; a non-finite result is an error."""
     try:
@@ -115,9 +116,11 @@ def build_parser():
         prog="tensorstruct",
         description="Validate and construct tensor structures, check their "
                     "integrability, and verify projective/direct towers.")
+    positive_int = _number(int, 1)
+    positive_float = _number(float, 0, strict=True)
     parser.add_argument("--atol", type=_number(float, 0), default=1e-9)
     parser.add_argument("--rtol", type=_number(float, 0), default=1e-9)
-    parser.add_argument("--fd-step", type=_positive_float, default=1e-5)
+    parser.add_argument("--fd-step", type=positive_float, default=1e-5)
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable report")
     parser.add_argument("--seed", type=_number(int, 0), default=None,
@@ -148,11 +151,11 @@ def build_parser():
     p.add_argument("field", help="field JSON file")
     p.add_argument("--kind", default="tangent",
                    choices=["tangent", "para_complex", "complex"])
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
+    p.add_argument("--tol", type=positive_float, default=1e-6)
 
     p = sub.add_parser("curvature", help="flatness of a metric field")
     p.add_argument("metric", help="field JSON file")
-    p.add_argument("--tol", type=_positive_float, default=1e-5)
+    p.add_argument("--tol", type=positive_float, default=1e-5)
 
     tower = sub.add_parser("tower", help="bonding-system and sequence checks")
     wsub = tower.add_subparsers(dest="tower_command", required=True)
@@ -167,18 +170,101 @@ def build_parser():
     p = sub.add_parser("loopspace", help="induced loop-space structures")
     lsub = p.add_subparsers(dest="loopspace_command", required=True)
     d = lsub.add_parser("demo", help="canonical ascending Kahler demo")
-    d.add_argument("--levels", type=_positive_int, default=3)
-    d.add_argument("--samples", type=_positive_int, default=16)
+    d.add_argument("--levels", type=positive_int, default=3)
+    d.add_argument("--samples", type=positive_int, default=16)
     d = lsub.add_parser("check", help="check a loop document")
     d.add_argument("loop", help="loop JSON file")
-    d.add_argument("--trials", type=_positive_int, default=20)
+    d.add_argument("--trials", type=positive_int, default=20)
     return parser
+
+
+# the nargs of each kind of argument _quick reads: an option or positional
+# of one word, a flag, and a subcommand
+_READ = {argparse._StoreAction: None, argparse._StoreTrueAction: 0,
+         argparse._SubParsersAction: argparse.PARSER}
+
+
+@functools.cache
+def _table(parser):
+    """``parser``'s (option string -> action, positional actions in order,
+    dest -> default), or None when it has an argument ``_quick`` does not
+    read; -h and --help are left out, so argparse answers them."""
+    options, positionals = {}, []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if _READ.get(type(action), "") != action.nargs:
+            return None
+        if action.option_strings:
+            options.update(dict.fromkeys(action.option_strings, action))
+        else:
+            positionals.append(action)
+    defaults = {a.dest: a.default for a in parser._actions
+                if argparse.SUPPRESS not in (a.dest, a.default)}
+    return options, positionals, defaults
+
+
+def _quick(parser, argv):
+    """The namespace ``parser.parse_args(argv)`` returns, read from the
+    parser's action table, when ``argv`` is well formed: exact option
+    strings, each value a word of its own that does not start with ``-``,
+    every positional and subcommand present, no option twice, and every
+    value passing its action's ``type`` and ``choices``.  None for any other
+    argv, which argparse then parses."""
+    found, i = {}, 0
+    while parser is not None:
+        table = _table(parser)
+        if table is None:
+            return None
+        options, pending, defaults = table
+        # a subcommand's defaults and values replace its parent's, as in argparse
+        found.update(defaults)
+        pending, seen, parser = list(pending), set(), None
+        while i < len(argv) and parser is None:
+            word = argv[i]
+            i += 1
+            if word.startswith("-"):
+                action = options.get(word)
+                if action is None or action in seen:
+                    return None
+                seen.add(action)
+                if action.nargs == 0:
+                    found[action.dest] = action.const
+                    continue
+                if i == len(argv) or argv[i].startswith("-"):
+                    return None
+                word = argv[i]
+                i += 1
+            elif not pending:
+                return None
+            else:
+                action = pending.pop(0)
+                if action.nargs == argparse.PARSER:
+                    # the rest of argv belongs to the subcommand's parser
+                    parser = action.choices.get(word)
+                    found[action.dest] = word
+                    if parser is None:
+                        return None
+                    continue
+            try:
+                value = word if action.type is None else action.type(word)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            found[action.dest] = value
+        if pending:
+            return None
+    return argparse.Namespace(**found)
 
 
 def run(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _quick(parser, argv)
+        if args is None:
+            args = parser.parse_args(argv)
         if args.atol == 0 and args.rtol == 0:
             parser.error("--atol and --rtol cannot both be 0")
     except SystemExit as exc:

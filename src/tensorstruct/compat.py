@@ -146,6 +146,11 @@ def g_from(omega: SymplecticForm, structure: Structure, flavor=None,
     Raises InvalidInput when the metric is not symmetric or fails its
     signature test.
     """
+    return _g_from(omega, structure, flavor, tol)[0]
+
+
+def _g_from(omega, structure, flavor, tol):
+    """``g_from``'s metric, and the ``_metric_ok`` verdict that accepted it."""
     if flavor is None:
         flavor = "kahler" if isinstance(structure, ComplexStructure) else "para_kahler"
     s = omega.matrix
@@ -156,12 +161,12 @@ def g_from(omega: SymplecticForm, structure: Structure, flavor=None,
     if not tol.accepts(*symmetry_defect(g, "symmetric")):
         raise InvalidInput("Omega(u, Iv) is not symmetric")
     g = symmetric_part(g)
-    ok, detail = _metric_ok(g, flavor, tol)
-    if not ok:
-        raise InvalidInput(f"metric fails {flavor} signature test: {detail}")
+    metric_ok = _metric_ok(g, flavor, tol)
+    if not metric_ok[0]:
+        raise InvalidInput(f"metric fails {flavor} signature test: {metric_ok[1]}")
     if flavor == "kahler":
-        return BilinearForm(g, "symmetric")
-    return krein_from_matrix(g, tol)
+        return BilinearForm(g, "symmetric"), metric_ok
+    return krein_from_matrix(g, tol), metric_ok
 
 
 def structure_from(metric, omega: SymplecticForm, flavor="kahler",
@@ -371,11 +376,12 @@ def complete_pair(first, second, flavor="kahler",
             second, (ComplexStructure, ParaComplexStructure)):
         first, second = second, first
 
+    induced_ok = None  # g_from's verdict on the induced metric, which it builds
     if isinstance(second, (ComplexStructure, ParaComplexStructure)):
         structure = second
         if isinstance(first, SymplecticForm):
             omega = first
-            metric = g_from(omega, structure, flavor, tol)
+            metric, induced_ok = _g_from(omega, structure, flavor, tol)
         else:
             metric = first if isinstance(first, (BilinearForm, KreinMetric)) else \
                 BilinearForm(as_matrix(first, square=True), "symmetric")
@@ -387,7 +393,7 @@ def complete_pair(first, second, flavor="kahler",
         raise TypeError("pair must contain a form, a metric, or a structure")
 
     triple = CompatibleTriple(omega, metric, structure, flavor)
-    rep = check_triple(triple, tol)
+    rep = check_triple(triple, tol, _induced_ok=induced_ok)
     if not rep.passed:
         raise InvalidInput(
             "completed triple fails: " + "; ".join(e.name for e in rep.failures()))
@@ -401,7 +407,8 @@ def complete_triple(first, second, flavor="kahler",
     return complete_pair(first, second, flavor, tol)[0]
 
 
-def check_triple(triple: CompatibleTriple, tol: Tolerance = DEFAULT_TOL) -> Report:
+def check_triple(triple: CompatibleTriple, tol: Tolerance = DEFAULT_TOL, *,
+                 _induced_ok=None) -> Report:
     """All three pairwise predicates plus the linking identity g = Omega(., I.).
 
     The entries are those of ``is_compatible`` on the (form, structure),
@@ -409,7 +416,9 @@ def check_triple(triple: CompatibleTriple, tol: Tolerance = DEFAULT_TOL) -> Repo
     signature is computed once and shared by both metric pairs, and it is
     the induced metric's when the metric has the bits of the induced
     metric ``symmetric_part(omega @ structure)``, as a metric built by
-    ``g_from`` and the block targets of ``loopspace`` have.
+    ``g_from`` and the block targets of ``loopspace`` have.  ``complete_pair``
+    passes ``_induced_ok``, the verdict ``g_from`` gave on the same bits, so
+    that the induced metric's signature is not taken twice.
     """
     report = Report(tol=tol)
     flavor = triple.flavor
@@ -418,7 +427,7 @@ def check_triple(triple: CompatibleTriple, tol: Tolerance = DEFAULT_TOL) -> Repo
     g = triple.metric_matrix
     induced = s @ i
     induced_metric = symmetric_part(induced)
-    induced_ok = _metric_ok(induced_metric, flavor, tol)
+    induced_ok = _induced_ok or _metric_ok(induced_metric, flavor, tol)
     report.extend(_form_structure(s, i, sign, induced_ok, tol), prefix="form_structure/")
     metric_ok = induced_ok if np.array_equal(g, induced_metric) else _metric_ok(g, flavor, tol)
     report.extend(_metric_structure(g, i, sign, metric_ok, tol), prefix="metric_structure/")

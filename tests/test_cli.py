@@ -660,6 +660,136 @@ def test_zero_atol_with_positive_rtol_is_accepted(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the fast path: argv read from the parser's action table
+# ---------------------------------------------------------------------------
+
+def parser_levels(parser, words=()):
+    """(subcommand words, parser) of the parser and of every subcommand's."""
+    yield words, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from parser_levels(sub, words + (name,))
+
+
+LEVELS = dict(parser_levels(cli.build_parser()))
+LEAVES = sorted(words for words in LEVELS if not any(
+    w[:-1] == words for w in LEVELS if w))
+# words argparse reads (abbreviations, --x=y, help, --) and words it
+# rejects, which the fast path must all leave to it
+EDGE_WORDS = ["--lev", "--atol=1e-9", "-h", "--", "-1", "-x.json", "", "--json"]
+VALUES = ["0", "1", "2", "1e-9", "nan", "-1", "bogus", "complex", "para_complex"]
+VOCABULARY = sorted({s for parser in LEVELS.values() for a in parser._actions
+                     for s in a.option_strings} | {w for words in LEVELS for w in words}
+                    | set(EDGE_WORDS) | set(VALUES))
+
+
+# (subcommand words, option) of every option but help
+FOCI = [(words, a) for words, parser in LEVELS.items() for a in parser._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+
+def accepts(action, word):
+    """Whether ``word`` passes the action's ``type`` and ``choices``."""
+    try:
+        value = word if action.type is None else action.type(word)
+    except (argparse.ArgumentTypeError, ValueError):
+        return False
+    return action.choices is None or value in action.choices
+
+
+def option_words(draw, parser, focus):
+    """``focus`` when it is ``parser``'s, with any word as its value, and up
+    to two more of ``parser``'s options, each with a value it accepts."""
+    options = [a for _, a in FOCI if a in parser._actions and a is not focus]
+    chosen = draw(st.lists(st.sampled_from(options), unique=True, max_size=2)
+                  if options else st.just([]))
+    chunks = []
+    for action in chosen + [focus] * (focus in parser._actions):
+        words = [w for w in [*(action.choices or []), *VALUES] if accepts(action, w)]
+        if action is focus:
+            words += EDGE_WORDS + VALUES
+        value = [] if action.nargs == 0 else [draw(st.sampled_from(words))]
+        chunks.append([draw(st.sampled_from(action.option_strings)), *value])
+    return chunks
+
+
+@st.composite
+def cli_argv(draw, paths):
+    """A subcommand's argv around one focus option: options at every level,
+    the leaf's options and positionals in any order, then up to two edits:
+    a vocabulary word inserted, a word dropped, or a stretch repeated."""
+    words, focus = draw(st.sampled_from(FOCI))
+    leaf = draw(st.sampled_from([w for w in LEAVES if w[:len(words)] == words]))
+    argv = []
+    for depth in range(len(leaf)):
+        argv += sum(option_words(draw, LEVELS[leaf[:depth]], focus), []) + [leaf[depth]]
+    parser = LEVELS[leaf]
+    positionals = [[draw(st.sampled_from(paths))] for a in parser._actions
+                   if not a.option_strings]
+    argv += sum(draw(st.permutations(option_words(draw, parser, focus) + positionals)), [])
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "drop", "repeat"]))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(VOCABULARY)))
+        elif argv:
+            start = min(at, len(argv) - 1)
+            stretch = argv[start:start + draw(st.integers(1, 2))]
+            argv[start:start + len(stretch)] = [] if edit == "drop" else stretch * 2
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_the_fast_path_reads_argv_as_argparse_does(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "argv-structure.json"
+    path.write_text(json.dumps(complex_canonical_doc()))
+    paths = [str(path), "missing.json"]
+    argv = data.draw(cli_argv(paths) | st.lists(st.sampled_from(VOCABULARY + paths),
+                                                max_size=6))
+    parser = cli.build_parser()
+    quick = cli._quick(parser, argv)
+    if quick is not None:
+        try:
+            parsed = parser.parse_args(argv)
+        except SystemExit:
+            parsed = "a usage error"
+        assert quick == parsed, argv
+    fast = run_captured(argv)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(cli, "_quick", lambda parser, argv: None)
+        assert run_captured(argv) == fast, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "a.json"],
+    ["--json", "--atol", "1e-3", "--rtol", "0", "--seed", "3", "triple", "complete", "p.json"],
+    ["reduce", "a.json", "--field", "f.json", "t.json"],
+    ["--fd-step", "1e-4", "nijenhuis", "f.json", "--kind", "complex", "--tol", "1e-3"],
+    ["--seed", "1", "loopspace", "demo", "--levels", "2", "--samples", "4"],
+    ["loopspace", "check", "--trials", "3", "l.json"],
+    ["tower", "check", "t.json"], ["connection", "check", "t.json"],
+])
+def test_well_formed_argv_take_the_fast_path(argv):
+    parser = cli.build_parser()
+    assert cli._quick(parser, argv) == parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "1", "loopspace", "demo", "--lev", "2"], ["--atol=1e-9", "validate", "a.json"],
+    ["validate", "--", "a.json"], ["validate", "-h"], ["--help"],
+    ["--atol", "1e-3", "--atol", "1e-9", "validate", "a.json"],
+    ["validate", "--json", "a.json"], ["nijenhuis", "--kind", "bogus", "f.json"],
+    ["reduce", "a.json", "t.json", "--field", "-x.json"], ["--atol", "-1", "validate", "a.json"],
+    ["loopspace", "demo", "--levels", "0"], ["--seed", "1e-9", "loopspace", "demo"],
+    ["validate"], ["validate", "a.json", "b.json"], ["triple"], [""], [],
+])
+def test_any_other_argv_is_left_to_argparse(argv):
+    assert cli._quick(cli.build_parser(), argv) is None
+
+
+# ---------------------------------------------------------------------------
 # schema mutations
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Source hygiene of the package, checked with the standard library's ast."""
 
+import argparse
 import ast
 import builtins
 import importlib
@@ -174,6 +175,31 @@ def test_only_cli_run_names_digests_and_picks_a_tolerance():
     assert sum(map(_decides_provenance_or_tolerance, ast.walk(run))) == 4
 
 
+def test_build_parser_alone_declares_the_command_line():
+    # run reads well-formed argv from the parser's own action table, so no
+    # option string and no argument type is written a second time in cli.py
+    from tensorstruct import cli
+
+    options, parsers = set(), [cli.build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if not isinstance(action, argparse._HelpAction):  # argparse adds -h itself
+                options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    [build] = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "build_parser"]
+    inside = {id(node) for node in ast.walk(build)}
+    assert options <= {node.value for node in ast.walk(build) if isinstance(node, ast.Constant)}
+    outside = [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+               if id(node) not in inside and (
+                   isinstance(node, ast.Constant) and node.value in options
+                   or isinstance(node, ast.Name) and (node.id == "_number"
+                                                      or node.id.startswith("_positive_")))]
+    assert not outside, f"cli.py names an option or an argument type outside build_parser: {outside}"
+
+
 def _calls_to(tree, attr):
     """The lines of every call of a function named ``attr``, as ``np.<attr>(...)``."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
@@ -266,7 +292,7 @@ def test_the_atlas_checks_evaluate_stacks_and_only_modelled_samples_one_at_a_tim
 # ``Report.measured_block``
 DECIDE_FOR_THEMSELVES = {
     ("linalg", "spd_sqrt"),
-    ("compat", "omega_from"), ("compat", "g_from"), ("compat", "structure_from"),
+    ("compat", "omega_from"), ("compat", "_g_from"), ("compat", "structure_from"),
     ("structures", "fundamental_symmetry"),
     ("bundle", "in_isotropy"), ("bundle", "_orbit_class"), ("bundle", "_same_orbit"),
     ("calculus", "is_integrable_structure"),

@@ -292,9 +292,9 @@ def test_loopspace_demo_checks_each_target_once(levels, monkeypatch):
     calls = []
     check_triple = compat.check_triple
 
-    def counted(triple, tol=DEFAULT_TOL):
+    def counted(triple, tol=DEFAULT_TOL, **kwargs):
         calls.append(triple)
-        return check_triple(triple, tol)
+        return check_triple(triple, tol, **kwargs)
 
     monkeypatch.setattr(compat, "check_triple", counted)
     monkeypatch.setattr(loopspace, "check_triple", counted)

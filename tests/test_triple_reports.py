@@ -86,8 +86,9 @@ def pairs_of(triple):
 @pytest.fixture
 def counted(monkeypatch):
     """One list per ``check_triple`` call, of the matrix of each
-    ``signature_of`` call made inside it; ``triple`` is the last one checked."""
-    calls = {"check_triple": []}
+    ``signature_of`` call made inside it; ``signature_of`` lists every call's
+    matrix, inside or not, and ``triple`` is the last one checked."""
+    calls = {"check_triple": [], "signature_of": []}
     check, signature = compat.check_triple, compat.signature_of
 
     def check_triple_counted(triple, *args, **kwargs):
@@ -96,6 +97,7 @@ def counted(monkeypatch):
         return check(triple, *args, **kwargs)
 
     def signature_counted(g, *args, **kwargs):
+        calls["signature_of"].append(g)
         if calls["check_triple"]:
             calls["check_triple"][-1].append(g)
         return signature(g, *args, **kwargs)
@@ -128,6 +130,13 @@ def test_triple_complete_checks_its_triple_once(flavor, route, counted, tmp_path
     induced = symmetric_part(s @ i)
     shared = np.array_equal(triple.metric_matrix, induced)
     assert shared == (route == "no-metric" or (flavor, route) == ("para_kahler", "no-structure"))
+    if route == "no-metric":
+        # g_from judged the induced metric, and its verdict is handed on:
+        # one signature in the whole command, none inside the check
+        assert inside == []
+        [judged] = counted["signature_of"]
+        assert judged.tobytes() == induced.tobytes()
+        return
     assert inside[0].tobytes() == induced.tobytes()
     assert len(inside) == (1 if shared else 2)
     assert shared or inside[1] is triple.metric_matrix

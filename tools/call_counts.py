@@ -18,9 +18,13 @@ benchmark's tracer wraps, plus ``poly.PolyArray.__call__`` and
 (the traced ``Poly.__call__`` and ``Poly.diff`` are not on CLI paths),
 ``compat.complete_pair``, ``compat.is_compatible``, ``compat._metric_ok``,
 ``bundle.ChartAtlas.transitions_at``, ``loopspace.block_kahler_target``,
-``limits.LevelForm.at``, ``linalg.fro`` and ``linalg.fro_each``, and
-``numpy.linalg.svd`` and ``numpy.linalg.solve``; a name that cannot be
-resolved is skipped, so two checkouts can be compared line by line:
+``limits.LevelForm.at``, ``linalg.fro`` and ``linalg.fro_each``,
+``numpy.linalg.svd`` and ``numpy.linalg.solve``, and ``cli._quick`` and
+``argparse.ArgumentParser.parse_args``: every ``cli.run`` reads its argv
+with ``_quick`` first, and calls ``parse_args`` only when ``_quick``
+declines, so the second count is the number of fallbacks.  A name that
+cannot be resolved is skipped, so two checkouts can be compared line by
+line:
 
     python3 tools/call_counts.py parent /tmp/docs --workload linear-batch --seed 3 --round 1 > a.txt
     python3 tools/call_counts.py . /tmp/docs --workload linear-batch --seed 3 --round 1 > b.txt
@@ -38,7 +42,7 @@ import sys
 from pathlib import Path
 
 # (module, qualified name) of every counted function; a module is one of the
-# package's unless it is numpy's
+# package's unless it is numpy's or argparse
 COUNTED = (
     ("poly", "Poly.__call__"), ("poly", "Poly.diff"), ("poly", "PolyArray.__call__"),
     ("poly", "sum_of_products"),
@@ -63,7 +67,9 @@ COUNTED = (
     ("loopspace", "block_kahler_target"),
     ("loopspace", "induced_forms"), ("loopspace", "check_induced_compatibility"),
     ("loopspace", "ascending_coherence"),
-    ("cli", "_load"), ("cli", "run"), ("cli", "build_parser"), ("cli", "_emit"),
+    ("cli", "_load"), ("cli", "run"), ("cli", "build_parser"), ("cli", "_quick"),
+    ("cli", "_emit"),
+    ("argparse", "ArgumentParser.parse_args"),
     ("numpy.linalg", "svd"), ("numpy.linalg", "solve"),
 )
 
@@ -77,7 +83,7 @@ def counted_functions():
     names += [("documents", n) for n in documents.__all__ if n.startswith("parse_")]
     keys = {}
     for module, qualname in names:
-        package = "" if module.startswith("numpy.") else "tensorstruct."
+        package = "" if module.startswith(("numpy.", "argparse")) else "tensorstruct."
         owner = importlib.import_module(package + module)
         try:
             for part in qualname.split("."):

@@ -15,12 +15,15 @@ with output mode ``library`` and a sha256: for ``tuple_membership`` of the
 report's entries (name, verdict, the 8 bytes of the residual and
 location), for ``theta_projection`` and ``structure_from`` of the shape
 and bytes of every matrix the calls return.  Then, in both output modes,
-it digests a fixed set of malformed inputs (``MALFORMED``, each the argv
-words of its subcommand and the bytes of its document: for ``validate``,
-bytes that are not UTF-8, a NUL byte in the path, a UTF-8 BOM, UTF-16
-text, an empty file, a ``NaN`` entry, an entry of 2**64 and nesting
-100,000 deep; for ``triple complete`` and ``loopspace check``, a pair
-whose metric is singular), one line each with workload ``malformed``; an
+it digests a fixed set of malformed inputs (``MALFORMED``, each its argv
+words and the bytes of its document: for ``validate``, bytes that are not
+UTF-8, a NUL byte in the path, a UTF-8 BOM, UTF-16 text, an empty file, a
+``NaN`` entry, an entry of 2**64 and nesting 100,000 deep; for ``triple
+complete`` and ``loopspace check``, a pair whose metric is singular; and
+argv that only argparse reads or rejects: an abbreviated option, an
+``--option=value`` word, ``--`` before a path, ``-h`` on a subcommand, a
+repeated ``--atol``, ``--json`` after the subcommand and an unknown
+``--kind``), one line each with workload ``malformed``; an
 exception that escapes ``cli.run`` is digested in place of the exit
 status, so the script runs on trees that do not mend these inputs.  The
 last line is the number of calls.
@@ -48,24 +51,34 @@ ROUNDS = (0, 1)
 
 _STRUCTURE = '{"kind": "complex", "matrix": [[0, -1], [1, 0]]}'
 _SINGULAR_PAIR = b'{"given": {"g": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]]}}'
-# name: (argv words before the document, the document's bytes, or None for
-# a path with a NUL byte)
+DOC = "{doc}"  # the word that stands for the document's path
+# name: (argv words, the document's bytes, or None for a path with a NUL
+# byte); the last seven are argv that only argparse reads or rejects
 MALFORMED = {
-    "invalid-utf8": (["validate"],
+    "invalid-utf8": (["validate", DOC],
                      b'{"kind": "complex", "matrix": [[0, -1], [1, 0]], "x": "\xff"}'),
-    "nul-in-path": (["validate"], None),
-    "utf8-bom": (["validate"], b"\xef\xbb\xbf" + _STRUCTURE.encode()),
-    "utf16": (["validate"], _STRUCTURE.encode("utf-16")),
-    "empty": (["validate"], b""),
-    "nan-entry": (["validate"], b'{"kind": "complex", "matrix": [[0, -1], [1, NaN]]}'),
-    "entry-2**64": (["validate"],
+    "nul-in-path": (["validate", DOC], None),
+    "utf8-bom": (["validate", DOC], b"\xef\xbb\xbf" + _STRUCTURE.encode()),
+    "utf16": (["validate", DOC], _STRUCTURE.encode("utf-16")),
+    "empty": (["validate", DOC], b""),
+    "nan-entry": (["validate", DOC], b'{"kind": "complex", "matrix": [[0, -1], [1, NaN]]}'),
+    "entry-2**64": (["validate", DOC],
                     b'{"kind": "complex", "matrix": [[0, -1], [1, 18446744073709551616]]}'),
-    "nested-100000": (["validate"], b'{"kind": "complex", "matrix": '
+    "nested-100000": (["validate", DOC], b'{"kind": "complex", "matrix": '
                       + b"[" * 100_000 + b"]" * 100_000 + b"}"),
-    "singular-metric-triple": (["triple", "complete"], _SINGULAR_PAIR),
-    "singular-metric-loopspace": (["--seed", "1", "loopspace", "check"],
+    "singular-metric-triple": (["triple", "complete", DOC], _SINGULAR_PAIR),
+    "singular-metric-loopspace": (["--seed", "1", "loopspace", "check", DOC],
                                   b'{"target": {"pair": ' + _SINGULAR_PAIR
                                   + b'}, "loop": [[0.1, 0.2], [0.3, 0.4]]}'),
+    "abbreviated-option": (["--seed", "1", "loopspace", "demo", "--lev", "2"],
+                           _STRUCTURE.encode()),
+    "option=value": (["--atol=1e-9", "validate", DOC], _STRUCTURE.encode()),
+    "double-dash": (["validate", "--", DOC], _STRUCTURE.encode()),
+    "help-on-subcommand": (["validate", "-h"], _STRUCTURE.encode()),
+    "repeated-atol": (["--atol", "1", "--atol", "1e-9", "validate", DOC],
+                      _STRUCTURE.encode()),
+    "json-after-subcommand": (["validate", "--json", DOC], _STRUCTURE.encode()),
+    "bogus-kind": (["nijenhuis", "--kind", "bogus", DOC], _STRUCTURE.encode()),
 }
 
 
@@ -149,8 +162,8 @@ def main(argv=None):
         path = where / (f"{name}.json" if raw is not None else "a\0b.json")
         if raw is not None:
             path.write_bytes(raw)
-        for mode, args in (("json", ["--json", *words, str(path)]),
-                           ("text", [*words, str(path)])):
+        words = [str(path) if word == DOC else word for word in words]
+        for mode, args in (("json", ["--json", *words]), ("text", words)):
             print("malformed", "-", "-", "-", name, mode, digest(cli, args))
             calls += 1
     print(f"{calls} invocations")
