@@ -39,7 +39,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 
 import numpy as np
@@ -84,10 +83,14 @@ def _emit(report: Report, as_json):
 
 def _number(cast, least, strict=False):
     """An argparse type: ``cast(text)``, finite and at least ``least``
-    (above it when ``strict``)."""
+    (above it when ``strict``).  Finite means at most the largest double
+    in magnitude, so an int past the float range is not finite."""
     def parse(text):
         value = cast(text)
-        if not (math.isfinite(value) and (value > least if strict else value >= least)):
+        # not math.isfinite, which raises OverflowError for such an int,
+        # and argparse makes usage errors only of TypeError and ValueError
+        if not (abs(value) <= sys.float_info.max
+                and (value > least if strict else value >= least)):
             raise argparse.ArgumentTypeError(
                 f"must be {'above' if strict else 'at least'} {least} and finite, got {text}")
         return value
@@ -304,12 +307,12 @@ def _dispatch(args, load, tol) -> Report:
     if args.command == "validate":
         from . import structures
 
-        return structures.validate(documents.parse_structure(load(args.structure)), tol)
+        return structures.validate(documents.parse_structure(load(args.structure), tol), tol)
 
     if args.command == "triple":
         from . import compat
 
-        first, second, flavor = documents.parse_pair(load(args.pair))
+        first, second, flavor = documents.parse_pair(load(args.pair), tol)
         triple, report = compat.complete_pair(first, second, flavor, tol)
         report.note(f"flavor {flavor}, dimension {triple.dim}")
         report.note(_matrix_note("omega", triple.omega.matrix))
@@ -320,7 +323,7 @@ def _dispatch(args, load, tol) -> Report:
     if args.command == "darboux":
         from . import structures
 
-        structure = documents.parse_structure(load(args.form), even=True)
+        structure = documents.parse_structure(load(args.form), tol, even=True)
         # a cotangent structure carries its symplectic form
         form = structures.SymplecticForm(getattr(structure, "symplectic", structure).matrix)
         basis, certificate = structures.darboux_basis(form, tol)

@@ -366,9 +366,10 @@ def complete_pair(first, second, flavor="kahler",
 
     Dispatches on the pair's types to ``omega_from`` / ``g_from`` /
     ``structure_from``.  The polar route replaces the input metric by the
-    corrected one; the other routes keep both inputs.  Raises
-    InvalidInput, naming the failing entries, when the completed
-    triple fails ``check_triple``.
+    corrected one; the other routes keep both inputs, and a para metric
+    given as a plain matrix or ``BilinearForm`` becomes ``krein_from_matrix``
+    of it under ``tol``.  Raises InvalidInput, naming the failing entries,
+    when the completed triple fails ``check_triple``.
     """
     if isinstance(first, (ComplexStructure, ParaComplexStructure)):
         first, second = second, first
@@ -385,6 +386,8 @@ def complete_pair(first, second, flavor="kahler",
         else:
             metric = first if isinstance(first, (BilinearForm, KreinMetric)) else \
                 BilinearForm(as_matrix(first, square=True), "symmetric")
+            if flavor == "para_kahler" and not isinstance(metric, KreinMetric):
+                metric = krein_from_matrix(metric.matrix, tol)
             omega = omega_from(metric, structure, tol)
     elif isinstance(second, SymplecticForm):
         omega = second

@@ -5,7 +5,12 @@ The schemas below (``STRUCTURE``, ``PAIR``, ``ATLAS``, ``TENSOR``,
 document formats.  ``check`` walks a document against its schema and
 returns the checked values: numeric leaves become float arrays (or Python
 numbers), objects keep only the fields their schema names, so unknown keys
-are ignored.  Each ``parse_*`` only builds objects from checked values.
+are ignored.  Each ``parse_*`` only builds objects from checked values;
+a build that needs a numerical verdict (a Krein splitting, a canonical
+decomposition) takes it under the caller's ``tol``, and its
+``InvalidInput`` reaches the caller.  Only three builds turn a rejection
+into a ``DocumentError``: those whose failure is a fault of the document
+itself (see ``_building``).
 
 Array shapes are written in symbolic sizes such as ``n``, ``dim``,
 ``fiber_dim``, ``base`` or ``dims[i]``.  A size expression is
@@ -34,7 +39,7 @@ from reprlib import repr as _repr  # abbreviates long values in messages
 import numpy as np
 
 from .errors import TensorStructError
-from .linalg import DEFAULT_TOL, Tolerance, involution_eigenbases, kernel_and_complement
+from .linalg import Tolerance, involution_eigenbases, kernel_and_complement
 from .structures import (
     FLAVORS,
     KINDS,
@@ -395,7 +400,13 @@ LOOP = Obj({
 
 @contextmanager
 def _building(what):
-    """Report a construction that rejects checked values as a DocumentError."""
+    """Report a construction that rejects checked values as a DocumentError.
+
+    It wraps only the three builds whose rejection is a fault of the
+    document itself, never a numerical verdict: a diffeo whose pullback
+    exponents leave the int64 range, tower ``dims`` that decrease, and loop
+    weights that do not sum to one.  Every other build runs under the
+    caller's ``tol``, and its ``InvalidInput`` reaches the caller."""
     try:
         yield
     except (TensorStructError, ValueError) as exc:
@@ -407,41 +418,41 @@ _CANONICAL = {"para_complex": (ParaComplexStructure, involution_eigenbases),
               "tangent": (TangentStructure, kernel_and_complement)}
 
 
-def _build_structure(v):
+def _build_structure(v, tol):
     kind, matrix, dec = v["kind"], v["matrix"], v.get("decomposition")
     bases = dec and [basis.T for name, basis in dec.items() if name != "iso"]
-    with _building("structure document"):
-        if kind in _CANONICAL:
-            cls, canonical = _CANONICAL[kind]
-            return cls(matrix, *(bases or canonical(matrix)))
-        if kind == "complex":
-            return ComplexStructure(matrix, dec and (*bases, dec["iso"]))
-        if kind == "krein":
-            return KreinMetric(matrix, *bases) if dec else krein_from_matrix(matrix)
-        if kind == "cotangent":
-            return CotangentStructure(SymplecticForm(matrix), *bases)
-        if kind == "symplectic":
-            return SymplecticForm(matrix)
-        return BilinearForm(matrix, v.get("symmetry", "symmetric"))
+    if kind in _CANONICAL:
+        cls, canonical = _CANONICAL[kind]
+        return cls(matrix, *(bases or canonical(matrix, tol)))
+    if kind == "complex":
+        return ComplexStructure(matrix, dec and (*bases, dec["iso"]))
+    if kind == "krein":
+        return KreinMetric(matrix, *bases) if dec else krein_from_matrix(matrix, tol)
+    if kind == "cotangent":
+        return CotangentStructure(SymplecticForm(matrix), *bases)
+    if kind == "symplectic":
+        return SymplecticForm(matrix)
+    return BilinearForm(matrix, v.get("symmetry", "symmetric"))
 
 
-def parse_structure(doc, even=False):
-    """A structure; ``even`` asks for an even dimension."""
-    return _build_structure(check(doc, STRUCTURE, n="2*half" if even else None))
+def parse_structure(doc, tol: Tolerance, even=False):
+    """A structure, its decompositions found under ``tol``; ``even`` asks
+    for an even dimension."""
+    return _build_structure(check(doc, STRUCTURE, n="2*half" if even else None), tol)
 
 
-def _build_pair(v):
-    flavor = v.get("flavor", "kahler")
-    build = {"g": (lambda g: BilinearForm(g, "symmetric")) if flavor == "kahler"
-             else krein_from_matrix, "omega": SymplecticForm, "structure": _build_structure}
-    with _building("pair document"):
-        first, second = (build[name](value) for name, value in v["given"].items())
-    return first, second, flavor
+def _build_pair(v, tol):
+    build = {"g": lambda g: BilinearForm(g, "symmetric"), "omega": SymplecticForm,
+             "structure": lambda doc: _build_structure(doc, tol)}
+    first, second = (build[name](value) for name, value in v["given"].items())
+    return first, second, v.get("flavor", "kahler")
 
 
-def parse_pair(doc):
-    """Returns (first, second, flavor) ready for compat.complete_triple."""
-    return _build_pair(check(doc, PAIR))
+def parse_pair(doc, tol: Tolerance):
+    """Returns (first, second, flavor) ready for compat.complete_pair; a
+    given structure is built under ``tol``, and the metric is judged by
+    the completion."""
+    return _build_pair(check(doc, PAIR), tol)
 
 
 def parse_atlas(doc):
@@ -547,7 +558,7 @@ def parse_connection_tower(doc):
     return seq, v["sample_points"]
 
 
-def parse_loop(doc, tol: Tolerance = DEFAULT_TOL):
+def parse_loop(doc, tol: Tolerance):
     """Returns (loop space, tangents or None) from a loop document; a
     ``pairs`` or ``pair`` target is completed under ``tol``."""
     from . import compat, loopspace
@@ -555,11 +566,9 @@ def parse_loop(doc, tol: Tolerance = DEFAULT_TOL):
     v = check(doc, LOOP, n="2*half")
     target = v["target"]
     if "pairs" in target:
-        kahler = target.get("flavor", "kahler") == "kahler"
-        target = (loopspace.block_kahler_target if kahler
-                  else loopspace.block_para_target)(target["pairs"], tol)
+        target = loopspace.block_target(target["pairs"], target.get("flavor", "kahler"), tol)[0]
     else:
-        target = compat.complete_triple(*_build_pair(target["pair"]), tol=tol)
+        target = compat.complete_triple(*_build_pair(target["pair"], tol), tol=tol)
     with _building("loop document"):
         space = loopspace.DiscretizedLoopSpace(target, v["loop"], v.get("weights"))
     tangents = v.get("tangents")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tensorstruct import cli, documents
+from tensorstruct import cli, documents, structures
 from tensorstruct import report as report_module
 from tensorstruct.cli import run
 from tensorstruct.documents import (
@@ -23,6 +23,7 @@ from tensorstruct.documents import (
     parse_tower,
 )
 from tensorstruct.errors import TensorStructError
+from tensorstruct.linalg import DEFAULT_TOL
 
 
 def write(tmp_path, name, doc):
@@ -45,22 +46,22 @@ def rotation(theta):
 # ---------------------------------------------------------------------------
 
 def test_parse_structure_kinds():
-    s = parse_structure(complex_canonical_doc())
+    s = parse_structure(complex_canonical_doc(), DEFAULT_TOL)
     np.testing.assert_allclose(s.matrix, [[0, -1], [1, 0]])
-    k = parse_structure({"kind": "krein", "matrix": [[1.0, 0.0], [0.0, -1.0]]})
+    k = parse_structure({"kind": "krein", "matrix": [[1.0, 0.0], [0.0, -1.0]]}, DEFAULT_TOL)
     assert k.signature == (1, 1)
-    t = parse_structure({"kind": "tangent", "matrix": [[0.0, 1.0], [0.0, 0.0]]})
+    t = parse_structure({"kind": "tangent", "matrix": [[0.0, 1.0], [0.0, 0.0]]}, DEFAULT_TOL)
     assert t.kernel_basis.shape == (2, 1)
 
 
 def test_parse_structure_rejects_unknown_kind():
     with pytest.raises(DocumentError):
-        parse_structure({"kind": "mystery", "matrix": [[1.0]]})
+        parse_structure({"kind": "mystery", "matrix": [[1.0]]}, DEFAULT_TOL)
 
 
 def test_parse_pair_requires_exactly_two():
     with pytest.raises(DocumentError):
-        parse_pair({"given": {"g": [[1.0]]}})
+        parse_pair({"given": {"g": [[1.0]]}}, DEFAULT_TOL)
 
 
 def test_parse_tower_padding_default():
@@ -153,6 +154,68 @@ def test_any_bytes_as_a_structure_document_exit_cleanly(raw, tmp_path_factory):
     assert status in (0, 1, 2) and "Traceback" not in err
 
 
+def _canonical_model(kind, n):
+    """The matrix of ``kind``'s canonical model on R^n (n even), and whether
+    it is a form (moved by congruence) or an endomorphism (by similarity)."""
+    if kind in ("complex", "para_complex", "tangent"):
+        return getattr(structures, f"{kind}_canonical")(n).matrix, False
+    if kind == "krein":
+        return np.diag([1.0] * (n // 2) + [-1.0] * (n // 2)), True
+    return (np.eye(n) if kind == "bilinear" else structures.symplectic_canonical(n).matrix), True
+
+
+# the given matrices of each flavor's canonical triple, by their kinds
+_PAIR_MODELS = {"kahler": {"g": "bilinear", "omega": "symplectic", "structure": "complex"},
+                "para_kahler": {"g": "krein", "omega": "symplectic",
+                                "structure": "para_complex"}}
+
+
+@st.composite
+def judged_documents(draw):
+    """(argv, document): a structure document of any kind or a pair of any
+    flavor, moved from its canonical model by a random change of basis P,
+    its forms scaled by 2**k for |k| <= 60, every matrix optionally losing
+    rank in its last column."""
+    n = 2 * draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = np.eye(n) + rng.uniform(-0.5, 0.5, (n, n)) / n  # diagonally dominant: invertible
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    drop = np.diag([1.0] * (n - 1) + [0.0 if draw(st.booleans()) else 1.0])
+
+    def moved(kind):
+        m, form = _canonical_model(kind, n)
+        m = scale * p.T @ m @ p if form else np.linalg.solve(p, m @ p)
+        return (m @ drop).tolist()
+
+    what = draw(st.sampled_from([*documents.STRUCTURE.variants, *structures.FLAVORS]))
+    if what in structures.FLAVORS:
+        models = _PAIR_MODELS[what]
+        given = {name: moved(models[name]) for name in draw(
+            st.lists(st.sampled_from(sorted(models)), min_size=2, max_size=2, unique=True))}
+        if "structure" in given:
+            given["structure"] = {"kind": models["structure"], "matrix": given["structure"]}
+        return ["triple", "complete"], {"flavor": what, "given": given}
+    doc = {"kind": what, "matrix": moved(what)}
+    if what == "cotangent":  # the moved form's Lagrangian is P^-1 of the first half
+        halves = np.split(np.linalg.inv(p), 2, axis=1)
+        doc["decomposition"] = {"lagrangian_basis": halves[0].T.tolist(),
+                                "complement_basis": halves[1].T.tolist()}
+    return ["validate"], doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=judged_documents())
+def test_a_well_shaped_document_is_judged_never_refused(case, tmp_path_factory):
+    # a well-shaped document is judged under the command's tolerance: it
+    # passes or fails (exit 0 or 1), whatever its scale or rank
+    argv, doc = case
+    path = tmp_path_factory.getbasetemp() / "judged.json"
+    path.write_text(json.dumps(doc))
+    for flags in ([], ["--atol", "0"]):
+        status, _, err = run_captured([*flags, *argv, str(path)])
+        assert status in (0, 1) and "parse error" not in err, (flags, err)
+
+
 def test_triple_complete_canonical(tmp_path, capsys):
     pair = {"flavor": "kahler",
             "given": {"g": [[1.0, 0.0], [0.0, 1.0]],
@@ -166,20 +229,42 @@ def test_triple_complete_canonical(tmp_path, capsys):
 
 
 _SINGULAR_PAIR = {"given": {"g": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]]}}
+_SINGULAR_PARA_PAIR = {"flavor": "para_kahler", **_SINGULAR_PAIR}
+_NOT_POSITIVE = "metric is not positive definite: smallest eigenvalue 0.000e+00 <= atol"
+_NOT_NEUTRAL = "metric is not neutral: degenerate metric (zero count 2)"
 
 
-@pytest.mark.parametrize("argv, doc", [
-    (["triple", "complete"], _SINGULAR_PAIR),
-    (["--seed", "1", "loopspace", "check"],
-     {"target": {"pair": _SINGULAR_PAIR}, "loop": [[0.1, 0.2], [0.3, 0.4]]}),
-], ids=["triple", "loopspace"])
-def test_a_singular_metric_in_a_pair_exits_one(argv, doc, tmp_path):
-    # the metric is judged before G^-1 S^T is solved
+def _loop_on(pair):
+    return {"target": {"pair": pair}, "loop": [[0.1, 0.2], [0.3, 0.4]]}
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["triple", "complete"], _SINGULAR_PAIR, _NOT_POSITIVE),
+    (["--seed", "1", "loopspace", "check"], _loop_on(_SINGULAR_PAIR), _NOT_POSITIVE),
+    (["triple", "complete"], _SINGULAR_PARA_PAIR, _NOT_NEUTRAL),
+    (["--seed", "1", "loopspace", "check"], _loop_on(_SINGULAR_PARA_PAIR), _NOT_NEUTRAL),
+], ids=["triple", "loopspace", "triple-para_kahler", "loopspace-para_kahler"])
+def test_a_singular_metric_in_a_pair_exits_one(argv, doc, message, tmp_path):
+    # the metric is judged under the command's tolerance, before G^-1 S^T
+    # is solved, and for both flavors by the completion, not the parser
     path = write(tmp_path, "doc.json", doc)
-    status, out, err = run_captured([*argv, path])
-    assert (status, out) == (1, "")
-    assert err == ("error: metric is not positive definite: "
-                   "smallest eigenvalue 0.000e+00 <= atol\n")
+    assert run_captured([*argv, path]) == (1, "", f"error: {message}\n")
+
+
+def test_a_degenerate_krein_metric_exits_one(tmp_path):
+    path = write(tmp_path, "krein.json", {"kind": "krein", "matrix": [[1, 0], [0, 0]]})
+    assert run_captured(["validate", path]) == (
+        1, "", "error: symmetric form has (numerically) zero eigenvalues\n")
+
+
+def test_canonical_eigenbases_are_found_under_the_command_tolerance(tmp_path):
+    # J^2 = Id only to 1.4e-5: under the default rtol of 1e-9 neither J - Id
+    # nor J + Id has a kernel and the eigenspaces read unbalanced; under
+    # --rtol 1e-3 each has one
+    doc = {"kind": "para_complex", "matrix": [[0, 1.00001], [1, 0]]}
+    status, out, _ = run_captured(["--atol", "0", "--rtol", "1e-3", "validate",
+                                   write(tmp_path, "para.json", doc)])
+    assert status == 0 and "pass  balanced_eigenspaces  residual=0.000e+00" in out
 
 
 def test_darboux_subcommand(tmp_path, capsys):
@@ -592,6 +677,7 @@ def test_parse_errors_name_the_json_path(tmp_path, capsys):
     assert "$.overlaps[0].transition.affine.coeffs:" in capsys.readouterr().err
 
 
+HUGE = "1" + "0" * 400
 # (global flags, subcommand, valid document or None, subcommand flags)
 BAD_FLAGS = {
     "--atol -1": (["--atol", "-1"], ["validate"], complex_canonical_doc, []),
@@ -599,8 +685,13 @@ BAD_FLAGS = {
                           complex_canonical_doc, []),
     "--atol nan": (["--atol", "nan"], ["validate"], complex_canonical_doc, []),
     "--seed -1": (["--seed", "-1"], ["loopspace", "demo"], None, []),
+    # an int past the float range is not finite
+    "--seed 10**400": (["--seed", HUGE], ["loopspace", "demo"], None, []),
+    "--levels 10**400": ([], ["loopspace", "demo"], None, ["--levels", HUGE]),
+    "--samples 10**400": ([], ["loopspace", "demo"], None, ["--samples", HUGE]),
     "--trials 0": (["--seed", "1"], ["loopspace", "check"], loop_doc, ["--trials", "0"]),
     "--trials -3": (["--seed", "1"], ["loopspace", "check"], loop_doc, ["--trials", "-3"]),
+    "--trials 10**400": (["--seed", "1"], ["loopspace", "check"], loop_doc, ["--trials", HUGE]),
     "--tol -1": ([], ["curvature"], flat_field_doc, ["--tol", "-1"]),
     "--tol nan": ([], ["curvature"], flat_field_doc, ["--tol", "nan"]),
 }

@@ -175,6 +175,21 @@ def test_only_cli_run_names_digests_and_picks_a_tolerance():
     assert sum(map(_decides_provenance_or_tolerance, ast.walk(run))) == 4
 
 
+def test_documents_judges_under_its_callers_tolerance():
+    # a parser that builds a judged object takes the command's tol, with no
+    # default, so no value is judged under a tolerance no flag reaches
+    tree = ast.parse((PACKAGE / "documents.py").read_text())
+    named = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "DEFAULT_TOL"
+             or isinstance(node, ast.Attribute) and node.attr == "DEFAULT_TOL"
+             or isinstance(node, ast.alias) and node.name == "DEFAULT_TOL"]
+    assert not named, f"documents.py names DEFAULT_TOL at lines {named}"
+    required = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                for arg in node.args.args[:len(node.args.args) - len(node.args.defaults)]
+                if arg.arg == "tol"}
+    assert required >= {"parse_structure", "parse_pair", "parse_loop"}
+
+
 def test_build_parser_alone_declares_the_command_line():
     # run reads well-formed argv from the parser's own action table, so no
     # option string and no argument type is written a second time in cli.py

@@ -411,7 +411,7 @@ def _old_residuals(s):
 def test_every_failing_validate_entry_reads_above_zero(doc):
     tol = Tolerance()
     with np.errstate(all="ignore"):
-        structure = parse_structure(doc)
+        structure = parse_structure(doc, tol)
         entries = validate(structure, tol).entries
         old = _old_residuals(structure)
     for e in entries:

@@ -163,7 +163,7 @@ def test_a_completion_that_fails_prints_its_failures(counted, tmp_path):
 # ---------------------------------------------------------------------------
 
 def assert_one_report(doc, tol):
-    first, second, flavor = documents.parse_pair(doc)
+    first, second, flavor = documents.parse_pair(doc, tol)
     triple, report = complete_pair(first, second, flavor, tol)
     fresh = check_triple(triple, tol)
     assert entries(report) == entries(fresh) and report.notes == fresh.notes
@@ -238,7 +238,8 @@ PINNED = {
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_is_compatible_keeps_its_entries(key):
     seed, flavor, route, index = key
-    first, second, flavor = documents.parse_pair(pair_doc(seed, flavor, route, pairs=2))
+    first, second, flavor = documents.parse_pair(pair_doc(seed, flavor, route, pairs=2),
+                                                   DEFAULT_TOL)
     triple = complete_triple(first, second, flavor)
     _, a, b = pairs_of(triple)[index]
     for first in (a, getattr(a, "matrix", None)) if index else (a,):

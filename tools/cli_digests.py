@@ -18,8 +18,9 @@ and bytes of every matrix the calls return.  Then, in both output modes,
 it digests a fixed set of malformed inputs (``MALFORMED``, each its argv
 words and the bytes of its document: for ``validate``, bytes that are not
 UTF-8, a NUL byte in the path, a UTF-8 BOM, UTF-16 text, an empty file, a
-``NaN`` entry, an entry of 2**64 and nesting 100,000 deep; for ``triple
-complete`` and ``loopspace check``, a pair whose metric is singular; and
+``NaN`` entry, an entry of 2**64, nesting 100,000 deep and a degenerate
+Krein metric; for ``triple complete`` and ``loopspace check``, a Kahler
+pair and a para-Kahler pair whose metric is singular; and
 argv that only argparse reads or rejects: an abbreviated option, an
 ``--option=value`` word, ``--`` before a path, ``-h`` on a subcommand, a
 repeated ``--atol``, ``--json`` after the subcommand and an unknown
@@ -51,6 +52,7 @@ ROUNDS = (0, 1)
 
 _STRUCTURE = '{"kind": "complex", "matrix": [[0, -1], [1, 0]]}'
 _SINGULAR_PAIR = b'{"given": {"g": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]]}}'
+_SINGULAR_PARA_PAIR = b'{"flavor": "para_kahler", ' + _SINGULAR_PAIR[1:]
 DOC = "{doc}"  # the word that stands for the document's path
 # name: (argv words, the document's bytes, or None for a path with a NUL
 # byte); the last seven are argv that only argparse reads or rejects
@@ -70,6 +72,11 @@ MALFORMED = {
     "singular-metric-loopspace": (["--seed", "1", "loopspace", "check", DOC],
                                   b'{"target": {"pair": ' + _SINGULAR_PAIR
                                   + b'}, "loop": [[0.1, 0.2], [0.3, 0.4]]}'),
+    "degenerate-krein": (["validate", DOC], b'{"kind": "krein", "matrix": [[1, 0], [0, 0]]}'),
+    "singular-para-metric-triple": (["triple", "complete", DOC], _SINGULAR_PARA_PAIR),
+    "singular-para-metric-loopspace": (["--seed", "1", "loopspace", "check", DOC],
+                                       b'{"target": {"pair": ' + _SINGULAR_PARA_PAIR
+                                       + b'}, "loop": [[0.1, 0.2], [0.3, 0.4]]}'),
     "abbreviated-option": (["--seed", "1", "loopspace", "demo", "--lev", "2"],
                            _STRUCTURE.encode()),
     "option=value": (["--atol=1e-9", "validate", DOC], _STRUCTURE.encode()),
