@@ -305,7 +305,7 @@ def check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> Report:
 
     For every declared triple (a, b, c) and each of its sample points the
     residual |T_ac(x) - T_ab(x) T_bc(x)| is measured and accepted at the
-    scale max(1, |T_ac(x)|) of that sample; a triple passes when every
+    scale |T_ac(x)| of that sample; a triple passes when every
     sample does, and the report keeps its worst residual (``report.worst``)
     and the first sample attaining it.  A single-chart atlas passes
     vacuously.  A transition that cannot be evaluated at a sample fails
@@ -355,14 +355,14 @@ def _cocycle(atlas: ChartAtlas, tol: Tolerance):
     if not atlas.triple_overlaps:
         report.note("no triple overlaps declared: cocycle condition vacuous")
     for (a, b, c, points) in atlas.triple_overlaps:
-        # each sample is judged at its own scale max(1, |T_ac(x)|)
+        # each sample is judged at its own scale |T_ac(x)|
         points = np.atleast_2d(points)
         lhs, bad_ac = transitions_at(a, c, points)
         t_ab, bad_ab = transitions_at(a, b, points)
         t_bc, bad_bc = transitions_at(b, c, points)
         residuals = fro_each(lhs - t_ab @ t_bc)
         residuals[[*bad_ac, *bad_ab, *bad_bc]] = math.inf
-        report.measured(f"cocycle[{a},{b},{c}]", residuals, np.fmax(fro_each(lhs), 1.0),
+        report.measured(f"cocycle[{a},{b},{c}]", residuals, fro_each(lhs),
                         worst_at(residuals, points)[1])
 
     components = atlas.overlap_connectivity()

@@ -86,7 +86,7 @@ DEFAULT_FD_STEP = 1e-5
 
 # the grid checks pass when the worst residual is at most 1e-6
 GRID_TOL = Tolerance(atol=1e-6, rtol=0.0)
-# A^2 = 0, 1 or -1 within 1e-6 relative to max(|A|^2, 1)
+# A^2 = 0, 1 or -1 within 1e-6 relative to |A|^2
 _IDENTITY_TOL = Tolerance(atol=0.0, rtol=1e-6)
 # curvature judges a metric degenerate relative to its own size only, so a
 # metric scaled by a power of 2 keeps its verdict and its residual's bits
@@ -388,7 +388,7 @@ def is_integrable_structure(field: TensorFieldOnChart, kind, grid,
     N(e_i, e_j) over pairs i < j.
 
     A field that fails its algebraic identity (A^2 = 0, 1 or -1 within 1e-6,
-    relative to max(|A|^2, 1): ``structures.square_defect``, the rule
+    relative to |A|^2: ``structures.square_defect``, the rule
     ``validate`` applies, on the stack of the field's values at a block of
     points) at some grid point fails the entry with
     residual inf at the first such point and the note ``not a <kind>

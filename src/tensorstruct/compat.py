@@ -312,7 +312,7 @@ def _form_structure(s, i, sign, induced_ok, tol):
     Omega(., I.) symmetric with the flavor's signature, given the
     ``_metric_ok`` of its symmetric part."""
     report = Report(tol=tol)
-    scale = max(fro(s), 1.0)
+    scale = fro(s)
     # Omega(Iu, Iv) = -sign * Omega(u, v): +1 for kahler, -1 for para
     report.measured("form_invariance", fro(i.T @ s @ i - (-sign) * s), scale)
     induced = s @ i
@@ -324,7 +324,7 @@ def _form_structure(s, i, sign, induced_ok, tol):
 def _metric_structure(g, i, sign, metric_ok, tol):
     """The (metric, structure) pair, given the metric's ``_metric_ok``."""
     report = Report(tol=tol)
-    report.measured("metric_invariance", fro(i.T @ g @ i - (-sign) * g), max(fro(g), 1.0))
+    report.measured("metric_invariance", fro(i.T @ g @ i - (-sign) * g), fro(g))
     _signature_entry(report, "metric_signature", metric_ok)
     return report
 
@@ -359,41 +359,44 @@ def is_compatible(first, second, flavor="kahler", tol: Tolerance = DEFAULT_TOL) 
         f"unrecognized pair ({type(first).__name__}, {type(second).__name__})")
 
 
+# what a member of a pair gives complete_pair, by its type
+_ROLES = (("structure", (ComplexStructure, ParaComplexStructure)), ("omega", SymplecticForm),
+          ("g", (BilinearForm, KreinMetric, np.ndarray, list)))
+
+
 def complete_pair(first, second, flavor="kahler",
                   tol: Tolerance = DEFAULT_TOL) -> tuple[CompatibleTriple, Report]:
     """Complete a compatible pair to a full triple, with the ``check_triple``
     report that accepted it.
 
-    Dispatches on the pair's types to ``omega_from`` / ``g_from`` /
+    The pair is two of a metric (a ``BilinearForm``, a ``KreinMetric`` or an
+    array), a ``SymplecticForm`` and a (para-)complex structure, in either
+    order; the missing one comes from ``g_from`` / ``omega_from`` /
     ``structure_from``.  The polar route replaces the input metric by the
     corrected one; the other routes keep both inputs, and a para metric
     given as a plain matrix or ``BilinearForm`` becomes ``krein_from_matrix``
-    of it under ``tol``.  Raises InvalidInput, naming the failing entries,
-    when the completed triple fails ``check_triple``.
+    of it under ``tol``.  Raises InvalidInput for any other pair, and,
+    naming the failing entries, when the completed triple fails
+    ``check_triple``.
     """
-    if isinstance(first, (ComplexStructure, ParaComplexStructure)):
-        first, second = second, first
-    if isinstance(first, SymplecticForm) and not isinstance(
-            second, (ComplexStructure, ParaComplexStructure)):
-        first, second = second, first
-
+    given = {next((role for role, types in _ROLES if isinstance(part, types)), None): part
+             for part in (first, second)}
+    if None in given or len(given) != 2:
+        raise InvalidInput(f"cannot complete a pair of {type(first).__name__} and "
+                           f"{type(second).__name__}: it takes two of a metric, a symplectic "
+                           "form and a (para-)complex structure")
+    structure, omega, metric = given.get("structure"), given.get("omega"), given.get("g")
     induced_ok = None  # g_from's verdict on the induced metric, which it builds
-    if isinstance(second, (ComplexStructure, ParaComplexStructure)):
-        structure = second
-        if isinstance(first, SymplecticForm):
-            omega = first
-            metric, induced_ok = _g_from(omega, structure, flavor, tol)
-        else:
-            metric = first if isinstance(first, (BilinearForm, KreinMetric)) else \
-                BilinearForm(as_matrix(first, square=True), "symmetric")
-            if flavor == "para_kahler" and not isinstance(metric, KreinMetric):
-                metric = krein_from_matrix(metric.matrix, tol)
-            omega = omega_from(metric, structure, tol)
-    elif isinstance(second, SymplecticForm):
-        omega = second
-        structure, metric, _ = structure_from(first, omega, flavor, tol)
+    if metric is None:
+        metric, induced_ok = _g_from(omega, structure, flavor, tol)
+    elif omega is None:
+        if not isinstance(metric, (BilinearForm, KreinMetric)):
+            metric = BilinearForm(as_matrix(metric, square=True), "symmetric")
+        if flavor == "para_kahler" and not isinstance(metric, KreinMetric):
+            metric = krein_from_matrix(metric.matrix, tol)
+        omega = omega_from(metric, structure, tol)
     else:
-        raise TypeError("pair must contain a form, a metric, or a structure")
+        structure, metric, _ = structure_from(metric, omega, flavor, tol)
 
     triple = CompatibleTriple(omega, metric, structure, flavor)
     rep = check_triple(triple, tol, _induced_ok=induced_ok)
@@ -440,7 +443,7 @@ def check_triple(triple: CompatibleTriple, tol: Tolerance = DEFAULT_TOL, *,
         # the two linking formulas g = Omega(., J.) and Omega = g(J., .)
         # differ by a sign in the para case; accept either orientation
         link = min(link, fro(induced + g))
-    report.measured("metric_is_omega_of_structure", link, max(fro(g), 1.0))
+    report.measured("metric_is_omega_of_structure", link, fro(g))
     return report
 
 

@@ -47,10 +47,11 @@ maps and projections C-contiguous, so every table entry is, and the bits
 of a composite depend on the values of the maps alone, not on the strides
 they were passed with.  A product whose inner dimension is 1 is made by
 ``@``: its factors may be 1 x 1, which ``dot`` takes for a scalar.  A
-composition law is accepted at scale ``max(fro(lhs), 1)``, which is at
-least 1: the block is probed at scale 1 first, and only where that fails
-is the product made again and its norm taken.  The coherence laws take
-each level's norm once and build the scale of each pair from those.
+composition law is accepted at scale ``fro(lhs)``: the block is probed at
+scale 0 first, which accepts a residual of at most ``atol`` at every
+scale, and only where that fails is the product made again and its norm
+taken.  The coherence laws take each level's norm once and build the
+scale of each pair from those.
 
 Model tensors.  Every per-level model (``tuple_membership``'s isotropy
 models, ``ConnectionFormSequence.models``) is a ``StructureMatrix``, and
@@ -282,10 +283,10 @@ def _composition_block(report, template, table, reverse):
     swapped when ``reverse``) for every i <= j <= k, as one block in the
     lexicographic order of (i, j, k).  The laws are computed in groups of
     one (i, k), whose left-hand sides all have the shape of
-    ``table[i][k]``.  A law is accepted at the scale ``max(fro(lhs), 1)``;
-    that scale is at least 1, so a residual accepted at scale 1 is
-    accepted at it too, and the product is made again, and its norm taken,
-    only where that fails; every other law keeps scale 1."""
+    ``table[i][k]``.  A law is accepted at the scale ``fro(lhs)``; a
+    residual accepted at scale 0 (at most ``atol``) is accepted at every
+    scale, so the product is made again, and its norm taken, only where
+    that fails; every other law keeps scale 0."""
     n = len(table)
     r = np.arange(n)
     upper = r[:, None] <= r
@@ -301,11 +302,11 @@ def _composition_block(report, template, table, reverse):
         by_i.append(by_jk[i:, i:][upper[i:, i:]])
     residuals = np.concatenate([np.empty(0), *by_i])
     triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
-    scales = np.ones(len(triples))
-    for f in np.flatnonzero(~report.tol.accepts(residuals)):
+    scales = np.zeros(len(triples))
+    for f in np.flatnonzero(~report.tol.accepts(residuals, 0.0)):
         i, j, k = triples[f]
         a, b = (table[j][k], table[i][j]) if reverse else (table[i][j], table[j][k])
-        scales[f] = max(fro(a @ b), 1.0)
+        scales[f] = fro(a @ b)
     report.measured_block(template, triples, residuals, scales)
 
 
@@ -341,14 +342,14 @@ def _coherence_residual(kind, lam, a_src, a_dst):
 def _coherence_block(report, template, variance, kind, maps, mats):
     """Add to ``report``, and return it, the variance/kind intertwining law
     of ``mats`` over every pair of levels i < j, as one block, each
-    residual accepted at the scale ``max(fro(mats[i]), fro(mats[j]), 1)``."""
+    residual accepted at the scale ``max(fro(mats[i]), fro(mats[j]))``."""
     norms = [fro(m) for m in mats]
     pairs = [(i, j) for i in range(len(mats)) for j in range(i + 1, len(mats))]
     # map(i, j) runs from level j down to i on projective towers, up from i to j on direct
     ends = [(j, i) for i, j in pairs] if variance == "projective" else pairs
     residuals = np.array([_coherence_residual(kind, maps[i][j], mats[s], mats[t])
                           for (i, j), (s, t) in zip(pairs, ends)])
-    scales = np.array([max(norms[i], norms[j], 1.0) for i, j in pairs])
+    scales = np.array([max(norms[i], norms[j]) for i, j in pairs])
     report.measured_block(template, pairs, residuals, scales)
     return report
 
@@ -475,7 +476,7 @@ def _flag_report(a, bonding: BondingSystem, top, tol: Tolerance):
         raise InvalidInput("operator is not invertible")
     maps, projs = bonding.map_table(), bonding.projection_table()
     report = Report(tol=tol)
-    scale = max(fro(a), 1.0)
+    scale = fro(a)
     for k in range(top):
         inc = maps[k][top]
         image = a @ inc
@@ -716,7 +717,7 @@ def check_connection_coherence(seq: ConnectionFormSequence, sample_points,
                 (lam, moved_v[src], moved_x[src], values[src], *morphisms[k])
                 for k, src, lam in chunk])
 
-    scales = np.array([max(fro(model.matrix), 1.0) for model in seq.models[:n]])
+    scales = np.array([fro(model.matrix) for model in seq.models[:n]])
     report.measured_block("adapted[%d]", [(k,) for k in range(n)], adapted, scales)
     report.measured_block("coherent[%d,%d]", pairs, coherent)
     report.note(f"{pts.shape[0]} sample points, {dim} tangent directions")

@@ -38,14 +38,18 @@ __all__ = [
 class Tolerance:
     """Absolute/relative tolerance pair used by every validating operation.
 
-    The rank threshold for a matrix with largest singular value ``smax`` is
-    ``atol + rtol * smax``; residual checks accept ``r <= rtol * scale + atol``
-    for a finite ``r``, element by element for arrays.  An infinite or NaN
-    residual is never accepted, not even at an infinite scale.  Every report
-    entry is decided this way by ``Report.measured`` (or its block form),
-    with the ``Tolerance`` the report holds; only constructions that decide
-    their own preconditions, and public predicates, call ``accepts``
-    themselves.
+    It is the only code that turns a scale into a threshold, and every
+    threshold is ``atol + rtol * scale`` at the true scale, so ``atol`` is
+    the only absolute part of any of them.  The rank threshold for a matrix
+    with largest singular value ``smax`` is ``atol + rtol * smax``, and the
+    cut of an eigenvalue-sign decision on eigenvalues ``w`` is
+    ``atol + rtol * max|w|`` (``eigen_cut``); residual checks accept
+    ``r <= rtol * scale + atol`` for a finite ``r``, element by element for
+    arrays.  An infinite or NaN residual is never accepted, not even at an
+    infinite scale.  Every report entry is decided this way by
+    ``Report.measured`` (or its block form), with the ``Tolerance`` the
+    report holds; only constructions that decide their own preconditions,
+    and public predicates, call ``accepts`` themselves.
     """
 
     atol: float = 1e-9
@@ -62,6 +66,12 @@ class Tolerance:
 
     def rank_threshold(self, smax):
         return self.atol + self.rtol * smax
+
+    def eigen_cut(self, w):
+        """The cut of every eigenvalue-sign decision on the eigenvalues
+        ``w``: an eigenvalue within ``atol + rtol * max|w|`` of zero counts
+        as zero.  It is not finite when some eigenvalue is not."""
+        return self.rank_threshold(np.abs(w).max(initial=0.0))
 
 
 DEFAULT_TOL = Tolerance()
@@ -144,7 +154,8 @@ def spd_sqrt(m, tol: Tolerance = DEFAULT_TOL):
         Symmetric positive definite matrix.
     tol : Tolerance
         Symmetry is accepted when ``|m - m.T| <= rtol*|m| + atol``; positive
-        definiteness requires every eigenvalue above ``atol``.
+        definiteness requires every eigenvalue above ``tol.eigen_cut``, the
+        cut at which ``signature_of`` counts an eigenvalue as zero.
 
     Returns
     -------
@@ -161,8 +172,9 @@ def spd_sqrt(m, tol: Tolerance = DEFAULT_TOL):
     if not tol.accepts(asym, fro(m)):
         raise InvalidInput(f"asymmetry {asym:.3e} exceeds tolerance")
     w, q = np.linalg.eigh(symmetric_part(m))
-    if w.min(initial=np.inf) <= tol.atol:
-        raise InvalidInput(f"smallest eigenvalue {w.min():.3e} <= atol")
+    cut = tol.eigen_cut(w)
+    if w.min(initial=np.inf) <= cut:
+        raise InvalidInput(f"smallest eigenvalue {w.min():.3e} <= {cut:.3e}")
     return symmetric_part((q * np.sqrt(w)) @ q.T)
 
 
@@ -231,18 +243,17 @@ def rank_of(a, tol: Tolerance = DEFAULT_TOL):
 def signature_of(g, tol: Tolerance = DEFAULT_TOL):
     """Eigenvalue sign counts (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Eigenvalues within ``atol + rtol*max|eig|`` of zero count as zero.  When
-    the largest eigenvalue overflows (a finite g with entries near the
-    largest double), the eigenvalues are those of ``g / max|g|``, a positive
-    multiple of g, which has g's signs.
+    Eigenvalues within ``tol.eigen_cut``, ``atol + rtol*max|eig|``, of zero
+    count as zero.  When the largest eigenvalue overflows (a finite g with
+    entries near the largest double), the eigenvalues are those of
+    ``g / max|g|``, a positive multiple of g, which has g's signs.
     """
     g = as_matrix(g, square=True)
     w = np.linalg.eigvalsh(symmetric_part(g))
-    top = np.abs(w).max(initial=0.0)
-    if not math.isfinite(top):
+    cut = tol.eigen_cut(w)
+    if not math.isfinite(cut):
         w = np.linalg.eigvalsh(symmetric_part(g / np.abs(g).max()))
-        top = np.abs(w).max()
-    cut = tol.rank_threshold(top)
+        cut = tol.eigen_cut(w)
     n_plus = int(np.sum(w > cut))
     n_minus = int(np.sum(w < -cut))
     return n_plus, n_minus, g.shape[0] - n_plus - n_minus

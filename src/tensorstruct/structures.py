@@ -26,11 +26,15 @@ measures a matrix, or every matrix of a stack, against it.  A symmetric or
 skew form is defined by its transpose, and ``symmetry_defect`` measures a
 matrix against either tag of ``SYMMETRIES``.  Every check of those
 identities, here and in ``bundle``, ``calculus`` and ``compat``, calls
-these two; only ``linalg.spd_sqrt`` and ``compat``'s induced metric judge
-a symmetry at another scale.  A symplectic form is nondegenerate when its
-``kernel_and_image`` rank is full, in ``validate`` and ``darboux_basis``
-alike.  ``KINDS`` and ``SYMMETRIES`` are the tensor kinds and symmetry
-tags every constructor accepts.
+these two, except ``linalg.spd_sqrt``, which lies below this module and
+judges at |m| as ``symmetry_defect`` does, and ``compat``'s induced
+metric, judged at its form's scale.  Each scale is the true norm, with no
+floor, so ``atol`` is the only absolute part of a threshold.  A symplectic
+form is nondegenerate when its ``kernel_and_image`` rank is full, in
+``validate`` and ``darboux_basis`` alike, and a Krein metric is definite
+on each part when the eigenvalues of its restriction pass
+``Tolerance.eigen_cut``.  ``KINDS`` and ``SYMMETRIES`` are the tensor
+kinds and symmetry tags every constructor accepts.
 
 Validation never raises on bad structure data: every invariant becomes a
 report entry with its measured residual, so the CLI can surface degenerate
@@ -260,8 +264,8 @@ _LARGEST = sys.float_info.max
 
 
 def square_defect(m, square):
-    """``(|m m - square Id|, max(|m|^2, 1))``: the defect of ``m`` squaring
-    to ``square`` times Id and the scale it is judged at.  For a
+    """``(|m m - square Id|, |m|^2)``: the defect of ``m`` squaring to
+    ``square`` times Id and the scale it is judged at.  For a
     ``(..., n, n)`` stack, both are arrays of the stack's leading shape,
     with the bits of each matrix alone: ``fro_each`` is ``fro`` row by row,
     and both scales square the norm by one multiplication.
@@ -274,26 +278,26 @@ def square_defect(m, square):
     """
     if m.ndim == 2:
         norm = fro(m)
-        return fro(m @ m - square * np.eye(len(m))), max(min(norm * norm, _LARGEST), 1.0)
+        return fro(m @ m - square * np.eye(len(m))), min(norm * norm, _LARGEST)
     n = m.shape[-1]
     flat = m.reshape(-1, n, n)
     scale = np.minimum(fro_each(flat) ** 2, _LARGEST)
     defect = fro_each(flat @ flat - square * np.eye(n))
-    return defect.reshape(m.shape[:-2]), np.maximum(scale, 1.0).reshape(m.shape[:-2])
+    return defect.reshape(m.shape[:-2]), scale.reshape(m.shape[:-2])
 
 
 def symmetry_defect(m, symmetry):
-    """``(|m -+ m^T|, max(|m|, 1))``: the defect of ``m`` being a form of
+    """``(|m -+ m^T|, |m|)``: the defect of ``m`` being a form of
     the ``symmetry`` tag (``m - m^T`` for symmetric, ``m + m^T`` for skew)
     and the scale it is judged at.  For a ``(..., n, n)`` stack, both are
     arrays of the stack's leading shape, with the bits of each matrix alone
     (``fro_each`` is ``fro`` row by row)."""
     if m.ndim == 2:
-        return fro(m - m.T if symmetry == "symmetric" else m + m.T), max(fro(m), 1.0)
+        return fro(m - m.T if symmetry == "symmetric" else m + m.T), fro(m)
     flat = m.reshape(-1, *m.shape[-2:])
     flipped = np.swapaxes(flat, -1, -2)
     defect = fro_each(flat - flipped if symmetry == "symmetric" else flat + flipped)
-    return defect.reshape(m.shape[:-2]), np.maximum(fro_each(flat), 1.0).reshape(m.shape[:-2])
+    return defect.reshape(m.shape[:-2]), fro_each(flat).reshape(m.shape[:-2])
 
 
 def _half(dim):
@@ -341,8 +345,8 @@ def krein_from_matrix(g, tol: Tolerance = DEFAULT_TOL) -> KreinMetric:
 
     The splitting comes from the eigendecomposition: eigenvectors with
     positive (negative) eigenvalues span the positive (negative) part, which
-    makes the two parts automatically g-orthogonal.  Eigenvalues within the
-    rank threshold of zero mean the form is degenerate.
+    makes the two parts automatically g-orthogonal.  Eigenvalues within
+    ``tol.eigen_cut`` of zero mean the form is degenerate.
     """
     g = as_matrix(g, square=True)
     w, q = _ordered_eigh(g, tol)
@@ -353,10 +357,9 @@ def _ordered_eigh(g, tol: Tolerance):
     """Eigenvalues of the symmetric part of g in descending order, so the
     positive block comes first and the basis order is deterministic, with
     their eigenvectors as columns.  Raises InvalidInput when an eigenvalue is
-    within the rank threshold of zero."""
+    within ``tol.eigen_cut`` of zero."""
     w, q = np.linalg.eigh(symmetric_part(g))
-    cut = tol.rank_threshold(np.abs(w).max(initial=0.0))
-    if np.any(np.abs(w) <= cut):
+    if np.any(np.abs(w) <= tol.eigen_cut(w)):
         raise InvalidInput("symmetric form has (numerically) zero eigenvalues")
     order = np.argsort(-w)
     return w[order], q[:, order]
@@ -405,13 +408,13 @@ def _restricted_eigenvalues(s, basis):
     return np.linalg.eigvalsh(f) if np.isfinite(f).all() else np.full(len(f), np.nan)
 
 
-def _shortfall(w, atol):
-    """Residual of the check ``w > atol``: 0 when it holds, ``-w`` when ``w``
+def _shortfall(w, cut):
+    """Residual of the check ``w > cut``: 0 when it holds, ``-w`` when ``w``
     is negative, else the least increase of ``w`` that passes, so a failure
     never reads 0 (and a NaN ``w`` reads NaN)."""
-    if w > atol:
+    if w > cut:
         return 0.0
-    return float(-w) if w < 0 else float(np.nextafter(atol, np.inf) - w)
+    return float(-w) if w < 0 else float(np.nextafter(cut, np.inf) - w)
 
 
 def _validate_krein(g, report):
@@ -426,12 +429,14 @@ def _validate_krein(g, report):
     # the count mismatch, else the missing rank: positive whenever it fails
     report.add("bases_span", rank == n and p + q == n, float(abs(n - p - q) or n - rank))
 
-    if p:
-        wmin = _restricted_eigenvalues(s, g.plus_basis).min()
-        report.add("positive_on_plus", wmin > tol.atol, _shortfall(wmin, tol.atol))
-    if q:
-        wmax = _restricted_eigenvalues(s, g.minus_basis).max()
-        report.add("negative_on_minus", wmax < -tol.atol, _shortfall(-wmax, tol.atol))
+    # g, times the sign, is positive on each part: every eigenvalue of its
+    # restriction lies beyond the restriction's eigen_cut
+    for name, basis, sign in (("positive_on_plus", g.plus_basis, 1.0),
+                              ("negative_on_minus", g.minus_basis, -1.0)):
+        if basis.shape[1]:
+            w = sign * _restricted_eigenvalues(s, basis)
+            cut = tol.eigen_cut(w)
+            report.add(name, w.min() > cut, _shortfall(w.min(), cut))
     if p and q:
         report.measured("parts_orthogonal", fro(g.plus_basis.T @ s @ g.minus_basis), scale)
     report.note(f"signature ({p}, {q}); neutral: {g.is_neutral}")
@@ -462,7 +467,7 @@ def _validate_para(j, report):
     n = j.dim
     res, scale = square_defect(m, SQUARES["para_complex"])
     report.measured("squares_to_id", res, scale)
-    report.measured("trace_zero", abs(float(np.trace(m))), max(n, 1))
+    report.measured("trace_zero", abs(float(np.trace(m))), n)
     p = j.eigen_plus.shape[1]
     q = j.eigen_minus.shape[1]
     report.add("balanced_eigenspaces", p == q and p + q == n,
@@ -497,7 +502,7 @@ def _validate_cotangent(c, report):
     s = c.symplectic.matrix
     n = c.dim
     lag = c.lagrangian_basis
-    report.measured("lagrangian_isotropic", fro(lag.T @ s @ lag), max(fro(s), 1.0))
+    report.measured("lagrangian_isotropic", fro(lag.T @ s @ lag), fro(s))
     report.add("lagrangian_maximal", 2 * lag.shape[1] == n,
                float(abs(2 * lag.shape[1] - n)))
     report.add("complement_dimension",
@@ -550,7 +555,8 @@ def fundamental_symmetry(g: KreinMetric, tol: Tolerance = DEFAULT_TOL):
     if not tol.accepts(*symmetry_defect(gamma, "symmetric")):
         raise InvalidInput("splitting is not g-orthogonal: gamma not symmetric")
     gamma = symmetric_part(gamma)
-    if np.linalg.eigvalsh(gamma).min() <= tol.atol:
+    w = np.linalg.eigvalsh(gamma)
+    if w.min() <= tol.eigen_cut(w):
         raise InvalidInput("gamma is not positive definite")
     return j, BilinearForm(gamma, "symmetric")
 

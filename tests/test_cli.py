@@ -230,7 +230,7 @@ def test_triple_complete_canonical(tmp_path, capsys):
 
 _SINGULAR_PAIR = {"given": {"g": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]]}}
 _SINGULAR_PARA_PAIR = {"flavor": "para_kahler", **_SINGULAR_PAIR}
-_NOT_POSITIVE = "metric is not positive definite: smallest eigenvalue 0.000e+00 <= atol"
+_NOT_POSITIVE = "metric is not positive definite: smallest eigenvalue 0.000e+00 <= 1.000e-09"
 _NOT_NEUTRAL = "metric is not neutral: degenerate metric (zero count 2)"
 
 
@@ -249,6 +249,55 @@ def test_a_singular_metric_in_a_pair_exits_one(argv, doc, message, tmp_path):
     # is solved, and for both flavors by the completion, not the parser
     path = write(tmp_path, "doc.json", doc)
     assert run_captured([*argv, path]) == (1, "", f"error: {message}\n")
+
+
+# a structure of each kind that is not (para-)complex, and the two partners
+# a pair document can give it
+_PAIR_STRUCTURES = {
+    "krein": {"kind": "krein", "matrix": [[1, 0], [0, -1]]},
+    "bilinear": {"kind": "bilinear", "matrix": [[1, 0], [0, 1]]},
+    "tangent": {"kind": "tangent", "matrix": [[0, 1], [0, 0]]},
+    "cotangent": {"kind": "cotangent", "matrix": [[0, 1], [-1, 0]], "decomposition": {
+        "lagrangian_basis": [[1, 0]], "complement_basis": [[0, 1]]}},
+}
+_PARTNERS = {"g": [[1, 0], [0, 1]], "omega": [[0, 1], [-1, 0]]}
+# a Krein or bilinear structure is a metric, which omega completes where its
+# signature fits the flavor; every other pair exits 1, by the completion's
+# verdict or, when it is not two of a metric, a form and a (para-)complex
+# structure, as one that cannot be completed
+_COMPLETES = {("omega", "para_kahler", "krein"), ("omega", "kahler", "bilinear")}
+_NOT_A_PAIR = {(partner, flavor, kind) for partner in _PARTNERS
+               for flavor in ("kahler", "para_kahler") for kind in _PAIR_STRUCTURES
+               if partner == "g" or kind in ("tangent", "cotangent")}
+
+
+@pytest.mark.parametrize("command", ["triple", "loopspace"])
+@pytest.mark.parametrize("kind", sorted(_PAIR_STRUCTURES))
+@pytest.mark.parametrize("flavor", ["kahler", "para_kahler"])
+@pytest.mark.parametrize("partner", sorted(_PARTNERS))
+def test_every_pair_with_a_structure_of_any_kind_exits_without_a_traceback(
+        partner, flavor, kind, command, tmp_path):
+    pair = {"flavor": flavor, "given": {partner: _PARTNERS[partner],
+                                        "structure": _PAIR_STRUCTURES[kind]}}
+    argv = ["triple", "complete"] if command == "triple" else [
+        "--seed", "1", "loopspace", "check"]
+    path = write(tmp_path, "doc.json", pair if command == "triple" else _loop_on(pair))
+    status, _, err = run_captured([*argv, path])
+    if (partner, flavor, kind) in _COMPLETES:
+        assert (status, err) == (0, "")
+    else:
+        assert status == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert ("cannot complete a pair" in err) == ((partner, flavor, kind) in _NOT_A_PAIR)
+
+
+@pytest.mark.parametrize("k", [-60, -30, 0, 30, 60])
+def test_a_form_that_is_not_skew_fails_skew_at_every_scale(k, tmp_path):
+    # |m + m^T| / |m| is 0.63 at every k; under --atol 0 every threshold is
+    # rtol * |m|, with no floor of 1 under the scale, so the verdict is one
+    m = [[0.0, 2.0 ** k], [-(2.0 ** (k - 1)), 0.0]]
+    path = write(tmp_path, "form.json", {"kind": "symplectic", "matrix": m})
+    status, out, _ = run_captured(["--atol", "0", "validate", path])
+    assert status == 1 and out.startswith("FAIL  skew  ")
 
 
 def test_a_degenerate_krein_metric_exits_one(tmp_path):

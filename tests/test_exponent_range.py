@@ -1,12 +1,15 @@
 """Verdicts that do not depend on the exponent range (a metamorphic property).
 
-With ``Tolerance(atol=0, rtol=r)`` and inputs whose norms are at least 1,
-every ``max(., 1)`` floor stays inactive.  Scaling the input of a check of
-degree 1 by 2**k then scales its residual and its scale by 2**k: exactly
-wherever nothing overflows, and up to the last bits where ``fro`` takes its
-scaled fallback.  Each case measures its residual/scale ratio at k = 0 and
-sets r a factor of 4 above or below it, so the verdict must be the same at
-every k that keeps every entry and every product finite.
+Every threshold is ``atol + rtol * scale`` at the check's true scale, so
+with ``Tolerance(atol=0, rtol=r)``, scaling the input of a check of degree
+1 by 2**k scales its residual and its scale by 2**k: exactly wherever
+nothing overflows or underflows, and up to the last bits where ``fro``
+takes its scaled fallback.  Each case measures its residual/scale ratio at
+k = 0 and sets r a factor of 4 above or below it, so the verdict must be
+the same at every k, up or down, that keeps every entry and every product
+finite.  Going down, k stops where the smallest nonzero entry of an input,
+a product or a residual reaches 2**-500: ``fro`` has no underflow rescue,
+and a sum of squares of such entries is still a normal double.
 """
 
 import math
@@ -45,7 +48,11 @@ def _form(rng, symmetry):
     s = s * (2.0 / np.linalg.norm(s)) + _defect(rng, (3, 3))
     off = s - s.T if symmetry == "symmetric" else s + s.T
     ratio = np.linalg.norm(off) / np.linalg.norm(s)
-    return ratio, lambda k, tol: validate(BilinearForm(s * 2.0 ** k, symmetry), tol).passed, [s]
+
+    def judge(k, tol):
+        return validate(BilinearForm(s * 2.0 ** k, symmetry), tol).passed
+
+    return ratio, judge, [s, off]
 
 
 def _cocycle(rng):
@@ -64,7 +71,7 @@ def _cocycle(rng):
         [entry] = [e for e in check_cocycle(atlas, tol).entries if e.name == "cocycle[a,b,c]"]
         return entry.passed
 
-    return ratio, judge, [t_ab, t_bc, t_ac, t_ab @ t_bc]
+    return ratio, judge, [t_ab, t_bc, t_ac, t_ab @ t_bc, t_ac - t_ab @ t_bc]
 
 
 def _isotropy(rng):
@@ -79,7 +86,7 @@ def _isotropy(rng):
     def judge(k, tol):
         return in_isotropy(g, StructureMatrix(s * 2.0 ** k, "2,0"), tol)[0]
 
-    return ratio, judge, [s, acted, g_inv.T @ s]
+    return ratio, judge, [s, acted, g_inv.T @ s, acted - s]
 
 
 def _coherent(rng):
@@ -96,7 +103,7 @@ def _coherent(rng):
         return check_coherent(CoherentSequence(bonding, [s0 * scale, s1 * scale], "2,0"),
                               tol).passed
 
-    return ratio, judge, [s0, s1]
+    return ratio, judge, [s0, s1, lam.T @ s0 @ lam, s1 - lam.T @ s0 @ lam]
 
 
 CASES = {
@@ -110,14 +117,16 @@ CASES = {
 
 @settings(max_examples=100, deadline=None)
 @given(case=st.sampled_from(sorted(CASES)), seed=st.integers(0, 2 ** 32 - 1),
-       accept=st.booleans(), k=st.integers(0, 1100))
+       accept=st.booleans(), k=st.integers(-1100, 1100))
 def test_a_verdict_does_not_depend_on_the_exponent(case, seed, accept, k):
     ratio, judge, arrays = CASES[case](np.random.default_rng(seed))
     tol = Tolerance(atol=0.0, rtol=ratio * 4 if accept else ratio / 4)
-    # the largest k that keeps every input entry and product below 2**1018
+    # the largest k that keeps every entry below 2**1018, and the smallest
+    # that keeps every nonzero one at least 2**-500
     top = 1018 - math.ceil(math.log2(max(np.abs(a).max() for a in arrays)))
+    bottom = -500 - math.floor(math.log2(min(np.abs(a[a != 0]).min() for a in arrays)))
     with np.errstate(over="ignore"):  # a sum of squares overflows before fro scales it
-        for exponent in sorted({0, min(k, top), top}):
+        for exponent in sorted({bottom, 0, min(max(k, bottom), top), top}):
             assert judge(exponent, tol) == accept, exponent
 
 

@@ -311,7 +311,7 @@ DECIDE_FOR_THEMSELVES = {
     ("structures", "fundamental_symmetry"),
     ("bundle", "in_isotropy"), ("bundle", "_orbit_class"), ("bundle", "_same_orbit"),
     ("calculus", "is_integrable_structure"),
-    ("limits", "_composition_block"),  # its probe at scale 1
+    ("limits", "_composition_block"),  # its probe at scale 0
 }
 
 
@@ -475,9 +475,9 @@ def _retries_each_row(node):
         and "LinAlgError" in ast.unparse(handler.type) for handler in ast.walk(node))
 
 
-# symmetry defects judged at another scale than symmetry_defect's max(|m|, 1)
+# symmetry defects computed outside symmetry_defect
 OTHER_SCALE = {
-    ("linalg", "spd_sqrt"): "the asymmetry of an SPD matrix is judged at |m|",
+    ("linalg", "spd_sqrt"): "linalg lies below structures; it judges at |m|, as symmetry_defect",
     ("compat", "_form_structure"): "the induced metric is judged at the form's scale",
 }
 
@@ -489,3 +489,39 @@ def test_each_defining_identity_and_the_row_fallback_have_one_home():
     assert _sites(_squares_itself) == {("structures", "square_defect")}
     assert _sites(_adds_its_transpose) == {("structures", "symmetry_defect"), *OTHER_SCALE}
     assert _sites(_retries_each_row) == {("linalg", "batched")}
+
+
+def _reads_a_tolerance_bound(node):
+    """A comparison that reads ``.atol`` or ``.rtol`` of a Tolerance: of
+    ``tol``, of an attribute ``.tol`` or of a ``*_TOL`` constant, the names
+    a Tolerance goes by in the package outside its own methods."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(a, ast.Attribute) and a.attr in ("atol", "rtol") and (
+            isinstance(a.value, ast.Name) and (a.value.id == "tol" or a.value.id.endswith("_TOL"))
+            or isinstance(a.value, ast.Attribute) and a.value.attr == "tol")
+        for a in ast.walk(node))
+
+
+def _floors_at_one(node):
+    """``max(x, 1.0)``, ``np.maximum(x, 1.0)`` or ``np.fmax(x, 1.0)``: a
+    scale raised to at least 1."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == "max"
+        or isinstance(node.func, ast.Attribute) and node.func.attr in ("maximum", "fmax")) and any(
+        isinstance(a, ast.Constant) and isinstance(a.value, float) and a.value == 1.0
+        for a in node.args)
+
+
+# loopspace divides its residuals by max(|a|, 1): these are residual
+# definitions that the benchmark's reference digests pin, not scales
+RESIDUALS_DIVIDED_BY_A_FLOOR = {
+    ("loopspace", "check_induced_compatibility"), ("loopspace", "ascending_coherence"),
+}
+
+
+def test_every_threshold_is_atol_plus_rtol_times_the_true_scale():
+    # only Tolerance turns a scale into a threshold, atol + rtol * scale,
+    # and every eigenvalue-sign decision takes tol.eigen_cut: no check
+    # compares with atol or rtol itself, and no scale is floored at 1
+    assert _sites(_reads_a_tolerance_bound) == set()
+    assert _sites(_floors_at_one) == RESIDUALS_DIVIDED_BY_A_FLOOR

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tensorstruct.bundle import _inverted
 from tensorstruct.calculus import _solve
@@ -77,8 +77,36 @@ def test_spd_sqrt_rejects_asymmetric():
 
 
 def test_spd_sqrt_rejects_indefinite():
-    with pytest.raises(InvalidInput, match="smallest eigenvalue .* <= atol"):
+    # the cut is atol + rtol * max|w| = 1e-9 + 2e-9, signature_of's
+    with pytest.raises(InvalidInput, match=r"smallest eigenvalue -2\.000e\+00 <= 3\.000e-09"):
         spd_sqrt(np.diag([1.0, -2.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), signs=st.lists(st.sampled_from([-1.0, 0.0, 1.0]),
+                                                         min_size=1, max_size=4),
+       spread=st.floats(0.0, 12.0), power=st.integers(-60, 60),
+       atol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+       rtol=st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_spd_sqrt_accepts_exactly_the_metrics_signature_of_calls_positive(
+        seed, signs, spread, power, atol, rtol):
+    # P^T D P with P orthogonal and |D| spread over up to 12 decades: both
+    # decisions take one cut, tol.eigen_cut, on the same eigenvalues, so
+    # they agree wherever no eigenvalue lies within rounding of the cut
+    rng = np.random.default_rng(seed)
+    n = len(signs)
+    d = np.array(signs) * 10.0 ** -rng.uniform(0.0, spread, size=n) * 2.0 ** power
+    p = random_orthogonal(n, rng)
+    g = symmetric_part(p.T @ np.diag(d) @ p)
+    tol = Tolerance(atol, rtol)
+    w = np.linalg.eigvalsh(g)
+    assume(np.all(np.abs(np.abs(w) - tol.eigen_cut(w)) > 1e-13 * np.abs(w).max()))
+    try:
+        spd_sqrt(g, tol)
+        raised = False
+    except InvalidInput:
+        raised = True
+    assert raised == (signature_of(g, tol) != (n, 0, 0))
 
 
 def test_spd_sqrt_squares_back_randomized():

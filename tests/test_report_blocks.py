@@ -78,11 +78,10 @@ def per_entry_validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -
                 else:
                     lhs = maps[j][k] @ maps[i][j]
                 res = fro(lhs - maps[i][k])
-                # the scale is at least 1, so a residual accepted at scale 1
-                # is accepted at it too: compute it only when that fails
+                # a residual accepted at scale 0 is accepted at every
+                # scale: compute the scale only when that fails
                 report.add(f"composition[{i},{j},{k}]",
-                           tol.accepts(res) or tol.accepts(res, max(fro(lhs), 1.0)),
-                           res)
+                           tol.accepts(res, 0.0) or tol.accepts(res, fro(lhs)), res)
 
     for i in range(n - 1):
         m = b.maps[i]
@@ -102,8 +101,7 @@ def per_entry_validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -
                     lhs = projs[i][j] @ projs[j][k]
                     res = fro(lhs - projs[i][k])
                     report.add(f"projection_composition[{i},{j},{k}]",
-                               tol.accepts(res)
-                               or tol.accepts(res, max(fro(lhs), 1.0)), res)
+                               tol.accepts(res, 0.0) or tol.accepts(res, fro(lhs)), res)
     return report
 
 
@@ -116,7 +114,7 @@ def per_entry_check_coherent(seq: CoherentSequence, tol: Tolerance = DEFAULT_TOL
         for j in range(i + 1, n):
             res = _coherence_residual(seq.bonding.variance, seq.kind, maps[i][j],
                                       seq.levels[i], seq.levels[j])
-            scale = max(fro(seq.levels[i]), fro(seq.levels[j]), 1.0)
+            scale = max(fro(seq.levels[i]), fro(seq.levels[j]))
             report.add(f"coherent[{i},{j}]", tol.accepts(res, scale), res)
     return report
 
@@ -131,7 +129,7 @@ def per_entry_tuple_membership(a: LevelTuple, tol: Tolerance = DEFAULT_TOL,
         for j in range(i + 1, a.level):
             res = _coherence_residual(a.bonding.variance, "1,1", maps[i][j],
                                       a.entries[i], a.entries[j])
-            scale = max(fro(a.entries[i]), fro(a.entries[j]), 1.0)
+            scale = max(fro(a.entries[i]), fro(a.entries[j]))
             report.add(f"intertwines[{i},{j}]", tol.accepts(res, scale), res)
     for lvl, m in enumerate(a.entries):
         ok = rank_of(m, tol) == m.shape[0]
@@ -189,8 +187,7 @@ def per_entry_connection_coherence(seq: ConnectionFormSequence, sample_points,
         coherent.append(_worst(_norms(lhs - left @ values[src] @ right)))
 
     for lvl, (model, worst) in enumerate(zip(seq.models, adapted)):
-        report.add(f"adapted[{lvl}]", tol.accepts(worst, max(fro(model.matrix), 1.0)),
-                   worst)
+        report.add(f"adapted[{lvl}]", tol.accepts(worst, fro(model.matrix)), worst)
     for (i, j), worst in zip(pairs, coherent):
         report.add(f"coherent[{i},{j}]", tol.accepts(worst, 1.0), worst)
     report.note(f"{pts.shape[0]} sample points, {dim} tangent directions")
@@ -202,7 +199,7 @@ def per_entry_connection_coherence(seq: ConnectionFormSequence, sample_points,
 # ---------------------------------------------------------------------------
 
 # 30 makes composites large enough that some composition laws pass only at
-# their relative scale max(|lhs|, 1) under the tighter tolerances; 1e80 and
+# their relative scale |lhs| under the tighter tolerances; 1e80 and
 # 1e160 overflow products and norms to inf, and differences to NaN
 GAINS = [1.0, 30.0, 1e80, 1e160]
 TOLS = [DEFAULT_TOL, Tolerance(0.0, 1e-15), Tolerance(1e-16, 1e-14)]
@@ -380,7 +377,7 @@ def test_each_scale_decides_a_verdict_at_the_edge():
                               (tuple_membership(tup), per_entry_tuple_membership(tup))]:
         assert observed(report) == observed(reference)
         assert report.entries[0].residual == 5e-4 and report.entries[0].passed
-    # adapted[0] is 1.5e-9: accepted at max(fro(T), 1) = 1, not at fro(T);
+    # adapted[0] is 1.5e-9: rejected at fro(T) = 1e-3, though accepted at 1;
     # coherent[0,1] is 2.5e-9: accepted at scale 2, not at the scale 1 used
     b = BondingSystem.padded([1, 1], "direct")
     forms = [LevelForm([[[0.0]]]), LevelForm([[[2.5e-9]]])]
@@ -390,7 +387,7 @@ def test_each_scale_decides_a_verdict_at_the_edge():
              {"adapted[0]": True, "adapted[1]": True, "coherent[0,1]": False}),
             (ConnectionFormSequence(BondingSystem.padded([2], "direct"), [small],
                                     [StructureMatrix(np.diag([1e-3, 0.0]), "1,1")]),
-             [[1.0, 0.0]], {"adapted[0]": True})]:
+             [[1.0, 0.0]], {"adapted[0]": False})]:
         report = check_connection_coherence(seq, points)
         assert observed(report) == observed(per_entry_connection_coherence(seq, points))
         assert {e.name: e.passed for e in report.entries} == verdicts

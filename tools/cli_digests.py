@@ -20,7 +20,11 @@ words and the bytes of its document: for ``validate``, bytes that are not
 UTF-8, a NUL byte in the path, a UTF-8 BOM, UTF-16 text, an empty file, a
 ``NaN`` entry, an entry of 2**64, nesting 100,000 deep and a degenerate
 Krein metric; for ``triple complete`` and ``loopspace check``, a Kahler
-pair and a para-Kahler pair whose metric is singular; and
+pair and a para-Kahler pair whose metric is singular, and pairs that hold
+no two of a metric, a form and a (para-)complex structure (a metric with a
+Krein structure under both, a form with a cotangent structure under
+``triple complete``); ``--atol 0 validate`` on the form
+``[[0, 2**-30], [-2**-31, 0]]``, which is not skew at any scale; and
 argv that only argparse reads or rejects: an abbreviated option, an
 ``--option=value`` word, ``--`` before a path, ``-h`` on a subcommand, a
 repeated ``--atol``, ``--json`` after the subcommand and an unknown
@@ -53,6 +57,12 @@ ROUNDS = (0, 1)
 _STRUCTURE = '{"kind": "complex", "matrix": [[0, -1], [1, 0]]}'
 _SINGULAR_PAIR = b'{"given": {"g": [[0, 0], [0, 0]], "omega": [[0, 1], [-1, 0]]}}'
 _SINGULAR_PARA_PAIR = b'{"flavor": "para_kahler", ' + _SINGULAR_PAIR[1:]
+# pairs that hold no two of a metric, a form and a (para-)complex structure
+_KREIN_PAIR = b'{"given": {"g": [[1, 0], [0, 1]], "structure": {"kind": "krein", ' \
+    b'"matrix": [[1, 0], [0, -1]]}}}'
+_COTANGENT_PAIR = b'{"flavor": "para_kahler", "given": {"omega": [[0, 1], [-1, 0]], ' \
+    b'"structure": {"kind": "cotangent", "matrix": [[0, 1], [-1, 0]], "decomposition": ' \
+    b'{"lagrangian_basis": [[1, 0]], "complement_basis": [[0, 1]]}}}}'
 DOC = "{doc}"  # the word that stands for the document's path
 # name: (argv words, the document's bytes, or None for a path with a NUL
 # byte); the last seven are argv that only argparse reads or rejects
@@ -77,6 +87,15 @@ MALFORMED = {
     "singular-para-metric-loopspace": (["--seed", "1", "loopspace", "check", DOC],
                                        b'{"target": {"pair": ' + _SINGULAR_PARA_PAIR
                                        + b'}, "loop": [[0.1, 0.2], [0.3, 0.4]]}'),
+    "krein-pair-triple": (["triple", "complete", DOC], _KREIN_PAIR),
+    "cotangent-pair-triple": (["triple", "complete", DOC], _COTANGENT_PAIR),
+    "krein-pair-loopspace": (["--seed", "1", "loopspace", "check", DOC],
+                             b'{"target": {"pair": ' + _KREIN_PAIR
+                             + b'}, "loop": [[0.1, 0.2], [0.3, 0.4]]}'),
+    # [[0, 2**-30], [-2**-31, 0]], not skew at any scale
+    "not-skew-2**-30-atol-0": (["--atol", "0", "validate", DOC],
+                               b'{"kind": "symplectic", "matrix": [[0, 9.313225746154785e-10], '
+                               b'[-4.656612873077393e-10, 0]]}'),
     "abbreviated-option": (["--seed", "1", "loopspace", "demo", "--lev", "2"],
                            _STRUCTURE.encode()),
     "option=value": (["--atol=1e-9", "validate", DOC], _STRUCTURE.encode()),
