@@ -53,7 +53,7 @@ from .structures import (
     StructureMatrix,
     SymplecticForm,
     TangentStructure,
-    krein_from_matrix,
+    krein_bases,
 )
 
 __all__ = [
@@ -415,7 +415,8 @@ def _building(what):
 
 # kind: (class, the decomposition it takes when a document gives none)
 _CANONICAL = {"para_complex": (ParaComplexStructure, involution_eigenbases),
-              "tangent": (TangentStructure, kernel_and_complement)}
+              "tangent": (TangentStructure, kernel_and_complement),
+              "krein": (KreinMetric, krein_bases)}
 
 
 def _build_structure(v, tol):
@@ -426,8 +427,6 @@ def _build_structure(v, tol):
         return cls(matrix, *(bases or canonical(matrix, tol)))
     if kind == "complex":
         return ComplexStructure(matrix, dec and (*bases, dec["iso"]))
-    if kind == "krein":
-        return KreinMetric(matrix, *bases) if dec else krein_from_matrix(matrix, tol)
     if kind == "cotangent":
         return CotangentStructure(SymplecticForm(matrix), *bases)
     if kind == "symplectic":

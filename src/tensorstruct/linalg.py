@@ -1,10 +1,18 @@
 """Dense real linear-algebra kernel with an explicit tolerance policy.
 
-Everything downstream funnels its numerics through here: symmetric square
-roots, adjoints with respect to a metric, and rank/kernel decisions.  All
-operations are pure; matrices are plain ``numpy`` arrays of floats and are
-never mutated.  ``batched`` is the one stacked ``np.linalg`` call that
-falls back to one matrix at a time, to find the matrices it fails on.
+Everything downstream funnels its numerics through here: norms, symmetric
+square roots, adjoints with respect to a metric, and eigenvalue and
+rank/kernel decisions.  All operations are pure; matrices are plain
+``numpy`` arrays of floats and are never mutated.  ``batched`` is the one
+stacked ``np.linalg`` call that falls back to one matrix at a time, to find
+the matrices it fails on.
+
+The range rescue lives here alone: where a sum of squares, an eigenvalue
+cut or a rank threshold of a finite nonzero input comes out inf, NaN or
+below the smallest normal double, ``fro``, ``fro_each``,
+``symmetric_eigen``, ``kernel_and_image`` and ``rank_of`` compute again on
+the input divided by ``_power_of_two`` of it, which is exact, and judge
+at that scale.  Everywhere else they take the direct result, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +51,10 @@ class Tolerance:
     the only absolute part of any of them.  The rank threshold for a matrix
     with largest singular value ``smax`` is ``atol + rtol * smax``, and the
     cut of an eigenvalue-sign decision on eigenvalues ``w`` is
-    ``atol + rtol * max|w|`` (``eigen_cut``); residual checks accept
+    ``atol + rtol * max|w|`` (``eigen_cut``); both take a ``scale`` for a
+    decision made on a matrix divided by ``scale`` (the range rescue of
+    ``symmetric_eigen``, ``kernel_and_image`` and ``rank_of``), where the
+    threshold is ``atol / scale + rtol * smax``; residual checks accept
     ``r <= rtol * scale + atol`` for a finite ``r``, element by element for
     arrays.  An infinite or NaN residual is never accepted, not even at an
     infinite scale.  Every report entry is decided this way by
@@ -64,14 +75,15 @@ class Tolerance:
     def accepts(self, residual, scale=1.0):
         return (residual <= self.rtol * scale + self.atol) & (residual < math.inf)
 
-    def rank_threshold(self, smax):
-        return self.atol + self.rtol * smax
+    def rank_threshold(self, smax, scale=1.0):
+        return self.atol / scale + self.rtol * smax
 
-    def eigen_cut(self, w):
+    def eigen_cut(self, w, scale=1.0):
         """The cut of every eigenvalue-sign decision on the eigenvalues
-        ``w``: an eigenvalue within ``atol + rtol * max|w|`` of zero counts
-        as zero.  It is not finite when some eigenvalue is not."""
-        return self.rank_threshold(np.abs(w).max(initial=0.0))
+        ``w`` of a matrix divided by ``scale``: an eigenvalue within
+        ``atol / scale + rtol * max|w|`` of zero counts as zero.  It is not
+        finite when some eigenvalue is not."""
+        return self.rank_threshold(np.abs(w).max(initial=0.0), scale)
 
 
 DEFAULT_TOL = Tolerance()
@@ -91,35 +103,53 @@ def as_matrix(m, square=False, name="matrix", ndim=2):
     return a
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+def _power_of_two(x):
+    """The power of two ``2**e``, ``e`` even, with ``1 <= max|x| / 2**e < 4``
+    for a finite nonzero ``x``: dividing by it is exact wherever the
+    quotient is a normal double, and its square root ``2**(e/2)`` is exact
+    too.  It is the one rescale of the package, after Blue (ACM TOMS 4(1),
+    1978) and Anderson (ACM TOMS 44(1), 2017)."""
+    e = math.frexp(float(np.abs(x).max()))[1] - 1
+    return math.ldexp(1.0, e - e % 2)
+
+
 def fro(a):
     """Frobenius norm: for float64 and integer input, the computation
-    ``np.linalg.norm(a)`` makes, bit for bit, without its per-call dispatch,
-    except where the sum of squares overflows.  For finite entries whose
-    sum of squares passes the largest double (entries above about 1.3e154)
-    it is the scaled norm ``m * sqrt(sum((x / m)**2))``, ``m = max|x|``,
-    which stays finite up to a norm of about 1.8e308; entries holding an
-    inf or a NaN still give inf or NaN."""
+    ``np.linalg.norm(a)`` makes, bit for bit, without its per-call dispatch
+    (``np.vdot`` is the dot ``norm`` takes, and it emits no overflow
+    warning), wherever the sum of squares is a normal double; zeros, the
+    commonest input, take one count of nonzeros past it.  Where the sum of squares of
+    finite entries, not all zero, overflows, underflows or goes subnormal,
+    it is ``p * sqrt(sum((x / p)**2))`` for ``p = _power_of_two(x)``,
+    positive, and finite wherever the true norm is; entries holding an inf
+    or a NaN still give inf or NaN."""
     x = np.asarray(a, dtype=float).ravel(order="K")
-    d = x.dot(x)
-    if d == math.inf and np.isfinite(x).all():
-        m = float(np.abs(x).max())
-        y = x / m
-        return m * math.sqrt(y.dot(y))
+    d = np.vdot(x, x)
+    if not _TINY <= d < math.inf and np.count_nonzero(x) and np.isfinite(x).all():
+        p = _power_of_two(x)
+        return p * fro(x / p)
     return math.sqrt(d)
 
 
 def fro_each(stack):
     """``fro`` of each matrix of a ``(P, n, m)`` stack, bit for bit: one
     ``vecdot`` of the flattened matrices with themselves (the dot ``fro``
-    takes, row by row), and ``fro`` itself on the rows whose norm comes out
-    infinite, looked for only when some norm is infinite."""
+    takes, row by row), and ``fro`` itself on each row, not all zeros,
+    whose sum of squares is not a normal double; a stack of zeros takes
+    neither.  Unlike ``fro``, a sum that overflows warns: ``vecdot`` checks
+    the floating-point flags, and an ``np.errstate`` around it would cost
+    about a microsecond on every call to silence a rare warning."""
     stack = np.asarray(stack, dtype=float)
-    p, n, m = stack.shape
-    rows = stack.reshape(p, n * m)
-    out = np.sqrt(np.vecdot(rows, rows))
-    if math.inf in out.tolist():
-        for k in np.flatnonzero(out == math.inf):
-            out[k] = fro(rows[k])
+    rows = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    if not np.count_nonzero(rows):
+        return np.zeros(len(rows))
+    d = np.vecdot(rows, rows)
+    out = np.sqrt(d)
+    for k in np.flatnonzero(((d < _TINY) & rows.any(axis=1)) | ~(d < math.inf)):
+        out[k] = fro(rows[k])
     return out
 
 
@@ -160,7 +190,9 @@ def spd_sqrt(m, tol: Tolerance = DEFAULT_TOL):
     Returns
     -------
     ndarray
-        Symmetric R with ``R @ R == m`` within ``rtol*|m| + atol``.
+        Symmetric R with ``R @ R == m`` within ``rtol*|m| + atol``: where
+        ``symmetric_eigen`` rescues the range, the root of ``m / 2**e``
+        times ``2**(e/2)``.
 
     Raises
     ------
@@ -171,11 +203,10 @@ def spd_sqrt(m, tol: Tolerance = DEFAULT_TOL):
     asym = fro(m - m.T)
     if not tol.accepts(asym, fro(m)):
         raise InvalidInput(f"asymmetry {asym:.3e} exceeds tolerance")
-    w, q = np.linalg.eigh(symmetric_part(m))
-    cut = tol.eigen_cut(w)
+    (w, q), scale, cut = symmetric_eigen(m, tol, vectors=True)
     if w.min(initial=np.inf) <= cut:
-        raise InvalidInput(f"smallest eigenvalue {w.min():.3e} <= {cut:.3e}")
-    return symmetric_part((q * np.sqrt(w)) @ q.T)
+        raise InvalidInput(f"smallest eigenvalue {w.min() * scale:.3e} <= {cut * scale:.3e}")
+    return symmetric_part((q * np.sqrt(w)) @ q.T) * math.sqrt(scale)
 
 
 def metric_adjoint(a, g):
@@ -195,7 +226,9 @@ def metric_adjoint(a, g):
 def kernel_and_image(a, tol: Tolerance = DEFAULT_TOL):
     """Orthonormal kernel and image bases plus the numerical rank.
 
-    Singular values below ``atol + rtol * smax`` are treated as zero.
+    Singular values below ``atol + rtol * smax`` are treated as zero; where
+    that threshold is out of range (``smax`` overflows), they are those of
+    ``a / 2**e`` against the threshold at that scale (``_rescued``).
 
     Returns
     -------
@@ -203,13 +236,25 @@ def kernel_and_image(a, tol: Tolerance = DEFAULT_TOL):
         ``kernel`` has shape (cols, cols - rank), ``image`` has shape
         (rows, rank); both have orthonormal columns.
     """
-    a = as_matrix(a)
-    u, s, vt = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol.rank_threshold(smax)))
-    kernel = vt[rank:].T
-    image = u[:, :rank]
-    return kernel, image, rank
+    (u, s, vt), _, cut = _rescued(np.linalg.svd, as_matrix(a), tol, at=1)
+    rank = int(np.sum(s > cut))
+    return vt[rank:].T, u[:, :rank], rank
+
+
+def _rescued(decide, m, tol: Tolerance, at=0):
+    """``(out, scale, cut)``: ``out = decide(m / scale)``, whose entry
+    ``at`` holds the eigen- or singular values ``w`` that a decision cuts,
+    and ``cut = tol.eigen_cut(w, scale)``.  ``scale`` is 1.0, and ``m`` is
+    not divided, unless that cut is inf, NaN or below the smallest normal on
+    a nonzero ``m``; then it is ``_power_of_two(m)``.  It is the one retry
+    of every eigenvalue and rank decision."""
+    out, scale = decide(m), 1.0
+    cut = tol.eigen_cut(out[at])
+    if not _TINY <= cut < math.inf and np.any(m):
+        scale = _power_of_two(m)
+        out = decide(m / scale)
+        cut = tol.eigen_cut(out[at], scale)
+    return out, scale, cut
 
 
 def kernel_and_complement(a, tol: Tolerance = DEFAULT_TOL):
@@ -233,30 +278,46 @@ def involution_eigenbases(j, tol: Tolerance = DEFAULT_TOL):
 
 def rank_of(a, tol: Tolerance = DEFAULT_TOL):
     """Numerical rank of a 2-D array: singular values above
-    ``atol + rtol * smax`` (singular values only; 0 for an empty array)."""
-    if np.size(a) == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > tol.rank_threshold(s[0])))
+    ``atol + rtol * smax`` (singular values only; 0 for an empty array),
+    with ``kernel_and_image``'s range rescue."""
+    (s,), _, cut = _rescued(lambda x: (np.linalg.svd(x, compute_uv=False),),
+                            np.asarray(a, dtype=float), tol)
+    return int(np.sum(s > cut))
 
 
 def signature_of(g, tol: Tolerance = DEFAULT_TOL):
     """Eigenvalue sign counts (n_plus, n_minus, n_zero) of a symmetric matrix.
 
     Eigenvalues within ``tol.eigen_cut``, ``atol + rtol*max|eig|``, of zero
-    count as zero.  When the largest eigenvalue overflows (a finite g with
-    entries near the largest double), the eigenvalues are those of
-    ``g / max|g|``, a positive multiple of g, which has g's signs.
+    count as zero, decided by ``symmetric_eigen``: where the eigenvalues of
+    a finite g overflow, they are those of ``g / 2**e``, a positive multiple
+    of g, which has g's signs.
     """
-    g = as_matrix(g, square=True)
-    w = np.linalg.eigvalsh(symmetric_part(g))
-    cut = tol.eigen_cut(w)
-    if not math.isfinite(cut):
-        w = np.linalg.eigvalsh(symmetric_part(g / np.abs(g).max()))
-        cut = tol.eigen_cut(w)
-    n_plus = int(np.sum(w > cut))
-    n_minus = int(np.sum(w < -cut))
-    return n_plus, n_minus, g.shape[0] - n_plus - n_minus
+    (w, _), _, cut = symmetric_eigen(as_matrix(g, square=True), tol)
+    n_plus, n_minus = int(np.sum(w > cut)), int(np.sum(w < -cut))
+    return n_plus, n_minus, len(w) - n_plus - n_minus
+
+
+def symmetric_eigen(m, tol: Tolerance = DEFAULT_TOL, vectors=False, basis=None):
+    """``((w, q), scale, cut)``: the eigenvalues ``w`` of the symmetric part
+    of the finite form ``m`` divided by ``scale`` (of ``basis.T @ m @
+    basis``, its restriction to the span of ``basis``, when given), their
+    eigenvectors ``q`` as columns when ``vectors`` (else None), and
+    ``tol.eigen_cut`` of ``w`` at that scale.
+
+    It is the one call of ``eigh``/``eigvalsh`` in the package, with the
+    retry of ``_rescued``: ``scale`` is 1.0 unless the cut is out of range
+    on a nonzero ``m`` (an eigenvalue, or the restricted form, overflows;
+    or, under ``atol`` 0, the cut underflows), and then an even power of
+    two, so the signs are ``m``'s and ``sqrt(scale)`` is exact.
+    """
+    def decide(x):
+        f = symmetric_part(x if basis is None else basis.T @ x @ basis)
+        if basis is not None and not np.isfinite(f).all():
+            # a restricted form that overflows: LAPACK may not converge on it
+            return np.full(len(f), math.nan), None
+        return np.linalg.eigh(f) if vectors else (np.linalg.eigvalsh(f), None)
+    return _rescued(decide, m, tol)
 
 
 def symmetric_part(m):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .compat import CompatibleTriple, check_triple, complete_pair
 from .errors import InvalidInput, ShapeMismatch
-from .linalg import DEFAULT_TOL, Tolerance, fro_each, signature_of
+from .linalg import DEFAULT_TOL, Tolerance, _power_of_two, fro_each, signature_of
 from .limits import BondingSystem, CoherentSequence, check_coherent
 from .report import Report
 from .structures import BilinearForm, ComplexStructure, SymplecticForm, krein_from_matrix
@@ -139,14 +139,12 @@ def _conform(space, x):
     return x
 
 
-def _forms(space, x, y, scale=None):
+def _forms(space, x, y, scale=1.0):
     """Omega(X, Y) and g(X, Y) for each pair of an ``(..., N, d)`` stack of
     tangent arrays: one quadrature per form over the whole stack, on the
-    target's form and metric each divided by ``scale`` when it is given."""
+    target's form and metric each divided by ``scale``, a power of two."""
     w = space.weights
-    omega, metric = space.target.omega.matrix, space.target.metric_matrix
-    if scale is not None:
-        omega, metric = omega / scale, metric / scale
+    omega, metric = space.target.omega.matrix / scale, space.target.metric_matrix / scale
     return (np.sum(w * np.einsum("...ti,ij,...tj->...t", x, omega, y), axis=-1),
             np.sum(w * np.einsum("...ti,ij,...tj->...t", x, metric, y), axis=-1))
 
@@ -154,14 +152,14 @@ def _forms(space, x, y, scale=None):
 def _overflow_scale(space, pairs, values):
     """The scale at which a check judges its target: None where every pair
     ``(X, Y)`` of finite tangent stacks has finite ``_forms`` ``values``;
-    else the largest entry of the target's form and metric, one scale for
-    both, since the target's entries have overflowed the quadrature."""
+    else ``linalg._power_of_two`` of the target's form and metric together,
+    one exact scale for both, since the target's entries have overflowed
+    the quadrature."""
     if np.isfinite(values).all() or not any(
             np.isfinite(x).all() and np.isfinite(y).all()
             for (x, y), value in zip(pairs, values) if not np.isfinite(value).all()):
         return None
-    target = space.target
-    return max(np.abs(target.omega.matrix).max(), np.abs(target.metric_matrix).max())
+    return _power_of_two(np.stack([space.target.omega.matrix, space.target.metric_matrix]))
 
 
 def induced_forms(space: DiscretizedLoopSpace, x, y):
@@ -184,9 +182,10 @@ def check_induced_compatibility(space: DiscretizedLoopSpace, trials=20,
     block per sample point, so it is N * signature(target).  The pairs are
     one ``(trials, 2, N, d)`` draw, and each identity is evaluated on all of
     them at once.  Where a quadrature of finite tangents overflows, the
-    check judges the target at its own scale: every quadrature, and the
-    signature, is evaluated on the target's form and metric divided by the
-    largest entry of either.
+    check judges the target at its own scale: every quadrature is evaluated
+    on the target's form and metric divided by ``_overflow_scale``, the
+    power of two of the largest entry of either (the signature rescues its
+    own range).
     """
     rng = rng or np.random.default_rng(0)
     report = Report(tol=tol)
@@ -216,16 +215,11 @@ def check_induced_compatibility(space: DiscretizedLoopSpace, trials=20,
         report.add("metric_positive_on_trials", positive_ok,
                    0.0 if positive_ok else 1.0)
     else:
-        p, q = _induced_signature(space, tol, target_scale)
+        p, q, _ = signature_of(space.target.metric_matrix, tol)
+        p, q = space.samples * p, space.samples * q
         report.add("metric_neutral", p == q, float(abs(p - q)),
                    f"signature ({p}, {q})")
     return report
-
-
-def _induced_signature(space, tol: Tolerance = DEFAULT_TOL, scale=None):
-    g = space.target.metric_matrix
-    p, q, _ = signature_of(g if scale is None else g / scale, tol)
-    return space.samples * p, space.samples * q
 
 
 def ascending_coherence(targets: Sequence[CompatibleTriple], samples,

@@ -33,8 +33,12 @@ floor, so ``atol`` is the only absolute part of a threshold.  A symplectic
 form is nondegenerate when its ``kernel_and_image`` rank is full, in
 ``validate`` and ``darboux_basis`` alike, and a Krein metric is definite
 on each part when the eigenvalues of its restriction pass
-``Tolerance.eigen_cut``.  ``KINDS`` and ``SYMMETRIES`` are the tensor
-kinds and symmetry tags every constructor accepts.
+``Tolerance.eigen_cut``; every eigenvalue decision here is
+``linalg.symmetric_eigen``'s, with its range rescue.  A Krein metric whose
+bases leave directions out also gets a ``nondegenerate`` entry, which
+fails when its form has a kernel (``krein_bases`` of a degenerate form).
+``KINDS`` and ``SYMMETRIES`` are the tensor kinds and symmetry tags every
+constructor accepts.
 
 Validation never raises on bad structure data: every invariant becomes a
 report entry with its measured residual, so the CLI can surface degenerate
@@ -54,6 +58,7 @@ from .errors import InvalidInput, ShapeMismatch
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _power_of_two,
     as_matrix,
     fro,
     fro_each,
@@ -61,6 +66,7 @@ from .linalg import (
     kernel_and_complement,
     kernel_and_image,
     rank_of,
+    symmetric_eigen,
     symmetric_part,
 )
 from .report import Report, worst
@@ -340,29 +346,35 @@ def symplectic_canonical(dim) -> SymplecticForm:
     return SymplecticForm(_canonical(dim, 1.0, -1.0)[0])
 
 
-def krein_from_matrix(g, tol: Tolerance = DEFAULT_TOL) -> KreinMetric:
-    """Build a KreinMetric from a symmetric nondegenerate matrix.
+def krein_bases(g, tol: Tolerance = DEFAULT_TOL):
+    """Orthonormal bases of the positive and negative parts of the
+    symmetric form g, from its eigendecomposition: the eigenvectors of the
+    eigenvalues above ``tol.eigen_cut`` and below minus it, which makes the
+    two parts automatically g-orthogonal.  A direction whose eigenvalue is
+    within the cut lies in neither, so the bases of a degenerate g do not
+    span (``validate`` fails it as ``nondegenerate``)."""
+    (w, q), _, cut = _ordered_eigh(as_matrix(g, square=True), tol)
+    return q[:, w > cut], q[:, w < -cut]
 
-    The splitting comes from the eigendecomposition: eigenvectors with
-    positive (negative) eigenvalues span the positive (negative) part, which
-    makes the two parts automatically g-orthogonal.  Eigenvalues within
-    ``tol.eigen_cut`` of zero mean the form is degenerate.
+
+def krein_from_matrix(g, tol: Tolerance = DEFAULT_TOL) -> KreinMetric:
+    """Build a KreinMetric from a symmetric nondegenerate matrix, with the
+    splitting of ``krein_bases``; an eigenvalue within ``tol.eigen_cut`` of
+    zero means the form is degenerate, and raises InvalidInput.
     """
-    g = as_matrix(g, square=True)
-    w, q = _ordered_eigh(g, tol)
-    return KreinMetric(g, q[:, w > 0], q[:, w < 0])
+    metric = KreinMetric(g, *krein_bases(g, tol))
+    if sum(metric.signature) < metric.dim:
+        raise InvalidInput("symmetric form has (numerically) zero eigenvalues")
+    return metric
 
 
 def _ordered_eigh(g, tol: Tolerance):
-    """Eigenvalues of the symmetric part of g in descending order, so the
-    positive block comes first and the basis order is deterministic, with
-    their eigenvectors as columns.  Raises InvalidInput when an eigenvalue is
-    within ``tol.eigen_cut`` of zero."""
-    w, q = np.linalg.eigh(symmetric_part(g))
-    if np.any(np.abs(w) <= tol.eigen_cut(w)):
-        raise InvalidInput("symmetric form has (numerically) zero eigenvalues")
+    """``symmetric_eigen`` of g with its eigenvectors, ``((w, q), scale,
+    cut)``, the eigenvalues in descending order, so the positive block comes
+    first and the basis order is deterministic."""
+    (w, q), scale, cut = symmetric_eigen(g, tol, vectors=True)
     order = np.argsort(-w)
-    return w[order], q[:, order]
+    return (w[order], q[:, order]), scale, cut
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +412,6 @@ def _validate_symplectic(o, report):
     report.add("nondegenerate", rank == o.dim, float(o.dim - rank))
 
 
-def _restricted_eigenvalues(s, basis):
-    """Eigenvalues of the symmetric part of the form ``s`` on the span of
-    ``basis``; all NaN when that form overflows (LAPACK may not converge on
-    it)."""
-    f = symmetric_part(basis.T @ s @ basis)
-    return np.linalg.eigvalsh(f) if np.isfinite(f).all() else np.full(len(f), np.nan)
-
-
 def _shortfall(w, cut):
     """Residual of the check ``w > cut``: 0 when it holds, ``-w`` when ``w``
     is negative, else the least increase of ``w`` that passes, so a failure
@@ -418,27 +422,33 @@ def _shortfall(w, cut):
 
 
 def _validate_krein(g, report):
-    tol = report.tol
     s = g.matrix
     n = g.dim
     asymmetry, scale = symmetry_defect(s, "symmetric")
     report.measured("symmetric", asymmetry, scale)
 
-    rank = rank_of(np.hstack([g.plus_basis, g.minus_basis]), tol)
+    rank = rank_of(np.hstack([g.plus_basis, g.minus_basis]), report.tol)
     p, q = g.signature
     # the count mismatch, else the missing rank: positive whenever it fails
     report.add("bases_span", rank == n and p + q == n, float(abs(n - p - q) or n - rank))
+    if p + q < n:
+        # too few directions: the form's own kernel may force it
+        kernel = n - rank_of(s, report.tol)
+        report.add("nondegenerate", not kernel, float(kernel))
 
     # g, times the sign, is positive on each part: every eigenvalue of its
     # restriction lies beyond the restriction's eigen_cut
     for name, basis, sign in (("positive_on_plus", g.plus_basis, 1.0),
                               ("negative_on_minus", g.minus_basis, -1.0)):
         if basis.shape[1]:
-            w = sign * _restricted_eigenvalues(s, basis)
-            cut = tol.eigen_cut(w)
-            report.add(name, w.min() > cut, _shortfall(w.min(), cut))
+            (w, _), w_scale, cut = symmetric_eigen(s, report.tol, basis=basis)
+            w = sign * w
+            report.add(name, w.min() > cut, _shortfall(w.min(), cut) * w_scale)
     if p and q:
-        report.measured("parts_orthogonal", fro(g.plus_basis.T @ s @ g.minus_basis), scale)
+        # the cross block of s / 2**e, times 2**e: the bits of the block of s
+        # wherever s / 2**e has no subnormal entry, and finite wherever it is
+        two = _power_of_two(s)
+        report.measured("parts_orthogonal", two * fro(g.plus_basis.T @ (s / two) @ g.minus_basis), scale)
     report.note(f"signature ({p}, {q}); neutral: {g.is_neutral}")
 
 
@@ -554,11 +564,11 @@ def fundamental_symmetry(g: KreinMetric, tol: Tolerance = DEFAULT_TOL):
     gamma = g.matrix @ j
     if not tol.accepts(*symmetry_defect(gamma, "symmetric")):
         raise InvalidInput("splitting is not g-orthogonal: gamma not symmetric")
-    gamma = symmetric_part(gamma)
-    w = np.linalg.eigvalsh(gamma)
-    if w.min() <= tol.eigen_cut(w):
+    # symmetric_eigen judges the symmetric part of gamma, the form returned
+    (w, _), _, cut = symmetric_eigen(gamma, tol)
+    if w.min() <= cut:
         raise InvalidInput("gamma is not positive definite")
-    return j, BilinearForm(gamma, "symmetric")
+    return j, BilinearForm(symmetric_part(gamma), "symmetric")
 
 
 def krein_isomorphism(g1: KreinMetric, g2: KreinMetric, tol: Tolerance = DEFAULT_TOL):
@@ -574,14 +584,14 @@ def krein_isomorphism(g1: KreinMetric, g2: KreinMetric, tol: Tolerance = DEFAULT
 
     def factor(g):
         # G = W Sigma W^T with Sigma = diag(+1..., -1...) in a fixed order
-        w, q = _ordered_eigh(g.matrix, tol)
-        return q * np.sqrt(np.abs(w))
+        (w, q), scale, cut = _ordered_eigh(g.matrix, tol)
+        if np.any(np.abs(w) <= cut):
+            raise InvalidInput("symmetric form has (numerically) zero eigenvalues")
+        return q * (np.sqrt(np.abs(w)) * np.sqrt(scale))
 
-    w1 = factor(g1)
-    w2 = factor(g2)
+    w1, w2 = factor(g1), factor(g2)
     # G_i = W_i Sigma W_i^T with the same Sigma, so W2^T phi = W1^T works
-    phi = np.linalg.solve(w2.T, w1.T)
-    return phi, None
+    return np.linalg.solve(w2.T, w1.T), None
 
 
 def tangent_normal_form(j: TangentStructure, tol: Tolerance = DEFAULT_TOL):
@@ -616,11 +626,8 @@ def complex_normal_form(c: ComplexStructure, tol: Tolerance = DEFAULT_TOL):
         raise InvalidInput("complex structure has no decomposition data")
     b1, b2, iso = c.decomposition
     k = b1.shape[1]
-    basis = np.hstack([b1, b2])
-    block = np.zeros((2 * k, 2 * k))
-    block[:k, :k] = np.eye(k)
-    block[k:, k:] = iso
-    return block @ np.linalg.inv(basis)
+    block = np.block([[np.eye(k), np.zeros((k, k))], [np.zeros((k, k)), iso]])
+    return block @ np.linalg.inv(np.hstack([b1, b2]))
 
 
 def para_from_complex(c: ComplexStructure, tol: Tolerance = DEFAULT_TOL):

@@ -74,7 +74,7 @@ def reference_check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> 
 
     For every declared triple (a, b, c) and each of its sample points the
     residual |T_ac(x) - T_ab(x) T_bc(x)| is measured and accepted at the
-    scale max(1, |T_ac(x)|) of that sample; a triple passes when every
+    scale |T_ac(x)| of that sample; a triple passes when every
     sample does, and the report keeps its worst residual.  A single-chart
     atlas passes vacuously.  A transition that cannot be evaluated at a
     sample (``BadAtPoint``) fails there with residual inf; a NaN residual
@@ -125,7 +125,7 @@ def reference_check_cocycle(atlas: ChartAtlas, tol: Tolerance = DEFAULT_TOL) -> 
                 resid, good = np.inf, False
             else:
                 resid = fro(lhs - rhs)
-                good = tol.accepts(resid, max(1.0, fro(lhs)))
+                good = tol.accepts(resid, fro(lhs))
             ok = ok and good
             if _worse(resid, worst):
                 worst, at = resid, x

@@ -300,10 +300,15 @@ def test_a_form_that_is_not_skew_fails_skew_at_every_scale(k, tmp_path):
     assert status == 1 and out.startswith("FAIL  skew  ")
 
 
-def test_a_degenerate_krein_metric_exits_one(tmp_path):
-    path = write(tmp_path, "krein.json", {"kind": "krein", "matrix": [[1, 0], [0, 0]]})
-    assert run_captured(["validate", path]) == (
-        1, "", "error: symmetric form has (numerically) zero eigenvalues\n")
+@pytest.mark.parametrize("kind, matrix, kernel", [("krein", [[1, 0], [0, 0]], 1),
+                                                  ("symplectic", [[0, 0], [0, 0]], 2)])
+def test_a_degenerate_krein_metric_exits_one(kind, matrix, kernel, tmp_path):
+    # a report with a failing nondegenerate entry, as for a degenerate
+    # symplectic form, not an error line
+    path = write(tmp_path, "form.json", {"kind": kind, "matrix": matrix})
+    status, out, err = run_captured(["validate", path])
+    assert (status, err) == (1, "")
+    assert f"FAIL  nondegenerate  residual={kernel:.3e}\n" in out
 
 
 def test_canonical_eigenbases_are_found_under_the_command_tolerance(tmp_path):
@@ -1833,8 +1838,9 @@ def test_a_kahler_pair_near_the_float_limit_completes(doc, tmp_path, capsys):
 def test_a_loop_target_near_the_float_limit_passes_its_checks(g, tmp_path, capsys):
     # the target completes, as above.  Its quadratures overflow (at 8e307 in
     # 4 of the 20 trials), and read NaN residuals; the check now evaluates
-    # every form on the target divided by its largest entry, which is the
-    # canonical target exactly, so the entries are those of g = Id
+    # every form on the target divided by 2**e, the even power of two at or
+    # below its largest entry, exactly, so the entries are those of the
+    # in-range target g / 2**e
     def loop(scale):
         path = write(tmp_path, f"loop-{scale}.json",
                      {"target": {"pair": huge_kahler_pair(scale)}, "loop": [[0.0, 0.0]]})
@@ -1843,18 +1849,66 @@ def test_a_loop_target_near_the_float_limit_passes_its_checks(g, tmp_path, capsy
 
     path, status, entries = loop(g)
     assert status == 0
-    assert [(e["name"], e["passed"], e["residual"]) for e in entries] == [
-        ("antisymmetry", True, 0.0), ("form_invariance", True, 0.0),
-        ("metric_is_form_of_structure", True, 0.0), ("metric_positive_on_trials", True, 0.0)]
-    assert entries == loop(1.0)[2]
+    assert [(e["name"], e["passed"]) for e in entries] == [
+        ("antisymmetry", True), ("form_invariance", True),
+        ("metric_is_form_of_structure", True), ("metric_positive_on_trials", True)]
+    assert entries == loop(g / 2.0 ** 1022)[2]
+    assert max(e["residual"] for e in entries) <= 4e-16
     assert run([*LOOP_CHECK, path]) == 0
     out, err = capsys.readouterr()
-    assert err == "" and out.endswith("\nPASS (4 checks, worst residual 0.000e+00)\n")
+    worst = max(e["residual"] for e in entries)
+    assert err == "" and out.endswith(f"\nPASS (4 checks, worst residual {worst:.3e})\n")
 
 
 # ---------------------------------------------------------------------------
 # verdicts that do not depend on the exponent range
 # ---------------------------------------------------------------------------
+
+def _skew_4x4(s):
+    return [[0.0 if i == j else (s if i < j else -s) for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("doc, twin", [
+    # eigenvalues +-2.1e308 overflow: krein_from_matrix read (numerically)
+    # zero eigenvalues and the document was refused
+    ({"kind": "krein", "matrix": [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]},
+     {"kind": "krein", "matrix": [[1.5e300, 1.5e300], [1.5e300, -1.5e300]]}),
+    # singular values inf, inf: rank 0, so nondegenerate failed with 4.0
+    ({"kind": "symplectic", "matrix": _skew_4x4(1e308)},
+     {"kind": "symplectic", "matrix": _skew_4x4(1.0)}),
+], ids=["krein-1.5e308", "skew-4x4-1e308"])
+def test_a_form_near_the_float_limit_gets_the_verdicts_of_its_twin(doc, twin, tmp_path):
+    # the eigenvalue and rank decisions retry on the form divided by a
+    # power of two, so the verdicts are those of the form in range
+    status, report = run_json(["validate", write(tmp_path, "huge.json", doc)])
+    twin_status, twin_report = run_json(["validate", write(tmp_path, "twin.json", twin)])
+    assert status == twin_status == 0
+    assert ([(e["name"], e["passed"]) for e in report["entries"]]
+            == [(e["name"], e["passed"]) for e in twin_report["entries"]])
+    assert report["notes"] == twin_report["notes"]
+
+
+@pytest.mark.parametrize("k", [0, -300, -500, -540, -600, -1000])
+def test_a_form_off_symmetric_by_1e_6_fails_symmetric_at_every_scale(k, tmp_path):
+    # |m - m^T| / |m| is 1e-6 at every k; fro read the sum of squares of
+    # entries below about 1e-154 as 0, so under --atol 0 the form passed
+    # from k = -540 down, with residual 0
+    s = 2.0 ** k
+    doc = {"kind": "bilinear", "symmetry": "symmetric", "matrix": [[0, s], [(1 + 1e-6) * s, 0]]}
+    status, out, _ = run_captured(["--atol", "0", "validate", write(tmp_path, "form.json", doc)])
+    assert status == 1 and out.startswith("FAIL  symmetric  ") and "residual=0.000e+00" not in out
+
+
+def test_a_metric_whose_eigenvalues_overflow_is_not_refused_as_indefinite(tmp_path):
+    # spd_sqrt took the cut of the overflowing eigenvalues, inf, and refused
+    # the metric; it now takes the root of g / 2**1022.  The completion
+    # still fails: the twin at 1e300 completes to a metric with entry
+    # 2.01e300, so this one would have 2.01e308, past the largest double
+    doc = {"given": {"g": [[1.5e308, 1e308], [1e308, 1.5e308]],
+                     "omega": [[0, 1.5e308], [-1.5e308, 0]]}}
+    status, out, err = run_captured(["triple", "complete", write(tmp_path, "pair.json", doc)])
+    assert status == 1 and out == "" and "positive definite" not in err
+
 
 def test_a_failing_block_form_entry_reads_nan(tmp_path, capsys):
     # r1 is 0 and r2 is NaN (1e200 * 1e200 overflows); Python's max dropped

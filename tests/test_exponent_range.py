@@ -8,8 +8,16 @@ takes its scaled fallback.  Each case measures its residual/scale ratio at
 k = 0 and sets r a factor of 4 above or below it, so the verdict must be
 the same at every k, up or down, that keeps every entry and every product
 finite.  Going down, k stops where the smallest nonzero entry of an input,
-a product or a residual reaches 2**-500: ``fro`` has no underflow rescue,
-and a sum of squares of such entries is still a normal double.
+a product or a residual reaches the smallest normal double, 2**-1022: below
+it, scaling an entry rounds it, so the scaled input is no longer an exact
+multiple of the first.  Down to there, the full range of the normal
+doubles, a sum of squares that underflows or goes subnormal is ``fro``'s to
+rescue, as one that overflows is.
+
+The eigenvalue and rank decisions of ``linalg`` (``signature_of``,
+``spd_sqrt``, ``kernel_and_image``) and ``krein_from_matrix`` are checked on
+matrices of small integers, which every k from -1074 up to the overflow of
+an entry scales exactly, subnormal entries included.
 """
 
 import math
@@ -25,9 +33,10 @@ from tensorstruct.bundle import (
     check_cocycle,
     in_isotropy,
 )
+from tensorstruct.errors import InvalidInput
 from tensorstruct.limits import BondingSystem, CoherentSequence, check_coherent
-from tensorstruct.linalg import Tolerance, signature_of
-from tensorstruct.structures import BilinearForm, validate
+from tensorstruct.linalg import Tolerance, kernel_and_image, signature_of, spd_sqrt
+from tensorstruct.structures import BilinearForm, krein_from_matrix, validate
 
 
 def _normal(rng, shape, norm=None):
@@ -122,10 +131,10 @@ def test_a_verdict_does_not_depend_on_the_exponent(case, seed, accept, k):
     ratio, judge, arrays = CASES[case](np.random.default_rng(seed))
     tol = Tolerance(atol=0.0, rtol=ratio * 4 if accept else ratio / 4)
     # the largest k that keeps every entry below 2**1018, and the smallest
-    # that keeps every nonzero one at least 2**-500
+    # that keeps every nonzero one a normal double
     top = 1018 - math.ceil(math.log2(max(np.abs(a).max() for a in arrays)))
-    bottom = -500 - math.floor(math.log2(min(np.abs(a[a != 0]).min() for a in arrays)))
-    with np.errstate(over="ignore"):  # a sum of squares overflows before fro scales it
+    bottom = -1022 - math.floor(math.log2(min(np.abs(a[a != 0]).min() for a in arrays)))
+    with np.errstate(over="ignore"):  # fro_each's vecdot warns before fro scales the sum
         for exponent in sorted({bottom, 0, min(max(k, bottom), top), top}):
             assert judge(exponent, tol) == accept, exponent
 
@@ -149,3 +158,42 @@ def test_a_signature_does_not_depend_on_the_exponent(seed, plus, minus, k):
     tol = Tolerance(atol=0.0, rtol=1e-9)
     for exponent in sorted({0, k, 1023}):
         assert signature_of(g * 2.0 ** exponent, tol) == (plus, minus, 0), exponent
+
+
+def _verdicts(a, g, tol):
+    """The rank of ``a``; the signature of ``g``, whether ``spd_sqrt``
+    takes its root, and the signature of its Krein splitting, or None where
+    ``krein_from_matrix`` refuses it as degenerate."""
+    try:
+        root = spd_sqrt(g, tol)
+        assert np.isfinite(root).all()
+    except InvalidInput:
+        root = None
+    try:
+        krein = krein_from_matrix(g, tol).signature
+    except InvalidInput:
+        krein = None
+    return kernel_and_image(a, tol)[2], signature_of(g, tol), root is not None, krein
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4), drop=st.booleans(),
+       k=st.integers(-1074, 1023))
+def test_eigen_and_rank_verdicts_do_not_depend_on_the_exponent(seed, n, drop, k):
+    # entries are integers of at most 4 bits (g's at most 5), so a * 2**k and
+    # g * 2**k are exact for every k from -1074 up to the overflow of an
+    # entry; an eigenvalue or singular value that is not zero is at least
+    # about 1e-4 of the largest, far from any cut of rtol 1e-9, so no
+    # verdict sits on its threshold, and none may move with k
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-8, 9, size=(n, n)).astype(float)
+    if drop:  # a rank drop, and a degenerate g
+        a[:, -1] = a[:, 0]
+    g = a + a.T
+    assume(a.any() and g.any())
+    tol = Tolerance(atol=0.0, rtol=1e-9)
+    want = _verdicts(a, g, tol)
+    top = 1023 - int(np.abs(g).max()).bit_length()
+    for exponent in sorted({-1074, min(k, top), top}):
+        scale = 2.0 ** exponent
+        assert _verdicts(a * scale, g * scale, tol) == want, exponent

@@ -525,3 +525,47 @@ def test_every_threshold_is_atol_plus_rtol_times_the_true_scale():
     # compares with atol or rtol itself, and no scale is floored at 1
     assert _sites(_reads_a_tolerance_bound) == set()
     assert _sites(_floors_at_one) == RESIDUALS_DIVIDED_BY_A_FLOOR
+
+
+def _names(*names):
+    """A predicate: a reference to one of ``names``, as ``x.name`` or ``name``."""
+    return lambda node: (isinstance(node, ast.Attribute) and node.attr in names
+                         or isinstance(node, ast.Name) and node.id in names)
+
+
+def _reads_a_largest_entry(node):
+    """``np.abs(x).max(...)`` or ``abs(x).max(...)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "max" and isinstance(node.func.value, ast.Call)
+            and _names("abs")(node.func.value.func))
+
+
+def _divides_by_a_largest_entry(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and _reads_a_largest_entry(node.right))
+
+
+# the stacked SVDs outside linalg, each of a whole stack of matrices in one
+# LAPACK call, where linalg decides the rank of one matrix at a time
+STACKED_SVD = {
+    ("calculus", "__call__"): "ConnectionData's degenerate-metric test of the grid points "
+                              "the diagonal-dominance bound does not certify",
+    ("bundle", "_cocycle"): "the invertible test of every sampled transition of an overlap",
+}
+# the largest entries read in linalg, neither of them to divide by
+LARGEST_ENTRY = {
+    ("linalg", "_power_of_two"): "the exponent of the one rescale",
+    ("linalg", "eigen_cut"): "the scale of the eigenvalue cut",
+}
+
+
+def test_every_eigen_and_rank_decision_and_its_range_rescue_live_in_linalg():
+    # one eigen entry point (symmetric_eigen), the two rank decisions of
+    # linalg, and one rescale, the exact power of two of _power_of_two: no
+    # module calls eigh or eigvalsh itself, and nothing divides by its
+    # largest entry
+    assert _sites(_names("eigh", "eigvalsh")) == {("linalg", "symmetric_eigen")}
+    assert _sites(_names("svd")) == {("linalg", "kernel_and_image"), ("linalg", "rank_of"),
+                                     *STACKED_SVD}
+    assert _sites(_divides_by_a_largest_entry) == set()
+    assert _sites(_reads_a_largest_entry) == set(LARGEST_ENTRY)

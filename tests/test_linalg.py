@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 
@@ -12,6 +13,7 @@ from tensorstruct.linalg import (
     Tolerance,
     batched,
     fro,
+    fro_each,
     involution_eigenbases,
     kernel_and_complement,
     kernel_and_image,
@@ -278,27 +280,79 @@ def test_symmetric_part_keeps_the_bits_of_the_halved_sum(m):
     assert np.array_equal(got, got.T)
 
 
-def test_fro_is_numpy_norm_bit_for_bit_unless_the_sum_overflows():
+def test_fro_is_numpy_norm_bit_for_bit_where_the_sum_of_squares_is_normal():
     for shape in [(0,), (3,), (4, 4), (2, 3, 5)]:
         for scale in (1e-200, 1.0, 1e150):
             x = RNG.normal(size=shape) * scale
-            assert fro(x) == np.linalg.norm(x)
+            if scale == 1e-200 and x.size:
+                # the sum of squares underflows to 0, as in np.linalg.norm;
+                # fro takes the norm of x / 2**e, times 2**e
+                assert np.linalg.norm(x) == 0.0
+                assert fro(x) == pytest.approx(math.hypot(*x.ravel()), rel=1e-15)
+            else:
+                assert fro(x) == np.linalg.norm(x)
     assert fro(np.zeros((3, 3))) == 0.0
     assert fro([[3, 4]]) == 5.0
 
 
 def test_fro_scales_a_sum_of_squares_that_overflows():
-    # the sum of squares overflows as in np.linalg.norm, with numpy's
-    # warning, which the CLI turns off; the fallback raises no other
-    with warnings.catch_warnings(), np.errstate(over="ignore"):
+    # the sum of squares overflows as in np.linalg.norm, which warns; fro
+    # neither warns nor returns inf
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.linalg.norm([1e200, 1e200]) == np.inf
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm([1e200, 1e200]) == np.inf
         assert fro([1e200, 1e200]) == pytest.approx(1e200 * 2 ** 0.5, rel=1e-15)
         assert fro([[0.0, 1e160], [-1e160, 0.0]]) == pytest.approx(1e160 * 2 ** 0.5, rel=1e-15)
         # a norm past the largest double is still inf, and so are inf and NaN entries
         assert fro([1.7e308, 1.7e308]) == np.inf
         assert fro([np.inf, 1.0]) == np.inf
         assert np.isnan(fro([np.nan, 1e200]))
+
+
+# every finite double, subnormals included, with either sign
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=st.integers(1, 4).flatmap(lambda size: st.lists(
+    st.lists(FINITE, min_size=size, max_size=size), min_size=1, max_size=4)))
+def test_fro_of_a_finite_nonzero_matrix_is_positive_and_finite_where_its_norm_is(stack):
+    # the true norm is math.hypot's, which scales as well; in range (a
+    # normal sum of squares) fro keeps the bits of sqrt(x . x), and
+    # fro_each has the bits of fro, row by row
+    rows = np.array(stack)
+    with np.errstate(over="ignore"):
+        got = fro_each(rows.reshape(len(rows), 1, -1))
+    for x, each in zip(rows, got):
+        assert struct_bits(each) == struct_bits(fro(x))
+        true = math.hypot(*x)
+        if not x.any():
+            assert fro(x) == 0.0
+            continue
+        assert fro(x) > 0.0
+        if true < sys.float_info.max * (1 - 1e-15):
+            assert fro(x) == pytest.approx(true, rel=1e-15, abs=5e-324)
+        with np.errstate(over="ignore"):
+            d = x.dot(x)
+        if sys.float_info.min <= d < np.inf:
+            assert fro(x) == math.sqrt(d)
+
+
+def struct_bits(value):
+    return np.float64(value).tobytes()
+
+
+def test_spd_sqrt_takes_the_root_of_a_metric_whose_eigenvalues_overflow():
+    # signature_of read (2, 0, 0) while spd_sqrt compared 5e307 with the cut
+    # inf of the eigenvalues 5e307 and inf; both decide on g / 2**1022 now,
+    # and the root is that of g / 2**1022 times 2**511, exactly
+    g = np.array([[1.5e308, 1e308], [1e308, 1.5e308]])
+    assert signature_of(g) == (2, 0, 0)
+    root = spd_sqrt(g)
+    assert np.array_equal(root, spd_sqrt(g / 2.0 ** 1022) * 2.0 ** 511)
+    half = root / 2.0 ** 511
+    assert np.allclose(half @ half, g / 2.0 ** 1022, rtol=1e-15, atol=0)
 
 
 def test_square_defect_keeps_an_overflowing_scale_finite():

@@ -12,7 +12,7 @@ checks must give the same entry names, verdicts, locations and notes, and
 leave the generator in the same state.  Where a quadrature of finite
 tangents overflows, the stacked check judges the target at its own scale,
 and the trial loop it is compared with runs on the target ``divided`` by the
-largest entry of its form and metric.
+power of two of the largest entry of its form and metric.
 
 With N >= 3 samples the residuals must have the same bits.  With N <= 2,
 numpy's einsum sums a trial's ``(N, d)`` arrays over (i, j) in another
@@ -135,10 +135,11 @@ def overflows(space, trials, seed):
 
 
 def divided(space):
-    """The loop space on the target divided by the largest entry of its form
-    and metric."""
+    """The loop space on the target divided by ``2**e``, the even power of
+    two with the largest entry of its form and metric in [2**e, 2**(e+2))."""
     t = space.target
-    scale = max(np.abs(t.omega.matrix).max(), np.abs(t.metric_matrix).max())
+    top = max(np.abs(t.omega.matrix).max(), np.abs(t.metric_matrix).max())
+    scale = 2.0 ** (2 * (math.floor(math.log2(top)) // 2))
     triple = replace(t, omega=replace(t.omega, matrix=t.omega.matrix / scale),
                      metric=replace(t.metric, matrix=t.metric_matrix / scale))
     return DiscretizedLoopSpace(triple, space.loop, space.weights)

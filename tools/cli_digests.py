@@ -24,7 +24,14 @@ pair and a para-Kahler pair whose metric is singular, and pairs that hold
 no two of a metric, a form and a (para-)complex structure (a metric with a
 Krein structure under both, a form with a cotangent structure under
 ``triple complete``); ``--atol 0 validate`` on the form
-``[[0, 2**-30], [-2**-31, 0]]``, which is not skew at any scale; and
+``[[0, 2**-30], [-2**-31, 0]]``, which is not skew at any scale; inputs
+whose eigenvalues, singular values or sums of squares leave the float
+range (``validate`` on the Krein metric ``[[1.5e308, 1.5e308], [1.5e308,
+-1.5e308]]`` and on the 4x4 skew form with every entry above the diagonal
+1e308, ``triple complete`` on the metric ``[[1.5e308, 1e308], [1e308,
+1.5e308]]`` with the form ``[[0, 1.5e308], [-1.5e308, 0]]``, and
+``--atol 0 validate`` on the symmetric form ``[[0, s], [(1 + 1e-6) s,
+0]]`` at s = 2**-600); and
 argv that only argparse reads or rejects: an abbreviated option, an
 ``--option=value`` word, ``--`` before a path, ``-h`` on a subcommand, a
 repeated ``--atol``, ``--json`` after the subcommand and an unknown
@@ -96,6 +103,18 @@ MALFORMED = {
     "not-skew-2**-30-atol-0": (["--atol", "0", "validate", DOC],
                                b'{"kind": "symplectic", "matrix": [[0, 9.313225746154785e-10], '
                                b'[-4.656612873077393e-10, 0]]}'),
+    "krein-1.5e308": (["validate", DOC], b'{"kind": "krein", "matrix": '
+                      b'[[1.5e308, 1.5e308], [1.5e308, -1.5e308]]}'),
+    "skew-4x4-1e308": (["validate", DOC], b'{"kind": "symplectic", "matrix": [[0, 1e308, 1e308, '
+                       b'1e308], [-1e308, 0, 1e308, 1e308], [-1e308, -1e308, 0, 1e308], '
+                       b'[-1e308, -1e308, -1e308, 0]]}'),
+    "metric-eigenvalue-overflow-triple": (["triple", "complete", DOC],
+                                          b'{"given": {"g": [[1.5e308, 1e308], [1e308, 1.5e308]], '
+                                          b'"omega": [[0, 1.5e308], [-1.5e308, 0]]}}'),
+    # [[0, s], [(1 + 1e-6) s, 0]] at s = 2**-600, not symmetric at any scale
+    "off-symmetric-2**-600-atol-0": (["--atol", "0", "validate", DOC],
+                                     b'{"kind": "bilinear", "matrix": '
+                                     b'[[0, 2.409919865102884e-181], [2.409922275022749e-181, 0]]}'),
     "abbreviated-option": (["--seed", "1", "loopspace", "demo", "--lev", "2"],
                            _STRUCTURE.encode()),
     "option=value": (["--atol=1e-9", "validate", DOC], _STRUCTURE.encode()),
