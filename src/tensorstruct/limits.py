@@ -47,11 +47,14 @@ maps and projections C-contiguous, so every table entry is, and the bits
 of a composite depend on the values of the maps alone, not on the strides
 they were passed with.  A product whose inner dimension is 1 is made by
 ``@``: its factors may be 1 x 1, which ``dot`` takes for a scalar.  A
-composition law is accepted at scale ``fro(lhs)``: the block is probed at
-scale 0 first, which accepts a residual of at most ``atol`` at every
-scale, and only where that fails is the product made again and its norm
-taken.  The coherence laws take each level's norm once and build the
-scale of each pair from those.
+padding tower (``BondingSystem.padding``) makes none of these products:
+each of its composition and section residuals is 0.0, as
+``validate_bonding`` proves.  Every bonding law, the identity laws
+included, is accepted at scale ``fro(lhs)`` (``_law_block``): the block is
+probed at scale 0 first, which accepts a residual of at most ``atol`` at
+every scale, and only where that fails is the left-hand side made again
+and its norm taken.  The coherence laws take each level's norm once and
+build the scale of each pair from those.
 
 Model tensors.  Every per-level model (``tuple_membership``'s isotropy
 models, ``ConnectionFormSequence.models``) is a ``StructureMatrix``, and
@@ -120,12 +123,19 @@ class BondingSystem:
     projections are stored as read-only C-contiguous float copies.  The
     tower is frozen: it builds its composite tables on first use and keeps
     them.
+
+    ``padding`` is true on a canonical tower: every map equals
+    ``np.eye(*m.shape)`` (coordinate padding up, leading-block projection
+    down) and, on a direct tower, every projection does too.  A direct
+    tower whose maps are padding and that is given no projections gets the
+    leading-block ones.
     """
 
     dims: list
     variance: str  # "projective" | "direct"
     maps: list = field(default_factory=list)
     projections: Optional[list] = None
+    padding: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         dims = [int(d) for d in self.dims]
@@ -140,8 +150,9 @@ class BondingSystem:
                     else (dims[i + 1], dims[i]))
             if m.shape != want:
                 raise ShapeMismatch(f"map {i}->{i + 1} has shape {m.shape}, want {want}")
+        padding = all(np.array_equal(m, np.eye(*m.shape)) for m in self.maps)
         projections = self.projections
-        if projections is None and self.variance == "direct" and self._maps_are_padding():
+        if projections is None and self.variance == "direct" and padding:
             projections = [np.eye(a, b) for a, b in zip(dims, dims[1:])]
         if projections is not None:
             projections = _consecutive(projections, "projections", self.levels)
@@ -150,10 +161,9 @@ class BondingSystem:
                 if p.shape != want:
                     raise ShapeMismatch(
                         f"projection {i + 1}->{i} has shape {p.shape}, want {want}")
+            padding = padding and all(np.array_equal(p, np.eye(*p.shape)) for p in projections)
         object.__setattr__(self, "projections", projections)
-
-    def _maps_are_padding(self):
-        return all(np.array_equal(m, np.eye(*m.shape)) for m in self.maps)
+        object.__setattr__(self, "padding", padding)
 
     @classmethod
     def padded(cls, dims, variance):
@@ -233,15 +243,36 @@ def _consecutive(matrices, name, levels):
 
 
 def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
-    """Composition laws, identity maps, surjectivity/injectivity, sections."""
+    """Composition laws, identity maps, surjectivity/injectivity, sections.
+
+    Every law ``lhs = rhs`` is accepted at the scale ``fro(lhs)``
+    (``_law_block``).  On a padding tower (``b.padding``) the
+    ``composition``, ``section`` and ``projection_composition`` laws get
+    residual 0.0 without a product being formed, because that is the
+    residual their products give, bit for bit:
+
+    - every table entry of a padding tower is ``eye(d_i, d_j)``, ones on its
+      diagonal and zeros elsewhere: the identity, a padding map, or a
+      product of two such matrices;
+    - each entry of a product of two such matrices has at most one nonzero
+      term, 1 * 1, so BLAS returns ``eye(d_i, d_k)`` exactly, in any
+      summation order and with or without FMA;
+    - the difference of two such products holds only zeros, and ``fro`` of
+      it is +0.0.
+
+    Every other tower, one a single ulp off padding included, forms each
+    product; that is the only computation of a law.
+    """
     report = Report(tol=tol)
     n = b.levels
     report.note(f"{n} levels supplied; all checks quantify over them")
     maps = b.map_table()
 
     identity = np.array([fro(maps[i][i] - np.eye(b.dims[i])) for i in range(n)])
-    report.measured_block("identity_at[%d]", [(i,) for i in range(n)], identity)
-    _composition_block(report, "composition[%d,%d,%d]", maps, b.variance != "projective")
+    _law_block(report, "identity_at[%d]", [(i,) for i in range(n)], identity,
+               lambda ii: fro(maps[ii[0]][ii[0]]))
+    _composition_block(report, "composition[%d,%d,%d]", maps, b.variance != "projective",
+                       b.padding)
 
     for i in range(n - 1):
         m = b.maps[i]
@@ -252,12 +283,29 @@ def validate_bonding(b: BondingSystem, tol: Tolerance = DEFAULT_TOL) -> Report:
     if b.variance == "direct" and b.projections is not None:
         projs = b.projection_table()
         pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
-        # grouped by i: every law of a group has the shape (d_i, d_i)
-        sections = [_law_norms([projs[i][j] for j in range(i + 1, n)], maps[i][i + 1:],
-                               np.eye(b.dims[i])) for i in range(n - 1)]
-        report.measured_block("section[%d,%d]", pairs, np.concatenate([np.empty(0), *sections]))
-        _composition_block(report, "projection_composition[%d,%d,%d]", projs, False)
+        sections = np.zeros(len(pairs))
+        if not b.padding:
+            # grouped by i: every law of a group has the shape (d_i, d_i)
+            sections = np.concatenate([np.empty(0), *(
+                _law_norms([projs[i][j] for j in range(i + 1, n)], maps[i][i + 1:],
+                           np.eye(b.dims[i])) for i in range(n - 1))])
+        _law_block(report, "section[%d,%d]", pairs, sections,
+                   lambda ij: fro(projs[ij[0]][ij[1]] @ maps[ij[0]][ij[1]]))
+        _composition_block(report, "projection_composition[%d,%d,%d]", projs, False,
+                           b.padding)
     return report
+
+
+def _law_block(report, template, indices, residuals, lhs_norm):
+    """Add the laws ``lhs = rhs`` at ``indices``, with their ``residuals``,
+    as one block, each accepted at the scale ``fro(lhs)``: a residual
+    accepted at scale 0 (at most ``atol``) is accepted at every scale, so
+    ``lhs_norm(index)``, the norm of a law's left-hand side, is taken only
+    where that fails; every other law keeps scale 0."""
+    scales = np.zeros(len(residuals))
+    for f in np.flatnonzero(~report.tol.accepts(residuals, 0.0)):
+        scales[f] = lhs_norm(indices[f])
+    report.measured_block(template, indices, residuals, scales)
 
 
 def _law_norms(lefts, rights, target):
@@ -278,36 +326,37 @@ def _law_norms(lefts, rights, target):
     return fro_each(stack)
 
 
-def _composition_block(report, template, table, reverse):
+def _composition_block(report, template, table, reverse, padding):
     """The law ``table[i][j] @ table[j][k] = table[i][k]`` (the factors
-    swapped when ``reverse``) for every i <= j <= k, as one block in the
-    lexicographic order of (i, j, k).  The laws are computed in groups of
-    one (i, k), whose left-hand sides all have the shape of
-    ``table[i][k]``.  A law is accepted at the scale ``fro(lhs)``; a
-    residual accepted at scale 0 (at most ``atol``) is accepted at every
-    scale, so the product is made again, and its norm taken, only where
-    that fails; every other law keeps scale 0."""
+    swapped when ``reverse``) for every i <= j <= k, as one ``_law_block``
+    in the lexicographic order of (i, j, k): every residual is 0.0 on a
+    ``padding`` tower (see ``validate_bonding``), and otherwise the laws
+    are computed in groups of one (i, k), whose left-hand sides all have
+    the shape of ``table[i][k]``."""
     n = len(table)
-    r = np.arange(n)
-    upper = r[:, None] <= r
-    by_jk = np.empty((n, n))
-    by_i = []
-    for i, row in enumerate(table):
-        for k in range(i, n):
-            firsts, seconds = row[i:k + 1], [table[j][k] for j in range(i, k + 1)]
-            if reverse:
-                firsts, seconds = seconds, firsts
-            by_jk[i:k + 1, k] = _law_norms(firsts, seconds, row[k])
-        # the (i, j, k) with i <= j <= k in C order, which is lexicographic
-        by_i.append(by_jk[i:, i:][upper[i:, i:]])
-    residuals = np.concatenate([np.empty(0), *by_i])
     triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)]
-    scales = np.zeros(len(triples))
-    for f in np.flatnonzero(~report.tol.accepts(residuals, 0.0)):
-        i, j, k = triples[f]
+    residuals = np.zeros(len(triples))
+    if not padding:
+        r = np.arange(n)
+        upper = r[:, None] <= r
+        by_jk = np.empty((n, n))
+        by_i = []
+        for i, row in enumerate(table):
+            for k in range(i, n):
+                firsts, seconds = row[i:k + 1], [table[j][k] for j in range(i, k + 1)]
+                if reverse:
+                    firsts, seconds = seconds, firsts
+                by_jk[i:k + 1, k] = _law_norms(firsts, seconds, row[k])
+            # the (i, j, k) with i <= j <= k in C order, which is lexicographic
+            by_i.append(by_jk[i:, i:][upper[i:, i:]])
+        residuals = np.concatenate([np.empty(0), *by_i])
+
+    def lhs_norm(ijk):
+        i, j, k = ijk
         a, b = (table[j][k], table[i][j]) if reverse else (table[i][j], table[j][k])
-        scales[f] = fro(a @ b)
-    report.measured_block(template, triples, residuals, scales)
+        return fro(a @ b)
+
+    _law_block(report, template, triples, residuals, lhs_norm)
 
 
 @dataclass(eq=False)
@@ -492,15 +541,15 @@ def gEn_membership(a, bonding: BondingSystem, tol: Tolerance = DEFAULT_TOL):
     of the composite inclusions; membership requires each to be invariant
     under ``a``.  Returns ``(member, blocks, report)`` where ``blocks`` maps
     each level boundary k >= 1 to its (B_k, B'_k) pair (column block above
-    the diagonal and diagonal block) for canonical padding towers, and is
-    None otherwise.
+    the diagonal and diagonal block) for padding towers
+    (``BondingSystem.padding``), and is None otherwise.
 
     Raises InvalidInput when ``a`` is not invertible.
     """
     report = _flag_report(a, bonding, bonding.levels - 1, tol)
     member = report.passed
     blocks = None
-    if member and bonding._maps_are_padding():
+    if member and bonding.padding:
         a = as_matrix(a)
         blocks = {}
         prev = 0

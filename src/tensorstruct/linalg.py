@@ -106,14 +106,16 @@ def as_matrix(m, square=False, name="matrix", ndim=2):
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
-def _power_of_two(x):
+def _power_of_two(x, even=True):
     """The power of two ``2**e``, ``e`` even, with ``1 <= max|x| / 2**e < 4``
     for a finite nonzero ``x``: dividing by it is exact wherever the
     quotient is a normal double, and its square root ``2**(e/2)`` is exact
     too.  It is the one rescale of the package, after Blue (ACM TOMS 4(1),
-    1978) and Anderson (ACM TOMS 44(1), 2017)."""
+    1978) and Anderson (ACM TOMS 44(1), 2017).  With ``even`` false, ``e``
+    is the exponent of max|x| itself, ``1 <= max|x| / 2**e < 2``, so that
+    ``x`` and ``x * 2**k`` give the same quotient for every integer k."""
     e = math.frexp(float(np.abs(x).max()))[1] - 1
-    return math.ldexp(1.0, e - e % 2)
+    return math.ldexp(1.0, e - e % 2 if even else e)
 
 
 def fro(a):
@@ -139,14 +141,15 @@ def fro_each(stack):
     ``vecdot`` of the flattened matrices with themselves (the dot ``fro``
     takes, row by row), and ``fro`` itself on each row, not all zeros,
     whose sum of squares is not a normal double; a stack of zeros takes
-    neither.  Unlike ``fro``, a sum that overflows warns: ``vecdot`` checks
-    the floating-point flags, and an ``np.errstate`` around it would cost
-    about a microsecond on every call to silence a rare warning."""
+    neither.  Like ``fro``, it never warns: ``vecdot`` checks the
+    floating-point flags, so a sum that overflows, which ``fro`` then
+    rescues, is silenced."""
     stack = np.asarray(stack, dtype=float)
     rows = stack.reshape(len(stack), math.prod(stack.shape[1:]))
     if not np.count_nonzero(rows):
         return np.zeros(len(rows))
-    d = np.vecdot(rows, rows)
+    with np.errstate(over="ignore"):
+        d = np.vecdot(rows, rows)
     out = np.sqrt(d)
     for k in np.flatnonzero(((d < _TINY) & rows.any(axis=1)) | ~(d < math.inf)):
         out[k] = fro(rows[k])

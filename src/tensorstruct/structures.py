@@ -48,6 +48,7 @@ validator in ``_VALIDATORS``.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -656,7 +657,21 @@ def darboux_basis(omega: SymplecticForm, tol: Tolerance = DEFAULT_TOL):
     """Symplectic Gram-Schmidt: columns of A turn S into the canonical form.
 
     Returns ``(A, certificate)`` where ``A^T S A`` equals [[0, I], [-I, 0]]
-    and ``certificate`` is the Frobenius residual of that identity.
+    and ``certificate`` is the Frobenius residual of that identity for
+    ``S / 2**e``, where ``2**e`` is the power of two of S's largest entry
+    (the division is exact), and its basis ``A * 2**(e/2)``; A itself is
+    that basis times ``2**(-e/2)``, exactly so for even e and within one
+    rounding for odd e.  So the basis of ``S * 2**k`` is A times
+    ``2**(-k/2)``, and its certificate has the bits of S's, wherever the
+    entries of ``S * 2**k`` stay normal doubles.
+
+    Both vectors of each pair (u, v) are divided by ``sqrt|Omega(u, v)|``:
+    u by that root, and then v by ``Omega(u, v)`` of the new u, which is
+    the root up to its sign, so that the pairing is 1 as computed.  No
+    direction is lost on the way: the pairs found so far span the
+    coordinates of the vectors they came from, so every vector left to
+    pair keeps the coordinate 1 at its own index, and its norm is at
+    least 1.
 
     Raises
     ------
@@ -672,20 +687,20 @@ def darboux_basis(omega: SymplecticForm, tol: Tolerance = DEFAULT_TOL):
     if kernel_and_image(s, tol)[2] < n:
         raise InvalidInput("no symplectic partner found: form is degenerate")
 
+    two = _power_of_two(s, even=False)
+    s = s / two
     remaining = [np.eye(n)[:, i] for i in range(n)]
     a_cols = []
     b_cols = []
     while remaining:
         u = remaining.pop(0)
-        nu = np.linalg.norm(u)
-        if nu <= tol.rank_threshold(1.0):
-            continue
-        u = u / nu
+        u = u / np.linalg.norm(u)
         pairings = [abs(float(u @ s @ w)) for w in remaining]
-        if not pairings or not max(pairings) > 0.0:
+        if not max(pairings) > 0.0:
             raise InvalidInput("no symplectic partner found: form is degenerate")
         pick = int(np.argmax(pairings))
         v = remaining.pop(pick)
+        u = u / math.sqrt(pairings[pick])
         v = v / float(u @ s @ v)  # now Omega(u, v) = 1
         a_cols.append(u)
         b_cols.append(v)
@@ -693,8 +708,6 @@ def darboux_basis(omega: SymplecticForm, tol: Tolerance = DEFAULT_TOL):
         remaining = [w - float(w @ s @ v) * u + float(w @ s @ u) * v
                      for w in remaining]
 
-    if 2 * len(a_cols) != n:
-        raise InvalidInput("symplectic reduction lost directions: form is degenerate")
     a = np.column_stack(a_cols + b_cols)
     certificate = fro(a.T @ s @ a - symplectic_canonical(n).matrix)
-    return a, float(certificate)
+    return a / math.sqrt(two), float(certificate)

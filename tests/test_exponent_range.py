@@ -12,7 +12,9 @@ a product or a residual reaches the smallest normal double, 2**-1022: below
 it, scaling an entry rounds it, so the scaled input is no longer an exact
 multiple of the first.  Down to there, the full range of the normal
 doubles, a sum of squares that underflows or goes subnormal is ``fro``'s to
-rescue, as one that overflows is.
+rescue, as one that overflows is.  Over the same range, ``darboux_basis``
+gives a symplectic form times 2**k the certificate of the form itself, bit
+for bit.
 
 The eigenvalue and rank decisions of ``linalg`` (``signature_of``,
 ``spd_sqrt``, ``kernel_and_image``) and ``krein_from_matrix`` are checked on
@@ -36,7 +38,14 @@ from tensorstruct.bundle import (
 from tensorstruct.errors import InvalidInput
 from tensorstruct.limits import BondingSystem, CoherentSequence, check_coherent
 from tensorstruct.linalg import Tolerance, kernel_and_image, signature_of, spd_sqrt
-from tensorstruct.structures import BilinearForm, krein_from_matrix, validate
+from tensorstruct.structures import (
+    BilinearForm,
+    SymplecticForm,
+    darboux_basis,
+    krein_from_matrix,
+    symplectic_canonical,
+    validate,
+)
 
 
 def _normal(rng, shape, norm=None):
@@ -134,9 +143,8 @@ def test_a_verdict_does_not_depend_on_the_exponent(case, seed, accept, k):
     # that keeps every nonzero one a normal double
     top = 1018 - math.ceil(math.log2(max(np.abs(a).max() for a in arrays)))
     bottom = -1022 - math.floor(math.log2(min(np.abs(a[a != 0]).min() for a in arrays)))
-    with np.errstate(over="ignore"):  # fro_each's vecdot warns before fro scales the sum
-        for exponent in sorted({bottom, 0, min(max(k, bottom), top), top}):
-            assert judge(exponent, tol) == accept, exponent
+    for exponent in sorted({bottom, 0, min(max(k, bottom), top), top}):
+        assert judge(exponent, tol) == accept, exponent
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,3 +205,27 @@ def test_eigen_and_rank_verdicts_do_not_depend_on_the_exponent(seed, n, drop, k)
     for exponent in sorted({-1074, min(k, top), top}):
         scale = 2.0 ** exponent
         assert _verdicts(a * scale, g * scale, tol) == want, exponent
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), half=st.integers(1, 3), k=st.integers(-1100, 1100))
+def test_a_darboux_certificate_does_not_depend_on_the_exponent(seed, half, k):
+    # P^T J P for a P with singular values in [1, 2]: nondegenerate under
+    # every tolerance of rtol 1e-9.  Its basis is found for the form divided
+    # by the power of two of its largest entry, so every k that keeps each
+    # nonzero entry a normal double gives the certificate's bits, and each
+    # even k the basis times 2**(-k/2), bit for bit
+    rng = np.random.default_rng(seed)
+    n = 2 * half
+    p = np.linalg.qr(rng.normal(size=(n, n)))[0] * rng.uniform(1.0, 2.0, size=n)
+    s = p.T @ symplectic_canonical(n).matrix @ p
+    s = s - s.T
+    tol = Tolerance(atol=0.0, rtol=1e-9)
+    a, certificate = darboux_basis(SymplecticForm(s), tol)
+    top = 1023 - math.floor(math.log2(np.abs(s).max()))
+    bottom = -1022 - math.floor(math.log2(np.abs(s[s != 0]).min()))
+    for exponent in sorted({bottom, 0, min(max(k, bottom), top), top}):
+        basis, scaled = darboux_basis(SymplecticForm(s * 2.0 ** exponent), tol)
+        assert scaled.hex() == certificate.hex(), exponent
+        if exponent % 2 == 0:
+            assert np.array_equal(basis, a * 2.0 ** (-exponent // 2)), exponent

@@ -311,7 +311,7 @@ DECIDE_FOR_THEMSELVES = {
     ("structures", "fundamental_symmetry"),
     ("bundle", "in_isotropy"), ("bundle", "_orbit_class"), ("bundle", "_same_orbit"),
     ("calculus", "is_integrable_structure"),
-    ("limits", "_composition_block"),  # its probe at scale 0
+    ("limits", "_law_block"),  # its probe at scale 0
 }
 
 

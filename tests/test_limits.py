@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tensorstruct.errors import InvalidInput, ShapeMismatch
 from tensorstruct.limits import (
@@ -19,6 +22,7 @@ from tensorstruct.limits import (
     tuple_project,
     validate_bonding,
 )
+from tensorstruct.linalg import Tolerance
 from tensorstruct.structures import StructureMatrix
 
 DIMS = [1, 2, 3, 4]
@@ -105,6 +109,58 @@ def test_direct_tower_requires_projections_for_general_injections():
     b = BondingSystem(DIMS, "direct", maps)  # not padding: no auto projections
     with pytest.raises(ShapeMismatch):
         b.projection(0, 1)
+
+
+def _products_forced(b):
+    """``b`` with ``padding`` forced off, so that every law forms its products."""
+    object.__setattr__(b, "padding", False)
+    return b
+
+
+@settings(max_examples=60, deadline=None)
+@given(variance=st.sampled_from(["projective", "direct"]), low=st.integers(1, 3),
+       steps=st.lists(st.integers(0, 2), max_size=11), atol=st.sampled_from([0.0, 1e-9]))
+def test_a_padding_tower_reports_the_bytes_of_its_products(variance, low, steps, atol):
+    # nondecreasing dims, repeated where a step is 0, over 1 to 12 levels
+    dims = list(itertools.accumulate(steps, initial=low))
+    tol = Tolerance(atol=atol, rtol=1e-9)
+    b = BondingSystem.padded(dims, variance)
+    assert b.padding
+    products = _products_forced(BondingSystem.padded(dims, variance))
+    assert validate_bonding(b, tol).to_json() == validate_bonding(products, tol).to_json()
+
+
+def test_padding_maps_with_other_projections_take_the_products():
+    # the maps are padding but the projection halves: proj @ map = I / 2
+    b = BondingSystem([1, 2], "direct", [np.eye(2, 1)], [0.5 * np.eye(1, 2)])
+    assert not b.padding
+    [section] = [e for e in validate_bonding(b).entries if e.name == "section[0,1]"]
+    assert section.residual == 0.5 and not section.passed
+
+
+def test_maps_one_ulp_off_padding_take_the_products():
+    one_up = np.nextafter(1.0, 2.0)
+    maps = [np.eye(2, 3), np.eye(3, 4)]
+    maps[1][2, 2] = one_up
+    assert not BondingSystem([2, 3, 4], "projective", maps).padding
+    # three such maps, each one entry off the identity: the law's product
+    # associates them differently from the composite, and rounds apart
+    up, down = np.array([[1.0, one_up], [0.0, 1.0]]), np.array([[1.0, 0.0], [one_up, 1.0]])
+    b = BondingSystem([2] * 4, "projective", [up, down, up])
+    assert not b.padding
+    report = validate_bonding(b)
+    [law] = [e for e in report.entries if e.name == "composition[0,1,3]"]
+    assert law.residual == 2.0 ** -51 and report.passed
+
+
+def test_a_section_law_is_judged_at_the_norm_of_its_left_hand_side():
+    # proj @ map = (1 + d) I_3: residual sqrt(3) d at the scale sqrt(3) (1 + d),
+    # so rtol r accepts d up to about r, where the scale 1 took r / sqrt(3)
+    tol = Tolerance(atol=0.0, rtol=1e-6)
+    for d, accept in ((0.9e-6, True), (1.1e-6, False)):
+        b = BondingSystem([3, 3], "direct", [2.0 * np.eye(3)], [0.5 * (1.0 + d) * np.eye(3)])
+        [section] = [e for e in validate_bonding(b, tol).entries if e.name == "section[0,1]"]
+        assert section.passed == accept, d
 
 
 def test_an_unknown_sequence_kind_is_refused():

@@ -315,8 +315,11 @@ def test_darboux_identity_case():
 
 
 def test_darboux_hand_scaling():
-    a, cert = darboux_basis(SymplecticForm(np.array([[0.0, 3.0], [-3.0, 0.0]])))
-    np.testing.assert_allclose(a, np.diag([1.0, 1.0 / 3.0]), atol=1e-14)
+    # both vectors of the pair are divided by sqrt|Omega(u, v)| = sqrt(3)
+    s = np.array([[0.0, 3.0], [-3.0, 0.0]])
+    a, cert = darboux_basis(SymplecticForm(s))
+    np.testing.assert_allclose(a, np.diag([3.0 ** -0.5, 3.0 ** -0.5]), atol=1e-14)
+    np.testing.assert_allclose(a.T @ s @ a, symplectic_canonical(2).matrix, atol=1e-14)
     assert cert <= 1e-14
 
 
